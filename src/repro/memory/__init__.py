@@ -7,8 +7,9 @@ block tables over one global :class:`KVArena`:
 * :class:`KVArena` -- fixed-size KV blocks, O(1) free-list alloc/free,
   refcounts, zero-copy views over contiguous block runs.
 * :class:`PagedLayerKVCache` -- drop-in ``LayerKVCache`` replacement
-  holding a block table; copy-on-write forking, atomic appends,
-  gather-based views feeding the existing kernels.
+  holding a block table; copy-on-write forking, atomic appends, and an
+  incremental contiguous mirror so a read feeding the existing kernels
+  copies only the tokens appended since the last one.
 * :class:`PrefixSharingRegistry` -- chain-hashed token prefixes map to
   physical blocks so repeated system prompts share storage.
 * :class:`EvictionPolicy` implementations (:class:`HeavyHitterPolicy`,

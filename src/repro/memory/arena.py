@@ -22,8 +22,12 @@ substrate):
   ledger.
 * **Zero-copy contiguous views** -- the ``(H_kv, n_blocks, bt, d)``
   layout makes any *contiguous ascending run* of block ids expressible as
-  a strided view ``arr[:, b0:b1].reshape(H, run*bt, d)`` without copying;
-  fragmented tables fall back to a gather into a reused scratch slab.
+  a strided view ``arr[:, b0:b1].reshape(H, run*bt, d)`` without copying.
+  Blocks are layer-agnostic and allocated on demand, so under serving the
+  layers of co-scheduled requests interleave and multi-block tables are
+  almost never one run; those are read through
+  :meth:`PagedLayerKVCache.kv`, which calls :meth:`gather` for only the
+  tokens its contiguous mirror does not hold yet.
 * **Reservations** -- :meth:`reserve` withdraws blocks from the free list
   without handing them to any table; the fault injector uses this to
   simulate arena-exhaustion bursts deterministically.
@@ -82,7 +86,7 @@ class KVArena:
         self._v = np.zeros_like(self._k)
         self._ref = np.zeros(n_blocks, dtype=np.int32)
         # LIFO free list; initialised so the first allocations come out in
-        # ascending id order (contiguous runs -> zero-copy views).
+        # ascending id order (a lone table growing is one zero-copy run).
         self._free: list[int] = list(range(n_blocks - 1, -1, -1))
         self._reserved: list[int] = []
         # Monotone counters for telemetry.
@@ -205,7 +209,7 @@ class KVArena:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """``(keys, values)`` of shape ``(H_kv, length, d)`` over
         ``block_ids`` *without copying*, or ``None`` when the ids are not a
-        contiguous ascending run (the caller gathers instead).
+        contiguous ascending run (the caller reads through its mirror).
 
         ``length`` trims the partially-filled tail block.
         """
@@ -228,17 +232,44 @@ class KVArena:
         length: int,
         out_k: np.ndarray,
         out_v: np.ndarray,
+        start: int = 0,
     ) -> None:
-        """Copy ``length`` tokens of ``block_ids`` into caller scratch
-        ``(H_kv, length, d)``; used when :meth:`view` returns ``None``."""
+        """Copy tokens ``[start, length)`` of the table ``block_ids`` into
+        caller buffers of shape ``(H_kv, length - start, d)``.
+
+        ``start`` need not sit on a block boundary: a reader that already
+        holds the first ``start`` tokens pays for the new ones only.
+
+        Raises
+        ------
+        ConfigError
+            When ``block_ids`` cover fewer than ``length`` tokens or a
+            buffer has the wrong shape -- either would leave the caller
+            reading bytes this call never wrote.
+        """
         bt = self.block_tokens
-        t = 0
-        for bid in block_ids:
-            m = min(bt, length - t)
-            if m <= 0:
-                break
-            out_k[:, t : t + m] = self._k[:, bid, :m]
-            out_v[:, t : t + m] = self._v[:, bid, :m]
+        if not 0 <= start <= length:
+            raise ConfigError(
+                f"gather: start {start} outside [0, {length}]"
+            )
+        if len(block_ids) * bt < length:
+            raise ConfigError(
+                f"gather: {len(block_ids)} blocks of {bt} tokens cannot "
+                f"cover {length} tokens"
+            )
+        shape = (self.n_kv_heads, length - start, self.d_head)
+        if out_k.shape != shape or out_v.shape != shape:
+            raise ConfigError(
+                f"gather: buffers {out_k.shape} / {out_v.shape}, "
+                f"expected {shape}"
+            )
+        t = start
+        while t < length:
+            bi, off = divmod(t, bt)
+            m = min(bt - off, length - t)
+            bid, o = block_ids[bi], t - start
+            out_k[:, o : o + m] = self._k[:, bid, off : off + m]
+            out_v[:, o : o + m] = self._v[:, bid, off : off + m]
             t += m
 
     # ------------------------------------------------------------- reporting

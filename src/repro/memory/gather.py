@@ -1,111 +1,56 @@
-"""Batched block-table gather for fused decode over paged KV caches.
+"""Batched KV read for fused decode over paged KV caches.
 
 A fused decode step needs every batched request's ``(keys, values)`` for
-one layer at once.  Per-cache ``.keys``/``.values`` would re-gather each
-fragmented cache into its *own* scratch buffer every layer of every step;
-:class:`BatchedKVGather` instead materialises the whole batch through one
-grow-only scratch slab per arena -- one allocation reused across layers,
-steps, and requests -- while unfragmented caches keep the arena's
-zero-copy contiguous view and never touch the slab.
-
-Gathering moves bytes verbatim, so both paths return arrays bitwise
-identical to the cache's own ``.keys``/``.values`` -- the fused decode
-parity gate does not notice which path served a request.
+one layer at once.  :class:`BatchedKVGather` asks each cache for
+:meth:`~repro.memory.PagedLayerKVCache.kv` -- the arena's zero-copy view,
+or the cache's contiguous mirror topped up with the tokens appended since
+its last read -- and accounts how many tokens the step actually copied.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = ["BatchedKVGather"]
 
 
 class BatchedKVGather:
-    """Slab-backed gather hook for :meth:`Transformer.decode_batch`.
+    """Read hook for :meth:`Transformer.decode_batch`, with copy accounting.
 
     Call signature matches the ``gather`` parameter of ``decode_batch``:
     ``(layer_index, pairs) -> {entry_index: (keys, values)}`` where
-    ``pairs`` is a list of ``(entry_index, cache)``.  Caches whose live
-    blocks form a contiguous ascending run resolve through
-    ``arena.view`` (zero copy); the rest are copied into disjoint slices
-    of one shared scratch slab sized to the batch's total KV tokens.
-
-    The slab is grow-only and owned by this object: the engine keeps one
-    instance per run, so steady-state decode performs zero allocations
-    for gathers.  Slices are only valid until the next call -- exactly
-    the lifetime ``decode_batch`` needs (one attention dispatch).
+    ``pairs`` is a list of ``(entry_index, cache)``.  The engine keeps one
+    instance per run; its counters land in
+    ``EngineResult.memory["decode_gather"]``.
     """
 
     def __init__(self) -> None:
-        self._slab_k: np.ndarray | None = None
-        self._slab_v: np.ndarray | None = None
-        #: Dispatches served entirely by zero-copy views.
-        self.view_only_dispatches = 0
         #: Total calls.
         self.dispatches = 0
-        #: Tokens copied through the slab (telemetry).
+        #: Calls that copied nothing.
+        self.view_only_dispatches = 0
+        #: Tokens copied out of the arena by these calls (telemetry).
         self.gathered_tokens = 0
-        #: Tokens served zero-copy (telemetry).
+        #: Tokens of paged caches served without a copy: an arena view,
+        #: or already in the cache's mirror (telemetry).
         self.viewed_tokens = 0
-
-    @property
-    def slab_bytes(self) -> int:
-        """Current scratch footprint (both K and V slabs)."""
-        if self._slab_k is None:
-            return 0
-        return self._slab_k.nbytes + self._slab_v.nbytes
-
-    def _ensure_slab(self, h: int, tokens: int, d: int) -> None:
-        slab = self._slab_k
-        if (
-            slab is None
-            or slab.shape[0] != h
-            or slab.shape[2] != d
-            or slab.shape[1] < tokens
-        ):
-            cap = max(tokens, 2 * (slab.shape[1] if slab is not None else 0))
-            self._slab_k = np.empty((h, cap, d), dtype=np.float32)
-            self._slab_v = np.empty((h, cap, d), dtype=np.float32)
-
-    @staticmethod
-    def _live_blocks(cache) -> list[int]:
-        bt = cache.arena.block_tokens
-        need = (len(cache) + bt - 1) // bt
-        return list(cache.block_ids[:need])
 
     def __call__(self, layer_index: int, pairs: list) -> dict:
         self.dispatches += 1
         out: dict = {}
-        fragmented: list[tuple] = []
-        total = 0
-        h = d = 0
+        copied = 0
         for b, cache in pairs:
-            arena = getattr(cache, "arena", None)
-            if arena is None:
+            if not hasattr(cache, "kv"):
                 # Contiguous (non-paged) cache: its views are already
                 # zero-copy slices of one buffer.
                 out[b] = (cache.keys, cache.values)
                 continue
-            n = len(cache)
-            live = self._live_blocks(cache)
-            pair = arena.view(live, n)
-            if pair is not None:
-                out[b] = pair
-                self.viewed_tokens += n
-                continue
-            fragmented.append((b, cache, live, n, total))
-            total += n
-            h, d = arena.n_kv_heads, arena.d_head
-        if not fragmented:
+            before = cache.copied_tokens
+            out[b] = cache.kv()
+            delta = cache.copied_tokens - before
+            copied += delta
+            self.viewed_tokens += len(cache) - delta
+        self.gathered_tokens += copied
+        if not copied:
             self.view_only_dispatches += 1
-            return out
-        self._ensure_slab(h, total, d)
-        for b, cache, live, n, off in fragmented:
-            out_k = self._slab_k[:, off : off + n]
-            out_v = self._slab_v[:, off : off + n]
-            cache.arena.gather(live, n, out_k, out_v)
-            out[b] = (out_k, out_v)
-            self.gathered_tokens += n
         return out
 
     def stats(self) -> dict:
@@ -115,5 +60,4 @@ class BatchedKVGather:
             "view_only_dispatches": self.view_only_dispatches,
             "viewed_tokens": self.viewed_tokens,
             "gathered_tokens": self.gathered_tokens,
-            "slab_bytes": self.slab_bytes,
         }

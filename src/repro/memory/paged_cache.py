@@ -15,12 +15,20 @@ Semantics beyond the contiguous cache:
   truncate) into a block whose arena refcount is above one forks the block
   first, so prefix-shared physical blocks are never mutated by one of
   their readers.
-* **Gather-based views** -- ``keys``/``values`` return a zero-copy strided
-  view when the table is one contiguous ascending run of block ids (the
-  common case for freshly allocated requests), and otherwise gather the
-  live prefix into a grow-only scratch slab owned by the cache (O(1)
-  steady-state allocations, same contract as the fast kernel's
-  :class:`~repro.attention.KernelWorkspace`).
+* **Incremental contiguous mirror** -- the kernels want one
+  ``(H_kv, len, d)`` array per cache, and under serving a multi-block
+  table is almost never one ascending run of block ids (blocks are
+  layer-agnostic, so layers and co-scheduled requests interleave).
+  :meth:`PagedLayerKVCache.kv` therefore keeps a private contiguous copy
+  of the live prefix with a watermark and, per read, copies only the
+  tokens past the watermark out of the arena: a prefill chunk costs
+  O(chunk) and a decode step O(1) instead of O(prefix).  Coherence:
+  ``truncate(n)`` lowers the watermark to ``min(watermark, n)``;
+  ``release``/``evict`` drop the mirror; a copy-on-write fork copies
+  identical bytes and invalidates nothing; an adopted shared prefix is
+  copied once, on first read.  A table that *is* one run still gets the
+  arena's zero-copy view.  The mirror is compute staging outside the
+  arena's block ledger (:attr:`PagedLayerKVCache.mirror_nbytes`).
 * **Atomic append** -- an append that hits
   :class:`~repro.errors.ArenaExhaustedError` partway rolls itself back to
   the pre-append length before re-raising, so the serving engine's chunk
@@ -38,9 +46,14 @@ __all__ = ["PagedLayerKVCache"]
 
 
 class PagedLayerKVCache:
-    """Append-mostly KV store for one decoder layer, paged over an arena."""
+    """Append-mostly KV store for one decoder layer, paged over an arena.
 
-    def __init__(self, arena: KVArena) -> None:
+    ``capacity`` is the cache's expected final length in tokens, when the
+    caller knows it: the mirror is then allocated once at that size
+    instead of growing geometrically.
+    """
+
+    def __init__(self, arena: KVArena, capacity: int = 0) -> None:
         self.arena = arena
         self._blocks: list[int] = []
         self._len = 0
@@ -48,8 +61,11 @@ class PagedLayerKVCache:
         self._acc = np.zeros(
             (arena.n_kv_heads, arena.block_tokens), dtype=np.float64
         )
-        self._scratch_k: np.ndarray | None = None
-        self._scratch_v: np.ndarray | None = None
+        # Contiguous mirror of tokens [0, _mirrored) of the table, see kv().
+        self._mirror_k: np.ndarray | None = None
+        self._mirror_v: np.ndarray | None = None
+        self._mirrored = 0
+        self._capacity = capacity
         # Staged (uncommitted) attention mass of the in-flight decode
         # step: applied to ``_acc`` by :meth:`commit_attention`, discarded
         # by rollback (truncate/release) -- see record_attention.
@@ -59,6 +75,8 @@ class PagedLayerKVCache:
         self.shared_tokens = 0
         #: Eviction passes applied to this cache (telemetry).
         self.evictions = 0
+        #: Tokens reads have copied out of the arena (monotone, telemetry).
+        self.copied_tokens = 0
 
     def __len__(self) -> int:
         return self._len
@@ -79,6 +97,13 @@ class PagedLayerKVCache:
         return len(self._blocks) * self.arena.bytes_per_block
 
     @property
+    def mirror_nbytes(self) -> int:
+        """Bytes of the contiguous mirror (outside the arena ledger)."""
+        if self._mirror_k is None:
+            return 0
+        return self._mirror_k.nbytes + self._mirror_v.nbytes
+
+    @property
     def shared_block_count(self) -> int:
         """Blocks of this table currently shared with another table."""
         return sum(
@@ -90,30 +115,50 @@ class PagedLayerKVCache:
         return self._pos[: self._len]
 
     # ----------------------------------------------------------------- views
-    def _views(self) -> tuple[np.ndarray, np.ndarray]:
-        live = self._live_blocks()
-        pair = self.arena.view(live, self._len)
+    def kv(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)``, each ``(H_kv, len, d_head)``, over the live
+        prefix: the arena's zero-copy view when the table is one ascending
+        run, else the mirror after copying tokens ``[watermark, len)``
+        into it.  Bytes are moved verbatim, so both are bitwise equal to
+        a from-scratch gather."""
+        n = self._len
+        pair = self.arena.view(self._blocks, n)
         if pair is not None:
             return pair
-        h, d = self.arena.n_kv_heads, self.arena.d_head
-        if self._scratch_k is None or self._scratch_k.shape[1] < self._len:
-            cap = max(self._len, 2 * (self._scratch_k.shape[1] if
-                                      self._scratch_k is not None else 0))
-            self._scratch_k = np.empty((h, cap, d), dtype=np.float32)
-            self._scratch_v = np.empty((h, cap, d), dtype=np.float32)
-        out_k = self._scratch_k[:, : self._len]
-        out_v = self._scratch_v[:, : self._len]
-        self.arena.gather(live, self._len, out_k, out_v)
-        return out_k, out_v
+        done = self._mirrored
+        if self._mirror_k is None or self._mirror_k.shape[1] < n:
+            held = 0 if self._mirror_k is None else self._mirror_k.shape[1]
+            shape = (
+                self.arena.n_kv_heads,
+                max(n, self._capacity, 2 * held),
+                self.arena.d_head,
+            )
+            grown_k = np.empty(shape, dtype=np.float32)
+            grown_v = np.empty(shape, dtype=np.float32)
+            if done:
+                grown_k[:, :done] = self._mirror_k[:, :done]
+                grown_v[:, :done] = self._mirror_v[:, :done]
+            self._mirror_k, self._mirror_v = grown_k, grown_v
+        if done < n:
+            self.arena.gather(
+                self._blocks,
+                n,
+                self._mirror_k[:, done:n],
+                self._mirror_v[:, done:n],
+                start=done,
+            )
+            self.copied_tokens += n - done
+            self._mirrored = n
+        return self._mirror_k[:, :n], self._mirror_v[:, :n]
 
     @property
     def keys(self) -> np.ndarray:
-        """``(H_kv, len, d_head)`` over the live prefix (view or gather)."""
-        return self._views()[0]
+        """``(H_kv, len, d_head)`` over the live prefix, see :meth:`kv`."""
+        return self.kv()[0]
 
     @property
     def values(self) -> np.ndarray:
-        return self._views()[1]
+        return self.kv()[1]
 
     def attention_mass(self) -> np.ndarray:
         """Committed per-key attention mass, ``(H_kv, len)``.
@@ -122,11 +167,6 @@ class PagedLayerKVCache:
         yet committed) mass from an in-flight decode step is excluded.
         """
         return self._acc[:, : self._len]
-
-    def _live_blocks(self) -> list[int]:
-        bt = self.arena.block_tokens
-        need = (self._len + bt - 1) // bt
-        return self._blocks[:need]
 
     # ---------------------------------------------------------------- growth
     def _grow_meta(self, needed: int) -> None:
@@ -231,14 +271,18 @@ class PagedLayerKVCache:
             self.arena.decref(self._blocks.pop())
         self._acc[:, length : self._len] = 0.0
         self._len = length
+        self._mirrored = min(self._mirrored, length)
         self.discard_staged_attention()
 
     def release(self) -> None:
-        """Drop every block reference (request finished or shed)."""
+        """Drop every block reference and the mirror (request finished
+        or shed): a released cache pins no KV bytes anywhere."""
         while self._blocks:
             self.arena.decref(self._blocks.pop())
         self._acc[:, : self._len] = 0.0
         self._len = 0
+        self._mirror_k = self._mirror_v = None
+        self._mirrored = 0
         self.discard_staged_attention()
 
     # ------------------------------------------------------------- attention
@@ -325,16 +369,17 @@ class PagedLayerKVCache:
                 f"table nets {would_free} (shared blocks) with "
                 f"{self.arena.blocks_free} free"
             )
-        keys, values = self._views()
+        keys, values = self.kv()
         new_k = np.stack([keys[h, keep_per_head[h]] for h in range(h_kv)])
         new_v = np.stack([values[h, keep_per_head[h]] for h in range(h_kv)])
         new_acc = np.stack(
             [self._acc[h, keep_per_head[h]] for h in range(h_kv)]
         )
         new_pos = self._pos[keep_per_head[0]].copy()
-        # Free first, then reallocate: the gather above copied the data
-        # out, and the pre-check guarantees freeing makes enough room for
-        # the rewrite.
+        # Free first, then reallocate: the fancy-indexing above copied the
+        # kept entries out (release() also drops the mirror, whose layout
+        # the rewrite invalidates), and the pre-check guarantees freeing
+        # makes enough room for the rewrite.
         self.release()
         arena = self.arena
         t = 0

@@ -404,9 +404,10 @@ class Transformer:
         attention mass is discarded by the rollback ``truncate``).
         ``gather(layer_index, pairs)`` -- ``pairs`` a list of
         ``(entry_index, cache)`` -- may override how per-request KV views
-        are materialised (the paged backend batches its block-table
-        gathers through one shared scratch slab); the default reads
-        ``cache.keys`` / ``cache.values`` per entry.
+        are materialised (the paged backend reads through
+        :class:`~repro.memory.BatchedKVGather` to account the tokens it
+        copies); the default reads ``cache.keys`` / ``cache.values`` per
+        entry.
 
         The default ``attend_batch`` executes the whole batch as one
         :func:`~repro.attention.packed.packed_decode_attention` dispatch

@@ -603,10 +603,11 @@ class ServingEngine:
         n = self.executed_len(request)
         tokens = np.asarray(self.prompt_builder(request, n), dtype=np.int64)
         tm.executed_len = int(tokens.size)
+        capacity = int(tokens.size + request.decode_tokens + 1)
         start = 0
         if self._arena is not None:
             caches: list = [
-                PagedLayerKVCache(self._arena)
+                PagedLayerKVCache(self._arena, capacity)
                 for _ in range(self.model.config.n_layers)
             ]
             if self._sharing is not None and tokens.size > 1:
@@ -625,9 +626,7 @@ class ServingEngine:
                     self._registry.inc("prefix_cache_hits")
                     self._registry.inc("prefix_tokens_reused", float(start))
         else:
-            caches = self.model.new_caches(
-                capacity=int(tokens.size + request.decode_tokens + 1)
-            )
+            caches = self.model.new_caches(capacity=capacity)
         chunks = [
             (c0, min(c0 + self.chunk_size, tokens.size))
             for c0 in range(start, tokens.size, self.chunk_size)
@@ -1607,9 +1606,8 @@ class ServingEngine:
             else:
                 n_blocks = self.arena_blocks
             self._arena = KVArena(n_blocks, cfg.n_kv_heads, bt, cfg.d_head)
-            # One slab-backed batched gather per run: fused decode steps
-            # materialise every fragmented cache through one scratch slab
-            # (unfragmented caches stay zero-copy views).
+            # Fused decode steps read every cache through one hook so the
+            # run can report how many KV tokens decode copied vs. reused.
             self._decode_gather = BatchedKVGather()
             self._sharing = (
                 PrefixSharingRegistry(self._arena)

@@ -141,6 +141,44 @@ class TestViews:
         np.testing.assert_array_equal(out_k, k_view)
         np.testing.assert_array_equal(out_v, v_view)
 
+    def test_gather_from_a_start_offset_copies_only_the_tail(self):
+        rng = np.random.default_rng(1)
+        arena = make_arena(bt=4)
+        ids = [arena.alloc() for _ in range(3)]
+        arena._k[:, ids] = rng.standard_normal(arena._k[:, ids].shape)
+        arena._v[:, ids] = rng.standard_normal(arena._v[:, ids].shape)
+        k_view, v_view = arena.view(ids, 11)
+        for start in (0, 3, 4, 6, 11):  # mid-block, on a boundary, empty
+            out_k = np.empty((2, 11 - start, 8), dtype=np.float32)
+            out_v = np.empty((2, 11 - start, 8), dtype=np.float32)
+            arena.gather(ids, 11, out_k, out_v, start=start)
+            np.testing.assert_array_equal(out_k, k_view[:, start:])
+            np.testing.assert_array_equal(out_v, v_view[:, start:])
+
+    def test_gather_rejects_a_table_shorter_than_length(self):
+        arena = make_arena(bt=4)
+        ids = [arena.alloc() for _ in range(2)]
+        out = np.empty((2, 9, 8), dtype=np.float32)
+        with pytest.raises(ConfigError, match="cannot cover 9 tokens"):
+            arena.gather(ids, 9, out, out.copy())
+
+    def test_gather_rejects_misshapen_buffers_and_bad_start(self):
+        arena = make_arena(bt=4)
+        ids = [arena.alloc() for _ in range(2)]
+        good = np.empty((2, 6, 8), dtype=np.float32)
+        for out_k, out_v in (
+            (np.empty((2, 5, 8), dtype=np.float32), good),
+            (good, np.empty((2, 7, 8), dtype=np.float32)),
+            (np.empty((1, 6, 8), dtype=np.float32), good),
+        ):
+            with pytest.raises(ConfigError, match="expected"):
+                arena.gather(ids, 6, out_k, out_v)
+        with pytest.raises(ConfigError, match="expected"):
+            arena.gather(ids, 6, good, good.copy(), start=2)
+        for start in (-1, 7):
+            with pytest.raises(ConfigError, match="start"):
+                arena.gather(ids, 6, good, good.copy(), start=start)
+
 
 class TestStats:
     def test_snapshot_keys_and_counters(self):

@@ -35,7 +35,7 @@ class TestFastPaths:
         np.testing.assert_array_equal(k, cache.keys)
         np.testing.assert_array_equal(v, cache.values)
         assert g.view_only_dispatches == 1
-        assert g.gathered_tokens == 0 and g.slab_bytes == 0
+        assert g.gathered_tokens == 0 and g.viewed_tokens == 0
 
     def test_unfragmented_paged_cache_is_zero_copy(self):
         arena = KVArena(8, H, BT, D)
@@ -44,12 +44,12 @@ class TestFastPaths:
         g = BatchedKVGather()
         (k, v) = g(0, [(0, cache)])[0]
         np.testing.assert_array_equal(k, cache.keys)
-        assert k.base is not None  # a view over the arena, not a copy
+        assert np.shares_memory(k, arena._k)  # the arena itself, no copy
         assert g.viewed_tokens == 2 * BT + 1
-        assert g.view_only_dispatches == 1 and g.slab_bytes == 0
+        assert g.view_only_dispatches == 1 and cache.mirror_nbytes == 0
 
 
-class TestSlabGather:
+class TestMirrorGather:
     def test_fragmented_caches_match_cache_views_bitwise(self):
         arena = KVArena(8, H, BT, D)
         a, b = interleaved_pair(arena)
@@ -61,29 +61,57 @@ class TestSlabGather:
         np.testing.assert_array_equal(out[1][1], b.values)
         assert g.gathered_tokens == 4 * BT
         assert g.view_only_dispatches == 0
-        assert g.slab_bytes > 0
+        assert not np.shares_memory(out[0][0], arena._k)
 
-    def test_slab_is_reused_across_calls(self):
+    def test_unchanged_batch_copies_nothing(self):
         arena = KVArena(8, H, BT, D)
         a, b = interleaved_pair(arena)
         g = BatchedKVGather()
         g(0, [(0, a), (1, b)])
-        slab = g._slab_k
+        first = g.gathered_tokens
         for layer in range(1, 4):
-            g(layer, [(0, a), (1, b)])
-        assert g._slab_k is slab  # grow-only: no reallocation per layer
-        assert g.dispatches == 4
+            out = g(layer, [(0, a), (1, b)])
+        assert g.gathered_tokens == first  # the mirrors were current
+        assert g.viewed_tokens == 3 * 4 * BT
+        assert g.dispatches == 4 and g.view_only_dispatches == 3
+        np.testing.assert_array_equal(out[1][1], b.values)
 
-    def test_slab_grows_when_batch_outgrows_it(self):
+    def test_appended_token_copies_exactly_one_per_cache(self):
         arena = KVArena(16, H, BT, D)
         a, b = interleaved_pair(arena)
         g = BatchedKVGather()
+        g(0, [(0, a), (1, b)])
+        before = g.stats()
+        fill(a, 1, start=2 * BT, seed=5)
+        fill(b, 1, start=2 * BT, seed=6)
+        out = g(1, [(0, a), (1, b)])
+        after = g.stats()
+        assert after["gathered_tokens"] - before["gathered_tokens"] == 2
+        assert after["viewed_tokens"] - before["viewed_tokens"] == 4 * BT
+        for entry, cache in ((0, a), (1, b)):
+            k_ref = np.empty((H, len(cache), D), dtype=np.float32)
+            v_ref = np.empty_like(k_ref)
+            arena.gather(cache.block_ids, len(cache), k_ref, v_ref)
+            np.testing.assert_array_equal(out[entry][0], k_ref)
+            np.testing.assert_array_equal(out[entry][1], v_ref)
+
+    def test_truncate_recopies_from_the_truncation_point_only(self):
+        arena = KVArena(16, H, BT, D)
+        a, b = interleaved_pair(arena)
+        contig = LayerKVCache(H, D)
+        fill(contig, BT, seed=1)
+        fill(contig, BT, start=BT, seed=3)  # what interleaved_pair fed a
+        g = BatchedKVGather()
         g(0, [(0, a)])
-        small = g.slab_bytes
-        fill(a, 3 * BT, start=2 * BT, seed=5)
-        g(1, [(0, a), (1, b)])
-        assert g.slab_bytes > small
-        np.testing.assert_array_equal(g(2, [(0, a)])[0][0], a.keys)
+        a.truncate(BT + 1)
+        contig.truncate(BT + 1)
+        fill(a, 2, start=BT + 1, seed=8)
+        fill(contig, 2, start=BT + 1, seed=8)
+        before = g.gathered_tokens
+        (k, v) = g(1, [(0, a)])[0]
+        assert g.gathered_tokens - before == 2  # not 2*BT, not BT + 3
+        np.testing.assert_array_equal(k, contig.keys)
+        np.testing.assert_array_equal(v, contig.values)
 
     def test_mixed_batch_routes_each_cache_correctly(self):
         arena = KVArena(8, H, BT, D)
@@ -109,11 +137,11 @@ class TestStats:
         a, b = interleaved_pair(arena)
         g = BatchedKVGather()
         g(0, [(0, a), (1, b)])
+        g(1, [(0, a), (1, b)])
         s = g.stats()
-        assert set(s) == {
-            "dispatches", "view_only_dispatches", "viewed_tokens",
-            "gathered_tokens", "slab_bytes",
+        assert s == {
+            "dispatches": 2,
+            "view_only_dispatches": 1,
+            "viewed_tokens": 4 * BT,
+            "gathered_tokens": 4 * BT,
         }
-        assert s["dispatches"] == 1
-        assert s["gathered_tokens"] == 4 * BT
-        assert s["slab_bytes"] == g.slab_bytes

@@ -324,3 +324,108 @@ class TestRecordAttention:
         assert squeezed_token == clean_token
         for a, b in zip(clean_acc, squeezed_acc):
             np.testing.assert_array_equal(a, b)
+
+
+class TestMirror:
+    """Reads of a fragmented table go through the incremental mirror."""
+
+    @staticmethod
+    def _fragmented(arena, capacity=0):
+        """A cache whose two blocks are separated by a neighbour's, plus
+        the contiguous oracle fed the same tokens."""
+        cache = PagedLayerKVCache(arena, capacity)
+        oracle = LayerKVCache(H, D)
+        rng = np.random.default_rng(11)
+        oracle.append(*fill(cache, BT, rng=rng))
+        fill(PagedLayerKVCache(arena), 1)  # takes the adjacent block
+        oracle.append(*fill(cache, BT, start=BT, rng=rng))
+        assert arena.view(list(cache.block_ids), len(cache)) is None
+        return cache, oracle
+
+    def test_kv_pair_is_keys_and_values(self):
+        arena, _ = make_pair()
+        cache, oracle = self._fragmented(arena)
+        keys, values = cache.kv()
+        np.testing.assert_array_equal(keys, oracle.keys)
+        np.testing.assert_array_equal(values, oracle.values)
+        np.testing.assert_array_equal(cache.keys, keys)
+        np.testing.assert_array_equal(cache.values, values)
+        assert not np.shares_memory(keys, arena._k)
+
+    def test_one_run_table_reads_the_arena_and_owns_no_mirror(self):
+        arena, paged = make_pair()
+        fill(paged, 2 * BT + 1)
+        keys, values = paged.kv()
+        assert np.shares_memory(keys, arena._k)
+        assert np.shares_memory(values, arena._v)
+        assert paged.mirror_nbytes == 0 and paged.copied_tokens == 0
+
+    def test_reads_copy_only_tokens_past_the_watermark(self):
+        arena, _ = make_pair()
+        cache, oracle = self._fragmented(arena)
+        cache.kv()
+        assert cache.copied_tokens == 2 * BT
+        cache.kv()
+        _ = cache.keys, cache.values
+        assert cache.copied_tokens == 2 * BT  # nothing new to copy
+        oracle.append(*fill(cache, 3, start=2 * BT))
+        np.testing.assert_array_equal(cache.keys, oracle.keys)
+        assert cache.copied_tokens == 2 * BT + 3
+
+    def test_adopted_prefix_is_copied_once(self):
+        arena, _ = make_pair()
+        donor, oracle = self._fragmented(arena)
+        sibling = PagedLayerKVCache(arena)
+        sibling.adopt_shared(list(donor.block_ids), donor.positions.copy())
+        for _ in range(3):
+            np.testing.assert_array_equal(sibling.keys, oracle.keys)
+        assert sibling.copied_tokens == 2 * BT
+
+    def test_cow_fork_invalidates_nothing(self):
+        arena, _ = make_pair()
+        donor, oracle = self._fragmented(arena)
+        sibling = PagedLayerKVCache(arena)
+        sibling.adopt_shared(list(donor.block_ids), donor.positions.copy())
+        sibling.kv()  # mirror warm over the shared prefix
+        sibling.truncate(BT + 1)
+        oracle.truncate(BT + 1)
+        oracle.append(*fill(sibling, 2, start=BT + 1))
+        assert arena.forks == 1
+        np.testing.assert_array_equal(sibling.keys, oracle.keys)
+        np.testing.assert_array_equal(sibling.values, oracle.values)
+        assert sibling.copied_tokens == 2 * BT + 2
+
+    def test_capacity_sizes_the_mirror_once(self):
+        arena, _ = make_pair(n_blocks=32)
+        cache, oracle = self._fragmented(arena, capacity=40)
+        cache.kv()
+        sized = cache.mirror_nbytes
+        assert sized == 2 * H * 40 * D * 4
+        oracle.append(*fill(cache, 30, start=2 * BT))
+        np.testing.assert_array_equal(cache.keys, oracle.keys)
+        assert cache.mirror_nbytes == sized
+
+    def test_mirror_grows_geometrically_and_keeps_its_prefix(self):
+        arena, _ = make_pair(n_blocks=32)
+        cache, oracle = self._fragmented(arena)
+        cache.kv()
+        assert cache.mirror_nbytes == 2 * H * 2 * BT * D * 4
+        oracle.append(*fill(cache, 1, start=2 * BT))
+        np.testing.assert_array_equal(cache.keys, oracle.keys)
+        np.testing.assert_array_equal(cache.values, oracle.values)
+        assert cache.mirror_nbytes == 2 * H * 4 * BT * D * 4
+        assert cache.copied_tokens == 2 * BT + 1  # prefix came from the mirror
+
+    def test_release_and_evict_drop_the_mirror(self):
+        arena, _ = make_pair()
+        cache, oracle = self._fragmented(arena)
+        cache.kv()
+        assert cache.mirror_nbytes > 0
+        keep = [np.array([0, 2, 5, 6, 7]) for _ in range(H)]
+        cache.evict([ix.copy() for ix in keep])
+        oracle.evict(keep)
+        assert cache.mirror_nbytes == 0  # its layout died with the rewrite
+        np.testing.assert_array_equal(cache.keys, oracle.keys)
+        np.testing.assert_array_equal(cache.values, oracle.values)
+        cache.release()
+        assert cache.mirror_nbytes == 0 and len(cache.keys[0]) == 0

@@ -170,3 +170,64 @@ class TestPressureRelief:
             ).run(burst(n=2)).summary()
 
         assert run() == run()
+
+
+class TestMirrorReads:
+    """KV reads copy each token out of the arena once, not once per step."""
+
+    @staticmethod
+    def _record_caches(monkeypatch):
+        from repro.serving import engine as engine_module
+
+        made = []
+
+        class Recorded(engine_module.PagedLayerKVCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(engine_module, "PagedLayerKVCache", Recorded)
+        return made
+
+    def test_each_token_is_copied_once_and_tokens_match_contiguous(
+        self, glm_mini, monkeypatch
+    ):
+        reqs = burst(n=3, gap=1.0, decode_tokens=4)
+        builder = shared_prefix_builder()
+        contig = make_engine(glm_mini, prompt_builder=builder).run(reqs)
+        made = self._record_caches(monkeypatch)
+        paged = make_engine(
+            glm_mini, kv_backend="paged", prompt_builder=builder
+        ).run(reqs)
+        assert paged.summary()["prefix_cache_hits"] == 2
+        for a, b in zip(contig.requests, paged.requests):
+            assert a.generated == b.generated
+        n_layers = glm_mini.config.n_layers
+        assert len(made) == n_layers * len(reqs)
+        # Adopted + executed prompt + decoded tokens, each mirrored at most
+        # once per (request, layer) -- the old read path re-copied the whole
+        # prefix for every chunk and every decode step.
+        for i, cache in enumerate(made):
+            tm = paged.requests[i // n_layers]
+            assert 0 < cache.copied_tokens <= tm.executed_len + 4
+        # A finished request pins no second copy of its KV.
+        assert all(c.mirror_nbytes == 0 and len(c) == 0 for c in made)
+
+    def test_fused_decode_gathers_only_the_new_tokens(self, glm_mini):
+        reqs = burst(n=3, gap=1.0, decode_tokens=5)
+        result = make_engine(
+            glm_mini,
+            kv_backend="paged",
+            prompt_builder=shared_prefix_builder(),
+            method="sample",
+            execution="block",
+            batching="packed",
+        ).run(reqs)
+        assert result.summary()["prefix_cache_hits"] == 2
+        gather = result.memory["decode_gather"]
+        decoded = sum(len(r.generated) for r in result.requests)
+        assert gather["dispatches"] > 0
+        assert 0 < gather["gathered_tokens"] <= (
+            glm_mini.config.n_layers * decoded
+        )
+        assert gather["viewed_tokens"] > 50 * gather["gathered_tokens"]
