@@ -50,7 +50,7 @@ from .masks import (
     stripe_block_mask,
     window_block_mask,
 )
-from .utils import causal_mask, expand_kv, softmax
+from .utils import causal_mask, decode_row_attention, expand_kv, softmax
 
 __all__ = [
     "DenseAttentionResult",
@@ -85,6 +85,7 @@ __all__ = [
     "dense_rows_block_mask",
     "block_diagonal_mask",
     "causal_mask",
+    "decode_row_attention",
     "expand_kv",
     "softmax",
 ]

@@ -57,7 +57,7 @@ from ..errors import ConfigError, MaskError, ShapeError
 from .blocksparse import BlockSparseResult, _total_causal_blocks
 from .fastpath import KernelWorkspace
 from .masks import BlockMask
-from .utils import NEG_INF, grouped_pv, grouped_qk, softmax, validate_qkv
+from .utils import NEG_INF, decode_row_attention, validate_qkv
 
 __all__ = [
     "PackedItem",
@@ -150,13 +150,15 @@ class PackedDecodeItem:
 class PackedDecodeResult:
     """Result of one packed decode dispatch.
 
-    ``outputs[i]`` is item *i*'s attention output ``(H, 1, d)``, bitwise
-    identical to ``dense_attention(q, k, v, causal=False, scale=scale)``
-    on that item alone -- the serving parity gate pins generated tokens
-    across batching modes on exactly this property.  ``probs[i]`` (when
-    requested) carries the ``(H, 1, S_k)`` attention probabilities for
-    heavy-hitter mass recording.  ``stats`` is the single merged
-    dispatch record (``dispatches`` is always 1).
+    ``outputs[i]`` is item *i*'s attention output ``(H, 1, d)``.  It is
+    **batch-invariant**: bitwise the same whichever other items share the
+    dispatch and in whatever order (a request's tokens never depend on who
+    it was co-scheduled with -- the serving parity gate and perfbench's
+    same-wave digest check rest on this), and within 2e-5 of
+    ``dense_attention(q, k, v, causal=False, scale=scale)``.  ``probs[i]``
+    (when requested) carries the ``(H, 1, S_k)`` attention probabilities
+    for heavy-hitter mass recording, under the same contract.  ``stats``
+    is the single merged dispatch record (``dispatches`` is always 1).
     """
 
     outputs: list[np.ndarray]
@@ -169,53 +171,28 @@ def packed_decode_attention(
     items: list[PackedDecodeItem] | tuple[PackedDecodeItem, ...],
     *,
     return_probs: bool = False,
-    num_threads: int = 1,
 ) -> PackedDecodeResult:
     """Execute every decoding request's step as one packed dispatch.
 
     The decode mirror of :func:`packed_block_sparse_attention`: all
     co-scheduled requests' single-token attention calls -- one query row
     each against a ragged-length KV prefix -- run under one validation /
-    geometry / dispatch pass instead of one ``dense_attention`` call per
-    request.  Per item the arithmetic is the *same* BLAS schedule the
-    per-request path issues (``grouped_qk`` -> scale -> stabilised
-    ``softmax`` -> ``grouped_pv``), so outputs are bitwise equal to
-    per-request decode; what the packing removes is the per-call fixed
-    cost that dominates single-row shapes: Python dispatch, shape
-    validation, and the dense path's all-``True`` causal-mask
-    materialisation plus the predicated-``where`` pass it feeds (decode
-    rows attend to every cached key, so the mask is pure overhead --
-    ``softmax(scores)`` is bitwise equal to the masked form on a full
-    row).
+    geometry pass, then each item goes through
+    :func:`~repro.attention.utils.decode_row_attention` serially in the
+    caller's thread (a decode item is ~10 us of arithmetic; fanning items
+    out over Python threads measured 1.09x on two cores and cost more in
+    executor set-up than it returned).
 
     All items must share ``(H, H_kv, d)`` (one model); KV lengths may be
     ragged.  ``return_probs=True`` additionally returns each item's
     attention probabilities (the H2O heavy-hitter statistic feed).
     """
-    if num_threads < 1:
-        raise ConfigError(f"num_threads must be >= 1, got {num_threads}")
-    if not items:
-        return PackedDecodeResult(
-            outputs=[],
-            probs=[] if return_probs else None,
-            cu_seqlens=np.zeros(1, dtype=np.int64),
-            stats={
-                "dispatches": 1,
-                "decode_requests": 0,
-                "decode_rows": 0,
-                "kv_tokens": 0,
-                "s_k_max": 0,
-                "head_groups": 0,
-                "mode": "packed_decode",
-                "threads": int(num_threads),
-            },
-        )
-
-    # ---- one validation + geometry pass over the batch -----------------
-    h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
+    outputs: list[np.ndarray] = []
+    probs_out: list[np.ndarray] | None = [] if return_probs else None
     cu = np.zeros(len(items) + 1, dtype=np.int64)
-    scales = []
-    s_k_max = 0
+    s_k_max = h = h_kv = d = 0
+    if items:
+        h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
     for i, it in enumerate(items):
         q, k, v = it.q, it.k, it.v
         if q.shape != (h, 1, d):
@@ -228,42 +205,15 @@ def packed_decode_attention(
                 f"decode item {i}: k/v shapes {k.shape}/{v.shape} "
                 f"incompatible with ({h_kv}, S_k>=1, {d})"
             )
-        scales.append(
-            np.float32(it.scale if it.scale is not None else 1.0 / np.sqrt(d))
+        scale = np.float32(it.scale if it.scale is not None else 1.0 / np.sqrt(d))
+        out, probs = decode_row_attention(
+            q, k, v, scale, return_probs=return_probs
         )
+        outputs.append(out)
+        if probs_out is not None:
+            probs_out.append(probs)
         cu[i + 1] = cu[i] + s_k
         s_k_max = max(s_k_max, s_k)
-
-    outputs: list[np.ndarray | None] = [None] * len(items)
-    probs_out: list[np.ndarray | None] | None = (
-        [None] * len(items) if return_probs else None
-    )
-
-    def exec_item(i: int) -> None:
-        it = items[i]
-        scores = grouped_qk(it.q, it.k)
-        np.multiply(scores, scales[i], out=scores)
-        # Bitwise equal to the dense path's masked softmax: a decode row
-        # attends to the whole cache, and ``np.where(all-True, s, -inf)``
-        # is an exact copy of ``s``.
-        probs = softmax(scores)
-        out = grouped_pv(probs, it.v).astype(it.q.dtype, copy=False)
-        outputs[i] = out
-        if probs_out is not None:
-            probs_out[i] = probs
-
-    if num_threads > 1 and len(items) > 1:
-        workers = min(num_threads, len(items))
-
-        def worker(t: int) -> None:
-            for u in range(t, len(items), workers):
-                exec_item(u)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, range(workers)))
-    else:
-        for i in range(len(items)):
-            exec_item(i)
 
     stats = {
         "dispatches": 1,
@@ -273,13 +223,9 @@ def packed_decode_attention(
         "s_k_max": int(s_k_max),
         "head_groups": h_kv,
         "mode": "packed_decode",
-        "threads": int(num_threads),
     }
     return PackedDecodeResult(
-        outputs=outputs,  # type: ignore[arg-type]
-        probs=probs_out,  # type: ignore[arg-type]
-        cu_seqlens=cu,
-        stats=stats,
+        outputs=outputs, probs=probs_out, cu_seqlens=cu, stats=stats
     )
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "expand_kv",
     "grouped_qk",
     "grouped_pv",
+    "decode_row_attention",
     "attention_scores",
     "masked_row_softmax",
 ]
@@ -47,11 +48,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x)
     m = np.max(x, axis=axis, keepdims=True)
     dead = m <= NEG_INF / 2
-    e = np.exp(x - np.where(dead, 0.0, m))
-    e = np.where(np.broadcast_to(dead, e.shape), 0.0, e)
-    z = np.sum(e, axis=axis, keepdims=True)
-    z = np.where(z == 0.0, 1.0, z)
-    return e / z
+    if dead.any():
+        e = np.exp(x - np.where(dead, 0.0, m))
+        e = np.where(np.broadcast_to(dead, e.shape), 0.0, e)
+        z = np.sum(e, axis=axis, keepdims=True)
+        z = np.where(z == 0.0, 1.0, z)
+    else:
+        # No fully masked row: the three ``where`` passes are identities
+        # (every live row holds ``exp(0) = 1``, so ``z >= 1``).
+        e = np.exp(x - m)
+        z = np.sum(e, axis=axis, keepdims=True)
+    return np.divide(e, z, out=e)
 
 
 def causal_mask(s_q: int, s_k: int) -> np.ndarray:
@@ -142,6 +149,50 @@ def grouped_pv(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     p4 = p.reshape(h_kv, h // h_kv, s_q, s_k)
     out = np.matmul(p4, v[:, None])
     return out.reshape(h, s_q, d)
+
+
+def decode_row_attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    scale: float,
+    *,
+    return_probs: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Single-row GQA attention: one decode token against its whole cache.
+
+    ``q (H, 1, d)`` is viewed as ``(H_kv, n_rep, d)`` so each KV head's
+    query group is one 2-D operand of a 3-D :func:`numpy.matmul` against
+    the cache view ``(H_kv, S_k, d)`` -- strided views of an
+    over-allocated cache go to BLAS as they are (no :func:`expand_kv`, no
+    4-D broadcast, no copy).  Scale, row max, subtract, ``exp`` and row sum
+    run in place on that one ``(H_kv, n_rep, S_k)`` buffer; the output is
+    normalised after the second matmul, and the buffer itself only when
+    ``return_probs`` asks for the ``(H, 1, S_k)`` probabilities (the H2O
+    mass feed).  A decode row attends to every cached key, so there is no
+    mask and no dead row.
+
+    The result is a function of this item's operands alone -- the batch
+    invariance :func:`~repro.attention.packed.packed_decode_attention`
+    promises -- and agrees with ``dense_attention(causal=False)`` to
+    float32 summation tolerance, not bitwise (the row is normalised after
+    the value contraction instead of before).  Shapes are the caller's to
+    validate.
+    """
+    h, _, d = q.shape
+    h_kv, s_k, _ = k.shape
+    s = np.matmul(q.reshape(h_kv, h // h_kv, d), k.transpose(0, 2, 1))
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    z = s.sum(axis=-1, keepdims=True)
+    out = np.matmul(s, v)
+    out /= z
+    out = out.reshape(h, 1, d).astype(q.dtype, copy=False)
+    if not return_probs:
+        return out, None
+    s /= z
+    return out, s.reshape(h, 1, s_k)
 
 
 def attention_scores(

@@ -68,6 +68,7 @@ class AreaReport:
     passed: int = 0
     failed: int = 0
     checks: int = 0
+    invariance_checks: int = 0
     worst_divergence: float = 0.0
     counterexamples: list[dict] = field(default_factory=list)
 
@@ -76,6 +77,7 @@ class AreaReport:
     ) -> None:
         self.cases += 1
         self.checks += result.checks
+        self.invariance_checks += result.invariance_checks
         if np.isfinite(result.divergence):
             self.worst_divergence = max(self.worst_divergence, result.divergence)
         if result.passed:
@@ -98,6 +100,7 @@ class AreaReport:
             "passed": self.passed,
             "failed": self.failed,
             "checks": self.checks,
+            "invariance_checks": self.invariance_checks,
             "worst_divergence": self.worst_divergence,
             "counterexamples": self.counterexamples,
         }

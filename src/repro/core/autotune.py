@@ -186,25 +186,6 @@ class KernelTuner:
             int(head_groups),
         )
 
-    def decode_shape_class(
-        self, batch: int, s_k_max: int, head_groups: int
-    ) -> tuple:
-        """Bucketed class key for one packed *decode* dispatch.
-
-        Decode dispatches are single-row-per-request, so the class is
-        (log2 batch, log2 longest KV, head groups) rather than packed-row
-        geometry; the ``"decode"`` tag keeps the two families from ever
-        sharing an EMA entry.  The KV bucket sits at index 1 -- the same
-        slot the prefill classes use -- so BENCH_kernel.json seeding
-        (:meth:`choose` reads ``cls[1]``) applies to both families.
-        """
-        return (
-            "decode",
-            self._len_bucket(s_k_max),
-            self._len_bucket(batch),
-            int(head_groups),
-        )
-
     def choose(self, cls: tuple) -> TunedDispatch:
         """The knob decision for one dispatch of shape class ``cls``."""
         seeded = self._seeded.get(cls[1])
@@ -254,23 +235,14 @@ class KernelTuner:
         rows = []
         for cls, timings in self._observed.items():
             choice = self.choose(cls)
-            if cls[0] == "decode":
-                described = {
-                    "family": "decode",
-                    "s_k_bucket": cls[1],
-                    "batch_bucket": cls[2],
-                    "head_groups": cls[3],
-                }
-            else:
-                described = {
-                    "rows_bucket": cls[0],
-                    "s_k_bucket": cls[1],
-                    "density_decile": cls[2],
-                    "head_groups": cls[3],
-                }
             rows.append(
                 {
-                    "class": described,
+                    "class": {
+                        "rows_bucket": cls[0],
+                        "s_k_bucket": cls[1],
+                        "density_decile": cls[2],
+                        "head_groups": cls[3],
+                    },
                     "block_size": choice.block_size,
                     "kernel_mode": choice.kernel_mode,
                     "num_threads": choice.num_threads,

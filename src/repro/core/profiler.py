@@ -45,6 +45,11 @@ class StageProfiler:
     statistics (tiles visited, runs coalesced, ...).  Instances merge, so
     per-request profilers can roll up into an engine-level total.
 
+    Stage time is *exclusive*: a stage opened inside another (the engine's
+    ``decode`` loop around its per-layer ``attend`` dispatches) charges the
+    parent its span minus its children's, so every second is billed to
+    exactly one stage and ``total_time()`` never exceeds the wall clock.
+
     Timings are wall-clock and therefore non-deterministic; callers that
     need reproducible telemetry (the chaos drill compares same-seed runs)
     must keep timings out of deterministic summaries and use ``counts``
@@ -54,16 +59,22 @@ class StageProfiler:
     timings: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
     counts: dict[str, float] = field(default_factory=dict)
+    #: one entry per open stage: seconds spent in stages nested inside it
+    _nested: list[float] = field(default_factory=list, repr=False, compare=False)
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         """Time a block of work under ``name`` (re-entrant across calls)."""
+        self._nested.append(0.0)
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            dt = time.perf_counter() - t0
-            self.timings[name] = self.timings.get(name, 0.0) + dt
+            span = time.perf_counter() - t0
+            inner = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += span
+            self.timings[name] = self.timings.get(name, 0.0) + span - inner
             self.calls[name] = self.calls.get(name, 0) + 1
 
     def count(self, name: str, value: float) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention.dense import dense_attention
+from ..attention.utils import decode_row_attention
 from ..backends import AttentionBackend
 from ..errors import ModelError
 from .config import ModelConfig
@@ -43,10 +44,11 @@ def gated_mlp_rows(
     """Row-batched :func:`gated_mlp` over ``(B, d_model)`` residual rows.
 
     The three projections stay one GEMM *per row* (a batched M=B GEMM
-    takes a different BLAS accumulation path than M=1, so its rows would
-    not be bitwise equal to per-request decode), while the elementwise
-    SiLU gate runs once over the stacked activations.  Row *b* of the
-    result is bitwise identical to ``gated_mlp(x_rows[b:b+1], ...)``.
+    takes a different BLAS accumulation path than M=1, so a row's bits
+    would depend on how many requests share the step), while the
+    elementwise SiLU gate runs once over the stacked activations.  Row
+    *b* of the result is bitwise identical to
+    ``gated_mlp(x_rows[b:b+1], ...)``.
     """
     n = x_rows.shape[0]
     a = np.concatenate([x_rows[b : b + 1] @ w1 for b in range(n)], axis=0)
@@ -150,9 +152,10 @@ class AttentionLayer:
         per-request decode recomputing them per layer does 4x the work
         for bitwise-identical values).  The three projections stay one
         einsum *per row* (a stacked M=B GEMM takes a different BLAS
-        accumulation path than M=1, breaking bitwise parity with
-        per-request decode), while the rotary rotation and the float32
-        casts -- pure elementwise work -- run once over the stacked batch.
+        accumulation path than M=1, so a row's bits would depend on the
+        batch it rode in -- and measured no gain), while the rotary
+        rotation and the float32 casts -- pure elementwise work -- run
+        once over the stacked batch.
 
         Returns ``q (B, H, 1, e)``, ``k (B, H_kv, 1, e)``,
         ``v (B, H_kv, 1, e)``; slice ``[b]`` is bitwise identical to
@@ -282,18 +285,24 @@ class AttentionLayer:
 
         ``x``: ``(1, d_model)`` residual row for the new token.  Appends the
         new KV entry, attends over the whole cache, and optionally records
-        per-key attention mass for eviction policies.
+        per-key attention mass for eviction policies.  One row of what
+        :meth:`Transformer.decode_batch` does per layer: the same decode
+        projections, the same
+        :func:`~repro.attention.utils.decode_row_attention`, the same merge.
         """
-        q, k, v = self.project_qkv(x, np.asarray([position], dtype=np.int64))
-        cache.append(k, v, np.asarray([position], dtype=np.int64))
-        res = dense_attention(
-            q,
+        positions = np.asarray([position], dtype=np.int64)
+        cos, sin = rope_cos_sin(
+            positions, self.config.rot_dim, self.config.rope_base
+        )
+        q, k, v = self.project_qkv_decode_batch(x, cos, sin)
+        cache.append(k[0], v[0], positions)
+        out, probs = decode_row_attention(
+            q[0],
             cache.keys,
             cache.values,
-            causal=False,  # every cached key is in the past by construction
-            scale=self._scale,
+            np.float32(self._scale),
             return_probs=record_attention,
         )
-        if record_attention and res.probs is not None:
-            cache.record_attention(res.probs)
-        return self.merge_heads(res.output)
+        if probs is not None:
+            cache.record_attention(probs)
+        return self.merge_heads_decode(out)

@@ -341,36 +341,18 @@ class Transformer:
     ) -> np.ndarray:
         """Process one token; returns its ``(vocab,)`` logits.
 
+        A :meth:`decode_batch` of one: the per-request path *is* the
+        batched path, so request-vs-packed parity holds by construction.
         ``record_attention=True`` accumulates each layer's attention mass
         onto the caches' eviction statistic even without a ``kv_policy`` --
         the serving engine uses this so heavy-hitter eviction under memory
         pressure has scores to rank by.
         """
-        x = self.embed(np.asarray([token]))
-        for i, layer in enumerate(self.layers):
-            delta = layer.decode_step(
-                self._norm(x),
-                position,
-                caches[i],
-                record_attention=record_attention or kv_policy is not None,
-            )
-            x = x + delta
-            lw = layer.weights
-            if lw.mlp_w1 is not None:
-                x = x + gated_mlp(self._norm(x), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3)
-        # Paged caches stage recorded attention mass; committing only after
-        # every layer ran keeps a mid-model failure + rollback + retry from
-        # double-counting the step (contiguous caches apply immediately and
-        # have no commit hook).
-        for cache in caches:
-            commit = getattr(cache, "commit_attention", None)
-            if commit is not None:
-                commit()
-        if kv_policy is not None:
-            for cache in caches:
-                if len(cache) > kv_policy.budget:
-                    cache.evict(kv_policy.select(cache.attention_mass()))
-        return self.logits(x)[0]
+        return self.decode_batch(
+            [(token, position, caches)],
+            kv_policy=kv_policy,
+            record_attention=record_attention,
+        )[0]
 
     def decode_batch(
         self,
@@ -413,14 +395,15 @@ class Transformer:
         :func:`~repro.attention.packed.packed_decode_attention` dispatch
         per layer.  With ``record_attention=True`` (or a ``kv_policy``)
         each layer's attention mass is recorded onto the caches; staged
-        mass is committed only after every layer ran, exactly as
-        :meth:`decode_step` does, so a mid-model failure plus rollback
-        never double-counts a step.
+        mass is committed only after every layer ran, so a mid-model
+        failure plus rollback never double-counts a step.
 
         Returns one entry per input: the token's ``(vocab,)`` logits, or
         ``None`` for dropped entries.  Survivor logits -- and therefore
-        greedy next tokens -- are bitwise identical to running
-        :meth:`decode_step` on each request alone.
+        greedy next tokens -- are **batch-invariant**: bitwise the same
+        whichever other entries share the call (every contraction is
+        issued per row; only elementwise work is stacked), so
+        :meth:`decode_step`, a batch of one, is the per-request reference.
         """
         if not entries:
             raise ModelError("decode_batch needs at least one entry")
@@ -516,7 +499,8 @@ class Transformer:
                 xb = xb + add
         # Commit staged attention mass only for surviving entries, after
         # every layer ran (dropped entries' staged mass dies with the
-        # caller's rollback truncate) -- same contract as decode_step.
+        # caller's rollback truncate).  Contiguous caches apply mass
+        # immediately and have no commit hook.
         for b in live:
             for cache in entries[b][2]:
                 commit = getattr(cache, "commit_attention", None)

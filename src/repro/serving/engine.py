@@ -1402,16 +1402,6 @@ class ServingEngine:
         if not items:
             return {}
         order = list(items)
-        threads = 1
-        cls = None
-        if self._tuner is not None:
-            cls = self._tuner.decode_shape_class(
-                len(items),
-                max(int(k.shape[1]) for _, k, _, _ in items.values()),
-                self.model.config.n_kv_heads,
-            )
-            threads = self._tuner.choose(cls).num_threads
-        t0 = time.perf_counter()
         with profiler.stage("attend"):
             res = packed_decode_attention(
                 [
@@ -1419,14 +1409,6 @@ class ServingEngine:
                     for b, (q, k, v, s) in items.items()
                 ],
                 return_probs=record,
-                num_threads=threads,
-            )
-        if self._tuner is not None:
-            self._tuner.observe(
-                cls,
-                threads,
-                time.perf_counter() - t0,
-                res.stats["decode_rows"],
             )
         profiler.count("packed_decode_requests", res.stats["decode_requests"])
         profiler.count("packed_decode_kv_tokens", res.stats["kv_tokens"])

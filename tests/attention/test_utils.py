@@ -46,6 +46,35 @@ class TestSoftmax:
         x = rng.standard_normal((3, 4))
         np.testing.assert_allclose(softmax(x, axis=0).sum(axis=0), 1.0, rtol=1e-6)
 
+    @pytest.mark.parametrize("dead_rows", ["none", "some", "all"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_unguarded_form(self, rng, dead_rows, dtype):
+        """Skipping the dead-row passes when no row is dead, and dividing
+        in place, changes no bit (it is the stage-1 sampler's softmax)."""
+
+        def unguarded(x, axis=-1):
+            m = np.max(x, axis=axis, keepdims=True)
+            dead = m <= NEG_INF / 2
+            e = np.exp(x - np.where(dead, 0.0, m))
+            e = np.where(np.broadcast_to(dead, e.shape), 0.0, e)
+            z = np.sum(e, axis=axis, keepdims=True)
+            z = np.where(z == 0.0, 1.0, z)
+            return e / z
+
+        x = (rng.standard_normal((3, 6, 37)) * 4).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = NEG_INF  # partially masked rows
+        if dead_rows == "some":
+            x[1, 2] = NEG_INF
+            x[2, 5] = NEG_INF
+        elif dead_rows == "all":
+            x[:] = NEG_INF
+        before = x.copy()
+        for axis in (-1, 1):
+            got = softmax(x, axis=axis)
+            np.testing.assert_array_equal(got, unguarded(x, axis=axis))
+            assert got.dtype == dtype
+        np.testing.assert_array_equal(x, before)  # input left alone
+
 
 class TestCausalMask:
     def test_square_lower_triangular(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.audit.geometry import (
     AUDIT_AREAS,
+    TOLERANCE,
     GeometryCase,
     run_case,
     sample_case,
@@ -100,11 +101,13 @@ class TestAreaChecks:
         assert "packed" in AUDIT_AREAS
 
     def test_packed_decode_area_registered(self):
-        # Fused decode batches are held to a *bitwise* bar vs per-request
-        # dense: serving token parity across batching modes rests on it.
+        # Fused decode batches are held to the dense oracle within
+        # tolerance and to *bitwise* batch invariance (alone vs in the
+        # batch): serving token parity across batching modes rests on it.
         assert "packed_decode" in AUDIT_AREAS
         result = run_case(BASE, "packed_decode")
-        assert result.passed and result.divergence == 0.0
+        assert result.passed and result.divergence <= TOLERANCE
+        assert result.invariance_checks > 0
 
 
 class TestShrinking:

@@ -260,59 +260,3 @@ class TestKernelTuner:
         assert rows[0]["class"]["head_groups"] == 2
         assert rows[0]["num_threads"] == 1
         assert "1" in rows[0]["ema_seconds_per_row"]
-
-
-class TestKernelTunerDecodeClasses:
-    def test_decode_shape_class_buckets(self):
-        t = KernelTuner()
-        cls = t.decode_shape_class(8, 4096, 4)
-        assert cls == ("decode", 13, 4, 4)
-        # Same-magnitude batch sizes share a bucket; doubling KV moves.
-        assert t.decode_shape_class(5, 4096, 4) == t.decode_shape_class(
-            6, 4096, 4
-        )
-        assert t.decode_shape_class(8, 8192, 4) != cls
-
-    def test_decode_and_prefill_families_never_collide(self):
-        t = KernelTuner(thread_candidates=(1, 2))
-        prefill = t.shape_class(8, 4096, 0.4, 4)
-        decode = t.decode_shape_class(8, 4096, 4)
-        assert prefill != decode
-        t.observe(prefill, 1, 0.2, rows=8)
-        t.observe(decode, 2, 0.1, rows=8)
-        assert t._observed[prefill] != t._observed[decode]
-
-    def test_decode_class_explores_then_exploits(self):
-        t = KernelTuner(thread_candidates=(1, 2))
-        cls = t.decode_shape_class(4, 1024, 2)
-        for _ in range(2):
-            d = t.choose(cls)
-            assert d.source == "explore"
-            t.observe(cls, d.num_threads, {1: 0.1, 2: 0.3}[d.num_threads],
-                      rows=4)
-        d = t.choose(cls)
-        assert (d.source, d.num_threads) == ("online", 1)
-
-    def test_bench_seeding_applies_to_decode_family(self, tmp_path):
-        """The KV bucket sits at index 1 in both families, so a
-        BENCH_kernel.json seed covers decode classes too."""
-        bench = tmp_path / "BENCH_kernel.json"
-        bench.write_text(json.dumps({
-            "cases": [{"seq_len": 4096, "block_size": 32,
-                       "seconds": {"fast": 0.1, "reference": 0.5}}],
-        }))
-        t = KernelTuner(bench_path=bench, thread_candidates=(1,))
-        d = t.choose(t.decode_shape_class(8, 4096, 4))
-        assert (d.block_size, d.source) == (32, "seed")
-
-    def test_table_reports_decode_family(self):
-        t = KernelTuner(thread_candidates=(1,))
-        t.observe(t.decode_shape_class(8, 4096, 4), 1, 0.2, rows=8)
-        t.observe(t.shape_class(256, 1024, 0.5, 2), 1, 0.2, rows=256)
-        rows = t.table()
-        families = {r["class"].get("family", "prefill") for r in rows}
-        assert families == {"decode", "prefill"}
-        decode_row = next(r for r in rows
-                          if r["class"].get("family") == "decode")
-        assert decode_row["class"]["batch_bucket"] == 4
-        assert decode_row["class"]["s_k_bucket"] == 13

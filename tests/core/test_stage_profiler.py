@@ -1,5 +1,7 @@
 """StageProfiler: timing accumulation and pipeline integration."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,37 @@ class TestStageProfiler:
         shares = [s["share"] for s in report["stages"].values()]
         assert abs(sum(shares) - 1.0) < 1e-9
         assert report["total_seconds"] == pytest.approx(prof.total_time())
+
+    def test_nested_stages_are_exclusive(self):
+        """A parent is charged its span minus its children's, so stage
+        seconds add up to the wall clock instead of double-counting."""
+        prof = StageProfiler()
+        t0 = time.perf_counter()
+        with prof.stage("decode"):
+            time.sleep(0.01)
+            for _ in range(2):
+                with prof.stage("attend"):
+                    time.sleep(0.02)
+        wall = time.perf_counter() - t0
+        assert prof.calls == {"decode": 1, "attend": 2}
+        assert prof.timings["attend"] >= 0.04
+        assert 0.01 <= prof.timings["decode"] < 0.03  # not 0.05: exclusive
+        assert prof.total_time() <= wall
+        # The stack unwinds: a later top-level stage is charged in full.
+        with prof.stage("unpack"):
+            time.sleep(0.01)
+        assert prof.timings["unpack"] >= 0.01
+
+    def test_nested_stage_unwinds_on_error(self):
+        prof = StageProfiler()
+        with pytest.raises(RuntimeError):
+            with prof.stage("outer"):
+                with prof.stage("inner"):
+                    raise RuntimeError("boom")
+        with prof.stage("after"):
+            pass
+        assert prof.calls == {"outer": 1, "inner": 1, "after": 1}
+        assert all(dt >= 0.0 for dt in prof.timings.values())
 
     def test_empty_report(self):
         report = StageProfiler().report()

@@ -1,5 +1,7 @@
 """Engine stage profiling and the block-sparse execution path."""
 
+import time
+
 import pytest
 
 from repro.errors import ConfigError
@@ -29,6 +31,21 @@ class TestStageTelemetry:
         assert res.stages["total_seconds"] == pytest.approx(
             sum(rec["seconds"] for rec in stages.values())
         )
+
+    def test_packed_decode_stages_fit_in_the_wall_clock(self, glm_mini):
+        """``decode`` wraps the loop whose dispatches open ``attend``;
+        stage time is exclusive, so the total cannot exceed the run."""
+        engine = ServingEngine(
+            glm_mini, method="sample", execution="block", batching="packed",
+            billing="roofline", length_scale=4,
+        )
+        t0 = time.perf_counter()
+        res = engine.run(_requests(n=4, prompt_len=256, decode=96))
+        wall = time.perf_counter() - t0
+        stages = res.stages["stages"]
+        assert stages["decode"]["calls"] >= 1 and stages["attend"]["calls"] >= 1
+        assert res.stages["total_seconds"] <= wall
+        assert sum(rec["share"] for rec in stages.values()) == pytest.approx(1.0)
 
     def test_flash_run_reports_dense_stage(self, glm_mini):
         engine = ServingEngine(
