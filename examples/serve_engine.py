@@ -1,8 +1,8 @@
 """Executable serving: run requests through the engine, not a cost model.
 
 Where ``serving_load.py`` *bills* roofline costs, this example *executes*
-the pipeline: chunked prefill through the striped SampleAttention kernel
-on the glm-mini substrate, stage-1/2 plans amortised by the sparse-plan
+the pipeline: chunked prefill through the packed block-sparse kernel on
+the glm-mini substrate, stage-1/2 plans amortised by the sparse-plan
 cache, greedy decode over the populated KV caches, with per-request
 telemetry (queue delay, TTFT, plan-cache hits, kept-KV ratio) recorded by
 the engine.  The same workload is then fed to the simulator to check the

@@ -27,21 +27,17 @@ execution:
   (``k[h // n_rep]``); the ``(H, S, d)`` materialisation
   :func:`~repro.attention.utils.expand_kv` performs never happens on this
   path.
-* An opt-in **parallel executor** fans query blocks across a thread pool;
-  NumPy's BLAS releases the GIL, so the per-run GEMMs genuinely overlap.
 
 Select via ``kernel_mode`` (:data:`repro.config.KERNEL_MODES`) on
-:class:`~repro.config.SampleAttentionConfig`, the backends layer, or
-:class:`~repro.serving.engine.ServingEngine`; :func:`dispatch_block_sparse`
-is the single dispatcher they all share.  Outputs match the reference
+:class:`~repro.config.SampleAttentionConfig` or the backends layer;
+:func:`dispatch_block_sparse` is the single dispatcher they share (the
+serving engine runs the cross-request :mod:`repro.attention.packed`
+executor instead).  Outputs match the reference
 kernel and ``dense_attention(mask.to_dense())`` to float32 tolerance (the
 property tests assert all three agree).
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,13 +55,7 @@ __all__ = [
     "head_pattern_groups",
     "fast_block_sparse_attention",
     "dispatch_block_sparse",
-    "default_parallel_threads",
 ]
-
-
-def default_parallel_threads() -> int:
-    """Thread count for ``kernel_mode="parallel"`` when none is given."""
-    return max(2, min(8, (os.cpu_count() or 2)))
 
 
 #: Minimum active-column coverage of a group's key span for the fast path to
@@ -83,14 +73,11 @@ class KernelWorkspace:
     only upwards, so a workspace that has seen a call's peak shape serves
     every later call of the same or smaller geometry without allocating --
     the O(1)-allocations-per-call property the fast path advertises.  One
-    workspace must not be shared between concurrent calls; the parallel
-    executor hands each worker thread its own child arena
-    (:meth:`subspace`), cached so repeated parallel calls also reuse them.
+    workspace must not be shared between concurrent calls.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self._children: dict[int, "KernelWorkspace"] = {}
         #: Number of backing allocations performed so far; a warm workspace
         #: stops growing (the reuse tests pin this).
         self.allocations = 0
@@ -105,19 +92,10 @@ class KernelWorkspace:
             self.allocations += 1
         return buf[:n].reshape(shape)
 
-    def subspace(self, index: int) -> "KernelWorkspace":
-        """Cached child arena for worker thread ``index``."""
-        child = self._children.get(index)
-        if child is None:
-            child = KernelWorkspace()
-            self._children[index] = child
-        return child
-
     @property
     def nbytes(self) -> int:
-        """Bytes currently held, including child arenas."""
-        own = sum(b.nbytes for b in self._buffers.values())
-        return own + sum(c.nbytes for c in self._children.values())
+        """Bytes currently held."""
+        return sum(b.nbytes for b in self._buffers.values())
 
 
 def coalesce_runs(active_row: np.ndarray) -> list[tuple[int, int]]:
@@ -166,12 +144,11 @@ def fast_block_sparse_attention(
     *,
     scale: float | None = None,
     workspace: KernelWorkspace | None = None,
-    num_threads: int = 1,
 ) -> BlockSparseResult:
     """Coalesced, head-grouped, workspace-reusing block-sparse attention.
 
     Drop-in replacement for :func:`~repro.attention.block_sparse_attention`
-    -- same signature plus execution knobs, same
+    -- same signature plus a workspace, same
     :class:`~repro.attention.blocksparse.BlockSparseResult` accounting
     (``visited_blocks`` counts the tiles the mask made it visit, exactly as
     the reference kernel reports them), outputs equal to float32 tolerance.
@@ -181,12 +158,7 @@ def fast_block_sparse_attention(
     workspace:
         Scratch arena reused across calls (and across q-blocks within a
         call).  ``None`` allocates a private one per call; long-lived
-        callers (backends, the serving engine) should hold one.
-    num_threads:
-        ``> 1`` fans query blocks across a thread pool in strided order
-        (balancing the causal triangle); each worker uses its own child
-        arena, and output rows are disjoint so no synchronisation is
-        needed.
+        callers (the backends layer) should hold one.
     """
     h, h_kv, s_q, s_k, d = validate_qkv(q, k, v)
     if mask.blocks.shape[0] != h:
@@ -197,8 +169,6 @@ def fast_block_sparse_attention(
         raise MaskError(
             f"mask geometry ({mask.s_q}, {mask.s_k}) != tensors ({s_q}, {s_k})"
         )
-    if num_threads < 1:
-        raise ConfigError(f"num_threads must be >= 1, got {num_threads}")
     if scale is None:
         scale = 1.0 / np.sqrt(d)
     scale = np.float32(scale)
@@ -235,7 +205,7 @@ def fast_block_sparse_attention(
 
     ws = workspace if workspace is not None else KernelWorkspace()
 
-    def process_block(qi: int, ws: KernelWorkspace) -> tuple[int, int, int]:
+    def process_block(qi: int) -> tuple[int, int, int]:
         """One query block; returns (runs coalesced, head groups, GEMMs)."""
         q0, q1 = qi * b, min((qi + 1) * b, s_q)
         bq = q1 - q0
@@ -378,39 +348,19 @@ def fast_block_sparse_attention(
                 exec_slab(sub, k_slab, v_slab, cols, dead)
         return n_runs, len(groups), n_gemms
 
-    if num_threads > 1 and nq > 1:
-        workers = min(num_threads, nq)
-
-        def worker(t: int) -> tuple[int, int, int]:
-            child = ws.subspace(t)
-            runs = grp = gemms = 0
-            for qi in range(t, nq, workers):
-                r, g, mm = process_block(qi, child)
-                runs += r
-                grp += g
-                gemms += mm
-            return runs, grp, gemms
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(worker, range(workers)))
-        total_runs = sum(r for r, _, _ in totals)
-        total_groups = sum(g for _, g, _ in totals)
-        total_gemms = sum(mm for _, _, mm in totals)
-    else:
-        total_runs = total_groups = total_gemms = 0
-        for qi in range(nq):
-            r, g, mm = process_block(qi, ws)
-            total_runs += r
-            total_groups += g
-            total_gemms += mm
+    total_runs = total_groups = total_gemms = 0
+    for qi in range(nq):
+        r, g, mm = process_block(qi)
+        total_runs += r
+        total_groups += g
+        total_gemms += mm
 
     stats = {
         "runs_coalesced": int(total_runs),
         "head_groups": int(total_groups),
         "gemm_calls": int(total_gemms),
         "tiles_visited": int(visited.sum()),
-        "mode": "parallel" if num_threads > 1 else "fast",
-        "threads": int(num_threads),
+        "mode": "fast",
     }
     if contracts.enabled():
         contracts.check_no_alias(out, ws, q, k, v)
@@ -431,29 +381,18 @@ def dispatch_block_sparse(
     scale: float | None = None,
     kernel_mode: str = "fast",
     workspace: KernelWorkspace | None = None,
-    num_threads: int | None = None,
 ) -> BlockSparseResult:
     """Run ``mask`` through the executor selected by ``kernel_mode``.
 
-    The single entry point the backends layer, ``sample_attention``'s block
-    execution, and the serving engine share; ``kernel_mode`` is one of
+    The single entry point the backends layer and ``sample_attention``'s
+    block execution share; ``kernel_mode`` is one of
     :data:`repro.config.KERNEL_MODES`.
     """
     if kernel_mode == "reference":
         return block_sparse_attention(q, k, v, mask, scale=scale)
     if kernel_mode == "fast":
         return fast_block_sparse_attention(
-            q, k, v, mask, scale=scale, workspace=workspace, num_threads=1
-        )
-    if kernel_mode == "parallel":
-        return fast_block_sparse_attention(
-            q,
-            k,
-            v,
-            mask,
-            scale=scale,
-            workspace=workspace,
-            num_threads=num_threads or default_parallel_threads(),
+            q, k, v, mask, scale=scale, workspace=workspace
         )
     raise ConfigError(
         f"unknown kernel_mode {kernel_mode!r}; expected one of {KERNEL_MODES}"

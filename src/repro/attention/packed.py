@@ -48,12 +48,11 @@ merged dispatch-level stats record.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, MaskError, ShapeError
+from ..errors import MaskError, ShapeError
 from .blocksparse import BlockSparseResult, _total_causal_blocks
 from .fastpath import KernelWorkspace
 from .masks import BlockMask
@@ -270,19 +269,20 @@ def packed_block_sparse_attention(
     items: list[PackedItem] | tuple[PackedItem, ...],
     *,
     workspace: KernelWorkspace | None = None,
-    num_threads: int = 1,
 ) -> PackedAttentionResult:
     """Execute every item's block-sparse attention as one packed dispatch.
 
     All items must share ``(H, H_kv, d)`` (one model); sequence lengths
-    may be ragged.  Visited-tile counts and achieved densities are
-    bitwise identical to one ``fast_block_sparse_attention`` call per
-    item; outputs agree to float32 summation tolerance (gated at 2e-5 by
-    the serving benchmark).  The dispatch-level ``stats`` dict reports
-    the packed-layout counters (``dispatches`` is always 1).
+    may be ragged.  Items execute serially in the caller's thread, and
+    each item's output and visited-tile counts are **batch-invariant**:
+    bitwise the same alone or inside any permutation of a batch (the
+    serving engine's per-request path is a batch of one).  Visited-tile
+    counts and achieved densities are bitwise identical to one
+    ``fast_block_sparse_attention`` call per item; outputs agree with it
+    to float32 summation tolerance (gated at 2e-5 by the serving
+    benchmark).  The dispatch-level ``stats`` dict reports the
+    packed-layout counters (``dispatches`` is always 1).
     """
-    if num_threads < 1:
-        raise ConfigError(f"num_threads must be >= 1, got {num_threads}")
     if not items:
         return PackedAttentionResult(
             results=[],
@@ -370,7 +370,7 @@ def packed_block_sparse_attention(
     row_cache: dict[tuple, tuple] = {}
     counters = {"runs": 0, "groups": 0, "gemms": 0, "hits": 0}
 
-    def exec_item(i: int, ws: KernelWorkspace) -> None:
+    def exec_item(i: int) -> None:
         """One item of the packed schedule: every chunk row at once.
 
         Per head-pattern group the whole chunk executes as a single
@@ -405,7 +405,6 @@ def packed_block_sparse_attention(
         kf, vf = kf_all[i], vf_all[i]
         plain_exp = plain[i]
         rows_abs = np.arange(s_q, dtype=np.int64) + offset
-        qi_of_row = np.arange(s_q) // b
 
         for heads, rkey, row in groups:
             pat = row.reshape(nq, nk)
@@ -591,19 +590,8 @@ def packed_block_sparse_attention(
                     )
                 run_slab(sub, k_slab, v_slab, False)
 
-    if num_threads > 1 and len(items) > 1:
-        workers = min(num_threads, len(items))
-
-        def worker(t: int) -> None:
-            child = ws.subspace(t)
-            for u in range(t, len(items), workers):
-                exec_item(u, child)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, range(workers)))
-    else:
-        for i in range(len(items)):
-            exec_item(i, ws)
+    for i in range(len(items)):
+        exec_item(i)
 
     stats = {
         "dispatches": 1,
@@ -616,7 +604,6 @@ def packed_block_sparse_attention(
         "pattern_hits": int(counters["hits"]),
         "tiles_visited": int(sum(int(vv.sum()) for vv in visited_all)),
         "mode": "packed",
-        "threads": int(num_threads),
     }
     results = []
     for i, it in enumerate(items):

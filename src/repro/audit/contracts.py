@@ -213,7 +213,7 @@ def check_no_alias(
     *caller_arrays: np.ndarray,
 ) -> None:
     """Fast-path postcondition: neither the output nor any workspace buffer
-    (including child arenas) shares memory with the caller's arrays."""
+    shares memory with the caller's arrays."""
     if not _enabled:
         return
     _ran()
@@ -222,18 +222,12 @@ def check_no_alias(
             _fail(f"kernel output aliases caller array #{i}")
     if workspace is None:
         return
-    stack = [workspace]
-    while stack:
-        ws = stack.pop()
-        stack.extend(ws._children.values())
-        for key, buf in ws._buffers.items():
-            for i, arr in enumerate(caller_arrays):
-                if arr.size and np.shares_memory(buf, arr):
-                    _fail(
-                        f"workspace buffer {key!r} aliases caller array #{i}"
-                    )
-            if buf.size and np.shares_memory(buf, output):
-                _fail(f"workspace buffer {key!r} aliases the kernel output")
+    for key, buf in workspace._buffers.items():
+        for i, arr in enumerate(caller_arrays):
+            if arr.size and np.shares_memory(buf, arr):
+                _fail(f"workspace buffer {key!r} aliases caller array #{i}")
+        if buf.size and np.shares_memory(buf, output):
+            _fail(f"workspace buffer {key!r} aliases the kernel output")
 
 
 def check_counter_increment(name: str, value: float) -> None:

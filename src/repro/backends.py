@@ -154,7 +154,7 @@ class MaskedAttentionBackend(AttentionBackend):
     them (static patterns like BigBird).
 
     ``kernel_mode`` selects the block-sparse executor (one of
-    :data:`~repro.config.KERNEL_MODES`); the fast/parallel paths reuse a
+    :data:`~repro.config.KERNEL_MODES`); the fast path reuses a
     per-backend :class:`~repro.attention.KernelWorkspace` so repeated layer
     calls allocate O(1) scratch.
     """

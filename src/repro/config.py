@@ -30,11 +30,10 @@ __all__ = [
 #: How the block-sparse executor runs a tile mask.  ``"reference"`` is the
 #: tile-at-a-time kernel (:func:`repro.attention.block_sparse_attention`);
 #: ``"fast"`` is the coalesced-run / head-grouped / workspace-reusing path
-#: (:func:`repro.attention.fast_block_sparse_attention`); ``"parallel"``
-#: additionally fans query blocks across a thread pool (BLAS releases the
-#: GIL, so the GEMMs overlap).  Defined here rather than in
-#: :mod:`repro.attention` so config validation stays import-cycle free.
-KERNEL_MODES = ("reference", "fast", "parallel")
+#: (:func:`repro.attention.fast_block_sparse_attention`).  Defined here
+#: rather than in :mod:`repro.attention` so config validation stays
+#: import-cycle free.
+KERNEL_MODES = ("reference", "fast")
 
 #: Which pattern planner produces the :class:`~repro.core.SparsePlan` a
 #: config executes.  ``"sample"`` is the paper's two-stage SampleAttention
@@ -92,8 +91,8 @@ class SampleAttentionConfig:
         contiguous active tiles into runs, batches heads with identical
         block-row patterns, and reuses a preallocated workspace;
         ``"reference"`` is the tile-at-a-time seed kernel the fast path is
-        benchmarked against; ``"parallel"`` adds a thread pool over query
-        blocks.  Outputs agree to float32 tolerance in every mode.
+        benchmarked against.  Outputs agree to float32 tolerance in both
+        modes.
     provider:
         Which plan provider produces the :class:`~repro.core.SparsePlan`
         this config executes: one of :data:`PLAN_PROVIDER_NAMES`.

@@ -10,7 +10,7 @@ Public API::
     )
 """
 
-from .autotune import AutotunedSampleAttentionBackend, KernelTuner, TunedDispatch
+from .autotune import AutotunedSampleAttentionBackend
 from .diagonal import (
     DiagonalProfile,
     detect_diagonal_bands,
@@ -38,8 +38,6 @@ from .sparse_decode import compress_caches_with_plans, plan_keep_indices
 
 __all__ = [
     "AutotunedSampleAttentionBackend",
-    "KernelTuner",
-    "TunedDispatch",
     "DiagonalProfile",
     "detect_diagonal_bands",
     "diagonal_profile",

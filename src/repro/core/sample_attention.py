@@ -160,7 +160,7 @@ def sample_attention(
         ``kernel_mode``.  Ignored by the striped executor.
     workspace:
         Optional :class:`~repro.attention.KernelWorkspace` reused across
-        calls by the fast/parallel block executors (O(1) allocations per
+        calls by the fast block executor (O(1) allocations per
         call once warm).  Ignored by ``"reference"`` and ``"striped"``.
     profiler:
         Optional :class:`~repro.core.profiler.StageProfiler`; planning is
@@ -230,10 +230,6 @@ def sample_attention(
             if profiler is not None and block.stats is not None:
                 for key in ("runs_coalesced", "head_groups", "gemm_calls"):
                     profiler.count(key, block.stats[key])
-            if profiler is not None:
-                # One per-request kernel invocation -- the packed engine
-                # path replaces N of these with one packed_dispatches.
-                profiler.count("block_dispatches", 1)
             # Normalise the block result into the striped accounting shape.
             b2 = plan.config.block_size**2
             kernel = StripedAttentionResult(

@@ -167,22 +167,16 @@ class Transformer:
         engine's ``attend`` additionally routes through its sparse-plan
         cache and dense fallback.
 
+        A :meth:`prefill_chunk_batch` of one: the per-request path *is*
+        the batched path, so request-vs-packed parity holds by
+        construction.  Cache-append and ``attend`` errors propagate.
+
         Returns the chunk's final residual rows ``(S_chunk, d_model)``.
         """
-        if len(caches) != self.config.n_layers:
-            raise ModelError("caches must have one entry per layer")
-        x = self.embed(tokens)
-        positions = np.asarray(positions, dtype=np.int64)
-        scale = 1.0 / np.sqrt(self.config.d_head)
-        for i, layer in enumerate(self.layers):
-            q, k_new, v_new = layer.project_qkv(self._norm(x), positions)
-            caches[i].append(k_new, v_new, positions)
-            out = attend(i, q, caches[i].keys, caches[i].values, scale)
-            x = x + layer.merge_heads(out)
-            lw = layer.weights
-            if lw.mlp_w1 is not None:
-                x = x + gated_mlp(self._norm(x), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3)
-        return x
+        return self.prefill_chunk_batch(
+            [(tokens, positions, caches)],
+            lambda i, entries: {0: attend(i, *entries[0])},
+        )[0]
 
     def prefill_chunk_batch(
         self,
@@ -213,8 +207,8 @@ class Transformer:
         Returns one entry per input chunk: the final residual rows
         ``(S_chunk, d_model)``, or ``None`` for dropped chunks.  Survivor
         entries are bitwise identical to running :meth:`prefill_chunk`
-        on each request alone (given an ``attend_batch`` that matches
-        ``attend``).
+        (a batch of one) on each request alone, given an ``attend_batch``
+        whose per-item outputs do not depend on batch composition.
         """
         if not chunks:
             raise ModelError("prefill_chunk_batch needs at least one chunk")

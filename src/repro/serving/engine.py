@@ -7,8 +7,9 @@ costs, this engine *runs* the code: every prefill chunk goes through
 :class:`~repro.core.providers.PlanProvider` -- ``config.provider`` selects
 the two-stage SampleAttention planner or one of the related-work pattern
 planners (amortised through a
-:class:`~repro.serving.plan_cache.PlanCache`) and execute via
-:func:`~repro.core.sample_attention`, and decode runs greedy
+:class:`~repro.serving.plan_cache.PlanCache`) and execute through **one**
+sparse executor, :func:`~repro.attention.packed.packed_block_sparse_attention`
+(a per-request chunk is a packed batch of one), and decode runs greedy
 :meth:`~repro.model.transformer.Transformer.decode_step` over the populated
 KV caches.  The serving mechanics are the ones a production engine needs:
 
@@ -58,11 +59,9 @@ from ..attention.packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
-from ..config import DEFAULT_CONFIG, KERNEL_MODES, SampleAttentionConfig
-from ..core.autotune import KernelTuner
+from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from ..core.profiler import StageProfiler
 from ..core.providers import make_provider
-from ..core.sample_attention import sample_attention
 from ..errors import (
     ArenaExhaustedError,
     ConfigError,
@@ -70,17 +69,16 @@ from ..errors import (
     ReproError,
 )
 from ..memory import (
-    EVICTION_POLICIES,
     BatchedKVGather,
+    HeavyHitterPolicy,
     KVArena,
     MemoryPressureController,
     PagedLayerKVCache,
     PrefixSharingRegistry,
-    make_eviction_policy,
 )
 from ..model.kv_cache import LayerKVCache
 from ..model.transformer import Transformer
-from ..perf.hardware import A100_80GB, HardwareSpec
+from ..perf.hardware import A100_80GB
 from ..perf.latency import executed_elements_seconds
 from ..tasks.needle import make_needle_case
 from .faults import FaultInjector, corrupt_plan
@@ -102,12 +100,13 @@ ENGINE_METHODS = ("sample", "flash")
 BILLING_MODES = ("measured", "roofline")
 
 #: Batch-step execution modes: ``"request"`` runs one job's quantum per
-#: scheduling turn (one kernel call per request/layer); ``"packed"``
+#: scheduling turn (a packed dispatch of one item per layer); ``"packed"``
 #: co-schedules up to ``max_batch_requests`` jobs per turn and executes
 #: their sparse prefill attention as **one**
 #: :func:`~repro.attention.packed.packed_block_sparse_attention` dispatch
 #: per (layer, batch step), with per-request plans, telemetry, degradation
-#: and fault isolation preserved.
+#: and fault isolation preserved.  Both modes share one attention router,
+#: so they differ in co-scheduling only, never in kernel or arithmetic.
 BATCHING_MODES = ("request", "packed")
 
 #: KV storage backends: ``"contiguous"`` gives each request private dense
@@ -126,6 +125,15 @@ DEGRADATION_LEVELS = ("sparse", "widened", "dense", "shed")
 _MIN_EXECUTED_LEN = 64
 _CRA_EPS = 1e-6  # float tolerance for the runtime achieved-share guard
 _SPARSE_LEVELS = ("sparse", "widened")
+#: Decode quantum per scheduling turn under round-robin (FCFS decodes a
+#: request's remaining tokens in one turn).
+_DECODE_CHUNK_TOKENS = 8
+#: Memory :class:`CircuitBreaker`: this many consecutive arena-exhaustion
+#: chunks trip it open, and while open (for the cooldown) new admissions
+#: are rejected outright -- backpressure at the door instead of thrashing
+#: the eviction ladder.
+_MEMORY_BREAKER_THRESHOLD = 4
+_MEMORY_BREAKER_COOLDOWN_CHUNKS = 8
 
 
 class CircuitBreaker:
@@ -230,6 +238,22 @@ class _Job:
 
 
 @dataclass
+class _Attempt:
+    """Routing state of one execution attempt of one job's chunk."""
+
+    #: Layer at which to inject a transient attend failure (after earlier
+    #: layers already appended KV -- the partial state retry rolls back).
+    fail_at: int | None
+    marks: list[int]  # per-layer cache lengths to roll back to
+    elements0: float  # job.elements before the attempt (wall apportioning)
+    #: Per-layer k-norm values staged by the router; folded into
+    #: ``_Job.knorm_sq`` only when the chunk commits.
+    knorm: list
+    breaker_dense: bool = False  # breaker-forced-dense counted already
+    error: Exception | None = None  # why the attempt was abandoned
+
+
+@dataclass
 class EngineResult:
     """Outcome of one :meth:`ServingEngine.run`.
 
@@ -318,15 +342,10 @@ class ServingEngine:
         chunk; ``"roofline"`` converts executed score-element counts via
         :func:`~repro.perf.latency.executed_elements_seconds`
         (deterministic).
-    hardware:
-        Device for roofline billing.
     length_scale:
         Divisor mapping workload (paper-scale) prompt lengths to executed
         substrate lengths, following DESIGN.md's ~1/16 evaluation scale;
         ``1`` executes workload lengths verbatim.
-    decode_chunk_tokens:
-        Decode quantum per scheduling turn under round-robin (FCFS decodes
-        a request's remaining tokens in one turn).
     seed:
         Seed for the default prompt builder.
     prompt_builder:
@@ -358,34 +377,25 @@ class ServingEngine:
         (:data:`DEGRADATION_LEVELS`).
     breaker_threshold, breaker_cooldown_chunks:
         Engine-wide :class:`CircuitBreaker` policy over sparse planning.
-    execution:
-        Sparse executor for ``method="sample"``: ``"striped"`` (default,
-        the paper's gathered-KV kernel) or ``"block"`` (rasterise plans to
-        tile masks and run the block-sparse kernel selected by
-        ``kernel_mode``).
-    kernel_mode:
-        Block-sparse executor for ``execution="block"``: one of
-        :data:`~repro.config.KERNEL_MODES`, defaulting to the config's
-        ``kernel_mode``.  The fast/parallel paths reuse one engine-owned
-        :class:`~repro.attention.KernelWorkspace` across chunks.
+    execution, kernel_mode:
+        Inert compatibility arguments: the engine has one sparse executor
+        (plans rasterised to tile masks, run by the packed block-sparse
+        kernel), so these accept only ``None`` or the value naming it
+        (``"block"`` / ``"fast"``, what the frozen ``perfbench/adapter.py``
+        passes) and raise :class:`~repro.errors.ConfigError` otherwise.
+        Removable by the next benchmark PR.
     batching:
-        One of :data:`BATCHING_MODES`.  ``"packed"`` co-schedules up to
-        ``max_batch_requests`` queued jobs per engine step and fuses
-        their sparse prefill attention into **one** packed block-sparse
-        dispatch per (layer, batch step) -- cross-request GEMM batching
-        with bitwise-identical per-request outputs.  Requires
-        ``method="sample"`` and ``execution="block"``.
+        One of :data:`BATCHING_MODES`; ``"packed"`` requires
+        ``method="sample"``.
     max_batch_requests:
         Packed-mode co-scheduling width (prefix of the queue per step).
-    autotune_bench:
-        Optional path to a ``BENCH_kernel.json`` whose history seeds the
-        packed dispatch's shape-class :class:`~repro.core.KernelTuner`.
     kv_backend:
         One of :data:`KV_BACKENDS`.  ``"paged"`` stores all KV in one
         :class:`~repro.memory.KVArena` (fresh per :meth:`run`), enables
         copy-on-write prefix sharing across requests, and arms the memory
-        pressure ladder (registry shrink -> live eviction -> quantize hook
-        -> shed) plus a memory circuit breaker over admissions.
+        pressure ladder (registry shrink -> live heavy-hitter eviction ->
+        quantize hook -> shed) plus a memory circuit breaker over
+        admissions.
     arena_blocks:
         Arena capacity in blocks for the paged backend.  ``None``
         auto-sizes to the run's worst-case demand (every request resident
@@ -396,14 +406,6 @@ class ServingEngine:
     prefix_sharing:
         Enable the :class:`~repro.memory.PrefixSharingRegistry` (paged
         backend only).
-    eviction_policy:
-        Live-eviction policy under pressure: one of
-        :data:`~repro.memory.EVICTION_POLICIES`.
-    memory_breaker_threshold, memory_breaker_cooldown_chunks:
-        Memory :class:`CircuitBreaker`: this many consecutive
-        arena-exhaustion chunks trip it open, and while open (for the
-        cooldown) new admissions are rejected outright -- backpressure at
-        the door instead of thrashing the eviction ladder.
     """
 
     def __init__(
@@ -419,9 +421,7 @@ class ServingEngine:
         replan_interval: int = 4,
         max_stale_tokens: int | None = None,
         billing: str = "measured",
-        hardware: HardwareSpec = A100_80GB,
         length_scale: int = 1,
-        decode_chunk_tokens: int = 8,
         seed: int = 0,
         prompt_builder=None,
         fault_injector: FaultInjector | None = None,
@@ -431,18 +431,14 @@ class ServingEngine:
         degrade_after: int = 2,
         breaker_threshold: int = 4,
         breaker_cooldown_chunks: int = 8,
-        execution: str = "striped",
+        execution: str | None = None,
         kernel_mode: str | None = None,
         batching: str = "request",
         max_batch_requests: int = 8,
-        autotune_bench: str | None = None,
         kv_backend: str = "contiguous",
         arena_blocks: int | None = None,
         block_tokens: int = 32,
         prefix_sharing: bool = True,
-        eviction_policy: str = "heavy_hitter",
-        memory_breaker_threshold: int = 4,
-        memory_breaker_cooldown_chunks: int = 8,
     ) -> None:
         if method not in ENGINE_METHODS:
             raise ConfigError(
@@ -452,16 +448,20 @@ class ServingEngine:
             raise ConfigError(
                 f"unknown billing {billing!r}; expected one of {BILLING_MODES}"
             )
-        if chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-        if length_scale < 1:
-            raise ConfigError(f"length_scale must be >= 1, got {length_scale}")
-        if decode_chunk_tokens < 1:
-            raise ConfigError(
-                f"decode_chunk_tokens must be >= 1, got {decode_chunk_tokens}"
-            )
-        if max_queue < 1:
-            raise ConfigError(f"max_queue must be >= 1, got {max_queue}")
+        for name, value, low in (
+            ("chunk_size", chunk_size, 1),
+            ("length_scale", length_scale, 1),
+            ("max_queue", max_queue, 1),
+            ("max_retries", max_retries, 0),
+            ("retry_backoff_s", retry_backoff_s, 0),
+            ("degrade_after", degrade_after, 1),
+            ("max_batch_requests", max_batch_requests, 1),
+            ("block_tokens", block_tokens, 1),
+        ):
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if arena_blocks is not None and arena_blocks < 1:
+            raise ConfigError(f"arena_blocks must be >= 1, got {arena_blocks}")
         if admission_policy not in ADMISSION_POLICIES:
             raise ConfigError(
                 f"unknown admission policy {admission_policy!r}; expected "
@@ -469,51 +469,21 @@ class ServingEngine:
             )
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigError(f"deadline_s must be > 0, got {deadline_s}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_s < 0:
+        if execution not in (None, "block") or kernel_mode not in (None, "fast"):
             raise ConfigError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
-        if degrade_after < 1:
-            raise ConfigError(f"degrade_after must be >= 1, got {degrade_after}")
-        if execution not in ("striped", "block"):
-            raise ConfigError(
-                f"execution must be 'striped' or 'block', got {execution!r}"
-            )
-        if kernel_mode is not None and kernel_mode not in KERNEL_MODES:
-            raise ConfigError(
-                f"kernel_mode must be one of {KERNEL_MODES}, got {kernel_mode!r}"
+                "the engine has one sparse executor: execution accepts only "
+                f"None or 'block' (got {execution!r}), kernel_mode only None "
+                f"or 'fast' (got {kernel_mode!r})"
             )
         if batching not in BATCHING_MODES:
             raise ConfigError(
                 f"batching must be one of {BATCHING_MODES}, got {batching!r}"
             )
-        if batching == "packed" and (method != "sample" or execution != "block"):
-            raise ConfigError(
-                "batching='packed' requires method='sample' and "
-                "execution='block' (the packed kernel consumes block masks)"
-            )
-        if max_batch_requests < 1:
-            raise ConfigError(
-                f"max_batch_requests must be >= 1, got {max_batch_requests}"
-            )
+        if batching == "packed" and method != "sample":
+            raise ConfigError("batching='packed' requires method='sample'")
         if kv_backend not in KV_BACKENDS:
             raise ConfigError(
                 f"kv_backend must be one of {KV_BACKENDS}, got {kv_backend!r}"
-            )
-        if arena_blocks is not None and arena_blocks < 1:
-            raise ConfigError(
-                f"arena_blocks must be >= 1, got {arena_blocks}"
-            )
-        if block_tokens < 1:
-            raise ConfigError(
-                f"block_tokens must be >= 1, got {block_tokens}"
-            )
-        if eviction_policy not in EVICTION_POLICIES:
-            raise ConfigError(
-                f"eviction_policy must be one of {EVICTION_POLICIES}, "
-                f"got {eviction_policy!r}"
             )
         self.model = model
         self.method = method
@@ -523,9 +493,7 @@ class ServingEngine:
         self.max_queue = max_queue
         self.admission_policy = admission_policy
         self.billing = billing
-        self.hardware = hardware
         self.length_scale = length_scale
-        self.decode_chunk_tokens = decode_chunk_tokens
         self.seed = seed
         self.prompt_builder = prompt_builder or self._default_prompt
         self.plan_cache = PlanCache(
@@ -537,23 +505,12 @@ class ServingEngine:
         self.retry_backoff_s = retry_backoff_s
         self.degrade_after = degrade_after
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_chunks)
-        self.execution = execution
-        self.kernel_mode = kernel_mode
         self.batching = batching
         self.max_batch_requests = max_batch_requests
-        self.autotune_bench = autotune_bench
-        # Shape-class tuner for the packed dispatch.  Only the
-        # numerics-free knob (thread fan-out) is applied mid-run; block
-        # size / kernel mode recommendations surface via table().  Fresh
-        # per reset() so same-seed replays stay deterministic.
-        self._tuner = self._make_tuner()
         self.kv_backend = kv_backend
         self.arena_blocks = arena_blocks
         self.block_tokens = block_tokens
         self.prefix_sharing = prefix_sharing
-        self.eviction_policy = eviction_policy
-        self.memory_breaker_threshold = memory_breaker_threshold
-        self.memory_breaker_cooldown_chunks = memory_breaker_cooldown_chunks
         # Paged-KV state; created fresh per run() so same-seed runs (and
         # the chaos drill's bitwise summary comparison) stay identical.
         self._arena: KVArena | None = None
@@ -561,10 +518,10 @@ class ServingEngine:
         self._sharing: PrefixSharingRegistry | None = None
         self._pressure: MemoryPressureController | None = None
         self.memory_breaker: CircuitBreaker | None = None
-        self._workspace = KernelWorkspace() if execution == "block" else None
+        self._workspace = KernelWorkspace()  # warm scratch across chunks
         self._profiler = StageProfiler()
-        # Plan provider (config.provider); recreated fresh per run()/reset()
-        # so stateful providers (MInference's memoised head profiles) never
+        # Plan provider (config.provider); recreated fresh per run() so
+        # stateful providers (MInference's memoised head profiles) never
         # leak state across runs and same-seed replays stay bitwise equal.
         self._provider = make_provider(config.provider)
         # The "widened" ladder rung: double the window and the stage-1
@@ -575,16 +532,6 @@ class ServingEngine:
             r_window=min(1.0, 2.0 * config.r_window),
             r_row=min(1.0, 2.0 * config.r_row),
             min_keep=max(4 * config.min_keep, 4),
-        )
-        self._scale = 1.0 / np.sqrt(model.config.d_head)
-
-    def _make_tuner(self) -> KernelTuner | None:
-        if self.batching != "packed":
-            return None
-        return KernelTuner(
-            default_block_size=self.config.block_size,
-            default_kernel_mode=self.kernel_mode or self.config.kernel_mode,
-            bench_path=self.autotune_bench,
         )
 
     # -------------------------------------------------------------- prompts
@@ -656,24 +603,18 @@ class ServingEngine:
             cache.release()
 
     def _update_kv_peak(self, job: _Job) -> None:
-        if self._arena is None:
-            return
-        resident = sum(c.nbytes_resident for c in job.caches)
-        if resident > job.telemetry.kv_bytes_peak:
-            job.telemetry.kv_bytes_peak = resident
+        if self._arena is not None:
+            resident = sum(c.nbytes_resident for c in job.caches)
+            tm = job.telemetry
+            tm.kv_bytes_peak = max(tm.kv_bytes_peak, resident)
 
     def _chunk_block_need(self, job: _Job) -> int:
         """Blocks the next quantum of ``job`` could allocate: growth to the
         chunk's end length per layer, plus one fork per layer (CoW on a
         rollback into a shared tail block)."""
-        bt = self.block_tokens
-        if job.chunks_left:
-            end = job.chunks_left[0][1]
-        else:
-            end = job.position + 1
-        need = 0
-        for cache in job.caches:
-            need += max(0, -(-end // bt) - cache.n_blocks) + 1
+        end = job.chunks_left[0][1] if job.chunks_left else job.position + 1
+        blocks = -(-end // self.block_tokens)
+        need = sum(max(0, blocks - c.n_blocks) + 1 for c in job.caches)
         return max(need, 1)
 
     def _relieve_memory(self, job: _Job) -> bool:
@@ -684,17 +625,13 @@ class ServingEngine:
         Returns ``False`` when the ladder's terminal rung was reached (the
         caller sheds ``job``)."""
         assert self._pressure is not None
-        candidates: list[list] = []
-        cand_jobs: list[_Job] = []
-        for j in self._queue.items:
-            if j.chunks_left:  # prefill-phase: never evicted
-                continue
-            cand_jobs.append(j)
-            candidates.append(j.caches)
+        cand_jobs = [j for j in self._queue.items if not j.chunks_left]
         before = [
             sum(int(c.evictions) for c in j.caches) for j in cand_jobs
         ]
-        ok = self._pressure.relieve(candidates, self._chunk_block_need(job))
+        ok = self._pressure.relieve(
+            [j.caches for j in cand_jobs], self._chunk_block_need(job)
+        )
         for j, n0 in zip(cand_jobs, before):
             n1 = sum(int(c.evictions) for c in j.caches)
             if n1 > n0:
@@ -708,6 +645,24 @@ class ServingEngine:
                 j.knorm_sq = [None] * len(j.caches)
         self._registry.inc("memory_pressure_relief" if ok else "memory_sheds")
         return ok
+
+    def _relieve_exhaustion(self, job: _Job, mem_attempts: int) -> bool:
+        """``job``'s quantum hit :class:`ArenaExhaustedError` (already
+        rolled back) -- the memory analogue of a transient fault: record
+        it, notify the memory breaker, walk the pressure ladder.  Returns
+        whether to retry; ``False`` means the bounded budget
+        (``mem_attempts`` retries so far) or the ladder ran out."""
+        registry = self._registry
+        registry.inc("arena_exhaustion_events")
+        assert self.memory_breaker is not None
+        if self.memory_breaker.record_violation():
+            registry.inc("memory_breaker_trips")
+        if mem_attempts > self.max_retries or not self._relieve_memory(job):
+            registry.inc("retry_exhausted")
+            return False
+        job.telemetry.retries += 1
+        registry.inc("chunk_retries")
+        return True
 
     # ----------------------------------------------------- degradation ladder
     def _transition(self, job: _Job, to_level: str, reason: str) -> None:
@@ -757,22 +712,19 @@ class ServingEngine:
         if self.breaker.record_violation():
             self._registry.inc("circuit_breaker_trips")
 
-    def _sparse_plan(self, job: _Job, i: int, q, keys, scale, breaker_dense):
+    def _sparse_plan(self, job: _Job, i: int, q, keys, scale, att: _Attempt):
         """Plan/guard gauntlet for one sparse (job, layer) attention call.
 
-        Returns ``(plan, cfg)`` cleared to execute sparsely, or ``None``
-        when the call must fall back to dense (degraded rung, open
-        breaker, invalid or under-alpha plan).  Shared verbatim by the
-        per-request closure and the packed batch step so both paths count
-        plan hits/misses, CRA violations and billed elements identically.
-        ``breaker_dense`` is a one-element list counting the
-        breaker-forced-dense event at most once per chunk.
+        Returns the plan cleared to execute sparsely, or ``None`` when the
+        call must fall back to dense (degraded rung, open breaker, invalid
+        or under-alpha plan).  ``att.breaker_dense`` counts the
+        breaker-forced-dense event at most once per attempt.
         """
         if job.level not in _SPARSE_LEVELS:
             return None
         if not self.breaker.allow_sparse():
-            if not breaker_dense[0]:
-                breaker_dense[0] = True
+            if not att.breaker_dense:
+                att.breaker_dense = True
                 self._registry.inc("breaker_dense_chunks")
             return None
         rid = job.request.request_id
@@ -804,61 +756,77 @@ class ServingEngine:
         if float(np.min(plan.achieved_share)) < cfg.alpha - _CRA_EPS:
             self._record_violation(job, i, "share_below_alpha")
             return None
-        return plan, cfg
+        return plan
 
-    def _attend(self, job: _Job, fail_at: int | None = None):
-        """Build the per-layer attention closure for one chunk of ``job``.
+    def _router(self, jobs: list[_Job], attempts: list[_Attempt]):
+        """The per-layer attention router for one execution attempt of one
+        chunk from each of ``jobs`` -- the engine's single prefill
+        attention path, whatever the batch width.
 
-        ``fail_at`` is the fault-injection hook: the closure raises a
-        transient :class:`~repro.errors.FaultInjectionError` when asked to
-        attend for that layer index (after earlier layers already appended
-        KV -- the partial state chunk retry must roll back).
+        ``route(layer, entries)`` takes batch index -> ``(q, keys, values,
+        scale)`` and returns batch index -> attention output: every entry
+        whose plan clears the :meth:`_sparse_plan` gauntlet joins **one**
+        packed dispatch, the rest fall back to dense per item.  An entry
+        whose attempt is due an injected transient fault at this layer is
+        counted, recorded on ``attempt.error`` and left out of the result
+        (which drops it from the remaining layers); its caller rolls back
+        and retries.
         """
-        rid = job.request.request_id
-        chunk_index = job.chunk_index
-        tm = job.telemetry
-        registry = self._registry
-        breaker_dense = [False]  # count breaker-forced chunks once per build
+
+        def route(i, entries):
+            outs: dict = {}
+            items: list = []
+            meta: list = []
+            for b in sorted(entries):
+                job, att = jobs[b], attempts[b]
+                q, keys, values, scale = entries[b]
+                if att.fail_at == i:
+                    self._count_fault(job, "fault_attend_transient")
+                    att.error = FaultInjectionError(
+                        f"injected transient attend failure (request "
+                        f"{job.request.request_id}, chunk {job.chunk_index}, "
+                        f"layer {i})"
+                    )
+                    continue
+                plan = self._sparse_plan(job, i, q, keys, scale, att)
+                if plan is None:
+                    outs[b] = self._dense_attend(job, q, keys, values, scale)
+                    continue
+                with self._profiler.stage("pack"):
+                    knorm = self._chunk_knorm(job, i, keys, q.shape[1])
+                    att.knorm[i] = knorm
+                    items.append(
+                        PackedItem(
+                            q=q,
+                            k=keys,
+                            v=values,
+                            mask=plan.to_block_mask(),
+                            scale=scale,
+                            k_norm_sq=knorm[1],
+                            tag=b,
+                        )
+                    )
+                    meta.append((b, job, plan))
+            if items:
+                outs.update(self._dispatch_packed(i, items, meta))
+            return outs
+
+        return route
+
+    def _attend(self, job: _Job, att: _Attempt):
+        """The per-request attention closure ``attend(layer, q, keys,
+        values, scale)``: :meth:`_router` with a single entry.  Raises the
+        attempt's injected fault where the router dropped the entry."""
+        route = self._router([job], [att])
 
         def attend(i, q, keys, values, scale):
-            if fail_at is not None and i == fail_at:
-                tm.faults_injected += 1
-                registry.inc("faults_injected")
-                registry.inc("fault_attend_transient")
-                raise FaultInjectionError(
-                    f"injected transient attend failure (request {rid}, "
-                    f"chunk {chunk_index}, layer {i})"
-                )
-            planned = self._sparse_plan(job, i, q, keys, scale, breaker_dense)
-            if planned is None:
-                return self._dense_attend(job, q, keys, values, scale)
-            plan, cfg = planned
-            try:
-                res = sample_attention(
-                    q,
-                    keys,
-                    values,
-                    cfg,
-                    scale=scale,
-                    plan=plan,
-                    execution=self.execution,
-                    kernel_mode=self.kernel_mode,
-                    workspace=self._workspace,
-                    profiler=self._profiler,
-                )
-            except FaultInjectionError:
-                raise  # transient: the chunk retry loop owns recovery
-            except ReproError:
-                self._record_violation(job, i, "kernel_error")
-                return self._dense_attend(job, q, keys, values, scale)
-            self.breaker.record_success()
-            job.elements += float(res.kernel.computed_elements.sum())
-            tm.kept_kv_ratios.append(plan.mean_kv_ratio)
-            return res.output
+            outs = route(i, {0: (q, keys, values, scale)})
+            if 0 not in outs:
+                raise att.error
+            return outs[0]
 
         return attend
 
-    # --------------------------------------------------- packed batch step
     def _chunk_knorm(self, job: _Job, i: int, keys, chunk_rows: int):
         """``(covered_rows, max ||k||^2)`` over ``keys`` for (job, layer).
 
@@ -885,40 +853,16 @@ class ServingEngine:
 
     def _dispatch_packed(self, layer: int, items: list, meta: list) -> dict:
         """One packed block-sparse dispatch for every sparse (job, layer)
-        call of a batch step.  ``meta`` aligns with ``items`` as
-        ``(chunk_index_in_batch, job, plan)``.  Returns chunk index ->
-        attention output; per-item accounting (breaker, billed elements,
-        kept-KV telemetry) mirrors the per-request path exactly."""
+        call of an attempt, serial in the caller's thread.  ``meta``
+        aligns with ``items`` as ``(batch_index, job, plan)``.  Returns
+        batch index -> attention output; per-item accounting (breaker,
+        billed elements, kept-KV telemetry) is per item, so it is the same
+        whatever else shares the dispatch."""
         profiler = self._profiler
-        # Consult the shape-class tuner for the numerics-free knob.
-        threads = 1
-        cls = None
-        if self._tuner is not None:
-            rows = int(sum(it.q.shape[1] for it in items))
-            sig: set = set()
-            blocks_set = blocks_total = 0.0
-            for it in items:
-                blocks = it.mask.blocks
-                bits = np.packbits(
-                    blocks.reshape(blocks.shape[0], -1), axis=1
-                )
-                for row in bits:
-                    sig.add((blocks.shape[1], blocks.shape[2], row.tobytes()))
-                blocks_set += float(blocks.sum())
-                blocks_total += float(blocks.size)
-            density = blocks_set / blocks_total if blocks_total else 1.0
-            cls = self._tuner.shape_class(
-                rows,
-                max(int(it.k.shape[1]) for it in items),
-                density,
-                len(sig),
-            )
-            threads = self._tuner.choose(cls).num_threads
-        t0 = time.perf_counter()
         with profiler.stage("attend"):
             try:
                 pres = packed_block_sparse_attention(
-                    items, workspace=self._workspace, num_threads=threads
+                    items, workspace=self._workspace
                 )
             except ReproError:
                 # One bad item poisons the whole dispatch: every item in
@@ -931,10 +875,6 @@ class ServingEngine:
                         job, it.q, it.k, it.v, it.scale
                     )
                 return outs
-        if self._tuner is not None:
-            self._tuner.observe(
-                cls, threads, time.perf_counter() - t0, rows
-            )
         # Deterministic execution-path counters: the serving bench's
         # one-dispatch-per-(layer, step) proof reads these.
         profiler.count("packed_dispatches", 1)
@@ -953,8 +893,7 @@ class ServingEngine:
         with profiler.stage("unpack"):
             for res, (b, job, plan) in zip(pres.results, meta):
                 self.breaker.record_success()
-                # Identical billing to the per-request block path:
-                # computed elements = visited blocks x block_size^2.
+                # Billed elements = visited blocks x block_size^2.
                 job.elements += (
                     float(res.visited_blocks.sum())
                     * plan.config.block_size ** 2
@@ -963,238 +902,47 @@ class ServingEngine:
                 outs[b] = res.output
         return outs
 
-    def _run_packed_step(self, jobs: list[_Job]) -> list[tuple[float, bool]]:
-        """Execute one co-scheduled prefill chunk from each of ``jobs`` as
-        a single packed batch step: per layer, every job's sparse
-        attention runs as **one** packed kernel dispatch; dense/degraded
-        calls fall back per request inside the same step.
-
-        Returns ``(virtual seconds, ok)`` per job, in ``jobs`` order.  A
-        job that faults mid-step (injected attend failure, arena
-        exhaustion) abandons its packed attempt *uncounted*, is rolled
-        back to its pre-step cache marks, and replays wholesale through
-        the per-request :meth:`_run_chunk` -- which re-injects and counts
-        the fault under unchanged retry/backoff/ladder semantics, so
-        fault telemetry matches per-request mode (modulo extra plan-cache
-        hits from the abandoned attempt's cached plans).  The step's wall
-        time is apportioned to jobs by their share of billed elements.
-        """
-        registry = self._registry
-        inj = self.fault_injector
-        n_layers = self.model.config.n_layers
-        ctx: list[dict] = []
-        for job in jobs:
-            rid = job.request.request_id
-            chunk = job.chunk_index
-            tm = job.telemetry
-            self.breaker.tick()
-            if self.memory_breaker is not None:
-                self.memory_breaker.tick()
-            # Fault hooks mirror _run_chunk's prologue, in batch order.
-            if inj is not None and job.level in _SPARSE_LEVELS:
-                mode = inj.poison_mode(rid, chunk)
-                if mode is not None:
-                    n = self.plan_cache.poison(
-                        rid,
-                        lambda layer, p: corrupt_plan(
-                            p, mode, inj.corruption_rng(rid, chunk, layer)
-                        ),
-                    )
-                    if n:
-                        tm.faults_injected += 1
-                        registry.inc("faults_injected")
-                        registry.inc("fault_plan_poison")
-            if inj is not None and self._arena is not None:
-                frac = inj.arena_burst(rid, chunk)
-                if frac > 0.0:
-                    take = int(frac * self._arena.blocks_free)
-                    if take and self._arena.reserve(take):
-                        tm.faults_injected += 1
-                        registry.inc("faults_injected")
-                        registry.inc("fault_arena_exhaustion")
-            must_fail = inj.attend_failures(rid, chunk) if inj else 0
-            ctx.append(
-                {
-                    "fail_at": (
-                        inj.fail_layer(rid, chunk, 0, n_layers)
-                        if must_fail > 0
-                        else None
-                    ),
-                    "marks": [len(c) for c in job.caches],
-                    "breaker_dense": [False],
-                    "elements0": job.elements,
-                    "failed": False,
-                    "knorm": [None] * n_layers,
-                }
-            )
-
-        def attend_batch(i, entries):
-            outs: dict = {}
-            items: list = []
-            meta: list = []
-            for b in sorted(entries):
-                job, c = jobs[b], ctx[b]
-                q, keys, values, scale = entries[b]
-                if c["fail_at"] is not None and i == c["fail_at"]:
-                    # Abandon the packed attempt without counting the
-                    # fault; the _run_chunk replay injects and counts it.
-                    c["failed"] = True
-                    continue
-                planned = self._sparse_plan(
-                    job, i, q, keys, scale, c["breaker_dense"]
-                )
-                if planned is None:
-                    outs[b] = self._dense_attend(job, q, keys, values, scale)
-                    continue
-                plan, _cfg = planned
-                with self._profiler.stage("pack"):
-                    knorm = self._chunk_knorm(job, i, keys, q.shape[1])
-                    c["knorm"][i] = knorm
-                    items.append(
-                        PackedItem(
-                            q=q,
-                            k=keys,
-                            v=values,
-                            mask=plan.to_block_mask(),
-                            scale=scale,
-                            k_norm_sq=knorm[1],
-                            tag=b,
-                        )
-                    )
-                    meta.append((b, job, plan))
-            if items:
-                outs.update(self._dispatch_packed(i, items, meta))
-            return outs
-
-        def on_append_error(b, _layer, exc):
-            if isinstance(exc, (ArenaExhaustedError, FaultInjectionError)):
-                registry.inc("arena_exhaustion_events")
-                if self.memory_breaker is not None and isinstance(
-                    exc, ArenaExhaustedError
-                ):
-                    if self.memory_breaker.record_violation():
-                        registry.inc("memory_breaker_trips")
-                ctx[b]["failed"] = True
-            else:
-                raise exc
-
-        chunks = []
-        for job in jobs:
-            c0, c1 = job.chunks_left[0]
-            chunks.append(
-                (
-                    job.tokens[c0:c1],
-                    np.arange(c0, c1, dtype=np.int64),
-                    job.caches,
-                )
-            )
-        t0 = time.perf_counter()
-        try:
-            xs = self.model.prefill_chunk_batch(
-                chunks, attend_batch, on_error=on_append_error
-            )
-        finally:
-            if self._arena is not None:
-                self._arena.release_reserved()
-        wall = time.perf_counter() - t0
-        self._profiler.count("packed_prefill_steps", 1)
-
-        deltas = [
-            max(job.elements - c["elements0"], 0.0)
-            for job, c in zip(jobs, ctx)
-        ]
-        total = sum(deltas)
-        shares = [
-            d / total if total > 0 else 1.0 / len(jobs) for d in deltas
-        ]
-        results: list[tuple[float, bool]] = []
-        for b, (job, c) in enumerate(zip(jobs, ctx)):
-            if c["failed"]:
-                # Roll back the abandoned attempt and replay per-request:
-                # identical fault semantics, just without batching.
-                for cache, mark in zip(job.caches, c["marks"]):
-                    cache.truncate(mark)
-                partial = self._bill(job, wall * shares[b])
-                seconds, ok = self._run_chunk(job)
-                results.append((partial + seconds, ok))
-                continue
-            job.chunks_left.pop(0)
-            x = xs[b]
-            if not job.chunks_left:
-                job.next_token = int(
-                    np.argmax(self.model.logits(x[-1:])[0])
-                )
-                job.position = int(job.tokens.size)
-                if self._sharing is not None:
-                    if self._sharing.register(job.tokens, job.caches):
-                        registry.inc("prefix_registrations")
-            self._update_kv_peak(job)
-            job.chunk_index += 1
-            bill = self._bill(job, wall * shares[b])
-            rid = job.request.request_id
-            chunk = job.chunk_index - 1
-            if inj is not None:
-                if inj.spike_fired(rid, chunk):
-                    job.telemetry.faults_injected += 1
-                    registry.inc("faults_injected")
-                    registry.inc("fault_latency_spike")
-                if inj.is_straggler(rid):
-                    registry.inc("fault_straggler_chunks")
-                bill *= inj.latency_multiplier(rid, chunk)
-            seconds = bill
-            if inj is not None:
-                slow = inj.slow_factor(rid, chunk)
-                if slow > 1.0:
-                    job.telemetry.faults_injected += 1
-                    registry.inc("faults_injected")
-                    registry.inc("fault_slow_chunk")
-                    seconds *= slow
-            if self.memory_breaker is not None:
-                self.memory_breaker.record_success()
-            # Commit the incremental k-norm tracker only on success (a
-            # rolled-back chunk must not advance coverage).
-            if job.knorm_sq is not None:
-                for li, staged in enumerate(c["knorm"]):
-                    if staged is not None:
-                        job.knorm_sq[li] = staged
-            if job.level in _SPARSE_LEVELS and (
-                job.level_violations >= self.degrade_after
-            ):
-                self._escalate(job, "cra_guard")
-            results.append((seconds, True))
-        return results
-
     # -------------------------------------------------------------- quanta
     def _bill(self, job: _Job, wall_seconds: float) -> float:
         """Seconds this quantum advances the virtual clock by."""
         if self.billing == "measured":
             return wall_seconds
         seconds = executed_elements_seconds(
-            job.elements, self.model.config.d_head, self.hardware
+            job.elements, self.model.config.d_head, A100_80GB
         )
         job.elements = 0.0
         return seconds
 
-    def _run_chunk(self, job: _Job) -> tuple[float, bool]:
-        """Execute the next prefill chunk; returns ``(virtual seconds, ok)``.
+    @staticmethod
+    def _wall_shares(jobs: list[_Job], elements0: list[float], wall: float):
+        """Apportion a fused step's ``wall`` seconds to ``jobs`` by their
+        share of the elements billed since ``elements0``."""
+        deltas = [max(j.elements - e0, 0.0) for j, e0 in zip(jobs, elements0)]
+        total = sum(deltas)
+        return [
+            wall * (d / total if total > 0 else 1.0 / len(jobs)) for d in deltas
+        ]
 
-        ``ok=False`` means the chunk still failed after the retry budget
-        (the caller sheds the request; the seconds spent are still billed).
-        Transient failures roll the KV caches back to their pre-attempt
-        length and retry after exponential backoff with seeded jitter.
-        """
-        rid = job.request.request_id
-        tm = job.telemetry
-        registry = self._registry
-        inj = self.fault_injector
+    def _count_fault(self, job: _Job, counter: str) -> None:
+        """One injected fault hit ``job``: per-request, total, per-kind."""
+        job.telemetry.faults_injected += 1
+        self._registry.inc("faults_injected")
+        self._registry.inc(counter)
+
+    def _begin_chunk(self, job: _Job) -> int:
+        """Once-per-chunk prologue, however many attempts follow: tick both
+        breakers' cooldown clocks and fire the pre-chunk fault hooks.
+        Returns how many leading attempts must fail transiently.  An arena
+        burst stays reserved until the caller's ``release_reserved``."""
         self.breaker.tick()
         if self.memory_breaker is not None:
             self.memory_breaker.tick()
-        c0, c1 = job.chunks_left[0]
-        chunk = job.chunk_index
-
+        inj = self.fault_injector
+        if inj is None:
+            return 0
+        rid, chunk = job.request.request_id, job.chunk_index
         # Fault hook: corrupt this request's cached plans before the chunk.
-        if inj is not None and job.level in _SPARSE_LEVELS:
+        if job.level in _SPARSE_LEVELS:
             mode = inj.poison_mode(rid, chunk)
             if mode is not None:
                 n = self.plan_cache.poison(
@@ -1204,86 +952,125 @@ class ServingEngine:
                     ),
                 )
                 if n:
-                    tm.faults_injected += 1
-                    registry.inc("faults_injected")
-                    registry.inc("fault_plan_poison")
-
+                    self._count_fault(job, "fault_plan_poison")
         # Fault hook: an arena-exhaustion burst reserves free blocks for
-        # the duration of this chunk's quantum (released in the finally).
-        if inj is not None and self._arena is not None:
+        # the duration of this chunk's quantum.
+        if self._arena is not None:
             frac = inj.arena_burst(rid, chunk)
             if frac > 0.0:
                 take = int(frac * self._arena.blocks_free)
                 if take and self._arena.reserve(take):
-                    tm.faults_injected += 1
-                    registry.inc("faults_injected")
-                    registry.inc("fault_arena_exhaustion")
+                    self._count_fault(job, "fault_arena_exhaustion")
+        return inj.attend_failures(rid, chunk)
 
-        must_fail = inj.attend_failures(rid, chunk) if inj is not None else 0
+    @staticmethod
+    def _next_chunk(job: _Job) -> tuple:
+        """``(tokens, positions, caches)`` of ``job``'s next prefill chunk."""
+        c0, c1 = job.chunks_left[0]
+        return job.tokens[c0:c1], np.arange(c0, c1, dtype=np.int64), job.caches
+
+    def _new_attempt(self, job: _Job, must_fail: int, attempt: int) -> _Attempt:
         n_layers = self.model.config.n_layers
-        seconds = 0.0
-        attempt = 0
-        mem_attempts = 0
-        try:
-            while True:
-                marks = [len(c) for c in job.caches]
-                fail_at = (
-                    inj.fail_layer(rid, chunk, attempt, n_layers)
-                    if attempt < must_fail
-                    else None
+        return _Attempt(
+            fail_at=(
+                self.fault_injector.fail_layer(
+                    job.request.request_id, job.chunk_index, attempt, n_layers
                 )
-                attend = self._attend(job, fail_at=fail_at)
+                if attempt < must_fail
+                else None
+            ),
+            marks=[len(c) for c in job.caches],
+            elements0=job.elements,
+            knorm=[None] * n_layers,
+        )
+
+    def _retry_chunk(
+        self,
+        job: _Job,
+        must_fail: int,
+        failed: _Attempt | None = None,
+        seconds: float = 0.0,
+    ) -> tuple[float, bool]:
+        """Per-request attempts at ``job``'s next chunk until one commits
+        or a retry budget runs out; returns ``(virtual seconds, ok)``.
+
+        Each attempt is the router with a single entry.  ``ok=False``
+        means the chunk still failed after the budget (the caller sheds
+        the request; the seconds spent are still billed).  A failed
+        attempt rolls the KV caches back to its marks; transient faults
+        retry after exponential backoff with seeded jitter, arena
+        exhaustion after walking the pressure ladder.  ``failed`` is a
+        packed step's abandoned fused attempt 0 (already billed into
+        ``seconds``), whose failure is handled here before attempt 1.
+        """
+        rid = job.request.request_id
+        tm = job.telemetry
+        registry = self._registry
+        inj = self.fault_injector
+        chunk = job.chunk_index
+        attempt = mem_attempts = 0
+        att = failed
+        while True:
+            if att is None:
+                att = self._new_attempt(job, must_fail, attempt)
                 t0 = time.perf_counter()
                 try:
                     x = self.model.prefill_chunk(
-                        job.tokens[c0:c1],
-                        np.arange(c0, c1, dtype=np.int64),
-                        job.caches,
-                        attend,
+                        *self._next_chunk(job), self._attend(job, att)
                     )
-                except ArenaExhaustedError:
-                    # Memory analogue of a transient fault: roll back, walk
-                    # the pressure ladder, retry under a bounded budget.
+                except (ArenaExhaustedError, FaultInjectionError) as exc:
+                    att.error = exc
                     seconds += self._bill(job, time.perf_counter() - t0)
-                    for cache, mark in zip(job.caches, marks):
-                        cache.truncate(mark)
-                    registry.inc("arena_exhaustion_events")
-                    assert self.memory_breaker is not None
-                    if self.memory_breaker.record_violation():
-                        registry.inc("memory_breaker_trips")
-                    if mem_attempts > self.max_retries or not (
-                        self._relieve_memory(job)
-                    ):
-                        registry.inc("retry_exhausted")
-                        return seconds, False
-                    tm.retries += 1
-                    registry.inc("chunk_retries")
-                    seconds += self.retry_backoff_s * (2.0**mem_attempts)
-                    mem_attempts += 1
-                    continue
-                except FaultInjectionError:
-                    seconds += self._bill(job, time.perf_counter() - t0)
-                    for cache, mark in zip(job.caches, marks):
-                        cache.truncate(mark)
-                    if attempt >= self.max_retries:
-                        registry.inc("retry_exhausted")
-                        return seconds, False
-                    tm.retries += 1
-                    registry.inc("chunk_retries")
-                    jitter = (
-                        inj.backoff_jitter(rid, chunk, attempt)
-                        if inj is not None
-                        else 1.0
+                else:
+                    wall = time.perf_counter() - t0
+                    return (
+                        self._commit_chunk(
+                            job, x, att, wall, seconds, clean=mem_attempts == 0
+                        ),
+                        True,
                     )
-                    seconds += self.retry_backoff_s * (2.0**attempt) * jitter
-                    attempt += 1
-                    continue
-                break
-        finally:
-            if self._arena is not None:
-                self._arena.release_reserved()
-        wall = time.perf_counter() - t0
-        if self.memory_breaker is not None and mem_attempts == 0:
+            for cache, mark in zip(job.caches, att.marks):
+                cache.truncate(mark)
+            if isinstance(att.error, ArenaExhaustedError):
+                if not self._relieve_exhaustion(job, mem_attempts):
+                    return seconds, False
+                seconds += self.retry_backoff_s * (2.0**mem_attempts)
+                mem_attempts += 1
+            else:
+                if attempt >= self.max_retries:
+                    registry.inc("retry_exhausted")
+                    return seconds, False
+                tm.retries += 1
+                registry.inc("chunk_retries")
+                jitter = (
+                    inj.backoff_jitter(rid, chunk, attempt)
+                    if inj is not None
+                    else 1.0
+                )
+                seconds += self.retry_backoff_s * (2.0**attempt) * jitter
+                attempt += 1
+            att = None
+
+    def _commit_chunk(
+        self,
+        job: _Job,
+        x,
+        att: _Attempt,
+        wall: float,
+        seconds: float = 0.0,
+        *,
+        clean: bool = True,
+    ) -> float:
+        """Land ``job``'s successfully executed chunk (final residual rows
+        ``x``, successful attempt ``att`` taking ``wall`` seconds) and
+        return the quantum's virtual seconds, ``seconds`` being what failed
+        attempts and backoff already cost.  ``clean`` says no attempt hit
+        arena exhaustion."""
+        rid = job.request.request_id
+        chunk = job.chunk_index
+        registry = self._registry
+        inj = self.fault_injector
+        if self.memory_breaker is not None and clean:
             # A whole chunk without exhaustion: pressure has subsided.
             self.memory_breaker.record_success()
         job.chunks_left.pop(0)
@@ -1304,9 +1091,7 @@ class ServingEngine:
             # Latency faults scale the successful attempt's bill (backoff
             # and failed attempts are billed unscaled).
             if inj.spike_fired(rid, chunk):
-                tm.faults_injected += 1
-                registry.inc("faults_injected")
-                registry.inc("fault_latency_spike")
+                self._count_fault(job, "fault_latency_spike")
             if inj.is_straggler(rid):
                 registry.inc("fault_straggler_chunks")
             bill *= inj.latency_multiplier(rid, chunk)
@@ -1317,40 +1102,115 @@ class ServingEngine:
             # the successful bill above).
             slow = inj.slow_factor(rid, chunk)
             if slow > 1.0:
-                tm.faults_injected += 1
-                registry.inc("faults_injected")
-                registry.inc("fault_slow_chunk")
+                self._count_fault(job, "fault_slow_chunk")
                 seconds *= slow
+        # Advance the incremental k-norm tracker only now (a rolled-back
+        # attempt must not advance coverage).
+        for li, staged in enumerate(att.knorm):
+            if staged is not None:
+                job.knorm_sq[li] = staged
         if job.level in _SPARSE_LEVELS and (
             job.level_violations >= self.degrade_after
         ):
             self._escalate(job, "cra_guard")
-        return seconds, True
+        return seconds
+
+    def _run_chunk(self, job: _Job) -> tuple[float, bool]:
+        """The per-request prefill quantum: begin, then the retry loop."""
+        try:
+            return self._retry_chunk(job, self._begin_chunk(job))
+        finally:
+            if self._arena is not None:
+                self._arena.release_reserved()
+
+    def _run_packed_step(self, jobs: list[_Job]) -> list[tuple[float, bool]]:
+        """Execute one co-scheduled prefill chunk from each of ``jobs`` as
+        a single packed batch step: per layer, every job's sparse
+        attention runs as **one** packed kernel dispatch; dense/degraded
+        calls fall back per request inside the same step.
+
+        Returns ``(virtual seconds, ok)`` per job, in ``jobs`` order.  The
+        fused pass is every job's attempt 0.  A job that faults in it
+        (injected attend failure, arena exhaustion) drops out of the
+        remaining layers without disturbing the others, then enters the
+        per-request :meth:`_retry_chunk` loop where that attempt failed --
+        so the fault is counted once, breakers tick and fault hooks fire
+        once per chunk, and retry/backoff/ladder semantics are the
+        per-request ones.  Equal to per-request mode: generated tokens
+        always; every non-``kernel_*`` counter when fault-free, and under
+        faults when ``max_batch_requests=1`` (the same schedule).  Not
+        equal: under faults in wider batches, breaker- and memory-coupled
+        counters, because co-scheduled jobs interleave per layer.  The
+        step's wall time is apportioned by share of billed elements.
+        """
+        try:
+            must_fail = [self._begin_chunk(job) for job in jobs]
+            attempts = [
+                self._new_attempt(job, n, 0) for job, n in zip(jobs, must_fail)
+            ]
+
+            def on_append_error(b, _layer, exc):
+                if not isinstance(
+                    exc, (ArenaExhaustedError, FaultInjectionError)
+                ):
+                    raise exc
+                attempts[b].error = exc
+
+            t0 = time.perf_counter()
+            xs = self.model.prefill_chunk_batch(
+                [self._next_chunk(job) for job in jobs],
+                self._router(jobs, attempts),
+                on_error=on_append_error,
+            )
+            wall = time.perf_counter() - t0
+            self._profiler.count("packed_prefill_steps", 1)
+
+            shares = self._wall_shares(
+                jobs, [att.elements0 for att in attempts], wall
+            )
+            results: list[tuple[float, bool]] = []
+            for job, att, n, x, share in zip(
+                jobs, attempts, must_fail, xs, shares
+            ):
+                if att.error is not None:
+                    results.append(
+                        self._retry_chunk(job, n, att, self._bill(job, share))
+                    )
+                else:
+                    results.append((self._commit_chunk(job, x, att, share), True))
+            return results
+        finally:
+            if self._arena is not None:
+                self._arena.release_reserved()
+
+    def _decode_quantum(self, job: _Job) -> int:
+        """Decode tokens ``job`` runs in one scheduling turn."""
+        if self.scheduler.policy == "fcfs":
+            return job.decode_left
+        return min(job.decode_left, _DECODE_CHUNK_TOKENS)
 
     def _run_decode(self, job: _Job, steps: int) -> tuple[float, bool]:
         """Execute ``steps`` greedy decode tokens; returns ``(virtual
         seconds, ok)``.  ``ok=False`` means the paged arena stayed
         exhausted through the pressure ladder (the caller sheds)."""
-        h_kv = self.model.config.n_kv_heads
         t0 = time.perf_counter()
         with self._profiler.stage("decode"):
-            ok = self._decode_steps(job, steps, h_kv)
-        wall = time.perf_counter() - t0
-        seconds = self._bill(job, wall)
+            ok = self._decode_steps(job, steps)
+        seconds = self._bill(job, time.perf_counter() - t0)
         self._update_kv_peak(job)
         return seconds, ok
 
-    def _decode_steps(self, job: _Job, steps: int, h_kv: int) -> bool:
+    def _decode_steps(self, job: _Job, steps: int) -> bool:
         # On the paged backend, decode records attention mass so the
         # heavy-hitter eviction policy has scores to rank by (numerics of
         # the decoded logits are unchanged by recording).
         record = self._arena is not None
-        registry = self._registry
+        cfg = self.model.config
         for _ in range(steps):
             assert job.next_token is not None
             job.generated.append(job.next_token)
             job.elements += (
-                self.model.config.n_layers * h_kv * (len(job.caches[0]) + 1)
+                cfg.n_layers * cfg.n_kv_heads * (len(job.caches[0]) + 1)
             )
             mem_attempts = 0
             while True:
@@ -1365,17 +1225,8 @@ class ServingEngine:
                 except ArenaExhaustedError:
                     for cache, mark in zip(job.caches, marks):
                         cache.truncate(mark)
-                    registry.inc("arena_exhaustion_events")
-                    assert self.memory_breaker is not None
-                    if self.memory_breaker.record_violation():
-                        registry.inc("memory_breaker_trips")
-                    if mem_attempts > self.max_retries or not (
-                        self._relieve_memory(job)
-                    ):
-                        registry.inc("retry_exhausted")
+                    if not self._relieve_exhaustion(job, mem_attempts):
                         return False
-                    job.telemetry.retries += 1
-                    registry.inc("chunk_retries")
                     mem_attempts += 1
                     continue
                 break
@@ -1401,7 +1252,6 @@ class ServingEngine:
         profiler.count("packed_decode_dispatches", 1)
         if not items:
             return {}
-        order = list(items)
         with profiler.stage("attend"):
             res = packed_decode_attention(
                 [
@@ -1412,13 +1262,8 @@ class ServingEngine:
             )
         profiler.count("packed_decode_requests", res.stats["decode_requests"])
         profiler.count("packed_decode_kv_tokens", res.stats["kv_tokens"])
-        return {
-            b: (
-                res.outputs[j],
-                res.probs[j] if res.probs is not None else None,
-            )
-            for j, b in enumerate(order)
-        }
+        probs = res.probs if res.probs is not None else [None] * len(items)
+        return {b: (res.outputs[j], probs[j]) for j, b in enumerate(items)}
 
     def _run_decode_batch(
         self, jobs: list[_Job]
@@ -1444,17 +1289,19 @@ class ServingEngine:
         cfg = self.model.config
         n_layers, h_kv = cfg.n_layers, cfg.n_kv_heads
         record = self._arena is not None
-        quanta = [
-            job.decode_left
-            if self.scheduler.policy == "fcfs"
-            else min(job.decode_left, self.decode_chunk_tokens)
-            for job in jobs
-        ]
+        quanta = [self._decode_quantum(job) for job in jobs]
         elements0 = [job.elements for job in jobs]
-        gather = self._decode_gather if self._arena is not None else None
         #: batch index -> steps of its quantum still owed at abandonment
         #: (including the rolled-back step itself).
         aborted: dict[int, int] = {}
+
+        def on_append_error(_entry, _layer, exc):
+            if not isinstance(exc, ArenaExhaustedError):
+                raise exc
+            registry.inc("arena_exhaustion_events")
+            assert self.memory_breaker is not None
+            if self.memory_breaker.record_violation():
+                registry.inc("memory_breaker_trips")
 
         t0 = time.perf_counter()
         with self._profiler.stage("decode"):
@@ -1481,15 +1328,6 @@ class ServingEngine:
                     job.elements += added[bi]
                     entries.append((job.next_token, job.position, job.caches))
 
-                def on_append_error(eb, _layer, exc):
-                    if isinstance(exc, ArenaExhaustedError):
-                        registry.inc("arena_exhaustion_events")
-                        if self.memory_breaker is not None:
-                            if self.memory_breaker.record_violation():
-                                registry.inc("memory_breaker_trips")
-                    else:
-                        raise exc
-
                 results = self.model.decode_batch(
                     entries,
                     lambda i, items: self._dispatch_packed_decode(
@@ -1497,7 +1335,7 @@ class ServingEngine:
                     ),
                     record_attention=record,
                     on_error=on_append_error,
-                    gather=gather,
+                    gather=self._decode_gather,
                 )
                 self._profiler.count("packed_decode_steps", 1)
                 for j, bi in enumerate(stepping):
@@ -1518,17 +1356,10 @@ class ServingEngine:
                     job.decode_left -= 1
         wall = time.perf_counter() - t0
 
-        deltas = [
-            max(job.elements - e0, 0.0)
-            for job, e0 in zip(jobs, elements0)
-        ]
-        total = sum(deltas)
-        shares = [
-            d / total if total > 0 else 1.0 / len(jobs) for d in deltas
-        ]
+        shares = self._wall_shares(jobs, elements0, wall)
         results_out: list[tuple[float, bool]] = []
         for bi, job in enumerate(jobs):
-            partial = self._bill(job, wall * shares[bi])
+            partial = self._bill(job, shares[bi])
             if bi in aborted:
                 seconds, ok = self._run_decode(job, aborted[bi])
                 results_out.append((partial + seconds, ok))
@@ -1542,20 +1373,17 @@ class ServingEngine:
         """Restore fresh-process state: what a worker restart gives you.
 
         Clears the plan cache (entries *and* stats) and re-arms the
-        breaker and kernel workspace.  Engine configuration, the model,
-        and the seed are untouched, so a reset engine replays a workload
-        identically to a newly constructed one -- the property the fleet's
-        crash-recovery determinism rests on.
+        breaker and kernel workspace (:meth:`run` starts every run with a
+        fresh profiler and plan provider anyway).  Engine configuration,
+        the model, and the seed are untouched, so a reset engine replays a
+        workload identically to a newly constructed one -- the property
+        the fleet's crash-recovery determinism rests on.
         """
         self.plan_cache.clear()
         self.breaker = CircuitBreaker(
             self.breaker.threshold, self.breaker.cooldown_chunks
         )
-        if self._workspace is not None:
-            self._workspace = KernelWorkspace()
-        self._profiler = StageProfiler()
-        self._tuner = self._make_tuner()
-        self._provider = make_provider(self.config.provider)
+        self._workspace = KernelWorkspace()
 
     def run(self, requests: list[Request]) -> EngineResult:
         """Serve the stream; every request ends completed/rejected/shed."""
@@ -1599,12 +1427,11 @@ class ServingEngine:
             self._pressure = MemoryPressureController(
                 self._arena,
                 self._sharing,
-                make_eviction_policy(self.eviction_policy),
+                HeavyHitterPolicy(),
                 min_keep_tokens=max(self.block_tokens, 1),
             )
             self.memory_breaker = CircuitBreaker(
-                self.memory_breaker_threshold,
-                self.memory_breaker_cooldown_chunks,
+                _MEMORY_BREAKER_THRESHOLD, _MEMORY_BREAKER_COOLDOWN_CHUNKS
             )
         else:
             self._arena = self._sharing = self._pressure = None
@@ -1647,6 +1474,43 @@ class ServingEngine:
                 else:
                     drop(job, "rejected")
 
+        def start(j: _Job) -> None:
+            if j.telemetry.first_chunk_start is None:
+                j.telemetry.first_chunk_start = now
+                j.telemetry.outcome = "running"
+
+        def settle(job: _Job, prefill: bool, seconds: float, ok: bool) -> bool:
+            """Account one executed quantum of ``job`` (a prefill chunk or a
+            decode quantum): advance the clock, then shed, deliver the
+            first token, or complete.  Returns whether it stays queued."""
+            nonlocal now
+            tm = job.telemetry
+            now += seconds
+            if prefill:
+                tm.chunk_seconds.append(seconds)
+                registry.observe("chunk_seconds", seconds)
+            else:
+                tm.decode_seconds += seconds
+            if not ok:
+                # Terminal rung of the ladder: the chunk's retry budget ran
+                # out, or the arena stayed exhausted through the pressure
+                # ladder during decode.
+                reason = "retry_exhausted" if prefill else "memory_pressure"
+                queue.remove(job)
+                self._transition(job, "shed", reason)
+                tm.finish = now
+                drop(job, "shed")
+                return False
+            if prefill and not job.chunks_left:
+                tm.first_token = now
+            if job.chunks_left or job.decode_left > 0:
+                return True
+            queue.remove(job)
+            tm.finish = now
+            tm.generated = list(job.generated)
+            drop(job, "completed")
+            return False
+
         admit(0.0)
         while queue.items or idx < len(pending):
             if not queue.items:
@@ -1682,126 +1546,36 @@ class ServingEngine:
                         queue.items, self.max_batch_requests
                     )
                 ]
+                prefill_jobs, decode_jobs = [], []
                 for job in batch:
-                    tm = job.telemetry
-                    if tm.first_chunk_start is None:
-                        tm.first_chunk_start = now
-                        tm.outcome = "running"
-                prefill_jobs = [j for j in batch if j.chunks_left]
-                packed = (
-                    dict(
-                        zip(
-                            (id(j) for j in prefill_jobs),
-                            self._run_packed_step(prefill_jobs),
-                        )
-                    )
-                    if prefill_jobs
-                    else {}
-                )
-                decode_jobs = [
-                    j
-                    for j in batch
-                    if id(j) not in packed and j.decode_left > 0
-                ]
-                decoded = (
-                    dict(
-                        zip(
-                            (id(j) for j in decode_jobs),
-                            self._run_decode_batch(decode_jobs),
-                        )
-                    )
-                    if decode_jobs
-                    else {}
-                )
+                    start(job)
+                    (prefill_jobs if job.chunks_left else decode_jobs).append(job)
+                ran: dict[int, tuple] = {}
+                if prefill_jobs:
+                    for job, res in zip(
+                        prefill_jobs, self._run_packed_step(prefill_jobs)
+                    ):
+                        ran[id(job)] = (True, *res)
+                if decode_jobs:
+                    for job, res in zip(
+                        decode_jobs, self._run_decode_batch(decode_jobs)
+                    ):
+                        ran[id(job)] = (False, *res)
+                live = 0
                 for job in batch:
-                    tm = job.telemetry
-                    if id(job) in packed:  # ran a prefill chunk this step
-                        seconds, ok = packed[id(job)]
-                        now += seconds
-                        tm.chunk_seconds.append(seconds)
-                        registry.observe("chunk_seconds", seconds)
-                        if not ok:
-                            queue.remove(job)
-                            self._transition(job, "shed", "retry_exhausted")
-                            tm.finish = now
-                            drop(job, "shed")
-                            continue
-                        if not job.chunks_left:
-                            tm.first_token = now
-                    elif id(job) in decoded:
-                        seconds, ok = decoded[id(job)]
-                        now += seconds
-                        tm.decode_seconds += seconds
-                        if not ok:
-                            queue.remove(job)
-                            self._transition(job, "shed", "memory_pressure")
-                            tm.finish = now
-                            drop(job, "shed")
-                            continue
-                    if not job.chunks_left and job.decode_left == 0:
-                        queue.remove(job)
-                        tm.finish = now
-                        tm.generated = list(job.generated)
-                        tm.outcome = "completed"
-                        registry.inc("completed")
-                        self.plan_cache.drop_request(job.request.request_id)
-                        self._release_job_kv(job)
-                live_ids = {id(j) for j in queue.items}
-                self.scheduler.rotate_batch(
-                    queue.items,
-                    sum(1 for j in batch if id(j) in live_ids),
-                )
+                    live += settle(job, *ran[id(job)])
+                self.scheduler.rotate_batch(queue.items, live)
                 admit(now)
                 continue
 
             job = queue.items[self.scheduler.select(queue.items)]
-            tm = job.telemetry
-            if tm.first_chunk_start is None:
-                tm.first_chunk_start = now
-                tm.outcome = "running"
+            start(job)
             if job.chunks_left:
-                seconds, ok = self._run_chunk(job)
-                now += seconds
-                tm.chunk_seconds.append(seconds)
-                registry.observe("chunk_seconds", seconds)
-                if not ok:
-                    # Retry budget exhausted: terminal rung of the ladder.
-                    queue.remove(job)
-                    self._transition(job, "shed", "retry_exhausted")
-                    tm.finish = now
-                    drop(job, "shed")
-                    admit(now)
-                    continue
-                if not job.chunks_left:
-                    tm.first_token = now
-            elif job.decode_left > 0:
-                steps = (
-                    job.decode_left
-                    if self.scheduler.policy == "fcfs"
-                    else min(job.decode_left, self.decode_chunk_tokens)
-                )
-                seconds, ok = self._run_decode(job, steps)
-                now += seconds
-                tm.decode_seconds += seconds
-                if not ok:
-                    # Arena stayed exhausted through the pressure ladder:
-                    # terminal rung for this request.
-                    queue.remove(job)
-                    self._transition(job, "shed", "memory_pressure")
-                    tm.finish = now
-                    drop(job, "shed")
-                    admit(now)
-                    continue
-
-            if not job.chunks_left and job.decode_left == 0:
-                queue.remove(job)
-                tm.finish = now
-                tm.generated = list(job.generated)
-                tm.outcome = "completed"
-                registry.inc("completed")
-                self.plan_cache.drop_request(job.request.request_id)
-                self._release_job_kv(job)
+                live = settle(job, True, *self._run_chunk(job))
             else:
+                steps = self._decode_quantum(job)
+                live = settle(job, False, *self._run_decode(job, steps))
+            if live:
                 self.scheduler.rotate(queue.items)
             admit(now)
 

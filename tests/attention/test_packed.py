@@ -1,5 +1,9 @@
 """Packed cross-request dispatch: parity, accounting, packing stats."""
 
+import concurrent.futures
+import inspect
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,7 @@ from repro.attention import (
     window_block_mask,
 )
 from repro.attention.packed import PackedItem
-from repro.errors import ConfigError, MaskError, ShapeError
+from repro.errors import MaskError, ShapeError
 
 TOL = 2e-5
 
@@ -132,13 +136,20 @@ class TestPackedParity:
             res.results[0].output.astype(np.float32), ref.output, atol=TOL
         )
 
-    def test_threads_match_serial(self, rng):
-        items = [_item(rng, 4, 24, 48, 8) for _ in range(4)]
-        serial = packed_block_sparse_attention(items, num_threads=1)
-        threaded = packed_block_sparse_attention(items, num_threads=3)
-        for a, b in zip(serial.results, threaded.results):
-            np.testing.assert_array_equal(a.output, b.output)
-        assert threaded.stats["threads"] == 3
+    def test_runs_in_the_callers_thread(self, rng, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("packed prefill must not build a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        res = packed_block_sparse_attention(
+            [_item(rng, 4, 24, 48, 8) for _ in range(4)]
+        )
+        assert threading.active_count() == before
+        assert "threads" not in res.stats
+        assert "num_threads" not in inspect.signature(
+            packed_block_sparse_attention
+        ).parameters
 
 
 class TestPackedStats:
@@ -187,9 +198,3 @@ class TestPackedValidation:
         )
         with pytest.raises(MaskError):
             packed_block_sparse_attention([bad])
-
-    def test_bad_thread_count_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            packed_block_sparse_attention(
-                [_item(rng, 2, 16, 16, 8)], num_threads=0
-            )

@@ -11,7 +11,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.attention import packed
 from repro.attention.packed import PackedDecodeItem, packed_decode_attention
 from repro.errors import ShapeError
 
@@ -28,7 +27,6 @@ def test_runs_in_the_callers_thread(rng, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("decode attention must not build a thread pool")
 
-    monkeypatch.setattr(packed, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     before = threading.active_count()
     res = packed_decode_attention(

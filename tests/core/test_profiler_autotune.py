@@ -1,14 +1,10 @@
 """Tests for offline profiling (Table 1) and runtime autotuning (App. A.6)."""
 
-import json
-
 import numpy as np
 import pytest
 
-from repro import SampleAttentionConfig
 from repro.core import (
     AutotunedSampleAttentionBackend,
-    KernelTuner,
     profile_hyperparameters,
 )
 from repro.errors import ConfigError, ProfilingError
@@ -165,98 +161,3 @@ class TestAlphaMemo:
         with pytest.raises(ConfigError):
             AutotunedSampleAttentionBackend(memo_size=-1)
 
-
-class TestKernelTuner:
-    def test_shape_class_buckets(self):
-        t = KernelTuner()
-        cls = t.shape_class(1024, 4096, 0.37, 4)
-        assert cls == (11, 13, 3, 4)
-        # Nearby shapes land in the same bucket; order-of-magnitude
-        # changes land in different ones.
-        assert t.shape_class(1500, 4096, 0.39, 4) == cls
-        assert t.shape_class(1024, 8192, 0.37, 4) != cls
-        assert t.shape_class(1024, 4096, 0.99, 4)[2] == 9
-        assert t.shape_class(1024, 4096, 0.0, 4)[2] == 0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            KernelTuner(ema=0.0)
-        with pytest.raises(ConfigError):
-            KernelTuner(max_classes=0)
-        with pytest.raises(ConfigError):
-            KernelTuner(thread_candidates=(0, 1))
-
-    def test_single_candidate_short_circuits(self):
-        t = KernelTuner(thread_candidates=(1,))
-        cls = t.shape_class(256, 1024, 0.5, 2)
-        d = t.choose(cls)
-        assert d.num_threads == 1
-        assert d.source == "default"
-
-    def test_explore_then_exploit(self):
-        t = KernelTuner(thread_candidates=(1, 2, 4))
-        cls = t.shape_class(256, 1024, 0.5, 2)
-        explored = []
-        for _ in range(3):
-            d = t.choose(cls)
-            assert d.source == "explore"
-            explored.append(d.num_threads)
-            # Pretend 2 threads is fastest per row.
-            seconds = {1: 0.3, 2: 0.1, 4: 0.4}[d.num_threads]
-            t.observe(cls, d.num_threads, seconds, rows=256)
-        assert explored == [1, 2, 4]
-        d = t.choose(cls)
-        assert d.source == "online"
-        assert d.num_threads == 2
-
-    def test_observe_ema_converges(self):
-        t = KernelTuner(thread_candidates=(1, 2), ema=0.5)
-        cls = t.shape_class(64, 256, 0.5, 1)
-        t.observe(cls, 1, 0.4, rows=64)
-        t.observe(cls, 1, 0.2, rows=64)
-        per_row = t._observed[cls][1]
-        assert per_row == pytest.approx(0.5 * (0.4 / 64) + 0.5 * (0.2 / 64))
-        # Bad observations are ignored.
-        t.observe(cls, 1, -1.0, rows=64)
-        t.observe(cls, 1, 0.1, rows=0)
-        assert t.observations == 2
-
-    def test_observed_classes_are_lru_bounded(self):
-        t = KernelTuner(thread_candidates=(1, 2), max_classes=2)
-        for rows in (64, 128, 256):
-            t.observe(t.shape_class(rows, 512, 0.5, 1), 1, 0.1, rows=rows)
-        assert len(t._observed) == 2
-        assert t.shape_class(64, 512, 0.5, 1) not in t._observed
-
-    def test_seeds_from_bench_file(self, tmp_path):
-        bench = tmp_path / "BENCH_kernel.json"
-        bench.write_text(json.dumps({
-            "cases": [
-                {"seq_len": 4096, "block_size": 32,
-                 "seconds": {"fast": 0.1, "reference": 0.5}},
-                {"seq_len": 16384, "block_size": 128,
-                 "seconds": {"fast": 0.9, "reference": 0.4}},
-            ],
-        }))
-        t = KernelTuner(bench_path=bench, thread_candidates=(1,))
-        d = t.choose(t.shape_class(512, 4096, 0.5, 1))
-        assert (d.block_size, d.kernel_mode, d.source) == (32, "fast", "seed")
-        d = t.choose(t.shape_class(512, 16384, 0.5, 1))
-        assert (d.block_size, d.kernel_mode) == (128, "reference")
-        # Unseeded bucket falls back to defaults.
-        d = t.choose(t.shape_class(512, 300, 0.5, 1))
-        assert (d.block_size, d.source) == (t.default_block_size, "default")
-
-    def test_missing_bench_is_not_an_error(self, tmp_path):
-        t = KernelTuner(bench_path=tmp_path / "nope.json")
-        assert t._seeded == {}
-
-    def test_table_reports_observed_classes(self):
-        t = KernelTuner(thread_candidates=(1,))
-        cls = t.shape_class(256, 1024, 0.5, 2)
-        t.observe(cls, 1, 0.2, rows=256)
-        rows = t.table()
-        assert len(rows) == 1
-        assert rows[0]["class"]["head_groups"] == 2
-        assert rows[0]["num_threads"] == 1
-        assert "1" in rows[0]["ema_seconds_per_row"]

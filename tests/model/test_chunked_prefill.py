@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.backends import FullAttentionBackend, SampleAttentionBackend
-from repro.errors import ModelError
+from repro.attention import flash_attention
+from repro.backends import SampleAttentionBackend
+from repro.errors import ArenaExhaustedError, FaultInjectionError, ModelError
+from repro.memory import KVArena, PagedLayerKVCache
 from repro.model import ModelConfig, Transformer
 from repro.model.weights import random_weights
 from repro.tasks import make_needle_case
@@ -70,3 +72,56 @@ class TestChunkedPrefill:
         first = int(np.argmax(glm_mini.logits(hidden[-1:])[0]))
         assert first == case.answer[0]
         assert stats and stats[0]["density"] <= 1.0
+
+
+class TestChunkIsBatchOfOne:
+    """``prefill_chunk`` is ``prefill_chunk_batch`` of one: the model has
+    one prefill implementation, bitwise, on either KV backend."""
+
+    @staticmethod
+    def _caches(model, backend):
+        cfg = model.config
+        if backend == "contiguous":
+            return model.new_caches(capacity=48)
+        arena = KVArena(4 * cfg.n_layers, cfg.n_kv_heads, 16, cfg.d_head)
+        return [PagedLayerKVCache(arena) for _ in range(cfg.n_layers)]
+
+    @staticmethod
+    def _attend(i, q, keys, values, scale):
+        return flash_attention(q, keys, values, causal=True, scale=scale)
+
+    @pytest.mark.parametrize("backend", ["contiguous", "paged"])
+    def test_bitwise_equal(self, tiny_model, rng, backend):
+        tokens = rng.integers(0, 64, size=40)
+        single = self._caches(tiny_model, backend)
+        batched = self._caches(tiny_model, backend)
+        for c0, c1 in [(0, 24), (24, 40)]:
+            pos = np.arange(c0, c1, dtype=np.int64)
+            x = tiny_model.prefill_chunk(tokens[c0:c1], pos, single, self._attend)
+            (xb,) = tiny_model.prefill_chunk_batch(
+                [(tokens[c0:c1], pos, batched)],
+                lambda i, entries: {0: self._attend(i, *entries[0])},
+            )
+            np.testing.assert_array_equal(x, xb)
+        for a, b in zip(single, batched):
+            np.testing.assert_array_equal(a.keys, b.keys)
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_errors_propagate(self, tiny_model, rng):
+        tokens = rng.integers(0, 64, size=8)
+        pos = np.arange(8, dtype=np.int64)
+
+        def boom(i, q, keys, values, scale):
+            raise FaultInjectionError("attend failed")
+
+        with pytest.raises(FaultInjectionError):
+            tiny_model.prefill_chunk(
+                tokens, pos, tiny_model.new_caches(capacity=8), boom
+            )
+        cfg = tiny_model.config
+        arena = KVArena(1, cfg.n_kv_heads, 4, cfg.d_head)  # too small
+        caches = [PagedLayerKVCache(arena) for _ in range(cfg.n_layers)]
+        with pytest.raises(ArenaExhaustedError):
+            tiny_model.prefill_chunk(tokens, pos, caches, self._attend)
+        with pytest.raises(ModelError):
+            tiny_model.prefill_chunk(tokens, pos, [], self._attend)

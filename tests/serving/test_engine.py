@@ -42,7 +42,6 @@ class TestConfigValidation:
             {"billing": "cycle-exact"},
             {"chunk_size": 0},
             {"length_scale": 0},
-            {"decode_chunk_tokens": 0},
             {"scheduler": "magic"},
             {"admission_policy": "drop_all"},
             {"max_queue": 0},
@@ -164,7 +163,7 @@ class TestGracefulDegradation:
         def boom(*args, **kwargs):
             raise ReproError("injected kernel failure")
 
-        monkeypatch.setattr(engine_mod, "sample_attention", boom)
+        monkeypatch.setattr(engine_mod, "packed_block_sparse_attention", boom)
         engine = make_engine(glm_mini)
         result = engine.run(burst(n=1, decode_tokens=1))
         summ = result.summary()

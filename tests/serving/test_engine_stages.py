@@ -1,4 +1,4 @@
-"""Engine stage profiling and the block-sparse execution path."""
+"""Engine stage profiling and the packed block-sparse execution path."""
 
 import time
 
@@ -36,7 +36,7 @@ class TestStageTelemetry:
         """``decode`` wraps the loop whose dispatches open ``attend``;
         stage time is exclusive, so the total cannot exceed the run."""
         engine = ServingEngine(
-            glm_mini, method="sample", execution="block", batching="packed",
+            glm_mini, method="sample", batching="packed",
             billing="roofline", length_scale=4,
         )
         t0 = time.perf_counter()
@@ -72,7 +72,6 @@ class TestBlockExecution:
             method="sample",
             billing="roofline",
             length_scale=4,
-            execution="block",
         )
         res = engine.run(_requests())
         assert all(tm.outcome == "completed" for tm in res.requests)
@@ -87,25 +86,10 @@ class TestBlockExecution:
                 method="sample",
                 billing="roofline",
                 length_scale=4,
-                execution="block",
-                kernel_mode="fast",
             )
             return engine.run(_requests())
 
         assert run_once().summary() == run_once().summary()
-
-    def test_block_matches_striped_token_outputs(self, glm_mini):
-        def generated(**kw):
-            engine = ServingEngine(
-                glm_mini, method="sample", billing="roofline",
-                length_scale=4, **kw,
-            )
-            res = engine.run(_requests(n=1))
-            return [tm.generated for tm in res.completed]
-
-        # Same plans, different executors: near-identical attention means
-        # identical greedy decode paths on the substrate.
-        assert generated(execution="block") == generated()
 
     def test_invalid_execution_and_kernel_mode(self, glm_mini):
         with pytest.raises(ConfigError):
@@ -117,8 +101,7 @@ class TestBlockExecution:
 class TestCountersStayOutOfSummary:
     def test_summary_keys_fixed(self, glm_mini):
         engine = ServingEngine(
-            glm_mini, method="sample", billing="roofline",
-            length_scale=4, execution="block",
+            glm_mini, method="sample", billing="roofline", length_scale=4,
         )
         res = engine.run(_requests())
         assert not any(k.startswith("kernel_") for k in res.summary())

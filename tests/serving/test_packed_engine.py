@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving import BATCHING_MODES, Request, ServingEngine
+from repro.serving import (
+    BATCHING_MODES,
+    FaultInjector,
+    Request,
+    ServingEngine,
+    inject_admission_burst,
+    poisson_workload,
+)
 
 
 def burst(n=4, prompt_len=16384, decode_tokens=2):
@@ -25,7 +32,6 @@ def burst(n=4, prompt_len=16384, decode_tokens=2):
 
 def make_engine(model, **kw):
     kw.setdefault("method", "sample")
-    kw.setdefault("execution", "block")
     kw.setdefault("billing", "roofline")
     kw.setdefault("length_scale", 64)  # 16384 -> 256 executed tokens
     kw.setdefault("chunk_size", 64)
@@ -52,9 +58,7 @@ class TestPackedConfig:
 
     def test_packed_requires_sample_block(self, glm_mini):
         with pytest.raises(ConfigError):
-            make_engine(glm_mini, batching="packed", method="dense")
-        with pytest.raises(ConfigError):
-            make_engine(glm_mini, batching="packed", execution="striped")
+            make_engine(glm_mini, batching="packed", method="flash")
 
     def test_rejects_bad_max_batch(self, glm_mini):
         with pytest.raises(ConfigError):
@@ -179,3 +183,68 @@ class TestChunkKnorm:
         engine = make_engine(glm_mini, batching="packed")
         job = SimpleNamespace(knorm_sq=None)
         assert engine._chunk_knorm(job, 0, self._keys(rng, 0), 0) == (0, 0.0)
+
+
+class TestPackedFaultParity:
+    """Fault hooks and breaker ticks fire once per chunk in either mode.
+
+    The chaos drill's workload and injector: with ``max_batch_requests=1``
+    the packed schedule is the per-request schedule, so every fault
+    counter must agree -- an abandoned fused attempt may not re-poison the
+    plan cache, re-reserve an arena burst or tick a breaker again.
+    """
+
+    def _drill(self, model, **kw):
+        requests = poisson_workload(
+            np.random.default_rng(0),
+            rate_per_s=3.0,
+            duration_s=2.0,
+            prompt_lens=(8192, 16384),
+            decode_tokens=2,
+        )
+        requests = inject_admission_burst(
+            requests, seed=0, at=0.25, n=3, prompt_len=16384, decode_tokens=1
+        )
+        injector = FaultInjector(
+            0,
+            p_attend_fault=0.3,
+            max_transient_failures=2,
+            p_plan_poison=0.35,
+            p_latency_spike=0.2,
+            spike_multiplier=6.0,
+            p_straggler=0.25,
+            straggler_multiplier=3.0,
+            p_slow_chunk=0.15,
+            slow_chunk_multiplier=4.0,
+        )
+        engine = ServingEngine(
+            model,
+            method="sample",
+            chunk_size=96,
+            length_scale=32,
+            billing="roofline",
+            max_retries=2,
+            degrade_after=2,
+            breaker_threshold=3,
+            breaker_cooldown_chunks=4,
+            max_queue=6,
+            admission_policy="shed_oldest",
+            deadline_s=4.0,
+            fault_injector=injector,
+            seed=0,
+            **kw,
+        )
+        return engine.run(list(requests))
+
+    def test_packed_of_one_counts_the_same_faults(self, glm_mini):
+        base = self._drill(glm_mini, batching="request")
+        packed = self._drill(
+            glm_mini, batching="packed", max_batch_requests=1
+        )
+        assert base.telemetry.counter("fault_plan_poison") > 0
+        assert base.telemetry.counter("chunk_retries") > 0
+        for a, b in zip(base.requests, packed.requests):
+            assert a.request_id == b.request_id
+            assert a.outcome == b.outcome
+            assert list(a.generated) == list(b.generated)
+        assert _non_kernel_counters(packed) == _non_kernel_counters(base)

@@ -220,7 +220,6 @@ class TestMirrorReads:
             kv_backend="paged",
             prompt_builder=shared_prefix_builder(),
             method="sample",
-            execution="block",
             batching="packed",
         ).run(reqs)
         assert result.summary()["prefix_cache_hits"] == 2
