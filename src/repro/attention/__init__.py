@@ -30,6 +30,7 @@ from .packed import (
     PackedDecodeItem,
     PackedDecodeResult,
     PackedItem,
+    PackedPrefillResult,
     packed_block_sparse_attention,
     packed_decode_attention,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "fast_block_sparse_attention",
     "head_pattern_groups",
     "PackedItem",
+    "PackedPrefillResult",
     "PackedAttentionResult",
     "PackedDecodeItem",
     "PackedDecodeResult",

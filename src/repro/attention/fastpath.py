@@ -39,6 +39,8 @@ property tests assert all three agree).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..audit import contracts
@@ -84,7 +86,7 @@ class KernelWorkspace:
 
     def take(self, key: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """A writable array of ``shape`` backed by the arena (uninitialised)."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < n or buf.dtype != np.dtype(dtype):
             buf = np.empty(max(n, 1), dtype=dtype)

@@ -2,7 +2,7 @@
 
 The load-bearing invariants of the reproduction -- the ones every accuracy
 table silently assumes -- are asserted *in place* by hooks planted at the
-five spots where a violation would corrupt results without crashing:
+six spots where a violation would corrupt results without crashing:
 
 * :func:`check_selection` (stage 2, :func:`repro.core.select_kv_indices`):
   ``I_KV`` sorted / unique / in-range and ``achieved_share >= alpha`` after
@@ -13,6 +13,10 @@ five spots where a violation would corrupt results without crashing:
 * :func:`check_merged_mask` (:meth:`repro.core.SparsePlan.to_block_mask`):
   the merged window ∪ stripe ∪ sink ∪ bottom-area tile mask covers the whole
   window band and leaves no causally valid query row empty.
+* :func:`check_computed_elements` (the serving engine, after each packed
+  prefill dispatch): the score elements the kernel kept live equal the
+  plan's own :meth:`~repro.core.SparsePlan.element_counts` exactly (minus
+  ``extras["bands"]``, which the packed executor leaves out).
 * :func:`check_no_alias` (:func:`repro.attention.fast_block_sparse_attention`):
   the fast path's output and workspace buffers never alias the caller's
   q/k/v arrays (an aliased scratch buffer would corrupt inputs mid-call).
@@ -36,6 +40,7 @@ enabled and reports the number of checks executed and violations seen.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -59,6 +64,7 @@ __all__ = [
     "check_selection",
     "check_plan",
     "check_merged_mask",
+    "check_computed_elements",
     "check_no_alias",
     "check_counter_increment",
 ]
@@ -205,6 +211,24 @@ def check_merged_mask(plan: "SparsePlan", mask: "BlockMask") -> None:
             f"row {i}, col {j} (window {plan.window})"
         )
     mask.validate_causal_rows()  # raises MaskError on an empty causal row
+
+
+def check_computed_elements(plan: "SparsePlan", computed: np.ndarray) -> None:
+    """Packed-prefill postcondition: the kernel's per-head live score
+    elements are exactly what the plan's element mask holds -- window band
+    ∪ causal stripes ∪ sinks ∪ dense last rows; ``extras["bands"]`` stay
+    out of packed execution, as :meth:`SparsePlan.to_block_mask`
+    documents."""
+    if not _enabled:
+        return
+    _ran()
+    extras = {k: v for k, v in plan.extras.items() if k != "bands"}
+    expected = dataclasses.replace(plan, extras=extras).element_counts()
+    if not np.array_equal(np.asarray(computed), expected):
+        _fail(
+            f"packed kernel computed {np.asarray(computed).tolist()} score "
+            f"elements per head, plan holds {expected.tolist()}"
+        )
 
 
 def check_no_alias(

@@ -111,7 +111,7 @@ class CaseResult:
     detail: str
     checks: int = 1
     #: of ``checks``, the bitwise alone-vs-in-batch comparisons
-    #: (``packed_decode`` only)
+    #: (``packed`` and ``packed_decode``)
     invariance_checks: int = 0
 
 
@@ -236,11 +236,13 @@ def _element_mask(
     return mask
 
 
-def _plan_element_mask(plan: SparsePlan) -> np.ndarray:
-    """Elementwise oracle mask for a :class:`SparsePlan` execution,
-    including any ``extras["bands"]`` diagonal bands the striped kernel
-    covers (a band ``(lo, hi)`` holds elements with ``lo <= row_pos - col
-    < hi``, shared across heads)."""
+def _plan_element_mask(plan: SparsePlan, *, bands: bool = True) -> np.ndarray:
+    """Elementwise oracle mask for a :class:`SparsePlan` execution.
+
+    With ``bands`` (the striped kernel's semantics) any ``extras["bands"]``
+    diagonal bands are covered too (a band ``(lo, hi)`` holds elements with
+    ``lo <= row_pos - col < hi``, shared across heads); the packed prefill
+    executor leaves them out, as ``to_block_mask`` does."""
     mask = _element_mask(
         plan.n_heads,
         plan.s_q,
@@ -250,14 +252,14 @@ def _plan_element_mask(plan: SparsePlan) -> np.ndarray:
         plan.config.sink_tokens,
         plan.config.dense_last_rows,
     )
-    bands = plan.extras.get("bands") or []
-    if bands:
+    extra = (plan.extras.get("bands") or []) if bands else []
+    if extra:
         offset = plan.s_k - plan.s_q
         rows = np.arange(plan.s_q, dtype=np.int64)[:, None] + offset
         cols = np.arange(plan.s_k, dtype=np.int64)[None, :]
         delta = rows - cols
         causal = delta >= 0
-        for lo, hi in bands:
+        for lo, hi in extra:
             mask |= (causal & (delta >= lo) & (delta < hi))[None]
     return mask
 
@@ -492,11 +494,29 @@ def _check_serving(case: GeometryCase) -> CaseResult:
     )
 
 
+def _packed_divergence(q, k, v, plan: SparsePlan) -> float:
+    """``plan`` through the serving executor (a packed batch of one) vs
+    dense attention under the plan's element mask, bands excluded; a
+    computed-element count off the mask's own is an infinite divergence."""
+    from ..attention.packed import PackedItem, packed_block_sparse_attention
+
+    got = packed_block_sparse_attention(
+        [PackedItem.from_plan(q, k, v, plan)]
+    ).results[0]
+    element_mask = _plan_element_mask(plan, bands=False)
+    if not np.array_equal(got.computed_elements, element_mask.sum(axis=(1, 2))):
+        return float("inf")
+    oracle = dense_attention(q, k, v, mask=element_mask).output
+    return _divergence(got.output, oracle)
+
+
 def _check_providers(case: GeometryCase) -> CaseResult:
     """Every plan provider's plan -> execute pipeline vs the masked-dense
-    oracle, plus the ``PlanCache.get``/``extended`` serving-reuse path on
-    the ragged grown geometry -- one area holding the whole provider zoo
-    to the same bar as the default planner."""
+    oracle of the plan's *element* mask -- the striped kernel with
+    ``extras["bands"]``, the packed serving executor without -- plus the
+    ``PlanCache.get``/``extended`` serving-reuse path on the ragged grown
+    geometry: one area holding the whole provider zoo to the same bar as
+    the default planner."""
     from ..config import PLAN_PROVIDER_NAMES
     from ..core.providers import make_provider
 
@@ -525,16 +545,10 @@ def _check_providers(case: GeometryCase) -> CaseResult:
         if div > worst:
             worst, worst_detail = div, f"{name}: striped vs oracle"
 
-        block_out = sample_attention(
-            q, k, v, cfg, plan=plan, execution="block"
-        ).output
-        block_oracle = dense_attention(
-            q, k, v, mask=plan.to_block_mask().to_dense()
-        ).output
-        div = _divergence(block_out, block_oracle)
+        div = _packed_divergence(q, k, v, plan)
         checks += 1
         if div > worst:
-            worst, worst_detail = div, f"{name}: block vs oracle"
+            worst, worst_detail = div, f"{name}: packed vs element oracle"
 
         if case.s_k < 2:
             continue
@@ -591,6 +605,10 @@ def _check_providers(case: GeometryCase) -> CaseResult:
         checks += 1
         if div > worst:
             worst, worst_detail = div, f"{name}: reused plan vs oracle"
+        div = _packed_divergence(q_full[:, s_k0:], k_full, v_full, plan1)
+        checks += 1
+        if div > worst:
+            worst, worst_detail = div, f"{name}: reused plan, packed vs oracle"
         again = cache.get(0, 0, chunk_index=1, s_q=plan0.s_q, s_k=plan0.s_k)
         checks += 1
         if again is not plan0:
@@ -749,6 +767,25 @@ def _check_paged(case: GeometryCase) -> CaseResult:
     )
 
 
+def _case_plan(case: GeometryCase) -> SparsePlan:
+    """The fuzzed geometry as a hand-built plan (stripes from ``_stripes``,
+    the case's window taken literally, sinks / bottom rows / block size
+    from ``_config``) -- what a planner could hand the serving executor."""
+    stripes = _stripes(case)
+    return SparsePlan(
+        kv_indices=stripes,
+        window=case.window,
+        kv_ratio=np.asarray(
+            [ix.size / max(case.s_k, 1) for ix in stripes], dtype=np.float64
+        ),
+        achieved_share=np.ones(case.h),
+        sampled_rows=np.arange(min(case.s_q, 1), dtype=np.int64),
+        config=_config(case),
+        s_q=case.s_q,
+        s_k=case.s_k,
+    )
+
+
 def _packed_batch(case: GeometryCase) -> list[tuple]:
     """The packed batch derived from one fuzzed geometry: the case itself
     plus two deterministic ragged siblings (a half-length prefix and a
@@ -775,20 +812,19 @@ def _packed_batch(case: GeometryCase) -> list[tuple]:
             dense_last_rows=min(case.dense_last_rows, 1),
         )
     )
-    batch = []
-    for var in variants:
-        q, k, v = _qkv(var)
-        batch.append((var, q, k, v, _merged_block_mask(var, _stripes(var))))
-    return batch
+    return [(var, *_qkv(var), _case_plan(var)) for var in variants]
 
 
 def _check_packed(case: GeometryCase) -> CaseResult:
-    """Packed cross-request dispatch vs the masked-dense oracle.
+    """Packed cross-request prefill dispatch vs the element-mask oracle.
 
     One :func:`packed_block_sparse_attention` call over the ragged batch
-    must match each item's masked-dense oracle within ``TOLERANCE`` and
-    each item's per-request fast-path visited-tile counts *bitwise* (the
-    engine's billing parity rests on the counts, not the float outputs).
+    must, per item: match dense attention under the plan's *element* mask
+    within ``TOLERANCE``; count exactly that mask's elements per head;
+    report the plan's tile footprint (the accounting view -- the engine's
+    billing rests on it) exactly as the per-request fast path counts it on
+    ``plan.to_block_mask()``; and be bitwise the same alone as in the
+    batch.
     """
     from ..attention.packed import PackedItem, packed_block_sparse_attention
 
@@ -801,38 +837,43 @@ def _check_packed(case: GeometryCase) -> CaseResult:
             "packed", False, float("inf"), "window=0 accepted by builder"
         )
     batch = _packed_batch(case)
-    items = [
-        PackedItem(q=q, k=k, v=v, mask=mask) for _, q, k, v, mask in batch
-    ]
+    items = [PackedItem.from_plan(q, k, v, plan) for _, q, k, v, plan in batch]
     workspace = KernelWorkspace()
     res = packed_block_sparse_attention(items, workspace=workspace)
 
-    worst, worst_detail, checks = 0.0, "", 0
-    for (var, q, k, v, mask), got in zip(batch, res.results):
-        oracle = dense_attention(q, k, v, mask=mask.to_dense()).output
+    worst, worst_detail, checks, invariance = 0.0, "", 0, 0
+    for (var, q, k, v, plan), item, got in zip(batch, items, res.results):
+        where = f"(s_q={var.s_q}, s_k={var.s_k})"
+        element_mask = _plan_element_mask(plan, bands=False)
+        oracle = dense_attention(q, k, v, mask=element_mask).output
         div = _divergence(got.output, oracle)
         checks += 1
         if div > worst:
-            worst, worst_detail = (
-                div,
-                f"packed item (s_q={var.s_q}, s_k={var.s_k}) vs masked dense",
-            )
-        ref = fast_block_sparse_attention(q, k, v, mask, workspace=workspace)
+            worst, worst_detail = div, f"packed item {where} vs element oracle"
+        failure = None
+        checks += 1
+        if not np.array_equal(
+            got.computed_elements, element_mask.sum(axis=(1, 2))
+        ):
+            failure = f"computed elements diverge from the element mask at {where}"
+        ref = fast_block_sparse_attention(q, k, v, item.mask, workspace=workspace)
         checks += 1
         if not np.array_equal(got.visited_blocks, ref.visited_blocks):
-            return CaseResult(
-                "packed",
-                False,
-                float("inf"),
-                f"visited-tile counts diverge from the fast path at "
-                f"(s_q={var.s_q}, s_k={var.s_k})",
-            )
+            failure = f"tile footprint diverges from the fast path at {where}"
+        alone = packed_block_sparse_attention([item]).results[0]
+        checks += 1
+        invariance += 1
+        if not np.array_equal(alone.output, got.output):
+            failure = f"item {where} differs alone vs in the batch"
+        if failure is not None:
+            return CaseResult("packed", False, float("inf"), failure)
     return CaseResult(
         "packed",
         worst <= TOLERANCE,
         worst,
         worst_detail or "packed batch agrees",
         checks=checks,
+        invariance_checks=invariance,
     )
 
 

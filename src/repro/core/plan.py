@@ -86,7 +86,9 @@ class SparsePlan:
         return float(self.kv_ratio.mean()) if self.kv_ratio.size else 0.0
 
     def element_counts(self) -> np.ndarray:
-        """Per-head score elements the striped kernel will compute."""
+        """Per-head score elements the striped kernel will compute (the
+        packed prefill kernel computes exactly these too, less any
+        ``extras["bands"]``, and asserts so under contracts)."""
         return striped_element_counts(
             self.s_q,
             self.s_k,
@@ -220,7 +222,18 @@ class SparsePlan:
 
     def to_block_mask(self, block_size: int | None = None) -> BlockMask:
         """Tile-granular view of the plan (window ∪ stripes ∪ sinks ∪
-        bottom area), for visualisation and for the block-kernel ablation."""
+        bottom area; ``extras["bands"]`` are ignored).
+
+        This is the plan's **accounting view**, not what the serving
+        engine executes: the packed prefill kernel attends at stripe
+        granularity (``window`` + ``kv_indices`` themselves, see
+        :mod:`repro.attention.packed`) and carries this mask only to
+        report the tile footprint a block-granular kernel would visit --
+        the roofline billing, ``kernel_packed_tiles_visited`` and the
+        merged-mask contract are built on it.  The block kernels
+        (``sample_attention(execution="block")``, the kernel bench, the
+        structured baselines) still execute it directly.
+        """
         b = block_size or self.config.block_size
         h = self.n_heads
         mask = window_block_mask(h, self.s_q, self.s_k, b, self.window)

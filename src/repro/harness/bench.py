@@ -16,11 +16,14 @@ successive PRs accumulate a regression trajectory, and each run:
   fast path's timing must shrink monotonically with plan density;
 * **tracks regressions** -- when a previous ``BENCH_kernel.json`` exists,
   per-case fast-path timings are carried over and the ratio recorded;
-* **gates on workspace growth** -- the fast path's peak
-  :class:`~repro.attention.fastpath.KernelWorkspace` arena bytes are
-  recorded per case and, unlike wall-clock, are deterministic for a given
-  workload, so a case needing *more* scratch than the previous run is a
-  hard failure rather than trajectory data.
+* **gates on workspace growth** -- the peak
+  :class:`~repro.attention.fastpath.KernelWorkspace` arena bytes of the
+  fast path and of the serving engine's packed prefill executor (its
+  gathered ``K[I_KV]`` / ``V[I_KV]`` columns, stripe and band score slabs)
+  are recorded per case and, unlike wall-clock, are deterministic for a
+  given workload, so a case needing *more* scratch than the previous run
+  is a hard failure rather than trajectory data; the packed workspace
+  must also stop allocating once one call has warmed it.
 
 Schema v3: every execution path is timed with the *same* best-of-``reps``
 count (earlier schemas gave each path a different rep budget, which
@@ -54,6 +57,7 @@ from ..attention.blocksparse import block_sparse_attention
 from ..attention.dense import dense_attention
 from ..attention.fastpath import KernelWorkspace, fast_block_sparse_attention
 from ..attention.flash import flash_attention
+from ..attention.packed import PackedItem, packed_block_sparse_attention
 from ..config import SampleAttentionConfig
 from ..core.sample_attention import plan_sample_attention
 from ..errors import ReproError
@@ -77,6 +81,13 @@ NUMERIC_TOLERANCE = 2e-5
 REGRESSION_RATIO = 1.5
 
 _DENSE_MAX_LEN = 2048  # dense materialises (H, S, S); cap its memory
+
+#: Per-case workspace peaks gated against the previous BENCH_kernel.json:
+#: the fast path's arena and the packed prefill executor's.
+_WORKSPACE_KEYS = {
+    "workspace_bytes_peak": "fast-path",
+    "packed_workspace_bytes_peak": "packed",
+}
 
 # Shared workload geometry: GQA 4:1 at paper-like head width.
 _H, _H_KV, _D = 8, 2, 64
@@ -164,6 +175,18 @@ def _bench_case(case: KernelBenchCase, seed: int, reps: int) -> dict:
             f"max abs err {err:.2e} > {NUMERIC_TOLERANCE:.0e}"
         )
 
+    # The serving executor on the same plan: one item, its own workspace.
+    item = PackedItem.from_plan(q, k, v, plan)
+    packed_ws = KernelWorkspace()
+    packed = packed_block_sparse_attention([item], workspace=packed_ws)
+    if not np.array_equal(
+        packed.results[0].computed_elements, plan.element_counts()
+    ):
+        raise ReproError(
+            f"packed executor's element count is off the plan's on {case.name}"
+        )
+    packed_warm_allocations = packed_ws.allocations
+
     # Every path gets the *same* rep count (schema v3): min-of-reps only
     # filters noise consistently when each path has the same number of
     # chances to hit a quiet scheduler slot, and cross-path ratios
@@ -177,7 +200,17 @@ def _bench_case(case: KernelBenchCase, seed: int, reps: int) -> dict:
             lambda: fast_block_sparse_attention(q, k, v, mask, workspace=workspace),
             reps,
         ),
+        "packed": _time_best(
+            lambda: packed_block_sparse_attention([item], workspace=packed_ws),
+            reps,
+        ),
     }
+    if packed_ws.allocations != packed_warm_allocations:
+        raise ReproError(
+            f"packed workspace allocated after warm-up on {case.name}: "
+            f"{packed_ws.allocations} backing allocations vs "
+            f"{packed_warm_allocations} after the first call"
+        )
     if case.seq_len <= _DENSE_MAX_LEN:
         seconds["dense"] = _time_best(lambda: dense_attention(q, k, v), reps)
 
@@ -214,6 +247,8 @@ def _bench_case(case: KernelBenchCase, seed: int, reps: int) -> dict:
         "roofline_speedup_vs_dense": roofline,
         "max_abs_err_fast_vs_reference": err,
         "workspace_bytes_peak": workspace.nbytes,
+        "packed_workspace_bytes_peak": packed_ws.nbytes,
+        "element_density": packed.results[0].element_density,
         "fast_stats": {
             **(fast.stats or {}),
             "workspace_allocations": workspace.allocations,
@@ -250,7 +285,8 @@ def run_kernel_bench(
         enforce = os.environ.get("SAMPLEATTN_BENCH_ENFORCE", "") == "1"
 
     previous: dict[str, float] = {}
-    previous_ws: dict[str, int] = {}
+    # Per workspace key: case name -> peak bytes of the previous run.
+    previous_ws: dict[str, dict[str, int]] = {key: {} for key in _WORKSPACE_KEYS}
     out_file = Path(out_path) if out_path else None
     if out_file is not None and out_file.exists():
         try:
@@ -261,19 +297,20 @@ def run_kernel_bench(
             previous = {
                 c["name"]: c["seconds"]["fast"] for c in prior.get("cases", [])
             }
-            # v2+ records the peak top-level per case; v1 stashed the same
-            # number inside fast_stats -- accept either so the gate engages
-            # across the schema bump.
             for c in prior.get("cases", []):
-                ws = c.get(
-                    "workspace_bytes_peak",
-                    c.get("fast_stats", {}).get("workspace_bytes"),
-                )
-                if ws is not None:
-                    previous_ws[c["name"]] = int(ws)
+                # v2+ records the fast-path peak top-level per case; v1
+                # stashed the same number inside fast_stats -- accept
+                # either so the gate engages across the schema bump.
+                legacy = c.get("fast_stats", {}).get("workspace_bytes")
+                for key in _WORKSPACE_KEYS:
+                    ws = c.get(
+                        key, legacy if key == "workspace_bytes_peak" else None
+                    )
+                    if ws is not None:
+                        previous_ws[key][c["name"]] = int(ws)
         except (json.JSONDecodeError, KeyError, TypeError):
             previous = {}
-            previous_ws = {}
+            previous_ws = {key: {} for key in _WORKSPACE_KEYS}
 
     results = []
     for case in cases if cases is not None else kernel_bench_cases(scale):
@@ -286,17 +323,18 @@ def run_kernel_bench(
         record["regressed"] = bool(
             prev and record["seconds"]["fast"] > REGRESSION_RATIO * prev
         )
-        prev_ws = previous_ws.get(record["name"])
-        record["previous_workspace_bytes_peak"] = prev_ws
-        if prev_ws is not None and record["workspace_bytes_peak"] > prev_ws:
-            # Workspace footprint is a function of (workload, kernel code)
-            # only -- no scheduler noise -- so growth is a real memory
-            # regression and gates unconditionally, like numeric divergence.
-            raise ReproError(
-                f"fast-path workspace grew on {record['name']}: "
-                f"{record['workspace_bytes_peak']} bytes > previous "
-                f"{prev_ws}"
-            )
+        for key, label in _WORKSPACE_KEYS.items():
+            prev_ws = previous_ws[key].get(record["name"])
+            record[f"previous_{key}"] = prev_ws
+            if prev_ws is not None and record[key] > prev_ws:
+                # Workspace footprint is a function of (workload, kernel
+                # code) only -- no scheduler noise -- so growth is a real
+                # memory regression and gates unconditionally, like
+                # numeric divergence.
+                raise ReproError(
+                    f"{label} workspace grew on {record['name']}: "
+                    f"{record[key]} bytes > previous {prev_ws}"
+                )
         results.append(record)
 
     # Sanity: fast-path time shrinks (within noise) as plans get sparser
@@ -357,7 +395,7 @@ def run_bench(scale="quick", seed: int = 0) -> list[Table]:
     scale_name = scale if isinstance(scale, str) else scale.name
     report = run_kernel_bench(scale_name, seed)
     table = Table(
-        "Kernel bench: block-sparse execution paths (seconds, best-of-reps)",
+        "Kernel bench: sparse execution paths (seconds, best-of-reps)",
         [
             "case",
             "S",
@@ -367,6 +405,7 @@ def run_bench(scale="quick", seed: int = 0) -> list[Table]:
             "flash",
             "reference",
             "fast",
+            "packed",
             "fast_vs_ref",
             "roofline",
             "max_err",
@@ -388,6 +427,7 @@ def run_bench(scale="quick", seed: int = 0) -> list[Table]:
             round(r["seconds"]["flash"], 4),
             round(r["seconds"]["reference"], 4),
             round(r["seconds"]["fast"], 4),
+            round(r["seconds"]["packed"], 4),
             round(r["speedup_fast_vs_reference"], 2),
             round(r["roofline_speedup_vs_dense"], 2),
             f"{r['max_abs_err_fast_vs_reference']:.1e}",
@@ -402,12 +442,14 @@ def run_bench(scale="quick", seed: int = 0) -> list[Table]:
             "tiles_visited",
             "ws_allocs",
             "ws_peak_kb",
+            "packed_ws_peak_kb",
             "regressed",
         ],
         notes="workspace allocations are cumulative across the warm calls "
         "of one case; flat counts across cases mean O(1) steady-state "
-        "allocation. ws_peak_kb is deterministic and gated against the "
-        "previous BENCH_kernel.json",
+        "allocation. ws_peak_kb (fast path) and packed_ws_peak_kb (the "
+        "serving executor's gather / score scratch) are deterministic and "
+        "gated against the previous BENCH_kernel.json",
     )
     for r in report["cases"]:
         s = r["fast_stats"]
@@ -419,6 +461,7 @@ def run_bench(scale="quick", seed: int = 0) -> list[Table]:
             int(s.get("tiles_visited", 0)),
             int(s.get("workspace_allocations", 0)),
             round(r["workspace_bytes_peak"] / 1024, 1),
+            round(r["packed_workspace_bytes_peak"] / 1024, 1),
             "yes" if r["regressed"] else "no",
         )
     return [table, stats]

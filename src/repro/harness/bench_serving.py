@@ -24,7 +24,9 @@ gate the default provider exclusively.  Beyond the timings, every run
   of runs must agree bitwise on every non-kernel registry counter (plan
   cache traffic, sampled elements, degradation ladder, admissions) and on
   every generated token; a direct kernel probe on ragged GQA items must
-  match the per-request fast path within :data:`NUMERIC_TOLERANCE`.
+  match :func:`~repro.attention.striped.striped_attention` (the
+  paper-semantic kernel executing the same plans) within
+  :data:`NUMERIC_TOLERANCE`, computed-element counts exactly.
 * **Dispatch accounting (always on)** -- the packed run must bill exactly
   one dispatch per (layer, batch step) in both phases:
   ``kernel_packed_dispatches == n_layers * kernel_packed_prefill_steps``
@@ -68,8 +70,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..attention.fastpath import KernelWorkspace, fast_block_sparse_attention
+from ..attention.fastpath import KernelWorkspace
 from ..attention.packed import PackedItem, packed_block_sparse_attention
+from ..attention.striped import striped_attention
 from ..config import DEFAULT_CONFIG, PLAN_PROVIDER_NAMES, SampleAttentionConfig
 from ..core.sample_attention import plan_sample_attention
 from ..errors import ReproError
@@ -85,8 +88,8 @@ __all__ = [
     "run_bench_serving",
 ]
 
-#: Packed outputs must match the per-request fast path at least this
-#: closely (float32 accumulation re-ordered across merged slabs).
+#: Packed outputs must match ``striped_attention`` at least this closely
+#: (float32 accumulation re-ordered between the two kernels' tilings).
 NUMERIC_TOLERANCE = 2e-5
 
 #: Acceptance floor for the packed-over-per-request tokens/sec ratio on
@@ -403,32 +406,37 @@ def _parity_gate(case: ServingBenchCase, seed: int) -> dict:
 
 def _kernel_probe(seed: int) -> float:
     """Hermetic output-parity probe: one packed dispatch over ragged GQA
-    items vs one fast-path call per item; returns the max abs error."""
+    items vs ``striped_attention`` (the paper-semantic kernel) per item;
+    returns the max abs error."""
     rng = np.random.default_rng((seed, 0xBEEF))
     h, h_kv, d = 8, 4, 64
     config = SampleAttentionConfig(alpha=0.9, r_window=0.02, block_size=64)
     items = []
     refs = []
-    ws = KernelWorkspace()
     for s_k in (512, 832, 1280):
         s_q = 256
         q = rng.standard_normal((h, s_q, d), dtype=np.float32)
         k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
         v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
         plan = plan_sample_attention(q, k, config)
-        mask = plan.to_block_mask()
-        items.append(PackedItem(q=q, k=k, v=v, mask=mask))
-        refs.append(fast_block_sparse_attention(q, k, v, mask, workspace=ws))
-    res = packed_block_sparse_attention(items, workspace=ws)
+        items.append(PackedItem.from_plan(q, k, v, plan))
+        refs.append(
+            striped_attention(
+                q, k, v, plan.window, plan.kv_indices,
+                sink_tokens=config.sink_tokens,
+                dense_last_rows=config.dense_last_rows,
+            )
+        )
+    res = packed_block_sparse_attention(items, workspace=KernelWorkspace())
     err = 0.0
     for got, ref in zip(res.results, refs):
         err = max(err, float(np.abs(got.output - ref.output).max()))
-        if not np.array_equal(got.visited_blocks, ref.visited_blocks):
-            raise ReproError("kernel probe: packed visited-tile counts diverge")
+        if not np.array_equal(got.computed_elements, ref.computed_elements):
+            raise ReproError("kernel probe: packed computed-element counts diverge")
     if err > NUMERIC_TOLERANCE:
         raise ReproError(
             f"kernel probe: packed output error {err:.2e} > "
-            f"{NUMERIC_TOLERANCE:.0e} vs per-request fast path"
+            f"{NUMERIC_TOLERANCE:.0e} vs striped_attention"
         )
     return err
 

@@ -9,7 +9,8 @@ the two-stage SampleAttention planner or one of the related-work pattern
 planners (amortised through a
 :class:`~repro.serving.plan_cache.PlanCache`) and execute through **one**
 sparse executor, :func:`~repro.attention.packed.packed_block_sparse_attention`
-(a per-request chunk is a packed batch of one), and decode runs greedy
+(gathered stripe columns plus the window band under one softmax; a
+per-request chunk is a packed batch of one), and decode runs greedy
 :meth:`~repro.model.transformer.Transformer.decode_step` over the populated
 KV caches.  The serving mechanics are the ones a production engine needs:
 
@@ -21,7 +22,9 @@ KV caches.  The serving mechanics are the ones a production engine needs:
   :class:`~repro.serving.scheduler.ChunkScheduler` the simulator uses;
 * **sparse-plan caching** -- stage-1/stage-2 planning reruns only every
   ``replan_interval`` chunks per (request, layer) head group, with
-  staleness-bounded reuse in between;
+  staleness-bounded reuse in between -- except that a request's final
+  prefill chunk, whose rows produce the first token, always plans from
+  itself;
 * **graceful degradation** -- a per-request ladder *adaptive sparse ->
   widened sparse -> dense -> shed*: a plan that fails validation, reports
   CRA coverage below alpha (the runtime CRA guard), or whose kernel raises
@@ -59,6 +62,7 @@ from ..attention.packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
+from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from ..core.profiler import StageProfiler
 from ..core.providers import make_provider
@@ -379,8 +383,8 @@ class ServingEngine:
         Engine-wide :class:`CircuitBreaker` policy over sparse planning.
     execution, kernel_mode:
         Inert compatibility arguments: the engine has one sparse executor
-        (plans rasterised to tile masks, run by the packed block-sparse
-        kernel), so these accept only ``None`` or the value naming it
+        (the packed stripe-granular kernel; the tile mask is its
+        accounting view), so these accept only ``None`` or the value naming it
         (``"block"`` / ``"fast"``, what the frozen ``perfbench/adapter.py``
         passes) and raise :class:`~repro.errors.ConfigError` otherwise.
         Removable by the next benchmark PR.
@@ -731,8 +735,15 @@ class ServingEngine:
         tm = job.telemetry
         s_q, s_k, h = q.shape[1], keys.shape[1], q.shape[0]
         cfg = self.config if job.level == "sparse" else self._widened_config
+        # The final chunk's rows produce the first token: they plan from
+        # themselves rather than inherit stripes chosen chunks earlier.
         plan = self.plan_cache.get(
-            rid, i, chunk_index=job.chunk_index, s_q=s_q, s_k=s_k
+            rid,
+            i,
+            chunk_index=job.chunk_index,
+            s_q=s_q,
+            s_k=s_k,
+            fresh=len(job.chunks_left) == 1,
         )
         if plan is None:
             plan = self._provider.plan(
@@ -796,14 +807,9 @@ class ServingEngine:
                     knorm = self._chunk_knorm(job, i, keys, q.shape[1])
                     att.knorm[i] = knorm
                     items.append(
-                        PackedItem(
-                            q=q,
-                            k=keys,
-                            v=values,
-                            mask=plan.to_block_mask(),
-                            scale=scale,
-                            k_norm_sq=knorm[1],
-                            tag=b,
+                        PackedItem.from_plan(
+                            q, keys, values, plan,
+                            scale=scale, k_norm_sq=knorm[1], tag=b,
                         )
                     )
                     meta.append((b, job, plan))
@@ -852,8 +858,8 @@ class ServingEngine:
         return (s_k, float(np.einsum("hsd,hsd->hs", keys, keys).max()))
 
     def _dispatch_packed(self, layer: int, items: list, meta: list) -> dict:
-        """One packed block-sparse dispatch for every sparse (job, layer)
-        call of an attempt, serial in the caller's thread.  ``meta``
+        """One packed dispatch for every sparse (job, layer) call of an
+        attempt, serial in the caller's thread.  ``meta``
         aligns with ``items`` as ``(batch_index, job, plan)``.  Returns
         batch index -> attention output; per-item accounting (breaker,
         billed elements, kept-KV telemetry) is per item, so it is the same
@@ -878,14 +884,12 @@ class ServingEngine:
         # Deterministic execution-path counters: the serving bench's
         # one-dispatch-per-(layer, step) proof reads these.
         profiler.count("packed_dispatches", 1)
-        for key in ("gemm_calls", "runs_coalesced", "head_groups"):
-            profiler.count(key, pres.stats[key])
+        profiler.count("gemm_calls", pres.stats["gemm_calls"])
         for key in (
             "packed_requests",
             "packed_rows",
-            "unique_patterns",
-            "pattern_hits",
             "tiles_visited",
+            "elements_computed",
         ):
             profiler.count(f"packed_{key.removeprefix('packed_')}",
                            pres.stats[key])
@@ -893,12 +897,19 @@ class ServingEngine:
         with profiler.stage("unpack"):
             for res, (b, job, plan) in zip(pres.results, meta):
                 self.breaker.record_success()
-                # Billed elements = visited blocks x block_size^2.
+                if contracts.enabled():
+                    contracts.check_computed_elements(
+                        plan, res.computed_elements
+                    )
+                # Billed elements = the plan's tile footprint x
+                # block_size^2 (what the roofline's block kernel visits),
+                # not the score elements this host computed.
                 job.elements += (
                     float(res.visited_blocks.sum())
                     * plan.config.block_size ** 2
                 )
                 job.telemetry.kept_kv_ratios.append(plan.mean_kv_ratio)
+                job.telemetry.element_densities.append(res.element_density)
                 outs[b] = res.output
         return outs
 

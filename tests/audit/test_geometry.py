@@ -97,8 +97,12 @@ class TestAreaChecks:
 
     def test_packed_area_registered(self):
         # The packed dispatch ships with its own fuzz area: every campaign
-        # cross-checks the fused batch against the masked-dense oracle.
+        # cross-checks the fused batch against the masked-dense oracle of
+        # each plan's *element* mask, and alone-vs-in-batch bitwise.
         assert "packed" in AUDIT_AREAS
+        result = run_case(BASE, "packed")
+        assert result.passed and result.divergence <= TOLERANCE
+        assert result.invariance_checks == 3
 
     def test_packed_decode_area_registered(self):
         # Fused decode batches are held to the dense oracle within
@@ -108,6 +112,59 @@ class TestAreaChecks:
         result = run_case(BASE, "packed_decode")
         assert result.passed and result.divergence <= TOLERANCE
         assert result.invariance_checks > 0
+
+
+def _drop_one_stripe_column(real):
+    def mutant(kv_indices, h, s_k, sink_tokens):
+        out = real(kv_indices, h, s_k, sink_tokens)
+        out[0] = out[0][:-1]
+        return out
+
+    return mutant
+
+
+def _skip_the_sinks(real):
+    return lambda kv_indices, h, s_k, sink_tokens: real(kv_indices, h, s_k, 0)
+
+
+def _shift_the_window_by_one(real):
+    def mutant(window):
+        dead = np.roll(real(window), -1, axis=1)
+        dead[:, -1] = True
+        return dead
+
+    return mutant
+
+
+class TestPackedGateCatchesSeededMutations:
+    """The oracle of the ``packed`` / ``providers`` areas is built from the
+    plan's element mask, independently of the kernel's own geometry code,
+    so a kernel that executes a slightly different mask must fail them."""
+
+    CASES = sample_cases(0, 48)
+
+    def _failures(self, area):
+        return sum(not run_case(case, area).passed for case in self.CASES)
+
+    def test_unmutated_kernel_passes(self):
+        assert self._failures("packed") == 0
+        assert self._failures("providers") == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "attr,mutation",
+        [
+            ("_normalise_indices", _drop_one_stripe_column),
+            ("_window_dead", _shift_the_window_by_one),
+            ("_normalise_indices", _skip_the_sinks),
+        ],
+    )
+    def test_mutation_is_caught(self, monkeypatch, attr, mutation):
+        import repro.attention.packed as packed
+
+        monkeypatch.setattr(packed, attr, mutation(getattr(packed, attr)))
+        assert self._failures("packed") > 0
+        assert self._failures("providers") > 0
 
 
 class TestShrinking:

@@ -47,3 +47,62 @@ def random_qkv(
 @pytest.fixture()
 def qkv(rng):
     return random_qkv(rng)
+
+
+def striped_plan(
+    rng: np.random.Generator,
+    h: int,
+    s_q: int,
+    s_k: int,
+    *,
+    window: int,
+    stripes: float | list = 0.1,
+    block: int = 16,
+    sink_tokens: int = 0,
+    dense_last_rows: int = 0,
+):
+    """A hand-built :class:`SparsePlan`: ``stripes`` is either the per-head
+    index lists or the share of key columns each head draws at random."""
+    from repro.config import SampleAttentionConfig
+    from repro.core.plan import SparsePlan
+
+    if not isinstance(stripes, list):
+        n = int(round(stripes * s_k))
+        stripes = [
+            np.sort(rng.choice(s_k, size=n, replace=False)).astype(np.int64)
+            for _ in range(h)
+        ]
+    return SparsePlan(
+        kv_indices=stripes,
+        window=window,
+        kv_ratio=np.asarray([ix.size / s_k for ix in stripes]),
+        achieved_share=np.ones(h),
+        sampled_rows=np.arange(min(s_q, 1)),
+        config=SampleAttentionConfig(
+            block_size=block,
+            sink_tokens=sink_tokens,
+            dense_last_rows=dense_last_rows,
+        ),
+        s_q=s_q,
+        s_k=s_k,
+    )
+
+
+def plan_element_mask(plan) -> np.ndarray:
+    """``(H, S_q, S_k)`` element mask a plan executes -- window band ∪
+    causal stripe/sink columns ∪ dense last rows -- written out longhand as
+    the oracle for the packed prefill kernel (``extras["bands"]`` excluded,
+    as in packed execution)."""
+    pos = np.arange(plan.s_q)[:, None] + (plan.s_k - plan.s_q)
+    col = np.arange(plan.s_k)[None, :]
+    causal = col <= pos
+    band = causal & (col > pos - plan.window)
+    mask = np.empty((plan.n_heads, plan.s_q, plan.s_k), dtype=bool)
+    for hh, idx in enumerate(plan.kv_indices):
+        keep = np.zeros(plan.s_k, dtype=bool)
+        keep[idx] = True
+        keep[: plan.config.sink_tokens] = True
+        mask[hh] = band | (causal & keep)
+    start = plan.s_q - min(plan.config.dense_last_rows, plan.s_q)
+    mask[:, start:] = causal[start:]
+    return mask

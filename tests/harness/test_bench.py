@@ -88,6 +88,40 @@ def test_workspace_growth_gates(tmp_path):
         )
 
 
+def test_packed_workspace_growth_gates(tmp_path):
+    out = tmp_path / "BENCH_kernel.json"
+    report = run_kernel_bench(
+        "quick", seed=0, out_path=out, enforce=False, reps=1, cases=TINY
+    )
+    (case,) = report["cases"]
+    # gathered K/V columns, stripe and band score slabs all live in it
+    assert case["packed_workspace_bytes_peak"] > 0
+    assert 0.0 < case["element_density"] <= case["density"]
+    prior = json.loads(out.read_text())
+    prior["cases"][0]["packed_workspace_bytes_peak"] -= 1
+    out.write_text(json.dumps(prior))
+    with pytest.raises(ReproError, match="packed workspace grew"):
+        run_kernel_bench(
+            "quick", seed=0, out_path=out, enforce=False, reps=1, cases=TINY
+        )
+
+
+def test_packed_allocation_after_warm_up_fails(tmp_path, monkeypatch):
+    import repro.harness.bench as bench_mod
+
+    real = bench_mod.packed_block_sparse_attention
+
+    def leaky(items, *, workspace):
+        workspace.take(f"leak{workspace.allocations}", (1,))
+        return real(items, workspace=workspace)
+
+    monkeypatch.setattr(bench_mod, "packed_block_sparse_attention", leaky)
+    with pytest.raises(ReproError, match="allocated after warm-up"):
+        run_kernel_bench(
+            "quick", seed=0, out_path=tmp_path / "b.json", reps=1, cases=TINY
+        )
+
+
 def test_workspace_gate_reads_v1_fast_stats(tmp_path):
     out = tmp_path / "BENCH_kernel.json"
     report = run_kernel_bench(
@@ -134,8 +168,8 @@ def test_numeric_divergence_fails(tmp_path, monkeypatch):
 def test_enforce_flags_slow_fast_path(tmp_path, monkeypatch):
     import repro.harness.bench as bench_mod
 
-    # _bench_case times flash, reference, fast, dense in that order.
-    faked = iter([0.001, 0.001, 0.002, 0.1])
+    # _bench_case times flash, reference, fast, packed, dense in that order.
+    faked = iter([0.001, 0.001, 0.002, 0.001, 0.1])
 
     def fake_time(fn, reps):
         fn()

@@ -1,13 +1,19 @@
-"""Property test: packed prefill attention is batch-invariant.
+"""Property test: packed prefill attention is exact per plan and
+batch-invariant.
 
 The serving engine has one sparse prefill executor: a per-request chunk is
 a packed batch of one.  That only keeps a request's tokens independent of
-who it was co-scheduled with if an item's output and visited-tile counts
-are a function of that item alone -- bitwise the same dispatched alone or
-inside any permutation of a ragged batch (shared workspace, shared
-pattern caches and all) -- plus float32 tolerance against the masked-dense
-oracle of the same mask.  Large-norm queries force the stabilised softmax
-path; the rest take the plain-exp path.
+who it was co-scheduled with if an item's output and counts are a function
+of that item alone -- bitwise the same dispatched alone or inside any
+permutation of a ragged batch (shared workspace, shared band masks and
+all).  And since the kernel executes the plan's own geometry, every item
+must sit within float32 tolerance of ``striped_attention`` and of dense
+attention under the plan's *element* mask, on every geometry chunked
+prefill produces: first chunks (window clipped at column 0), ragged tails
+down to a single row, windows at least as wide as the prefix, empty stripe
+sets, stripes inside the band, sinks overlapping stripes, dense last rows,
+GQA ratios.  Large-norm queries force the stabilised softmax path; the
+rest take the plain-exp path.
 """
 
 import numpy as np
@@ -17,87 +23,138 @@ from repro.attention import (
     KernelWorkspace,
     dense_attention,
     packed_block_sparse_attention,
-    random_block_mask,
-    window_block_mask,
+    striped_attention,
 )
 from repro.attention.packed import _PLAIN_EXP_BOUND, PackedItem
+from tests.conftest import plan_element_mask, striped_plan
 
 TOLERANCE = 2e-5
-H_KV, D, BLOCK = 2, 16, 32
-
-_geometry = st.sampled_from([64, 96, 200, 256]).flatmap(
-    lambda s_q: st.tuples(st.just(s_q), st.integers(max(s_q, 64), 1500))
-)
+H_KV, D = 2, 16
 
 
-def _item(rng, s_q: int, s_k: int, n_rep: int, hot: bool, density: float):
+@st.composite
+def _geometry(draw):
+    s_q = draw(st.sampled_from([1, 7, 64, 65, 130, 200, 256]))
+    first_chunk = draw(st.booleans())
+    s_k = s_q if first_chunk else draw(st.integers(s_q, 1200))
+    window = draw(
+        st.one_of(
+            st.integers(1, s_k),
+            st.sampled_from([1, s_k, s_k + 5]),  # diagonal only / >= prefix
+        )
+    )
+    return {
+        "s_q": s_q,
+        "s_k": s_k,
+        "window": window,
+        # share of key columns per head; 0.0 = empty stripe sets
+        "stripes": draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        "sink_tokens": draw(st.sampled_from([0, 4])),
+        "dense_last_rows": draw(st.sampled_from([0, 0, 1, 5, s_q])),
+        "hot": draw(st.booleans()),
+    }
+
+
+def _cauchy_schwarz(q, k) -> float:
+    """The kernel's bound on any scaled score: max ||q_i|| / sqrt(d) x
+    max ||k_j||."""
+    qf = q * np.float32(1.0 / np.sqrt(D))
+    q_norm = np.sqrt(np.einsum("hsd,hsd->hs", qf, qf).max())
+    k_norm = np.sqrt(np.einsum("hsd,hsd->hs", k, k).max())
+    return float(q_norm * k_norm)
+
+
+def _item(rng, g: dict, n_rep: int):
     h = H_KV * n_rep
+    s_q, s_k = g["s_q"], g["s_k"]
     q = rng.standard_normal((h, s_q, D), dtype=np.float32)
     k = rng.standard_normal((H_KV, s_k, D), dtype=np.float32)
     v = rng.standard_normal((H_KV, s_k, D), dtype=np.float32)
-    if hot:
-        q *= np.float32(16.0)
-    # The serving shape: a local window band plus scattered stripe tiles.
-    mask = window_block_mask(h, s_q, s_k, BLOCK, 2 * BLOCK) | random_block_mask(
-        h, s_q, s_k, BLOCK, density, rng
+    if g["hot"]:
+        # Twice the plain-exp bound whatever the shape: a fixed multiplier
+        # leaves a one-row, one-key item below it.
+        q *= np.float32(2.0 * _PLAIN_EXP_BOUND / _cauchy_schwarz(q, k))
+    plan = striped_plan(
+        rng, h, s_q, s_k,
+        window=g["window"],
+        stripes=g["stripes"],
+        block=32,
+        sink_tokens=g["sink_tokens"],
+        dense_last_rows=g["dense_last_rows"],
     )
-    return PackedItem(q=q, k=k, v=v, mask=mask)
+    return PackedItem.from_plan(q, k, v, plan), plan
 
 
 def _stabilised(item) -> bool:
-    qf = item.q * np.float32(1.0 / np.sqrt(D))
-    q_norm = np.sqrt(np.einsum("hsd,hsd->hs", qf, qf).max())
-    k_norm = np.sqrt(np.einsum("hsd,hsd->hs", item.k, item.k).max())
-    return bool(q_norm * k_norm >= _PLAIN_EXP_BOUND)
+    return bool(_cauchy_schwarz(item.q, item.k) >= _PLAIN_EXP_BOUND)
 
 
 class TestBatchInvariance:
     @given(
         seed=st.integers(0, 10_000),
-        geometries=st.lists(_geometry, min_size=1, max_size=6),
+        geometries=st.lists(_geometry(), min_size=1, max_size=5),
         n_rep=st.sampled_from([1, 2, 4]),
-        hot=st.lists(st.booleans(), min_size=6, max_size=6),
-        density=st.sampled_from([0.0, 0.1, 0.4]),
         data=st.data(),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_alone_equals_any_permutation(
-        self, seed, geometries, n_rep, hot, density, data
-    ):
+    @settings(max_examples=40, deadline=None)
+    def test_alone_equals_any_permutation(self, seed, geometries, n_rep, data):
         rng = np.random.default_rng(seed)
-        items = [
-            _item(rng, s_q, s_k, n_rep, hot[i], density)
-            for i, (s_q, s_k) in enumerate(geometries)
-        ]
-        for it, is_hot in zip(items, hot):
-            assert _stabilised(it) == is_hot
+        pairs = [_item(rng, g, n_rep) for g in geometries]
+        items = [it for it, _ in pairs]
+        for it, g in zip(items, geometries):
+            assert _stabilised(it) == g["hot"]
         alone = [packed_block_sparse_attention([it]).results[0] for it in items]
         order = data.draw(st.permutations(range(len(items))))
         res = packed_block_sparse_attention(
             [items[j] for j in order], workspace=KernelWorkspace()
         )
         assert res.cu_seqlens.tolist() == np.cumsum(
-            [0] + [geometries[j][0] for j in order]
+            [0] + [geometries[j]["s_q"] for j in order]
         ).tolist()
         for slot, j in enumerate(order):
-            got, it = res.results[slot], items[j]
+            got, (it, plan) = res.results[slot], pairs[j]
             np.testing.assert_array_equal(got.output, alone[j].output)
             np.testing.assert_array_equal(
                 got.visited_blocks, alone[j].visited_blocks
             )
-            oracle = dense_attention(
-                it.q, it.k, it.v, mask=it.mask.to_dense()
-            ).output
+            np.testing.assert_array_equal(
+                got.computed_elements, plan.element_counts()
+            )
+            element_mask = plan_element_mask(plan)
+            np.testing.assert_array_equal(
+                got.computed_elements, element_mask.sum(axis=(1, 2))
+            )
+            oracle = dense_attention(it.q, it.k, it.v, mask=element_mask).output
             assert np.abs(got.output - oracle).max() <= TOLERANCE
+            paper = striped_attention(
+                it.q, it.k, it.v, plan.window, plan.kv_indices,
+                sink_tokens=plan.config.sink_tokens,
+                dense_last_rows=plan.config.dense_last_rows,
+            ).output
+            assert np.abs(got.output - paper).max() <= TOLERANCE
 
     def test_warm_workspace_does_not_leak_between_items(self):
         """A workspace warmed by a larger item leaves stale scratch behind;
         a smaller item run after it must still match its solo output."""
         rng = np.random.default_rng(3)
-        big = _item(rng, 256, 1400, 2, True, 0.4)
-        small = _item(rng, 64, 130, 2, False, 0.1)
+        big, _ = _item(
+            rng,
+            dict(s_q=256, s_k=1400, window=112, stripes=0.3, sink_tokens=4,
+                 dense_last_rows=0, hot=True),
+            2,
+        )
+        small, _ = _item(
+            rng,
+            dict(s_q=64, s_k=130, window=11, stripes=0.05, sink_tokens=4,
+                 dense_last_rows=1, hot=False),
+            2,
+        )
         ws = KernelWorkspace()
         packed_block_sparse_attention([big], workspace=ws)
+        grown = ws.allocations
+        packed_block_sparse_attention([big], workspace=ws)
+        assert ws.allocations == grown  # grow-only: a warm call allocates nothing
         warm = packed_block_sparse_attention([small], workspace=ws).results[0]
+        assert ws.allocations == grown
         cold = packed_block_sparse_attention([small]).results[0]
         np.testing.assert_array_equal(warm.output, cold.output)

@@ -75,9 +75,16 @@ class TestBlockExecution:
         )
         res = engine.run(_requests())
         assert all(tm.outcome == "completed" for tm in res.requests)
-        assert res.telemetry.counter("kernel_runs_coalesced") >= 1
-        assert res.telemetry.counter("kernel_head_groups") >= 1
-        assert res.stages["counts"]["runs_coalesced"] >= 1
+        assert res.telemetry.counter("kernel_gemm_calls") >= 1
+        tiles = res.telemetry.counter("kernel_packed_tiles_visited")
+        elements = res.telemetry.counter("kernel_packed_elements_computed")
+        # Stripe-granular execution computes fewer score elements than the
+        # plan's 64x64 tile footprint holds.
+        assert 0 < elements < tiles * 64 * 64
+        assert res.stages["counts"]["packed_elements_computed"] == elements
+        for tm in res.requests:
+            assert len(tm.element_densities) == len(tm.kept_kv_ratios)
+            assert 0.0 < tm.mean_element_density < 1.0
 
     def test_block_summary_deterministic_under_roofline(self, glm_mini):
         def run_once():

@@ -248,3 +248,64 @@ class TestPackedFaultParity:
             assert a.outcome == b.outcome
             assert list(a.generated) == list(b.generated)
         assert _non_kernel_counters(packed) == _non_kernel_counters(base)
+
+
+class TestFinalChunkPlansFromItsOwnRows:
+    """The chunk that produces the first token never inherits stripes.
+
+    With ``replan_interval=4`` a reused plan's stripes were chosen up to
+    three chunks earlier, so a needle between the last replanned chunk and
+    the final window -- and, at 3K, first-half needles the stale stripe set
+    dropped -- was lost.  The final chunk now plans from its own rows.
+    """
+
+    CASES = [(2048, 0.62), (2048, 0.75), (2048, 0.87),
+             (3072, 0.10), (3072, 0.25), (3072, 0.40)]
+
+    def test_needles_in_the_staleness_hole_are_retrieved(self, glm_mini):
+        from repro.tasks.base import score_tokens
+        from repro.tasks.needle import make_needle_case
+
+        cases = [
+            make_needle_case(n, depth, rng=np.random.default_rng((7, i)))
+            for i, (n, depth) in enumerate(self.CASES)
+        ]
+        engine = ServingEngine(
+            glm_mini,
+            method="sample",
+            batching="packed",
+            chunk_size=256,
+            scheduler="round_robin",
+            prompt_builder=lambda request, n: cases[request.request_id].prompt,
+        )
+        result = engine.run(
+            [Request(i, 0.0, int(c.prompt.size), 2) for i, c in enumerate(cases)]
+        )
+        for tm, case in zip(result.requests, cases):
+            assert tm.outcome == "completed"
+            got = tm.generated[: len(case.answer)]
+            assert score_tokens(got, case.answer, mode="prefix") == 100.0
+            # one plan per layer at chunks 0, 4, 8, ... and at the final one
+            n_chunks = tm.n_chunks
+            planned = len(set(range(0, n_chunks, 4)) | {n_chunks - 1})
+            assert tm.plan_misses == planned * glm_mini.config.n_layers
+        assert result.telemetry.counter("plan_fallbacks") == 0
+
+    def test_retry_of_the_final_chunk_hits_its_own_plan(self):
+        from repro.config import DEFAULT_CONFIG
+        from repro.core.sample_attention import plan_sample_attention
+        from repro.serving import PlanCache
+
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((2, 8, 4), dtype=np.float32)
+        k = rng.standard_normal((2, 24, 4), dtype=np.float32)
+        cache = PlanCache(replan_interval=4)
+        cache.put(0, 0, plan_sample_attention(q, k[:, :16], DEFAULT_CONFIG),
+                  chunk_index=1)
+        at = dict(s_q=8, s_k=24)
+        assert cache.get(0, 0, chunk_index=2, **at) is not None
+        assert cache.get(0, 0, chunk_index=2, fresh=True, **at) is None
+        assert cache.stats.misses == 1 and cache.stats.invalid == 0
+        final = plan_sample_attention(q, k, DEFAULT_CONFIG)
+        cache.put(0, 0, final, chunk_index=2)
+        assert cache.get(0, 0, chunk_index=2, fresh=True, **at) is final
