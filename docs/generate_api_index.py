@@ -28,7 +28,10 @@ PACKAGES = [
 ]
 
 
-def main() -> None:
+API_MD = pathlib.Path(__file__).with_name("API.md")
+
+
+def main(target: pathlib.Path = API_MD) -> None:
     out = io.StringIO()
     out.write("# API index\n\n")
     out.write(
@@ -52,7 +55,6 @@ def main() -> None:
                 else ("function" if callable(obj) else "data")
             )
             out.write(f"- **`{item}`** ({kind}) — {first}\n")
-    target = pathlib.Path(__file__).with_name("API.md")
     target.write_text(out.getvalue())
     print(f"wrote {target} ({len(out.getvalue())} bytes)")
 

@@ -8,7 +8,6 @@ Public API::
         flash_attention,                    # tiled online-softmax reference
         block_sparse_attention,             # masked tiled kernel (reference)
         fast_block_sparse_attention,        # coalesced/grouped fast path
-        dispatch_block_sparse,              # kernel_mode dispatcher
         KernelWorkspace,                    # reusable scratch arena
         BlockMask, causal_block_mask, ...   # block-level mask algebra
     )
@@ -17,10 +16,7 @@ Public API::
 from .blocksparse import BlockSparseResult, block_sparse_attention
 from .dense import DenseAttentionResult, attention_probs, dense_attention
 from .fastpath import (
-    KERNEL_MODES,
-    KernelWorkspace,
     coalesce_runs,
-    dispatch_block_sparse,
     fast_block_sparse_attention,
     head_pattern_groups,
 )
@@ -51,7 +47,13 @@ from .masks import (
     stripe_block_mask,
     window_block_mask,
 )
-from .utils import causal_mask, decode_row_attention, expand_kv, softmax
+from .utils import (
+    KernelWorkspace,
+    causal_mask,
+    decode_row_attention,
+    expand_kv,
+    softmax,
+)
 
 __all__ = [
     "DenseAttentionResult",
@@ -60,10 +62,8 @@ __all__ = [
     "flash_attention",
     "BlockSparseResult",
     "block_sparse_attention",
-    "KERNEL_MODES",
     "KernelWorkspace",
     "coalesce_runs",
-    "dispatch_block_sparse",
     "fast_block_sparse_attention",
     "head_pattern_groups",
     "PackedItem",

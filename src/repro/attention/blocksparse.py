@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import MaskError
 from .masks import BlockMask
-from .utils import NEG_INF, validate_qkv
+from .utils import NEG_INF, total_causal_blocks, validate_qkv
 
 __all__ = ["BlockSparseResult", "block_sparse_attention"]
 
@@ -149,21 +149,9 @@ def block_sparse_attention(
         safe_l = np.where(l == 0.0, 1.0, l)
         out[:, q0:q1] = acc / safe_l[..., None]
 
-    total = _total_causal_blocks(s_q, s_k, b)
     return BlockSparseResult(
         output=out.astype(q.dtype, copy=False),
         visited_blocks=visited,
-        total_causal_blocks=total,
+        total_causal_blocks=total_causal_blocks(s_q, s_k, b),
     )
 
-
-def _total_causal_blocks(s_q: int, s_k: int, block_size: int) -> int:
-    """Tiles a dense causal kernel visits for right-aligned queries."""
-    offset = s_k - s_q
-    total = 0
-    nq = -(-s_q // block_size)
-    for qi in range(nq):
-        q1 = min((qi + 1) * block_size, s_q)
-        last_visible = (q1 - 1) + offset
-        total += min(-(-s_k // block_size), last_visible // block_size + 1)
-    return total

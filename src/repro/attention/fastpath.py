@@ -18,7 +18,8 @@ execution:
   identical (GQA groups and the shared window band make this the norm) are
   processed together with one batched ``matmul`` per run instead of
   per-tile ``heads``-indexed gathers.
-* **Workspace reuse** -- a grow-only :class:`KernelWorkspace` arena owns
+* **Workspace reuse** -- a grow-only
+  :class:`~repro.attention.utils.KernelWorkspace` arena owns
   the score/probability/accumulator scratch, threaded through the
   online-softmax loop so a call allocates O(1) new memory once the arena
   is warm, with ``einsum`` replaced by ``np.matmul(..., out=...)`` into
@@ -28,35 +29,27 @@ execution:
   :func:`~repro.attention.utils.expand_kv` performs never happens on this
   path.
 
-Select via ``kernel_mode`` (:data:`repro.config.KERNEL_MODES`) on
-:class:`~repro.config.SampleAttentionConfig` or the backends layer;
-:func:`dispatch_block_sparse` is the single dispatcher they share (the
-serving engine runs the cross-request :mod:`repro.attention.packed`
-executor instead).  Outputs match the reference
-kernel and ``dense_attention(mask.to_dense())`` to float32 tolerance (the
-property tests assert all three agree).
+The backends layer and ``sample_attention(execution="block")`` call
+:func:`fast_block_sparse_attention` directly (the serving engine runs the
+cross-request :mod:`repro.attention.packed` executor instead).  Outputs
+match the reference kernel and ``dense_attention(mask.to_dense())`` to
+float32 tolerance (the property tests assert all three agree).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..audit import contracts
-from ..config import KERNEL_MODES
-from ..errors import ConfigError, MaskError
-from .blocksparse import BlockSparseResult, _total_causal_blocks, block_sparse_attention
+from ..errors import MaskError
+from .blocksparse import BlockSparseResult
 from .masks import BlockMask
-from .utils import NEG_INF, validate_qkv
+from .utils import NEG_INF, KernelWorkspace, total_causal_blocks, validate_qkv
 
 __all__ = [
-    "KERNEL_MODES",
-    "KernelWorkspace",
     "coalesce_runs",
     "head_pattern_groups",
     "fast_block_sparse_attention",
-    "dispatch_block_sparse",
 ]
 
 
@@ -66,38 +59,6 @@ __all__ = [
 #: to ``1 - _SPAN_COVERAGE`` of the span's FLOPs is cheaper than the gather's
 #: memory traffic.
 _SPAN_COVERAGE = 0.75
-
-
-class KernelWorkspace:
-    """Grow-only scratch arena for the fast kernel.
-
-    Buffers are keyed by role (``"scores"``, ``"acc"``, ...) and resized
-    only upwards, so a workspace that has seen a call's peak shape serves
-    every later call of the same or smaller geometry without allocating --
-    the O(1)-allocations-per-call property the fast path advertises.  One
-    workspace must not be shared between concurrent calls.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-        #: Number of backing allocations performed so far; a warm workspace
-        #: stops growing (the reuse tests pin this).
-        self.allocations = 0
-
-    def take(self, key: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        """A writable array of ``shape`` backed by the arena (uninitialised)."""
-        n = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < n or buf.dtype != np.dtype(dtype):
-            buf = np.empty(max(n, 1), dtype=dtype)
-            self._buffers[key] = buf
-            self.allocations += 1
-        return buf[:n].reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held."""
-        return sum(b.nbytes for b in self._buffers.values())
 
 
 def coalesce_runs(active_row: np.ndarray) -> list[tuple[int, int]]:
@@ -369,33 +330,7 @@ def fast_block_sparse_attention(
     return BlockSparseResult(
         output=out.astype(q.dtype, copy=False),
         visited_blocks=visited,
-        total_causal_blocks=_total_causal_blocks(s_q, s_k, b),
+        total_causal_blocks=total_causal_blocks(s_q, s_k, b),
         stats=stats,
     )
 
-
-def dispatch_block_sparse(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: BlockMask,
-    *,
-    scale: float | None = None,
-    kernel_mode: str = "fast",
-    workspace: KernelWorkspace | None = None,
-) -> BlockSparseResult:
-    """Run ``mask`` through the executor selected by ``kernel_mode``.
-
-    The single entry point the backends layer and ``sample_attention``'s
-    block execution share; ``kernel_mode`` is one of
-    :data:`repro.config.KERNEL_MODES`.
-    """
-    if kernel_mode == "reference":
-        return block_sparse_attention(q, k, v, mask, scale=scale)
-    if kernel_mode == "fast":
-        return fast_block_sparse_attention(
-            q, k, v, mask, scale=scale, workspace=workspace
-        )
-    raise ConfigError(
-        f"unknown kernel_mode {kernel_mode!r}; expected one of {KERNEL_MODES}"
-    )

@@ -2,7 +2,7 @@
 
 At each engine batch step the co-scheduled prefill chunks execute as **one
 dispatch**: one validation pass over the batch, one grow-only
-:class:`~repro.attention.fastpath.KernelWorkspace`, then every item
+:class:`~repro.attention.utils.KernelWorkspace`, then every item
 through the same two-part kernel, serially in the caller's thread.  The
 kernel attends at the *plan's own granularity* -- the paper's gathered
 ``I_KV`` columns (and AnchorAttention's "stripe granularity") -- so its
@@ -48,11 +48,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import MaskError, ShapeError
-from .blocksparse import _total_causal_blocks
-from .fastpath import KernelWorkspace
 from .masks import BlockMask
 from .striped import _normalise_indices, _total_causal_elements
-from .utils import NEG_INF, decode_row_attention, validate_qkv
+from .utils import (
+    NEG_INF,
+    KernelWorkspace,
+    decode_row_attention,
+    total_causal_blocks,
+    validate_qkv,
+)
 
 __all__ = [
     "PackedItem",
@@ -530,7 +534,7 @@ def packed_block_sparse_attention(
             PackedPrefillResult(
                 output=output.astype(it.q.dtype, copy=False),
                 visited_blocks=visited,
-                total_causal_blocks=_total_causal_blocks(s_q, s_k, b),
+                total_causal_blocks=total_causal_blocks(s_q, s_k, b),
                 computed_elements=elements,
                 total_causal_elements=_total_causal_elements(s_q, s_k),
             )

@@ -17,6 +17,8 @@ enough for the library's tolerance-based kernel tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeError
@@ -26,6 +28,8 @@ __all__ = [
     "softmax",
     "causal_mask",
     "validate_qkv",
+    "total_causal_blocks",
+    "KernelWorkspace",
     "expand_kv",
     "grouped_qk",
     "grouped_pv",
@@ -100,6 +104,51 @@ def validate_qkv(
     if s_q > s_k:
         raise ShapeError(f"S_q={s_q} must be <= S_k={s_k} (right-aligned queries)")
     return h, h_kv, s_q, s_k, d
+
+
+def total_causal_blocks(s_q: int, s_k: int, block_size: int) -> int:
+    """Tiles a dense causal kernel visits for right-aligned queries."""
+    offset = s_k - s_q
+    total = 0
+    nq = -(-s_q // block_size)
+    for qi in range(nq):
+        q1 = min((qi + 1) * block_size, s_q)
+        last_visible = (q1 - 1) + offset
+        total += min(-(-s_k // block_size), last_visible // block_size + 1)
+    return total
+
+
+class KernelWorkspace:
+    """Grow-only scratch arena for the attention kernels.
+
+    Buffers are keyed by role (``"scores"``, ``"acc"``, ...) and resized
+    only upwards, so a workspace that has seen a call's peak shape serves
+    every later call of the same or smaller geometry without allocating --
+    the O(1)-allocations-per-call property the packed and fast block
+    kernels advertise.  One workspace must not be shared between
+    concurrent calls.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        #: Number of backing allocations performed so far; a warm workspace
+        #: stops growing (the reuse tests pin this).
+        self.allocations = 0
+
+    def take(self, key: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+        """A writable array of ``shape`` backed by the arena (uninitialised)."""
+        n = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < n or buf.dtype != np.dtype(dtype):
+            buf = np.empty(max(n, 1), dtype=dtype)
+            self._buffers[key] = buf
+            self.allocations += 1
+        return buf[:n].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes currently held."""
+        return sum(b.nbytes for b in self._buffers.values())
 
 
 def expand_kv(x: np.ndarray, n_rep: int) -> np.ndarray:

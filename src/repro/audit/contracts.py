@@ -50,7 +50,7 @@ import numpy as np
 from ..errors import ContractViolation
 
 if TYPE_CHECKING:  # imported lazily to keep this module dependency-free
-    from ..attention.fastpath import KernelWorkspace
+    from ..attention.utils import KernelWorkspace
     from ..attention.masks import BlockMask
     from ..core.plan import SparsePlan
 

@@ -1,7 +1,8 @@
 """Geometry fuzzer: adversarial attention-call shapes vs the dense oracle.
 
 Every way this package can compute attention -- dense, tiled flash, the
-three block-sparse kernel modes, the striped executor, the full Algorithm-1
+two block-sparse kernels (the tile-at-a-time oracle and the coalesced fast
+path), the striped executor, the full Algorithm-1
 pipeline, the serving chain's ``plan -> PlanCache.get/extended ->
 execute`` reuse path, the paged-KV gather feeding all of them, and the
 packed cross-request dispatch batching ragged items into one call -- must
@@ -29,12 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..attention.blocksparse import block_sparse_attention
 from ..attention.dense import dense_attention
-from ..attention.fastpath import (
-    KernelWorkspace,
-    dispatch_block_sparse,
-    fast_block_sparse_attention,
-)
+from ..attention.fastpath import fast_block_sparse_attention
 from ..attention.flash import flash_attention
 from ..attention.masks import (
     BlockMask,
@@ -44,7 +42,8 @@ from ..attention.masks import (
     window_block_mask,
 )
 from ..attention.striped import striped_attention
-from ..config import KERNEL_MODES, SampleAttentionConfig
+from ..attention.utils import KernelWorkspace
+from ..config import SampleAttentionConfig
 from ..core.plan import SparsePlan
 from ..core.sample_attention import plan_sample_attention, sample_attention
 from ..errors import ConfigError, MaskError, ReproError
@@ -64,7 +63,7 @@ __all__ = [
 ]
 
 #: Maximum |sparse - oracle| tolerated anywhere (float32 softmax
-#: re-association across tilings); same constant the kernel bench gates on.
+#: re-association across tilings); the constant every kernel test gates on.
 TOLERANCE = 2e-5
 
 #: The cross-checked areas, in execution-chain order.
@@ -286,7 +285,7 @@ def _divergence(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_kernels(case: GeometryCase) -> CaseResult:
-    """flash vs dense-causal, and every block-sparse kernel mode vs the
+    """flash vs dense-causal, and both block-sparse kernels vs the
     masked-dense oracle on the merged tile mask."""
     q, k, v = _qkv(case)
     stripes = _stripes(case)
@@ -311,15 +310,14 @@ def _check_kernels(case: GeometryCase) -> CaseResult:
         worst, worst_detail = div, "flash vs dense"
 
     oracle = dense_attention(q, k, v, mask=mask.to_dense()).output
-    workspace = KernelWorkspace()
-    for mode in KERNEL_MODES:
-        out = dispatch_block_sparse(
-            q, k, v, mask, kernel_mode=mode, workspace=workspace
-        ).output
+    for name, out in (
+        ("reference", block_sparse_attention(q, k, v, mask).output),
+        ("fast", fast_block_sparse_attention(q, k, v, mask).output),
+    ):
         div = _divergence(out, oracle)
         checks += 1
         if div > worst:
-            worst, worst_detail = div, f"{mode} vs masked dense"
+            worst, worst_detail = div, f"{name} vs masked dense"
     return CaseResult(
         "kernels",
         worst <= TOLERANCE,
@@ -396,22 +394,20 @@ def _check_pipeline(case: GeometryCase) -> CaseResult:
     block_oracle = dense_attention(
         q, k, v, mask=plan.to_block_mask().to_dense()
     ).output
-    workspace = KernelWorkspace()
-    for mode in KERNEL_MODES:
-        out = sample_attention(
-            q,
-            k,
-            v,
-            cfg,
-            plan=plan,
-            execution="block",
-            kernel_mode=mode,
-            workspace=workspace,
-        ).output
+    for name, out in (
+        (
+            "reference",
+            block_sparse_attention(q, k, v, plan.to_block_mask()).output,
+        ),
+        (
+            "fast",
+            sample_attention(q, k, v, cfg, plan=plan, execution="block").output,
+        ),
+    ):
         div = _divergence(out, block_oracle)
         checks += 1
         if div > worst:
-            worst, worst_detail = div, f"pipeline block[{mode}] vs oracle"
+            worst, worst_detail = div, f"pipeline block[{name}] vs oracle"
     return CaseResult(
         "pipeline",
         worst <= TOLERANCE,

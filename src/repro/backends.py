@@ -16,10 +16,11 @@ import abc
 
 import numpy as np
 
-from .attention.fastpath import KernelWorkspace, dispatch_block_sparse
+from .attention.fastpath import fast_block_sparse_attention
 from .attention.flash import flash_attention
 from .attention.masks import BlockMask
-from .config import DEFAULT_CONFIG, KERNEL_MODES, SampleAttentionConfig
+from .attention.utils import KernelWorkspace
+from .config import DEFAULT_CONFIG, SampleAttentionConfig
 from .core.sample_attention import sample_attention
 from .errors import ConfigError
 
@@ -153,21 +154,16 @@ class MaskedAttentionBackend(AttentionBackend):
     (content-aware baselines like HyperAttention hash the keys) or ignore
     them (static patterns like BigBird).
 
-    ``kernel_mode`` selects the block-sparse executor (one of
-    :data:`~repro.config.KERNEL_MODES`); the fast path reuses a
-    per-backend :class:`~repro.attention.KernelWorkspace` so repeated layer
-    calls allocate O(1) scratch.
+    The mask runs through
+    :func:`~repro.attention.fast_block_sparse_attention` on a per-backend
+    :class:`~repro.attention.KernelWorkspace`, so repeated layer calls
+    allocate O(1) scratch.
     """
 
     name = "masked"
 
-    def __init__(self, *, kernel_mode: str = "fast") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if kernel_mode not in KERNEL_MODES:
-            raise ConfigError(
-                f"kernel_mode must be one of {KERNEL_MODES}, got {kernel_mode!r}"
-            )
-        self.kernel_mode = kernel_mode
         self._workspace = KernelWorkspace()
 
     @abc.abstractmethod
@@ -178,14 +174,8 @@ class MaskedAttentionBackend(AttentionBackend):
 
     def prefill(self, q, k, v, *, scale=None, layer=0):
         mask = self.build_mask(q, k, layer=layer)
-        res = dispatch_block_sparse(
-            q,
-            k,
-            v,
-            mask,
-            scale=scale,
-            kernel_mode=self.kernel_mode,
-            workspace=self._workspace,
+        res = fast_block_sparse_attention(
+            q, k, v, mask, scale=scale, workspace=self._workspace
         )
         self._record(density=res.density)
         return res.output

@@ -54,9 +54,8 @@ class BigBirdBackend(MaskedAttentionBackend):
         random_ratio: float = 0.05,
         block_size: int = 64,
         seed: int = 0,
-        kernel_mode: str = "fast",
     ) -> None:
-        super().__init__(kernel_mode=kernel_mode)
+        super().__init__()
         for nm, val in (
             ("window_ratio", window_ratio),
             ("global_ratio", global_ratio),

@@ -38,9 +38,8 @@ class StreamingLLMBackend(MaskedAttentionBackend):
         sink_tokens: int = 4,
         window_ratio: float = 0.08,
         block_size: int = 64,
-        kernel_mode: str = "fast",
     ) -> None:
-        super().__init__(kernel_mode=kernel_mode)
+        super().__init__()
         if sink_tokens < 0:
             raise ConfigError(f"sink_tokens must be >= 0, got {sink_tokens}")
         if not 0.0 <= window_ratio <= 1.0:

@@ -21,19 +21,10 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 __all__ = [
-    "KERNEL_MODES",
     "PLAN_PROVIDER_NAMES",
     "SampleAttentionConfig",
     "DEFAULT_CONFIG",
 ]
-
-#: How the block-sparse executor runs a tile mask.  ``"reference"`` is the
-#: tile-at-a-time kernel (:func:`repro.attention.block_sparse_attention`);
-#: ``"fast"`` is the coalesced-run / head-grouped / workspace-reusing path
-#: (:func:`repro.attention.fast_block_sparse_attention`).  Defined here
-#: rather than in :mod:`repro.attention` so config validation stays
-#: import-cycle free.
-KERNEL_MODES = ("reference", "fast")
 
 #: Which pattern planner produces the :class:`~repro.core.SparsePlan` a
 #: config executes.  ``"sample"`` is the paper's two-stage SampleAttention
@@ -85,14 +76,6 @@ class SampleAttentionConfig:
         When ``True`` (default) stage-1 stride sampling is anchored at the
         final row so the most recent queries (the user question during
         prefill) are always represented in the sampled score matrix.
-    kernel_mode:
-        Which block-sparse executor runs tile masks built from this config:
-        one of :data:`KERNEL_MODES`.  ``"fast"`` (default) coalesces
-        contiguous active tiles into runs, batches heads with identical
-        block-row patterns, and reuses a preallocated workspace;
-        ``"reference"`` is the tile-at-a-time seed kernel the fast path is
-        benchmarked against.  Outputs agree to float32 tolerance in both
-        modes.
     provider:
         Which plan provider produces the :class:`~repro.core.SparsePlan`
         this config executes: one of :data:`PLAN_PROVIDER_NAMES`.
@@ -109,7 +92,6 @@ class SampleAttentionConfig:
     min_keep: int = 1
     dense_last_rows: int = 0
     sample_from_end: bool = True
-    kernel_mode: str = "fast"
     provider: str = "sample"
 
     def __post_init__(self) -> None:
@@ -127,11 +109,6 @@ class SampleAttentionConfig:
         if self.dense_last_rows < 0:
             raise ConfigError(
                 f"dense_last_rows must be >= 0, got {self.dense_last_rows!r}"
-            )
-        if self.kernel_mode not in KERNEL_MODES:
-            raise ConfigError(
-                f"kernel_mode must be one of {KERNEL_MODES}, "
-                f"got {self.kernel_mode!r}"
             )
         if self.provider not in PLAN_PROVIDER_NAMES:
             raise ConfigError(

@@ -231,8 +231,8 @@ class SparsePlan:
         report the tile footprint a block-granular kernel would visit --
         the roofline billing, ``kernel_packed_tiles_visited`` and the
         merged-mask contract are built on it.  The block kernels
-        (``sample_attention(execution="block")``, the kernel bench, the
-        structured baselines) still execute it directly.
+        (``sample_attention(execution="block")``, the structured
+        baselines) still execute it directly.
         """
         b = block_size or self.config.block_size
         h = self.n_heads

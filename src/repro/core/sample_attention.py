@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..attention.fastpath import KernelWorkspace, dispatch_block_sparse
+from ..attention.fastpath import fast_block_sparse_attention
 from ..attention.striped import StripedAttentionResult, striped_attention
-from ..attention.utils import validate_qkv
+from ..attention.utils import KernelWorkspace, validate_qkv
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from ..errors import ConfigError
@@ -136,7 +136,6 @@ def sample_attention(
     selection_mode: str = "exact",
     reduction: str = "sum",
     execution: str = "striped",
-    kernel_mode: str | None = None,
     workspace: KernelWorkspace | None = None,
     profiler: "StageProfiler | None" = None,
 ) -> SampleAttentionResult:
@@ -151,22 +150,19 @@ def sample_attention(
     execution:
         ``"striped"`` (default) gathers the selected KV columns, so cost is
         proportional to ``window + |I_KV|`` per head -- the paper's kernel.
-        ``"block"`` rasterises the plan to a tile mask and runs the
-        block-sparse kernel instead (ablation: how much a tile-aligned
-        kernel loses to scattered stripes).
-    kernel_mode:
-        Block-sparse executor for ``execution="block"``: one of
-        :data:`~repro.config.KERNEL_MODES`.  Defaults to the plan config's
-        ``kernel_mode``.  Ignored by the striped executor.
+        ``"block"`` rasterises the plan to a tile mask and runs
+        :func:`~repro.attention.fast_block_sparse_attention` instead
+        (ablation: how much a tile-aligned kernel loses to scattered
+        stripes).
     workspace:
         Optional :class:`~repro.attention.KernelWorkspace` reused across
-        calls by the fast block executor (O(1) allocations per
-        call once warm).  Ignored by ``"reference"`` and ``"striped"``.
+        calls by the block executor (O(1) allocations per call once
+        warm).  Ignored by ``"striped"``.
     profiler:
         Optional :class:`~repro.core.profiler.StageProfiler`; planning is
         timed as ``"sample"``/``"filter"`` and execution as ``"attend"``.
-        Fast-path execution statistics (``runs_coalesced``,
-        ``head_groups``) are accumulated into ``profiler.counts``.
+        Block-execution statistics (``runs_coalesced``, ``head_groups``,
+        ``gemm_calls``) are accumulated into ``profiler.counts``.
 
     Examples
     --------
@@ -218,16 +214,10 @@ def sample_attention(
                 bands=plan.extras.get("bands"),
             )
         else:
-            block = dispatch_block_sparse(
-                q,
-                k,
-                v,
-                plan.to_block_mask(),
-                scale=scale,
-                kernel_mode=kernel_mode or plan.config.kernel_mode,
-                workspace=workspace,
+            block = fast_block_sparse_attention(
+                q, k, v, plan.to_block_mask(), scale=scale, workspace=workspace
             )
-            if profiler is not None and block.stats is not None:
+            if profiler is not None:
                 for key in ("runs_coalesced", "head_groups", "gemm_calls"):
                     profiler.count(key, block.stats[key])
             # Normalise the block result into the striped accounting shape.

@@ -34,12 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="workload seed")
     p.add_argument(
-        "--decode-heavy",
-        action="store_true",
-        help="bench-serving only: run the decode-heavy grid (long decode, "
-        "short prompts) instead of the default prefill-weighted grid",
-    )
-    p.add_argument(
         "--out",
         type=str,
         default=None,
@@ -58,13 +52,12 @@ def main(argv: list[str] | None = None) -> int:
 
     exp_ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     scale = "full" if args.full else "quick"
-    extra = {"decode_heavy": True} if args.decode_heavy else {}
 
     md_parts: list[str] = []
     for exp_id in exp_ids:
         t0 = time.perf_counter()
         try:
-            tables = run_experiment(exp_id, scale=scale, seed=args.seed, **extra)
+            tables = run_experiment(exp_id, scale=scale, seed=args.seed)
         except ConfigError as exc:
             print(f"{exc}; try 'list'", file=sys.stderr)
             return 2

@@ -37,7 +37,6 @@ from ..tasks import (
     make_needle_case,
     needle_grid,
 )
-from .bench import run_bench as _run_bench
 
 
 def _run_audit(scale="quick", seed: int = 0):
@@ -60,10 +59,6 @@ def _run_fleet(scale="quick", seed: int = 0):
     return run_fleet(scale=scale, seed=seed)
 
 
-def _run_bench_serving(scale="quick", seed: int = 0, decode_heavy: bool = False):
-    from .bench_serving import run_bench_serving
-
-    return run_bench_serving(scale=scale, seed=seed, decode_heavy=decode_heavy)
 from .methods import METHOD_NAMES, make_backend
 from .tables import Table
 
@@ -1155,36 +1150,15 @@ EXPERIMENTS = {
     "chaos": (run_chaos, "Fault-injection drill: engine recovery under chaos"),
     "memory": (_run_memory, "Memory drill: paged-KV capacity + pressure recovery"),
     "fleet": (_run_fleet, "Fleet drill: multi-worker crash recovery + isolation"),
-    "bench": (_run_bench, "Kernel bench: execution paths + BENCH_kernel.json"),
-    "bench-serving": (
-        _run_bench_serving,
-        "Serving bench: packed vs per-request + BENCH_serving.json",
-    ),
     "audit": (_run_audit, "Differential audit: geometry fuzz + AUDIT.json"),
 }
 
 
-def run_experiment(
-    exp_id: str, scale="quick", seed: int = 0, **kwargs
-) -> list[Table]:
-    """Run one registered experiment and return its tables.
-
-    Extra keyword arguments are forwarded only to runners that accept
-    them (e.g. ``decode_heavy`` for ``bench-serving``); passing an
-    option a runner does not understand is a :class:`ConfigError`.
-    """
+def run_experiment(exp_id: str, scale="quick", seed: int = 0) -> list[Table]:
+    """Run one registered experiment and return its tables."""
     if exp_id not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
         )
     fn, _ = EXPERIMENTS[exp_id]
-    if kwargs:
-        import inspect
-
-        accepted = inspect.signature(fn).parameters
-        unknown = [k for k in kwargs if k not in accepted]
-        if unknown:
-            raise ConfigError(
-                f"experiment {exp_id!r} does not accept option(s) {unknown}"
-            )
-    return fn(scale=scale, seed=seed, **kwargs)
+    return fn(scale=scale, seed=seed)

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..attention.fastpath import KernelWorkspace
 from ..attention.flash import flash_attention
 from ..attention.packed import (
     PackedDecodeItem,
@@ -62,6 +61,7 @@ from ..attention.packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
+from ..attention.utils import KernelWorkspace
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from ..core.profiler import StageProfiler
@@ -270,8 +270,9 @@ class EngineResult:
         Prefill method the engine executed (``"sample"`` or ``"flash"``).
     stages:
         :meth:`~repro.core.profiler.StageProfiler.report` snapshot of where
-        chunk time went (``sample`` / ``filter`` / ``attend`` / ``dense`` /
-        ``decode`` wall-clock plus kernel counters).  Wall-clock stage
+        chunk time went (``sample`` / ``filter`` / ``pack`` / ``attend`` /
+        ``unpack`` / ``dense`` / ``decode`` wall-clock plus kernel
+        counters).  Wall-clock stage
         timings live here -- not in the deterministic telemetry summary --
         so same-seed runs still compare equal under roofline billing.
     memory:
@@ -881,8 +882,8 @@ class ServingEngine:
                         job, it.q, it.k, it.v, it.scale
                     )
                 return outs
-        # Deterministic execution-path counters: the serving bench's
-        # one-dispatch-per-(layer, step) proof reads these.
+        # Deterministic execution-path counters: the
+        # one-dispatch-per-(layer, step) identity tests read these.
         profiler.count("packed_dispatches", 1)
         profiler.count("gemm_calls", pres.stats["gemm_calls"])
         for key in (
@@ -1604,8 +1605,7 @@ class ServingEngine:
             # Hard dispatch identity: every fused decode step issued
             # exactly one packed decode dispatch per layer (empty-batch
             # layers included).  Always-on -- a violation means the fused
-            # path silently fell back or double-dispatched, which would
-            # invalidate the serving bench's speedup accounting.
+            # path silently fell back or double-dispatched.
             steps_ct = self._profiler.counts.get("packed_decode_steps", 0)
             disp_ct = self._profiler.counts.get(
                 "packed_decode_dispatches", 0

@@ -10,14 +10,13 @@ from repro.attention import (
     causal_block_mask,
     coalesce_runs,
     dense_attention,
-    dispatch_block_sparse,
     fast_block_sparse_attention,
     head_pattern_groups,
     random_block_mask,
     sink_block_mask,
+    stripe_block_mask,
     window_block_mask,
 )
-from repro.errors import ConfigError
 
 
 def _qkv(rng, h, s_q, s_k, d, h_kv=None):
@@ -86,6 +85,28 @@ class TestKernelWorkspace:
             fast_block_sparse_attention(q, k, v, mask, workspace=ws)
         assert ws.allocations == warm  # O(1) per call once warm
 
+    def test_bytes_bounded_by_the_call_shapes(self):
+        # A 256-row chunk against a 4096-token prefix: scratch is per
+        # (q-block, heads of one KV head), so it scales with n_rep * b * S_k,
+        # never H * S_q * S_k.
+        rng = np.random.default_rng(1)
+        h, s_q, s_k, d, b = 8, 256, 4096, 64, 64
+        g = 4  # n_rep: heads per GEMM under GQA 4:1
+        q, k, v = _qkv(rng, h, s_q, s_k, d, h_kv=h // g)
+        stripes = [np.sort(rng.choice(s_k, 410, replace=False)) for _ in range(h)]
+        mask = window_block_mask(h, s_q, s_k, b, 328) | stripe_block_mask(
+            stripes, s_q, s_k, b
+        )
+        ws = KernelWorkspace()
+        fast_block_sparse_attention(q, k, v, mask, workspace=ws)
+        floats = (
+            g * b * s_k  # scores
+            + 2 * g * b * d  # q2, pv
+            + 2 * g * b  # m, l
+            + 2 * s_k * d  # k_slab, v_slab
+        )
+        assert 0 < ws.nbytes <= 4 * floats + b * s_k  # + the bool dead mask
+
 
 class TestFastEquivalence:
     @pytest.mark.parametrize("h,h_kv", [(4, 4), (4, 2), (8, 1)])
@@ -136,18 +157,12 @@ class TestFastEquivalence:
 
 class TestDispatchAndParallel:
     def test_dispatch_modes_agree(self):
+        """The two block kernels, called by name, agree on a random mask."""
         rng = np.random.default_rng(12)
         q, k, v = _qkv(rng, 4, 160, 160, 16, h_kv=2)
         mask = random_block_mask(4, 160, 160, 32, 0.6, rng)
-        ref = dispatch_block_sparse(q, k, v, mask, kernel_mode="reference")
-        fast = dispatch_block_sparse(q, k, v, mask, kernel_mode="fast")
+        ref = block_sparse_attention(q, k, v, mask)
+        fast = fast_block_sparse_attention(q, k, v, mask)
         np.testing.assert_allclose(fast.output, ref.output, atol=2e-5)
+        assert ref.stats is None
         assert "threads" not in fast.stats
-
-    def test_unknown_mode_raises(self):
-        rng = np.random.default_rng(13)
-        q, k, v = _qkv(rng, 2, 64, 64, 8)
-        mask = causal_block_mask(2, 64, 64, 32)
-        for mode in ("turbo", "parallel"):
-            with pytest.raises(ConfigError):
-                dispatch_block_sparse(q, k, v, mask, kernel_mode=mode)

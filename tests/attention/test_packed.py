@@ -19,7 +19,7 @@ from repro.attention import (
     packed_block_sparse_attention,
     striped_attention,
 )
-from repro.attention.packed import PackedItem
+from repro.attention.packed import _BAND_ROWS, PackedItem
 from repro.errors import MaskError, ShapeError
 from tests.conftest import plan_element_mask, striped_plan
 
@@ -199,6 +199,70 @@ class TestPackedStats:
             packed_block_sparse_attention([item, bare]).stats["gemm_calls"]
             == 2 * (4 + 3) + 2 * 3
         )
+
+
+def _workspace_bound(item) -> int:
+    """Closed form of the ``ws.take`` sizes in ``packed._execute_item``,
+    from the item's shapes alone."""
+    h, s_q, d = item.q.shape
+    s_k = item.k.shape[1]
+    sinks = np.arange(min(item.sink_tokens, s_k))
+    cols = max(np.union1d(ix, sinks).size for ix in item.kv_indices)
+    bq = min(_BAND_ROWS, s_q)
+    span = s_k if item.dense_last_rows else min(item.window + bq - 1, s_k)
+    floats = (
+        h * s_q * d  # q
+        + 2 * h * s_q  # l, m
+        + 2 * cols * d  # k_cols, v_cols: the gathered K[I_KV] / V[I_KV]
+        + s_q * cols  # s_cols
+        + 2 * h * bq * d  # q_band, pv_band
+        + h * bq * span  # s_band
+    )
+    return 4 * floats
+
+
+class _GathersThePrefix(KernelWorkspace):
+    """Seeded mutation: gather scratch sized by ``S_k`` instead of
+    ``|I_KV|`` -- what a kernel that copies the whole prefix would hold."""
+
+    def __init__(self, s_k):
+        super().__init__()
+        self.s_k = s_k
+
+    def take(self, key, shape, dtype=np.float32):
+        if key in ("k_cols", "v_cols"):
+            return super().take(key, (self.s_k, shape[1]), dtype)[: shape[0]]
+        return super().take(key, shape, dtype)
+
+
+class TestPackedWorkspaceBound:
+    """Scratch follows what the plan kept, on the geometry the engine
+    dispatches: one 256-row chunk against a 4096-token prefix."""
+
+    def _chunk(self, rng, s_q, s_k):
+        return _item(rng, 8, s_q, s_k, 64, h_kv=2, window=-(-s_k * 8 // 100),
+                     stripes=0.1, block=64, sink_tokens=4)[0]
+
+    def test_bytes_bounded_by_the_items_shapes(self, rng):
+        big, small = self._chunk(rng, 256, 4096), self._chunk(rng, 64, 1024)
+        ws = KernelWorkspace()
+        packed_block_sparse_attention([big], workspace=ws)
+        held, warm = ws.nbytes, ws.allocations
+        assert 0 < held <= _workspace_bound(big)
+        # The same warm workspace serves a smaller item without growing.
+        packed_block_sparse_attention([small], workspace=ws)
+        assert (ws.nbytes, ws.allocations) == (held, warm)
+        cold = KernelWorkspace()
+        packed_block_sparse_attention([small], workspace=cold)
+        assert cold.nbytes <= _workspace_bound(small) < held
+
+    def test_gathering_the_prefix_breaks_the_bound(self, rng):
+        big = self._chunk(rng, 256, 4096)
+        ws = _GathersThePrefix(4096)
+        got = packed_block_sparse_attention([big], workspace=ws).results[0]
+        ref = packed_block_sparse_attention([big]).results[0]
+        np.testing.assert_array_equal(got.output, ref.output)
+        assert ws.nbytes > _workspace_bound(big)
 
 
 class TestPackedValidation:

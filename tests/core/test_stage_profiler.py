@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.attention import block_sparse_attention
 from repro.config import SampleAttentionConfig
 from repro.core import (
     StageProfiler,
@@ -119,12 +120,11 @@ class TestPipelineIntegration:
         q, k, v = _qkv(seed=2)
         cfg = SampleAttentionConfig()
         fast = sample_attention(q, k, v, cfg, execution="block")
-        ref = sample_attention(
-            q, k, v, cfg, execution="block", kernel_mode="reference"
-        )
+        ref = block_sparse_attention(q, k, v, fast.plan.to_block_mask())
         np.testing.assert_allclose(fast.output, ref.output, atol=2e-5)
         np.testing.assert_array_equal(
-            fast.kernel.computed_elements, ref.kernel.computed_elements
+            fast.kernel.computed_elements,
+            ref.visited_blocks * cfg.block_size**2,
         )
 
     def test_unknown_execution_raises(self):

@@ -8,14 +8,17 @@ truncated-stride boundary bugs; these pin the fixed behaviour permanently.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.attention import dense_attention, flash_attention
-from repro.attention.fastpath import dispatch_block_sparse
+from repro.attention import (
+    block_sparse_attention,
+    dense_attention,
+    fast_block_sparse_attention,
+    flash_attention,
+)
 from repro.attention.masks import (
     num_blocks,
     stripe_block_mask,
     window_block_mask,
 )
-from repro.config import KERNEL_MODES
 from repro.core import select_kv_indices
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -77,10 +80,12 @@ class TestRaggedChunkedKernelEquivalence:
             atol=TOLERANCE,
         )
         oracle = dense_attention(q, k, v, mask=mask.to_dense()).output
-        for mode in KERNEL_MODES:
-            out = dispatch_block_sparse(q, k, v, mask, kernel_mode=mode).output
+        for kernel in (block_sparse_attention, fast_block_sparse_attention):
             np.testing.assert_allclose(
-                out, oracle, atol=TOLERANCE, err_msg=f"kernel_mode={mode}"
+                kernel(q, k, v, mask).output,
+                oracle,
+                atol=TOLERANCE,
+                err_msg=kernel.__name__,
             )
 
 

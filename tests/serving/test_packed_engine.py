@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_CONFIG, PLAN_PROVIDER_NAMES
 from repro.errors import ConfigError
 from repro.serving import (
     BATCHING_MODES,
@@ -67,16 +68,36 @@ class TestPackedConfig:
 
 class TestPackedParity:
     def test_matches_per_request_engine(self, glm_mini):
-        reqs = burst(n=4)
-        base = make_engine(glm_mini, batching="request").run(reqs)
-        packed = make_engine(glm_mini, batching="packed").run(reqs)
+        # A simultaneous burst, and a Poisson stream with staggered
+        # arrivals and mixed 1K-2K executed prompts in 256-token chunks.
+        stream = poisson_workload(
+            np.random.default_rng(0),
+            rate_per_s=60.0,
+            duration_s=0.15,
+            prompt_lens=(4096, 6144, 8192),
+            decode_tokens=4,
+        )
+        assert len({r.arrival for r in stream}) > 1
+        assert len({r.prompt_len for r in stream}) > 1
+        for reqs, kw in (
+            (burst(n=4), {}),
+            (stream, dict(length_scale=4, chunk_size=256)),
+        ):
+            base = make_engine(glm_mini, batching="request", **kw).run(reqs)
+            packed = make_engine(glm_mini, batching="packed", **kw).run(reqs)
 
-        assert len(packed.completed) == len(base.completed) == 4
-        for a, b in zip(base.requests, packed.requests):
-            assert a.request_id == b.request_id
-            assert a.outcome == b.outcome
-            assert list(a.generated) == list(b.generated)
-        assert _non_kernel_counters(packed) == _non_kernel_counters(base)
+            assert len(packed.completed) == len(base.completed) == len(reqs)
+            for a, b in zip(base.requests, packed.requests):
+                assert a.request_id == b.request_id
+                assert a.outcome == b.outcome
+                assert list(a.generated) == list(b.generated)
+            assert _non_kernel_counters(packed) == _non_kernel_counters(base)
+            # Both inputs co-schedule: the parity is not a batch of one.
+            counters = packed.telemetry._counters
+            assert (
+                counters["kernel_packed_requests"]
+                > counters["kernel_packed_dispatches"]
+            )
 
     def test_one_dispatch_per_layer_step(self, glm_mini):
         engine = make_engine(glm_mini, batching="packed")
@@ -151,6 +172,49 @@ class TestPackedDecode:
             counters["kernel_packed_decode_dispatches"]
             == glm_mini.config.n_layers
             * counters["kernel_packed_decode_steps"]
+        )
+
+
+class TestProvidersThroughTheEngine:
+    """Every plan provider serves through ``ServingEngine`` in both
+    batching modes -- the only engine-level run of the non-default ones."""
+
+    @pytest.mark.parametrize("provider", PLAN_PROVIDER_NAMES)
+    def test_request_and_packed_agree(self, glm_mini, provider):
+        reqs = [
+            Request(request_id=i, arrival=0.002 * i, prompt_len=1024,
+                    decode_tokens=3)
+            for i in range(3)
+        ]
+        runs = {
+            batching: make_engine(
+                glm_mini,
+                config=DEFAULT_CONFIG.replace(provider=provider),
+                length_scale=1,
+                chunk_size=256,
+                batching=batching,
+            ).run(reqs)
+            for batching in BATCHING_MODES
+        }
+        base, packed = runs["request"], runs["packed"]
+        for result in runs.values():
+            assert len(result.completed) == 3
+            assert result.telemetry.counter("plan_fallbacks") == 0
+            assert result.telemetry.counter("cra_guard_violations") == 0
+        for a, b in zip(base.requests, packed.requests):
+            assert list(a.generated) == list(b.generated)
+        assert _non_kernel_counters(packed) == _non_kernel_counters(base)
+        c = packed.telemetry._counters
+        n_layers = glm_mini.config.n_layers
+        assert c["kernel_packed_prefill_steps"] > 0
+        assert c["kernel_packed_decode_steps"] > 0
+        assert (
+            c["kernel_packed_dispatches"]
+            == n_layers * c["kernel_packed_prefill_steps"]
+        )
+        assert (
+            c["kernel_packed_decode_dispatches"]
+            == n_layers * c["kernel_packed_decode_steps"]
         )
 
 
