@@ -4,13 +4,14 @@
 * stage-1 column reduction (sum vs max vs mean),
 * per-head vs per-layer shared I_KV,
 * stage-2 selection mode (exact vs the paper's quantized grid),
-* striped vs tile-aligned execution of the same plan.
+* stripe-granular vs tile-aligned execution of the same plan.
 """
 
 import numpy as np
 import pytest
 
 from repro import SampleAttentionConfig
+from repro.attention import fast_block_sparse_attention
 from repro.core import (
     plan_sample_attention,
     sample_attention,
@@ -120,18 +121,26 @@ class TestSelectionModeAblation:
         assert plan.mean_kv_ratio > 0
 
 
+def _execute_striped(q, k, v, plan, scale):
+    """The plan executor: gathered ``I_KV`` columns + window band."""
+    return sample_attention(q, k, v, plan.config, scale=scale, plan=plan)
+
+
+def _execute_block(q, k, v, plan, scale):
+    """The same plan rasterised to tiles and run on the block kernel."""
+    return fast_block_sparse_attention(
+        q, k, v, plan.to_block_mask(), scale=scale
+    )
+
+
 class TestExecutionAblation:
-    @pytest.mark.parametrize("execution", ["striped", "block"])
-    def test_execution_benchmark(self, benchmark, layer_qkv, execution):
+    @pytest.mark.parametrize("execute", [_execute_striped, _execute_block])
+    def test_execution_benchmark(self, benchmark, layer_qkv, execute):
         q, k, v, scale = layer_qkv
         cfg = SampleAttentionConfig(alpha=0.95, block_size=64)
         plan = plan_sample_attention(q, k, cfg, scale=scale)
         res = benchmark.pedantic(
-            sample_attention,
-            args=(q, k, v),
-            kwargs=dict(config=cfg, scale=scale, plan=plan, execution=execution),
-            rounds=2,
-            iterations=1,
+            execute, args=(q, k, v, plan, scale), rounds=2, iterations=1
         )
         assert res.output.shape == q.shape
 
@@ -141,14 +150,13 @@ class TestExecutionAblation:
         q, k, v, scale = layer_qkv
         cfg = SampleAttentionConfig(alpha=0.95, block_size=64)
         plan = plan_sample_attention(q, k, cfg, scale=scale)
-        striped = sample_attention(q, k, v, cfg, scale=scale, plan=plan)
-        block = sample_attention(
-            q, k, v, cfg, scale=scale, plan=plan, execution="block"
-        )
+        striped = _execute_striped(q, k, v, plan, scale)
+        block = _execute_block(q, k, v, plan, scale)
         assert (
-            block.kernel.computed_elements.sum()
+            block.visited_blocks.sum() * cfg.block_size**2
             > striped.kernel.computed_elements.sum()
         )
+        assert striped.kernel.element_density < striped.kernel.density
 
 
 class TestDiagonalExtension:
@@ -184,4 +192,4 @@ class TestDiagonalExtension:
         plan = plan_sample_attention(q, k, cfg, detect_diagonals=True)
         res = sample_attention(q, k, v, cfg, plan=plan)
         assert float(np.abs(res.output - ref).mean()) < 0.1
-        assert res.kernel.density < 0.4
+        assert res.kernel.element_density < 0.4

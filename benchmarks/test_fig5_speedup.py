@@ -31,7 +31,7 @@ def test_fig5_measured_sample_attention(benchmark, layer_qkv):
     res = benchmark(
         sample_attention, q, k, v, SampleAttentionConfig(alpha=0.95), scale=scale
     )
-    assert res.kernel.density < 0.7  # on model activations, plans are sparse
+    assert res.kernel.element_density < 0.7  # on model activations, plans are sparse
 
 
 def test_fig5_measured_sampling_stage_only(benchmark, layer_qkv):

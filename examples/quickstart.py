@@ -41,7 +41,7 @@ print(f"\nmax |sparse - dense| = {err:.4f}, mean = {mean_err:.6f}  (near-lossles
 print(
     f"computed {res.kernel.computed_elements.mean():,.0f} score elements/head "
     f"vs {res.kernel.total_causal_elements:,} dense "
-    f"({100 * res.kernel.density:.1f}% of dense causal cost)"
+    f"({100 * res.kernel.element_density:.1f}% of dense causal cost)"
 )
 
 # The planted stripes were discovered adaptively, per head:

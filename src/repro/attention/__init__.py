@@ -8,6 +8,7 @@ Public API::
         flash_attention,                    # tiled online-softmax reference
         block_sparse_attention,             # masked tiled kernel (reference)
         fast_block_sparse_attention,        # coalesced/grouped fast path
+        packed_block_sparse_attention,      # the SparsePlan executor
         KernelWorkspace,                    # reusable scratch arena
         BlockMask, causal_block_mask, ...   # block-level mask algebra
     )
@@ -30,11 +31,6 @@ from .packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
-from .striped import (
-    StripedAttentionResult,
-    striped_attention,
-    striped_element_counts,
-)
 from .masks import (
     BlockMask,
     block_diagonal_mask,
@@ -45,6 +41,7 @@ from .masks import (
     random_block_mask,
     sink_block_mask,
     stripe_block_mask,
+    striped_element_counts,
     window_block_mask,
 )
 from .utils import (
@@ -73,8 +70,6 @@ __all__ = [
     "PackedDecodeResult",
     "packed_block_sparse_attention",
     "packed_decode_attention",
-    "StripedAttentionResult",
-    "striped_attention",
     "striped_element_counts",
     "BlockMask",
     "num_blocks",

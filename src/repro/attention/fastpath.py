@@ -29,9 +29,12 @@ execution:
   :func:`~repro.attention.utils.expand_kv` performs never happens on this
   path.
 
-The backends layer and ``sample_attention(execution="block")`` call
-:func:`fast_block_sparse_attention` directly (the serving engine runs the
-cross-request :mod:`repro.attention.packed` executor instead).  Outputs
+This is the kernel for an *arbitrary* :class:`BlockMask`: the baselines'
+backends call :func:`fast_block_sparse_attention` directly.  A
+:class:`~repro.core.plan.SparsePlan` is executed at stripe granularity by
+:mod:`repro.attention.packed` instead; running this kernel on
+``plan.to_block_mask()`` is the tile-granular ablation of the same plan.
+Outputs
 match the reference kernel and ``dense_attention(mask.to_dense())`` to
 float32 tolerance (the property tests assert all three agree).
 """

@@ -10,6 +10,14 @@ sense -- a GPU kernel can skip a whole tile, but not an individual element.
 performance model), conversion to an elementwise dense mask (used by the
 analysis module and the dense gold-standard kernel), and set algebra
 (union/intersection) used to merge window, stripe, sink and random patterns.
+
+SampleAttention's own plan is finer than tiles -- a local window, extra
+diagonal bands and per-head stripe columns -- and the packed kernel
+executes it at that granularity.  The plan's *element* geometry lives here
+too, next to the tile view of the same structure: :func:`normalise_bands`
+and :func:`normalise_indices` canonicalise what the kernel executes, and
+:func:`striped_element_counts` predicts its per-head score-element count
+without running it.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MaskError, ShapeError
+from ..errors import ConfigError, MaskError, ShapeError
 
 __all__ = [
     "BlockMask",
@@ -31,6 +39,9 @@ __all__ = [
     "random_block_mask",
     "dense_rows_block_mask",
     "block_diagonal_mask",
+    "normalise_bands",
+    "normalise_indices",
+    "striped_element_counts",
 ]
 
 
@@ -342,3 +353,114 @@ def block_diagonal_mask(
     causal_grid = k_first[None, :] <= q_last[:, None]
     blocks &= causal_grid[None]
     return BlockMask(blocks, block_size, s_q, s_k)
+
+
+# --------------------------------------------------------------------------
+# Element-level plan geometry: window / diagonal bands + per-head stripes.
+# --------------------------------------------------------------------------
+
+
+def normalise_bands(
+    window: int, bands: list[tuple[int, int]] | None
+) -> list[tuple[int, int]]:
+    """Merge the window with extra diagonal bands into disjoint, sorted
+    relative-distance intervals ``[d_lo, d_hi)``.
+
+    A band covers key ``j`` for query row ``i`` iff ``d_lo <= i - j < d_hi``;
+    the local window is the interval ``[0, window)``.  Extra bands capture
+    *diagonal* score patterns at non-zero offsets (paper Appendix A.6's
+    "other pattern" future work).  Overlapping or adjacent intervals are
+    merged so ownership is unambiguous and counts stay additive; the first
+    interval of the result always starts at 0 (the window, widened by any
+    band touching it).
+    """
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    intervals = [(0, int(window))]
+    for d_lo, d_hi in bands or ():
+        if d_lo < 0 or d_hi <= d_lo:
+            raise ConfigError(f"invalid band ({d_lo}, {d_hi}): need 0 <= lo < hi")
+        intervals.append((int(d_lo), int(d_hi)))
+    intervals.sort()
+    merged = [intervals[0]]
+    for lo, hi in intervals[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def normalise_indices(
+    kv_indices: list[np.ndarray], h: int, s_k: int, sink_tokens: int
+) -> list[np.ndarray]:
+    """Per-head sorted, unique stripe ∪ sink columns as ``int64`` arrays;
+    a wrong head count or an index outside ``[0, s_k)`` is a
+    :class:`~repro.errors.MaskError`."""
+    if len(kv_indices) != h:
+        raise MaskError(f"got {len(kv_indices)} stripe sets for {h} heads")
+    sinks = np.arange(min(max(sink_tokens, 0), s_k), dtype=np.int64)
+    out = []
+    for hh, idx in enumerate(kv_indices):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= s_k):
+            raise MaskError(f"head {hh}: stripe index out of range [0, {s_k})")
+        out.append(np.union1d(idx, sinks))
+    return out
+
+
+def striped_element_counts(
+    s_q: int,
+    s_k: int,
+    window: int,
+    kv_indices: list[np.ndarray],
+    *,
+    sink_tokens: int = 0,
+    dense_last_rows: int = 0,
+    bands: list[tuple[int, int]] | None = None,
+) -> np.ndarray:
+    """Analytic per-head score-element counts of a window + band + stripe
+    plan.
+
+    Equals :attr:`~repro.attention.packed.PackedPrefillResult.computed_elements`
+    without running the kernel -- the performance model uses this to bill
+    paper-scale plans.  Each causal element is owned once: by the band
+    interval holding its distance, else by a stripe/sink column, and the
+    trailing ``dense_last_rows`` own their whole causal row.
+    """
+    h = len(kv_indices)
+    intervals = normalise_bands(window, bands)
+    stripes = normalise_indices(kv_indices, h, s_k, sink_tokens)
+    offset = s_k - s_q
+    rows = np.arange(s_q, dtype=np.int64) + offset  # absolute positions
+    dense_row_start = s_q - min(max(dense_last_rows, 0), s_q)
+    dense = np.arange(s_q) >= dense_row_start
+    nd_rows = rows[~dense]
+
+    # Band elements: per interval, each non-dense row i owns distances
+    # [d_lo, d_hi) clipped to [0, i].
+    band_total = 0
+    for d_lo, d_hi in intervals:
+        hi_key = nd_rows - d_lo  # largest key in interval, per row
+        lo_key = np.maximum(0, nd_rows - d_hi + 1)
+        band_total += int(np.maximum(0, hi_key - lo_key + 1).sum())
+    band_total += int((rows[dense] + 1).sum())  # dense rows own everything
+
+    r_lo = offset  # absolute range of non-dense rows: [r_lo, r_hi)
+    r_hi = offset + dense_row_start
+
+    counts = np.empty(h, dtype=np.int64)
+    for hh in range(h):
+        idx = stripes[hh]
+        if idx.size == 0:
+            counts[hh] = band_total
+            continue
+        owned = np.maximum(0, r_hi - np.maximum(idx, r_lo)).astype(np.int64)
+        for d_lo, d_hi in intervals:
+            excl = np.maximum(
+                0,
+                np.minimum(r_hi, idx + d_hi) - np.maximum(r_lo, idx + d_lo),
+            )
+            owned -= excl.astype(np.int64)
+        counts[hh] = band_total + int(np.maximum(owned, 0).sum())
+    return counts

@@ -1,28 +1,38 @@
 """Packed cross-request execution of SampleAttention's structured mask.
 
-At each engine batch step the co-scheduled prefill chunks execute as **one
-dispatch**: one validation pass over the batch, one grow-only
-:class:`~repro.attention.utils.KernelWorkspace`, then every item
-through the same two-part kernel, serially in the caller's thread.  The
-kernel attends at the *plan's own granularity* -- the paper's gathered
-``I_KV`` columns (and AnchorAttention's "stripe granularity") -- so its
-cost follows what the planner kept, not how many aligned 64-wide tiles
-the scattered stripe columns happen to touch:
+This is the one kernel that executes a
+:class:`~repro.core.plan.SparsePlan`: the library operator
+:func:`~repro.core.sample_attention` runs it as a batch of one, and at each
+engine batch step the co-scheduled prefill chunks execute as **one
+dispatch** -- one validation pass over the batch, one grow-only
+:class:`~repro.attention.utils.KernelWorkspace`, then every item through
+the same two-part kernel, serially in the caller's thread.  The kernel
+attends at the *plan's own granularity* -- the paper's gathered ``I_KV``
+columns (and AnchorAttention's "stripe granularity") -- so its cost follows
+what the planner kept, not how many aligned 64-wide tiles the scattered
+stripe columns happen to touch:
 
 * **Stripe part** -- per head, the stripe ∪ sink columns lying left of the
-  rows' windows are gathered (``np.take``) into contiguous ``K[I_KV]`` /
-  ``V[I_KV]`` scratch and scored by one ``(S_q x |I_KV|)`` GEMM.  Row ``i``
-  (absolute position ``p_i``) owns stripe column ``j`` iff ``j <= p_i -
-  window``, so only the few columns between the first and the last row's
-  window edge need a mask.
+  rows' windows are gathered once (``np.take``) into contiguous
+  ``K[I_KV]`` / ``V[I_KV]`` scratch and scored one 256-row block at a time
+  by a ``(rows x |I_KV|)`` GEMM over the columns left of the block's last
+  window edge, so a one-shot ``S_q = S_k`` call never scores the acausal
+  half of the rectangle and its scratch does not grow with ``S_q``.  Row
+  ``i`` (absolute position ``p_i``) owns stripe column ``j`` iff ``j <=
+  p_i - window`` and ``p_i - j`` lies in no diagonal band, so only the few
+  columns between the block's first and last window edge -- and those a
+  band crosses -- need a mask.
 * **Band part** -- the local window ``(p_i - window, p_i]`` as one batched
   GEMM per 64-row q-block over all heads of every KV group, ``(H_kv,
   n_rep * 64, d) @ K[:, span]^T`` against a *view* of the contiguous key
   span, under a single relative window/causal mask shared by every head,
-  q-block and item of that window width.  Dense last rows are a band as
-  wide as the prefix.
-* **One softmax** -- the band part joins the stripe part's accumulators
-  under the joint row max and one normaliser; the two PV GEMMs are summed.
+  q-block and item of that window width.  Every further distance interval
+  ``[d_lo, d_hi)`` of the plan (``extras["bands"]``, the slash half of the
+  vertical-slash providers) is one more such GEMM on a span shifted left
+  by ``d_lo``, under the relative mask of width ``d_hi - d_lo``.  Dense
+  last rows are a band as wide as the prefix.
+* **One softmax** -- every part joins the running accumulators under the
+  joint row max and one normaliser; the PV GEMMs are summed.
 
 Masking is dense arithmetic (a ``{0, 1}`` multiply after a plain ``exp``
 when the Cauchy-Schwarz bound rules out overflow, otherwise a bias before
@@ -32,8 +42,6 @@ Each item also carries its plan's *tile* footprint
 (:meth:`~repro.core.plan.SparsePlan.to_block_mask`) as the **accounting
 view**: visited tiles and the roofline billing built on them keep their
 meaning, next to the score elements the kernel actually computed.
-``extras["bands"]`` of a plan stay out of execution, as ``to_block_mask``
-documents.
 
 Entry point: :func:`packed_block_sparse_attention` over a list of
 :class:`PackedItem` (usually :meth:`PackedItem.from_plan`); the
@@ -44,17 +52,18 @@ per item plus the merged dispatch-level stats record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import MaskError, ShapeError
-from .masks import BlockMask
-from .striped import _normalise_indices, _total_causal_elements
+from .masks import BlockMask, normalise_bands, normalise_indices
 from .utils import (
     NEG_INF,
     KernelWorkspace,
     decode_row_attention,
     total_causal_blocks,
+    total_causal_elements,
     validate_qkv,
 )
 
@@ -71,6 +80,12 @@ __all__ = [
 #: Query rows per band GEMM: each q-block reads ``window + _BAND_ROWS - 1``
 #: key columns of which a row uses ``window``.
 _BAND_ROWS = 64
+
+#: Query rows per stripe GEMM: a row block scores only the gathered columns
+#: left of its last row's window edge, so the stripe scratch is bounded by
+#: ``_STRIPE_ROWS x |I_KV|`` whatever ``S_q`` is.  The engine's prefill
+#: chunks (<= 256 rows) are one block.
+_STRIPE_ROWS = 256
 
 #: Cauchy-Schwarz exp-overflow bound: below it the kernel exponentiates raw
 #: scores (no row-max pass).
@@ -97,10 +112,11 @@ class PackedItem:
     lengths across the batch are the norm).  What to execute is the
     plan's own geometry: ``window`` (local band width in tokens),
     ``kv_indices`` (per-head sorted stripe columns ``I_KV``),
-    ``sink_tokens`` (leading columns every head keeps) and
-    ``dense_last_rows`` (trailing rows that attend densely).  ``mask`` is
-    the same plan's tile footprint -- the accounting view; it is never
-    executed.
+    ``sink_tokens`` (leading columns every head keeps),
+    ``dense_last_rows`` (trailing rows that attend densely) and ``bands``
+    (extra diagonal distance intervals ``(d_lo, d_hi)`` every head keeps,
+    the plan's ``extras["bands"]``).  ``mask`` is the same plan's tile
+    footprint -- the accounting view; it is never executed.
 
     ``k_norm_sq`` optionally carries ``max_i ||k_i||^2`` computed
     incrementally by the caller (the serving engine tracks it per
@@ -116,6 +132,7 @@ class PackedItem:
     mask: BlockMask
     sink_tokens: int = 0
     dense_last_rows: int = 0
+    bands: Sequence[tuple[int, int]] = ()
     scale: float | None = None
     k_norm_sq: float | None = None
     tag: object = None
@@ -135,6 +152,7 @@ class PackedItem:
             mask=plan.to_block_mask(),
             sink_tokens=plan.config.sink_tokens,
             dense_last_rows=plan.config.dense_last_rows,
+            bands=plan.extras.get("bands") or (),
             scale=scale,
             k_norm_sq=k_norm_sq,
             tag=tag,
@@ -146,9 +164,9 @@ class PackedPrefillResult:
     """One item's result of a packed prefill dispatch.
 
     ``computed_elements`` is the ``(H,)`` count of score entries the
-    kernel kept live -- equal to
-    :meth:`~repro.core.plan.SparsePlan.element_counts` of a band-free plan
-    -- and ``visited_blocks`` the ``(H,)`` tile footprint of the item's
+    kernel kept live -- equal to the plan's
+    :meth:`~repro.core.plan.SparsePlan.element_counts` -- and
+    ``visited_blocks`` the ``(H,)`` tile footprint of the item's
     accounting mask (what a block-granular kernel would visit; the
     roofline billing is built on it).
     """
@@ -328,30 +346,52 @@ def _to_weights(s, masked, term, plain: bool, floor=None):
 
 
 def _window_dead(window: int) -> np.ndarray:
-    """The band's relative dead mask, one for every head and q-block.
+    """A band's relative dead mask, one for every head and q-block.
 
     Row ``r`` of a q-block whose first row sits at absolute position
     ``p0`` sees relative column ``c`` (absolute ``p0 - window + 1 + c``)
     iff ``r <= c < r + window``: left of that is outside the window, right
-    of it is the future.
+    of it is the future.  A diagonal band ``[d_lo, d_hi)`` is the window of
+    width ``d_hi - d_lo`` on a span shifted left by ``d_lo``.
     """
     r = np.arange(_BAND_ROWS)[:, None]
     c = np.arange(window + _BAND_ROWS - 1)[None, :]
     return (c < r) | (c >= r + window)
 
 
-def _execute_item(it: PackedItem, scale, stripes, ws: KernelWorkspace, terms: dict):
+def _stripe_dead(pos, cols, window: int, extras: list) -> np.ndarray:
+    """``(rows, columns)`` stripe entries that are not the stripe part's to
+    score: rows at positions ``pos`` see columns ``cols`` at a distance
+    inside the window, or inside an extra band (the band part owns them)."""
+    dead = (cols + window)[None, :] > pos[:, None]
+    if extras:
+        dist = pos[:, None] - cols[None, :]
+        for lo, hi in extras:
+            dead |= (dist >= lo) & (dist < hi)
+    return dead
+
+
+def _execute_item(
+    it: PackedItem, scale, stripes, intervals, ws: KernelWorkspace, terms: dict
+):
     """One item through the stripe part and the band part.
 
-    Returns ``(output, computed_elements, gemm_calls)``; everything is a
-    function of the item alone (scratch is fully written before it is
-    read), which is what makes the dispatch batch-invariant.
+    ``stripes`` are the item's stripe ∪ sink columns per head and
+    ``intervals`` its window and bands as disjoint distance intervals
+    (:func:`~repro.attention.masks.normalise_bands`).  Returns ``(output,
+    computed_elements, gemm_calls)``; everything is a function of the item
+    alone (scratch is fully written before it is read), which is what makes
+    the dispatch batch-invariant.
     """
     h, s_q, d = it.q.shape
     h_kv, s_k, _ = it.k.shape
     n_rep = h // h_kv
     offset = s_k - s_q
-    window = min(it.window, s_k)
+    # The window is the first distance interval (widened by any band that
+    # touches it), every further one an extra diagonal band; no distance
+    # reaches s_k.
+    window = min(intervals[0][1], s_k)
+    extras = [(lo, min(hi, s_k)) for lo, hi in intervals[1:] if lo < s_k]
     # Rows [0, s_nd) execute the plan; the trailing "bottom area" rows
     # attend to every causal key, i.e. a band as wide as the prefix.
     s_nd = s_q - min(max(it.dense_last_rows, 0), s_q)
@@ -380,86 +420,105 @@ def _execute_item(it: PackedItem, scale, stripes, ws: KernelWorkspace, terms: di
     gemms = 0
 
     # ---- stripe part: per head, gathered I_KV columns left of the window.
-    # Row i owns stripe column j iff j <= p_i - window, p_i = offset + i.
+    # Row i owns stripe column j iff j <= p_i - window (p_i = offset + i)
+    # and p_i - j lies in no extra band.
     edge = offset - window  # p_0 - window: columns <= edge belong to every row
-    rows_rel = np.arange(s_nd, dtype=np.int64)
+    pos = np.arange(offset, offset + s_nd, dtype=np.int64)
     for hh in range(h):
         cols = stripes[hh]
         cols = cols[: np.searchsorted(cols, edge + s_nd - 1, side="right")]
-        n = cols.size
-        if n == 0:
+        if cols.size == 0:
             continue
-        # Rows before i0 own none of the columns (first chunk: the window
-        # still covers the whole prefix), so every row computed has >= 1
-        # live entry; only columns right of row i0's window edge are ragged.
-        i0 = max(0, int(cols[0]) - edge)
-        c0 = int(np.searchsorted(cols, edge + i0, side="right"))
         kv = hh // n_rep
-        k_cols = np.take(kf[kv], cols, axis=0, out=ws.take("k_cols", (n, d)))
-        v_cols = np.take(vf[kv], cols, axis=0, out=ws.take("v_cols", (n, d)))
-        s = ws.take("s_cols", (s_nd - i0, n))
-        np.matmul(qf[hh, i0:s_nd], k_cols.T, out=s)
-        term = None
-        elements[hh] += s.size
-        if c0 < n:
-            dead = (cols[c0:] - edge)[None, :] > rows_rel[i0:, None]
-            elements[hh] -= int(np.count_nonzero(dead))
-            term = _mask_term(dead, plain)
-        ref = _to_weights(s, s[:, c0:], term, plain)
-        np.sum(s, axis=-1, out=l[hh, i0:s_nd])
-        np.matmul(s, v_cols, out=out[hh, i0:s_nd])
-        if ref is not None:
-            m[hh, i0:s_nd] = ref
-        gemms += 2
+        k_cols = np.take(kf[kv], cols, axis=0, out=ws.take("k_cols", (cols.size, d)))
+        v_cols = np.take(vf[kv], cols, axis=0, out=ws.take("v_cols", (cols.size, d)))
+        for b0 in range(0, s_nd, _STRIPE_ROWS):
+            b1 = min(b0 + _STRIPE_ROWS, s_nd)
+            # Columns right of the block's last window edge belong to none
+            # of its rows (the last block reaches every gathered column),
+            # and rows before i0 own none of the columns (first chunk: the
+            # window still covers the whole prefix).
+            n = cols.size
+            if b1 < s_nd:
+                n = int(np.searchsorted(cols, edge + b1 - 1, side="right"))
+            if n == 0:
+                continue
+            i0 = max(b0, int(cols[0]) - edge)
+            # Columns [0, c0) are live for every row computed: left of row
+            # i0's window edge and further than the farthest band reaches.
+            c0 = int(np.searchsorted(cols[:n], edge + i0, side="right"))
+            if extras:
+                c0 = min(c0, int(np.searchsorted(
+                    cols[:n], offset + i0 - extras[-1][1], side="right")))
+            s = ws.take("s_cols", (b1 - i0, n))
+            np.matmul(qf[hh, i0:b1], k_cols[:n].T, out=s)
+            term = None
+            elements[hh] += s.size
+            if c0 < n:
+                dead = _stripe_dead(pos[i0:b1], cols[c0:n], window, extras)
+                elements[hh] -= int(np.count_nonzero(dead))
+                term = _mask_term(dead, plain)
+            ref = _to_weights(s, s[:, c0:], term, plain)
+            np.sum(s, axis=-1, out=l[hh, i0:b1])
+            np.matmul(s, v_cols[:n], out=out[hh, i0:b1])
+            if ref is not None:
+                m[hh, i0:b1] = ref
+            gemms += 2
 
-    # ---- band part: per q-block, all heads of every KV group at once.
+    # ---- band part: per q-block, all heads of every KV group at once;
+    # spans are (shift, width) -- the extra bands first, the window (which
+    # gives every row a live entry) last.
     q4 = qf.reshape(h_kv, n_rep, s_q, d)
     out4 = out.reshape(h_kv, n_rep, s_q, d)
     l4 = l.reshape(h_kv, n_rep, s_q)
     m4 = None if plain else m.reshape(h_kv, n_rep, s_q)
-    blocks = [(r0, min(r0 + _BAND_ROWS, s_nd), window)
+    spans = [(lo, hi - lo) for lo, hi in extras] + [(0, window)]
+    blocks = [(r0, min(r0 + _BAND_ROWS, s_nd), spans)
               for r0 in range(0, s_nd, _BAND_ROWS)]
-    blocks += [(r0, min(r0 + _BAND_ROWS, s_q), s_k)
+    blocks += [(r0, min(r0 + _BAND_ROWS, s_q), [(0, s_k)])
                for r0 in range(s_nd, s_q, _BAND_ROWS)]
-    for r0, r1, w in blocks:
+    for r0, r1, block_spans in blocks:
         bq = r1 - r0
-        start = offset + r0 - w + 1  # unclipped left edge of the span
-        lo, hi = max(start, 0), offset + r1
-        n = hi - lo
-        key = (w, plain)
-        if key not in terms:
-            terms[key] = _mask_term(_window_dead(w), plain)
-        term = terms[key][:bq, lo - start:hi - start]
         q_blk = ws.take("q_band", (h_kv, n_rep, bq, d))
         np.copyto(q_blk, q4[:, :, r0:r1])
-        s = ws.take("s_band", (h_kv, n_rep * bq, n))
-        np.matmul(
-            q_blk.reshape(h_kv, n_rep * bq, d),
-            kf[:, lo:hi].transpose(0, 2, 1),
-            out=s,
-        )
-        s4 = s.reshape(h_kv, n_rep, bq, n)
-        ref = _to_weights(
-            s4, s4, term, plain, None if plain else m4[:, :, r0:r1]
-        )
-        pv = ws.take("pv_band", (h_kv, n_rep * bq, d))
-        np.matmul(s, vf[:, lo:hi], out=pv)
-        gemms += 2
-        l_blk = s4.sum(axis=-1)
-        o_blk = out4[:, :, r0:r1]
-        if plain:
-            l_blk += l4[:, :, r0:r1]
-        else:
-            # Rescale the stripe part from its own row max to the joint one.
-            a = np.exp(m4[:, :, r0:r1] - ref)
-            l_blk += l4[:, :, r0:r1] * a
-            o_blk *= a[..., None]
-        o_blk += pv.reshape(h_kv, n_rep, bq, d)
+        o_blk, l_blk = out4[:, :, r0:r1], l4[:, :, r0:r1]
+        m_blk = None if plain else m4[:, :, r0:r1]
+        for shift, w in block_spans:
+            start = offset + r0 - shift - w + 1  # unclipped left edge of the span
+            lo, hi = max(start, 0), offset + r1 - shift
+            if hi <= lo:  # the band starts further back than these rows reach
+                continue
+            n = hi - lo
+            key = (w, plain)
+            if key not in terms:
+                terms[key] = _mask_term(_window_dead(w), plain)
+            term = terms[key][:bq, lo - start:hi - start]
+            s = ws.take("s_band", (h_kv, n_rep * bq, n))
+            np.matmul(
+                q_blk.reshape(h_kv, n_rep * bq, d),
+                kf[:, lo:hi].transpose(0, 2, 1),
+                out=s,
+            )
+            s4 = s.reshape(h_kv, n_rep, bq, n)
+            ref = _to_weights(s4, s4, term, plain, m_blk)
+            pv = ws.take("pv_band", (h_kv, n_rep * bq, d))
+            np.matmul(s, vf[:, lo:hi], out=pv)
+            gemms += 2
+            l_new = s4.sum(axis=-1)
+            if plain:
+                l_new += l_blk
+            else:
+                # Rescale what is accumulated so far to the joint row max.
+                a = np.exp(m_blk - ref)
+                l_new += l_blk * a
+                o_blk *= a[..., None]
+                m_blk[...] = ref
+            o_blk += pv.reshape(h_kv, n_rep, bq, d)
+            l_blk[...] = l_new
+            # Live entries: the row at p keeps the band's keys in [0, p - shift].
+            reach = offset + np.arange(r0, r1) - shift + 1
+            elements += int(np.minimum(np.maximum(reach, 0), w).sum())
         o_blk /= l_blk[..., None]
-        # Live band entries: row r of the block keeps min(w, p_r + 1) keys.
-        elements += int(
-            np.minimum(w, offset + np.arange(r0, r1, dtype=np.int64) + 1).sum()
-        )
     return out, elements, gemms
 
 
@@ -474,12 +533,12 @@ def packed_block_sparse_attention(
     may be ragged.  Items execute serially in the caller's thread, and
     each item's output and counts are **batch-invariant**: bitwise the
     same alone or inside any permutation of a batch (the serving engine's
-    per-request path is a batch of one).  Outputs are within float32
-    summation tolerance (gated at 2e-5) of dense attention under the
-    item's *element* mask -- window band ∪ causal stripe/sink columns ∪
-    dense last rows, i.e. :func:`~repro.attention.striped.striped_attention`
-    without extra bands.  The dispatch-level ``stats`` dict reports the
-    packed-layout counters (``dispatches`` is always 1).
+    per-request path and :func:`~repro.core.sample_attention` are batches
+    of one).  Outputs are within float32 summation tolerance (gated at
+    2e-5) of dense attention under the item's *element* mask -- window
+    band ∪ extra diagonal bands ∪ causal stripe/sink columns ∪ dense last
+    rows.  The dispatch-level ``stats`` dict reports the packed-layout
+    counters (``dispatches`` is always 1).
     """
     stats = {"dispatches": 1, "packed_requests": len(items), "packed_rows": 0,
              "gemm_calls": 0, "tiles_visited": 0, "elements_computed": 0,
@@ -492,7 +551,7 @@ def packed_block_sparse_attention(
 
     # ---- one validation pass over the batch -----------------------------
     h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
-    checked = []  # per item: (scale, stripes ∪ sinks per head)
+    checked = []  # per item: (scale, stripes ∪ sinks per head, window ∪ bands)
     for i, it in enumerate(items):
         hi, hkvi, s_q, s_k, di = validate_qkv(it.q, it.k, it.v)
         if (hi, hkvi, di) != (h, h_kv, d):
@@ -514,16 +573,20 @@ def packed_block_sparse_attention(
         scale = np.float32(
             it.scale if it.scale is not None else 1.0 / np.sqrt(d)
         )
-        checked.append(
-            (scale, _normalise_indices(it.kv_indices, h, s_k, it.sink_tokens))
-        )
+        checked.append((
+            scale,
+            normalise_indices(it.kv_indices, h, s_k, it.sink_tokens),
+            normalise_bands(it.window, it.bands),
+        ))
         cu[i + 1] = cu[i] + s_q
 
-    terms: dict = {}  # band mask terms, shared by every item of equal window
+    terms: dict = {}  # band mask terms, shared by every item of equal width
     results = []
-    for it, (scale, stripes) in zip(items, checked):
+    for it, (scale, stripes, intervals) in zip(items, checked):
         s_q, s_k, b = it.mask.s_q, it.mask.s_k, it.mask.block_size
-        output, elements, gemms = _execute_item(it, scale, stripes, ws, terms)
+        output, elements, gemms = _execute_item(
+            it, scale, stripes, intervals, ws, terms
+        )
         # Tile footprint of the plan (the accounting view): blocks of the
         # mask reachable from each q-block's last row.
         nq, nk = it.mask.blocks.shape[1:]
@@ -536,7 +599,7 @@ def packed_block_sparse_attention(
                 visited_blocks=visited,
                 total_causal_blocks=total_causal_blocks(s_q, s_k, b),
                 computed_elements=elements,
-                total_causal_elements=_total_causal_elements(s_q, s_k),
+                total_causal_elements=total_causal_elements(s_q, s_k),
             )
         )
         stats["gemm_calls"] += gemms

@@ -29,6 +29,7 @@ __all__ = [
     "causal_mask",
     "validate_qkv",
     "total_causal_blocks",
+    "total_causal_elements",
     "KernelWorkspace",
     "expand_kv",
     "grouped_qk",
@@ -116,6 +117,12 @@ def total_causal_blocks(s_q: int, s_k: int, block_size: int) -> int:
         last_visible = (q1 - 1) + offset
         total += min(-(-s_k // block_size), last_visible // block_size + 1)
     return total
+
+
+def total_causal_elements(s_q: int, s_k: int) -> int:
+    """Score entries a dense causal kernel computes per head for
+    right-aligned queries: row ``i`` sees ``s_k - s_q + i + 1`` keys."""
+    return s_q * (s_k - s_q) + s_q * (s_q + 1) // 2
 
 
 class KernelWorkspace:

@@ -7,8 +7,8 @@ Three layers, all seeded and dependency-free:
 * :mod:`repro.audit.geometry` -- a geometry fuzzer sampling adversarial
   attention-call shapes (ragged tails, chunked-prefill offsets, GQA ratios,
   empty/full stripe sets, window and ``alpha`` extremes) and cross-checking
-  every kernel mode, the striped executor, the full Algorithm-1 pipeline
-  and the serving plan-cache reuse chain against the masked-dense oracle,
+  every kernel, the full Algorithm-1 pipeline, the serving plan-cache
+  reuse chain and the one plan executor against the masked-dense oracle,
   with failing cases shrunk to a minimal counterexample.
 * :mod:`repro.audit.campaign` -- the seed-budgeted fuzz campaign behind
   ``sampleattn audit``; writes ``AUDIT.json`` and fails on any divergence

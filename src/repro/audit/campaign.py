@@ -5,7 +5,11 @@ runtime contracts (:mod:`~repro.audit.contracts`) enabled, shrinks any
 failure to a minimal counterexample, and writes ``AUDIT.json``:
 
 * ``schema`` ``"sampleattn-audit/v1"``;
-* per-area pass/fail counts and the worst divergence observed;
+* per-area pass/fail counts and the worst divergence observed, plus how
+  many checks were bitwise alone-vs-in-batch comparisons
+  (``invariance_checks``) and how many executed a plan with non-empty
+  ``extras["bands"]`` (``banded_checks`` -- CI asserts both are non-zero
+  where they apply, so neither path can go green by not running);
 * every failing case as a shrunk, re-runnable counterexample
   (``GeometryCase`` fields + divergence + detail);
 * contract-check and contract-violation totals.
@@ -54,7 +58,7 @@ AUDIT_SCHEMA = "sampleattn-audit/v1"
 
 #: Default campaign: geometries per seed x seeds.  Two seeds at 256 cases
 #: give 512 fuzzed geometries -- the floor the acceptance criteria set is
-#: 500 -- each cross-checked in all four areas.
+#: 500 -- each cross-checked in every area.
 DEFAULT_BUDGET = 256
 DEFAULT_SEEDS = (0, 1)
 
@@ -69,6 +73,7 @@ class AreaReport:
     failed: int = 0
     checks: int = 0
     invariance_checks: int = 0
+    banded_checks: int = 0
     worst_divergence: float = 0.0
     counterexamples: list[dict] = field(default_factory=list)
 
@@ -78,6 +83,7 @@ class AreaReport:
         self.cases += 1
         self.checks += result.checks
         self.invariance_checks += result.invariance_checks
+        self.banded_checks += result.banded_checks
         if np.isfinite(result.divergence):
             self.worst_divergence = max(self.worst_divergence, result.divergence)
         if result.passed:
@@ -101,6 +107,7 @@ class AreaReport:
             "failed": self.failed,
             "checks": self.checks,
             "invariance_checks": self.invariance_checks,
+            "banded_checks": self.banded_checks,
             "worst_divergence": self.worst_divergence,
             "counterexamples": self.counterexamples,
         }

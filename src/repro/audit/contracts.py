@@ -15,8 +15,8 @@ six spots where a violation would corrupt results without crashing:
   window band and leaves no causally valid query row empty.
 * :func:`check_computed_elements` (the serving engine, after each packed
   prefill dispatch): the score elements the kernel kept live equal the
-  plan's own :meth:`~repro.core.SparsePlan.element_counts` exactly (minus
-  ``extras["bands"]``, which the packed executor leaves out).
+  plan's own :meth:`~repro.core.SparsePlan.element_counts` exactly,
+  ``extras["bands"]`` included.
 * :func:`check_no_alias` (:func:`repro.attention.fast_block_sparse_attention`):
   the fast path's output and workspace buffers never alias the caller's
   q/k/v arrays (an aliased scratch buffer would corrupt inputs mid-call).
@@ -40,7 +40,6 @@ enabled and reports the number of checks executed and violations seen.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -216,14 +215,11 @@ def check_merged_mask(plan: "SparsePlan", mask: "BlockMask") -> None:
 def check_computed_elements(plan: "SparsePlan", computed: np.ndarray) -> None:
     """Packed-prefill postcondition: the kernel's per-head live score
     elements are exactly what the plan's element mask holds -- window band
-    ∪ causal stripes ∪ sinks ∪ dense last rows; ``extras["bands"]`` stay
-    out of packed execution, as :meth:`SparsePlan.to_block_mask`
-    documents."""
+    ∪ ``extras["bands"]`` ∪ causal stripes ∪ sinks ∪ dense last rows."""
     if not _enabled:
         return
     _ran()
-    extras = {k: v for k, v in plan.extras.items() if k != "bands"}
-    expected = dataclasses.replace(plan, extras=extras).element_counts()
+    expected = plan.element_counts()
     if not np.array_equal(np.asarray(computed), expected):
         _fail(
             f"packed kernel computed {np.asarray(computed).tolist()} score "

@@ -2,14 +2,13 @@
 
 Every way this package can compute attention -- dense, tiled flash, the
 two block-sparse kernels (the tile-at-a-time oracle and the coalesced fast
-path), the striped executor, the full Algorithm-1
-pipeline, the serving chain's ``plan -> PlanCache.get/extended ->
-execute`` reuse path, the paged-KV gather feeding all of them, and the
-packed cross-request dispatch batching ragged items into one call -- must
-agree with the masked-dense gold standard on *every* geometry, not just
-the hand-picked shapes unit tests use.  This
-module samples the shapes that historically break index-built sparse
-kernels:
+path), the full Algorithm-1 pipeline, the serving chain's ``plan ->
+PlanCache.get/extended -> execute`` reuse path, the paged-KV gather
+feeding all of them, and the one plan executor -- the packed
+cross-request dispatch batching ragged items into one call, diagonal bands
+included -- must agree with the masked-dense gold standard on *every*
+geometry, not just the hand-picked shapes unit tests use.  This module
+samples the shapes that historically break index-built sparse kernels:
 
 * ragged tails (``S % block_size != 0``) and single-token sequences,
 * chunked-prefill offsets (``s_q < s_k``, right-aligned queries),
@@ -17,6 +16,8 @@ kernels:
   fast path's pattern-group sizes,
 * empty and full per-head stripe sets,
 * ``window`` at its extremes (``0`` -- must be rejected -- ``1``, ``s_k``),
+* extra diagonal bands overlapping the window, adjacent to it, crossing
+  stripe columns and reaching past the prefix,
 * ``alpha``/``r_row``/``min_keep`` at their domain edges.
 
 A failing case is shrunk greedily to a minimal counterexample so the
@@ -41,7 +42,6 @@ from ..attention.masks import (
     stripe_block_mask,
     window_block_mask,
 )
-from ..attention.striped import striped_attention
 from ..attention.utils import KernelWorkspace
 from ..config import SampleAttentionConfig
 from ..core.plan import SparsePlan
@@ -68,7 +68,7 @@ TOLERANCE = 2e-5
 
 #: The cross-checked areas, in execution-chain order.
 AUDIT_AREAS = (
-    "kernels", "striped", "pipeline", "serving", "providers", "paged",
+    "kernels", "pipeline", "serving", "providers", "paged",
     "packed", "packed_decode",
 )
 
@@ -112,6 +112,9 @@ class CaseResult:
     #: of ``checks``, the bitwise alone-vs-in-batch comparisons
     #: (``packed`` and ``packed_decode``)
     invariance_checks: int = 0
+    #: of ``checks``, those that executed a plan with non-empty
+    #: ``extras["bands"]`` (``packed`` and ``providers``)
+    banded_checks: int = 0
 
 
 def sample_case(rng: np.random.Generator) -> GeometryCase:
@@ -207,59 +210,29 @@ def _merged_block_mask(case: GeometryCase, stripes: list[np.ndarray]) -> BlockMa
     return mask
 
 
-def _element_mask(
-    h: int,
-    s_q: int,
-    s_k: int,
-    window: int,
-    stripes: list[np.ndarray],
-    sink_tokens: int,
-    dense_last_rows: int,
-) -> np.ndarray:
-    """Elementwise ``(H, s_q, s_k)`` oracle mask for the striped executor:
-    band ``(p - window, p]`` ∪ causal stripes ∪ sinks ∪ dense last rows."""
-    offset = s_k - s_q
-    rows = np.arange(s_q, dtype=np.int64)[:, None] + offset  # absolute pos
+def _plan_element_mask(plan: SparsePlan) -> np.ndarray:
+    """Elementwise ``(H, s_q, s_k)`` oracle mask for a :class:`SparsePlan`
+    execution: band ``(p - window, p]`` ∪ ``extras["bands"]`` diagonals (a
+    band ``(lo, hi)`` holds the causal elements with ``lo <= p - col <
+    hi``, shared across heads) ∪ causal stripes ∪ sinks ∪ dense last
+    rows."""
+    s_q, s_k = plan.s_q, plan.s_k
+    rows = np.arange(s_q, dtype=np.int64)[:, None] + (s_k - s_q)  # absolute pos
     cols = np.arange(s_k, dtype=np.int64)[None, :]
-    causal = cols <= rows
-    band = causal & (cols > rows - window)
-    sinks = np.arange(min(max(sink_tokens, 0), s_k), dtype=np.int64)
-    mask = np.zeros((h, s_q, s_k), dtype=bool)
-    for hh in range(h):
+    delta = rows - cols
+    causal = delta >= 0
+    band = causal & (delta < plan.window)
+    for lo, hi in plan.extras.get("bands") or ():
+        band |= causal & (delta >= lo) & (delta < hi)
+    sinks = np.arange(min(max(plan.config.sink_tokens, 0), s_k), dtype=np.int64)
+    mask = np.zeros((plan.n_heads, s_q, s_k), dtype=bool)
+    for hh, stripes in enumerate(plan.kv_indices):
         keep = np.zeros(s_k, dtype=bool)
-        keep[np.union1d(stripes[hh], sinks).astype(np.int64)] = True
+        keep[np.union1d(stripes, sinks).astype(np.int64)] = True
         mask[hh] = band | (keep[None, :] & causal)
-    if dense_last_rows > 0:
-        start = max(s_q - dense_last_rows, 0)
+    if plan.config.dense_last_rows > 0:
+        start = max(s_q - plan.config.dense_last_rows, 0)
         mask[:, start:] = causal[start:]
-    return mask
-
-
-def _plan_element_mask(plan: SparsePlan, *, bands: bool = True) -> np.ndarray:
-    """Elementwise oracle mask for a :class:`SparsePlan` execution.
-
-    With ``bands`` (the striped kernel's semantics) any ``extras["bands"]``
-    diagonal bands are covered too (a band ``(lo, hi)`` holds elements with
-    ``lo <= row_pos - col < hi``, shared across heads); the packed prefill
-    executor leaves them out, as ``to_block_mask`` does."""
-    mask = _element_mask(
-        plan.n_heads,
-        plan.s_q,
-        plan.s_k,
-        plan.window,
-        plan.kv_indices,
-        plan.config.sink_tokens,
-        plan.config.dense_last_rows,
-    )
-    extra = (plan.extras.get("bands") or []) if bands else []
-    if extra:
-        offset = plan.s_k - plan.s_q
-        rows = np.arange(plan.s_q, dtype=np.int64)[:, None] + offset
-        cols = np.arange(plan.s_k, dtype=np.int64)[None, :]
-        delta = rows - cols
-        causal = delta >= 0
-        for lo, hi in extra:
-            mask |= (causal & (delta >= lo) & (delta < hi))[None]
     return mask
 
 
@@ -327,54 +300,9 @@ def _check_kernels(case: GeometryCase) -> CaseResult:
     )
 
 
-def _check_striped(case: GeometryCase) -> CaseResult:
-    """striped executor vs the elementwise band ∪ stripe ∪ sink oracle."""
-    q, k, v = _qkv(case)
-    stripes = _stripes(case)
-    if case.window == 0:
-        try:
-            striped_attention(
-                q,
-                k,
-                v,
-                0,
-                stripes,
-                sink_tokens=case.sink_tokens,
-                dense_last_rows=case.dense_last_rows,
-            )
-        except (ConfigError, MaskError):
-            return CaseResult("striped", True, 0.0, "window=0 rejected")
-        return CaseResult(
-            "striped", False, float("inf"), "window=0 accepted by executor"
-        )
-    out = striped_attention(
-        q,
-        k,
-        v,
-        case.window,
-        stripes,
-        sink_tokens=case.sink_tokens,
-        dense_last_rows=case.dense_last_rows,
-        block_size=max(case.block_size, 1),
-    ).output
-    oracle_mask = _element_mask(
-        case.h,
-        case.s_q,
-        case.s_k,
-        case.window,
-        stripes,
-        case.sink_tokens,
-        case.dense_last_rows,
-    )
-    oracle = dense_attention(q, k, v, mask=oracle_mask).output
-    div = _divergence(out, oracle)
-    return CaseResult(
-        "striped", div <= TOLERANCE, div, "striped vs elementwise oracle"
-    )
-
-
 def _check_pipeline(case: GeometryCase) -> CaseResult:
-    """Full Algorithm 1: plan, then both executors vs their oracles."""
+    """Full Algorithm 1: plan, execute it, and run the same plan at tile
+    granularity through both block kernels -- each vs its own oracle."""
     q, k, v = _qkv(case)
     cfg = _config(case)
     plan = plan_sample_attention(q, k, cfg)
@@ -384,25 +312,18 @@ def _check_pipeline(case: GeometryCase) -> CaseResult:
         )
     worst, worst_detail, checks = 0.0, "", 0
 
-    striped_out = sample_attention(q, k, v, cfg, plan=plan).output
+    out = sample_attention(q, k, v, cfg, plan=plan).output
     oracle = dense_attention(q, k, v, mask=_plan_element_mask(plan)).output
-    div = _divergence(striped_out, oracle)
+    div = _divergence(out, oracle)
     checks += 1
     if div > worst:
-        worst, worst_detail = div, "pipeline striped vs oracle"
+        worst, worst_detail = div, "pipeline vs element oracle"
 
-    block_oracle = dense_attention(
-        q, k, v, mask=plan.to_block_mask().to_dense()
-    ).output
+    mask = plan.to_block_mask()
+    block_oracle = dense_attention(q, k, v, mask=mask.to_dense()).output
     for name, out in (
-        (
-            "reference",
-            block_sparse_attention(q, k, v, plan.to_block_mask()).output,
-        ),
-        (
-            "fast",
-            sample_attention(q, k, v, cfg, plan=plan, execution="block").output,
-        ),
+        ("reference", block_sparse_attention(q, k, v, mask).output),
+        ("fast", fast_block_sparse_attention(q, k, v, mask).output),
     ):
         div = _divergence(out, block_oracle)
         checks += 1
@@ -491,15 +412,15 @@ def _check_serving(case: GeometryCase) -> CaseResult:
 
 
 def _packed_divergence(q, k, v, plan: SparsePlan) -> float:
-    """``plan`` through the serving executor (a packed batch of one) vs
-    dense attention under the plan's element mask, bands excluded; a
+    """``plan`` through the one executor (a packed batch of one) vs dense
+    attention under the plan's element mask, bands included; a
     computed-element count off the mask's own is an infinite divergence."""
     from ..attention.packed import PackedItem, packed_block_sparse_attention
 
     got = packed_block_sparse_attention(
         [PackedItem.from_plan(q, k, v, plan)]
     ).results[0]
-    element_mask = _plan_element_mask(plan, bands=False)
+    element_mask = _plan_element_mask(plan)
     if not np.array_equal(got.computed_elements, element_mask.sum(axis=(1, 2))):
         return float("inf")
     oracle = dense_attention(q, k, v, mask=element_mask).output
@@ -507,17 +428,16 @@ def _packed_divergence(q, k, v, plan: SparsePlan) -> float:
 
 
 def _check_providers(case: GeometryCase) -> CaseResult:
-    """Every plan provider's plan -> execute pipeline vs the masked-dense
-    oracle of the plan's *element* mask -- the striped kernel with
-    ``extras["bands"]``, the packed serving executor without -- plus the
-    ``PlanCache.get``/``extended`` serving-reuse path on the ragged grown
-    geometry: one area holding the whole provider zoo to the same bar as
-    the default planner."""
+    """Every plan provider's plan -> execute pipeline: one execution (the
+    packed kernel, ``extras["bands"]`` included) vs one masked-dense oracle
+    of the plan's *element* mask, plus the ``PlanCache.get``/``extended``
+    serving-reuse path on the ragged grown geometry -- one area holding
+    the whole provider zoo to the same bar as the default planner."""
     from ..config import PLAN_PROVIDER_NAMES
     from ..core.providers import make_provider
 
     q, k, v = _qkv(case)
-    worst, worst_detail, checks = 0.0, "", 0
+    worst, worst_detail, checks, banded = 0.0, "", 0, 0
     for name in PLAN_PROVIDER_NAMES:
         cfg = _config(case).replace(provider=name)
         # Fresh instance per case: stateful providers must not leak
@@ -534,17 +454,11 @@ def _check_providers(case: GeometryCase) -> CaseResult:
                 checks=checks,
             )
 
-        striped_out = sample_attention(q, k, v, cfg, plan=plan).output
-        oracle = dense_attention(q, k, v, mask=_plan_element_mask(plan)).output
-        div = _divergence(striped_out, oracle)
-        checks += 1
-        if div > worst:
-            worst, worst_detail = div, f"{name}: striped vs oracle"
-
         div = _packed_divergence(q, k, v, plan)
         checks += 1
+        banded += bool(plan.extras.get("bands"))
         if div > worst:
-            worst, worst_detail = div, f"{name}: packed vs element oracle"
+            worst, worst_detail = div, f"{name}: executed plan vs oracle"
 
         if case.s_k < 2:
             continue
@@ -591,20 +505,11 @@ def _check_providers(case: GeometryCase) -> CaseResult:
                 f"{name}: extended plan fails validate()",
                 checks=checks,
             )
-        out = sample_attention(
-            q_full[:, s_k0:], k_full, v_full, cfg, plan=plan1
-        ).output
-        reuse_oracle = dense_attention(
-            q_full[:, s_k0:], k_full, v_full, mask=_plan_element_mask(plan1)
-        ).output
-        div = _divergence(out, reuse_oracle)
-        checks += 1
-        if div > worst:
-            worst, worst_detail = div, f"{name}: reused plan vs oracle"
         div = _packed_divergence(q_full[:, s_k0:], k_full, v_full, plan1)
         checks += 1
+        banded += bool(plan1.extras.get("bands"))
         if div > worst:
-            worst, worst_detail = div, f"{name}: reused plan, packed vs oracle"
+            worst, worst_detail = div, f"{name}: reused plan vs oracle"
         again = cache.get(0, 0, chunk_index=1, s_q=plan0.s_q, s_k=plan0.s_k)
         checks += 1
         if again is not plan0:
@@ -621,6 +526,7 @@ def _check_providers(case: GeometryCase) -> CaseResult:
         worst,
         worst_detail or "all providers agree",
         checks=checks,
+        banded_checks=banded,
     )
 
 
@@ -763,11 +669,28 @@ def _check_paged(case: GeometryCase) -> CaseResult:
     )
 
 
+def _bands(case: GeometryCase) -> list[tuple[int, int]]:
+    """Extra diagonal bands of the hand-built plan: none for half the
+    cases, else one or two distance intervals starting anywhere in ``[0,
+    s_k]`` -- inside or adjacent to the window, across stripe columns,
+    overlapping each other, past the prefix."""
+    rng = np.random.default_rng(case.seed + 8)
+    if rng.random() < 0.5:
+        return []
+    bands = []
+    for _ in range(int(rng.integers(1, 3))):
+        lo = int(rng.integers(0, case.s_k + 1))
+        bands.append((lo, lo + int(rng.integers(1, case.s_k // 2 + 2))))
+    return bands
+
+
 def _case_plan(case: GeometryCase) -> SparsePlan:
     """The fuzzed geometry as a hand-built plan (stripes from ``_stripes``,
-    the case's window taken literally, sinks / bottom rows / block size
-    from ``_config``) -- what a planner could hand the serving executor."""
+    bands from ``_bands``, the case's window taken literally, sinks /
+    bottom rows / block size from ``_config``) -- what a planner could hand
+    the executor."""
     stripes = _stripes(case)
+    bands = _bands(case)
     return SparsePlan(
         kv_indices=stripes,
         window=case.window,
@@ -779,6 +702,7 @@ def _case_plan(case: GeometryCase) -> SparsePlan:
         config=_config(case),
         s_q=case.s_q,
         s_k=case.s_k,
+        extras={"bands": bands} if bands else {},
     )
 
 
@@ -812,35 +736,40 @@ def _packed_batch(case: GeometryCase) -> list[tuple]:
 
 
 def _check_packed(case: GeometryCase) -> CaseResult:
-    """Packed cross-request prefill dispatch vs the element-mask oracle.
+    """The plan executor -- a packed cross-request prefill dispatch -- vs
+    the element-mask oracle.
 
     One :func:`packed_block_sparse_attention` call over the ragged batch
-    must, per item: match dense attention under the plan's *element* mask
-    within ``TOLERANCE``; count exactly that mask's elements per head;
-    report the plan's tile footprint (the accounting view -- the engine's
-    billing rests on it) exactly as the per-request fast path counts it on
-    ``plan.to_block_mask()``; and be bitwise the same alone as in the
-    batch.
+    of hand-built plans must, per item: match dense attention under the
+    plan's *element* mask (window ∪ bands ∪ stripes ∪ sinks ∪ dense last
+    rows) within ``TOLERANCE``; count exactly that mask's elements per
+    head; report the plan's tile footprint (the accounting view -- the
+    engine's billing rests on it) exactly as the block fast path counts it
+    on ``plan.to_block_mask()``; and be bitwise the same alone as in the
+    batch.  A ``window = 0`` plan must be rejected, not executed.
     """
     from ..attention.packed import PackedItem, packed_block_sparse_attention
 
     if case.window == 0:
         try:
-            window_block_mask(case.h, case.s_q, case.s_k, case.block_size, 0)
-        except MaskError:
+            packed_block_sparse_attention(
+                [PackedItem.from_plan(*_qkv(case), _case_plan(case))]
+            )
+        except (ConfigError, MaskError):
             return CaseResult("packed", True, 0.0, "window=0 rejected")
         return CaseResult(
-            "packed", False, float("inf"), "window=0 accepted by builder"
+            "packed", False, float("inf"), "window=0 accepted by executor"
         )
     batch = _packed_batch(case)
     items = [PackedItem.from_plan(q, k, v, plan) for _, q, k, v, plan in batch]
     workspace = KernelWorkspace()
     res = packed_block_sparse_attention(items, workspace=workspace)
 
-    worst, worst_detail, checks, invariance = 0.0, "", 0, 0
+    worst, worst_detail, checks, invariance, banded = 0.0, "", 0, 0, 0
     for (var, q, k, v, plan), item, got in zip(batch, items, res.results):
         where = f"(s_q={var.s_q}, s_k={var.s_k})"
-        element_mask = _plan_element_mask(plan, bands=False)
+        checks_before = checks
+        element_mask = _plan_element_mask(plan)
         oracle = dense_attention(q, k, v, mask=element_mask).output
         div = _divergence(got.output, oracle)
         checks += 1
@@ -861,6 +790,8 @@ def _check_packed(case: GeometryCase) -> CaseResult:
         invariance += 1
         if not np.array_equal(alone.output, got.output):
             failure = f"item {where} differs alone vs in the batch"
+        if item.bands:
+            banded += checks - checks_before
         if failure is not None:
             return CaseResult("packed", False, float("inf"), failure)
     return CaseResult(
@@ -870,6 +801,7 @@ def _check_packed(case: GeometryCase) -> CaseResult:
         worst_detail or "packed batch agrees",
         checks=checks,
         invariance_checks=invariance,
+        banded_checks=banded,
     )
 
 
@@ -964,7 +896,6 @@ def _check_packed_decode(case: GeometryCase) -> CaseResult:
 
 _CHECKERS = {
     "kernels": _check_kernels,
-    "striped": _check_striped,
     "pipeline": _check_pipeline,
     "serving": _check_serving,
     "providers": _check_providers,

@@ -22,7 +22,6 @@ from .attention.masks import BlockMask
 from .attention.utils import KernelWorkspace
 from .config import DEFAULT_CONFIG, SampleAttentionConfig
 from .core.sample_attention import sample_attention
-from .errors import ConfigError
 
 __all__ = [
     "AttentionBackend",
@@ -97,20 +96,14 @@ class SampleAttentionBackend(AttentionBackend):
         selection_mode: str = "exact",
         reduction: str = "sum",
         record_plans: bool = False,
-        execution: str = "striped",
     ) -> None:
         super().__init__()
-        if execution not in ("striped", "block"):
-            raise ConfigError(
-                f"execution must be 'striped' or 'block', got {execution!r}"
-            )
         self.config = config
         self.selection_mode = selection_mode
         self.reduction = reduction
         self.record_plans = record_plans
         self.plans: list = []
-        self.execution = execution
-        self._workspace = KernelWorkspace() if execution == "block" else None
+        self._workspace = KernelWorkspace()  # warm scratch across layers
         self._provider = None
         if config.provider != "sample":
             from .core.providers import make_provider
@@ -130,7 +123,6 @@ class SampleAttentionBackend(AttentionBackend):
             plan=plan,
             selection_mode=self.selection_mode,
             reduction=self.reduction,
-            execution=self.execution,
             workspace=self._workspace,
         )
         if self.record_plans:
@@ -138,7 +130,7 @@ class SampleAttentionBackend(AttentionBackend):
                 self.plans = []
             self.plans.append(res.plan)
         self._record(
-            density=res.kernel.density,
+            density=res.kernel.element_density,
             mean_kv_ratio=res.plan.mean_kv_ratio,
             window=res.plan.window,
             n_sampled_rows=int(res.plan.sampled_rows.size),

@@ -164,7 +164,7 @@ class AutotunedSampleAttentionBackend(AttentionBackend):
         cfg = self.base_config.replace(alpha=self._tuned_alpha)
         res = sample_attention(q, k, v, cfg, scale=scale)
         self._record(
-            density=res.kernel.density,
+            density=res.kernel.element_density,
             mean_kv_ratio=res.plan.mean_kv_ratio,
             tuned_alpha=self._tuned_alpha,
             window=res.plan.window,

@@ -11,7 +11,8 @@ This module detects such bands from the same stage-1 sampled rows the
 stripe filter uses: fold each sampled row's exact probabilities onto
 relative-distance coordinates, average, and report distances (outside the
 local window) holding more than ``min_mass`` of a typical row's attention.
-The detected bands plug into the striped kernel's ``bands`` argument, so
+The detected bands ride on the plan as ``extras["bands"]`` and the packed
+kernel executes them as extra band GEMMs parallel to the window, so
 capturing a diagonal costs ``O(S * band_width)`` instead of the huge stripe
 set the column statistic would otherwise select.
 """

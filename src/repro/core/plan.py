@@ -5,8 +5,11 @@ A plan captures everything the two filtering stages decided for one
 ``I_KV``, and the accounting numbers (kept-KV ratios, predicted element
 density, sampling cost) that the benchmarks and the performance model
 consume.  Keeping it as an explicit object makes the pipeline inspectable:
-``plan_sample_attention`` is pure analysis, the striped kernel is pure
-compute.
+``plan_sample_attention`` is pure analysis, the packed kernel
+(:mod:`repro.attention.packed`) is pure compute -- and the only code that
+executes a plan, in the library operator and the serving engine alike:
+window, ``extras["bands"]``, stripes, sinks and dense last rows, exactly
+the elements :meth:`SparsePlan.element_counts` predicts.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from ..attention.masks import (
     dense_rows_block_mask,
     sink_block_mask,
     stripe_block_mask,
+    striped_element_counts,
     window_block_mask,
 )
-from ..attention.striped import striped_element_counts
+from ..attention.utils import total_causal_elements
 from ..audit import contracts
 from ..config import SampleAttentionConfig
 from ..errors import ConfigError
@@ -86,9 +90,9 @@ class SparsePlan:
         return float(self.kv_ratio.mean()) if self.kv_ratio.size else 0.0
 
     def element_counts(self) -> np.ndarray:
-        """Per-head score elements the striped kernel will compute (the
-        packed prefill kernel computes exactly these too, less any
-        ``extras["bands"]``, and asserts so under contracts)."""
+        """Per-head score elements the packed kernel will compute for this
+        plan, ``extras["bands"]`` included (the serving engine asserts the
+        equality under contracts)."""
         return striped_element_counts(
             self.s_q,
             self.s_k,
@@ -112,8 +116,7 @@ class SparsePlan:
                 f"element_density requires s_q <= s_k, got s_q={self.s_q} "
                 f"> s_k={self.s_k}"
             )
-        offset = self.s_k - self.s_q
-        total = int(np.sum(np.arange(self.s_q, dtype=np.int64) + offset + 1))
+        total = total_causal_elements(self.s_q, self.s_k)
         if total == 0:
             return 0.0
         return float(self.element_counts().mean() / total)
@@ -222,17 +225,17 @@ class SparsePlan:
 
     def to_block_mask(self, block_size: int | None = None) -> BlockMask:
         """Tile-granular view of the plan (window ∪ stripes ∪ sinks ∪
-        bottom area; ``extras["bands"]`` are ignored).
+        bottom area; ``extras["bands"]`` are left out).
 
-        This is the plan's **accounting view**, not what the serving
-        engine executes: the packed prefill kernel attends at stripe
-        granularity (``window`` + ``kv_indices`` themselves, see
-        :mod:`repro.attention.packed`) and carries this mask only to
-        report the tile footprint a block-granular kernel would visit --
-        the roofline billing, ``kernel_packed_tiles_visited`` and the
-        merged-mask contract are built on it.  The block kernels
-        (``sample_attention(execution="block")``, the structured
-        baselines) still execute it directly.
+        This is the plan's **accounting view**, not what gets executed:
+        the packed kernel attends at stripe granularity (``window``, bands
+        and ``kv_indices`` themselves, see :mod:`repro.attention.packed`)
+        and carries this mask only to report the tile footprint a
+        block-granular kernel would visit -- the roofline billing,
+        ``kernel_packed_tiles_visited`` and the merged-mask contract are
+        built on it.  Tile-granular execution of a plan is
+        ``fast_block_sparse_attention(q, k, v, plan.to_block_mask())``
+        (the design ablation and the audit's ``pipeline`` area do that).
         """
         b = block_size or self.config.block_size
         h = self.n_heads

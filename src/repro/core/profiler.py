@@ -14,8 +14,8 @@ Two distinct tools share this module:
 * :class:`StageProfiler` -- a wall-clock stage timer threaded through the
   SampleAttention pipeline (``sample`` -> ``filter`` -> ``attend``,
   mirroring Figure 5b's sampling-vs-sparse-compute breakdown) plus counters
-  for kernel execution-path accounting (runs coalesced, head groups
-  batched).  The serving engine attaches one per run so ``sampleattn
+  for kernel execution-path accounting (packed dispatches, GEMM calls,
+  tiles visited, elements computed).  The serving engine attaches one per run so ``sampleattn
   serve`` can report where chunk time goes.
 """
 

@@ -4,10 +4,11 @@ SampleAttention's window+stripe structure is one point in the sparse-pattern
 space the paper positions itself against.  This module makes the *planner*
 pluggable while everything downstream stays shared: every provider emits an
 ordinary :class:`~repro.core.SparsePlan` (window, per-head ``kv_indices``,
-optional ``extras["bands"]`` slashes), so the striped and block executors,
-the packed cross-request kernels, ``PlanCache.get``/``SparsePlan.extended``
-serving reuse, the runtime CRA guard, and the audit fuzzer's masked-dense
-oracle all apply unchanged.
+optional ``extras["bands"]`` slashes), so the one plan executor
+(:mod:`repro.attention.packed`, which executes verticals *and* slashes, in
+the library operator and the serving engine alike),
+``PlanCache.get``/``SparsePlan.extended`` serving reuse, the runtime CRA
+guard, and the audit fuzzer's masked-dense oracle all apply unchanged.
 
 Three providers ship (:data:`~repro.config.PLAN_PROVIDER_NAMES`):
 
@@ -483,13 +484,14 @@ class VerticalSlashProvider:
     adapts the stripe count to how peaked each head's distribution
     actually is.  Slash diagonals are detected once per call with the
     lightweight distance-profile detector and attached as
-    ``extras["bands"]`` -- the striped kernel executes them as bands
-    parallel to the window with zero kernel changes.  The vertical set is
-    then topped up until its column-mass share clears ``alpha``, keeping
-    ``achieved_share`` comparable with the default provider across every
-    execution path (bands are bonus coverage, deliberately *not* counted
-    toward alpha, because the block/packed kernels rasterise plans without
-    bands).
+    ``extras["bands"]`` -- the packed kernel executes them as bands
+    parallel to the window, in the library operator and the serving engine
+    alike.  The vertical set is then topped up until its column-mass share
+    clears ``alpha``, keeping ``achieved_share`` comparable with the
+    default provider (bands are bonus coverage, deliberately *not* counted
+    toward alpha: the share is a statement about sampled *column* mass,
+    and the tile-granular accounting view ``to_block_mask`` leaves bands
+    out).
     """
 
     name = "vertical_slash"

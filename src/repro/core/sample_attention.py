@@ -1,11 +1,13 @@
 """SampleAttention: the paper's Algorithm 1, end to end.
 
 ``plan_sample_attention`` runs the two filtering stages; ``sample_attention``
-additionally executes the plan on the window+stripe ("striped") kernel.  The
-split mirrors the paper's implementation -- a fused sampling kernel
-producing ``I_KV``, then a modified FlashAttention kernel consuming the
-merged structured mask -- and lets benchmarks time the two phases separately
-(Figure 5b's sampling-vs-sparse-compute breakdown).
+additionally executes the plan on the one kernel that executes plans -- the
+stripe-granular packed executor (:mod:`repro.attention.packed`) the serving
+engine dispatches, here as a batch of one.  The split mirrors the paper's
+implementation -- a fused sampling kernel producing ``I_KV``, then a
+modified FlashAttention kernel consuming the merged structured mask -- and
+lets benchmarks time the two phases separately (Figure 5b's
+sampling-vs-sparse-compute breakdown).
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..attention.fastpath import fast_block_sparse_attention
-from ..attention.striped import StripedAttentionResult, striped_attention
+from ..attention.packed import (
+    PackedItem,
+    PackedPrefillResult,
+    packed_block_sparse_attention,
+)
 from ..attention.utils import KernelWorkspace, validate_qkv
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
-from ..errors import ConfigError
 from .filtering import select_kv_indices
 from .plan import SparsePlan
 from .sampling import sample_column_scores, sampled_row_indices
@@ -43,12 +47,14 @@ class SampleAttentionResult:
     plan:
         The :class:`~repro.core.plan.SparsePlan` that produced it.
     kernel:
-        Striped-kernel accounting (computed elements, achieved density).
+        The packed kernel's per-item result: computed score elements and
+        ``element_density`` (what the plan predicts), next to the plan's
+        tile footprint and its tile ``density`` (the accounting view).
     """
 
     output: np.ndarray
     plan: SparsePlan
-    kernel: StripedAttentionResult
+    kernel: PackedPrefillResult
 
 
 def plan_sample_attention(
@@ -77,8 +83,8 @@ def plan_sample_attention(
         Stage-1 column reduction (``"sum"`` is the paper's choice).
     detect_diagonals:
         Also run the Appendix-A.6 diagonal detector and attach the found
-        distance bands to ``plan.extras["bands"]``; the striped executor
-        covers them as extra bands parallel to the window.
+        distance bands to ``plan.extras["bands"]``; the kernel covers
+        them as extra bands parallel to the window.
     profiler:
         Optional :class:`~repro.core.profiler.StageProfiler`; stage 1 is
         timed as ``"sample"``, stage 2 as ``"filter"``.
@@ -135,7 +141,6 @@ def sample_attention(
     plan: SparsePlan | None = None,
     selection_mode: str = "exact",
     reduction: str = "sum",
-    execution: str = "striped",
     workspace: KernelWorkspace | None = None,
     profiler: "StageProfiler | None" = None,
 ) -> SampleAttentionResult:
@@ -143,26 +148,20 @@ def sample_attention(
 
     Drop-in replacement for dense causal attention during prefill: plans the
     head-specific window+stripe structure (unless a precomputed ``plan`` is
-    supplied) and executes it.
+    supplied) and executes it -- window, ``extras["bands"]`` and gathered
+    ``I_KV`` columns under one softmax, so cost is proportional to ``window
+    + |I_KV|`` per head.  A supplied ``plan`` must have been built (or
+    :meth:`~repro.core.plan.SparsePlan.extended`) for this call's ``(S_q,
+    S_k)``; a stale geometry is a :class:`~repro.errors.MaskError`.
 
     Parameters
     ----------
-    execution:
-        ``"striped"`` (default) gathers the selected KV columns, so cost is
-        proportional to ``window + |I_KV|`` per head -- the paper's kernel.
-        ``"block"`` rasterises the plan to a tile mask and runs
-        :func:`~repro.attention.fast_block_sparse_attention` instead
-        (ablation: how much a tile-aligned kernel loses to scattered
-        stripes).
     workspace:
         Optional :class:`~repro.attention.KernelWorkspace` reused across
-        calls by the block executor (O(1) allocations per call once
-        warm).  Ignored by ``"striped"``.
+        calls (O(1) allocations per call once warm).
     profiler:
         Optional :class:`~repro.core.profiler.StageProfiler`; planning is
         timed as ``"sample"``/``"filter"`` and execution as ``"attend"``.
-        Block-execution statistics (``runs_coalesced``, ``head_groups``,
-        ``gemm_calls``) are accumulated into ``profiler.counts``.
 
     Examples
     --------
@@ -176,8 +175,6 @@ def sample_attention(
     >>> res.output.shape
     (2, 256, 16)
     """
-    if execution not in ("striped", "block"):
-        raise ConfigError(f"unknown execution mode {execution!r}")
     if plan is None:
         if config.provider != "sample":
             # Route one-shot planning through the configured provider.
@@ -200,31 +197,8 @@ def sample_attention(
                 profiler=profiler,
             )
     with profiler.stage("attend") if profiler else nullcontext():
-        if execution == "striped":
-            kernel = striped_attention(
-                q,
-                k,
-                v,
-                plan.window,
-                plan.kv_indices,
-                sink_tokens=plan.config.sink_tokens,
-                dense_last_rows=plan.config.dense_last_rows,
-                scale=scale,
-                block_size=plan.config.block_size,
-                bands=plan.extras.get("bands"),
-            )
-        else:
-            block = fast_block_sparse_attention(
-                q, k, v, plan.to_block_mask(), scale=scale, workspace=workspace
-            )
-            if profiler is not None:
-                for key in ("runs_coalesced", "head_groups", "gemm_calls"):
-                    profiler.count(key, block.stats[key])
-            # Normalise the block result into the striped accounting shape.
-            b2 = plan.config.block_size**2
-            kernel = StripedAttentionResult(
-                output=block.output,
-                computed_elements=block.visited_blocks * b2,
-                total_causal_elements=block.total_causal_blocks * b2,
-            )
+        kernel = packed_block_sparse_attention(
+            [PackedItem.from_plan(q, k, v, plan, scale=scale)],
+            workspace=workspace,
+        ).results[0]
     return SampleAttentionResult(output=kernel.output, plan=plan, kernel=kernel)

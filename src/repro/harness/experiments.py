@@ -256,7 +256,7 @@ def run_fig5(scale="quick", seed: int = 0) -> list[Table]:
         t0 = time.perf_counter()
         res = run_sample(q, k, v, SampleAttentionConfig(alpha=0.95))
         t_sample = time.perf_counter() - t0
-        t3.add_row(int(s), round(t_flash, 3), round(t_sample, 3), round(res.kernel.density, 3))
+        t3.add_row(int(s), round(t_flash, 3), round(t_sample, 3), round(res.kernel.element_density, 3))
     return [t1, t2, t3]
 
 

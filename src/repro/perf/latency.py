@@ -231,7 +231,7 @@ def executed_elements_seconds(
 
     Deterministic billing for *executed* sparse/dense kernels: the serving
     engine's ``billing="roofline"`` clock converts the exact score-element
-    counts its kernels report (``StripedAttentionResult.computed_elements``,
+    counts its kernels report (``PackedPrefillResult.computed_elements``,
     or the causal count for dense chunks) into virtual seconds on
     ``hardware``.  Each score element costs ``4 * d_head`` FLOPs (the QK dot
     product and the PV accumulation) and streams roughly one K and one V

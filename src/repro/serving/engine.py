@@ -61,7 +61,7 @@ from ..attention.packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
-from ..attention.utils import KernelWorkspace
+from ..attention.utils import KernelWorkspace, total_causal_elements
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from ..core.profiler import StageProfiler
@@ -698,9 +698,9 @@ class ServingEngine:
     def _dense_attend(self, job: _Job, q, keys, values, scale):
         """Right-aligned dense causal fallback for one (job, layer) call:
         rows attend to the full prefix."""
-        s_q, s_k, h = q.shape[1], keys.shape[1], q.shape[0]
-        offset = s_k - s_q
-        job.elements += h * (s_q * offset + s_q * (s_q + 1) / 2.0)
+        job.elements += q.shape[0] * total_causal_elements(
+            q.shape[1], keys.shape[1]
+        )
         with self._profiler.stage("dense"):
             return flash_attention(q, keys, values, causal=True, scale=scale)
 

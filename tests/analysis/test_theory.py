@@ -5,7 +5,7 @@
 * **Lemma 1**: ``CRA(M) >= 1 - eps / R`` for such a mask, i.e.
   ``||P~ - P||_1 = 1 - CRA(M)`` row-wise.
 * **Theorem 2**: the structured (window ∪ stripe) mask family inherits the
-  bound -- verified by driving the actual striped kernel.
+  bound -- verified by driving the actual plan executor.
 
 The L1 norms are interpreted row-wise (max over query rows), matching the
 proof's row-stochastic usage.
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import cra, stripe_mask_from_indices
-from repro.attention import attention_probs, dense_attention, striped_attention
-from tests.conftest import random_qkv
+from repro.attention import attention_probs, dense_attention
+from tests.conftest import execute_striped, random_qkv
 
 
 def masked_outputs(probs, v, mask):
@@ -75,7 +75,7 @@ class TestTheorem2:
         probs = attention_probs(q, k)
         window = 24
         idx = [np.arange(0, s, 7), np.arange(0, s, 5)]
-        res = striped_attention(q, k, v, window, idx)
+        res = execute_striped(q, k, v, window, idx)
         ref = dense_attention(q, k, v).output
         for h in range(2):
             mask = stripe_mask_from_indices(s, s, idx[h], window=window)
@@ -87,6 +87,6 @@ class TestTheorem2:
     def test_full_window_structured_mask_exact(self, rng):
         s = 64
         q, k, v = random_qkv(rng, h=1, s=s, d=8)
-        res = striped_attention(q, k, v, s, [np.array([], dtype=np.int64)])
+        res = execute_striped(q, k, v, s, [[]])
         ref = dense_attention(q, k, v).output
         np.testing.assert_allclose(res.output, ref, atol=2e-5)

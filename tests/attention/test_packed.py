@@ -1,11 +1,13 @@
 """Packed cross-request prefill dispatch: oracle parity, accounting, stats.
 
-Items execute a plan's own geometry (window band + gathered stripe/sink
-columns + dense last rows), so the oracles are ``striped_attention`` -- the
-paper-semantic kernel -- and dense attention under the plan's element mask.
+Items execute a plan's own geometry (window band + extra diagonal bands +
+gathered stripe/sink columns + dense last rows), so the oracle is dense
+attention under the plan's element mask and the count oracle is that
+mask's own sum.
 """
 
 import concurrent.futures
+import dataclasses
 import inspect
 import threading
 
@@ -17,10 +19,10 @@ from repro.attention import (
     block_sparse_attention,
     dense_attention,
     packed_block_sparse_attention,
-    striped_attention,
 )
-from repro.attention.packed import _BAND_ROWS, PackedItem
-from repro.errors import MaskError, ShapeError
+from repro.attention.packed import _BAND_ROWS, _STRIPE_ROWS, PackedItem
+from repro.attention.utils import causal_mask
+from repro.errors import ConfigError, MaskError, ShapeError
 from tests.conftest import plan_element_mask, striped_plan
 
 TOL = 2e-5
@@ -37,16 +39,10 @@ def _item(rng, h, s_q, s_k, d, h_kv=None, **plan_kw):
 
 
 def _assert_item_parity(item, plan, got):
-    ref = striped_attention(
-        item.q, item.k, item.v, plan.window, plan.kv_indices,
-        sink_tokens=plan.config.sink_tokens,
-        dense_last_rows=plan.config.dense_last_rows,
-        scale=item.scale,
-    )
-    np.testing.assert_allclose(got.output, ref.output, atol=TOL)
-    np.testing.assert_array_equal(got.computed_elements, ref.computed_elements)
     np.testing.assert_array_equal(got.computed_elements, plan.element_counts())
-    assert got.total_causal_elements == ref.total_causal_elements
+    assert got.total_causal_elements == int(
+        causal_mask(plan.s_q, plan.s_k).sum()
+    )
     element_mask = plan_element_mask(plan)
     np.testing.assert_array_equal(
         got.computed_elements, element_mask.sum(axis=(1, 2))
@@ -133,8 +129,8 @@ class TestPackedParity:
         )
         res = packed_block_sparse_attention([scaled])
         assert res.results[0].output.dtype == np.float64
-        ref = striped_attention(
-            item.q, item.k, item.v, plan.window, plan.kv_indices, scale=0.5
+        ref = dense_attention(
+            item.q, item.k, item.v, mask=plan_element_mask(plan), scale=0.5
         )
         np.testing.assert_allclose(
             res.results[0].output.astype(np.float32), ref.output, atol=TOL
@@ -154,6 +150,111 @@ class TestPackedParity:
         assert "num_threads" not in inspect.signature(
             packed_block_sparse_attention
         ).parameters
+
+
+class TestPackedBands:
+    """``extras["bands"]`` -- diagonal distance intervals every head keeps
+    -- execute as extra band GEMMs joined under the same softmax, and a
+    stripe column inside a band is owned by the band alone."""
+
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            [(3, 9)],  # inside the window: merged away
+            [(12, 20)],  # adjacent to the window (12): widens it
+            [(10, 30)],  # overlapping the window's edge
+            [(40, 44), (90, 130)],  # two slashes across the stripe columns
+            [(100, 104), (60, 70), (65, 80)],  # unsorted, overlapping
+            [(150, 400)],  # reaches past the prefix
+            [(500, 600)],  # entirely beyond the prefix
+            [(0, 10**9)],  # everything: dense causal
+        ],
+    )
+    def test_matches_the_element_mask(self, rng, bands):
+        pairs = [
+            _item(rng, 4, 70, 200, 8, h_kv=2, window=12, stripes=0.4,
+                  sink_tokens=4, bands=bands),
+            _item(rng, 4, 200, 200, 8, h_kv=2, window=12, stripes=0.4,
+                  dense_last_rows=3, bands=bands),
+        ]
+        res = packed_block_sparse_attention([it for it, _ in pairs])
+        for (item, plan), got in zip(pairs, res.results):
+            _assert_item_parity(item, plan, got)
+
+    def test_stabilised_softmax_joins_every_part(self, rng):
+        # Rows too early to reach a band hold no live entry in its GEMM;
+        # under the stabilised path their garbage weights must be rescaled
+        # away by the window's join, with and without stripes before it.
+        for stripes in (0.3, 0.0):
+            item, plan = _item(rng, 4, 150, 150, 16, h_kv=2, window=5,
+                               stripes=stripes, bands=[(40, 48), (100, 101)])
+            hot = PackedItem.from_plan(
+                item.q * np.float32(12.0), item.k, item.v, plan
+            )
+            got = packed_block_sparse_attention([hot]).results[0]
+            _assert_item_parity(hot, plan, got)
+
+    def test_bands_inside_the_window_change_nothing(self, rng):
+        item, plan = _item(rng, 4, 64, 256, 8, window=16, stripes=0.2)
+        assert item.bands == ()
+        inside = dataclasses.replace(item, bands=[(0, 16), (4, 9)])
+        np.testing.assert_array_equal(
+            packed_block_sparse_attention([inside]).results[0].output,
+            packed_block_sparse_attention([item]).results[0].output,
+        )
+
+    def test_bands_cost_two_gemms_per_reachable_q_block(self, rng):
+        bare, _ = _item(rng, 4, 130, 256, 8, window=16,
+                        stripes=[np.empty(0, dtype=np.int64)] * 4)
+        banded = dataclasses.replace(bare, bands=[(50, 60)])
+        far = dataclasses.replace(bare, bands=[(254, 260)])
+        base = packed_block_sparse_attention([bare]).stats["gemm_calls"]
+        assert packed_block_sparse_attention([banded]).stats["gemm_calls"] == base + 2 * 3
+        # Distance 254 is reachable only from positions >= 254: the last
+        # q-block (rows 128..129 at positions 254..255) alone.
+        assert packed_block_sparse_attention([far]).stats["gemm_calls"] == base + 2
+
+    def test_invalid_band_rejected(self, rng):
+        item, _ = _item(rng, 4, 16, 32, 8)
+        for bad in ([(5, 5)], [(-1, 3)], [(9, 2)]):
+            with pytest.raises(ConfigError):
+                packed_block_sparse_attention(
+                    [dataclasses.replace(item, bands=bad)]
+                )
+
+
+class TestStripeRowBlocks:
+    """The stripe part walks ``_STRIPE_ROWS``-row blocks, each scoring only
+    the gathered columns left of its own last window edge."""
+
+    def test_one_shot_call_matches_the_element_mask(self, rng):
+        s = 2 * _STRIPE_ROWS + 70
+        for hot in (False, True):
+            item, plan = _item(rng, 4, s, s, 16, h_kv=2, window=24,
+                               stripes=0.2, sink_tokens=4, dense_last_rows=2,
+                               bands=[(300, 310)])
+            if hot:
+                item = PackedItem.from_plan(
+                    item.q * np.float32(12.0), item.k, item.v, plan
+                )
+            got = packed_block_sparse_attention([item]).results[0]
+            _assert_item_parity(item, plan, got)
+
+    def test_blocks_skip_columns_right_of_their_window_edge(self, rng):
+        # One stripe GEMM pair per (head, row block that owns a column):
+        # with every column in the last block's reach only, the first two
+        # blocks of a 3-block call run no stripe GEMM at all.
+        s = 3 * _STRIPE_ROWS
+        late = [np.arange(2 * _STRIPE_ROWS, 2 * _STRIPE_ROWS + 8)] * 2
+        early = [np.arange(8)] * 2
+        band_only, _ = _item(rng, 2, s, s, 8, window=8,
+                             stripes=[np.empty(0, dtype=np.int64)] * 2)
+        base = packed_block_sparse_attention([band_only]).stats["gemm_calls"]
+        for stripes, blocks in ((late, 1), (early, 3)):
+            item, plan = _item(rng, 2, s, s, 8, window=8, stripes=stripes)
+            res = packed_block_sparse_attention([item])
+            assert res.stats["gemm_calls"] == base + 2 * 2 * blocks
+            _assert_item_parity(item, plan, res.results[0])
 
 
 class TestPackedStats:
@@ -203,7 +304,8 @@ class TestPackedStats:
 
 def _workspace_bound(item) -> int:
     """Closed form of the ``ws.take`` sizes in ``packed._execute_item``,
-    from the item's shapes alone."""
+    from the item's shapes alone: linear in ``S_q`` (the scaled queries
+    and two row vectors), never ``S_q x |I_KV|``."""
     h, s_q, d = item.q.shape
     s_k = item.k.shape[1]
     sinks = np.arange(min(item.sink_tokens, s_k))
@@ -214,7 +316,7 @@ def _workspace_bound(item) -> int:
         h * s_q * d  # q
         + 2 * h * s_q  # l, m
         + 2 * cols * d  # k_cols, v_cols: the gathered K[I_KV] / V[I_KV]
-        + s_q * cols  # s_cols
+        + min(_STRIPE_ROWS, s_q) * cols  # s_cols: one row block
         + 2 * h * bq * d  # q_band, pv_band
         + h * bq * span  # s_band
     )
@@ -235,9 +337,24 @@ class _GathersThePrefix(KernelWorkspace):
         return super().take(key, shape, dtype)
 
 
+class _ScoresEveryRowAtOnce(KernelWorkspace):
+    """Seeded mutation: stripe score scratch sized by ``S_q`` instead of
+    one row block -- what the un-blocked ``S_q x |I_KV|`` GEMM held."""
+
+    def __init__(self, s_q):
+        super().__init__()
+        self.s_q = s_q
+
+    def take(self, key, shape, dtype=np.float32):
+        if key == "s_cols":
+            return super().take(key, (self.s_q, shape[1]), dtype)[: shape[0]]
+        return super().take(key, shape, dtype)
+
+
 class TestPackedWorkspaceBound:
     """Scratch follows what the plan kept, on the geometry the engine
-    dispatches: one 256-row chunk against a 4096-token prefix."""
+    dispatches -- one 256-row chunk against a 4096-token prefix -- and on
+    the library's one-shot ``S_q = S_k = 4096`` call."""
 
     def _chunk(self, rng, s_q, s_k):
         return _item(rng, 8, s_q, s_k, 64, h_kv=2, window=-(-s_k * 8 // 100),
@@ -263,6 +380,21 @@ class TestPackedWorkspaceBound:
         ref = packed_block_sparse_attention([big]).results[0]
         np.testing.assert_array_equal(got.output, ref.output)
         assert ws.nbytes > _workspace_bound(big)
+
+
+    def test_one_shot_scratch_bounded_by_one_row_block(self, rng):
+        one_shot = self._chunk(rng, 4096, 4096)
+        ws = KernelWorkspace()
+        packed_block_sparse_attention([one_shot], workspace=ws)
+        assert 0 < ws.nbytes <= _workspace_bound(one_shot)
+
+    def test_scoring_every_row_at_once_breaks_the_bound(self, rng):
+        one_shot = self._chunk(rng, 4096, 4096)
+        ws = _ScoresEveryRowAtOnce(4096)
+        got = packed_block_sparse_attention([one_shot], workspace=ws).results[0]
+        ref = packed_block_sparse_attention([one_shot]).results[0]
+        np.testing.assert_array_equal(got.output, ref.output)
+        assert ws.nbytes > _workspace_bound(one_shot)
 
 
 class TestPackedValidation:

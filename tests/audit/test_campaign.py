@@ -34,6 +34,8 @@ class TestPassingCampaign:
             assert area["cases"] == 6
             assert area["failed"] == 0
             assert area["counterexamples"] == []
+            assert area["banded_checks"] <= area["checks"]
+        assert report["areas"]["packed"]["banded_checks"] > 0
         on_disk = json.loads(out.read_text(encoding="utf-8"))
         assert on_disk == report
 
@@ -70,7 +72,7 @@ class TestFailingCampaign:
         real_run_case = campaign.run_case
 
         def bad_run_case(case, area):
-            if area == "striped":
+            if area == "packed":
                 return CaseResult(area, False, 1e-3, "planted divergence")
             return real_run_case(case, area)
 
@@ -82,9 +84,9 @@ class TestFailingCampaign:
         assert report["passed"] is False
         assert report["failed_cases"] == 3
         assert report["worst_divergence"] == pytest.approx(1e-3)
-        striped = report["areas"]["striped"]
-        assert striped["failed"] == 3
-        ce = striped["counterexamples"][0]
+        packed = report["areas"]["packed"]
+        assert packed["failed"] == 3
+        ce = packed["counterexamples"][0]
         assert ce["detail"] == "planted divergence"
         # Unshrunk counterexamples still carry the re-runnable case fields.
         assert {"seed", "s_q", "s_k", "window"} <= set(ce["case"])

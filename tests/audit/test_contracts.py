@@ -122,7 +122,7 @@ class TestPlanAndMaskContracts:
 
 
 class TestComputedElementsContract:
-    def test_kernel_count_equals_the_plans_bands_excluded(self, rng):
+    def test_kernel_count_equals_the_plans_bands_executed(self, rng):
         import dataclasses
 
         from repro.attention.packed import PackedItem, packed_block_sparse_attention
@@ -135,10 +135,13 @@ class TestComputedElementsContract:
         got = packed_block_sparse_attention(
             [PackedItem.from_plan(q, k, v, banded)]
         ).results[0].computed_elements
+        assert (got > plan.element_counts()).all()  # the band is executed
         with contracts.contracts():
             contracts.check_computed_elements(banded, got)
             with pytest.raises(ContractViolation, match="score elements"):
                 contracts.check_computed_elements(banded, got - 1)
+            with pytest.raises(ContractViolation, match="score elements"):
+                contracts.check_computed_elements(plan, got)
 
     def test_hooked_into_the_engines_packed_dispatch(self, monkeypatch):
         from repro.model import build_model

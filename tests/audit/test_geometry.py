@@ -82,7 +82,8 @@ class TestAreaChecks:
     def test_window_zero_counts_as_rejection_pass(self):
         case = dataclasses.replace(BASE, window=0)
         assert run_case(case, "kernels").passed
-        assert run_case(case, "striped").passed
+        result = run_case(case, "packed")
+        assert result.passed and result.detail == "window=0 rejected"
 
     def test_single_token_geometry(self):
         case = dataclasses.replace(
@@ -103,6 +104,19 @@ class TestAreaChecks:
         result = run_case(BASE, "packed")
         assert result.passed and result.divergence <= TOLERANCE
         assert result.invariance_checks == 3
+
+    def test_banded_plans_are_executed_and_counted(self):
+        # The hand-built plans of ``packed`` carry extra diagonal bands for
+        # about half the geometries, and the provider zoo attaches slashes
+        # of its own: both areas report how many checks ran a banded plan
+        # (CI asserts the campaign totals are non-zero).
+        cases = sample_cases(0, 48)
+        for area in ("packed", "providers"):
+            results = [run_case(case, area) for case in cases]
+            assert all(r.passed for r in results)
+            banded = sum(r.banded_checks for r in results)
+            assert 0 < banded < sum(r.checks for r in results)
+        assert run_case(BASE, "kernels").banded_checks == 0
 
     def test_packed_decode_area_registered(self):
         # Fused decode batches are held to the dense oracle within
@@ -136,6 +150,16 @@ def _shift_the_window_by_one(real):
     return mutant
 
 
+def _drop_the_extra_bands(real):
+    return lambda window, bands: real(window, None)
+
+
+def _count_band_stripe_columns_twice(real):
+    """Stripe ownership forgets the extra bands: a stripe column crossing
+    a band is scored by the stripe part *and* the band part."""
+    return lambda pos, cols, window, extras: real(pos, cols, window, ())
+
+
 class TestPackedGateCatchesSeededMutations:
     """The oracle of the ``packed`` / ``providers`` areas is built from the
     plan's element mask, independently of the kernel's own geometry code,
@@ -154,9 +178,19 @@ class TestPackedGateCatchesSeededMutations:
     @pytest.mark.parametrize(
         "attr,mutation",
         [
-            ("_normalise_indices", _drop_one_stripe_column),
+            ("normalise_indices", _drop_one_stripe_column),
             ("_window_dead", _shift_the_window_by_one),
-            ("_normalise_indices", _skip_the_sinks),
+            ("normalise_indices", _skip_the_sinks),
+            ("normalise_bands", _drop_the_extra_bands),
+            ("_stripe_dead", _count_band_stripe_columns_twice),
+        ],
+        # ids of the first three predate the helper's move to a public name
+        ids=[
+            "_normalise_indices-_drop_one_stripe_column",
+            "_window_dead-_shift_the_window_by_one",
+            "_normalise_indices-_skip_the_sinks",
+            "normalise_bands-_drop_the_extra_bands",
+            "_stripe_dead-_count_band_stripe_columns_twice",
         ],
     )
     def test_mutation_is_caught(self, monkeypatch, attr, mutation):

@@ -60,9 +60,11 @@ def striped_plan(
     block: int = 16,
     sink_tokens: int = 0,
     dense_last_rows: int = 0,
+    bands: list[tuple[int, int]] | None = None,
 ):
     """A hand-built :class:`SparsePlan`: ``stripes`` is either the per-head
-    index lists or the share of key columns each head draws at random."""
+    index lists or the share of key columns each head draws at random;
+    ``bands`` become the plan's ``extras["bands"]``."""
     from repro.config import SampleAttentionConfig
     from repro.core.plan import SparsePlan
 
@@ -85,18 +87,36 @@ def striped_plan(
         ),
         s_q=s_q,
         s_k=s_k,
+        extras={"bands": list(bands)} if bands else {},
     )
+
+
+def execute_striped(q, k, v, window, idx, **plan_kw):
+    """Window + per-head stripe columns ``idx`` as a hand-built plan through
+    the one plan executor (a packed batch of one); returns its
+    :class:`~repro.attention.PackedPrefillResult`."""
+    from repro.attention import PackedItem, packed_block_sparse_attention
+
+    idx = [np.asarray(ix, dtype=np.int64) for ix in idx]
+    plan = striped_plan(
+        None, len(idx), q.shape[1], k.shape[1], window=window, stripes=idx,
+        **plan_kw,
+    )
+    return packed_block_sparse_attention(
+        [PackedItem.from_plan(q, k, v, plan)]
+    ).results[0]
 
 
 def plan_element_mask(plan) -> np.ndarray:
     """``(H, S_q, S_k)`` element mask a plan executes -- window band ∪
-    causal stripe/sink columns ∪ dense last rows -- written out longhand as
-    the oracle for the packed prefill kernel (``extras["bands"]`` excluded,
-    as in packed execution)."""
+    ``extras["bands"]`` diagonals ∪ causal stripe/sink columns ∪ dense last
+    rows -- written out longhand as the oracle for the packed kernel."""
     pos = np.arange(plan.s_q)[:, None] + (plan.s_k - plan.s_q)
     col = np.arange(plan.s_k)[None, :]
     causal = col <= pos
     band = causal & (col > pos - plan.window)
+    for lo, hi in plan.extras.get("bands") or ():
+        band |= causal & (pos - col >= lo) & (pos - col < hi)
     mask = np.empty((plan.n_heads, plan.s_q, plan.s_k), dtype=bool)
     for hh, idx in enumerate(plan.kv_indices):
         keep = np.zeros(plan.s_k, dtype=bool)

@@ -1,7 +1,7 @@
 """Plan-provider zoo: the PlanProvider protocol and its implementations.
 
 Every provider must emit a SparsePlan that the unchanged downstream
-machinery (striped/block execution, PlanCache, contracts) accepts; the
+machinery (the plan executor, PlanCache, contracts) accepts; the
 numerical equivalence against masked-dense oracles is fuzzed by the audit
 ``providers`` area -- these tests pin the provider-specific behaviour:
 registry, memoised profiling, pattern classification, and config routing.

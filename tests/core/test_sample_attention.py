@@ -1,12 +1,20 @@
 """End-to-end tests of the SampleAttention pipeline (Algorithm 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import SampleAttentionConfig
-from repro.attention import dense_attention
+from repro.attention import (
+    KernelWorkspace,
+    PackedItem,
+    dense_attention,
+    fast_block_sparse_attention,
+    packed_block_sparse_attention,
+)
 from repro.core import plan_sample_attention, sample_attention
-from repro.errors import ConfigError
+from repro.errors import MaskError
 from tests.conftest import random_qkv
 
 
@@ -93,28 +101,71 @@ class TestExecution:
         np.testing.assert_allclose(res.output, ref, atol=2e-4)
 
     def test_striped_and_block_execution_agree_on_plan_coverage(self, rng):
-        # Both executors run the same plan; block execution covers a
-        # superset (tile granularity) so both must be close to dense when
-        # the plan is near-complete.
+        # The plan executor and tile-granular execution of the same plan's
+        # block mask: the tiles cover a superset, so both must be close to
+        # dense when the plan is near-complete.
         q, k, v = structured_qkv(rng)
         cfg = SampleAttentionConfig(alpha=0.99, block_size=32)
         plan = plan_sample_attention(q, k, cfg)
-        a = sample_attention(q, k, v, cfg, plan=plan, execution="striped")
-        b = sample_attention(q, k, v, cfg, plan=plan, execution="block")
+        a = sample_attention(q, k, v, cfg, plan=plan)
+        b = fast_block_sparse_attention(q, k, v, plan.to_block_mask())
         assert np.abs(a.output - b.output).max() < 0.2
 
     def test_block_execution_covers_more_elements(self, rng):
         q, k, v = structured_qkv(rng)
         cfg = SampleAttentionConfig(alpha=0.8, block_size=64)
         plan = plan_sample_attention(q, k, cfg)
-        a = sample_attention(q, k, v, cfg, plan=plan, execution="striped")
-        b = sample_attention(q, k, v, cfg, plan=plan, execution="block")
-        assert b.kernel.computed_elements.sum() >= a.kernel.computed_elements.sum()
+        a = sample_attention(q, k, v, cfg, plan=plan)
+        b = fast_block_sparse_attention(q, k, v, plan.to_block_mask())
+        assert (
+            b.visited_blocks.sum() * cfg.block_size**2
+            >= a.kernel.computed_elements.sum()
+        )
+        # The kernel result carries the same footprint as its tile view.
+        np.testing.assert_array_equal(a.kernel.visited_blocks, b.visited_blocks)
 
-    def test_rejects_unknown_execution(self, rng):
-        q, k, v = random_qkv(rng, h=1, s=32, d=8)
-        with pytest.raises(ConfigError):
-            sample_attention(q, k, v, execution="magic")
+    @pytest.mark.parametrize("s_q", [64, 700])  # chunk-shaped / one-shot
+    def test_is_the_packed_kernel_as_a_batch_of_one(self, rng, s_q):
+        s_k = 700
+        q = rng.standard_normal((4, s_q, 16), dtype=np.float32)
+        k = rng.standard_normal((2, s_k, 16), dtype=np.float32)
+        v = rng.standard_normal((2, s_k, 16), dtype=np.float32)
+        cfg = SampleAttentionConfig(alpha=0.9)
+        plan = dataclasses.replace(
+            plan_sample_attention(q, k, cfg), extras={"bands": [(200, 230)]}
+        )
+        res = sample_attention(
+            q, k, v, cfg, plan=plan, scale=0.2, workspace=KernelWorkspace()
+        )
+        direct = packed_block_sparse_attention(
+            [PackedItem.from_plan(q, k, v, plan, scale=0.2)]
+        ).results[0]
+        np.testing.assert_array_equal(res.output, direct.output)
+        np.testing.assert_array_equal(
+            res.kernel.computed_elements, direct.computed_elements
+        )
+
+    def test_workspace_is_reused_across_calls(self, rng):
+        q, k, v = structured_qkv(rng)
+        ws = KernelWorkspace()
+        first = sample_attention(q, k, v, workspace=ws)
+        warm = ws.allocations
+        assert warm > 0
+        again = sample_attention(q, k, v, workspace=ws)
+        assert ws.allocations == warm
+        np.testing.assert_array_equal(first.output, again.output)
+
+    def test_rejects_a_plan_built_for_another_length(self, rng):
+        # A stale plan's window and accounting were sized for a different
+        # prefix: it must fail loudly, not execute.
+        q, k, v = random_qkv(rng, h=2, s=96, d=8)
+        plan = plan_sample_attention(q[:, :64], k[:, :64])
+        with pytest.raises(MaskError):
+            sample_attention(q, k, v, plan=plan)
+        with pytest.raises(MaskError):  # same keys, fewer query rows
+            sample_attention(q[:, 32:], k, v, plan=plan_sample_attention(q, k))
+        ok = sample_attention(q, k, v, plan=plan.extended(s_q=96, s_k=96))
+        assert ok.output.shape == q.shape
 
     def test_gqa(self, rng):
         q, k, v = random_qkv(rng, h=4, s=64, d=8, h_kv=2)
@@ -127,8 +178,10 @@ class TestExecution:
         cfg = SampleAttentionConfig(alpha=0.9)
         res = sample_attention(q, k, v, cfg)
         np.testing.assert_allclose(
-            res.kernel.density, res.plan.element_density(), rtol=1e-6
+            res.kernel.element_density, res.plan.element_density(), rtol=1e-6
         )
+        # ``density`` is the tile footprint's -- coarser, never smaller.
+        assert res.kernel.density >= res.kernel.element_density
 
     def test_sink_tokens_always_covered(self, rng):
         q, k, v = structured_qkv(rng)

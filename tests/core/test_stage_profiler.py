@@ -5,14 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.attention import block_sparse_attention
+from repro.attention import block_sparse_attention, fast_block_sparse_attention
 from repro.config import SampleAttentionConfig
 from repro.core import (
     StageProfiler,
     plan_sample_attention,
     sample_attention,
 )
-from repro.errors import ConfigError
 
 
 def _qkv(seed=0, h=4, h_kv=2, s=192, d=16):
@@ -98,36 +97,24 @@ class TestPipelineIntegration:
         plan_sample_attention(q, k, SampleAttentionConfig(), profiler=prof)
         assert set(prof.timings) == {"sample", "filter"}
 
-    def test_block_execution_records_attend_and_counts(self):
-        q, k, v = _qkv()
-        prof = StageProfiler()
-        res = sample_attention(
-            q, k, v, SampleAttentionConfig(), execution="block", profiler=prof
-        )
-        assert res.output.shape == q.shape
-        assert {"sample", "filter", "attend"} <= set(prof.timings)
-        assert prof.counts["runs_coalesced"] >= 1
-        assert prof.counts["head_groups"] >= 1
-
     def test_striped_execution_records_attend_without_counts(self):
         q, k, v = _qkv()
         prof = StageProfiler()
-        sample_attention(q, k, v, SampleAttentionConfig(), profiler=prof)
-        assert "attend" in prof.timings
+        res = sample_attention(q, k, v, SampleAttentionConfig(), profiler=prof)
+        assert res.output.shape == q.shape
+        assert {"sample", "filter", "attend"} <= set(prof.timings)
         assert prof.counts == {}
 
     def test_kernel_modes_agree_through_sample_attention(self):
+        # Tile-granular execution of a planned mask: the fast path vs its
+        # tile-at-a-time oracle, and the plan executor's footprint counts.
         q, k, v = _qkv(seed=2)
-        cfg = SampleAttentionConfig()
-        fast = sample_attention(q, k, v, cfg, execution="block")
-        ref = block_sparse_attention(q, k, v, fast.plan.to_block_mask())
+        res = sample_attention(q, k, v, SampleAttentionConfig())
+        mask = res.plan.to_block_mask()
+        fast = fast_block_sparse_attention(q, k, v, mask)
+        ref = block_sparse_attention(q, k, v, mask)
         np.testing.assert_allclose(fast.output, ref.output, atol=2e-5)
+        np.testing.assert_array_equal(fast.visited_blocks, ref.visited_blocks)
         np.testing.assert_array_equal(
-            fast.kernel.computed_elements,
-            ref.visited_blocks * cfg.block_size**2,
+            res.kernel.visited_blocks, ref.visited_blocks
         )
-
-    def test_unknown_execution_raises(self):
-        q, k, v = _qkv()
-        with pytest.raises(ConfigError):
-            sample_attention(q, k, v, execution="warp")

@@ -9,10 +9,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.attention import (
+    PackedItem,
     block_sparse_attention,
     dense_attention,
     fast_block_sparse_attention,
     flash_attention,
+    packed_block_sparse_attention,
 )
 from repro.attention.masks import (
     num_blocks,
@@ -20,6 +22,7 @@ from repro.attention.masks import (
     window_block_mask,
 )
 from repro.core import select_kv_indices
+from tests.conftest import plan_element_mask, striped_plan
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -45,8 +48,10 @@ def _block_any(element_mask, s_q, s_k, block_size):
 
 
 class TestRaggedChunkedKernelEquivalence:
-    """All five execution paths agree on shapes with ragged tails
-    (``S % block_size != 0``) and chunked-prefill offsets (``s_q < s_k``)."""
+    """All five execution paths -- dense, flash, the two block-sparse
+    kernels on the tile mask, the plan executor on the element mask --
+    agree with their oracle on shapes with ragged tails (``S % block_size
+    != 0``) and chunked-prefill offsets (``s_q < s_k``)."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -87,6 +92,17 @@ class TestRaggedChunkedKernelEquivalence:
                 atol=TOLERANCE,
                 err_msg=kernel.__name__,
             )
+        plan = striped_plan(
+            rng, h, s_q, s_k, window=min(window, s_k), stripes=stripes,
+            block=block,
+        )
+        np.testing.assert_allclose(
+            packed_block_sparse_attention(
+                [PackedItem.from_plan(q, k, v, plan)]
+            ).results[0].output,
+            dense_attention(q, k, v, mask=plan_element_mask(plan)).output,
+            atol=TOLERANCE,
+        )
 
 
 class TestMaskBuilderDefinitions:

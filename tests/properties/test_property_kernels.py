@@ -3,17 +3,14 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.attention import (
-    dense_attention,
-    flash_attention,
-    striped_attention,
-)
+from repro.attention import dense_attention, flash_attention
 from repro.attention.utils import causal_mask, softmax
 from repro.core import (
     sample_column_scores,
     sampled_row_indices,
     select_kv_indices,
 )
+from tests.conftest import execute_striped
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -80,9 +77,7 @@ class TestStripedEqualsDenseMasked:
             np.sort(rng.choice(s, size=min(n_idx, s), replace=False))
             for _ in range(2)
         ]
-        res = striped_attention(
-            q, k, v, window, idx, sink_tokens=sinks, block_size=32
-        )
+        res = execute_striped(q, k, v, window, idx, sink_tokens=sinks, block=32)
         rows = np.arange(s)[:, None]
         cols = np.arange(s)[None, :]
         band = (cols <= rows) & (cols > rows - window)
@@ -100,7 +95,7 @@ class TestStripedEqualsDenseMasked:
     @settings(**SETTINGS)
     def test_row_coverage_counts_bounded(self, seed, s):
         q, k, v = _qkv(seed, 1, s, 4)
-        res = striped_attention(q, k, v, 1, [np.arange(s)])
+        res = execute_striped(q, k, v, 1, [np.arange(s)])
         causal_total = int(causal_mask(s, s).sum())
         assert res.computed_elements[0] == causal_total
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SampleAttentionConfig
 from repro.attention import causal_block_mask, sink_block_mask, window_block_mask
-from repro.attention.striped import normalise_bands, striped_element_counts
+from repro.attention.masks import normalise_bands, striped_element_counts
 from repro.core import plan_sample_attention, sample_column_scores
 from repro.serving import CORRUPTION_MODES, STRUCTURAL_CORRUPTIONS, corrupt_plan
 

@@ -7,13 +7,15 @@ who it was co-scheduled with if an item's output and counts are a function
 of that item alone -- bitwise the same dispatched alone or inside any
 permutation of a ragged batch (shared workspace, shared band masks and
 all).  And since the kernel executes the plan's own geometry, every item
-must sit within float32 tolerance of ``striped_attention`` and of dense
-attention under the plan's *element* mask, on every geometry chunked
-prefill produces: first chunks (window clipped at column 0), ragged tails
-down to a single row, windows at least as wide as the prefix, empty stripe
-sets, stripes inside the band, sinks overlapping stripes, dense last rows,
-GQA ratios.  Large-norm queries force the stabilised softmax path; the
-rest take the plain-exp path.
+must sit within float32 tolerance of dense attention under the plan's
+*element* mask and count exactly that mask's elements, on every geometry
+chunked prefill produces: first chunks (window clipped at column 0),
+ragged tails down to a single row, windows at least as wide as the prefix,
+empty stripe sets, stripes inside the band, sinks overlapping stripes,
+dense last rows, GQA ratios -- and every way ``extras["bands"]`` can sit
+in the plane: none, overlapping the window, adjacent to it, overlapping
+each other, across stripe columns, beyond the prefix.  Large-norm queries
+force the stabilised softmax path; the rest take the plain-exp path.
 """
 
 import numpy as np
@@ -23,7 +25,6 @@ from repro.attention import (
     KernelWorkspace,
     dense_attention,
     packed_block_sparse_attention,
-    striped_attention,
 )
 from repro.attention.packed import _PLAIN_EXP_BOUND, PackedItem
 from tests.conftest import plan_element_mask, striped_plan
@@ -43,10 +44,26 @@ def _geometry(draw):
             st.sampled_from([1, s_k, s_k + 5]),  # diagonal only / >= prefix
         )
     )
+    band = st.tuples(st.integers(0, s_k + 8), st.integers(1, 80)).map(
+        lambda b: (b[0], b[0] + b[1])
+    )
+    bands = draw(
+        st.one_of(
+            st.just([]),  # the engine's default plans
+            st.lists(band, min_size=1, max_size=3),  # anywhere, overlapping
+            st.sampled_from([
+                [(max(window - 2, 0), window + 3)],  # overlaps the window
+                [(window, window + 4)],  # adjacent: widens it
+                [(s_k + 1, s_k + 9)],  # beyond the prefix
+                [(0, s_k)],  # the whole causal plane
+            ]),
+        )
+    )
     return {
         "s_q": s_q,
         "s_k": s_k,
         "window": window,
+        "bands": bands,
         # share of key columns per head; 0.0 = empty stripe sets
         "stripes": draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
         "sink_tokens": draw(st.sampled_from([0, 4])),
@@ -81,6 +98,7 @@ def _item(rng, g: dict, n_rep: int):
         block=32,
         sink_tokens=g["sink_tokens"],
         dense_last_rows=g["dense_last_rows"],
+        bands=g["bands"],
     )
     return PackedItem.from_plan(q, k, v, plan), plan
 
@@ -126,12 +144,6 @@ class TestBatchInvariance:
             )
             oracle = dense_attention(it.q, it.k, it.v, mask=element_mask).output
             assert np.abs(got.output - oracle).max() <= TOLERANCE
-            paper = striped_attention(
-                it.q, it.k, it.v, plan.window, plan.kv_indices,
-                sink_tokens=plan.config.sink_tokens,
-                dense_last_rows=plan.config.dense_last_rows,
-            ).output
-            assert np.abs(got.output - paper).max() <= TOLERANCE
 
     def test_warm_workspace_does_not_leak_between_items(self):
         """A workspace warmed by a larger item leaves stale scratch behind;
@@ -140,13 +152,13 @@ class TestBatchInvariance:
         big, _ = _item(
             rng,
             dict(s_q=256, s_k=1400, window=112, stripes=0.3, sink_tokens=4,
-                 dense_last_rows=0, hot=True),
+                 dense_last_rows=0, hot=True, bands=[(300, 340)]),
             2,
         )
         small, _ = _item(
             rng,
             dict(s_q=64, s_k=130, window=11, stripes=0.05, sink_tokens=4,
-                 dense_last_rows=1, hot=False),
+                 dense_last_rows=1, hot=False, bands=[]),
             2,
         )
         ws = KernelWorkspace()
