@@ -16,7 +16,7 @@ from repro.perf import CHATGLM2_6B, LatencyModel
 
 def test_fig5_measured_flash_kernel(benchmark, layer_qkv):
     q, k, v, scale = layer_qkv
-    out = benchmark(flash_attention, q, k, v, scale=scale, block_size=256)
+    out = benchmark(flash_attention, q, k, v, scale=scale)
     assert out.shape == q.shape
 
 

@@ -1,11 +1,12 @@
-"""Attention substrate: dense reference, FlashAttention-style tiled kernel,
-block-sparse kernel, and block-mask construction.
+"""Attention substrate: dense reference, the packed plan executor (dense
+causal attention included), block-sparse kernels, and block-mask
+construction.
 
 Public API::
 
     from repro.attention import (
         dense_attention, attention_probs,   # gold-standard quadratic kernel
-        flash_attention,                    # tiled online-softmax reference
+        flash_attention,                    # dense causal, on the packed kernel
         block_sparse_attention,             # masked tiled kernel (reference)
         fast_block_sparse_attention,        # coalesced/grouped fast path
         packed_block_sparse_attention,      # the SparsePlan executor

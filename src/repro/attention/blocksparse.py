@@ -2,10 +2,11 @@
 
 This is the execution engine behind SampleAttention's merged mask (paper
 Section 4.3) and behind every structured baseline: given a
-:class:`~repro.attention.masks.BlockMask` it runs the same online-softmax
-accumulation as :mod:`repro.attention.flash` but visits only the active
-tiles, skipping the I/O and FLOPs of masked ones -- the exact mechanism by
-which the GPU kernel converts sparsity into wall-clock speedup.
+:class:`~repro.attention.masks.BlockMask` it runs FlashAttention's
+online-softmax accumulation (a running row max and normaliser, one tile at
+a time) but visits only the active tiles, skipping the I/O and FLOPs of
+masked ones -- the exact mechanism by which the GPU kernel converts
+sparsity into wall-clock speedup.
 
 The kernel also reports how many tiles it actually visited per head, which
 feeds the performance model (:mod:`repro.perf`): predicted latency is a

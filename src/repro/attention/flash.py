@@ -1,27 +1,19 @@
-"""Tiled attention with online softmax -- a FlashAttention reference.
+"""Dense causal attention -- the FlashAttention arm of every comparison.
 
-The GPU kernel the paper compares against (FlashAttention2) never
-materialises the ``(S_q, S_k)`` score matrix: it streams key/value tiles
-through on-chip memory while maintaining a running row-max ``m`` and
-normaliser ``l``.  This module reproduces that algorithm in NumPy, tile for
-tile, so that
-
-* memory stays ``O(S * d)`` instead of ``O(S^2)``, letting the analysis and
-  benchmark code run at sequence lengths where dense attention would not fit;
-* the block-sparse kernel (:mod:`repro.attention.blocksparse`) can inherit
-  the exact same accumulation scheme and be tested against it.
-
-Causality is handled at tile granularity: tiles strictly above the diagonal
-are skipped entirely (the standard FlashAttention causal optimisation),
-tiles straddling it are masked elementwise.
+The GPU kernel the paper compares against (FlashAttention2) streams key
+tiles under a running row max and normaliser and never materialises the
+``(S_q, S_k)`` score matrix.  Here that is one more thing the packed
+executor (:mod:`repro.attention.packed`) runs -- an item whose rows are all
+dense last rows -- so memory stays ``O(S * d)`` and the dense and sparse
+arms of a TTFT ratio share one kernel family.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
-from .utils import NEG_INF, grouped_pv, grouped_qk, validate_qkv
+from .packed import PackedItem, packed_block_sparse_attention
+from .utils import KernelWorkspace
 
 __all__ = ["flash_attention"]
 
@@ -31,73 +23,15 @@ def flash_attention(
     k: np.ndarray,
     v: np.ndarray,
     *,
-    causal: bool = True,
     scale: float | None = None,
-    block_size: int = 128,
+    workspace: KernelWorkspace | None = None,
 ) -> np.ndarray:
-    """Attention output via tiled online softmax.
-
-    Numerically equivalent to :func:`repro.attention.dense.dense_attention`
-    (up to float32 rounding) while touching only one ``(B, B)`` score tile
-    at a time.
-
-    Parameters
-    ----------
-    q, k, v:
-        ``(H, S_q, d)`` / ``(H_kv, S_k, d)``; queries right-aligned.
-    block_size:
-        Tile edge ``B``; both the query and key dimensions are tiled with it.
-
-    Returns
-    -------
-    ``(H, S_q, d)`` output array with ``q``'s dtype.
+    """Dense causal attention of ``q (H, S_q, d)`` (right-aligned) over
+    ``k``/``v`` ``(H_kv, S_k, d)``: one packed dispatch of
+    :meth:`PackedItem.dense`, within 2e-5 of
+    :func:`~repro.attention.dense.dense_attention`.  ``scale`` defaults to
+    ``1/sqrt(d)``; ``workspace`` is a scratch arena to reuse across calls.
+    Returns the ``(H, S_q, d)`` output in ``q``'s dtype.
     """
-    h, h_kv, s_q, s_k, d = validate_qkv(q, k, v)
-    if block_size < 1:
-        raise ConfigError(f"block_size must be >= 1, got {block_size}")
-    if scale is None:
-        scale = 1.0 / np.sqrt(d)
-    scale = np.float32(scale)
-
-    offset = s_k - s_q  # absolute position of query row 0
-
-    out = np.zeros((h, s_q, d), dtype=np.float32)
-    qf = q.astype(np.float32, copy=False)
-    # KV stay at H_kv heads; the grouped matmuls broadcast over GQA groups.
-    kf = k.astype(np.float32, copy=False)
-    vf = v.astype(np.float32, copy=False)
-
-    for q0 in range(0, s_q, block_size):
-        q1 = min(q0 + block_size, s_q)
-        q_tile = qf[:, q0:q1]  # (H, bq, d)
-        bq = q1 - q0
-        m = np.full((h, bq), NEG_INF, dtype=np.float32)  # running row max
-        l = np.zeros((h, bq), dtype=np.float32)  # running normaliser
-        acc = np.zeros((h, bq, d), dtype=np.float32)
-
-        # Last key position visible to any row of this query tile.
-        last_visible = (q1 - 1) + offset if causal else s_k - 1
-        k_end = min(s_k, last_visible + 1)
-
-        for k0 in range(0, k_end, block_size):
-            k1 = min(k0 + block_size, k_end)
-            s = grouped_qk(q_tile, kf[:, k0:k1]) * scale  # (H, bq, bk)
-
-            if causal and k1 - 1 > q0 + offset:
-                # Tile straddles the diagonal: mask elementwise.
-                rows = np.arange(q0, q1)[:, None] + offset
-                cols = np.arange(k0, k1)[None, :]
-                s = np.where(cols <= rows, s, NEG_INF)
-
-            m_new = np.maximum(m, np.max(s, axis=-1))
-            # Rescale previous accumulators to the new max.
-            alpha = np.exp(m - m_new)
-            p = np.exp(s - m_new[..., None])
-            l = l * alpha + np.sum(p, axis=-1)
-            acc = acc * alpha[..., None] + grouped_pv(p, vf[:, k0:k1])
-            m = m_new
-
-        safe_l = np.where(l == 0.0, 1.0, l)
-        out[:, q0:q1] = acc / safe_l[..., None]
-
-    return out.astype(q.dtype, copy=False)
+    item = PackedItem.dense(q, k, v, scale=scale)
+    return packed_block_sparse_attention([item], workspace=workspace).results[0].output

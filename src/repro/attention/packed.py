@@ -30,7 +30,9 @@ stripe columns happen to touch:
   ``[d_lo, d_hi)`` of the plan (``extras["bands"]``, the slash half of the
   vertical-slash providers) is one more such GEMM on a span shifted left
   by ``d_lo``, under the relative mask of width ``d_hi - d_lo``.  Dense
-  last rows are a band as wide as the prefix.
+  last rows tile their causal prefix with bands of one fixed width
+  (``_DENSE_SPAN``): scratch and mask do not grow with ``S_k``, and an
+  all-dense item (:meth:`PackedItem.dense`) is ``flash_attention``.
 * **One softmax** -- every part joins the running accumulators under the
   joint row max and one normaliser; the PV GEMMs are summed.
 
@@ -56,8 +58,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ..config import DEFAULT_CONFIG
 from ..errors import MaskError, ShapeError
-from .masks import BlockMask, normalise_bands, normalise_indices
+from .masks import (
+    BlockMask,
+    causal_block_mask,
+    normalise_bands,
+    normalise_indices,
+)
 from .utils import (
     NEG_INF,
     KernelWorkspace,
@@ -86,6 +94,11 @@ _BAND_ROWS = 64
 #: ``_STRIPE_ROWS x |I_KV|`` whatever ``S_q`` is.  The engine's prefill
 #: chunks (<= 256 rows) are one block.
 _STRIPE_ROWS = 256
+
+#: Width ``W`` of the distance spans ``[0, W)``, ``[W, 2W)``, ... a dense
+#: row's causal prefix is tiled with, each one band GEMM: a dense q-block's
+#: scratch is ``_BAND_ROWS x (W + _BAND_ROWS - 1)`` scores whatever ``S_k``.
+_DENSE_SPAN = 1024
 
 #: Cauchy-Schwarz exp-overflow bound: below it the kernel exponentiates raw
 #: scores (no row-max pass).
@@ -156,6 +169,23 @@ class PackedItem:
             scale=scale,
             k_norm_sq=k_norm_sq,
             tag=tag,
+        )
+
+    @classmethod
+    def dense(cls, q, k, v, *, scale=None) -> "PackedItem":
+        """The item that is dense causal attention: no stripes, no sinks,
+        every row a dense last row.  Its geometry is read off the tensors,
+        so it is valid whenever they are."""
+        h, _, s_q, s_k, _ = validate_qkv(q, k, v)
+        return cls(
+            q=q,
+            k=k,
+            v=v,
+            window=1,
+            kv_indices=[np.empty(0, dtype=np.int64)] * h,
+            mask=causal_block_mask(h, s_q, s_k, DEFAULT_CONFIG.block_size),
+            dense_last_rows=s_q,
+            scale=scale,
         )
 
 
@@ -393,7 +423,7 @@ def _execute_item(
     window = min(intervals[0][1], s_k)
     extras = [(lo, min(hi, s_k)) for lo, hi in intervals[1:] if lo < s_k]
     # Rows [0, s_nd) execute the plan; the trailing "bottom area" rows
-    # attend to every causal key, i.e. a band as wide as the prefix.
+    # attend to every causal key.
     s_nd = s_q - min(max(it.dense_last_rows, 0), s_q)
 
     kf = it.k.astype(np.float32, copy=False)
@@ -467,7 +497,8 @@ def _execute_item(
 
     # ---- band part: per q-block, all heads of every KV group at once;
     # spans are (shift, width) -- the extra bands first, the window (which
-    # gives every row a live entry) last.
+    # gives every row a live entry) last; a dense row's spans tile its
+    # prefix farthest first for the same reason.
     q4 = qf.reshape(h_kv, n_rep, s_q, d)
     out4 = out.reshape(h_kv, n_rep, s_q, d)
     l4 = l.reshape(h_kv, n_rep, s_q)
@@ -475,7 +506,9 @@ def _execute_item(
     spans = [(lo, hi - lo) for lo, hi in extras] + [(0, window)]
     blocks = [(r0, min(r0 + _BAND_ROWS, s_nd), spans)
               for r0 in range(0, s_nd, _BAND_ROWS)]
-    blocks += [(r0, min(r0 + _BAND_ROWS, s_q), [(0, s_k)])
+    dense_spans = [(shift, _DENSE_SPAN)
+                   for shift in range(0, s_k, _DENSE_SPAN)][::-1]
+    blocks += [(r0, min(r0 + _BAND_ROWS, s_q), dense_spans)
                for r0 in range(s_nd, s_q, _BAND_ROWS)]
     for r0, r1, block_spans in blocks:
         bq = r1 - r0

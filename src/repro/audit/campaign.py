@@ -7,9 +7,11 @@ failure to a minimal counterexample, and writes ``AUDIT.json``:
 * ``schema`` ``"sampleattn-audit/v1"``;
 * per-area pass/fail counts and the worst divergence observed, plus how
   many checks were bitwise alone-vs-in-batch comparisons
-  (``invariance_checks``) and how many executed a plan with non-empty
-  ``extras["bands"]`` (``banded_checks`` -- CI asserts both are non-zero
-  where they apply, so neither path can go green by not running);
+  (``invariance_checks``), how many executed a plan with non-empty
+  ``extras["bands"]`` (``banded_checks``) and how many executed an item
+  whose rows are all dense last rows (``dense_checks``, the shape of
+  :func:`~repro.attention.flash.flash_attention`) -- CI asserts each is
+  non-zero where it applies, so no path can go green by not running;
 * every failing case as a shrunk, re-runnable counterexample
   (``GeometryCase`` fields + divergence + detail);
 * contract-check and contract-violation totals.
@@ -74,6 +76,7 @@ class AreaReport:
     checks: int = 0
     invariance_checks: int = 0
     banded_checks: int = 0
+    dense_checks: int = 0
     worst_divergence: float = 0.0
     counterexamples: list[dict] = field(default_factory=list)
 
@@ -84,6 +87,7 @@ class AreaReport:
         self.checks += result.checks
         self.invariance_checks += result.invariance_checks
         self.banded_checks += result.banded_checks
+        self.dense_checks += result.dense_checks
         if np.isfinite(result.divergence):
             self.worst_divergence = max(self.worst_divergence, result.divergence)
         if result.passed:
@@ -108,6 +112,7 @@ class AreaReport:
             "checks": self.checks,
             "invariance_checks": self.invariance_checks,
             "banded_checks": self.banded_checks,
+            "dense_checks": self.dense_checks,
             "worst_divergence": self.worst_divergence,
             "counterexamples": self.counterexamples,
         }

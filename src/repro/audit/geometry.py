@@ -1,9 +1,10 @@
 """Geometry fuzzer: adversarial attention-call shapes vs the dense oracle.
 
-Every way this package can compute attention -- dense, tiled flash, the
-two block-sparse kernels (the tile-at-a-time oracle and the coalesced fast
-path), the full Algorithm-1 pipeline, the serving chain's ``plan ->
-PlanCache.get/extended -> execute`` reuse path, the paged-KV gather
+Every way this package can compute attention -- dense, flash (dense
+causal attention on the plan executor), the two block-sparse kernels (the
+tile-at-a-time oracle and the coalesced fast path), the full Algorithm-1
+pipeline, the serving chain's ``plan -> PlanCache.get/extended ->
+execute`` reuse path, the paged-KV gather
 feeding all of them, and the one plan executor -- the packed
 cross-request dispatch batching ragged items into one call, diagonal bands
 included -- must agree with the masked-dense gold standard on *every*
@@ -115,6 +116,9 @@ class CaseResult:
     #: of ``checks``, those that executed a plan with non-empty
     #: ``extras["bands"]`` (``packed`` and ``providers``)
     banded_checks: int = 0
+    #: of ``checks``, those that executed an item whose rows are all dense
+    #: last rows -- dense causal attention on the plan executor (``packed``)
+    dense_checks: int = 0
 
 
 def sample_case(rng: np.random.Generator) -> GeometryCase:
@@ -765,7 +769,7 @@ def _check_packed(case: GeometryCase) -> CaseResult:
     workspace = KernelWorkspace()
     res = packed_block_sparse_attention(items, workspace=workspace)
 
-    worst, worst_detail, checks, invariance, banded = 0.0, "", 0, 0, 0
+    worst, worst_detail, checks, invariance, banded, dense = 0.0, "", 0, 0, 0, 0
     for (var, q, k, v, plan), item, got in zip(batch, items, res.results):
         where = f"(s_q={var.s_q}, s_k={var.s_k})"
         checks_before = checks
@@ -792,6 +796,8 @@ def _check_packed(case: GeometryCase) -> CaseResult:
             failure = f"item {where} differs alone vs in the batch"
         if item.bands:
             banded += checks - checks_before
+        if item.dense_last_rows >= var.s_q:
+            dense += checks - checks_before
         if failure is not None:
             return CaseResult("packed", False, float("inf"), failure)
     return CaseResult(
@@ -802,6 +808,7 @@ def _check_packed(case: GeometryCase) -> CaseResult:
         checks=checks,
         invariance_checks=invariance,
         banded_checks=banded,
+        dense_checks=dense,
     )
 
 

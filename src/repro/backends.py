@@ -64,16 +64,13 @@ class AttentionBackend(abc.ABC):
 
 
 class FullAttentionBackend(AttentionBackend):
-    """Dense causal attention via the tiled FlashAttention reference."""
+    """Dense causal attention (:func:`~repro.attention.flash.flash_attention`,
+    the packed kernel running an all-rows-dense item)."""
 
     name = "full"
 
-    def __init__(self, block_size: int = 256) -> None:
-        super().__init__()
-        self.block_size = block_size
-
     def prefill(self, q, k, v, *, scale=None, layer=0):
-        out = flash_attention(q, k, v, causal=True, scale=scale, block_size=self.block_size)
+        out = flash_attention(q, k, v, scale=scale)
         self._record(density=1.0)
         return out
 

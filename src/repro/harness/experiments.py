@@ -251,7 +251,7 @@ def run_fig5(scale="quick", seed: int = 0) -> list[Table]:
         layer = mdl.layers[1]
         q, k, v = layer.project_qkv(x, np.arange(case.prompt.size))
         t0 = time.perf_counter()
-        flash_attention(q, k, v, block_size=128)
+        flash_attention(q, k, v)
         t_flash = time.perf_counter() - t0
         t0 = time.perf_counter()
         res = run_sample(q, k, v, SampleAttentionConfig(alpha=0.95))

@@ -100,6 +100,8 @@ __all__ = [
     "KV_BACKENDS",
 ]
 
+#: Prefill methods: ``"sample"`` plans and executes sparsely; ``"flash"`` is
+#: dense causal attention -- an all-rows-dense item on the same packed kernel.
 ENGINE_METHODS = ("sample", "flash")
 BILLING_MODES = ("measured", "roofline")
 
@@ -328,7 +330,8 @@ class ServingEngine:
         :func:`~repro.model.build_model` preset).
     method:
         ``"sample"`` executes SampleAttention prefill through the plan
-        cache; ``"flash"`` executes dense tiled attention.
+        cache; ``"flash"`` executes dense causal attention
+        (:func:`~repro.attention.flash.flash_attention`).
     config:
         SampleAttention hyperparameters for ``method="sample"``.
     chunk_size:
@@ -697,12 +700,14 @@ class ServingEngine:
     # ------------------------------------------------------------ attention
     def _dense_attend(self, job: _Job, q, keys, values, scale):
         """Right-aligned dense causal fallback for one (job, layer) call:
-        rows attend to the full prefix."""
+        rows attend to the full prefix (an all-dense packed item)."""
         job.elements += q.shape[0] * total_causal_elements(
             q.shape[1], keys.shape[1]
         )
         with self._profiler.stage("dense"):
-            return flash_attention(q, keys, values, causal=True, scale=scale)
+            return flash_attention(
+                q, keys, values, scale=scale, workspace=self._workspace
+            )
 
     def _record_violation(self, job: _Job, layer: int, reason: str) -> None:
         """One runtime CRA-guard trip: the plan in hand must not execute."""

@@ -5,7 +5,7 @@ import pytest
 
 import repro.attention.blocksparse as blocksparse_mod
 import repro.attention.fastpath as fastpath_mod
-import repro.attention.flash as flash_mod
+import repro.attention.packed as packed_mod
 import repro.core.sampling as sampling_mod
 from repro.attention import (
     block_sparse_attention,
@@ -52,7 +52,7 @@ class TestGroupedMatmuls:
 
     def test_view_input_no_copy_reshape(self):
         # Splitting the leading head axis of a query *tile view* must not
-        # force a copy -- the flash kernel feeds such views per tile.
+        # force a copy -- stage-1 sampling feeds such row views.
         q, k, _ = _gqa_qkv()
         tile = q[:, 32:96]
         assert tile.base is q
@@ -78,7 +78,7 @@ class TestNoSilentExpansion:
                 )
             return x
 
-        for mod in (blocksparse_mod, fastpath_mod, flash_mod, sampling_mod):
+        for mod in (blocksparse_mod, fastpath_mod, packed_mod, sampling_mod):
             if hasattr(mod, "expand_kv"):
                 monkeypatch.setattr(mod, "expand_kv", _raise)
         monkeypatch.setattr(
@@ -107,7 +107,7 @@ class TestOutputsUnchanged:
     def test_flash_vs_dense_gqa(self):
         q, k, v = _gqa_qkv(seed=5, h=6, h_kv=3, s=130)
         np.testing.assert_allclose(
-            flash_attention(q, k, v, block_size=32),
+            flash_attention(q, k, v),
             dense_attention(q, k, v, causal=True).output,
             atol=2e-5,
         )

@@ -14,14 +14,20 @@ import threading
 import numpy as np
 import pytest
 
+import repro.attention.packed as packed_mod
 from repro.attention import (
     KernelWorkspace,
     block_sparse_attention,
     dense_attention,
     packed_block_sparse_attention,
 )
-from repro.attention.packed import _BAND_ROWS, _STRIPE_ROWS, PackedItem
-from repro.attention.utils import causal_mask
+from repro.attention.packed import (
+    _BAND_ROWS,
+    _DENSE_SPAN,
+    _STRIPE_ROWS,
+    PackedItem,
+)
+from repro.attention.utils import causal_mask, total_causal_elements
 from repro.errors import ConfigError, MaskError, ShapeError
 from tests.conftest import plan_element_mask, striped_plan
 
@@ -305,13 +311,16 @@ class TestPackedStats:
 def _workspace_bound(item) -> int:
     """Closed form of the ``ws.take`` sizes in ``packed._execute_item``,
     from the item's shapes alone: linear in ``S_q`` (the scaled queries
-    and two row vectors), never ``S_q x |I_KV|``."""
+    and two row vectors), never ``S_q x |I_KV|``, and -- dense last rows
+    tile their prefix with ``_DENSE_SPAN``-wide spans -- never ``S_k``
+    wide."""
     h, s_q, d = item.q.shape
     s_k = item.k.shape[1]
     sinks = np.arange(min(item.sink_tokens, s_k))
     cols = max(np.union1d(ix, sinks).size for ix in item.kv_indices)
     bq = min(_BAND_ROWS, s_q)
-    span = s_k if item.dense_last_rows else min(item.window + bq - 1, s_k)
+    width = max(item.window, _DENSE_SPAN if item.dense_last_rows else 0)
+    span = min(width + bq - 1, s_k)
     floats = (
         h * s_q * d  # q
         + 2 * h * s_q  # l, m
@@ -354,7 +363,8 @@ class _ScoresEveryRowAtOnce(KernelWorkspace):
 class TestPackedWorkspaceBound:
     """Scratch follows what the plan kept, on the geometry the engine
     dispatches -- one 256-row chunk against a 4096-token prefix -- and on
-    the library's one-shot ``S_q = S_k = 4096`` call."""
+    the library's one-shot ``S_q = S_k = 4096`` call -- and, for an
+    all-rows-dense item (``flash_attention``), does not follow ``S_k``."""
 
     def _chunk(self, rng, s_q, s_k):
         return _item(rng, 8, s_q, s_k, 64, h_kv=2, window=-(-s_k * 8 // 100),
@@ -395,6 +405,38 @@ class TestPackedWorkspaceBound:
         ref = packed_block_sparse_attention([one_shot]).results[0]
         np.testing.assert_array_equal(got.output, ref.output)
         assert ws.nbytes > _workspace_bound(one_shot)
+
+    def test_dense_item_scratch_does_not_grow_with_the_prefix(self, rng):
+        h, h_kv, d, s_q = 8, 2, 64, 256
+        ws = KernelWorkspace()
+        held = []
+        for s_k in (4096, 8192):
+            q = rng.standard_normal((h, s_q, d), dtype=np.float32)
+            k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
+            v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
+            item = PackedItem.dense(q, k, v)
+            got = packed_block_sparse_attention([item], workspace=ws).results[0]
+            assert (got.computed_elements == total_causal_elements(s_q, s_k)).all()
+            assert got.element_density == 1.0 and got.density == 1.0
+            held.append(ws.nbytes)
+        # Closed form with no S_k in it: q, l, m, the 64-row q/pv blocks
+        # and one (64 x (_DENSE_SPAN + 63)) score block per head.
+        bound = 4 * (h * s_q * (d + 2)
+                     + h * _BAND_ROWS * (2 * d + _DENSE_SPAN + _BAND_ROWS - 1))
+        assert held[0] == held[1] <= bound == _workspace_bound(item)
+
+    def test_one_span_as_wide_as_the_prefix_breaks_the_bound(self, rng, monkeypatch):
+        q = rng.standard_normal((8, 256, 64), dtype=np.float32)
+        k = rng.standard_normal((2, 8192, 64), dtype=np.float32)
+        v = rng.standard_normal((2, 8192, 64), dtype=np.float32)
+        item = PackedItem.dense(q, k, v)
+        ref = packed_block_sparse_attention([item]).results[0]
+        # Seeded mutation: the dense rows' single (0, s_k) span.
+        monkeypatch.setattr(packed_mod, "_DENSE_SPAN", 8192)
+        ws = KernelWorkspace()
+        got = packed_block_sparse_attention([item], workspace=ws).results[0]
+        np.testing.assert_allclose(got.output, ref.output, atol=TOL)
+        assert ws.nbytes > _workspace_bound(item)
 
 
 class TestPackedValidation:

@@ -35,7 +35,9 @@ class TestPassingCampaign:
             assert area["failed"] == 0
             assert area["counterexamples"] == []
             assert area["banded_checks"] <= area["checks"]
+            assert area["dense_checks"] <= area["checks"]
         assert report["areas"]["packed"]["banded_checks"] > 0
+        assert report["areas"]["packed"]["dense_checks"] > 0
         on_disk = json.loads(out.read_text(encoding="utf-8"))
         assert on_disk == report
 

@@ -7,6 +7,10 @@ standard random QKV bundles are provided for kernel tests.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,19 @@ def intern_mini():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def perfbench_adapter():
+    """A read-only import of the frozen ``perfbench/adapter.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "adapter.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_adapter", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def random_qkv(

@@ -88,7 +88,7 @@ class TestChunkIsBatchOfOne:
 
     @staticmethod
     def _attend(i, q, keys, values, scale):
-        return flash_attention(q, keys, values, causal=True, scale=scale)
+        return flash_attention(q, keys, values, scale=scale)
 
     @pytest.mark.parametrize("backend", ["contiguous", "paged"])
     def test_bitwise_equal(self, tiny_model, rng, backend):

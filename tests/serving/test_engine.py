@@ -158,6 +158,31 @@ class TestBackpressure:
         assert summ["n_completed"] == 3
 
 
+def _corrupt_every_plan(monkeypatch, **changes):
+    """Every plan the provider hands the engine has ``changes`` applied."""
+    import dataclasses
+
+    import repro.serving.engine as engine_mod
+
+    real_make = engine_mod.make_provider
+
+    def corrupt_provider(name):
+        real = real_make(name)
+
+        class Corrupt:
+            name = real.name
+
+            def plan(self, *args, **kwargs):
+                plan = real.plan(*args, **kwargs)
+                return dataclasses.replace(
+                    plan, **{f: fn(plan) for f, fn in changes.items()}
+                )
+
+        return Corrupt()
+
+    monkeypatch.setattr(engine_mod, "make_provider", corrupt_provider)
+
+
 class TestGracefulDegradation:
     def test_kernel_failure_falls_back_to_dense(self, glm_mini, monkeypatch):
         import repro.serving.engine as engine_mod
@@ -173,26 +198,8 @@ class TestGracefulDegradation:
         assert summ["plan_fallbacks"] > 0
 
     def test_invalid_plan_falls_back_to_dense(self, glm_mini, monkeypatch):
-        import dataclasses
-
-        import repro.serving.engine as engine_mod
-
-        real_make = engine_mod.make_provider
-
-        def corrupt_provider(name):
-            real = real_make(name)
-
-            class Corrupt:
-                name = real.name
-
-                def plan(self, *args, **kwargs):
-                    plan = real.plan(*args, **kwargs)
-                    # window=0 fails validate()
-                    return dataclasses.replace(plan, window=0)
-
-            return Corrupt()
-
-        monkeypatch.setattr(engine_mod, "make_provider", corrupt_provider)
+        # window=0 fails validate()
+        _corrupt_every_plan(monkeypatch, window=lambda plan: 0)
         engine = make_engine(glm_mini)
         result = engine.run(burst(n=1, decode_tokens=1))
         summ = result.summary()
@@ -200,3 +207,98 @@ class TestGracefulDegradation:
         # The replanning chunk sees the corrupt plan and degrades to dense;
         # cache hits re-derive a valid window via extended() and stay sparse.
         assert summ["plan_fallbacks"] > 0
+
+
+class TestDenseIsAnItemOnThePackedKernel:
+    """``method="flash"``, the ladder's dense rung and the ``kernel_error``
+    fallback are all the same all-rows-dense packed item."""
+
+    PROMPT_LEN = 3 * 64 * 64  # three 64-token chunks at length_scale 64
+
+    def _flash_tokens(self, model, n):
+        res = make_engine(model, method="flash").run(
+            burst(n=n, prompt_len=self.PROMPT_LEN, decode_tokens=3)
+        )
+        assert all(tm.n_chunks == 3 for tm in res.requests)
+        return [list(tm.generated) for tm in res.requests]
+
+    def test_dense_rung_generates_the_flash_tokens(self, glm_mini, monkeypatch):
+        flash = self._flash_tokens(glm_mini, 1)
+        # window=0 fails validate(): every plan falls back to dense and,
+        # at degrade_after=1, the ladder walks sparse -> widened -> dense
+        # (the final chunk runs on the dense rung; the breaker stays shut).
+        _corrupt_every_plan(monkeypatch, window=lambda plan: 0)
+        engine = make_engine(
+            glm_mini,
+            method="sample",
+            degrade_after=1,
+            replan_interval=1,
+            breaker_threshold=10**6,
+        )
+        res = engine.run(burst(n=1, prompt_len=self.PROMPT_LEN, decode_tokens=3))
+        assert res.telemetry.counter("degraded_to_dense") == 1
+        assert res.requests[0].degradation_level == "dense"
+        assert res.telemetry.counter("kernel_packed_dispatches") == 0
+        assert [list(tm.generated) for tm in res.requests] == flash
+
+    def test_kernel_rejection_degrades_every_item_of_the_dispatch(
+        self, glm_mini, monkeypatch
+    ):
+        import repro.serving.engine as engine_mod
+        from repro.errors import MaskError
+
+        flash = self._flash_tokens(glm_mini, 2)
+        # A stale s_q passes validate() (it never looks) but the kernel's
+        # own validation pass rejects the item's mask geometry; the dense
+        # fallback then goes through that same validator with the item's
+        # own always-valid geometry.
+        _corrupt_every_plan(monkeypatch, s_q=lambda plan: plan.s_q + 1)
+        real = engine_mod.packed_block_sparse_attention
+        widths, rejected = [], []
+
+        def spy(items, **kw):
+            widths.append(len(items))
+            try:
+                return real(items, **kw)
+            except MaskError as err:
+                rejected.append(err)
+                raise
+
+        monkeypatch.setattr(engine_mod, "packed_block_sparse_attention", spy)
+        engine = make_engine(
+            glm_mini,
+            method="sample",
+            batching="packed",
+            scheduler="round_robin",
+            replan_interval=1,
+            degrade_after=10**6,  # stay on the sparse rung ...
+            breaker_threshold=10**6,  # ... with the breaker closed
+        )
+        res = engine.run(burst(n=2, prompt_len=self.PROMPT_LEN, decode_tokens=3))
+        attempts = 3 * glm_mini.config.n_layers  # (chunk, layer) dispatches
+        assert widths == [2] * attempts and len(rejected) == attempts
+        assert len(res.completed) == 2
+        assert [list(tm.generated) for tm in res.requests] == flash
+        # once per item, not once per dispatch
+        counters = res.telemetry
+        assert counters.counter("cra_violation_kernel_error") == 2 * attempts
+        assert counters.counter("plan_fallbacks") == 2 * attempts
+        assert counters.counter("kernel_packed_dispatches") == 0
+        for tm in res.requests:
+            assert tm.plan_fallbacks == attempts
+
+    def test_shape_error_out_of_the_fallback_propagates(
+        self, glm_mini, monkeypatch
+    ):
+        import repro.serving.engine as engine_mod
+        from repro.errors import ShapeError
+
+        _corrupt_every_plan(monkeypatch, s_q=lambda plan: plan.s_q + 1)
+
+        def bad_tensors(*args, **kwargs):
+            raise ShapeError("k and v must share a shape")
+
+        monkeypatch.setattr(engine_mod, "flash_attention", bad_tensors)
+        engine = make_engine(glm_mini, method="sample")
+        with pytest.raises(ShapeError):
+            engine.run(burst(n=1, decode_tokens=1))

@@ -5,15 +5,13 @@ arguments for the frozen ``perfbench/adapter.py``; everything else a caller
 can set is listed here, so adding or resurrecting a knob fails loudly.
 """
 
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.serving import ServingEngine
+from tests.conftest import perfbench_adapter
 
 DOCUMENTED = {
     "method", "config", "chunk_size", "scheduler", "max_queue",
@@ -24,18 +22,6 @@ DOCUMENTED = {
     "max_batch_requests", "kv_backend", "arena_blocks", "block_tokens",
     "prefix_sharing",
 }
-
-
-def _adapter():
-    path = Path(__file__).resolve().parents[2] / "perfbench" / "adapter.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_adapter", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses resolve annotations here
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def test_keyword_set_is_the_documented_one():
@@ -73,7 +59,7 @@ def test_compat_arguments_reject_every_other_value(glm_mini, kw):
 
 
 def test_perfbench_engine_configs_construct(glm_mini):
-    configs = _adapter().ENGINE_CONFIG
+    configs = perfbench_adapter().ENGINE_CONFIG
     assert set(configs) == {
         "prefill_long", "prefill_long_dense", "decode_heavy", "serving_mix"
     }
