@@ -67,6 +67,7 @@ from .masks import (
     normalise_indices,
 )
 from .utils import (
+    _EXP_CLAMP,
     NEG_INF,
     KernelWorkspace,
     decode_row_attention,
@@ -103,17 +104,6 @@ _DENSE_SPAN = 1024
 #: Cauchy-Schwarz exp-overflow bound: below it the kernel exponentiates raw
 #: scores (no row-max pass).
 _PLAIN_EXP_BOUND = 60.0
-
-#: Post-stabilisation clamp applied before ``exp``: entries this far below
-#: the row max contribute < 1e-26 relative mass (indistinguishable from 0
-#: in float32) but raw ``exp`` of the masked entries' ``-1e30`` would take
-#: numpy's underflow slow path -- ~6x the cost of the fast path.  The
-#: clamp value must stay well above ``log(FLT_MIN)`` (~-87.3): masked
-#: weights of ``exp(-60)`` (~9e-27) keep every probability-times-value
-#: product in the PV GEMM normal, where a tighter clamp would flood the
-#: GEMM with denormal products and trigger a per-FMA microcode assist
-#: that costs more than the masking it replaced.
-_EXP_CLAMP = np.float32(-60.0)
 
 
 @dataclass(frozen=True)
@@ -355,8 +345,10 @@ def _to_weights(s, masked, term, plain: bool, floor=None):
     raised to ``floor`` where given -- or ``None`` on the plain path,
     which exponentiates raw scores (bounded by the Cauchy-Schwarz check)
     and zeroes masked entries exactly.  The stabilised path clamps before
-    ``exp`` (see ``_EXP_CLAMP``), so masked entries weigh ~1e-26 of their
-    row's largest weight instead of taking ``exp``'s underflow path.
+    ``exp`` (:data:`~repro.attention.utils._EXP_CLAMP`, shared with the
+    decode kernel and stage-1 sampling), so masked entries weigh ~1e-26
+    of their row's largest weight instead of taking ``exp``'s underflow
+    path.
     Every row must hold at least one live entry.
     """
     if plain:

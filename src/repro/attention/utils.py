@@ -42,6 +42,19 @@ __all__ = [
 NEG_INF = np.float32(-1e30)
 """Additive mask value; large enough to zero a float32 softmax entry."""
 
+#: Clamp applied to ``score - row_max`` before ``exp`` (packed prefill,
+#: decode and stage-1 sampling share it): entries this far below the row
+#: max contribute < 1e-26 relative mass (indistinguishable from 0 in
+#: float32), but raw ``exp`` of them -- of a masked entry's ``-1e30``, or
+#: of a real score in the float32 denormal band 87-104 below the max --
+#: takes numpy's underflow slow path, ~6-10x the cost of the fast path.
+#: The value must stay well above ``log(FLT_MIN)`` (~-87.3): weights of
+#: ``exp(-60)`` (~9e-27) keep every probability-times-value product in the
+#: PV GEMM normal, where a tighter clamp would flood the GEMM with
+#: denormal products and trigger a per-FMA microcode assist that costs
+#: more than the masking it replaced.
+_EXP_CLAMP = np.float32(-60.0)
+
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``.
@@ -217,13 +230,29 @@ def decode_row_attention(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Single-row GQA attention: one decode token against its whole cache.
 
-    ``q (H, 1, d)`` is viewed as ``(H_kv, n_rep, d)`` so each KV head's
-    query group is one 2-D operand of a 3-D :func:`numpy.matmul` against
-    the cache view ``(H_kv, S_k, d)`` -- strided views of an
-    over-allocated cache go to BLAS as they are (no :func:`expand_kv`, no
-    4-D broadcast, no copy).  Scale, row max, subtract, ``exp`` and row sum
-    run in place on that one ``(H_kv, n_rep, S_k)`` buffer; the output is
-    normalised after the second matmul, and the buffer itself only when
+    A decode step is one read of ``k`` and one of ``v``, and both GEMMs
+    are shaped so that the read runs at memory bandwidth at every cache
+    length.  The value contraction ``s @ v`` has the cache as its
+    row-major right operand; the score contraction is ``k @ q^T``, not
+    ``q @ k^T``: the cache view ``k (H_kv, S_k, d)`` is the *left*,
+    row-major, untransposed operand and the query group -- ``scale``
+    folded in, copied to a contiguous ``(H_kv, d, n_rep)``, a few hundred
+    floats -- the right one.  (With ``k`` on the right the call is an
+    ``M = n_rep`` GEMM against a transposed ``B``; past BLAS's
+    small-matrix path, ``S_k`` ~ 700, that streams the cache at a quarter
+    of the bandwidth ``s @ v`` reaches over the same bytes.  A
+    non-contiguous ``q^T`` view does not avoid it.)  Strided views of an
+    over-allocated cache go to BLAS as they are: no :func:`expand_kv`, no
+    4-D broadcast, no copy of the cache, no read past ``S_k``.
+
+    The ``(H_kv, S_k, n_rep)`` scores are laid out as one contiguous
+    ``(H_kv, n_rep, S_k)`` buffer on which row max, subtract, clamp,
+    ``exp`` and row sum run in place.  The clamp (``_EXP_CLAMP``) is what
+    keeps ``exp`` and the value GEMM on their fast paths: real decode rows
+    put a few percent of their scores 87-104 below the row max, whose
+    weights would otherwise be float32 denormals.  Every weight is
+    therefore a normal number ``>= exp(-60)``.  The output is normalised
+    after the second matmul, and the buffer itself only when
     ``return_probs`` asks for the ``(H, 1, S_k)`` probabilities (the H2O
     mass feed).  A decode row attends to every cached key, so there is no
     mask and no dead row.
@@ -232,14 +261,17 @@ def decode_row_attention(
     invariance :func:`~repro.attention.packed.packed_decode_attention`
     promises -- and agrees with ``dense_attention(causal=False)`` to
     float32 summation tolerance, not bitwise (the row is normalised after
-    the value contraction instead of before).  Shapes are the caller's to
-    validate.
+    the value contraction instead of before, ``scale`` multiplies the
+    query instead of the scores).  Shapes are the caller's to validate.
     """
     h, _, d = q.shape
     h_kv, s_k, _ = k.shape
-    s = np.matmul(q.reshape(h_kv, h // h_kv, d), k.transpose(0, 2, 1))
-    s *= scale
+    qt = np.multiply(
+        q.reshape(h_kv, h // h_kv, d).transpose(0, 2, 1), scale, order="C"
+    )
+    s = np.ascontiguousarray(np.matmul(k, qt).transpose(0, 2, 1))
     s -= s.max(axis=-1, keepdims=True)
+    np.maximum(s, _EXP_CLAMP, out=s)
     np.exp(s, out=s)
     z = s.sum(axis=-1, keepdims=True)
     out = np.matmul(s, v)

@@ -8,10 +8,12 @@ failure to a minimal counterexample, and writes ``AUDIT.json``:
 * per-area pass/fail counts and the worst divergence observed, plus how
   many checks were bitwise alone-vs-in-batch comparisons
   (``invariance_checks``), how many executed a plan with non-empty
-  ``extras["bands"]`` (``banded_checks``) and how many executed an item
+  ``extras["bands"]`` (``banded_checks``), how many executed an item
   whose rows are all dense last rows (``dense_checks``, the shape of
-  :func:`~repro.attention.flash.flash_attention`) -- CI asserts each is
-  non-zero where it applies, so no path can go green by not running;
+  :func:`~repro.attention.flash.flash_attention`) and how many ran a
+  decode item of serving length, >= 1024 keys (``long_decode_checks``)
+  -- CI asserts each is non-zero where it applies, so no path can go
+  green by not running;
 * every failing case as a shrunk, re-runnable counterexample
   (``GeometryCase`` fields + divergence + detail);
 * contract-check and contract-violation totals.
@@ -77,6 +79,7 @@ class AreaReport:
     invariance_checks: int = 0
     banded_checks: int = 0
     dense_checks: int = 0
+    long_decode_checks: int = 0
     worst_divergence: float = 0.0
     counterexamples: list[dict] = field(default_factory=list)
 
@@ -88,6 +91,7 @@ class AreaReport:
         self.invariance_checks += result.invariance_checks
         self.banded_checks += result.banded_checks
         self.dense_checks += result.dense_checks
+        self.long_decode_checks += result.long_decode_checks
         if np.isfinite(result.divergence):
             self.worst_divergence = max(self.worst_divergence, result.divergence)
         if result.passed:
@@ -113,6 +117,7 @@ class AreaReport:
             "invariance_checks": self.invariance_checks,
             "banded_checks": self.banded_checks,
             "dense_checks": self.dense_checks,
+            "long_decode_checks": self.long_decode_checks,
             "worst_divergence": self.worst_divergence,
             "counterexamples": self.counterexamples,
         }

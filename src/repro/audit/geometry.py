@@ -119,6 +119,9 @@ class CaseResult:
     #: of ``checks``, those that executed an item whose rows are all dense
     #: last rows -- dense causal attention on the plan executor (``packed``)
     dense_checks: int = 0
+    #: of ``checks``, those on a decode item of at least
+    #: ``_LONG_DECODE_KEYS`` keys (``packed_decode``)
+    long_decode_checks: int = 0
 
 
 def sample_case(rng: np.random.Generator) -> GeometryCase:
@@ -812,13 +815,21 @@ def _check_packed(case: GeometryCase) -> CaseResult:
     )
 
 
+#: Keys of the long item every ``packed_decode`` case carries: the fuzzed
+#: ``s_k`` stops at 128, below the cache length (~700 keys) where BLAS
+#: leaves its small-matrix path and a decode GEMM's operand order starts
+#: to matter.
+_LONG_DECODE_KEYS = 1024
+
+
 def _check_packed_decode(case: GeometryCase) -> CaseResult:
     """Fused decode batch: oracle tolerance, batch invariance, strided KV.
 
-    A ragged batch of single-row items (KV lengths ``s_k``, ``s_k//2+1``
-    and ``1``) goes through one :func:`packed_decode_attention` call in a
-    shuffled order.  Each item's output and probabilities (the H2O mass
-    feed) must be
+    A ragged batch of single-row items (KV lengths ``s_k``, ``s_k//2+1``,
+    ``1`` and one serving-length ``_LONG_DECODE_KEYS + s_k``, counted in
+    ``long_decode_checks``) goes through one
+    :func:`packed_decode_attention` call in a shuffled order.  Each item's
+    output and probabilities (the H2O mass feed) must be
 
     * within ``TOLERANCE`` of ``dense_attention(q, k, v, causal=False)``;
     * *bitwise* equal to the same item dispatched alone -- batch
@@ -831,7 +842,9 @@ def _check_packed_decode(case: GeometryCase) -> CaseResult:
     """
     from ..attention.packed import PackedDecodeItem, packed_decode_attention
 
-    lengths = sorted({case.s_k, case.s_k // 2 + 1, 1})
+    lengths = sorted(
+        {case.s_k, case.s_k // 2 + 1, 1, _LONG_DECODE_KEYS + case.s_k}
+    )
     rng = np.random.default_rng(case.seed + 6)
     items = []
     for s_k in lengths:
@@ -848,12 +861,13 @@ def _check_packed_decode(case: GeometryCase) -> CaseResult:
     batch = [items[j] for j in order]
     res = packed_decode_attention(batch, return_probs=True)
 
-    worst, checks, invariance = 0.0, 0, 0
+    worst, checks, invariance, long_checks = 0.0, 0, 0, 0
 
     def fail(div: float, detail: str) -> CaseResult:
         return CaseResult(
             "packed_decode", False, div, detail,
             checks=checks, invariance_checks=invariance,
+            long_decode_checks=long_checks,
         )
 
     for it, got, probs in zip(batch, res.outputs, res.probs):
@@ -871,6 +885,8 @@ def _check_packed_decode(case: GeometryCase) -> CaseResult:
         ):
             checks += 2
             invariance += 1
+            if it.tag >= _LONG_DECODE_KEYS:
+                long_checks += 2
             div = _divergence(mine, ref)
             if not div <= TOLERANCE:
                 return fail(
@@ -898,6 +914,7 @@ def _check_packed_decode(case: GeometryCase) -> CaseResult:
         "fused decode batch within tolerance and batch-invariant",
         checks=checks,
         invariance_checks=invariance,
+        long_decode_checks=long_checks,
     )
 
 

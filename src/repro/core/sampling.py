@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attention.utils import NEG_INF, grouped_qk, validate_qkv
+from ..attention.utils import _EXP_CLAMP, NEG_INF, grouped_qk, validate_qkv
 from ..errors import ConfigError
 
 __all__ = [
@@ -145,9 +145,11 @@ def sample_column_scores(
             visible_rows += visible.sum(axis=0)
         else:
             visible_rows += rows.size
-        # Stable row softmax.
-        m = np.max(s, axis=-1, keepdims=True)
-        p = np.exp(s - m)
+        # Stable row softmax; the clamp keeps masked and far-below-max
+        # entries off ``exp``'s underflow path (see ``_EXP_CLAMP``).
+        s -= np.max(s, axis=-1, keepdims=True)
+        np.maximum(s, _EXP_CLAMP, out=s)
+        p = np.exp(s, out=s)
         if causal:
             p = np.where(visible[None], p, 0.0)
         z = np.sum(p, axis=-1, keepdims=True)

@@ -29,6 +29,13 @@ def rms_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return x / rms
 
 
+def _f32(x: np.ndarray) -> np.ndarray:
+    """``x`` as float32: the array itself when it already is (float32
+    weights and embeddings make every projection float32), so callers must
+    not write to the result -- the KV append and the kernels copy."""
+    return x.astype(np.float32, copy=False)
+
+
 def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
@@ -91,7 +98,7 @@ class AttentionLayer:
         )
         q = apply_rope(q, cos, sin)
         k = apply_rope(k, cos, sin)
-        return q.astype(np.float32), k.astype(np.float32), v.astype(np.float32)
+        return _f32(q), _f32(k), _f32(v)
 
     def project_qkv_batch(
         self,
@@ -131,13 +138,7 @@ class AttentionLayer:
             )
             q = apply_rope(qb[b], cos, sin)
             k = apply_rope(kb[b], cos, sin)
-            out.append(
-                (
-                    q.astype(np.float32),
-                    k.astype(np.float32),
-                    vb[b].astype(np.float32),
-                )
-            )
+            out.append((_f32(q), _f32(k), _f32(vb[b])))
         return out
 
     def project_qkv_decode_batch(
@@ -189,11 +190,7 @@ class AttentionLayer:
         sb = sin[:, None, :]
         q = apply_rope_batched(qs, cb, sb)
         k = apply_rope_batched(ks, cb, sb)
-        return (
-            q.astype(np.float32),
-            k.astype(np.float32),
-            vs.astype(np.float32),
-        )
+        return _f32(q), _f32(k), _f32(vs)
 
     def _decode_proj_weights(
         self,

@@ -1,6 +1,7 @@
-"""``packed_decode_attention``: serial execution, validation, empty batch.
+"""``packed_decode_attention``: serial execution, validation, empty batch,
+and the kernel's numerics at serving cache lengths.
 
-Numerics (batch invariance, oracle tolerance, strided KV) are pinned by
+Batch invariance over generated ragged batches is pinned by
 ``tests/properties/test_property_decode_invariance.py``.
 """
 
@@ -11,6 +12,9 @@ import threading
 import numpy as np
 import pytest
 
+import repro.attention.packed as packed
+from repro.attention import dense_attention
+from repro.attention import utils as attention_utils
 from repro.attention.packed import PackedDecodeItem, packed_decode_attention
 from repro.errors import ShapeError
 
@@ -74,3 +78,181 @@ def test_rejects_multi_row_query(rng):
     wide = PackedDecodeItem(q=np.concatenate([it.q, it.q], axis=1), k=it.k, v=it.v)
     with pytest.raises(ShapeError):
         packed_decode_attention([it, wide])
+
+
+# ---------------------------------------------------------------------------
+# Serving geometry.  The decode GEMMs change BLAS regime near S_k ~ 700 (the
+# small-matrix path ends), so the kernel's contract is re-asserted on both
+# sides of it, on the cache layout serving hands over: K/V are the live
+# prefixes of over-allocated buffers whose spare capacity is NaN -- a kernel
+# that reads past S_k, or scores a copy of the padded buffer, poisons its
+# output.
+# ---------------------------------------------------------------------------
+
+TOLERANCE = 2e-5
+SERVING_GRID = [
+    (s_k, n_rep, d)
+    for s_k in (1, 63, 600, 801, 2048, 4097)
+    for n_rep in (1, 2, 4)
+    for d in (16, 80)
+]
+H_KV = 2
+#: float32 weights below this are denormal.
+TINY = np.finfo(np.float32).tiny
+
+
+def _padded_cache(live: np.ndarray) -> np.ndarray:
+    """``live (H_kv, S_k, d)`` as the prefix view of a NaN-tailed buffer."""
+    h_kv, s_k, d = live.shape
+    buf = np.full((h_kv, s_k + 5, d), np.nan, dtype=np.float32)
+    buf[:, :s_k] = live
+    return buf[:, :s_k]
+
+
+def _gaussian_qkv(rng, s_k, n_rep, d):
+    return (
+        rng.standard_normal((H_KV * n_rep, 1, d), dtype=np.float32),
+        rng.standard_normal((H_KV, s_k, d), dtype=np.float32),
+        rng.standard_normal((H_KV, s_k, d), dtype=np.float32),
+    )
+
+
+def _wide_qkv(rng, s_k, n_rep, d):
+    """Scores (already scaled) running from +800 down to -800 along the
+    cache, per head at a slightly different pitch: the row max is far from
+    0 and every row crosses the band 87-104 below it, where an unclamped
+    float32 ``exp`` returns denormals."""
+    u = rng.standard_normal((H_KV, d)).astype(np.float32)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    pitch = 1.0 - 0.1 * np.arange(n_rep, dtype=np.float32)
+    q = (u[:, None, :] * pitch[None, :, None]).reshape(H_KV * n_rep, 1, d)
+    q = q * np.float32(np.sqrt(d))  # the kernel's default scale is 1/sqrt(d)
+    ramp = np.linspace(800.0, -800.0, s_k, dtype=np.float32)
+    k = u[:, None, :] * ramp[None, :, None]
+    k += 0.01 * rng.standard_normal(k.shape, dtype=np.float32)
+    return q, k, rng.standard_normal((H_KV, s_k, d), dtype=np.float32)
+
+
+def _served(make_qkv, s_k, n_rep, d):
+    """``(item, output, probs)`` of the case dispatched alone, once per
+    query dtype, K/V handed over as NaN-padded cache views."""
+    for q_dtype in (np.float32, np.float64):
+        q, k, v = make_qkv(np.random.default_rng(s_k + n_rep), s_k, n_rep, d)
+        it = PackedDecodeItem(
+            q=q.astype(q_dtype), k=_padded_cache(k), v=_padded_cache(v)
+        )
+        res = packed_decode_attention([it], return_probs=True)
+        yield it, res.outputs[0], res.probs[0]
+
+
+def _assert_gaussian_contract(s_k, n_rep, d):
+    for it, out, probs in _served(_gaussian_qkv, s_k, n_rep, d):
+        assert out.dtype == it.q.dtype and out.shape == it.q.shape
+        oracle = dense_attention(it.q, it.k, it.v, causal=False, return_probs=True)
+        assert np.abs(out - oracle.output).max() <= TOLERANCE
+        assert np.abs(probs - oracle.probs).max() <= TOLERANCE
+        assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-6
+
+
+def _assert_wide_contract(s_k, n_rep, d):
+    for it, out, probs in _served(_wide_qkv, s_k, n_rep, d):
+        assert np.isfinite(out).all() and np.isfinite(probs).all()
+        assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-6
+        # Read off the normalised weights: the row sum lies in [1, S_k], so
+        # a clamped weight stays normal after the division (exp(-60) / 4097
+        # ~ 2e-30) and an unclamped denormal stays below TINY.
+        assert np.all((probs == 0) | (probs >= TINY))
+        oracle = dense_attention(
+            it.q.astype(np.float32), it.k, it.v, causal=False, return_probs=True
+        )
+        # Scores of magnitude 800 carry float32 rounding of ~1e-4 into the
+        # exponent, so the oracle is matched to 1e-3 here, not 2e-5.
+        assert np.abs(out - oracle.output).max() <= 1e-3
+        # ...and the rows did reach the band the clamp exists for.
+        if s_k >= 600:
+            assert ((oracle.probs > 0) & (oracle.probs < TINY)).any()
+
+
+@pytest.mark.parametrize("s_k,n_rep,d", SERVING_GRID)
+def test_gaussian_scores_match_dense_at_serving_lengths(s_k, n_rep, d):
+    _assert_gaussian_contract(s_k, n_rep, d)
+
+
+@pytest.mark.parametrize("s_k,n_rep,d", SERVING_GRID)
+def test_wide_scores_stay_finite_normalised_and_denormal_free(s_k, n_rep, d):
+    _assert_wide_contract(s_k, n_rep, d)
+
+
+def _reads_one_key_past_the_view(real):
+    """Score against ``k[:, :S_k + 1]`` (and weigh ``v`` likewise)."""
+
+    def one_more(x):
+        h_kv, s_k, d = x.shape
+        return np.lib.stride_tricks.as_strided(
+            x, shape=(h_kv, s_k + 1, d), strides=x.strides
+        )
+
+    def mutant(q, k, v, scale, *, return_probs=False):
+        out, probs = real(q, one_more(k), one_more(v), scale, return_probs=return_probs)
+        return out, None if probs is None else probs[..., :-1]
+
+    return mutant
+
+
+def _without_line(line):
+    """The kernel re-compiled from its own source minus one statement."""
+
+    def mutation(real):
+        source = inspect.getsource(real)
+        assert source.count(line) == 1, f"kernel no longer contains {line!r}"
+        namespace = dict(vars(attention_utils))
+        exec(  # noqa: S102 - the library's own source, one line replaced
+            "from __future__ import annotations\n" + source.replace(line, "pass"),
+            namespace,
+        )
+        return namespace[real.__name__]
+
+    return mutation
+
+
+class TestServingGeometryGateCatchesSeededMutations:
+    """The two contracts above must fail a kernel that is slightly wrong in
+    the ways the layout and the score range exist to expose."""
+
+    GRID = [(801, 2, 80), (2048, 4, 16)]
+
+    def _failures(self, contract):
+        failed = 0
+        for case in self.GRID:
+            try:
+                contract(*case)
+            except AssertionError:
+                failed += 1
+        return failed
+
+    def test_unmutated_kernel_passes(self):
+        assert self._failures(_assert_gaussian_contract) == 0
+        assert self._failures(_assert_wide_contract) == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "mutation,contract",
+        [
+            (_reads_one_key_past_the_view, _assert_gaussian_contract),
+            (
+                _without_line("s -= s.max(axis=-1, keepdims=True)"),
+                _assert_wide_contract,
+            ),
+            (
+                _without_line("np.maximum(s, _EXP_CLAMP, out=s)"),
+                _assert_wide_contract,
+            ),
+        ],
+        ids=["reads_past_s_k", "no_row_max_subtraction", "no_clamp"],
+    )
+    def test_mutation_is_caught(self, monkeypatch, mutation, contract):
+        monkeypatch.setattr(
+            packed, "decode_row_attention", mutation(packed.decode_row_attention)
+        )
+        assert self._failures(contract) == len(self.GRID)

@@ -38,6 +38,7 @@ class TestPassingCampaign:
             assert area["dense_checks"] <= area["checks"]
         assert report["areas"]["packed"]["banded_checks"] > 0
         assert report["areas"]["packed"]["dense_checks"] > 0
+        assert report["areas"]["packed_decode"]["long_decode_checks"] > 0
         on_disk = json.loads(out.read_text(encoding="utf-8"))
         assert on_disk == report
 

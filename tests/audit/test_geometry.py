@@ -126,6 +126,9 @@ class TestAreaChecks:
         result = run_case(BASE, "packed_decode")
         assert result.passed and result.divergence <= TOLERANCE
         assert result.invariance_checks > 0
+        # One item of every case is of serving length (>= 1024 keys): the
+        # fuzzed s_k alone stays below the decode GEMMs' BLAS regime change.
+        assert 0 < result.long_decode_checks < result.checks
 
 
 def _drop_one_stripe_column(real):

@@ -129,6 +129,14 @@ class TestBitwiseParity:
         b = run_batched(model, PROMPTS[:1], bat, steps=3)
         assert_bitwise(a, b, seq, bat)
 
+    def test_single_entry_matches_decode_step_at_serving_length(self, model):
+        prompts = [np.arange(2047, dtype=np.int64) % 64]  # first step: S_k = 2048
+        seq = contiguous_caches(model, prompts)
+        bat = contiguous_caches(model, prompts)
+        a = run_sequential(model, prompts, seq, steps=3)
+        b = run_batched(model, prompts, bat, steps=3)
+        assert_bitwise(a, b, seq, bat)
+
     def test_mid_stream_eviction_parity(self, model):
         """H2O eviction fires between batched steps exactly as it does
         between sequential steps: same evictions, same tokens after."""

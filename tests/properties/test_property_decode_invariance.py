@@ -66,6 +66,21 @@ def _assert_contract(item, out, probs, solo) -> None:
     assert np.abs(probs - oracle.probs).max() <= TOLERANCE
 
 
+def _assert_alone_equals_permutation(seed, lengths, n_rep, backend, data):
+    rng = np.random.default_rng(seed)
+    items = _items(rng, backend, lengths, n_rep)
+    if backend == "contiguous":
+        assert not items[0].k.flags.c_contiguous  # a strided view
+    alone = [packed_decode_attention([it], return_probs=True) for it in items]
+    order = data.draw(st.permutations(range(len(items))))
+    res = packed_decode_attention([items[j] for j in order], return_probs=True)
+    assert res.cu_seqlens.tolist() == np.cumsum(
+        [0] + [lengths[j] for j in order]
+    ).tolist()
+    for slot, j in enumerate(order):
+        _assert_contract(items[j], res.outputs[slot], res.probs[slot], alone[j])
+
+
 class TestBatchInvariance:
     @given(
         seed=st.integers(0, 10_000),
@@ -78,24 +93,28 @@ class TestBatchInvariance:
     def test_alone_equals_any_permutation(
         self, seed, lengths, n_rep, backend, data
     ):
-        rng = np.random.default_rng(seed)
-        items = _items(rng, backend, lengths, n_rep)
-        if backend == "contiguous":
-            assert not items[0].k.flags.c_contiguous  # a strided view
-        alone = [
-            packed_decode_attention([it], return_probs=True) for it in items
-        ]
-        order = data.draw(st.permutations(range(len(items))))
-        res = packed_decode_attention(
-            [items[j] for j in order], return_probs=True
+        _assert_alone_equals_permutation(seed, lengths, n_rep, backend, data)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        short=st.lists(st.integers(1, 600), min_size=1, max_size=4),
+        long=st.lists(
+            st.sampled_from([801, 2048, 4097]), min_size=1, max_size=2
+        ),
+        n_rep=st.sampled_from([1, 2, 4]),
+        backend=st.sampled_from(["contiguous", "paged"]),
+        data=st.data(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_serving_length_item_in_a_mixed_batch(
+        self, seed, short, long, n_rep, backend, data
+    ):
+        # Serving co-schedules 100-token and 4K-token caches in one decode
+        # dispatch; past S_k ~ 700 the kernel's GEMMs run in another BLAS
+        # regime than the short items next to them.
+        _assert_alone_equals_permutation(
+            seed, short + long, n_rep, backend, data
         )
-        assert res.cu_seqlens.tolist() == np.cumsum(
-            [0] + [lengths[j] for j in order]
-        ).tolist()
-        for slot, j in enumerate(order):
-            _assert_contract(
-                items[j], res.outputs[slot], res.probs[slot], alone[j]
-            )
 
     def test_single_key(self):
         rng = np.random.default_rng(0)
