@@ -1,14 +1,16 @@
 """Chaos drill: serve a request stream while an adversary injects faults.
 
 The near-lossless claim is only as good as the runtime that enforces it,
-so this example attacks the serving engine with every fault kind the
-harness knows -- transient attend failures mid-chunk, plan-cache
-corruption (including structurally valid plans that lie about their CRA
-coverage), latency spikes, persistent stragglers, and a synchronized
-admission burst -- and shows the recovery machinery absorbing all of it:
-bounded retry with KV rollback, the runtime CRA guard forcing dense
-fallback, the circuit breaker, per-request deadlines, and the degradation
-ladder (sparse -> widened -> dense -> shed).
+so this example attacks the serving engine with the repo's one chaos
+scenario (`repro.serving.chaos_scenario`, the same one `sampleattn chaos`,
+the memory and fleet drills and the packed-parity test serve) -- transient
+attend failures mid-chunk, plan-cache corruption (including structurally
+valid plans that lie about their CRA coverage), latency spikes, persistent
+stragglers, slow chunks, and a synchronized admission burst -- and shows
+the recovery machinery absorbing all of it: bounded retry with KV
+rollback, the runtime CRA guard forcing dense fallback, the circuit
+breaker, per-request deadlines, and the degradation ladder
+(sparse -> widened -> dense -> shed).
 
 Everything is seeded: running the drill twice produces bitwise-identical
 telemetry, which is what lets the CI chaos job assert recovery instead of
@@ -17,64 +19,36 @@ eyeballing it.
 Run:  PYTHONPATH=src python examples/chaos_drill.py        (~10 s)
 """
 
-import numpy as np
-
 from repro.model import build_model
 from repro.serving import (
-    FaultInjector,
     ServingEngine,
+    chaos_scenario,
     check_recovery_invariants,
-    inject_admission_burst,
-    poisson_workload,
 )
 
 SEED = 0
 
-rng = np.random.default_rng(SEED)
-requests = poisson_workload(
-    rng,
-    rate_per_s=3.0,
-    duration_s=2.0,
-    prompt_lens=(8192, 16384),
-    decode_tokens=2,
-)
-requests = inject_admission_burst(
-    requests, seed=SEED, at=0.25, n=3, prompt_len=16384, decode_tokens=1
-)
-injector = FaultInjector(
-    SEED,
-    p_attend_fault=0.3,  # chunks that raise partway through their layers
-    max_transient_failures=2,  # ... up to twice, so retries=2 always recovers
-    p_plan_poison=0.35,  # cached plans corrupted before the chunk runs
-    p_latency_spike=0.2,
-    spike_multiplier=6.0,
-    p_straggler=0.25,  # whole requests slowed persistently
-    straggler_multiplier=3.0,
-)
+# Workload, adversary, engine and front-door configuration in one record:
+# a Poisson stream of 8K/16K prompts plus a 16K burst at t = 0.25 s; a
+# retry budget of 2 against at most 2 transient failures per chunk; a
+# six-deep shed-oldest queue; a 4 s deadline; the deterministic roofline
+# clock.
+scenario = chaos_scenario(SEED)
 model = build_model("glm-mini")
 
 
 def drill():
-    engine = ServingEngine(
-        model,
-        method="sample",
-        chunk_size=96,
-        length_scale=32,
-        billing="roofline",  # deterministic virtual clock
-        max_queue=6,
-        admission_policy="shed_oldest",
-        fault_injector=injector,
-        deadline_s=4.0,
-        max_retries=2,
-        degrade_after=2,
-        breaker_threshold=3,
-        breaker_cooldown_chunks=4,
-        seed=SEED,
-    )
-    return engine.run(list(requests))
+    engine = ServingEngine(model, **scenario.serving_kwargs())
+    return engine.run(list(scenario.requests))
 
 
-print(f"{len(requests)} requests (burst included), injector armed\n")
+print(f"{len(scenario.requests)} requests (burst included), injector armed:")
+armed = {
+    k: v
+    for k, v in scenario.injector.as_dict().items()
+    if k.startswith("p_") and v
+}
+print("  " + ", ".join(f"{k}={v}" for k, v in armed.items()) + "\n")
 result = drill()
 summ = result.summary()
 for key in (

@@ -59,7 +59,6 @@ def drill():
     fleet = FleetEngine(
         model,
         n_workers=3,
-        transport="inline",  # "process" forks real children, same results
         routing_policy="least_loaded",
         max_queue=6,
         admission_policy="shed_oldest",

@@ -1,13 +1,24 @@
-"""Fast execution path for the block-sparse kernel.
+"""The arbitrary-:class:`BlockMask` kernel: baselines and the tile-granular
+ablation.
 
-:func:`repro.attention.block_sparse_attention` reproduces the *semantics*
-of the paper's masked FlashAttention kernel, but pays a Python-level loop
-over every ``(q_block, k_block)`` tile: per-tile fancy indexing over heads,
-per-tile ``np.einsum(..., optimize=True)`` path re-planning, and fresh
-scratch allocations for every tile it visits.  On the serving engine's hot
-path that interpreter overhead dominates the GEMMs.  This module is the
-engineered replacement -- same mask semantics, same accounting, restructured
-execution:
+Not on the serving path -- the engine has executed every
+:class:`~repro.core.plan.SparsePlan` (and dense attention) through
+:mod:`repro.attention.packed` at stripe granularity since PR 16.  This
+kernel is for masks that are *not* plans: the BigBird and StreamingLLM
+baselines' backends call :func:`fast_block_sparse_attention` directly
+(BigBird's per-row-block random tiles cannot be expressed as stripes +
+window), and running it on ``plan.to_block_mask()`` is the tile-granular
+ablation of a plan.  It is kept, rather than replaced by its oracle,
+because the paper-table experiments would pay for it: ``table2`` takes
++25 % wall time (194 -> 243 s, identical tables) on the tile-at-a-time
+:func:`repro.attention.block_sparse_attention`.
+
+That oracle reproduces the *semantics* of the paper's masked
+FlashAttention kernel, but pays a Python-level loop over every
+``(q_block, k_block)`` tile: per-tile fancy indexing over heads, per-tile
+``np.einsum(..., optimize=True)`` path re-planning, and fresh scratch
+allocations for every tile it visits.  This module has the same mask
+semantics and the same accounting, with the execution restructured:
 
 * **Tile-run coalescing** -- per query block, contiguous active key blocks
   are merged into *runs* (the paper's Figure 2 patterns make long runs
@@ -29,14 +40,8 @@ execution:
   :func:`~repro.attention.utils.expand_kv` performs never happens on this
   path.
 
-This is the kernel for an *arbitrary* :class:`BlockMask`: the baselines'
-backends call :func:`fast_block_sparse_attention` directly.  A
-:class:`~repro.core.plan.SparsePlan` is executed at stripe granularity by
-:mod:`repro.attention.packed` instead; running this kernel on
-``plan.to_block_mask()`` is the tile-granular ablation of the same plan.
-Outputs
-match the reference kernel and ``dense_attention(mask.to_dense())`` to
-float32 tolerance (the property tests assert all three agree).
+Outputs match the reference kernel and ``dense_attention(mask.to_dense())``
+to float32 tolerance (the property tests assert all three agree).
 """
 
 from __future__ import annotations

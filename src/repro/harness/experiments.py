@@ -47,18 +47,7 @@ def _run_audit(scale="quick", seed: int = 0):
     return run_audit_experiment(scale=scale, seed=seed)
 
 
-def _run_memory(scale="quick", seed: int = 0):
-    from .memdrill import run_memory
-
-    return run_memory(scale=scale, seed=seed)
-
-
-def _run_fleet(scale="quick", seed: int = 0):
-    from .fleetdrill import run_fleet
-
-    return run_fleet(scale=scale, seed=seed)
-
-
+from .drills import run_chaos, run_fleet, run_memory
 from .methods import METHOD_NAMES, make_backend
 from .tables import Table
 
@@ -947,184 +936,6 @@ def run_serve(scale="quick", seed: int = 0) -> list[Table]:
     return [t1, t2, t3]
 
 
-def run_chaos(scale="quick", seed: int = 0) -> list[Table]:
-    """Chaos drill: serve a seeded workload under active fault injection
-    and *assert* the recovery guarantees instead of just reporting them.
-
-    The injector fires four fault kinds (transient attend failures,
-    plan-cache corruption, latency spikes, stragglers) plus slow chunks,
-    and the workload carries a synchronized admission burst -- six of the
-    fault model's kinds in one run.  The drill fails (raises
-    :class:`~repro.errors.ReproError`, a non-zero CLI exit) when any
-    admitted request fails to reach a terminal state, when a request
-    completes with a runtime CRA-guard violation that was not answered by
-    a recorded dense fallback, or when a second run with the same seed
-    does not reproduce bitwise-identical telemetry counters.
-
-    ``SAMPLEATTN_CHAOS_ENGINE=fleet`` serves the identical workload
-    through a 2-worker :class:`~repro.serving.fleet.FleetEngine` instead
-    of a single engine -- same per-request invariants, same determinism
-    bar -- so CI proves the fleet preserves single-engine chaos
-    semantics.
-    """
-    import os
-
-    from ..errors import ReproError
-    from ..serving import (
-        FaultInjector,
-        FleetEngine,
-        ServingEngine,
-        check_recovery_invariants,
-        inject_admission_burst,
-        poisson_workload,
-    )
-
-    engine_kind = os.environ.get("SAMPLEATTN_CHAOS_ENGINE", "single")
-    if engine_kind not in ("single", "fleet"):
-        raise ConfigError(
-            f"SAMPLEATTN_CHAOS_ENGINE={engine_kind!r}; expected 'single' "
-            "or 'fleet'"
-        )
-
-    sc = _scale(scale)
-    quick = sc.name == "quick"
-    rng = np.random.default_rng(seed)
-    requests = poisson_workload(
-        rng,
-        rate_per_s=3.0 if quick else 2.0,
-        duration_s=2.0 if quick else 8.0,
-        prompt_lens=(8192, 16384),
-        decode_tokens=2,
-    )
-    requests = inject_admission_burst(
-        requests, seed=seed, at=0.25, n=3 if quick else 6, prompt_len=16384,
-        decode_tokens=1,
-    )
-    injector = FaultInjector(
-        seed,
-        p_attend_fault=0.3,
-        max_transient_failures=2,
-        p_plan_poison=0.35,
-        p_latency_spike=0.2,
-        spike_multiplier=6.0,
-        p_straggler=0.25,
-        straggler_multiplier=3.0,
-        p_slow_chunk=0.15,
-        slow_chunk_multiplier=4.0,
-    )
-    mdl = build_model(sc.models[0])
-
-    engine_kwargs = dict(
-        method="sample",
-        chunk_size=96 if quick else 256,
-        length_scale=32 if quick else 16,
-        billing="roofline",
-        max_retries=2,
-        degrade_after=2,
-        breaker_threshold=3,
-        breaker_cooldown_chunks=4,
-        seed=seed,
-    )
-
-    def drill():
-        if engine_kind == "fleet":
-            # Same workload, same adversary, same admission semantics --
-            # lifted to the fleet front door over two workers.
-            fleet = FleetEngine(
-                mdl,
-                n_workers=2,
-                transport="inline",
-                max_queue=6,
-                admission_policy="shed_oldest",
-                fault_injector=injector,
-                deadline_s=4.0,
-                **engine_kwargs,
-            )
-            return fleet.run(list(requests))
-        engine = ServingEngine(
-            mdl,
-            max_queue=6,
-            admission_policy="shed_oldest",
-            fault_injector=injector,
-            deadline_s=4.0,
-            **engine_kwargs,
-        )
-        return engine.run(list(requests))
-
-    result = drill()
-    repeat = drill()
-    if result.summary() != repeat.summary():
-        raise ReproError(
-            "chaos drill not deterministic: two runs with the same seed "
-            "produced different telemetry summaries"
-        )
-    breaches = check_recovery_invariants(result)
-    if breaches:
-        raise ReproError(
-            "chaos drill breached recovery invariants:\n  "
-            + "\n  ".join(breaches)
-        )
-
-    summ = result.summary()
-    engine_label = (
-        "2-worker fleet" if engine_kind == "fleet" else "single engine"
-    )
-    t1 = Table(
-        f"Chaos drill survived ({sc.models[0]}, {engine_label}, "
-        f"seed={seed}): fault and recovery counters (deterministic, "
-        "bitwise-identical across runs)",
-        ["counter", "value"],
-        notes=(
-            "injector: "
-            + ", ".join(f"{k}={v}" for k, v in injector.as_dict().items())
-        ),
-    )
-    for key in (
-        "n_requests",
-        "n_completed",
-        "n_rejected",
-        "n_shed",
-        "n_deadline_exceeded",
-        "n_degraded",
-        "faults_injected",
-        "chunk_retries",
-        "cra_guard_violations",
-        "plan_fallbacks",
-        "circuit_breaker_trips",
-        "breaker_dense_chunks",
-    ):
-        v = summ[key]
-        t1.add_row(key, int(v) if float(v).is_integer() else round(v, 4))
-
-    t2 = Table(
-        "Per-request recovery audit",
-        [
-            "request_id",
-            "outcome",
-            "level",
-            "retries",
-            "faults",
-            "cra_violations",
-            "fallbacks",
-            "transitions",
-        ],
-        notes="every request terminal; cra_violations <= fallbacks on "
-        "completed requests; ladder transitions strictly escalating",
-    )
-    for tm in result.requests:
-        t2.add_row(
-            tm.request_id,
-            tm.outcome,
-            tm.degradation_level,
-            tm.retries,
-            tm.faults_injected,
-            tm.cra_violations,
-            tm.plan_fallbacks,
-            " -> ".join(tr["to"] for tr in tm.transitions) or "-",
-        )
-    return [t1, t2]
-
-
 EXPERIMENTS = {
     "fig1": (run_fig1, "TTFT overview: attention share and speedups (cost model)"),
     "fig2": (run_fig2, "Sparsity foundations: SD per layer/length/head, patterns, CRA"),
@@ -1148,8 +959,8 @@ EXPERIMENTS = {
     "serving": (run_serving, "Queueing/TTFT under a request stream (simulator)"),
     "serve": (run_serve, "Executed serving engine vs simulator prediction"),
     "chaos": (run_chaos, "Fault-injection drill: engine recovery under chaos"),
-    "memory": (_run_memory, "Memory drill: paged-KV capacity + pressure recovery"),
-    "fleet": (_run_fleet, "Fleet drill: multi-worker crash recovery + isolation"),
+    "memory": (run_memory, "Memory drill: paged-KV capacity + pressure recovery"),
+    "fleet": (run_fleet, "Fleet drill: multi-worker crash recovery + isolation"),
     "audit": (_run_audit, "Differential audit: geometry fuzz + AUDIT.json"),
 }
 

@@ -12,21 +12,15 @@ block tables over one global :class:`KVArena`:
   copies only the tokens appended since the last one.
 * :class:`PrefixSharingRegistry` -- chain-hashed token prefixes map to
   physical blocks so repeated system prompts share storage.
-* :class:`EvictionPolicy` implementations (:class:`HeavyHitterPolicy`,
-  :class:`LRUBlockPolicy`) -- live cache shrinking under pressure.
-* :class:`MemoryPressureController` -- the ``evict -> quantize -> shed``
+* :class:`EvictionPolicy` and its one implementation,
+  :class:`HeavyHitterPolicy` -- live cache shrinking under pressure.
+* :class:`MemoryPressureController` -- the ``evict -> shed``
   degradation rung the serving engine walks on
   :class:`~repro.errors.ArenaExhaustedError`.
 """
 
 from .arena import KVArena
-from .eviction import (
-    EVICTION_POLICIES,
-    EvictionPolicy,
-    HeavyHitterPolicy,
-    LRUBlockPolicy,
-    make_eviction_policy,
-)
+from .eviction import EvictionPolicy, HeavyHitterPolicy
 from .gather import BatchedKVGather
 from .paged_cache import PagedLayerKVCache
 from .pressure import MEMORY_PRESSURE_LEVELS, MemoryPressureController
@@ -34,15 +28,12 @@ from .sharing import PrefixSharingRegistry, prefix_block_keys
 
 __all__ = [
     "BatchedKVGather",
-    "EVICTION_POLICIES",
     "EvictionPolicy",
     "HeavyHitterPolicy",
     "KVArena",
-    "LRUBlockPolicy",
     "MEMORY_PRESSURE_LEVELS",
     "MemoryPressureController",
     "PagedLayerKVCache",
     "PrefixSharingRegistry",
-    "make_eviction_policy",
     "prefix_block_keys",
 ]

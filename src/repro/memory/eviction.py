@@ -1,22 +1,15 @@
-"""Pluggable live-eviction policies for paged KV caches under pressure.
+"""Live eviction for paged KV caches under pressure.
 
 The serving engine invokes a policy when the arena runs dry and registry
-shrinking was not enough (pressure rung 2).  A policy inspects one layer
+shrinking was not enough (the second half of the ``evict`` rung).  A policy inspects one layer
 cache and proposes the per-head keep sets that
 :meth:`~repro.memory.PagedLayerKVCache.evict` consumes -- the same
 rectangular contract as the contiguous cache, so both backends accept the
 result.
 
-Two policies ship:
-
-* :class:`HeavyHitterPolicy` -- H2O-style (Zhang et al., 2023): rank keys
-  by accumulated decode attention mass, keep the heaviest plus a recency
-  window.  Requires the engine to record attention during decode; best
-  quality per retained byte.
-* :class:`LRUBlockPolicy` -- block-granular recency fallback: drop the
-  *oldest* whole blocks, keep the newest tokens.  Needs no statistics and
-  frees whole blocks by construction, so it is the guaranteed-progress
-  fallback when no attention mass has been recorded yet.
+One policy ships, and it is the one the engine runs:
+:class:`HeavyHitterPolicy` -- H2O-style (Zhang et al., 2023): rank keys by
+accumulated decode attention mass, keep the heaviest plus a recency window.
 
 Policies only ever shrink decode-phase caches; prefill numerics stay
 oracle-exact (the paper's near-lossless story applies to prefill, and the
@@ -32,13 +25,7 @@ import numpy as np
 from ..baselines.h2o import H2OPolicy
 from ..errors import ConfigError
 
-__all__ = [
-    "EVICTION_POLICIES",
-    "EvictionPolicy",
-    "HeavyHitterPolicy",
-    "LRUBlockPolicy",
-    "make_eviction_policy",
-]
+__all__ = ["EvictionPolicy", "HeavyHitterPolicy"]
 
 
 class EvictionPolicy:
@@ -79,48 +66,3 @@ class HeavyHitterPolicy(EvictionPolicy):
         return H2OPolicy(
             budget=target_tokens, recent_fraction=self.recent_fraction
         ).select(scores)
-
-
-@dataclass(frozen=True)
-class LRUBlockPolicy(EvictionPolicy):
-    """Keep the most recent tokens, dropping the oldest whole blocks."""
-
-    name = "lru_block"
-
-    def select(self, cache, target_tokens: int) -> list[np.ndarray] | None:
-        if target_tokens < 1:
-            raise ConfigError(
-                f"target_tokens must be >= 1, got {target_tokens}"
-            )
-        s = len(cache)
-        if s <= target_tokens:
-            return None
-        bt = getattr(cache, "arena", None)
-        block = bt.block_tokens if bt is not None else 1
-        # Round the keep count down to free whole leading blocks; always
-        # keep at least one block's worth so decode retains local context.
-        keep = max(block, (target_tokens // block) * block)
-        keep = min(keep, s)
-        if keep >= s:
-            # Rounding to whole blocks left nothing to drop (cache exceeds
-            # target by less than one block): a release-and-rewrite that
-            # frees zero blocks is pure churn, so report "cannot shrink".
-            return None
-        idx = np.arange(s - keep, s, dtype=np.int64)
-        h = cache.attention_mass().shape[0]
-        return [idx.copy() for _ in range(h)]
-
-
-EVICTION_POLICIES = ("heavy_hitter", "lru_block")
-
-
-def make_eviction_policy(name: str) -> EvictionPolicy:
-    """Instantiate a policy by registry name (engine/CLI plumbing)."""
-    if name == "heavy_hitter":
-        return HeavyHitterPolicy()
-    if name == "lru_block":
-        return LRUBlockPolicy()
-    raise ConfigError(
-        f"unknown eviction policy {name!r}; expected one of "
-        f"{EVICTION_POLICIES}"
-    )

@@ -1,5 +1,4 @@
-"""Memory-pressure ladder: registry shrink -> live eviction -> quantize
-stub -> shed.
+"""Memory-pressure ladder: registry shrink -> live eviction -> shed.
 
 This is the *memory* analogue of the serving engine's per-request
 degradation ladder (``sparse -> widened -> dense -> shed``).  Where that
@@ -13,10 +12,6 @@ capacity, one rung at a time:
     merely lose their keep-alive refs), then run the configured
     :class:`~repro.memory.EvictionPolicy` over decode-phase caches
     (lossy but attention-guided).
-``quantize``
-    Invoke the quantize hook, a stub extension point for KV compression
-    (e.g. int8 blocks).  The default hook frees nothing; the rung exists
-    so a future PR can slot compression in without re-plumbing the engine.
 ``shed``
     Nothing more to reclaim: the controller reports failure and the engine
     sheds the requesting job, mirroring the attention ladder's terminal
@@ -29,8 +24,6 @@ memory drill, and tests alike.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..errors import ArenaExhaustedError, ConfigError
 from .arena import KVArena
 from .eviction import EvictionPolicy
@@ -39,7 +32,7 @@ from .sharing import PrefixSharingRegistry
 __all__ = ["MEMORY_PRESSURE_LEVELS", "MemoryPressureController"]
 
 #: Pressure rungs in escalation order (terminal rung sheds the requester).
-MEMORY_PRESSURE_LEVELS = ("normal", "evict", "quantize", "shed")
+MEMORY_PRESSURE_LEVELS = ("normal", "evict", "shed")
 
 
 class MemoryPressureController:
@@ -59,9 +52,6 @@ class MemoryPressureController:
         Never evict a cache below this many tokens -- decode needs local
         context to stay meaningful (mirrors the engine's minimum executed
         prefix).
-    quantize_hook:
-        ``f(caches) -> blocks_freed`` stub for the ``quantize`` rung; the
-        default frees nothing.
     """
 
     def __init__(
@@ -72,7 +62,6 @@ class MemoryPressureController:
         *,
         evict_to_fraction: float = 0.5,
         min_keep_tokens: int = 64,
-        quantize_hook: Callable[[list], int] | None = None,
     ) -> None:
         if not 0.0 < evict_to_fraction < 1.0:
             raise ConfigError(
@@ -88,7 +77,6 @@ class MemoryPressureController:
         self.policy = policy
         self.evict_to_fraction = evict_to_fraction
         self.min_keep_tokens = min_keep_tokens
-        self.quantize_hook = quantize_hook
         #: Current rung (resets to "normal" after successful relief).
         self.level = "normal"
         #: Highest rung ever reached (monotone, for telemetry).
@@ -98,7 +86,6 @@ class MemoryPressureController:
         self.registry_blocks_dropped = 0
         self.caches_evicted = 0
         self.evictions_skipped = 0
-        self.quantize_calls = 0
         self.shed_signals = 0
 
     def _raise_level(self, level: str) -> None:
@@ -168,16 +155,7 @@ class MemoryPressureController:
             self.level = "normal"
             return True
 
-        # Rung 2: quantize stub hook.
-        self._raise_level("quantize")
-        if self.quantize_hook is not None:
-            self.quantize_calls += 1
-            self.quantize_hook(candidates)
-            if self.arena.blocks_free >= need_blocks:
-                self.level = "normal"
-                return True
-
-        # Rung 3: nothing left -- shed.
+        # Rung 2: nothing left -- shed.
         self._raise_level("shed")
         self.shed_signals += 1
         return False
@@ -192,6 +170,5 @@ class MemoryPressureController:
             "registry_blocks_dropped": self.registry_blocks_dropped,
             "caches_evicted": self.caches_evicted,
             "evictions_skipped": self.evictions_skipped,
-            "quantize_calls": self.quantize_calls,
             "shed_signals": self.shed_signals,
         }

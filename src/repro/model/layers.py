@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention.dense import dense_attention
-from ..attention.utils import decode_row_attention
 from ..backends import AttentionBackend
 from ..errors import ModelError
 from .config import ModelConfig
@@ -268,38 +267,3 @@ class AttentionLayer:
             ).probs
             prob_hook(probs)
         return self.merge_heads(out)
-
-    # -------------------------------------------------------------- decode
-    def decode_step(
-        self,
-        x: np.ndarray,
-        position: int,
-        cache: LayerKVCache,
-        *,
-        record_attention: bool = False,
-    ) -> np.ndarray:
-        """Single-token attention against the cache (dense, as in the paper).
-
-        ``x``: ``(1, d_model)`` residual row for the new token.  Appends the
-        new KV entry, attends over the whole cache, and optionally records
-        per-key attention mass for eviction policies.  One row of what
-        :meth:`Transformer.decode_batch` does per layer: the same decode
-        projections, the same
-        :func:`~repro.attention.utils.decode_row_attention`, the same merge.
-        """
-        positions = np.asarray([position], dtype=np.int64)
-        cos, sin = rope_cos_sin(
-            positions, self.config.rot_dim, self.config.rope_base
-        )
-        q, k, v = self.project_qkv_decode_batch(x, cos, sin)
-        cache.append(k[0], v[0], positions)
-        out, probs = decode_row_attention(
-            q[0],
-            cache.keys,
-            cache.values,
-            np.float32(self._scale),
-            return_probs=record_attention,
-        )
-        if probs is not None:
-            cache.record_attention(probs)
-        return self.merge_heads_decode(out)

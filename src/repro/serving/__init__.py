@@ -17,8 +17,7 @@ planning, and the :data:`DEGRADATION_LEVELS` ladder
 The memory layer (``kv_backend="paged"``, see :mod:`repro.memory`) pools
 all KV in one arena with per-request block tables, copy-on-write prefix
 sharing, and a memory-pressure ladder (registry shrink -> live eviction ->
-quantize hook -> shed) behind a second :class:`CircuitBreaker` gating
-admissions.
+shed) behind a second :class:`CircuitBreaker` gating admissions.
 
 The fleet layer (:mod:`repro.serving.fleet`) supervises N engine workers
 behind one :class:`~repro.serving.router.Router` front door: heartbeat
@@ -37,9 +36,10 @@ Public API::
         PlanCache, PlanCacheStats,
         MetricsRegistry, RequestTelemetry, TERMINAL_OUTCOMES,
         FaultInjector, corrupt_plan, CORRUPTION_MODES, FAULT_KINDS,
-        inject_admission_burst, check_recovery_invariants,
+        inject_admission_burst, ChaosScenario, chaos_scenario,
+        check_recovery_invariants,
         FaultInjectionError, DeadlineExceededError,
-        FleetEngine, FleetResult, EngineWorker, FLEET_TRANSPORTS,
+        FleetEngine, FleetResult, EngineWorker,
         Router, ROUTING_POLICIES, FLEET_RUNGS,
         Supervisor, WorkerHealth, HEALTH_STATES,
     )
@@ -59,12 +59,14 @@ from .faults import (
     FAULT_KINDS,
     SEMANTIC_CORRUPTIONS,
     STRUCTURAL_CORRUPTIONS,
+    ChaosScenario,
     FaultInjector,
+    chaos_scenario,
     check_recovery_invariants,
     corrupt_plan,
     inject_admission_burst,
 )
-from .fleet import FLEET_TRANSPORTS, EngineWorker, FleetEngine, FleetResult
+from .fleet import EngineWorker, FleetEngine, FleetResult
 from .plan_cache import CachedPlan, PlanCache, PlanCacheStats
 from .router import FLEET_RUNGS, ROUTING_POLICIES, Router
 from .scheduler import (
@@ -112,13 +114,14 @@ __all__ = [
     "SEMANTIC_CORRUPTIONS",
     "FAULT_KINDS",
     "inject_admission_burst",
+    "ChaosScenario",
+    "chaos_scenario",
     "check_recovery_invariants",
     "FaultInjectionError",
     "DeadlineExceededError",
     "FleetEngine",
     "FleetResult",
     "EngineWorker",
-    "FLEET_TRANSPORTS",
     "Router",
     "ROUTING_POLICIES",
     "FLEET_RUNGS",

@@ -94,6 +94,7 @@ from .telemetry import MetricsRegistry, RequestTelemetry
 __all__ = [
     "EngineResult",
     "ServingEngine",
+    "executed_prompt",
     "CircuitBreaker",
     "BATCHING_MODES",
     "DEGRADATION_LEVELS",
@@ -259,6 +260,31 @@ class _Attempt:
     error: Exception | None = None  # why the attempt was abandoned
 
 
+def _executed_len(request: Request, length_scale: int) -> int:
+    return max(request.prompt_len // length_scale, _MIN_EXECUTED_LEN)
+
+
+def executed_prompt(
+    request: Request, *, length_scale: int, seed: int, prompt_builder=None
+) -> np.ndarray:
+    """Token ids the engine executes for one workload request.
+
+    ``prompt_builder(request, executed_len)`` when given, else a seeded
+    needle prompt (realistic retrieval structure per request).  The one
+    definition of request -> tokens: the engine builds jobs from it and
+    the fleet hashes it for prefix-affinity routing, so the two cannot
+    drift apart.
+    """
+    n = _executed_len(request, length_scale)
+    if prompt_builder is not None:
+        tokens = prompt_builder(request, n)
+    else:
+        rng = np.random.default_rng((seed, request.request_id))
+        depth = float(rng.uniform(0.1, 0.9))
+        tokens = make_needle_case(n, depth, rng=rng).prompt
+    return np.asarray(tokens, dtype=np.int64)
+
+
 @dataclass
 class EngineResult:
     """Outcome of one :meth:`ServingEngine.run`.
@@ -301,8 +327,8 @@ class EngineResult:
 
     def to_dict(self) -> dict:
         """Lossless JSON form (stable key ordering); inverse of
-        :meth:`from_dict`.  This is how worker results cross the
-        fleet's process boundary."""
+        :meth:`from_dict`.  This is what a fleet worker reports for a
+        finished execution."""
         return {
             "telemetry": self.telemetry.to_dict(),
             "method": self.method,
@@ -343,7 +369,7 @@ class ServingEngine:
     admission_policy:
         ``"reject"`` or ``"shed_oldest"`` under overload; shedding only
         evicts requests that have not started prefill.
-    replan_interval, max_stale_tokens:
+    replan_interval:
         Plan-cache policy, see :class:`~repro.serving.plan_cache.PlanCache`.
     billing:
         ``"measured"`` advances the virtual clock by wall-clock seconds per
@@ -402,8 +428,7 @@ class ServingEngine:
         :class:`~repro.memory.KVArena` (fresh per :meth:`run`), enables
         copy-on-write prefix sharing across requests, and arms the memory
         pressure ladder (registry shrink -> live heavy-hitter eviction ->
-        quantize hook -> shed) plus a memory circuit breaker over
-        admissions.
+        shed) plus a memory circuit breaker over admissions.
     arena_blocks:
         Arena capacity in blocks for the paged backend.  ``None``
         auto-sizes to the run's worst-case demand (every request resident
@@ -427,7 +452,6 @@ class ServingEngine:
         max_queue: int = 16,
         admission_policy: str = "reject",
         replan_interval: int = 4,
-        max_stale_tokens: int | None = None,
         billing: str = "measured",
         length_scale: int = 1,
         seed: int = 0,
@@ -503,10 +527,8 @@ class ServingEngine:
         self.billing = billing
         self.length_scale = length_scale
         self.seed = seed
-        self.prompt_builder = prompt_builder or self._default_prompt
-        self.plan_cache = PlanCache(
-            replan_interval, max_stale_tokens=max_stale_tokens
-        )
+        self.prompt_builder = prompt_builder
+        self.plan_cache = PlanCache(replan_interval)
         self.fault_injector = fault_injector
         self.deadline_s = deadline_s
         self.max_retries = max_retries
@@ -543,20 +565,18 @@ class ServingEngine:
         )
 
     # -------------------------------------------------------------- prompts
-    def _default_prompt(self, request: Request, executed_len: int) -> np.ndarray:
-        """Seeded needle prompt: realistic retrieval structure per request."""
-        rng = np.random.default_rng((self.seed, request.request_id))
-        depth = float(rng.uniform(0.1, 0.9))
-        return make_needle_case(executed_len, depth, rng=rng).prompt
-
     def executed_len(self, request: Request) -> int:
         """Substrate tokens executed for one workload request."""
-        return max(request.prompt_len // self.length_scale, _MIN_EXECUTED_LEN)
+        return _executed_len(request, self.length_scale)
 
     # ------------------------------------------------------------ admission
     def _make_job(self, request: Request, tm: RequestTelemetry) -> _Job:
-        n = self.executed_len(request)
-        tokens = np.asarray(self.prompt_builder(request, n), dtype=np.int64)
+        tokens = executed_prompt(
+            request,
+            length_scale=self.length_scale,
+            seed=self.seed,
+            prompt_builder=self.prompt_builder,
+        )
         tm.executed_len = int(tokens.size)
         capacity = int(tokens.size + request.decode_tokens + 1)
         start = 0

@@ -42,6 +42,11 @@ request, chunk, ...))`` -- so two runs with the same seed inject the same
 faults regardless of scheduling interleave, and the chaos experiments can
 assert bitwise-identical telemetry across repeats.
 
+:func:`chaos_scenario` is *the* adversarial scenario -- workload, burst,
+injector, engine and front-door configuration -- that every drill, example
+and parity test serves; each of them derives its variant from it
+(:meth:`FaultInjector.replace`) instead of re-typing it.
+
 :func:`check_recovery_invariants` states what "survived" means: every
 admitted request reaches a terminal state, and no request completes with a
 runtime CRA violation that was not answered by a recorded dense fallback.
@@ -56,7 +61,7 @@ import numpy as np
 
 from ..core.plan import SparsePlan
 from ..errors import ConfigError
-from .simulator import Request
+from .simulator import Request, poisson_workload
 from .telemetry import TERMINAL_OUTCOMES
 
 __all__ = [
@@ -67,6 +72,8 @@ __all__ = [
     "corrupt_plan",
     "FaultInjector",
     "inject_admission_burst",
+    "ChaosScenario",
+    "chaos_scenario",
     "TERMINAL_OUTCOMES",
     "check_recovery_invariants",
 ]
@@ -456,13 +463,11 @@ class FaultInjector:
             "heartbeat_loss_run": self.heartbeat_loss_run,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultInjector":
-        """Rebuild an injector from :meth:`as_dict` (how a fleet worker
-        process receives its copy of the adversary)."""
-        return cls(int(data["seed"]), **{
-            k: v for k, v in data.items() if k != "seed"
-        })
+    def replace(self, **changes) -> "FaultInjector":
+        """A copy of this adversary with some :meth:`as_dict` fields
+        changed -- how a drill states its variant of
+        :func:`chaos_scenario` as a diff."""
+        return type(self)(**{**self.as_dict(), **changes})
 
 
 # -------------------------------------------------------------------- bursts
@@ -494,6 +499,89 @@ def inject_admission_burst(
         for i in range(n)
     ]
     return sorted(requests + burst, key=lambda r: (r.arrival, r.request_id))
+
+
+# ------------------------------------------------------------------ scenario
+@dataclass(frozen=True)
+class ChaosScenario:
+    """One adversarial serving scenario: workload, adversary, configuration.
+
+    Who arrives, what attacks them, and how the engine and its front door
+    are set up to survive it.  ``engine_kwargs`` are the
+    :class:`~repro.serving.engine.ServingEngine` arguments a fleet
+    forwards to its workers; ``max_queue`` / ``admission_policy`` /
+    ``deadline_s`` and the injector belong to the front door (the
+    engine's own, or the fleet's).
+    """
+
+    requests: tuple[Request, ...]
+    injector: FaultInjector
+    engine_kwargs: dict
+    max_queue: int = 6
+    admission_policy: str = "shed_oldest"
+    deadline_s: float = 4.0
+
+    def serving_kwargs(self) -> dict:
+        """Everything but the model, as keyword arguments both
+        ``ServingEngine`` and ``FleetEngine`` accept."""
+        return dict(
+            self.engine_kwargs,
+            max_queue=self.max_queue,
+            admission_policy=self.admission_policy,
+            deadline_s=self.deadline_s,
+            fault_injector=self.injector,
+        )
+
+
+def chaos_scenario(seed: int = 0, *, quick: bool = True) -> ChaosScenario:
+    """The PR-2 adversary, defined once.
+
+    A Poisson stream of 8K/16K prompts with a synchronized 16K admission
+    burst at t = 0.25 s, under transient attend faults (retry budget 2
+    always recovers), plan poisoning, latency spikes, stragglers and slow
+    chunks, against a sparse engine on the deterministic roofline clock
+    with a six-deep shed-oldest front door and a 4 s deadline.  ``quick``
+    serves 2 s of arrivals at 1/32 length scale; otherwise 8 s at 1/16.
+    """
+    requests = poisson_workload(
+        np.random.default_rng(seed),
+        rate_per_s=3.0 if quick else 2.0,
+        duration_s=2.0 if quick else 8.0,
+        prompt_lens=(8192, 16384),
+        decode_tokens=2,
+    )
+    requests = inject_admission_burst(
+        requests,
+        seed=seed,
+        at=0.25,
+        n=3 if quick else 6,
+        prompt_len=16384,
+        decode_tokens=1,
+    )
+    injector = FaultInjector(
+        seed,
+        p_attend_fault=0.3,
+        max_transient_failures=2,
+        p_plan_poison=0.35,
+        p_latency_spike=0.2,
+        spike_multiplier=6.0,
+        p_straggler=0.25,
+        straggler_multiplier=3.0,
+        p_slow_chunk=0.15,
+        slow_chunk_multiplier=4.0,
+    )
+    engine_kwargs = dict(
+        method="sample",
+        chunk_size=96 if quick else 256,
+        length_scale=32 if quick else 16,
+        billing="roofline",
+        max_retries=2,
+        degrade_after=2,
+        breaker_threshold=3,
+        breaker_cooldown_chunks=4,
+        seed=seed,
+    )
+    return ChaosScenario(tuple(requests), injector, engine_kwargs)
 
 
 # ---------------------------------------------------------------- invariants

@@ -8,12 +8,9 @@ that layer:
 * :class:`EngineWorker` -- one worker, wrapping a private
   ``ServingEngine`` (its own KV arena, plan cache, and PR-2
   CircuitBreaker -- per-worker degradation is free once the engine is
-  per-worker).  ``transport="inline"`` runs the engine in-process;
-  ``transport="process"`` forks a real ``multiprocessing`` child that an
-  injected ``worker_crash`` genuinely kills with ``os._exit``.  Both
-  transports return the same JSON payload
-  (:meth:`~repro.serving.engine.EngineResult.to_dict`), so fleet
-  behaviour is bitwise-identical across them.
+  per-worker).  A finished execution reports the JSON payload
+  :meth:`~repro.serving.engine.EngineResult.to_dict`; a crashed one
+  reports nothing.
 * :class:`FleetEngine` -- the front door.  Requests are admitted through
   the same :class:`~repro.serving.scheduler.AdmissionQueue` semantics the
   single engine uses, routed by a :class:`~repro.serving.router.Router`
@@ -43,8 +40,6 @@ its summary bitwise across runs.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +47,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..model import build_model
 from ..model.transformer import Transformer
-from ..tasks.needle import make_needle_case
-from .engine import _MIN_EXECUTED_LEN, EngineResult, ServingEngine
+from .engine import EngineResult, ServingEngine, executed_prompt
 from .faults import FaultInjector
 from .router import ROUTING_POLICIES, Router
 from .scheduler import AdmissionQueue
@@ -62,13 +56,10 @@ from .supervisor import Supervisor
 from .telemetry import MetricsRegistry, RequestTelemetry
 
 __all__ = [
-    "FLEET_TRANSPORTS",
     "EngineWorker",
     "FleetResult",
     "FleetEngine",
 ]
-
-FLEET_TRANSPORTS = ("inline", "process")
 
 #: Keyword arguments the fleet owns; passing them through to the worker
 #: engines would split one policy across two layers.
@@ -82,70 +73,12 @@ _ADMISSION_COUNTERS = frozenset(
 )
 
 
-def _execute_on_engine(
-    engine: ServingEngine,
-    request: Request,
-    deadline_s: float | None,
-    crash_frac: float | None,
-) -> tuple[str, dict | None, float]:
-    """Run one request on a worker engine; the shared transport core.
-
-    Returns ``(status, payload, virtual_duration)``.  ``payload`` is the
-    :meth:`~repro.serving.engine.EngineResult.to_dict` of the run, or
-    ``None`` for a crashed execution (a dead process reports nothing);
-    for a crash the duration is the fraction of the run's virtual time
-    that elapsed before death.
-    """
-    engine.deadline_s = deadline_s
-    result = engine.run([request])
-    tms = result.telemetry.requests
-    duration = 0.0
-    if tms and tms[0].finish is not None:
-        duration = float(tms[0].finish)
-    if crash_frac is not None:
-        return "crashed", None, duration * float(crash_frac)
-    return "ok", result.to_dict(), duration
-
-
-def _worker_main(conn, model, engine_kwargs, injector_config) -> None:
-    """Process-transport child loop: build the engine, serve requests
-    until told to stop -- or die for real on an injected crash."""
-    if isinstance(model, str):
-        model = build_model(model)
-    injector = (
-        FaultInjector.from_dict(injector_config)
-        if injector_config is not None
-        else None
-    )
-    engine = ServingEngine(model, fault_injector=injector, **engine_kwargs)
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        if msg[0] == "run":
-            _, request, deadline_s, crash_frac = msg
-            out = _execute_on_engine(engine, request, deadline_s, crash_frac)
-            conn.send(out)
-            if out[0] == "crashed":
-                conn.close()
-                os._exit(1)  # a real crash: no cleanup, no goodbye
-        elif msg[0] == "stop":
-            conn.send(("ok", None, 0.0))
-            return
-
-
 class EngineWorker:
-    """One fleet worker: a private :class:`ServingEngine` behind a
-    transport.
+    """One fleet worker: a private :class:`ServingEngine`.
 
-    ``inline`` hosts the engine in this process (fast, the default for
-    tests); ``process`` forks a ``multiprocessing`` child per
-    incarnation, with requests and results crossing a pipe as the same
-    JSON payloads -- an injected crash actually kills the child, and
-    :meth:`restart` forks a fresh one.  :meth:`restart` on an inline
-    worker calls :meth:`ServingEngine.reset` instead; both give the
-    fresh-process state the supervisor's recovery story assumes.
+    The fleet executes one request at a time on it.  :meth:`restart`
+    calls :meth:`ServingEngine.reset`, which gives the fresh-process
+    state the supervisor's recovery story assumes.
     """
 
     def __init__(
@@ -154,64 +87,24 @@ class EngineWorker:
         model: Transformer | str,
         engine_kwargs: dict,
         *,
-        transport: str = "inline",
         fault_injector: FaultInjector | None = None,
     ) -> None:
-        if transport not in FLEET_TRANSPORTS:
-            raise ConfigError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{FLEET_TRANSPORTS}"
-            )
         self.worker_id = worker_id
-        self.transport = transport
         self._model = model
         self._engine_kwargs = dict(engine_kwargs)
         self._injector = fault_injector
         self.engine: ServingEngine | None = None
-        self._proc = None
-        self._conn = None
-        self.spawns = 0
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        if self.transport == "inline":
-            model = (
-                build_model(self._model)
-                if isinstance(self._model, str)
-                else self._model
-            )
-            self.engine = ServingEngine(
-                model, fault_injector=self._injector, **self._engine_kwargs
-            )
-        else:
-            self._spawn()
-
-    def _spawn(self) -> None:
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        injector_config = (
-            self._injector.as_dict() if self._injector is not None else None
+        model = (
+            build_model(self._model)
+            if isinstance(self._model, str)
+            else self._model
         )
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self._model,
-                self._engine_kwargs,
-                injector_config,
-            ),
-            daemon=True,
+        self.engine = ServingEngine(
+            model, fault_injector=self._injector, **self._engine_kwargs
         )
-        proc.start()
-        child_conn.close()
-        self._proc, self._conn = proc, parent_conn
-        self.spawns += 1
-
-    @property
-    def alive(self) -> bool:
-        if self.transport == "inline":
-            return self.engine is not None
-        return self._proc is not None and self._proc.is_alive()
 
     def execute(
         self,
@@ -220,51 +113,32 @@ class EngineWorker:
         crash_frac: float | None,
     ) -> tuple[str, dict | None, float]:
         """Synchronously serve one request (virtual time is not wall
-        time, so blocking here costs nothing on the fleet clock)."""
-        if self.transport == "inline":
-            assert self.engine is not None
-            return _execute_on_engine(
-                self.engine, request, deadline_s, crash_frac
-            )
-        try:
-            self._conn.send(("run", request, deadline_s, crash_frac))
-            return self._conn.recv()
-        except (EOFError, OSError):
-            # The child died without even reporting: immediate crash.
-            return "crashed", None, 0.0
+        time, so blocking here costs nothing on the fleet clock).
+
+        Returns ``(status, payload, virtual_duration)``.  ``payload`` is
+        the :meth:`~repro.serving.engine.EngineResult.to_dict` of the
+        run, or ``None`` for a crashed execution (a dead worker reports
+        nothing); for a crash the duration is the fraction of the run's
+        virtual time that elapsed before death.
+        """
+        assert self.engine is not None
+        self.engine.deadline_s = deadline_s
+        result = self.engine.run([request])
+        tms = result.telemetry.requests
+        duration = 0.0
+        if tms and tms[0].finish is not None:
+            duration = float(tms[0].finish)
+        if crash_frac is not None:
+            return "crashed", None, duration * float(crash_frac)
+        return "ok", result.to_dict(), duration
 
     def restart(self) -> None:
         """Bring up a fresh incarnation (supervisor restart action)."""
-        if self.transport == "inline":
-            assert self.engine is not None
-            self.engine.reset()
-            return
-        self._teardown()
-        self._spawn()
+        assert self.engine is not None
+        self.engine.reset()
 
     def stop(self) -> None:
-        if self.transport == "inline":
-            self.engine = None
-            return
-        if self._proc is not None and self._proc.is_alive():
-            try:
-                self._conn.send(("stop",))
-                self._conn.recv()
-            except (EOFError, OSError):
-                pass
-        self._teardown()
-
-    def _teardown(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-        if self._proc is not None:
-            if self._proc.is_alive():
-                self._proc.terminate()
-            self._proc.join(timeout=10.0)
-        self._proc = self._conn = None
+        self.engine = None
 
 
 # ------------------------------------------------------------------ ledger
@@ -374,7 +248,6 @@ class FleetEngine:
         model: Transformer | str,
         *,
         n_workers: int = 3,
-        transport: str = "inline",
         routing_policy: str = "least_loaded",
         session_of=None,
         brownout_factor: float = 0.5,
@@ -392,19 +265,6 @@ class FleetEngine:
     ) -> None:
         if n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if transport not in FLEET_TRANSPORTS:
-            raise ConfigError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{FLEET_TRANSPORTS}"
-            )
-        if (
-            transport == "process"
-            and "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            raise ConfigError(
-                "transport='process' needs the fork start method "
-                "(unavailable on this platform); use transport='inline'"
-            )
         if routing_policy not in ROUTING_POLICIES:
             raise ConfigError(
                 f"unknown routing policy {routing_policy!r}; expected one "
@@ -426,7 +286,6 @@ class FleetEngine:
                 )
         self.model = model
         self.n_workers = n_workers
-        self.transport = transport
         self.routing_policy = routing_policy
         self.session_of = session_of
         self.brownout_factor = brownout_factor
@@ -448,17 +307,15 @@ class FleetEngine:
         self._prompt_builder = engine_kwargs.get("prompt_builder")
 
     # ------------------------------------------------------ routing helpers
-    def _route_tokens(self, request: Request) -> np.ndarray | None:
-        """The executed prompt prefix, for prefix-affinity hashing only.
-
-        Reproduces the workers' deterministic prompt construction (same
-        seed, same needle builder) without touching any worker."""
-        n = max(request.prompt_len // self._length_scale, _MIN_EXECUTED_LEN)
-        if self._prompt_builder is not None:
-            return np.asarray(self._prompt_builder(request, n), dtype=np.int64)
-        rng = np.random.default_rng((self._seed, request.request_id))
-        depth = float(rng.uniform(0.1, 0.9))
-        return make_needle_case(n, depth, rng=rng).prompt
+    def _route_tokens(self, request: Request) -> np.ndarray:
+        """The tokens a worker would execute for ``request``, for
+        prefix-affinity hashing only (no worker is touched)."""
+        return executed_prompt(
+            request,
+            length_scale=self._length_scale,
+            seed=self._seed,
+            prompt_builder=self._prompt_builder,
+        )
 
     # --------------------------------------------------------------- runner
     def run(self, requests: list[Request]) -> FleetResult:
@@ -485,7 +342,6 @@ class FleetEngine:
                     i,
                     self.model,
                     self.engine_kwargs,
-                    transport=self.transport,
                     fault_injector=self.fault_injector,
                 )
             )
@@ -750,7 +606,6 @@ class FleetEngine:
         worker_views = [
             {
                 "worker_id": wid,
-                "transport": self.transport,
                 "executions": ws.executions,
                 "delivered": ws.delivered,
                 "busy_seconds": ws.busy_seconds,
@@ -764,7 +619,6 @@ class FleetEngine:
             workers=worker_views,
             fleet={
                 "n_workers": self.n_workers,
-                "transport": self.transport,
                 "supervisor": supervisor.stats(),
                 "router": router.stats(),
             },

@@ -9,9 +9,8 @@ matter, how wide the window is) drift slowly.
 
 The cache exploits that: a plan computed at chunk ``c`` for one
 ``(request, layer)`` head group is reused -- re-geometried via
-:meth:`~repro.core.plan.SparsePlan.extended` -- until either
-``replan_interval`` chunks have passed or the KV prefix has grown by more
-than ``max_stale_tokens``, whichever comes first.  A request's *final*
+:meth:`~repro.core.plan.SparsePlan.extended` -- until ``replan_interval``
+chunks have passed.  A request's *final*
 prefill chunk is the exception: it produces the first token, and the keys
 appended since the last replan are reachable only through its window, so
 it asks for a plan made from its own rows (``get(..., fresh=True)``) and
@@ -37,7 +36,7 @@ class PlanCacheStats:
 
     ``hits`` are lookups served from a cached plan (possibly re-geometried);
     ``misses`` are lookups the caller must replan for (absent entry, replan
-    interval reached, staleness bound exceeded, or invalid entry);
+    interval reached, or invalid entry);
     ``invalid`` counts the subset of misses caused by validation failure.
     """
 
@@ -67,11 +66,10 @@ class PlanCacheStats:
 
 @dataclass
 class CachedPlan:
-    """One cache entry: the plan plus the chunk/prefix it was computed at."""
+    """One cache entry: the plan plus the chunk it was computed at."""
 
     plan: SparsePlan
     planned_at_chunk: int
-    planned_s_k: int
     hits: int = 0
 
 
@@ -92,28 +90,14 @@ class PlanCache:
         chunk replans), larger values trade plan freshness for planning
         cost.  Lookups at ``chunk_index >= planned_at_chunk +
         replan_interval`` miss.
-    max_stale_tokens:
-        Optional absolute bound on KV-prefix growth between the planning
-        chunk and a reusing chunk; lookups whose ``s_k`` has grown further
-        miss even inside the replan interval.  ``None`` disables the bound.
     """
 
-    def __init__(
-        self,
-        replan_interval: int = 4,
-        *,
-        max_stale_tokens: int | None = None,
-    ) -> None:
+    def __init__(self, replan_interval: int = 4) -> None:
         if replan_interval < 1:
             raise ConfigError(
                 f"replan_interval must be >= 1, got {replan_interval}"
             )
-        if max_stale_tokens is not None and max_stale_tokens < 0:
-            raise ConfigError(
-                f"max_stale_tokens must be >= 0, got {max_stale_tokens}"
-            )
         self.replan_interval = replan_interval
-        self.max_stale_tokens = max_stale_tokens
         self.stats = PlanCacheStats()
         self._entries: dict[tuple[int, int], CachedPlan] = {}
 
@@ -150,12 +134,6 @@ class PlanCache:
         if age >= self.replan_interval:
             self.stats.misses += 1
             return None
-        if (
-            self.max_stale_tokens is not None
-            and s_k - entry.planned_s_k > self.max_stale_tokens
-        ):
-            self.stats.misses += 1
-            return None
         try:
             plan = entry.plan.extended(s_q=s_q, s_k=s_k)
         except ConfigError:
@@ -186,7 +164,7 @@ class PlanCache:
     ) -> None:
         """Store a freshly computed plan for ``(request, layer)``."""
         self._entries[(request_id, layer)] = CachedPlan(
-            plan=plan, planned_at_chunk=chunk_index, planned_s_k=plan.s_k
+            plan=plan, planned_at_chunk=chunk_index
         )
         self.stats.stores += 1
 

@@ -11,9 +11,8 @@ discussion presumes.
 Every record is **losslessly JSON-serialisable**: ``to_dict``/``from_dict``
 round-trip :class:`RequestTelemetry`, :class:`MetricsRegistry`, and (via
 :meth:`~repro.serving.engine.EngineResult.to_dict`) whole engine results
-with stable key ordering, so worker results can cross process boundaries
-(the fleet's ``transport="process"`` workers) and still compare bitwise
-with in-process runs.  :meth:`MetricsRegistry.merge` folds one registry
+with stable key ordering -- the form a fleet worker reports its results in
+and the drills compare bitwise.  :meth:`MetricsRegistry.merge` folds one registry
 into another -- how the fleet aggregates per-worker registries into one
 fleet-wide view.
 """
@@ -349,8 +348,8 @@ class MetricsRegistry:
 
         Counters and series are emitted sorted by name; requests keep
         insertion order.  ``from_dict(to_dict(r))`` reproduces the
-        registry exactly, so worker registries can cross a process
-        boundary and still merge bitwise with in-process ones.
+        registry exactly, so a fleet worker's reported registry merges
+        bitwise into the fleet's.
         """
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},

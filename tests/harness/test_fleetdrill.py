@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.harness.experiments import EXPERIMENTS
-from repro.harness.fleetdrill import CRASH_FLOOR, run_fleet_drill
+from repro.harness.drills import CRASH_FLOOR, run_chaos, run_fleet_drill
 
 
 class TestRegistration:
@@ -14,12 +14,22 @@ class TestRegistration:
         assert "fleet" in EXPERIMENTS
 
     def test_chaos_engine_env_guard(self, monkeypatch):
-        from repro.errors import ConfigError
-        from repro.harness.experiments import run_chaos
-
+        # The guard is now the absence of the switch: one invocation runs
+        # the single engine then the 2-worker fleet, whatever the retired
+        # SAMPLEATTN_CHAOS_ENGINE variable says.
         monkeypatch.setenv("SAMPLEATTN_CHAOS_ENGINE", "mainframe")
-        with pytest.raises(ConfigError):
-            run_chaos("quick", seed=0)
+        counters, audit, fleet_counters, fleet_audit = run_chaos(
+            "quick", seed=0
+        )
+        assert "single engine" in counters.title
+        assert "2-worker fleet" in fleet_counters.title
+        for table in (counters, fleet_counters):
+            rows = table.row_map("counter")
+            assert rows["n_requests"][1] == len(audit.rows) == 9
+            assert rows["faults_injected"][1] > 0
+        assert sorted(audit.column("request_id")) == sorted(
+            fleet_audit.column("request_id")
+        )
 
 
 class TestDrillReport:

@@ -6,8 +6,9 @@ import pytest
 
 from repro.errors import ReproError
 from repro.harness.experiments import EXPERIMENTS
-from repro.harness.memdrill import (
+from repro.harness.drills import (
     CAPACITY_GAIN_FLOOR,
+    run_memory,
     run_memory_drill,
     session_capacity,
 )
@@ -73,7 +74,7 @@ class TestDrillReport:
         assert rec["arena"]["blocks_in_use"] == 0  # leak-free
 
     def test_capacity_floor_enforced(self, monkeypatch):
-        import repro.harness.memdrill as md
+        import repro.harness.drills as md
 
         def tiny_capacity(**kw):
             return dict(
@@ -83,3 +84,21 @@ class TestDrillReport:
         monkeypatch.setattr(md, "session_capacity", tiny_capacity)
         with pytest.raises(ReproError, match="floor"):
             md.run_memory_drill("quick", seed=0, out_path="")
+
+    def test_rendered_tables_report_where_the_json_went(
+        self, monkeypatch, tmp_path
+    ):
+        # Defect fixed with the fold: the renderer used to print the
+        # default file name even when writing was disabled.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SAMPLEATTN_MEMDRILL_OUT", "")
+        tables = run_memory("quick", seed=0)
+        assert [t.title.split(":")[0] for t in tables] == [
+            f"Memory drill gate {i}" for i in (1, 2, 3)
+        ]
+        assert "JSON not written" in tables[-1].notes
+        assert not list(tmp_path.iterdir())
+        target = tmp_path / "custom.json"
+        monkeypatch.setenv("SAMPLEATTN_MEMDRILL_OUT", str(target))
+        assert str(target) in run_memory("quick", seed=0)[-1].notes
+        assert target.exists()

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.memory import (
-    EVICTION_POLICIES,
-    HeavyHitterPolicy,
-    KVArena,
-    LRUBlockPolicy,
-    PagedLayerKVCache,
-    make_eviction_policy,
-)
+from repro.memory import HeavyHitterPolicy, KVArena, PagedLayerKVCache
 
 H, D, BT = 2, 8, 4
 
@@ -24,16 +17,6 @@ def filled_cache(n_tokens, seed=0):
     v = rng.standard_normal((H, n_tokens, D)).astype(np.float32)
     cache.append(k, v, np.arange(n_tokens, dtype=np.int64))
     return arena, cache
-
-
-class TestFactory:
-    def test_registry_names(self):
-        for name in EVICTION_POLICIES:
-            assert make_eviction_policy(name).name == name
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigError, match="unknown eviction policy"):
-            make_eviction_policy("fifo")
 
 
 class TestHeavyHitter:
@@ -73,45 +56,6 @@ class TestHeavyHitter:
         )
         cache.commit_attention()
         keep = HeavyHitterPolicy().select(cache, BT)
-        cache.evict(keep)
-        assert len(cache) == BT
-        assert arena.blocks_in_use == 1
-
-
-class TestLRUBlock:
-    def test_keeps_newest_whole_blocks(self):
-        _, cache = filled_cache(4 * BT)
-        keep = LRUBlockPolicy().select(cache, 2 * BT + 1)
-        assert keep is not None
-        expected = np.arange(2 * BT, 4 * BT)  # rounded down to 2 blocks
-        for ix in keep:
-            np.testing.assert_array_equal(ix, expected)
-
-    def test_always_keeps_one_block(self):
-        _, cache = filled_cache(3 * BT)
-        keep = LRUBlockPolicy().select(cache, 1)
-        for ix in keep:
-            assert len(ix) == BT
-
-    def test_none_when_at_or_below_target(self):
-        _, cache = filled_cache(8)
-        assert LRUBlockPolicy().select(cache, 8) is None
-
-    def test_none_when_rounding_leaves_nothing_to_drop(self):
-        # The one-block floor can round the keep count up to the full
-        # cache length; a full keep set would trigger a release-and-
-        # rewrite that frees zero blocks, so the policy must report
-        # "cannot shrink" instead.
-        _, cache = filled_cache(BT)
-        assert LRUBlockPolicy().select(cache, BT - 1) is None
-        # A cache smaller than one block can never shrink either.
-        _, small = filled_cache(BT - 1)
-        assert LRUBlockPolicy().select(small, 1) is None
-
-    def test_needs_no_statistics(self):
-        # Works on a cache that never recorded attention.
-        arena, cache = filled_cache(4 * BT)
-        keep = LRUBlockPolicy().select(cache, BT)
         cache.evict(keep)
         assert len(cache) == BT
         assert arena.blocks_in_use == 1

@@ -6,8 +6,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.memory import (
     MEMORY_PRESSURE_LEVELS,
+    HeavyHitterPolicy,
     KVArena,
-    LRUBlockPolicy,
     MemoryPressureController,
     PagedLayerKVCache,
     PrefixSharingRegistry,
@@ -20,7 +20,7 @@ def make_controller(n_blocks=8, *, registry=True, **kw):
     arena = KVArena(n_blocks, H, BT, D)
     reg = PrefixSharingRegistry(arena) if registry else None
     kw.setdefault("min_keep_tokens", BT)
-    ctl = MemoryPressureController(arena, reg, LRUBlockPolicy(), **kw)
+    ctl = MemoryPressureController(arena, reg, HeavyHitterPolicy(), **kw)
     return arena, reg, ctl
 
 
@@ -33,9 +33,7 @@ def fill(cache, n, seed=0):
 
 class TestLadder:
     def test_levels_constant(self):
-        assert MEMORY_PRESSURE_LEVELS == (
-            "normal", "evict", "quantize", "shed"
-        )
+        assert MEMORY_PRESSURE_LEVELS == ("normal", "evict", "shed")
 
     def test_normal_when_blocks_already_free(self):
         arena, _, ctl = make_controller()
@@ -77,23 +75,6 @@ class TestLadder:
         # Target = max(3*BT, 2*BT) = 3*BT -> frees only one block.
         assert ctl.relieve([[cache]], need_blocks=1) is True
         assert len(cache) == 3 * BT
-
-    def test_quantize_hook_can_relieve(self):
-        arena = KVArena(2, H, BT, D)
-        holder = PagedLayerKVCache(arena)
-        fill(holder, 2 * BT)
-
-        def hook(candidates):
-            holder.release()
-            return 2
-
-        ctl = MemoryPressureController(
-            arena, None, LRUBlockPolicy(),
-            min_keep_tokens=BT, quantize_hook=hook,
-        )
-        assert ctl.relieve([], need_blocks=2) is True
-        assert ctl.quantize_calls == 1
-        assert ctl.peak_level == "quantize"
 
     def test_shed_when_nothing_reclaimable(self):
         arena, _, ctl = make_controller(n_blocks=2, registry=False)
@@ -141,14 +122,14 @@ class TestValidation:
         arena = KVArena(4, H, BT, D)
         with pytest.raises(ConfigError):
             MemoryPressureController(
-                arena, None, LRUBlockPolicy(), evict_to_fraction=1.0
+                arena, None, HeavyHitterPolicy(), evict_to_fraction=1.0
             )
 
     def test_rejects_bad_min_keep(self):
         arena = KVArena(4, H, BT, D)
         with pytest.raises(ConfigError):
             MemoryPressureController(
-                arena, None, LRUBlockPolicy(), min_keep_tokens=0
+                arena, None, HeavyHitterPolicy(), min_keep_tokens=0
             )
 
 

@@ -15,7 +15,7 @@ from tests.conftest import perfbench_adapter
 
 DOCUMENTED = {
     "method", "config", "chunk_size", "scheduler", "max_queue",
-    "admission_policy", "replan_interval", "max_stale_tokens", "billing",
+    "admission_policy", "replan_interval", "billing",
     "length_scale", "seed", "prompt_builder", "fault_injector", "deadline_s",
     "max_retries", "retry_backoff_s", "degrade_after", "breaker_threshold",
     "breaker_cooldown_chunks", "execution", "kernel_mode", "batching",

@@ -115,16 +115,23 @@ class TestFaultInjector:
         assert d["seed"] == 9 and d["p_attend_fault"] == 0.25
         assert set(d) >= {"p_plan_poison", "p_latency_spike", "p_straggler"}
 
-    def test_from_dict_rebuilds_equivalent_injector(self):
+    def test_replace_rebuilds_injector_with_changes(self):
         inj = FaultInjector(
             3, p_slow_chunk=0.5, slow_chunk_multiplier=6.0,
             p_worker_crash=0.4, p_worker_stall=0.3, p_heartbeat_loss=0.2,
         )
-        clone = FaultInjector.from_dict(inj.as_dict())
-        assert clone.as_dict() == inj.as_dict()
+        clone = inj.replace()
+        assert clone is not inj and clone.as_dict() == inj.as_dict()
         for rid in range(6):
             assert clone.slow_factor(rid, 0) == inj.slow_factor(rid, 0)
             assert clone.worker_crash(rid, 0) == inj.worker_crash(rid, 0)
+        calm = inj.replace(p_slow_chunk=0.0, p_worker_crash=0.0)
+        assert calm.as_dict() == {
+            **inj.as_dict(), "p_slow_chunk": 0.0, "p_worker_crash": 0.0
+        }
+        assert all(calm.slow_factor(rid, 0) == 1.0 for rid in range(6))
+        with pytest.raises(TypeError):
+            inj.replace(p_meteor_strike=0.1)
 
     def test_slow_chunk_factor_bounded_and_deterministic(self):
         inj = FaultInjector(11, p_slow_chunk=0.6, slow_chunk_multiplier=4.0)
@@ -270,14 +277,14 @@ class TestChaosRuns:
     """The engine under an actively hostile injector."""
 
     def chaos_engine(self, model, **kw):
-        inj = FaultInjector(
-            11,
-            p_attend_fault=0.35,
-            max_transient_failures=2,
-            p_plan_poison=0.4,
-            p_latency_spike=0.3,
-            p_straggler=0.3,
-        )
+        # Harsher than (and independent of) repro.serving.chaos_scenario.
+        inj = FaultInjector(11, **{
+            "p_attend_fault": 0.35,
+            "max_transient_failures": 2,
+            "p_plan_poison": 0.4,
+            "p_latency_spike": 0.3,
+            "p_straggler": 0.3,
+        })
         kw.setdefault("fault_injector", inj)
         kw.setdefault("max_retries", 2)
         kw.setdefault("degrade_after", 2)

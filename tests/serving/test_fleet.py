@@ -50,12 +50,8 @@ def make_fleet(model, **kw):
 
 
 def result_digest(result):
-    """Canonical bytes of a fleet result, transport labels removed."""
-    d = result.to_dict()
-    d["fleet"].pop("transport", None)
-    for w in d["workers"]:
-        w.pop("transport", None)
-    return json.dumps(d, sort_keys=True)
+    """Canonical bytes of a fleet result."""
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 # ------------------------------------------------------------- supervisor
@@ -368,30 +364,10 @@ class TestPerWorkerBreaker:
         assert result.telemetry.counter("breaker_dense_chunks") == dense[hot]
 
 
-class TestProcessTransport:
-    def test_process_parity_with_inline_under_chaos(self, glm_mini):
-        def run(transport):
-            inj = FaultInjector(
-                7, p_worker_crash=0.3, p_attend_fault=0.2,
-                p_plan_poison=0.2, p_latency_spike=0.2,
-            )
-            fleet = make_fleet(
-                glm_mini, transport=transport, fault_injector=inj,
-                deadline_s=30.0, heartbeat_interval_s=0.02,
-                restart_backoff_s=0.02,
-            )
-            return fleet.run(burst(6, gap=0.03))
-
-        inline, proc = run("inline"), run("process")
-        assert inline.telemetry.counter("fleet_worker_crashes") >= 1
-        assert result_digest(inline) == result_digest(proc)
-
-
 class TestFleetConfig:
     def test_rejects_bad_config(self, glm_mini):
         for kw in (
             {"n_workers": 0},
-            {"transport": "carrier_pigeon"},
             {"routing_policy": "round_robin"},
             {"max_queue": 0},
             {"deadline_s": 0.0},

@@ -15,10 +15,9 @@ from repro.config import DEFAULT_CONFIG, PLAN_PROVIDER_NAMES
 from repro.errors import ConfigError
 from repro.serving import (
     BATCHING_MODES,
-    FaultInjector,
     Request,
     ServingEngine,
-    inject_admission_burst,
+    chaos_scenario,
     poisson_workload,
 )
 
@@ -259,46 +258,9 @@ class TestPackedFaultParity:
     """
 
     def _drill(self, model, **kw):
-        requests = poisson_workload(
-            np.random.default_rng(0),
-            rate_per_s=3.0,
-            duration_s=2.0,
-            prompt_lens=(8192, 16384),
-            decode_tokens=2,
-        )
-        requests = inject_admission_burst(
-            requests, seed=0, at=0.25, n=3, prompt_len=16384, decode_tokens=1
-        )
-        injector = FaultInjector(
-            0,
-            p_attend_fault=0.3,
-            max_transient_failures=2,
-            p_plan_poison=0.35,
-            p_latency_spike=0.2,
-            spike_multiplier=6.0,
-            p_straggler=0.25,
-            straggler_multiplier=3.0,
-            p_slow_chunk=0.15,
-            slow_chunk_multiplier=4.0,
-        )
-        engine = ServingEngine(
-            model,
-            method="sample",
-            chunk_size=96,
-            length_scale=32,
-            billing="roofline",
-            max_retries=2,
-            degrade_after=2,
-            breaker_threshold=3,
-            breaker_cooldown_chunks=4,
-            max_queue=6,
-            admission_policy="shed_oldest",
-            deadline_s=4.0,
-            fault_injector=injector,
-            seed=0,
-            **kw,
-        )
-        return engine.run(list(requests))
+        scenario = chaos_scenario(0)
+        engine = ServingEngine(model, **scenario.serving_kwargs(), **kw)
+        return engine.run(list(scenario.requests))
 
     def test_packed_of_one_counts_the_same_faults(self, glm_mini):
         base = self._drill(glm_mini, batching="request")

@@ -151,8 +151,6 @@ class TestPlanCache:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             PlanCache(0)
-        with pytest.raises(ConfigError):
-            PlanCache(4, max_stale_tokens=-1)
 
     def test_miss_then_hit(self, plan):
         cache = PlanCache(replan_interval=4)
@@ -183,13 +181,6 @@ class TestPlanCache:
             cache.get(0, 0, chunk_index=1, s_q=plan.s_q, s_k=plan.s_k) is not None
         )
         assert cache.get(0, 0, chunk_index=2, s_q=plan.s_q, s_k=plan.s_k) is None
-
-    def test_staleness_bound_expires_entry(self, plan):
-        cache = PlanCache(replan_interval=100, max_stale_tokens=64)
-        cache.put(0, 0, plan, chunk_index=0)
-        ok = cache.get(0, 0, chunk_index=1, s_q=32, s_k=plan.s_k + 64)
-        assert ok is not None and ok.s_k == plan.s_k + 64
-        assert cache.get(0, 0, chunk_index=1, s_q=32, s_k=plan.s_k + 65) is None
 
     def test_invalid_entry_dropped_and_counted(self, plan):
         cache = PlanCache(replan_interval=4)
@@ -268,9 +259,9 @@ class TestPlanCache:
         assert cache.invalidate(8, 0) is False  # already gone, idempotent
 
     def test_drop_request_after_put_get_cycle_under_growth(self, plan):
-        """Eviction wins over staleness-window reuse: even inside the replan
-        interval and staleness bound, a dropped request always misses."""
-        cache = PlanCache(replan_interval=100, max_stale_tokens=1024)
+        """Eviction wins over reuse: even inside the replan interval, a
+        dropped request always misses."""
+        cache = PlanCache(replan_interval=100)
         cache.put(9, 0, plan, chunk_index=0)
         grown = cache.get(9, 0, chunk_index=1, s_q=32, s_k=plan.s_k + 64)
         assert grown is not None and grown.s_k == plan.s_k + 64
