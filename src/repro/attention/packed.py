@@ -6,7 +6,10 @@ This is the one kernel that executes a
 engine batch step the co-scheduled prefill chunks execute as **one
 dispatch** -- one validation pass over the batch, one grow-only
 :class:`~repro.attention.utils.KernelWorkspace`, then every item through
-the same two-part kernel, serially in the caller's thread.  The kernel
+the same two-part kernel, one after the other.  Within an item the stripe
+part and the sparse rows' bands run in the caller's thread; the dense
+rows' 64-row q-blocks are units of the process-wide :mod:`repro.pool`
+(inline on one CPU), each with its own thread's workspace.  The kernel
 attends at the *plan's own granularity* -- the paper's gathered ``I_KV``
 columns (and AnchorAttention's "stripe granularity") -- so its cost follows
 what the planner kept, not how many aligned 64-wide tiles the scattered
@@ -53,11 +56,14 @@ per item plus the merged dispatch-level stats record.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .. import pool
 from ..config import DEFAULT_CONFIG
 from ..errors import MaskError, ShapeError
 from .masks import (
@@ -104,6 +110,19 @@ _DENSE_SPAN = 1024
 #: Cauchy-Schwarz exp-overflow bound: below it the kernel exponentiates raw
 #: scores (no row-max pass).
 _PLAIN_EXP_BOUND = 60.0
+
+#: Scratch of the dense q-blocks a pool thread runs: one grow-only
+#: workspace per thread, each bounded like a caller's band scratch.
+_local = threading.local()
+_thread_workspaces: list[KernelWorkspace] = []  # every one made, for tests
+
+
+def _thread_workspace() -> KernelWorkspace:
+    ws = getattr(_local, "ws", None)
+    if ws is None:
+        ws = _local.ws = KernelWorkspace()
+        _thread_workspaces.append(ws)
+    return ws
 
 
 @dataclass(frozen=True)
@@ -381,6 +400,15 @@ def _window_dead(window: int) -> np.ndarray:
     return (c < r) | (c >= r + window)
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_term(span: int, plain: bool) -> np.ndarray:
+    """The mask term of a dense row's key span (width ``_DENSE_SPAN``),
+    read by every dense q-block of every item."""
+    term = _mask_term(_window_dead(span), plain)
+    term.flags.writeable = False
+    return term
+
+
 def _stripe_dead(pos, cols, window: int, extras: list) -> np.ndarray:
     """``(rows, columns)`` stripe entries that are not the stripe part's to
     score: rows at positions ``pos`` see columns ``cols`` at a distance
@@ -403,7 +431,8 @@ def _execute_item(
     (:func:`~repro.attention.masks.normalise_bands`).  Returns ``(output,
     computed_elements, gemm_calls)``; everything is a function of the item
     alone (scratch is fully written before it is read), which is what makes
-    the dispatch batch-invariant.
+    the dispatch batch-invariant.  The dense rows' q-blocks run on
+    :func:`repro.pool.run`; the counts they return are summed here.
     """
     h, s_q, d = it.q.shape
     h_kv, s_k, _ = it.k.shape
@@ -495,16 +524,14 @@ def _execute_item(
     out4 = out.reshape(h_kv, n_rep, s_q, d)
     l4 = l.reshape(h_kv, n_rep, s_q)
     m4 = None if plain else m.reshape(h_kv, n_rep, s_q)
-    spans = [(lo, hi - lo) for lo, hi in extras] + [(0, window)]
-    blocks = [(r0, min(r0 + _BAND_ROWS, s_nd), spans)
-              for r0 in range(0, s_nd, _BAND_ROWS)]
-    dense_spans = [(shift, _DENSE_SPAN)
-                   for shift in range(0, s_k, _DENSE_SPAN)][::-1]
-    blocks += [(r0, min(r0 + _BAND_ROWS, s_q), dense_spans)
-               for r0 in range(s_nd, s_q, _BAND_ROWS)]
-    for r0, r1, block_spans in blocks:
+
+    def attend_block(r0, r1, block_spans, scratch):
+        """One q-block through its spans; touches only rows [r0, r1) of
+        the accumulators and ``scratch``.  Returns (live entries of each
+        head, GEMM calls)."""
         bq = r1 - r0
-        q_blk = ws.take("q_band", (h_kv, n_rep, bq, d))
+        live = gemm_calls = 0
+        q_blk = scratch.take("q_band", (h_kv, n_rep, bq, d))
         np.copyto(q_blk, q4[:, :, r0:r1])
         o_blk, l_blk = out4[:, :, r0:r1], l4[:, :, r0:r1]
         m_blk = None if plain else m4[:, :, r0:r1]
@@ -515,10 +542,10 @@ def _execute_item(
                 continue
             n = hi - lo
             key = (w, plain)
-            if key not in terms:
+            if key not in terms:  # only ever in the caller's thread
                 terms[key] = _mask_term(_window_dead(w), plain)
             term = terms[key][:bq, lo - start:hi - start]
-            s = ws.take("s_band", (h_kv, n_rep * bq, n))
+            s = scratch.take("s_band", (h_kv, n_rep * bq, n))
             np.matmul(
                 q_blk.reshape(h_kv, n_rep * bq, d),
                 kf[:, lo:hi].transpose(0, 2, 1),
@@ -526,9 +553,9 @@ def _execute_item(
             )
             s4 = s.reshape(h_kv, n_rep, bq, n)
             ref = _to_weights(s4, s4, term, plain, m_blk)
-            pv = ws.take("pv_band", (h_kv, n_rep * bq, d))
+            pv = scratch.take("pv_band", (h_kv, n_rep * bq, d))
             np.matmul(s, vf[:, lo:hi], out=pv)
-            gemms += 2
+            gemm_calls += 2
             l_new = s4.sum(axis=-1)
             if plain:
                 l_new += l_blk
@@ -542,8 +569,30 @@ def _execute_item(
             l_blk[...] = l_new
             # Live entries: the row at p keeps the band's keys in [0, p - shift].
             reach = offset + np.arange(r0, r1) - shift + 1
-            elements += int(np.minimum(np.maximum(reach, 0), w).sum())
+            live += int(np.minimum(np.maximum(reach, 0), w).sum())
         o_blk /= l_blk[..., None]
+        return live, gemm_calls
+
+    spans = [(lo, hi - lo) for lo, hi in extras] + [(0, window)]
+    dense_spans = [(shift, _DENSE_SPAN)
+                   for shift in range(0, s_k, _DENSE_SPAN)][::-1]
+    counts = [attend_block(r0, min(r0 + _BAND_ROWS, s_nd), spans, ws)
+              for r0 in range(0, s_nd, _BAND_ROWS)]
+    # Dense q-blocks are the pool's units: milliseconds each, disjoint
+    # output rows, a workspace per thread; they only read the one mask term
+    # they share, which is built once per process.
+    if s_nd < s_q:
+        terms[(_DENSE_SPAN, plain)] = _dense_term(_DENSE_SPAN, plain)
+    caller = threading.get_ident()
+
+    def dense_block(r0):
+        unit_ws = ws if threading.get_ident() == caller else _thread_workspace()
+        return attend_block(r0, min(r0 + _BAND_ROWS, s_q), dense_spans, unit_ws)
+
+    counts += pool.run(dense_block, range(s_nd, s_q, _BAND_ROWS))
+    for live, gemm_calls in counts:
+        elements += live
+        gemms += gemm_calls
     return out, elements, gemms
 
 
@@ -555,8 +604,10 @@ def packed_block_sparse_attention(
     """Execute every item's structured sparse attention as one dispatch.
 
     All items must share ``(H, H_kv, d)`` (one model); sequence lengths
-    may be ragged.  Items execute serially in the caller's thread, and
-    each item's output and counts are **batch-invariant**: bitwise the
+    may be ragged.  Items execute one after the other; an item's dense
+    q-blocks spread over :mod:`repro.pool` and compute the same bits on
+    any thread, so pooled and inline execution are bitwise equal.  Each
+    item's output and counts are **batch-invariant**: bitwise the
     same alone or inside any permutation of a batch (the serving engine's
     per-request path and :func:`~repro.core.sample_attention` are batches
     of one).  Outputs are within float32 summation tolerance (gated at

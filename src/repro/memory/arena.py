@@ -80,10 +80,12 @@ class KVArena:
         self.n_kv_heads = n_kv_heads
         self.block_tokens = block_tokens
         self.d_head = d_head
-        self._k = np.zeros(
-            (n_kv_heads, n_blocks, block_tokens, d_head), dtype=np.float32
-        )
-        self._v = np.zeros_like(self._k)
+        # ``np.zeros`` maps pages lazily (calloc): a block costs RSS only
+        # once written.  ``np.zeros_like`` would fill -- and so touch --
+        # every page of the auto-sized arena at construction.
+        shape = (n_kv_heads, n_blocks, block_tokens, d_head)
+        self._k = np.zeros(shape, dtype=np.float32)
+        self._v = np.zeros(shape, dtype=np.float32)
         self._ref = np.zeros(n_blocks, dtype=np.int32)
         # LIFO free list; initialised so the first allocations come out in
         # ascending id order (a lone table growing is one zero-copy run).

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import pool
 from ..attention.dense import dense_attention
 from ..backends import AttentionBackend
 from ..errors import ModelError
 from .config import ModelConfig
 from .kv_cache import LayerKVCache
-from .rope import apply_rope, apply_rope_batched, rope_cos_sin
+from .rope import apply_rope_batched, rope_cos_sin, rotate_pairs
 from .weights import LayerWeights
 
 __all__ = ["rms_norm", "gated_mlp", "gated_mlp_rows", "AttentionLayer"]
@@ -33,6 +34,46 @@ def _f32(x: np.ndarray) -> np.ndarray:
     weights and embeddings make every projection float32), so callers must
     not write to the result -- the KV append and the kernels copy."""
     return x.astype(np.float32, copy=False)
+
+
+#: OpenBLAS runs a GEMM of at most ``100**3`` multiply-adds through its
+#: small-matrix kernels, and one row through gemv; both accumulate in
+#: another order than the blocked kernel every larger GEMM takes.
+_SMALL_GEMM = 100**3
+
+#: Fewest rows a pool unit of :func:`_row_gemm` gets.
+_SPLIT_ROWS = 64
+
+
+def _row_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for ``(M, K)`` rows against a ``(K, N)`` weight, every
+    output row a function of its own input row alone.
+
+    The blocked BLAS kernel computes a row the same way whatever ``M`` is,
+    so the call is kept on it: fewer rows than clear the small-matrix
+    cut-off (two at least) are zero-padded up to it, and more rows are cut
+    into contiguous parts of at least ``_SPLIT_ROWS`` on :mod:`repro.pool`.
+    Either way the result is bitwise the rows' own.
+    """
+    x = np.ascontiguousarray(x)
+    m, k = x.shape
+    floor = max(2, _SMALL_GEMM // (k * w.shape[1]) + 1)
+    if m < floor:
+        padded = np.zeros((floor, k), dtype=x.dtype)
+        padded[:m] = x
+        return (padded @ w)[:m]
+    parts = min(pool.workers(), m // max(floor, _SPLIT_ROWS))
+    if parts < 2:
+        return x @ w
+    out = np.empty((m, w.shape[1]), dtype=np.result_type(x, w))
+    cuts = [m * p // parts for p in range(parts + 1)]
+
+    def part(p):
+        r0, r1 = cuts[p], cuts[p + 1]
+        np.matmul(x[r0:r1], w, out=out[r0:r1])
+
+    pool.run(part, range(parts))
+    return out
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -75,75 +116,60 @@ class AttentionLayer:
         self.config = config
         self.weights = weights
         self._scale = 1.0 / np.sqrt(config.d_head)
-        self._decode_proj: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The q/k/v weights as one ``((H + 2 H_kv) e, d_model)`` array, one
+        # row per output feature (q heads, then k, then v), built here --
+        # early, where a long-lived array does not pin the heap.  Both
+        # phases read this one copy: decode its row blocks as per-row GEMV
+        # operands (:meth:`_decode_proj_weights`), prefill its transpose,
+        # which BLAS reads in place as the fused ``(d_model, (H + 2 H_kv)
+        # e)`` weight -- per head the columns ``np.einsum("sd,hde->hse")``
+        # contracts against, so a row's bits match that einsum's wherever
+        # both take the blocked kernel.
+        self._qkv = np.concatenate(
+            [
+                m.transpose(0, 2, 1).reshape(-1, config.d_model)
+                for m in (weights.wq, weights.wk, weights.wv)
+            ]
+        )
 
     # ------------------------------------------------------------- helpers
     def project_qkv(
         self, x: np.ndarray, positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project the normalised residual to rotated q/k and raw v.
+        """Project normalised residual rows to rotated q/k and raw v.
 
-        ``x``: ``(S, d_model)``; ``positions``: absolute positions for the
-        rotary tables.  Returns ``q (H, S, e)``, ``k (H_kv, S, e)``,
-        ``v (H_kv, S, e)``.
+        ``x``: ``(S, d_model)`` -- one chunk's rows, or the concatenated
+        rows of every chunk of a prefill step (token packing);
+        ``positions``: each row's absolute position for the rotary tables.
+        Returns ``q (H, S, e)``, ``k (H_kv, S, e)``, ``v (H_kv, S, e)``.
+
+        The three projections are one GEMM against the fused ``(d_model,
+        (H + 2 H_kv) e)`` weight built at construction (through
+        :func:`_row_gemm`), and the rotation is elementwise, so every
+        row's q/k/v are bitwise the same whichever other rows share the
+        call.  q, k and v are strided views of that one GEMM output,
+        rotated in place: packing a step's chunks holds no more than their
+        q/k/v.
         """
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ModelError(f"residual shape {x.shape}")
-        q = np.einsum("sd,hde->hse", x, self.weights.wq, optimize=True)
-        k = np.einsum("sd,gde->gse", x, self.weights.wk, optimize=True)
-        v = np.einsum("sd,gde->gse", x, self.weights.wv, optimize=True)
+        s = x.shape[0]
+        h, h_kv, e = self.config.n_heads, self.config.n_kv_heads, self.config.d_head
+        heads = _row_gemm(x, self._qkv.T).reshape(s, h + 2 * h_kv, e)
         cos, sin = rope_cos_sin(
             positions, self.config.rot_dim, self.config.rope_base
         )
-        q = apply_rope(q, cos, sin)
-        k = apply_rope(k, cos, sin)
+        rotate_pairs(heads[:, : h + h_kv], cos[:, None], sin[:, None])
+        q, k, v = (
+            heads[:, lo:hi].transpose(1, 0, 2)
+            for lo, hi in ((0, h), (h, h + h_kv), (h + h_kv, h + 2 * h_kv))
+        )
         return _f32(q), _f32(k), _f32(v)
-
-    def project_qkv_batch(
-        self,
-        xs: list[np.ndarray],
-        positions_list: list[np.ndarray],
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Batched :meth:`project_qkv` over equal-length residual chunks.
-
-        Stacks the ``B`` chunks into one ``(B, S, d_model)`` tensor so each
-        of the three projections runs as a single GEMM instead of ``B``;
-        rotary tables are still applied per chunk (absolute positions
-        differ across requests).  Per-entry results are bitwise identical
-        to calling :meth:`project_qkv` on each chunk individually -- the
-        batched einsum contracts the same (d,) axis in the same order per
-        output row.
-        """
-        if not xs or len(xs) != len(positions_list):
-            raise ModelError(
-                f"project_qkv_batch needs matched non-empty lists, got "
-                f"{len(xs)} chunks / {len(positions_list)} position sets"
-            )
-        s = xs[0].shape[0]
-        for x in xs:
-            if x.ndim != 2 or x.shape != (s, self.config.d_model):
-                raise ModelError(
-                    f"project_qkv_batch residual shape {x.shape}; expected "
-                    f"({s}, {self.config.d_model}) uniformly"
-                )
-        xb = np.stack(xs)
-        qb = np.einsum("bsd,hde->bhse", xb, self.weights.wq, optimize=True)
-        kb = np.einsum("bsd,gde->bgse", xb, self.weights.wk, optimize=True)
-        vb = np.einsum("bsd,gde->bgse", xb, self.weights.wv, optimize=True)
-        out = []
-        for b, positions in enumerate(positions_list):
-            cos, sin = rope_cos_sin(
-                positions, self.config.rot_dim, self.config.rope_base
-            )
-            q = apply_rope(qb[b], cos, sin)
-            k = apply_rope(kb[b], cos, sin)
-            out.append((_f32(q), _f32(k), _f32(vb[b])))
-        return out
 
     def project_qkv_decode_batch(
         self, x_rows: np.ndarray, cos: np.ndarray, sin: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched single-token :meth:`project_qkv` for fused decode.
+        """Batched single-token projection for fused decode.
 
         ``x_rows``: ``(B, d_model)`` normalised residual rows, one per
         decoding request; ``cos``/``sin``: ``(B, n_pairs)`` rotary rows
@@ -151,23 +177,20 @@ class AttentionLayer:
         shared across layers -- the tables depend only on position, so
         per-request decode recomputing them per layer does 4x the work
         for bitwise-identical values).  The three projections stay one
-        einsum *per row* (a stacked M=B GEMM takes a different BLAS
+        GEMV *per row* (a stacked M=B GEMM takes a different BLAS
         accumulation path than M=1, so a row's bits would depend on the
         batch it rode in -- and measured no gain), while the rotary
         rotation and the float32 casts -- pure elementwise work -- run
         once over the stacked batch.
 
         Returns ``q (B, H, 1, e)``, ``k (B, H_kv, 1, e)``,
-        ``v (B, H_kv, 1, e)``; slice ``[b]`` is bitwise identical to
-        :meth:`project_qkv` on row ``b`` alone.
+        ``v (B, H_kv, 1, e)``; slice ``[b]`` is bitwise the same whatever
+        else shares the batch.
 
-        The projections bypass ``np.einsum`` dispatch: for ``S = 1`` the
-        optimizer reduces ``sd,hde->hse`` to a tensordot that copies the
-        transposed weight and runs one GEMV per call.  We hoist that copy
-        into a cached ``(H*e, d)`` operand (:meth:`_decode_proj_weights`)
-        and issue the same ``np.dot`` directly -- identical memory layout
-        and BLAS call, so the result stays bitwise equal while skipping
-        ~90% of the per-call overhead that dominates single-token decode.
+        Each row is one ``np.dot`` against a cached ``(H*e, d)`` operand
+        (:meth:`_decode_proj_weights`): the call ``np.einsum("sd,hde->hse")``
+        reduces to at ``S = 1``, without re-copying the transposed weight
+        and without the einsum dispatch that dominates single-token decode.
         """
         n = x_rows.shape[0]
         if x_rows.ndim != 2 or x_rows.shape[1] != self.config.d_model:
@@ -194,44 +217,50 @@ class AttentionLayer:
     def _decode_proj_weights(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pre-transposed ``(H*e, d_model)`` projection operands for decode.
-
-        ``np.einsum("sd,hde->hse", x, w, optimize=True)`` at ``S = 1``
-        contracts via ``tensordot(w, x)``, which copies
-        ``w.transpose(0, 2, 1)`` into a fresh C-contiguous ``(H*e, d)``
-        array on *every* call before one GEMV.  Caching that copy keeps
-        the downstream BLAS call -- and therefore the bits -- identical
-        while amortising the transpose across the whole decode.
+        """The ``(H*e, d_model)``, ``(H_kv*e, d_model)`` and ``(H_kv*e,
+        d_model)`` decode GEMV operands: C-contiguous row blocks of the
+        fused q/k/v rows, i.e. the transposed weight copy
+        ``np.einsum("sd,hde->hse", x, w, optimize=True)`` makes on *every*
+        call at ``S = 1`` before its one GEMV -- built once, so the BLAS
+        call and the bits are the einsum's without the per-call copy.
         """
-        if self._decode_proj is None:
-            h_e = self.config.n_heads * self.config.d_head
-            g_e = self.config.n_kv_heads * self.config.d_head
-            d = self.config.d_model
-            self._decode_proj = (
-                np.ascontiguousarray(
-                    self.weights.wq.transpose(0, 2, 1).reshape(h_e, d)
-                ),
-                np.ascontiguousarray(
-                    self.weights.wk.transpose(0, 2, 1).reshape(g_e, d)
-                ),
-                np.ascontiguousarray(
-                    self.weights.wv.transpose(0, 2, 1).reshape(g_e, d)
-                ),
-            )
-        return self._decode_proj
+        rows = self._qkv
+        q_rows = self.config.n_heads * self.config.d_head
+        kv_rows = self.config.n_kv_heads * self.config.d_head
+        return (
+            rows[:q_rows],
+            rows[q_rows : q_rows + kv_rows],
+            rows[q_rows + kv_rows :],
+        )
 
     def merge_heads(self, attn_out: np.ndarray) -> np.ndarray:
-        """``(H, S, e) -> (S, d_model)`` via the output projection."""
-        return np.einsum("hse,hed->sd", attn_out, self.weights.wo, optimize=True)
+        """``(H, S, e) -> (S, d_model)`` via the output projection: a
+        :meth:`merge_chunks` of one."""
+        return self.merge_chunks([attn_out])[0]
+
+    def merge_chunks(self, outs: list[np.ndarray]) -> list[np.ndarray]:
+        """The output projection of several chunks' attention outputs
+        ``(H, S_b, e)`` as one token-packed GEMM: their head-flattened rows
+        through :func:`_row_gemm` against the flat ``wo``.  Returns each
+        chunk's ``(S_b, d_model)`` rows, bitwise independent of the other
+        chunks."""
+        h, _, e = outs[0].shape
+        cuts = np.cumsum([0] + [o.shape[1] for o in outs])
+        rows = np.empty((cuts[-1], h * e), dtype=np.result_type(*outs))
+        for o, r0, r1 in zip(outs, cuts, cuts[1:]):
+            rows[r0:r1].reshape(-1, h, e)[...] = o.transpose(1, 0, 2)
+        merged = _row_gemm(rows, self.weights.wo.reshape(-1, self.config.d_model))
+        return [merged[r0:r1] for r0, r1 in zip(cuts, cuts[1:])]
 
     def merge_heads_decode(self, attn_out: np.ndarray) -> np.ndarray:
-        """``(H, 1, e) -> (1, d_model)``: :meth:`merge_heads` without the
-        einsum dispatch.
+        """``(H, 1, e) -> (1, d_model)``: the decode step's output
+        projection.
 
-        For ``S = 1`` the einsum reduces to flattening heads and one
-        ``(1, H*e) @ (H*e, d_model)`` GEMM against a view of ``wo``; the
-        result is bitwise identical to :meth:`merge_heads` (verified by
-        the decode parity tests) at a fraction of the call overhead.
+        One ``(1, H*e) @ (H*e, d_model)`` product against a view of
+        ``wo``, issued per decode row, so a row's bits never depend on the
+        batch it rode in.  It is not bitwise :meth:`merge_heads`, which
+        pads a lone row onto BLAS's blocked kernel; decode never mixes
+        the two.
         """
         h, e = self.config.n_heads, self.config.d_head
         flat = attn_out.transpose(1, 0, 2).reshape(1, h * e)

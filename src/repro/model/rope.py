@@ -26,6 +26,7 @@ __all__ = [
     "rope_cos_sin",
     "apply_rope",
     "apply_rope_batched",
+    "rotate_pairs",
     "relative_kernel",
 ]
 
@@ -88,10 +89,7 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
             f"cos/sin tables {cos.shape}/{sin.shape} do not match S={x.shape[1]}"
         )
     out = x.copy()
-    x1 = x[..., 0:rot:2]
-    x2 = x[..., 1:rot:2]
-    out[..., 0:rot:2] = x1 * cos[None] - x2 * sin[None]
-    out[..., 1:rot:2] = x1 * sin[None] + x2 * cos[None]
+    rotate_pairs(out, cos[None], sin[None])
     return out
 
 
@@ -126,14 +124,28 @@ def apply_rope_batched(
             f"cos/sin tables {cos.shape}/{sin.shape} do not match "
             f"(B={x.shape[0]}, S={x.shape[2]})"
         )
-    cb = cos[:, None]  # (B, 1, S, n_pairs) broadcasts over heads
-    sb = sin[:, None]
     out = x.copy()
+    # (B, 1, S, n_pairs) tables broadcast over heads.
+    rotate_pairs(out, cos[:, None], sin[:, None])
+    return out
+
+
+def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Rotate the first ``2 * cos.shape[-1]`` dims of ``x``'s last axis in
+    place -- the arithmetic of :func:`apply_rope`, shapes unchecked.
+
+    ``cos``/``sin`` broadcast against ``x[..., 0:rot:2]``.  Each element
+    is computed from the same two inputs by the same expression whatever
+    the layout, so rotating a strided view of a packed projection is
+    bitwise equal to rotating each chunk's copy.
+    """
+    rot = 2 * cos.shape[-1]
     x1 = x[..., 0:rot:2]
     x2 = x[..., 1:rot:2]
-    out[..., 0:rot:2] = x1 * cb - x2 * sb
-    out[..., 1:rot:2] = x1 * sb + x2 * cb
-    return out
+    even = x1 * cos - x2 * sin
+    odd = x1 * sin + x2 * cos
+    x1[...] = even
+    x2[...] = odd
 
 
 def relative_kernel(

@@ -189,10 +189,10 @@ class Transformer:
 
         The packed-batching quantum of chunked serving: ``chunks`` is a
         list of ``(tokens, positions, caches)`` triples (one co-scheduled
-        chunk per request).  Per layer, the q/k/v projections of
-        equal-length chunks are batched into one GEMM
-        (:meth:`AttentionLayer.project_qkv_batch`, bitwise identical to
-        per-chunk projection), every live chunk's KV is appended, and one
+        chunk per request).  Per layer, the q/k/v projection of every
+        live chunk is one token-packed GEMM over their concatenated rows
+        (:meth:`AttentionLayer.project_qkv`, rotary tables applied once
+        over the packed rows), every live chunk's KV is appended, one
         call to ``attend_batch(layer_index, entries)`` computes attention
         for the whole batch -- ``entries`` maps chunk index to
         ``(q, keys, values, scale)`` and the returned dict maps chunk
@@ -202,7 +202,11 @@ class Transformer:
         isolation; the caller rolls the dropped request's caches back).
         ``on_error(chunk_index, layer_index, exc)``, if given, is called
         when a cache append raises and likewise drops the chunk instead
-        of failing the whole batch.
+        of failing the whole batch.  The surviving chunks' attention
+        outputs then go through one token-packed output projection
+        (:meth:`AttentionLayer.merge_chunks`).  Both GEMMs keep every row
+        a function of its own inputs, and split their rows over
+        :mod:`repro.pool`.
 
         Returns one entry per input chunk: the final residual rows
         ``(S_chunk, d_model)``, or ``None`` for dropped chunks.  Survivor
@@ -220,55 +224,55 @@ class Transformer:
         for tokens, positions, _ in chunks:
             xs.append(self.embed(tokens))
             poss.append(np.asarray(positions, dtype=np.int64))
-        scale = 1.0 / np.sqrt(self.config.d_head)
         live = list(range(len(chunks)))
         for i, layer in enumerate(self.layers):
-            buckets: dict[int, list[int]] = {}
-            for b in live:
-                buckets.setdefault(int(xs[b].shape[0]), []).append(b)
-            qkv: dict[int, tuple] = {}
-            for group in buckets.values():
-                if len(group) == 1:
-                    b = group[0]
-                    qkv[b] = layer.project_qkv(self._norm(xs[b]), poss[b])
-                else:
-                    for b, triple in zip(
-                        group,
-                        layer.project_qkv_batch(
-                            [self._norm(xs[b]) for b in group],
-                            [poss[b] for b in group],
-                        ),
-                    ):
-                        qkv[b] = triple
-            entries: dict[int, tuple] = {}
-            for b in list(live):
-                q, k_new, v_new = qkv[b]
-                cache = chunks[b][2][i]
-                try:
-                    cache.append(k_new, v_new, poss[b])
-                except Exception as exc:
-                    if on_error is None:
-                        raise
-                    on_error(b, i, exc)
-                    live.remove(b)
-                    xs[b] = None
-                    continue
-                entries[b] = (q, cache.keys, cache.values, scale)
+            entries = self._append_packed(i, layer, chunks, xs, poss, live, on_error)
             if not entries:
                 break
             outs = attend_batch(i, entries)
-            for b in list(live):
+            del entries  # its q views hold the step's whole q/k/v
+            for b in live:
                 if b not in outs:
-                    live.remove(b)
                     xs[b] = None
-                    continue
-                xs[b] = xs[b] + layer.merge_heads(outs[b])
-                lw = layer.weights
+            live = [b for b in live if b in outs]
+            if not live:
+                break
+            lw = layer.weights
+            deltas = layer.merge_chunks([outs[b] for b in live])
+            for j, b in enumerate(live):
+                xs[b] = xs[b] + deltas[j]
                 if lw.mlp_w1 is not None:
                     xs[b] = xs[b] + gated_mlp(
                         self._norm(xs[b]), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3
                     )
         return xs
+
+    def _append_packed(self, i, layer, chunks, xs, poss, live, on_error) -> dict:
+        """Layer ``i``'s token-packed q/k/v projection over every live
+        chunk's rows, each chunk's k/v appended to its cache.  Returns chunk
+        index -> ``(q, keys, values, scale)``; a chunk whose append raised
+        is reported to ``on_error`` and dropped from ``live`` / ``xs``."""
+        cuts = np.cumsum([0] + [xs[b].shape[0] for b in live])
+        q, k_new, v_new = layer.project_qkv(
+            np.concatenate([self._norm(xs[b]) for b in live]),
+            np.concatenate([poss[b] for b in live]),
+        )
+        scale = 1.0 / np.sqrt(self.config.d_head)
+        entries: dict[int, tuple] = {}
+        for j, b in enumerate(list(live)):
+            r0, r1 = cuts[j], cuts[j + 1]
+            cache = chunks[b][2][i]
+            try:
+                cache.append(k_new[:, r0:r1], v_new[:, r0:r1], poss[b])
+            except Exception as exc:
+                if on_error is None:
+                    raise
+                on_error(b, i, exc)
+                live.remove(b)
+                xs[b] = None
+                continue
+            entries[b] = (q[:, r0:r1], cache.keys, cache.values, scale)
+        return entries
 
     def prefill_chunked(
         self,

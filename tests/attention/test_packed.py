@@ -9,12 +9,14 @@ mask's own sum.
 import concurrent.futures
 import dataclasses
 import inspect
+import queue
 import threading
 
 import numpy as np
 import pytest
 
 import repro.attention.packed as packed_mod
+from repro import pool
 from repro.attention import (
     KernelWorkspace,
     block_sparse_attention,
@@ -143,8 +145,10 @@ class TestPackedParity:
         )
 
     def test_runs_in_the_callers_thread(self, rng, monkeypatch):
+        # Items without dense rows: stripes and bands stay in the caller's
+        # thread (only dense q-blocks are pool units).
         def no_pool(*args, **kwargs):
-            raise AssertionError("packed prefill must not build a thread pool")
+            raise AssertionError("sparse packed prefill must not use a thread pool")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         before = threading.active_count()
@@ -364,7 +368,16 @@ class TestPackedWorkspaceBound:
     """Scratch follows what the plan kept, on the geometry the engine
     dispatches -- one 256-row chunk against a 4096-token prefix -- and on
     the library's one-shot ``S_q = S_k = 4096`` call -- and, for an
-    all-rows-dense item (``flash_attention``), does not follow ``S_k``."""
+    all-rows-dense item (``flash_attention``), does not follow ``S_k``.
+
+    The bound is on the caller's workspace, which holds every q-block's
+    scratch only when blocks run inline; pooled dense blocks use their
+    thread's workspace (bounded in ``TestPooledDenseBlocks``)."""
+
+    @pytest.fixture(autouse=True)
+    def _inline(self):
+        with pool._forced_workers(1):
+            yield
 
     def _chunk(self, rng, s_q, s_k):
         return _item(rng, 8, s_q, s_k, 64, h_kv=2, window=-(-s_k * 8 // 100),
@@ -437,6 +450,84 @@ class TestPackedWorkspaceBound:
         got = packed_block_sparse_attention([item], workspace=ws).results[0]
         np.testing.assert_allclose(got.output, ref.output, atol=TOL)
         assert ws.nbytes > _workspace_bound(item)
+
+
+def _dense_qkv(rng, s_q, s_k, n_rep, h_kv=2, d=16):
+    q = rng.standard_normal((h_kv * n_rep, s_q, d), dtype=np.float32)
+    k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
+    v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
+    return q, k, v
+
+
+def _run(items, workers):
+    with pool._forced_workers(workers):
+        return packed_block_sparse_attention(items, workspace=KernelWorkspace())
+
+
+class TestPooledDenseBlocks:
+    """Dense q-blocks are pool units: spreading them over threads computes
+    the same bits, counts and stats as running them inline."""
+
+    @pytest.mark.parametrize("n_rep", [1, 2, 4])
+    @pytest.mark.parametrize("s_q", [1, 63, 64, 256])
+    @pytest.mark.parametrize(
+        "s_k_spans", [0.5, 1.0, 1.1, 2.0, 2.7], ids=lambda f: f"{f}x_span"
+    )
+    def test_pooled_is_bitwise_inline(self, rng, n_rep, s_q, s_k_spans):
+        s_k = max(s_q, int(s_k_spans * _DENSE_SPAN))
+        q, k, v = _dense_qkv(rng, s_q, s_k, n_rep)
+        for gain in (1.0, 30.0):  # plain and stabilised softmax
+            item = PackedItem.dense(q * np.float32(gain), k, v)
+            inline = _run([item], 1)
+            for workers in (2, 3):
+                pooled = _run([item], workers)
+                got, ref = pooled.results[0], inline.results[0]
+                assert np.array_equal(got.output, ref.output)
+                assert np.array_equal(got.computed_elements, ref.computed_elements)
+                assert pooled.stats == inline.stats
+
+    def test_one_shot_4096(self, rng):
+        q, k, v = _dense_qkv(rng, 4096, 4096, 2)
+        item = PackedItem.dense(q, k, v)
+        inline = _run([item], 1).results[0]
+        pooled = _run([item], 2).results[0]
+        assert np.array_equal(pooled.output, inline.output)
+        assert (pooled.computed_elements == total_causal_elements(4096, 4096)).all()
+
+    def test_dense_last_rows_of_a_sparse_item(self, rng):
+        # The pooled dense rows share the item's accumulators with the
+        # inline stripe and band rows; a dense item rides in the batch.
+        sparse, _ = _item(rng, 4, 300, 1500, 16, h_kv=2, window=40,
+                          stripes=0.1, dense_last_rows=200, bands=[(90, 120)])
+        dense = PackedItem.dense(*_dense_qkv(rng, 130, 1100, 2))
+        inline = _run([sparse, dense], 1)
+        pooled = _run([dense, sparse], 2)
+        for a, b in zip(inline.results, pooled.results[::-1]):
+            assert np.array_equal(a.output, b.output)
+            assert np.array_equal(a.computed_elements, b.computed_elements)
+
+    def test_thread_workspaces_stop_growing_once_warm(self, rng, monkeypatch):
+        q, k, v = _dense_qkv(rng, 1024, 3000, 2)
+        item = PackedItem.dense(q, k, v)
+        ws = KernelWorkspace()
+        # Fresh helper threads, so their scratch starts cold.
+        monkeypatch.setattr(pool, "_tasks", queue.SimpleQueue())
+        monkeypatch.setattr(pool, "_helpers", [])
+        mark = len(packed_mod._thread_workspaces)
+        with pool._forced_workers(3):
+            packed_block_sparse_attention([item], workspace=ws)
+            warm = [(w, w.allocations)
+                    for w in packed_mod._thread_workspaces[mark:]]
+            for _ in range(3):
+                packed_block_sparse_attention([item], workspace=ws)
+            again = [(w, w.allocations)
+                     for w in packed_mod._thread_workspaces[mark:]]
+        assert warm, "the dense blocks did not run on the pool"
+        assert again == warm
+        # One q-block's scratch: q and PV blocks, one span of scores.
+        h, d = q.shape[0], q.shape[2]
+        block = 4 * h * _BAND_ROWS * (2 * d + _DENSE_SPAN + _BAND_ROWS - 1)
+        assert all(0 < w.nbytes <= block for w, _ in warm)
 
 
 class TestPackedValidation:

@@ -34,8 +34,13 @@ def rng():
 
 def perfbench_adapter():
     """A read-only import of the frozen ``perfbench/adapter.py``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "adapter.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_adapter", path)
+    return perfbench_module("adapter")
+
+
+def perfbench_module(name: str):
+    """A read-only import of the frozen ``perfbench/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve annotations here
     try:

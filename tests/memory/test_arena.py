@@ -1,5 +1,9 @@
 """Tests for the global paged KV arena."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,27 @@ class TestGeometry:
         assert arena.bytes_total == 8 * arena.bytes_per_block
         arena.alloc()
         assert arena.bytes_in_use == arena.bytes_per_block
+
+    def test_construction_leaves_the_pages_untouched(self):
+        # A 2 GiB arena (1 GiB each of K and V) costs resident memory only
+        # as blocks are written: neither buffer may be filled at
+        # construction.  Measured in a fresh interpreter, whose peak RSS
+        # no earlier test has raised.
+        code = (
+            "import resource\n"
+            "from repro.memory import KVArena\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "arena = KVArena(32768, 4, 16, 128)\n"
+            "assert arena.bytes_total == 2 ** 31\n"
+            "print((peak() - before) / 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert float(out.stdout) < 16.0  # MB
 
 
 class TestAllocFree:

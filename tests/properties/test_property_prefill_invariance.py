@@ -16,17 +16,29 @@ dense last rows, GQA ratios -- and every way ``extras["bands"]`` can sit
 in the plane: none, overlapping the window, adjacent to it, overlapping
 each other, across stripe columns, beyond the prefix.  Large-norm queries
 force the stabilised softmax path; the rest take the plain-exp path.
+
+The model side of a prefill step is held to the same standard: the q/k/v
+and output projections of all co-scheduled chunks are one token-packed
+GEMM each, so every chunk's rows must come out bitwise as if the chunk
+were projected alone -- whatever the batch, its order, or how many pool
+workers split the rows.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import pool
 from repro.attention import (
     KernelWorkspace,
     dense_attention,
+    flash_attention,
     packed_block_sparse_attention,
 )
 from repro.attention.packed import _PLAIN_EXP_BOUND, PackedItem
+from repro.model import ModelConfig, Transformer, build_model
+from repro.model.weights import random_weights
 from tests.conftest import plan_element_mask, striped_plan
 
 TOLERANCE = 2e-5
@@ -170,3 +182,102 @@ class TestBatchInvariance:
         assert ws.allocations == grown
         cold = packed_block_sparse_attention([small]).results[0]
         np.testing.assert_array_equal(warm.output, cold.output)
+
+
+# ---------------------------------------------------------------------------
+# Token-packed projections: a prefill step's chunks project as one GEMM.
+# ---------------------------------------------------------------------------
+
+_CHUNK_LENGTHS = [1, 2, 7, 64, 256]
+
+
+@functools.lru_cache(maxsize=None)
+def _model(name: str):
+    """glm-mini (``d_model`` 148: OpenBLAS's small-matrix cut-off falls at
+    6 rows for q/k/v and 11 for the output projection) and a tiny model
+    whose every chunk here is below it."""
+    if name == "glm-mini":
+        return build_model("glm-mini")
+    config = ModelConfig(
+        n_layers=2, n_heads=4, n_kv_heads=2, d_embed=8, d_head=16, rot_dim=4,
+        vocab_size=64, norm="rms", mlp_ratio=2.0, name="tiny",
+    )
+    return Transformer(random_weights(config, seed=0, scale=0.3))
+
+
+class TestTokenPackedProjections:
+    @given(
+        lengths=st.lists(st.sampled_from(_CHUNK_LENGTHS), min_size=1, max_size=5),
+        model=st.sampled_from(["glm-mini", "tiny"]),
+        workers=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_packed_rows_are_each_chunk_alone(self, lengths, model, workers, data):
+        layer = _model(model).layers[0]
+        cfg = layer.config
+        rng = np.random.default_rng(len(lengths) * 7 + workers)
+        xs = [rng.standard_normal((n, cfg.d_model), dtype=np.float32) for n in lengths]
+        poss = [rng.integers(0, 4096, n) for n in lengths]
+        outs = [
+            rng.standard_normal((cfg.n_heads, n, cfg.d_head), dtype=np.float32)
+            for n in lengths
+        ]
+        with pool._forced_workers(1):
+            alone = [layer.project_qkv(x, p) for x, p in zip(xs, poss)]
+            merged_alone = [layer.merge_heads(o) for o in outs]
+        order = data.draw(st.permutations(range(len(lengths))))
+        cuts = np.cumsum([0] + [lengths[j] for j in order])
+        with pool._forced_workers(workers):
+            packed = layer.project_qkv(
+                np.concatenate([xs[j] for j in order]),
+                np.concatenate([poss[j] for j in order]),
+            )
+            merged = layer.merge_chunks([outs[j] for j in order])
+        for slot, j in enumerate(order):
+            r0, r1 = cuts[slot], cuts[slot + 1]
+            for got, ref in zip(packed, alone[j]):
+                np.testing.assert_array_equal(got[:, r0:r1], ref)
+            np.testing.assert_array_equal(merged[slot], merged_alone[j])
+
+    @given(
+        lengths=st.lists(st.sampled_from(_CHUNK_LENGTHS), min_size=2, max_size=4),
+        model=st.sampled_from(["glm-mini", "tiny"]),
+        data=st.data(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_prefill_step_equals_each_request_alone(self, lengths, model, data):
+        """Whole layers: chunk ``j`` continues a cached ``5 j``-token prefix,
+        so positions and key lengths differ across the batch."""
+        model = _model(model)
+        rng = np.random.default_rng(sum(lengths))
+        tokens = [
+            rng.integers(0, model.config.vocab_size, 5 * j + n)
+            for j, n in enumerate(lengths)
+        ]
+
+        def attend_batch(i, entries):
+            return {
+                b: flash_attention(q, keys, values, scale=scale)
+                for b, (q, keys, values, scale) in entries.items()
+            }
+
+        def step(order):
+            chunks = []
+            for j in order:
+                start = 5 * j
+                caches = model.new_caches(capacity=tokens[j].size)
+                if start:
+                    model.prefill_chunk_batch(
+                        [(tokens[j][:start], np.arange(start), caches)],
+                        attend_batch,
+                    )
+                positions = np.arange(start, tokens[j].size)
+                chunks.append((tokens[j][start:], positions, caches))
+            return model.prefill_chunk_batch(chunks, attend_batch)
+
+        alone = [step([j])[0] for j in range(len(lengths))]
+        order = data.draw(st.permutations(range(len(lengths))))
+        packed = step(order)
+        for slot, j in enumerate(order):
+            np.testing.assert_array_equal(packed[slot], alone[j])

@@ -7,11 +7,18 @@ This is that check as a tier-1 test -- a read-only import of
 ``perfbench/adapter.py``, resolved the way ``perfbench/tracer.py`` does.
 """
 
+import collections
+import functools
 import importlib
+import threading
 
+import numpy as np
 import pytest
 
-from tests.conftest import perfbench_adapter
+from repro import pool
+from repro.serving import Request
+from repro.tasks.needle import make_needle_case
+from tests.conftest import perfbench_adapter, perfbench_module
 
 ADAPTER = perfbench_adapter()
 
@@ -46,3 +53,50 @@ def test_dense_workload_stays_on_the_traced_path():
     config = ADAPTER.ENGINE_CONFIG["prefill_long_dense"]
     assert config["method"] == "flash" and "batching" not in config
     assert engine_mod.flash_attention is flash_attention
+
+
+def test_every_target_runs_on_the_main_thread(glm_mini, monkeypatch):
+    # The tracer keeps one span stack per thread, so a target that fired on
+    # a pool thread would open a root span of its own and break closure.
+    # Pool units (dense q-blocks, row parts of the prefill GEMMs) must stay
+    # below every traced callable, on packed sparse and dense runs alike.
+    tracer = perfbench_module("tracer")
+    threads = collections.defaultdict(set)
+
+    class ThreadRecorder(tracer.Tracer):
+        def _wrap(self, fn, target):
+            traced = super()._wrap(fn, target)
+
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                threads[target.span].add(threading.current_thread().name)
+                return traced(*args, **kwargs)
+
+            return recorded
+
+    pooled = []
+    run = pool.run
+
+    def counting_run(fn, units):
+        units = list(units)
+        pooled.append(len(units))
+        return run(fn, units)
+
+    monkeypatch.setattr(pool, "run", counting_run)
+    rng = np.random.default_rng(0)
+    prompts = {
+        rid: make_needle_case(n, 0.5, rng=rng).prompt
+        for rid, n in enumerate((600, 700))
+    }
+    requests = [Request(rid, 0.0, int(p.size), 2) for rid, p in prompts.items()]
+    with pool._forced_workers(2):
+        for workload in ("prefill_long", "prefill_long_dense"):
+            engine = ADAPTER.build_engine(
+                glm_mini, workload, lambda r, n: prompts[r.request_id]
+            )
+            with ThreadRecorder(ADAPTER.TARGETS) as tr:
+                ADAPTER.serve(engine, requests)
+            assert tracer.summarize(tr.spans)["closure_error"] <= 0.01, workload
+    assert max(pooled) >= 2  # the pool did run units off the main thread
+    main = threading.main_thread().name
+    assert threads and all(names == {main} for names in threads.values()), threads

@@ -1,0 +1,73 @@
+"""The process-wide worker pool: every unit exactly once, results in order,
+inline on one worker, errors raised in the caller."""
+
+import sys
+import threading
+
+import pytest
+
+from repro import pool
+
+
+def _bounded(fn, timeout=60.0):
+    """Run ``fn`` in a thread and fail instead of hanging past ``timeout``."""
+    out = {}
+    thread = threading.Thread(target=lambda: out.update(result=fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "pool.run did not finish"
+    return out["result"]
+
+
+def test_every_unit_runs_once_in_order_under_contention():
+    # More workers than cores and a tiny switch interval: a unit claimed
+    # twice, or a result written to the wrong slot, shows as a count or an
+    # order mismatch.
+    runs = [0] * 5000
+    threads = set()
+
+    def unit(i):
+        runs[i] += 1  # each unit owns its slot
+        threads.add(threading.current_thread().name)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pool._forced_workers(8):
+            got = _bounded(lambda: pool.run(unit, range(len(runs))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(len(runs))]
+    assert runs == [1] * len(runs)
+    assert len(threads) > 1
+
+
+def test_one_worker_runs_inline():
+    with pool._forced_workers(1):
+        names = pool.run(lambda _: threading.current_thread().name, range(4))
+    assert names == [threading.current_thread().name] * 4
+
+
+def test_a_unit_never_waits_on_the_pool():
+    # A unit that itself calls run() on a helper runs its inner units inline.
+    def unit(i):
+        return sum(pool.run(lambda j: i + j, range(3)))
+
+    with pool._forced_workers(3):
+        assert _bounded(lambda: pool.run(unit, range(12))) == [
+            3 * i + 3 for i in range(12)
+        ]
+
+
+def test_errors_reach_the_caller_after_every_unit_finished():
+    done = []
+
+    def unit(i):
+        if i == 7:
+            raise ValueError("unit 7")
+        done.append(i)
+
+    with pool._forced_workers(4), pytest.raises(ValueError, match="unit 7"):
+        pool.run(unit, range(40))
+    assert sorted(done) == [i for i in range(40) if i != 7]
