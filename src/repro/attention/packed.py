@@ -4,13 +4,17 @@ This is the one kernel that executes a
 :class:`~repro.core.plan.SparsePlan`: the library operator
 :func:`~repro.core.sample_attention` runs it as a batch of one, and at each
 engine batch step the co-scheduled prefill chunks execute as **one
-dispatch** -- one validation pass over the batch, one grow-only
+dispatch** -- one validation pass over the batch (plan geometry and every
+band's mask term), one grow-only
 :class:`~repro.attention.utils.KernelWorkspace`, then every item through
-the same two-part kernel, one after the other.  Within an item the stripe
-part and the sparse rows' bands run in the caller's thread; the dense
-rows' 64-row q-blocks are units of the process-wide :mod:`repro.pool`
-(inline on one CPU), each with its own thread's workspace.  The kernel
-attends at the *plan's own granularity* -- the paper's gathered ``I_KV``
+the same two-part kernel.  When at least two items clear a work floor
+(``_ITEM_UNIT_WORK``) the items are units of the process-wide
+:mod:`repro.pool`, largest first, each on its thread's workspace and
+running its own dense q-blocks inline; otherwise the items run one after
+the other and the dense rows' 64-row q-blocks are the pool's units (a
+lone request's chunk, ``flash_attention``).  Everything runs inline on
+one CPU, and every output and count is bitwise the same either way.
+The kernel attends at the *plan's own granularity* -- the paper's gathered ``I_KV``
 columns (and AnchorAttention's "stripe granularity") -- so its cost follows
 what the planner kept, not how many aligned 64-wide tiles the scattered
 stripe columns happen to touch:
@@ -111,8 +115,8 @@ _DENSE_SPAN = 1024
 #: scores (no row-max pass).
 _PLAIN_EXP_BOUND = 60.0
 
-#: Scratch of the dense q-blocks a pool thread runs: one grow-only
-#: workspace per thread, each bounded like a caller's band scratch.
+#: Scratch of the items and dense q-blocks a pool thread runs: one
+#: grow-only workspace per thread, each bounded like a caller's.
 _local = threading.local()
 _thread_workspaces: list[KernelWorkspace] = []  # every one made, for tests
 
@@ -123,6 +127,36 @@ def _thread_workspace() -> KernelWorkspace:
         ws = _local.ws = KernelWorkspace()
         _thread_workspaces.append(ws)
     return ws
+
+
+#: Fewest score-rectangle entries ``S_q x S_k`` a prefill item spans to be
+#: a pool unit of its dispatch.  Measured on a 2-CPU host (BLAS on one
+#: thread) as two captured glm-mini items on two threads against one:
+#: single-chunk prompts of 132-252 tokens (<= 63504 entries) x0.98-1.03,
+#: their small-array work holds the GIL; 256-row chunks x0.87 against 256
+#: keys and x0.59-0.79 from 512 keys up.  Twice the largest of the former.
+_ITEM_UNIT_WORK = 256 * 512
+
+#: Fewest cached keys a decode item holds to be a pool unit of its dispatch.
+#: Measured like ``_ITEM_UNIT_WORK``, two glm-mini decode items over caches
+#: cycled cold: 768 keys x0.87 (faster in 20 of 30 runs), 1024 keys x0.74
+#: (29 of 30), 1640 keys x0.71; below that a unit is shorter than handing
+#: it to another thread.
+_DECODE_UNIT_KEYS = 1024
+
+
+def _items_on_the_pool(fn, sizes, floor) -> list:
+    """``[fn(i) for i in range(len(sizes))]``, the items as
+    :mod:`repro.pool` units, largest first, when at least two of their
+    ``sizes`` reach ``floor``; inline otherwise.  Results come back in
+    item order whichever thread ran them, in whatever order."""
+    if sum(size >= floor for size in sizes) < 2:
+        return [fn(i) for i in range(len(sizes))]
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    results = [None] * len(sizes)
+    for i, result in zip(order, pool.run(fn, order)):
+        results[i] = result
+    return results
 
 
 @dataclass(frozen=True)
@@ -293,19 +327,21 @@ def packed_decode_attention(
     co-scheduled requests' single-token attention calls -- one query row
     each against a ragged-length KV prefix -- run under one validation /
     geometry pass, then each item goes through
-    :func:`~repro.attention.utils.decode_row_attention` serially in the
-    caller's thread (a decode item is ~10 us of arithmetic; fanning items
-    out over Python threads measured 1.09x on two cores and cost more in
-    executor set-up than it returned).
+    :func:`~repro.attention.utils.decode_row_attention`.  When at least
+    two items cache ``_DECODE_UNIT_KEYS`` or more keys, the items are
+    :mod:`repro.pool` units, longest cache first (two 1640-key items:
+    x0.71 on two cores); shorter caches run serially in the caller's
+    thread, where a unit costs less than handing it to another thread.
+    An item's result is a function of the item alone, so both ways give
+    the same bits.
 
     All items must share ``(H, H_kv, d)`` (one model); KV lengths may be
     ragged.  ``return_probs=True`` additionally returns each item's
     attention probabilities (the H2O heavy-hitter statistic feed).
     """
-    outputs: list[np.ndarray] = []
-    probs_out: list[np.ndarray] | None = [] if return_probs else None
     cu = np.zeros(len(items) + 1, dtype=np.int64)
-    s_k_max = h = h_kv = d = 0
+    scales = []
+    h = h_kv = d = 0
     if items:
         h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
     for i, it in enumerate(items):
@@ -320,15 +356,22 @@ def packed_decode_attention(
                 f"decode item {i}: k/v shapes {k.shape}/{v.shape} "
                 f"incompatible with ({h_kv}, S_k>=1, {d})"
             )
-        scale = np.float32(it.scale if it.scale is not None else 1.0 / np.sqrt(d))
-        out, probs = decode_row_attention(
-            q, k, v, scale, return_probs=return_probs
+        scales.append(
+            np.float32(it.scale if it.scale is not None else 1.0 / np.sqrt(d))
         )
-        outputs.append(out)
-        if probs_out is not None:
-            probs_out.append(probs)
         cu[i + 1] = cu[i] + s_k
-        s_k_max = max(s_k_max, s_k)
+
+    def attend(i):
+        it = items[i]
+        return decode_row_attention(
+            it.q, it.k, it.v, scales[i], return_probs=return_probs
+        )
+
+    lengths = [it.k.shape[1] for it in items]
+    executed = _items_on_the_pool(attend, lengths, _DECODE_UNIT_KEYS)
+    outputs = [out for out, _ in executed]
+    probs_out = [probs for _, probs in executed] if return_probs else None
+    s_k_max = max(lengths, default=0)
 
     stats = {
         "dispatches": 1,
@@ -421,31 +464,45 @@ def _stripe_dead(pos, cols, window: int, extras: list) -> np.ndarray:
     return dead
 
 
-def _execute_item(
-    it: PackedItem, scale, stripes, intervals, ws: KernelWorkspace, terms: dict
-):
+def _band_terms(widths) -> dict:
+    """``(width, plain) ->`` mask term of every band width a dispatch's
+    items use, for both softmax paths (which one an item takes is decided
+    inside its execution).  Built before any item runs and only read after,
+    so items on different threads share it."""
+    terms = {}
+    for w in widths:
+        if w == _DENSE_SPAN:
+            terms.update({(w, p): _dense_term(w, p) for p in (True, False)})
+        else:
+            dead = _window_dead(w)
+            terms.update({(w, p): _mask_term(dead, p) for p in (True, False)})
+    return terms
+
+
+def _unit_workspace(ws: KernelWorkspace, caller: int) -> KernelWorkspace:
+    """``ws`` on the thread that owns it, this thread's own elsewhere."""
+    return ws if threading.get_ident() == caller else _thread_workspace()
+
+
+def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
     """One item through the stripe part and the band part.
 
-    ``stripes`` are the item's stripe ∪ sink columns per head and
-    ``intervals`` its window and bands as disjoint distance intervals
-    (:func:`~repro.attention.masks.normalise_bands`).  Returns ``(output,
-    computed_elements, gemm_calls)``; everything is a function of the item
-    alone (scratch is fully written before it is read), which is what makes
-    the dispatch batch-invariant.  The dense rows' q-blocks run on
-    :func:`repro.pool.run`; the counts they return are summed here.
+    ``geometry`` is the item's ``(scale, stripes, window, extras, s_nd)``
+    from the dispatch's validation pass: its stripe ∪ sink columns per
+    head, its window and extra diagonal bands as disjoint distance
+    intervals clipped to the prefix, and the rows ``[0, s_nd)`` that
+    execute the plan.  ``terms`` holds every band width's mask term.
+    Returns ``(output, computed_elements, gemm_calls)``; everything is a
+    function of the item alone (scratch is fully written before it is
+    read), which is what makes the dispatch batch-invariant.  The dense
+    rows' q-blocks run on :func:`repro.pool.run` (inline when this item is
+    itself a pool unit); the counts they return are summed here.
     """
+    scale, stripes, window, extras, s_nd = geometry
     h, s_q, d = it.q.shape
     h_kv, s_k, _ = it.k.shape
     n_rep = h // h_kv
     offset = s_k - s_q
-    # The window is the first distance interval (widened by any band that
-    # touches it), every further one an extra diagonal band; no distance
-    # reaches s_k.
-    window = min(intervals[0][1], s_k)
-    extras = [(lo, min(hi, s_k)) for lo, hi in intervals[1:] if lo < s_k]
-    # Rows [0, s_nd) execute the plan; the trailing "bottom area" rows
-    # attend to every causal key.
-    s_nd = s_q - min(max(it.dense_last_rows, 0), s_q)
 
     kf = it.k.astype(np.float32, copy=False)
     vf = it.v.astype(np.float32, copy=False)
@@ -541,10 +598,7 @@ def _execute_item(
             if hi <= lo:  # the band starts further back than these rows reach
                 continue
             n = hi - lo
-            key = (w, plain)
-            if key not in terms:  # only ever in the caller's thread
-                terms[key] = _mask_term(_window_dead(w), plain)
-            term = terms[key][:bq, lo - start:hi - start]
+            term = terms[(w, plain)][:bq, lo - start:hi - start]
             s = scratch.take("s_band", (h_kv, n_rep * bq, n))
             np.matmul(
                 q_blk.reshape(h_kv, n_rep * bq, d),
@@ -581,13 +635,11 @@ def _execute_item(
     # Dense q-blocks are the pool's units: milliseconds each, disjoint
     # output rows, a workspace per thread; they only read the one mask term
     # they share, which is built once per process.
-    if s_nd < s_q:
-        terms[(_DENSE_SPAN, plain)] = _dense_term(_DENSE_SPAN, plain)
     caller = threading.get_ident()
 
     def dense_block(r0):
-        unit_ws = ws if threading.get_ident() == caller else _thread_workspace()
-        return attend_block(r0, min(r0 + _BAND_ROWS, s_q), dense_spans, unit_ws)
+        return attend_block(r0, min(r0 + _BAND_ROWS, s_q), dense_spans,
+                            _unit_workspace(ws, caller))
 
     counts += pool.run(dense_block, range(s_nd, s_q, _BAND_ROWS))
     for live, gemm_calls in counts:
@@ -604,9 +656,10 @@ def packed_block_sparse_attention(
     """Execute every item's structured sparse attention as one dispatch.
 
     All items must share ``(H, H_kv, d)`` (one model); sequence lengths
-    may be ragged.  Items execute one after the other; an item's dense
-    q-blocks spread over :mod:`repro.pool` and compute the same bits on
-    any thread, so pooled and inline execution are bitwise equal.  Each
+    may be ragged.  Items that clear ``_ITEM_UNIT_WORK`` spread over
+    :mod:`repro.pool` when at least two do, and otherwise an item's dense
+    q-blocks do; either unit computes the same bits on any thread, so
+    pooled and inline execution are bitwise equal.  Each
     item's output and counts are **batch-invariant**: bitwise the
     same alone or inside any permutation of a batch (the serving engine's
     per-request path and :func:`~repro.core.sample_attention` are batches
@@ -627,7 +680,8 @@ def packed_block_sparse_attention(
 
     # ---- one validation pass over the batch -----------------------------
     h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
-    checked = []  # per item: (scale, stripes ∪ sinks per head, window ∪ bands)
+    geometry = []  # per item: what _execute_item takes besides the item
+    widths = set()  # every band width any item's q-blocks use
     for i, it in enumerate(items):
         hi, hkvi, s_q, s_k, di = validate_qkv(it.q, it.k, it.v)
         if (hi, hkvi, di) != (h, h_kv, d):
@@ -649,20 +703,42 @@ def packed_block_sparse_attention(
         scale = np.float32(
             it.scale if it.scale is not None else 1.0 / np.sqrt(d)
         )
-        checked.append((
+        # The window is the first distance interval (widened by any band
+        # that touches it), every further one an extra diagonal band; no
+        # distance reaches s_k.  Rows [s_nd, s_q) -- the "bottom area" --
+        # attend to every causal key.
+        intervals = normalise_bands(it.window, it.bands)
+        extras = [(lo, min(hi, s_k)) for lo, hi in intervals[1:] if lo < s_k]
+        s_nd = s_q - min(max(it.dense_last_rows, 0), s_q)
+        geometry.append((
             scale,
             normalise_indices(it.kv_indices, h, s_k, it.sink_tokens),
-            normalise_bands(it.window, it.bands),
+            min(intervals[0][1], s_k),
+            extras,
+            s_nd,
         ))
+        widths.add(geometry[-1][2])
+        widths.update(hi - lo for lo, hi in extras)
+        if s_nd < s_q:
+            widths.add(_DENSE_SPAN)
         cu[i + 1] = cu[i] + s_q
 
-    terms: dict = {}  # band mask terms, shared by every item of equal width
+    # Band mask terms, shared by every item of equal width and read-only
+    # from here on.  Items that clear the floor are the pool's units,
+    # largest first, when at least two of them do: each uses its thread's
+    # workspace and runs its own dense q-blocks inline.
+    terms = _band_terms(widths)
+    caller = threading.get_ident()
+    executed = _items_on_the_pool(
+        lambda i: _execute_item(
+            items[i], geometry[i], _unit_workspace(ws, caller), terms),
+        [it.q.shape[1] * it.k.shape[1] for it in items],
+        _ITEM_UNIT_WORK,
+    )
+
     results = []
-    for it, (scale, stripes, intervals) in zip(items, checked):
+    for it, (output, elements, gemms) in zip(items, executed):
         s_q, s_k, b = it.mask.s_q, it.mask.s_k, it.mask.block_size
-        output, elements, gemms = _execute_item(
-            it, scale, stripes, intervals, ws, terms
-        )
         # Tile footprint of the plan (the accounting view): blocks of the
         # mask reachable from each q-block's last row.
         nq, nk = it.mask.blocks.shape[1:]

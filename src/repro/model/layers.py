@@ -45,7 +45,7 @@ _SMALL_GEMM = 100**3
 _SPLIT_ROWS = 64
 
 
-def _row_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _row_gemm(x: np.ndarray, w: np.ndarray, epilogue=None) -> np.ndarray:
     """``x @ w`` for ``(M, K)`` rows against a ``(K, N)`` weight, every
     output row a function of its own input row alone.
 
@@ -53,7 +53,9 @@ def _row_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     so the call is kept on it: fewer rows than clear the small-matrix
     cut-off (two at least) are zero-padded up to it, and more rows are cut
     into contiguous parts of at least ``_SPLIT_ROWS`` on :mod:`repro.pool`.
-    Either way the result is bitwise the rows' own.
+    Either way the result is bitwise the rows' own.  ``epilogue(out_rows,
+    r0, r1)``, if given, finishes output rows ``[r0, r1)`` in place right
+    after their GEMM, in the same pool unit; it must be row-wise too.
     """
     x = np.ascontiguousarray(x)
     m, k = x.shape
@@ -61,16 +63,19 @@ def _row_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if m < floor:
         padded = np.zeros((floor, k), dtype=x.dtype)
         padded[:m] = x
-        return (padded @ w)[:m]
-    parts = min(pool.workers(), m // max(floor, _SPLIT_ROWS))
-    if parts < 2:
-        return x @ w
+        out = (padded @ w)[:m]
+        if epilogue is not None:
+            epilogue(out, 0, m)
+        return out
+    parts = max(1, min(pool.workers(), m // max(floor, _SPLIT_ROWS)))
     out = np.empty((m, w.shape[1]), dtype=np.result_type(x, w))
     cuts = [m * p // parts for p in range(parts + 1)]
 
     def part(p):
         r0, r1 = cuts[p], cuts[p + 1]
         np.matmul(x[r0:r1], w, out=out[r0:r1])
+        if epilogue is not None:
+            epilogue(out[r0:r1], r0, r1)
 
     pool.run(part, range(parts))
     return out
@@ -145,9 +150,10 @@ class AttentionLayer:
 
         The three projections are one GEMM against the fused ``(d_model,
         (H + 2 H_kv) e)`` weight built at construction (through
-        :func:`_row_gemm`), and the rotation is elementwise, so every
-        row's q/k/v are bitwise the same whichever other rows share the
-        call.  q, k and v are strided views of that one GEMM output,
+        :func:`_row_gemm`), and the rotation -- tables included -- is
+        elementwise, so every row's q/k/v are bitwise the same whichever
+        other rows share the call.  Each pool part of the GEMM rotates its
+        own rows.  q, k and v are strided views of that one GEMM output,
         rotated in place: packing a step's chunks holds no more than their
         q/k/v.
         """
@@ -155,11 +161,16 @@ class AttentionLayer:
             raise ModelError(f"residual shape {x.shape}")
         s = x.shape[0]
         h, h_kv, e = self.config.n_heads, self.config.n_kv_heads, self.config.d_head
-        heads = _row_gemm(x, self._qkv.T).reshape(s, h + 2 * h_kv, e)
-        cos, sin = rope_cos_sin(
-            positions, self.config.rot_dim, self.config.rope_base
-        )
-        rotate_pairs(heads[:, : h + h_kv], cos[:, None], sin[:, None])
+        positions = np.asarray(positions)
+
+        def rotate(rows, r0, r1):
+            cos, sin = rope_cos_sin(
+                positions[r0:r1], self.config.rot_dim, self.config.rope_base
+            )
+            qk = rows.reshape(r1 - r0, h + 2 * h_kv, e)[:, : h + h_kv]
+            rotate_pairs(qk, cos[:, None], sin[:, None])
+
+        heads = _row_gemm(x, self._qkv.T, rotate).reshape(s, h + 2 * h_kv, e)
         q, k, v = (
             heads[:, lo:hi].transpose(1, 0, 2)
             for lo, hi in ((0, h), (h, h + h_kv), (h + h_kv, h + 2 * h_kv))

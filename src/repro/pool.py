@@ -1,22 +1,28 @@
-"""The process-wide worker pool prefill's independent row work runs on.
+"""The process-wide worker pool the attention kernels' independent work
+runs on.
 
-Two kinds of work go here, and nothing else:
+These kinds of work go here, and nothing else:
 
-* the dense q-blocks of a packed attention item
-  (:func:`~repro.attention.packed.packed_block_sparse_attention`) -- 64-row
-  blocks that write disjoint output rows and share no state;
-* the row parts of a prefill step's token-packed projection GEMMs
-  (:class:`~repro.model.layers.AttentionLayer`).
+* the items of a packed prefill or decode dispatch
+  (:func:`~repro.attention.packed.packed_block_sparse_attention`,
+  :func:`~repro.attention.packed.packed_decode_attention`) -- one
+  co-scheduled request each, reading its own KV and writing its own
+  output -- when at least two of them clear a work floor;
+* otherwise the dense q-blocks of a packed attention item -- 64-row blocks
+  that write disjoint output rows and share no state;
+* the row parts of a prefill step's token-packed projection GEMMs, each
+  rotating its own rows (:class:`~repro.model.layers.AttentionLayer`).
 
-Both compute the same bits on any thread and in any order, so pooled and
+Each computes the same bits on any thread and in any order, so pooled and
 inline execution are bitwise equal.  The pool is as wide as the set of CPUs
 this process may run on (``os.sched_getaffinity``): the caller plus that
 many minus one helper threads, started on first use.  On one CPU nothing is
 started and :func:`run` calls the units inline.  There is no parameter,
-config field or environment variable for the width.  Decode, planning and
-the sparse parts of the packed kernel stay in the caller's thread: their
-units are sub-millisecond, and handing them between threads costs more
-than it returns (docs/PERFORMANCE.md).
+config field or environment variable for the width.  Planning, mask
+building, KV appends and fragments of a sparse item (a head's stripes, a
+q-block's bands) stay in the caller's thread: those units are
+sub-millisecond or share state, and handing them between threads costs
+more than it returns (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ _tasks: queue.SimpleQueue = queue.SimpleQueue()
 _helpers: list[threading.Thread] = []
 _affinity: int | None = None
 _forced: int | None = None  # set only by :func:`_forced_workers`
+_in_unit = threading.local()  # .active while this thread runs a unit of run()
 
 
 def workers() -> int:
@@ -75,22 +82,27 @@ def run(fn, units) -> list:
     frees.
 
     Inline in the caller's thread when there is one worker, one unit, or
-    the caller is itself a helper (a unit never waits on the pool).  Each
+    the call comes from inside a unit of another ``run`` -- on a helper or
+    on the caller alike -- so a unit never waits on the pool.  Each
     ``fn(u)`` must touch only state no other unit touches.  Every unit has
     finished when this returns; the first exception a unit raised then
     propagates.
     """
     units = list(units)
     n = min(workers(), len(units))
-    if n < 2 or threading.current_thread().name.startswith(_THREAD_PREFIX):
+    if n < 2 or getattr(_in_unit, "active", False):
         return [fn(u) for u in units]
     results = [None] * len(units)
     claim = itertools.count()  # next() is atomic under the GIL
     done: queue.SimpleQueue = queue.SimpleQueue()
 
     def drain() -> None:
-        while (i := next(claim)) < len(units):
-            results[i] = fn(units[i])
+        _in_unit.active = True
+        try:
+            while (i := next(claim)) < len(units):
+                results[i] = fn(units[i])
+        finally:
+            _in_unit.active = False
 
     def helper() -> None:
         try:

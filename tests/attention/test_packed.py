@@ -10,6 +10,7 @@ import concurrent.futures
 import dataclasses
 import inspect
 import queue
+import sys
 import threading
 
 import numpy as np
@@ -27,11 +28,13 @@ from repro.attention.packed import (
     _BAND_ROWS,
     _DENSE_SPAN,
     _STRIPE_ROWS,
+    PackedDecodeItem,
     PackedItem,
+    packed_decode_attention,
 )
 from repro.attention.utils import causal_mask, total_causal_elements
 from repro.errors import ConfigError, MaskError, ShapeError
-from tests.conftest import plan_element_mask, striped_plan
+from tests.conftest import plan_element_mask, record_threads, striped_plan
 
 TOL = 2e-5
 
@@ -528,6 +531,142 @@ class TestPooledDenseBlocks:
         h, d = q.shape[0], q.shape[2]
         block = 4 * h * _BAND_ROWS * (2 * d + _DENSE_SPAN + _BAND_ROWS - 1)
         assert all(0 < w.nbytes <= block for w, _ in warm)
+
+
+#: (S_q, S_k) of a ragged dispatch: three items over ``_ITEM_UNIT_WORK``
+#: (153600, 143000 and 400000 score entries), two under it.
+_ITEM_SHAPES = [(256, 600), (64, 700), (130, 1100), (1, 300), (200, 2000)]
+
+
+class TestPooledItems:
+    """When at least two items of a dispatch clear the work floor, whole
+    items are the pool's units, largest first: every item still gets the
+    bits, counts and stats of inline execution, in any batch order."""
+
+    def _dispatch(self, rng, n_rep, gain=1.0):
+        items = []
+        for j, (s_q, s_k) in enumerate(_ITEM_SHAPES):
+            item, _ = _item(
+                rng, 2 * n_rep, s_q, s_k, 16, h_kv=2,
+                window=max(1, s_k // (8 + j)), stripes=0.1, sink_tokens=4,
+                dense_last_rows=(0, 5, 0, 1, 64)[j],
+                bands=[(s_k // 3, s_k // 3 + 20)] if j % 2 else None,
+            )
+            items.append(dataclasses.replace(item, q=item.q * np.float32(gain)))
+        assert sum(s_q * s_k >= packed_mod._ITEM_UNIT_WORK
+                   for s_q, s_k in _ITEM_SHAPES) == 3
+        return items
+
+    @pytest.mark.parametrize("n_rep", [1, 2, 4])
+    @pytest.mark.parametrize("gain", [1.0, 30.0], ids=["plain", "stabilised"])
+    def test_pooled_is_bitwise_inline(self, rng, monkeypatch, n_rep, gain):
+        items = self._dispatch(rng, n_rep, gain)
+        inline = _run(items, 1)
+        ran_on = record_threads(monkeypatch, packed_mod, "_execute_item")
+        # Item order and largest-first order disagree in every batch, so
+        # results stored in completion order would land on the wrong item.
+        for workers, order in ((2, [0, 1, 2, 3, 4]), (2, [3, 1, 4, 0, 2]),
+                               (3, [4, 3, 2, 1, 0])):
+            pooled = _run([items[j] for j in order], workers)
+            for slot, j in enumerate(order):
+                got, ref = pooled.results[slot], inline.results[j]
+                assert np.array_equal(got.output, ref.output)
+                assert np.array_equal(got.computed_elements, ref.computed_elements)
+                assert np.array_equal(got.visited_blocks, ref.visited_blocks)
+            assert pooled.stats == inline.stats
+        assert set(ran_on) - {threading.current_thread().name}, (
+            "no item ran on the pool")
+
+    def test_pooled_under_contention(self, rng):
+        # More workers than cores and a 1 us switch interval: a unit that
+        # wrote outside its own item, or scratch two threads shared, shows.
+        items = self._dispatch(rng, 2, 30.0)
+        inline = _run(items, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = _run(items, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, ref in zip(pooled.results, inline.results):
+            assert np.array_equal(got.output, ref.output)
+            assert np.array_equal(got.computed_elements, ref.computed_elements)
+
+    def test_one_item_over_the_floor_stays_inline(self, rng, monkeypatch):
+        items = self._dispatch(rng, 2)
+        ran_on = record_threads(monkeypatch, packed_mod, "_execute_item")
+        _run([items[1], items[3], items[0]], 2)
+        assert set(ran_on) == {threading.current_thread().name}
+
+    def test_mask_terms_are_built_before_any_item_runs(self, rng, monkeypatch):
+        # Items on helpers only read the dispatch's band terms; one built
+        # lazily on a helper would race the caller's dict.
+        items = self._dispatch(rng, 2)
+        ran_on = record_threads(monkeypatch, packed_mod, "_execute_item")
+        built_on = record_threads(monkeypatch, packed_mod, "_window_dead")
+        _run(items, 2)
+        caller = threading.current_thread().name
+        assert set(ran_on) - {caller}, "no item ran on the pool"
+        assert built_on and set(built_on) == {caller}
+
+    def test_helper_workspaces_stop_allocating_once_warm(self, rng, monkeypatch):
+        # One plan for every item, so whichever thread runs whichever item
+        # needs the same scratch; dense last rows run inside the unit.
+        _, plan = _item(rng, 4, 256, 1100, 16, h_kv=2, window=90,
+                        stripes=0.2, sink_tokens=4, dense_last_rows=64)
+        items = [
+            PackedItem.from_plan(*_dense_qkv(rng, 256, 1100, 2), plan)
+            for _ in range(4)
+        ]
+        ws = KernelWorkspace()
+        monkeypatch.setattr(pool, "_tasks", queue.SimpleQueue())
+        monkeypatch.setattr(pool, "_helpers", [])
+        mark = len(packed_mod._thread_workspaces)
+        with pool._forced_workers(2):
+            for _ in range(2):
+                packed_block_sparse_attention(items, workspace=ws)
+            warm = [(w, w.allocations)
+                    for w in packed_mod._thread_workspaces[mark:]]
+            for _ in range(3):
+                packed_block_sparse_attention(items, workspace=ws)
+            again = [(w, w.allocations)
+                     for w in packed_mod._thread_workspaces[mark:]]
+        assert warm, "no helper ran an item on its own workspace"
+        assert again == warm
+        assert all(0 < w.nbytes <= _workspace_bound(items[0]) for w, _ in warm)
+
+    @pytest.mark.parametrize("return_probs", [False, True])
+    def test_decode_pooled_is_bitwise_inline(self, rng, monkeypatch, return_probs):
+        # Caches on both sides of _DECODE_UNIT_KEYS, one exactly at it.
+        lengths = [300, packed_mod._DECODE_UNIT_KEYS, 2100, 700, 1500, 1]
+        items = [
+            PackedDecodeItem(q=q, k=k, v=v)
+            for q, k, v in (_dense_qkv(rng, 1, s_k, 2) for s_k in lengths)
+        ]
+
+        def run(batch, workers):
+            with pool._forced_workers(workers):
+                return packed_decode_attention(batch, return_probs=return_probs)
+
+        inline = run(items, 1)
+        ran_on = record_threads(monkeypatch, packed_mod, "decode_row_attention")
+        for workers, order in ((2, [0, 1, 2, 3, 4, 5]), (3, [5, 3, 1, 0, 4, 2])):
+            pooled = run([items[j] for j in order], workers)
+            for slot, j in enumerate(order):
+                assert np.array_equal(pooled.outputs[slot], inline.outputs[j])
+                if return_probs:
+                    assert np.array_equal(pooled.probs[slot], inline.probs[j])
+            assert pooled.stats == inline.stats
+        assert set(ran_on) - {threading.current_thread().name}, (
+            "no decode item ran on the pool")
+
+    def test_short_caches_decode_inline(self, rng, monkeypatch):
+        items = [PackedDecodeItem(*_dense_qkv(rng, 1, s_k, 2))
+                 for s_k in (272, 412, 1500, 272)]
+        ran_on = record_threads(monkeypatch, packed_mod, "decode_row_attention")
+        with pool._forced_workers(2):
+            packed_decode_attention(items)
+        assert set(ran_on) == {threading.current_thread().name}
 
 
 class TestPackedValidation:

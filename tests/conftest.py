@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,20 @@ def perfbench_module(name: str):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def record_threads(monkeypatch, owner, name: str) -> list[str]:
+    """Wrap ``owner.<name>`` for the test; returns the list the wrapper
+    appends each call's thread name to (pool units name their thread)."""
+    threads: list[str] = []
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return threads
 
 
 def random_qkv(

@@ -25,10 +25,12 @@ workers split the rows.
 """
 
 import functools
+import threading
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro.attention.packed as packed_mod
 from repro import pool
 from repro.attention import (
     KernelWorkspace,
@@ -39,7 +41,7 @@ from repro.attention import (
 from repro.attention.packed import _PLAIN_EXP_BOUND, PackedItem
 from repro.model import ModelConfig, Transformer, build_model
 from repro.model.weights import random_weights
-from tests.conftest import plan_element_mask, striped_plan
+from tests.conftest import plan_element_mask, record_threads, striped_plan
 
 TOLERANCE = 2e-5
 H_KV, D = 2, 16
@@ -281,3 +283,71 @@ class TestTokenPackedProjections:
         packed = step(order)
         for slot, j in enumerate(order):
             np.testing.assert_array_equal(packed[slot], alone[j])
+
+
+class TestLongRequestsStepTogether:
+    """Long requests stepped together put whole items on the pool: prefill
+    chunks of 256 rows against >= 512 keys, decode rows against >= 1024
+    cached keys.  Every request must come out bitwise as if stepped alone
+    on one worker."""
+
+    LENGTHS = (700, 1100, 1300)
+    CHUNK = 256
+
+    @staticmethod
+    def _attend_batch(i, entries):
+        """Sparse packed attention under a plan drawn from the chunk's
+        geometry alone, so a request sees the same plan in any batch."""
+        items = []
+        for q, keys, values, scale in entries.values():
+            h, s_q, _ = q.shape
+            s_k = keys.shape[1]
+            plan = striped_plan(
+                np.random.default_rng((i, s_q, s_k)), h, s_q, s_k,
+                window=max(1, s_k // 10), stripes=0.05, block=64,
+                sink_tokens=4, dense_last_rows=16,
+                bands=[(s_k // 2, s_k // 2 + 32)],
+            )
+            items.append(PackedItem.from_plan(q, keys, values, plan, scale=scale))
+        res = packed_block_sparse_attention(items)
+        return {b: r.output for b, r in zip(entries, res.results)}
+
+    def _serve(self, model, tokens, ids, workers):
+        """Prefill requests ``ids`` chunk by chunk, all live chunks in one
+        step, then decode four steps as one batch.  Returns per request
+        the residual rows of every chunk and the logits of every step."""
+        out = {j: [] for j in ids}
+        caches = {j: model.new_caches(capacity=tokens[j].size + 4) for j in ids}
+        with pool._forced_workers(workers):
+            for c0 in range(0, max(tokens[j].size for j in ids), self.CHUNK):
+                live = [j for j in ids if c0 < tokens[j].size]
+                chunks = [
+                    (tokens[j][c0:c0 + self.CHUNK],
+                     np.arange(c0, min(c0 + self.CHUNK, tokens[j].size)),
+                     caches[j])
+                    for j in live
+                ]
+                for j, rows in zip(live, model.prefill_chunk_batch(
+                        chunks, self._attend_batch)):
+                    out[j].append(rows)
+            for t in range(4):
+                entries = [(7 + t, tokens[j].size + t, caches[j]) for j in ids]
+                for j, logits in zip(ids, model.decode_batch(entries)):
+                    out[j].append(logits)
+        return out
+
+    def test_prefill_and_decode_batches_equal_each_request_alone(self, monkeypatch):
+        model = _model("glm-mini")
+        rng = np.random.default_rng(5)
+        tokens = [rng.integers(0, model.config.vocab_size, n) for n in self.LENGTHS]
+        ids = list(range(len(tokens)))
+        units = [record_threads(monkeypatch, packed_mod, name)
+                 for name in ("_execute_item", "decode_row_attention")]
+        together = self._serve(model, tokens, ids[::-1], workers=2)
+        main = threading.current_thread().name
+        assert all(set(ran_on) - {main} for ran_on in units), "no item pooled"
+        for j in ids:
+            alone = self._serve(model, tokens, [j], workers=1)[j]
+            assert len(alone) == len(together[j])
+            for got, ref in zip(together[j], alone):
+                np.testing.assert_array_equal(got, ref)

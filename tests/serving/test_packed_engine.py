@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import pool
 from repro.config import DEFAULT_CONFIG, PLAN_PROVIDER_NAMES
 from repro.errors import ConfigError
 from repro.serving import (
@@ -172,6 +173,31 @@ class TestPackedDecode:
             == glm_mini.config.n_layers
             * counters["kernel_packed_decode_steps"]
         )
+
+
+class TestPooledItemsThroughTheEngine:
+    """Long co-scheduled requests put whole prefill items (256-row chunks
+    against >= 512 keys) and decode items (>= 1024 cached keys) on
+    :mod:`repro.pool`; tokens and every counter are one worker's."""
+
+    def test_two_workers_serve_what_one_does(self, glm_mini):
+        reqs = [
+            Request(request_id=i, arrival=0.0, prompt_len=n, decode_tokens=4)
+            for i, n in enumerate((1100, 1300, 1500))
+        ]
+        runs = []
+        for workers in (1, 2):
+            with pool._forced_workers(workers):
+                runs.append(make_engine(
+                    glm_mini, batching="packed", length_scale=1, chunk_size=256
+                ).run(reqs))
+        inline, pooled = runs
+        assert len(pooled.completed) == 3
+        for a, b in zip(inline.requests, pooled.requests):
+            assert list(a.generated) == list(b.generated)
+        assert pooled.telemetry._counters == inline.telemetry._counters
+        assert pooled.telemetry._counters["kernel_packed_requests"] > (
+            pooled.telemetry._counters["kernel_packed_dispatches"])
 
 
 class TestProvidersThroughTheEngine:

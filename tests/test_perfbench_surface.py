@@ -15,10 +15,11 @@ import threading
 import numpy as np
 import pytest
 
+import repro.attention.packed as packed_mod
 from repro import pool
 from repro.serving import Request
 from repro.tasks.needle import make_needle_case
-from tests.conftest import perfbench_adapter, perfbench_module
+from tests.conftest import perfbench_adapter, perfbench_module, record_threads
 
 ADAPTER = perfbench_adapter()
 
@@ -58,10 +59,15 @@ def test_dense_workload_stays_on_the_traced_path():
 def test_every_target_runs_on_the_main_thread(glm_mini, monkeypatch):
     # The tracer keeps one span stack per thread, so a target that fired on
     # a pool thread would open a root span of its own and break closure.
-    # Pool units (dense q-blocks, row parts of the prefill GEMMs) must stay
-    # below every traced callable, on packed sparse and dense runs alike.
+    # Pool units (packed prefill and decode items, dense q-blocks, row
+    # parts of the prefill GEMMs) must stay below every traced callable,
+    # on packed sparse and dense runs alike.  The prompts are long enough
+    # for both kinds of item to clear their floors: 256-row chunks against
+    # >= 512 keys, decode caches of >= 1024 keys.
     tracer = perfbench_module("tracer")
     threads = collections.defaultdict(set)
+    units = [record_threads(monkeypatch, packed_mod, name)
+             for name in ("_execute_item", "decode_row_attention")]
 
     class ThreadRecorder(tracer.Tracer):
         def _wrap(self, fn, target):
@@ -86,7 +92,7 @@ def test_every_target_runs_on_the_main_thread(glm_mini, monkeypatch):
     rng = np.random.default_rng(0)
     prompts = {
         rid: make_needle_case(n, 0.5, rng=rng).prompt
-        for rid, n in enumerate((600, 700))
+        for rid, n in enumerate((1100, 1200))
     }
     requests = [Request(rid, 0.0, int(p.size), 2) for rid, p in prompts.items()]
     with pool._forced_workers(2):
@@ -100,3 +106,5 @@ def test_every_target_runs_on_the_main_thread(glm_mini, monkeypatch):
     assert max(pooled) >= 2  # the pool did run units off the main thread
     main = threading.main_thread().name
     assert threads and all(names == {main} for names in threads.values()), threads
+    # ... and whole prefill and decode items were among them.
+    assert all(set(ran_on) - {main} for ran_on in units), "no item pooled"

@@ -1,8 +1,10 @@
 """The process-wide worker pool: every unit exactly once, results in order,
 inline on one worker, errors raised in the caller."""
 
+import queue
 import sys
 import threading
+import time
 
 import pytest
 
@@ -58,6 +60,41 @@ def test_a_unit_never_waits_on_the_pool():
         assert _bounded(lambda: pool.run(unit, range(12))) == [
             3 * i + 3 for i in range(12)
         ]
+
+
+def test_a_nested_run_on_the_caller_queues_nothing(monkeypatch):
+    # A unit the *caller* runs calls run() too (a packed item's dense
+    # q-blocks).  Queuing helper tasks behind the outer run would park the
+    # caller until the helpers had drained every outer unit.
+    class CountingQueue:
+        def __init__(self):
+            self.tasks, self.puts = queue.SimpleQueue(), 0
+
+        def put(self, task):
+            self.puts += 1
+            self.tasks.put(task)
+
+        def get(self):
+            return self.tasks.get()
+
+    tasks = CountingQueue()
+    monkeypatch.setattr(pool, "_tasks", tasks)
+    monkeypatch.setattr(pool, "_helpers", [])
+    ran_on = []
+
+    def unit(i):
+        ran_on.append(threading.current_thread().name)
+        time.sleep(0.005)
+        return sum(pool.run(lambda j: i + j, range(3)))
+
+    def outer():
+        return threading.current_thread().name, pool.run(unit, range(12))
+
+    with pool._forced_workers(3):
+        caller, got = _bounded(outer)
+    assert got == [3 * i + 3 for i in range(12)]
+    assert tasks.puts == 2  # the outer run's two helper tasks, nothing nested
+    assert ran_on.count(caller) >= 2  # its share of 12 units, not just one
 
 
 def test_errors_reach_the_caller_after_every_unit_finished():
