@@ -1,20 +1,24 @@
 """Differential-testing and invariant-audit subsystem.
 
-Three layers, all seeded and dependency-free:
+Four layers, all seeded and dependency-free:
 
 * :mod:`repro.audit.contracts` -- opt-in runtime invariant contracts
   planted in the production pipeline (``SAMPLEATTN_CONTRACTS=1``).
+* :mod:`repro.audit.oracles` -- the one copy of the oracles and kernel
+  contracts: the plan element mask, a hand-built plan, and one check per
+  kernel contract (packed prefill, packed decode, the block kernels),
+  called alike by the fuzzer, the property suites and the unit tests.
 * :mod:`repro.audit.geometry` -- a geometry fuzzer sampling adversarial
   attention-call shapes (ragged tails, chunked-prefill offsets, GQA ratios,
-  empty/full stripe sets, window and ``alpha`` extremes) and cross-checking
-  every kernel, the full Algorithm-1 pipeline, the serving plan-cache
-  reuse chain and the one plan executor against the masked-dense oracle,
-  with failing cases shrunk to a minimal counterexample.
+  empty/full stripe sets, window and ``alpha`` extremes) and turning each
+  into calls to those checks for every kernel, the full Algorithm-1
+  pipeline, the serving plan-cache reuse chain and the one plan executor;
+  a failing case is reproduced from its fields.
 * :mod:`repro.audit.campaign` -- the seed-budgeted fuzz campaign behind
   ``sampleattn audit``; writes ``AUDIT.json`` and fails on any divergence
   above the 2e-5 tolerance or any contract violation.
 
-The fuzzer/campaign layers import most of the package, so they are loaded
+The oracle/fuzzer/campaign layers import most of the package, so they are loaded
 lazily here; :mod:`~repro.audit.contracts` (imported by production hooks)
 stays import-cycle free by depending only on :mod:`numpy` and
 :mod:`repro.errors`.
@@ -35,7 +39,11 @@ __all__ = [
     "sample_case",
     "sample_cases",
     "run_case",
-    "shrink_case",
+    "plan_element_mask",
+    "hand_built_plan",
+    "check_prefill_batch",
+    "check_decode_batch",
+    "check_block_kernels",
     "AUDIT_SCHEMA",
     "run_audit",
     "run_audit_experiment",
@@ -43,13 +51,17 @@ __all__ = [
 
 _LAZY = {
     "GeometryCase": "geometry",
-    "CaseResult": "geometry",
+    "CaseResult": "oracles",
     "AUDIT_AREAS": "geometry",
-    "TOLERANCE": "geometry",
+    "TOLERANCE": "oracles",
     "sample_case": "geometry",
     "sample_cases": "geometry",
     "run_case": "geometry",
-    "shrink_case": "geometry",
+    "plan_element_mask": "oracles",
+    "hand_built_plan": "oracles",
+    "check_prefill_batch": "oracles",
+    "check_decode_batch": "oracles",
+    "check_block_kernels": "oracles",
     "AUDIT_SCHEMA": "campaign",
     "run_audit": "campaign",
     "run_audit_experiment": "campaign",

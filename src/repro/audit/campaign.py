@@ -1,8 +1,8 @@
 """Seed-budgeted fuzz campaign behind ``sampleattn audit``.
 
 Runs the :mod:`~repro.audit.geometry` fuzzer over every audit area with
-runtime contracts (:mod:`~repro.audit.contracts`) enabled, shrinks any
-failure to a minimal counterexample, and writes ``AUDIT.json``:
+runtime contracts (:mod:`~repro.audit.contracts`) enabled and writes
+``AUDIT.json``:
 
 * ``schema`` ``"sampleattn-audit/v1"``;
 * per-area pass/fail counts and the worst divergence observed, plus how
@@ -14,8 +14,10 @@ failure to a minimal counterexample, and writes ``AUDIT.json``:
   decode item of serving length, >= 1024 keys (``long_decode_checks``)
   -- CI asserts each is non-zero where it applies, so no path can go
   green by not running;
-* every failing case as a shrunk, re-runnable counterexample
-  (``GeometryCase`` fields + divergence + detail);
+* up to eight failing cases per area as re-runnable counterexamples
+  (``GeometryCase`` fields + divergence + detail): the fields fully
+  determine a case, so ``run_case(GeometryCase(**fields), area)``
+  reproduces it;
 * contract-check and contract-violation totals.
 
 Environment knobs (used by the CI ``audit-smoke`` job):
@@ -31,6 +33,7 @@ the near-losslessness accounting everywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -41,15 +44,8 @@ import numpy as np
 from ..errors import ContractViolation, ReproError
 from ..harness.tables import Table
 from . import contracts
-from .geometry import (
-    AUDIT_AREAS,
-    TOLERANCE,
-    CaseResult,
-    GeometryCase,
-    run_case,
-    sample_cases,
-    shrink_case,
-)
+from .geometry import AUDIT_AREAS, GeometryCase, run_case, sample_cases
+from .oracles import TOLERANCE, CaseResult
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -65,6 +61,10 @@ AUDIT_SCHEMA = "sampleattn-audit/v1"
 #: 500 -- each cross-checked in every area.
 DEFAULT_BUDGET = 256
 DEFAULT_SEEDS = (0, 1)
+
+#: Per-area cap on the counterexamples (and contract-violation messages)
+#: kept in the report; beyond it failures are still counted.
+MAX_COUNTEREXAMPLES = 8
 
 
 @dataclass
@@ -83,44 +83,24 @@ class AreaReport:
     worst_divergence: float = 0.0
     counterexamples: list[dict] = field(default_factory=list)
 
-    def record(
-        self, case: GeometryCase, result: CaseResult, shrunk: GeometryCase | None
-    ) -> None:
+    def record(self, case: GeometryCase, result: CaseResult) -> None:
         self.cases += 1
-        self.checks += result.checks
-        self.invariance_checks += result.invariance_checks
-        self.banded_checks += result.banded_checks
-        self.dense_checks += result.dense_checks
-        self.long_decode_checks += result.long_decode_checks
+        for name, n in result.counters().items():
+            setattr(self, name, getattr(self, name) + n)
         if np.isfinite(result.divergence):
             self.worst_divergence = max(self.worst_divergence, result.divergence)
         if result.passed:
             self.passed += 1
         else:
             self.failed += 1
-            self.counterexamples.append(
-                {
-                    "case": case.describe(),
-                    "shrunk": (shrunk or case).describe(),
-                    "divergence": result.divergence,
-                    "detail": result.detail,
-                }
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "area": self.area,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failed": self.failed,
-            "checks": self.checks,
-            "invariance_checks": self.invariance_checks,
-            "banded_checks": self.banded_checks,
-            "dense_checks": self.dense_checks,
-            "long_decode_checks": self.long_decode_checks,
-            "worst_divergence": self.worst_divergence,
-            "counterexamples": self.counterexamples,
-        }
+            if len(self.counterexamples) < MAX_COUNTEREXAMPLES:
+                self.counterexamples.append(
+                    {
+                        "case": case.describe(),
+                        "divergence": result.divergence,
+                        "detail": result.detail,
+                    }
+                )
 
 
 def run_audit(
@@ -129,8 +109,6 @@ def run_audit(
     budget: int = DEFAULT_BUDGET,
     areas: tuple[str, ...] = AUDIT_AREAS,
     out_path: str | os.PathLike | None = None,
-    shrink: bool = True,
-    max_counterexamples: int = 8,
 ) -> dict:
     """Run the fuzz campaign and write ``AUDIT.json``.
 
@@ -145,12 +123,6 @@ def run_audit(
     out_path:
         Report destination; defaults to ``$SAMPLEATTN_AUDIT_OUT`` or
         ``AUDIT.json``.  ``""`` disables writing.
-    shrink:
-        Shrink failing cases to minimal counterexamples (slower on
-        failure, free on success).
-    max_counterexamples:
-        Per-area cap on shrunk counterexamples kept in the report; beyond
-        it failures are still counted, just not individually shrunk.
 
     Raises
     ------
@@ -179,15 +151,7 @@ def run_audit(
                         result = CaseResult(
                             area, False, float("inf"), f"contract: {exc}"
                         )
-                    shrunk = None
-                    if (
-                        not result.passed
-                        and shrink
-                        and len(reports[area].counterexamples)
-                        < max_counterexamples
-                    ):
-                        shrunk = shrink_case(case, area)
-                    reports[area].record(case, result, shrunk)
+                    reports[area].record(case, result)
 
     n_geometries = len(seeds) * budget
     worst = max(
@@ -205,12 +169,12 @@ def run_audit(
         "total_checks": sum(r.checks for r in reports.values()),
         "contract_checks": contracts.checks_run() - checks_before,
         "contract_violations": len(violations),
-        "contract_violation_messages": violations[:max_counterexamples],
+        "contract_violation_messages": violations[:MAX_COUNTEREXAMPLES],
         "worst_divergence": worst,
         "failed_cases": failed,
         "passed": passed,
         "numpy": np.__version__,
-        "areas": {area: reports[area].as_dict() for area in areas},
+        "areas": {area: dataclasses.asdict(reports[area]) for area in areas},
     }
     out_file = Path(out_path) if out_path else None
     if out_file is not None:
@@ -225,12 +189,15 @@ def run_audit(
             for r in reports.values()
             if r.failed
         )
+        first = next(r for r in reports.values() if r.counterexamples)
         raise ReproError(
             "audit campaign failed "
             f"({failed} diverging cases [{where or 'none'}], "
             f"{len(violations)} contract violations, "
             f"worst divergence {worst:.2e} vs tolerance {TOLERANCE:.0e}); "
-            f"see {out_file or 'the returned report'} for counterexamples"
+            f"first: run_case(GeometryCase(**{first.counterexamples[0]['case']}), "
+            f"{first.area!r}); see {out_file or 'the returned report'} for "
+            "the rest"
         )
     return report
 

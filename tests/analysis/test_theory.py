@@ -16,8 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import cra, stripe_mask_from_indices
-from repro.attention import attention_probs, dense_attention
-from tests.conftest import execute_striped, random_qkv
+from repro.attention import PackedItem, attention_probs, dense_attention
+from repro.audit.oracles import (
+    TOLERANCE,
+    check_prefill_batch,
+    hand_built_plan,
+)
+from repro.core import sample_attention
+from tests.conftest import random_qkv
 
 
 def masked_outputs(probs, v, mask):
@@ -75,7 +81,8 @@ class TestTheorem2:
         probs = attention_probs(q, k)
         window = 24
         idx = [np.arange(0, s, 7), np.arange(0, s, 5)]
-        res = execute_striped(q, k, v, window, idx)
+        plan = hand_built_plan(idx, s, s, window=window)
+        res = sample_attention(q, k, v, plan.config, plan=plan)
         ref = dense_attention(q, k, v).output
         for h in range(2):
             mask = stripe_mask_from_indices(s, s, idx[h], window=window)
@@ -87,6 +94,12 @@ class TestTheorem2:
     def test_full_window_structured_mask_exact(self, rng):
         s = 64
         q, k, v = random_qkv(rng, h=1, s=s, d=8)
-        res = execute_striped(q, k, v, s, [[]])
+        # A window as wide as the prefix: the element oracle is dense causal.
+        plan = hand_built_plan([[]], s, s, window=s)
+        item = PackedItem.from_plan(q, k, v, plan)
+        result = check_prefill_batch([item], [plan])
+        assert result.passed, result.detail
+        # ...and that oracle is dense attention, not the mask builder's word.
+        res = sample_attention(q, k, v, plan.config, plan=plan)
         ref = dense_attention(q, k, v).output
-        np.testing.assert_allclose(res.output, ref, atol=2e-5)
+        np.testing.assert_allclose(res.output, ref, atol=TOLERANCE)

@@ -3,7 +3,8 @@
 Items execute a plan's own geometry (window band + extra diagonal bands +
 gathered stripe/sink columns + dense last rows), so the oracle is dense
 attention under the plan's element mask and the count oracle is that
-mask's own sum.
+mask's own sum -- both held by ``repro.audit.oracles.check_prefill_batch``,
+the check the audit's ``packed`` area calls too.
 """
 
 import concurrent.futures
@@ -23,6 +24,7 @@ from repro.attention import (
     block_sparse_attention,
     dense_attention,
     packed_block_sparse_attention,
+    striped_element_counts,
 )
 from repro.attention.packed import (
     _BAND_ROWS,
@@ -32,36 +34,37 @@ from repro.attention.packed import (
     PackedItem,
     packed_decode_attention,
 )
-from repro.attention.utils import causal_mask, total_causal_elements
+from repro.attention.utils import total_causal_elements
+from repro.audit.oracles import (
+    TOLERANCE,
+    check_prefill_batch,
+    hand_built_plan,
+    plan_element_mask,
+)
 from repro.errors import ConfigError, MaskError, ShapeError
-from tests.conftest import plan_element_mask, record_threads, striped_plan
-
-TOL = 2e-5
+from tests.conftest import random_qkv, random_stripes, record_threads
 
 
-def _item(rng, h, s_q, s_k, d, h_kv=None, **plan_kw):
+def _item(rng, h, s_q, s_k, d, h_kv=None, *, stripes=0.1, **plan_kw):
+    """An item executing a hand-built plan; ``stripes`` is either the
+    per-head columns or the share of key columns each head draws."""
     h_kv = h if h_kv is None else h_kv
     plan_kw.setdefault("window", max(1, s_k // 8))
-    plan = striped_plan(rng, h, s_q, s_k, **plan_kw)
+    if not isinstance(stripes, list):
+        stripes = random_stripes(rng, h, s_k, stripes)
+    plan = hand_built_plan(stripes, s_q, s_k, **plan_kw)
     q = rng.standard_normal((h, s_q, d), dtype=np.float32)
     k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
     v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
     return PackedItem.from_plan(q, k, v, plan), plan
 
 
-def _assert_item_parity(item, plan, got):
-    np.testing.assert_array_equal(got.computed_elements, plan.element_counts())
-    assert got.total_causal_elements == int(
-        causal_mask(plan.s_q, plan.s_k).sum()
+def _check(pairs):
+    """The packed prefill contract on one dispatch over ``pairs``."""
+    result = check_prefill_batch(
+        [item for item, _ in pairs], [plan for _, plan in pairs]
     )
-    element_mask = plan_element_mask(plan)
-    np.testing.assert_array_equal(
-        got.computed_elements, element_mask.sum(axis=(1, 2))
-    )
-    gold = dense_attention(
-        item.q, item.k, item.v, mask=element_mask, scale=item.scale
-    )
-    np.testing.assert_allclose(got.output, gold.output, atol=TOL)
+    assert result.passed, result.detail
 
 
 class TestPackedParity:
@@ -76,8 +79,7 @@ class TestPackedParity:
         assert res.stats["dispatches"] == 1
         assert res.stats["packed_requests"] == 4
         assert list(res.cu_seqlens) == [0, 16, 64, 65, 82]
-        for (item, plan), got in zip(pairs, res.results):
-            _assert_item_parity(item, plan, got)
+        _check(pairs)
 
     @pytest.mark.parametrize("h,h_kv", [(4, 4), (4, 2), (6, 2), (8, 1)])
     def test_gqa_ratios(self, rng, h, h_kv):
@@ -85,9 +87,7 @@ class TestPackedParity:
             _item(rng, h, 32, 64, 8, h_kv=h_kv, stripes=0.3),
             _item(rng, h, 24, 40, 8, h_kv=h_kv, window=24, sink_tokens=4),
         ]
-        res = packed_block_sparse_attention([it for it, _ in pairs])
-        for (item, plan), got in zip(pairs, res.results):
-            _assert_item_parity(item, plan, got)
+        _check(pairs)
 
     def test_mixed_head_patterns_across_batch(self, rng):
         # A window-only item (empty stripe sets, first chunk), one with
@@ -103,11 +103,7 @@ class TestPackedParity:
                   dense_last_rows=3),
             _item(rng, 4, 9, 20, 8, window=20, stripes=0.3, dense_last_rows=9),
         ]
-        res = packed_block_sparse_attention(
-            [it for it, _ in pairs], workspace=KernelWorkspace()
-        )
-        for (item, plan), got in zip(pairs, res.results):
-            _assert_item_parity(item, plan, got)
+        _check(pairs)
 
     def test_stabilised_softmax_joins_both_parts(self, rng):
         # Large-norm queries fail the Cauchy-Schwarz bound, so stripe and
@@ -115,8 +111,7 @@ class TestPackedParity:
         item, plan = _item(rng, 4, 96, 300, 16, h_kv=2, stripes=0.2,
                            sink_tokens=4)
         hot = PackedItem.from_plan(item.q * np.float32(12.0), item.k, item.v, plan)
-        got = packed_block_sparse_attention([hot]).results[0]
-        _assert_item_parity(hot, plan, got)
+        _check([(hot, plan)])
 
     def test_k_norm_sq_hint_matches_full_reduction(self, rng):
         item, plan = _item(rng, 4, 32, 64, 8)
@@ -144,7 +139,7 @@ class TestPackedParity:
             item.q, item.k, item.v, mask=plan_element_mask(plan), scale=0.5
         )
         np.testing.assert_allclose(
-            res.results[0].output.astype(np.float32), ref.output, atol=TOL
+            res.results[0].output.astype(np.float32), ref.output, atol=TOLERANCE
         )
 
     def test_runs_in_the_callers_thread(self, rng, monkeypatch):
@@ -190,9 +185,7 @@ class TestPackedBands:
             _item(rng, 4, 200, 200, 8, h_kv=2, window=12, stripes=0.4,
                   dense_last_rows=3, bands=bands),
         ]
-        res = packed_block_sparse_attention([it for it, _ in pairs])
-        for (item, plan), got in zip(pairs, res.results):
-            _assert_item_parity(item, plan, got)
+        _check(pairs)
 
     def test_stabilised_softmax_joins_every_part(self, rng):
         # Rows too early to reach a band hold no live entry in its GEMM;
@@ -204,8 +197,7 @@ class TestPackedBands:
             hot = PackedItem.from_plan(
                 item.q * np.float32(12.0), item.k, item.v, plan
             )
-            got = packed_block_sparse_attention([hot]).results[0]
-            _assert_item_parity(hot, plan, got)
+            _check([(hot, plan)])
 
     def test_bands_inside_the_window_change_nothing(self, rng):
         item, plan = _item(rng, 4, 64, 256, 8, window=16, stripes=0.2)
@@ -250,8 +242,7 @@ class TestStripeRowBlocks:
                 item = PackedItem.from_plan(
                     item.q * np.float32(12.0), item.k, item.v, plan
                 )
-            got = packed_block_sparse_attention([item]).results[0]
-            _assert_item_parity(item, plan, got)
+            _check([(item, plan)])
 
     def test_blocks_skip_columns_right_of_their_window_edge(self, rng):
         # One stripe GEMM pair per (head, row block that owns a column):
@@ -267,7 +258,7 @@ class TestStripeRowBlocks:
             item, plan = _item(rng, 2, s, s, 8, window=8, stripes=stripes)
             res = packed_block_sparse_attention([item])
             assert res.stats["gemm_calls"] == base + 2 * 2 * blocks
-            _assert_item_parity(item, plan, res.results[0])
+            _check([(item, plan)])
 
 
 class TestPackedStats:
@@ -302,6 +293,28 @@ class TestPackedStats:
         block = plan.config.block_size
         assert (got.computed_elements < got.visited_blocks * block**2).all()
         assert got.element_density < got.density
+
+    def test_analytic_counts_match_kernel(self, rng):
+        s = 123
+        q, k, v = random_qkv(rng, h=3, s=s, d=8)
+        idx = [np.sort(rng.choice(s, size=n, replace=False)) for n in (0, 7, 40)]
+        plan = hand_built_plan(idx, s, s, window=11, sink_tokens=4,
+                               dense_last_rows=5)
+        got = packed_block_sparse_attention(
+            [PackedItem.from_plan(q, k, v, plan)]
+        ).results[0]
+        analytic = striped_element_counts(
+            s, s, 11, idx, sink_tokens=4, dense_last_rows=5
+        )
+        np.testing.assert_array_equal(got.computed_elements, analytic)
+
+    def test_density_reflects_sparsity(self, rng):
+        q, k, v = random_qkv(rng, h=1, s=256, d=8)
+        plan = hand_built_plan([[]], 256, 256, window=4)
+        got = packed_block_sparse_attention(
+            [PackedItem.from_plan(q, k, v, plan)]
+        ).results[0]
+        assert got.element_density < 0.1
 
     def test_gemm_calls_follow_the_schedule(self, rng):
         # QK + PV per head with a stripe column, and per 64-row q-block.
@@ -384,7 +397,7 @@ class TestPackedWorkspaceBound:
 
     def _chunk(self, rng, s_q, s_k):
         return _item(rng, 8, s_q, s_k, 64, h_kv=2, window=-(-s_k * 8 // 100),
-                     stripes=0.1, block=64, sink_tokens=4)[0]
+                     stripes=0.1, block_size=64, sink_tokens=4)[0]
 
     def test_bytes_bounded_by_the_items_shapes(self, rng):
         big, small = self._chunk(rng, 256, 4096), self._chunk(rng, 64, 1024)
@@ -451,7 +464,7 @@ class TestPackedWorkspaceBound:
         monkeypatch.setattr(packed_mod, "_DENSE_SPAN", 8192)
         ws = KernelWorkspace()
         got = packed_block_sparse_attention([item], workspace=ws).results[0]
-        np.testing.assert_allclose(got.output, ref.output, atol=TOL)
+        np.testing.assert_allclose(got.output, ref.output, atol=TOLERANCE)
         assert ws.nbytes > _workspace_bound(item)
 
 
@@ -678,7 +691,7 @@ class TestPackedValidation:
 
     def test_mismatched_mask_geometry_rejected(self, rng):
         a, _ = _item(rng, 4, 16, 32, 8)
-        other = striped_plan(rng, 4, 16, 48, window=8)
+        other = hand_built_plan(random_stripes(rng, 4, 48, 0.1), 16, 48, window=8)
         bad = PackedItem(
             q=a.q, k=a.k, v=a.v, window=a.window, kv_indices=a.kv_indices,
             mask=other.to_block_mask(),
@@ -697,3 +710,18 @@ class TestPackedValidation:
                           kv_indices=a.kv_indices, mask=a.mask)
             with pytest.raises(MaskError):
                 packed_block_sparse_attention([PackedItem(**{**fields, **bad})])
+
+    @pytest.mark.parametrize(
+        "h,window,idx,error",
+        [
+            (1, 0, [[]], (ConfigError, MaskError)),
+            (2, 4, [[]], MaskError),
+            (1, 4, [[16]], MaskError),
+        ],
+        ids=["zero_window", "wrong_head_count", "out_of_range_indices"],
+    )
+    def test_bad_hand_built_plan_rejected(self, rng, h, window, idx, error):
+        q, k, v = random_qkv(rng, h=h, s=16, d=4)
+        with pytest.raises(error):
+            plan = hand_built_plan(idx, 16, 16, window=window)
+            packed_block_sparse_attention([PackedItem.from_plan(q, k, v, plan)])

@@ -16,6 +16,7 @@ import repro.attention.packed as packed
 from repro.attention import dense_attention
 from repro.attention import utils as attention_utils
 from repro.attention.packed import PackedDecodeItem, packed_decode_attention
+from repro.audit.oracles import check_decode_batch
 from repro.errors import ShapeError
 
 
@@ -89,7 +90,6 @@ def test_rejects_multi_row_query(rng):
 # output.
 # ---------------------------------------------------------------------------
 
-TOLERANCE = 2e-5
 SERVING_GRID = [
     (s_k, n_rep, d)
     for s_k in (1, 63, 600, 801, 2048, 4097)
@@ -133,29 +133,33 @@ def _wide_qkv(rng, s_k, n_rep, d):
     return q, k, rng.standard_normal((H_KV, s_k, d), dtype=np.float32)
 
 
+def _integer_qkv(rng, s_k, n_rep, d):
+    """Scaled scores that are exactly the integers +100 down to -100 along
+    the cache (q and k on one axis; ``d`` a power of 4, so the scale
+    ``1/sqrt(d)`` is exact): kernel and oracle agree to the rounding of
+    ``exp`` alone, while every row still crosses the band 87-104 below its
+    max and would overflow an ``exp`` taken without the max subtracted."""
+    q = np.zeros((H_KV * n_rep, 1, d), dtype=np.float32)
+    q[..., 0] = np.sqrt(d)
+    k = np.zeros((H_KV, s_k, d), dtype=np.float32)
+    k[..., 0] = np.round(np.linspace(100.0, -100.0, s_k))
+    return q, k, rng.standard_normal((H_KV, s_k, d), dtype=np.float32)
+
+
 def _served(make_qkv, s_k, n_rep, d):
-    """``(item, output, probs)`` of the case dispatched alone, once per
-    query dtype, K/V handed over as NaN-padded cache views."""
+    """The case as decode items, once per query dtype, K/V handed over as
+    NaN-padded cache views."""
     for q_dtype in (np.float32, np.float64):
         q, k, v = make_qkv(np.random.default_rng(s_k + n_rep), s_k, n_rep, d)
-        it = PackedDecodeItem(
+        yield PackedDecodeItem(
             q=q.astype(q_dtype), k=_padded_cache(k), v=_padded_cache(v)
         )
-        res = packed_decode_attention([it], return_probs=True)
-        yield it, res.outputs[0], res.probs[0]
-
-
-def _assert_gaussian_contract(s_k, n_rep, d):
-    for it, out, probs in _served(_gaussian_qkv, s_k, n_rep, d):
-        assert out.dtype == it.q.dtype and out.shape == it.q.shape
-        oracle = dense_attention(it.q, it.k, it.v, causal=False, return_probs=True)
-        assert np.abs(out - oracle.output).max() <= TOLERANCE
-        assert np.abs(probs - oracle.probs).max() <= TOLERANCE
-        assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-6
 
 
 def _assert_wide_contract(s_k, n_rep, d):
-    for it, out, probs in _served(_wide_qkv, s_k, n_rep, d):
+    for it in _served(_wide_qkv, s_k, n_rep, d):
+        res = packed_decode_attention([it], return_probs=True)
+        out, probs = res.outputs[0], res.probs[0]
         assert np.isfinite(out).all() and np.isfinite(probs).all()
         assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-6
         # Read off the normalised weights: the row sum lies in [1, S_k], so
@@ -175,7 +179,9 @@ def _assert_wide_contract(s_k, n_rep, d):
 
 @pytest.mark.parametrize("s_k,n_rep,d", SERVING_GRID)
 def test_gaussian_scores_match_dense_at_serving_lengths(s_k, n_rep, d):
-    _assert_gaussian_contract(s_k, n_rep, d)
+    for it in _served(_gaussian_qkv, s_k, n_rep, d):
+        result = check_decode_batch([it])
+        assert result.passed, result.detail
 
 
 @pytest.mark.parametrize("s_k,n_rep,d", SERVING_GRID)
@@ -216,43 +222,57 @@ def _without_line(line):
 
 
 class TestServingGeometryGateCatchesSeededMutations:
-    """The two contracts above must fail a kernel that is slightly wrong in
-    the ways the layout and the score range exist to expose."""
+    """The decode contract (``check_decode_batch``) must fail a kernel that
+    is slightly wrong in the ways the layout and the score range exist to
+    expose, and so must the wide-score contract above for the two numerics
+    mutations."""
 
     GRID = [(801, 2, 80), (2048, 4, 16)]
+    #: Head dim of the integer-score items: a power of 4, so their scale
+    #: is exact whatever the grid case's ``d``.
+    INTEGER_D = 16
 
-    def _failures(self, contract):
+    def _decode_failures(self):
+        # Per grid case one batch of Gaussian items and one of integer-score
+        # items, both query dtypes, on NaN-padded cache views; the case
+        # fails when either batch does.
+        failed = 0
+        for s_k, n_rep, d in self.GRID:
+            batches = (
+                list(_served(_gaussian_qkv, s_k, n_rep, d)),
+                list(_served(_integer_qkv, s_k, n_rep, self.INTEGER_D)),
+            )
+            failed += not all(check_decode_batch(b).passed for b in batches)
+        return failed
+
+    def _wide_failures(self):
         failed = 0
         for case in self.GRID:
             try:
-                contract(*case)
+                _assert_wide_contract(*case)
             except AssertionError:
                 failed += 1
         return failed
 
     def test_unmutated_kernel_passes(self):
-        assert self._failures(_assert_gaussian_contract) == 0
-        assert self._failures(_assert_wide_contract) == 0
+        assert self._decode_failures() == 0
+        assert self._wide_failures() == 0
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
-        "mutation,contract",
+        "mutation,wide",
         [
-            (_reads_one_key_past_the_view, _assert_gaussian_contract),
-            (
-                _without_line("s -= s.max(axis=-1, keepdims=True)"),
-                _assert_wide_contract,
-            ),
-            (
-                _without_line("np.maximum(s, _EXP_CLAMP, out=s)"),
-                _assert_wide_contract,
-            ),
+            (_reads_one_key_past_the_view, False),
+            (_without_line("s -= s.max(axis=-1, keepdims=True)"), True),
+            (_without_line("np.maximum(s, _EXP_CLAMP, out=s)"), True),
         ],
         ids=["reads_past_s_k", "no_row_max_subtraction", "no_clamp"],
     )
-    def test_mutation_is_caught(self, monkeypatch, mutation, contract):
+    def test_mutation_is_caught(self, monkeypatch, mutation, wide):
         monkeypatch.setattr(
             packed, "decode_row_attention", mutation(packed.decode_row_attention)
         )
-        assert self._failures(contract) == len(self.GRID)
+        assert self._decode_failures() == len(self.GRID)
+        if wide:
+            assert self._wide_failures() == len(self.GRID)

@@ -7,7 +7,7 @@ import pytest
 import repro.audit.campaign as campaign
 from repro.audit import contracts
 from repro.audit.campaign import AUDIT_SCHEMA, run_audit, run_audit_experiment
-from repro.audit.geometry import AUDIT_AREAS, CaseResult
+from repro.audit import AUDIT_AREAS, CaseResult
 from repro.errors import ReproError
 from repro.harness.tables import Table
 
@@ -81,8 +81,9 @@ class TestFailingCampaign:
 
         monkeypatch.setattr(campaign, "run_case", bad_run_case)
         out = tmp_path / "AUDIT.json"
-        with pytest.raises(ReproError, match="audit campaign failed"):
-            run_audit(seeds=(0,), budget=3, out_path=out, shrink=False)
+        # The error names the first failing case as a re-runnable call.
+        with pytest.raises(ReproError, match=r"first: run_case\(GeometryCase"):
+            run_audit(seeds=(0,), budget=3, out_path=out)
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["passed"] is False
         assert report["failed_cases"] == 3
@@ -91,36 +92,21 @@ class TestFailingCampaign:
         assert packed["failed"] == 3
         ce = packed["counterexamples"][0]
         assert ce["detail"] == "planted divergence"
-        # Unshrunk counterexamples still carry the re-runnable case fields.
+        # A counterexample carries the case's fields, which determine it.
         assert {"seed", "s_q", "s_k", "window"} <= set(ce["case"])
         assert report["areas"]["kernels"]["failed"] == 0
 
-    def test_failures_are_shrunk_when_enabled(self, tmp_path, monkeypatch):
+    def test_counterexamples_are_capped(self, tmp_path, monkeypatch):
         def bad_run_case(case, area):
-            return CaseResult(area, case.s_k < 4, float("inf"), "synthetic")
+            return CaseResult(area, False, float("inf"), "synthetic")
 
         monkeypatch.setattr(campaign, "run_case", bad_run_case)
-        import repro.audit.geometry as geo
-
-        monkeypatch.setattr(geo, "run_case", bad_run_case)
         out = tmp_path / "AUDIT.json"
         with pytest.raises(ReproError):
-            run_audit(
-                seeds=(0,),
-                budget=4,
-                areas=("kernels",),
-                out_path=out,
-                max_counterexamples=2,
-            )
-        report = json.loads(out.read_text(encoding="utf-8"))
-        kept = report["areas"]["kernels"]["counterexamples"]
-        assert len(kept) == report["areas"]["kernels"]["failed"]
-        # Only the first max_counterexamples are shrunk; later failures keep
-        # their original geometry (still counted, still re-runnable).
-        for ce in kept[:2]:
-            assert ce["shrunk"]["s_k"] == 4  # minimal still-failing geometry
-        for ce in kept[2:]:
-            assert ce["shrunk"] == ce["case"]
+            run_audit(seeds=(0,), budget=12, areas=("kernels",), out_path=out)
+        kernels = json.loads(out.read_text(encoding="utf-8"))["areas"]["kernels"]
+        assert kernels["failed"] == 12  # every failure is still counted
+        assert len(kernels["counterexamples"]) == campaign.MAX_COUNTEREXAMPLES
 
     def test_contract_violation_fails_campaign(self, tmp_path, monkeypatch):
         from repro.errors import ContractViolation
@@ -131,43 +117,45 @@ class TestFailingCampaign:
         monkeypatch.setattr(campaign, "run_case", violating_run_case)
         out = tmp_path / "AUDIT.json"
         with pytest.raises(ReproError, match="contract violations"):
-            run_audit(
-                seeds=(0,), budget=1, areas=("kernels",), out_path=out,
-                shrink=False,
-            )
+            run_audit(seeds=(0,), budget=1, areas=("kernels",), out_path=out)
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["contract_violations"] == 1
         assert "planted contract breach" in report["contract_violation_messages"][0]
+
+
+def _fake_run_audit(calls):
+    """A ``run_audit`` stand-in recording its arguments in ``calls``."""
+
+    def fake(*, seeds, budget):
+        calls["seeds"], calls["budget"] = seeds, budget
+        return {
+            "schema": AUDIT_SCHEMA,
+            "seeds": list(seeds),
+            "budget": budget,
+            "tolerance": 2e-5,
+            "n_geometries": len(seeds) * budget,
+            "contract_checks": 1,
+            "contract_violations": 0,
+            "areas": {
+                "kernels": {
+                    "area": "kernels",
+                    "cases": 1,
+                    "passed": 1,
+                    "failed": 0,
+                    "checks": 4,
+                    "worst_divergence": 0.0,
+                }
+            },
+        }
+
+    return fake
 
 
 class TestExperimentWrapper:
     def test_quick_scale_returns_table(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SAMPLEATTN_AUDIT_OUT", str(tmp_path / "a.json"))
         calls = {}
-
-        def fake_run_audit(*, seeds, budget):
-            calls["seeds"], calls["budget"] = seeds, budget
-            return {
-                "schema": AUDIT_SCHEMA,
-                "seeds": list(seeds),
-                "budget": budget,
-                "tolerance": 2e-5,
-                "n_geometries": len(seeds) * budget,
-                "contract_checks": 1,
-                "contract_violations": 0,
-                "areas": {
-                    "kernels": {
-                        "area": "kernels",
-                        "cases": 1,
-                        "passed": 1,
-                        "failed": 0,
-                        "checks": 4,
-                        "worst_divergence": 0.0,
-                    }
-                },
-            }
-
-        monkeypatch.setattr(campaign, "run_audit", fake_run_audit)
+        monkeypatch.setattr(campaign, "run_audit", _fake_run_audit(calls))
         tables = run_audit_experiment("quick", seed=7)
         assert calls["seeds"] == (7, 8)
         assert calls["budget"] == campaign.DEFAULT_BUDGET
@@ -175,21 +163,7 @@ class TestExperimentWrapper:
 
     def test_full_scale_uses_nightly_budget(self, monkeypatch):
         calls = {}
-
-        def fake_run_audit(*, seeds, budget):
-            calls["seeds"], calls["budget"] = seeds, budget
-            return {
-                "schema": AUDIT_SCHEMA,
-                "seeds": list(seeds),
-                "budget": budget,
-                "tolerance": 2e-5,
-                "n_geometries": len(seeds) * budget,
-                "contract_checks": 0,
-                "contract_violations": 0,
-                "areas": {},
-            }
-
-        monkeypatch.setattr(campaign, "run_audit", fake_run_audit)
+        monkeypatch.setattr(campaign, "run_audit", _fake_run_audit(calls))
         run_audit_experiment("full", seed=0)
         assert calls["seeds"] == (0, 1, 2, 3)
         assert calls["budget"] == 512

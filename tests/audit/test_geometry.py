@@ -1,18 +1,19 @@
-"""Tests for the geometry fuzzer: sampling, area checks, shrinking."""
+"""Tests for the geometry fuzzer: sampling, area checks, and the
+every-area property hypothesis draws (and shrinks) cases for."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from repro.audit import TOLERANCE, contracts
 from repro.audit.geometry import (
     AUDIT_AREAS,
-    TOLERANCE,
     GeometryCase,
     run_case,
     sample_case,
     sample_cases,
-    shrink_case,
 )
 from repro.errors import ConfigError
 
@@ -131,6 +132,54 @@ class TestAreaChecks:
         assert 0 < result.long_decode_checks < result.checks
 
 
+@st.composite
+def geometry_cases(draw):
+    """``GeometryCase``s drawn field by field over the seeded sampler's
+    domain (``sample_case``); hypothesis shrinks each field towards the
+    first value it can take."""
+    s_k = draw(st.integers(1, 127))
+    s_q = draw(st.integers(1, s_k))
+    h_kv = draw(st.sampled_from([1, 2, 3]))
+    return GeometryCase(
+        seed=draw(st.integers(0, 2**31 - 2)),
+        h=h_kv * draw(st.sampled_from([1, 2, 3, 5])),
+        h_kv=h_kv,
+        s_q=s_q,
+        s_k=s_k,
+        d=draw(st.sampled_from([1, 4, 16])),
+        block_size=draw(st.sampled_from([8, 16, 32])),
+        window=draw(st.one_of(st.integers(1, s_k), st.sampled_from([0, s_k]))),
+        stripe_mode=draw(st.sampled_from(["empty", "full", "random"])),
+        sink_tokens=draw(st.sampled_from([0, 1, 4])),
+        dense_last_rows=draw(st.sampled_from([0, 1, s_q])),
+        alpha=draw(st.sampled_from([0.95, 0.05, 0.5, 0.999, 1.0])),
+        r_row=draw(st.sampled_from([0.05, 0.01, 0.3, 1.0])),
+        min_keep=draw(st.sampled_from([0, 1, 2, s_k])),
+    )
+
+
+def _every_area_passes(case):
+    with contracts.contracts(True):  # as in the campaign
+        for area in AUDIT_AREAS:
+            result = run_case(case, area)
+            assert result.passed, (area, result.detail)
+
+
+def every_area_property(**overrides):
+    """The property as a runnable hypothesis test under ``overrides``."""
+    return settings(deadline=None, **overrides)(
+        given(case=geometry_cases())(_every_area_passes)
+    )
+
+
+class TestEveryAreaProperty:
+    """Every area passes on every drawn geometry; a failure is shrunk by
+    hypothesis and printed with its ``@reproduce_failure`` blob."""
+
+    def test_every_area_passes(self):
+        every_area_property(max_examples=40)()
+
+
 def _drop_one_stripe_column(real):
     def mutant(kv_indices, h, s_k, sink_tokens):
         out = real(kv_indices, h, s_k, sink_tokens)
@@ -166,7 +215,8 @@ def _count_band_stripe_columns_twice(real):
 class TestPackedGateCatchesSeededMutations:
     """The oracle of the ``packed`` / ``providers`` areas is built from the
     plan's element mask, independently of the kernel's own geometry code,
-    so a kernel that executes a slightly different mask must fail them."""
+    so a kernel that executes a slightly different mask must fail them --
+    on the seeded campaign's cases and under the every-area property."""
 
     CASES = sample_cases(0, 48)
 
@@ -187,14 +237,6 @@ class TestPackedGateCatchesSeededMutations:
             ("normalise_bands", _drop_the_extra_bands),
             ("_stripe_dead", _count_band_stripe_columns_twice),
         ],
-        # ids of the first three predate the helper's move to a public name
-        ids=[
-            "_normalise_indices-_drop_one_stripe_column",
-            "_window_dead-_shift_the_window_by_one",
-            "_normalise_indices-_skip_the_sinks",
-            "normalise_bands-_drop_the_extra_bands",
-            "_stripe_dead-_count_band_stripe_columns_twice",
-        ],
     )
     def test_mutation_is_caught(self, monkeypatch, attr, mutation):
         import repro.attention.packed as packed
@@ -202,26 +244,9 @@ class TestPackedGateCatchesSeededMutations:
         monkeypatch.setattr(packed, attr, mutation(getattr(packed, attr)))
         assert self._failures("packed") > 0
         assert self._failures("providers") > 0
-
-
-class TestShrinking:
-    def test_shrinks_planted_predicate_to_minimum(self, monkeypatch):
-        # Plant a synthetic failure predicate: any case with s_k >= 4
-        # "fails".  The shrinker must walk down to the smallest still-
-        # failing geometry rather than report the original.
-        import repro.audit.geometry as geo
-
-        def fake_run_case(case, area):
-            failing = case.s_k >= 4
-            return geo.CaseResult(area, not failing, 0.0, "synthetic")
-
-        monkeypatch.setattr(geo, "run_case", fake_run_case)
-        shrunk = geo.shrink_case(BASE, "kernels")
-        assert shrunk.s_k == 4
-        assert shrunk.s_q == 1
-        assert shrunk.h == 1 and shrunk.h_kv == 1
-        assert shrunk.d == 1
-        assert shrunk.stripe_mode == "empty"
-
-    def test_passing_case_shrinks_to_itself(self):
-        assert shrink_case(BASE, "kernels") == BASE
+        # Shrinking is the property's job in CI; here a failure suffices.
+        caught = every_area_property(
+            derandomize=True, database=None, phases=[Phase.generate]
+        )
+        with pytest.raises(AssertionError):
+            caught()

@@ -2,7 +2,9 @@
 
 Model builds are cached at module scope (the circuit compiler is cheap, but
 calibration bisections add up across hundreds of tests), and a couple of
-standard random QKV bundles are provided for kernel tests.
+standard random QKV bundles are provided for kernel tests.  The oracles
+and kernel-contract checks the tests hold kernels to live in
+:mod:`repro.audit.oracles`, shared with the audit campaign.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.model import build_model
+
+# A property failure prints a ``@reproduce_failure`` blob next to the
+# minimal example hypothesis shrank it to, so a CI log alone replays it.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")
@@ -72,12 +80,15 @@ def random_qkv(
     d: int = 32,
     h_kv: int | None = None,
     dtype=np.float32,
+    s_k: int | None = None,
 ):
-    """Standard random attention inputs; ``h_kv`` enables GQA shapes."""
+    """Standard random attention inputs; ``h_kv`` enables GQA shapes and
+    ``s_k`` a key prefix longer than the ``s`` query rows."""
     h_kv = h if h_kv is None else h_kv
+    s_k = s if s_k is None else s_k
     q = rng.standard_normal((h, s, d)).astype(dtype)
-    k = rng.standard_normal((h_kv, s, d)).astype(dtype)
-    v = rng.standard_normal((h_kv, s, d)).astype(dtype)
+    k = rng.standard_normal((h_kv, s_k, d)).astype(dtype)
+    v = rng.standard_normal((h_kv, s_k, d)).astype(dtype)
     return q, k, v
 
 
@@ -86,80 +97,11 @@ def qkv(rng):
     return random_qkv(rng)
 
 
-def striped_plan(
-    rng: np.random.Generator,
-    h: int,
-    s_q: int,
-    s_k: int,
-    *,
-    window: int,
-    stripes: float | list = 0.1,
-    block: int = 16,
-    sink_tokens: int = 0,
-    dense_last_rows: int = 0,
-    bands: list[tuple[int, int]] | None = None,
-):
-    """A hand-built :class:`SparsePlan`: ``stripes`` is either the per-head
-    index lists or the share of key columns each head draws at random;
-    ``bands`` become the plan's ``extras["bands"]``."""
-    from repro.config import SampleAttentionConfig
-    from repro.core.plan import SparsePlan
-
-    if not isinstance(stripes, list):
-        n = int(round(stripes * s_k))
-        stripes = [
-            np.sort(rng.choice(s_k, size=n, replace=False)).astype(np.int64)
-            for _ in range(h)
-        ]
-    return SparsePlan(
-        kv_indices=stripes,
-        window=window,
-        kv_ratio=np.asarray([ix.size / s_k for ix in stripes]),
-        achieved_share=np.ones(h),
-        sampled_rows=np.arange(min(s_q, 1)),
-        config=SampleAttentionConfig(
-            block_size=block,
-            sink_tokens=sink_tokens,
-            dense_last_rows=dense_last_rows,
-        ),
-        s_q=s_q,
-        s_k=s_k,
-        extras={"bands": list(bands)} if bands else {},
-    )
-
-
-def execute_striped(q, k, v, window, idx, **plan_kw):
-    """Window + per-head stripe columns ``idx`` as a hand-built plan through
-    the one plan executor (a packed batch of one); returns its
-    :class:`~repro.attention.PackedPrefillResult`."""
-    from repro.attention import PackedItem, packed_block_sparse_attention
-
-    idx = [np.asarray(ix, dtype=np.int64) for ix in idx]
-    plan = striped_plan(
-        None, len(idx), q.shape[1], k.shape[1], window=window, stripes=idx,
-        **plan_kw,
-    )
-    return packed_block_sparse_attention(
-        [PackedItem.from_plan(q, k, v, plan)]
-    ).results[0]
-
-
-def plan_element_mask(plan) -> np.ndarray:
-    """``(H, S_q, S_k)`` element mask a plan executes -- window band ∪
-    ``extras["bands"]`` diagonals ∪ causal stripe/sink columns ∪ dense last
-    rows -- written out longhand as the oracle for the packed kernel."""
-    pos = np.arange(plan.s_q)[:, None] + (plan.s_k - plan.s_q)
-    col = np.arange(plan.s_k)[None, :]
-    causal = col <= pos
-    band = causal & (col > pos - plan.window)
-    for lo, hi in plan.extras.get("bands") or ():
-        band |= causal & (pos - col >= lo) & (pos - col < hi)
-    mask = np.empty((plan.n_heads, plan.s_q, plan.s_k), dtype=bool)
-    for hh, idx in enumerate(plan.kv_indices):
-        keep = np.zeros(plan.s_k, dtype=bool)
-        keep[idx] = True
-        keep[: plan.config.sink_tokens] = True
-        mask[hh] = band | (causal & keep)
-    start = plan.s_q - min(plan.config.dense_last_rows, plan.s_q)
-    mask[:, start:] = causal[start:]
-    return mask
+def random_stripes(rng: np.random.Generator, h: int, s_k: int, share: float):
+    """Per-head sorted stripe columns: ``round(share * s_k)`` key columns
+    drawn at random for each of ``h`` heads."""
+    n = int(round(share * s_k))
+    return [
+        np.sort(rng.choice(s_k, size=n, replace=False)).astype(np.int64)
+        for _ in range(h)
+    ]

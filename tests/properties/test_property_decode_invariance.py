@@ -5,7 +5,9 @@ The decode contract is not "bitwise equal to ``dense_attention``" but
 of that item alone, so they are bitwise the same dispatched alone or
 inside any permutation of a ragged batch -- which is what lets a request
 join and leave decode batches by measured time without its tokens
-changing -- plus float32 tolerance against the masked-dense oracle.
+changing -- plus float32 tolerance against the masked-dense oracle: the
+decode contract of ``repro.audit.oracles.check_decode_batch``, the check
+the audit's ``packed_decode`` area calls too.
 
 Items are built the way serving builds them: K/V are the live prefixes
 of over-allocated caches (strided views), on the contiguous backend and
@@ -16,12 +18,11 @@ and reads come from both the arena view and the mirror.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.attention import dense_attention
 from repro.attention.packed import PackedDecodeItem, packed_decode_attention
+from repro.audit.oracles import check_decode_batch
 from repro.memory import KVArena, PagedLayerKVCache
 from repro.model.kv_cache import LayerKVCache
 
-TOLERANCE = 2e-5
 H_KV, D, BLOCK_TOKENS = 2, 16, 16
 
 
@@ -56,14 +57,9 @@ def _items(rng, backend: str, lengths: list[int], n_rep: int):
     return items
 
 
-def _assert_contract(item, out, probs, solo) -> None:
-    np.testing.assert_array_equal(out, solo.outputs[0])
-    np.testing.assert_array_equal(probs, solo.probs[0])
-    oracle = dense_attention(
-        item.q, item.k, item.v, causal=False, return_probs=True
-    )
-    assert np.abs(out - oracle.output).max() <= TOLERANCE
-    assert np.abs(probs - oracle.probs).max() <= TOLERANCE
+def _check(items) -> None:
+    result = check_decode_batch(items)
+    assert result.passed, result.detail
 
 
 def _assert_alone_equals_permutation(seed, lengths, n_rep, backend, data):
@@ -71,14 +67,8 @@ def _assert_alone_equals_permutation(seed, lengths, n_rep, backend, data):
     items = _items(rng, backend, lengths, n_rep)
     if backend == "contiguous":
         assert not items[0].k.flags.c_contiguous  # a strided view
-    alone = [packed_decode_attention([it], return_probs=True) for it in items]
     order = data.draw(st.permutations(range(len(items))))
-    res = packed_decode_attention([items[j] for j in order], return_probs=True)
-    assert res.cu_seqlens.tolist() == np.cumsum(
-        [0] + [lengths[j] for j in order]
-    ).tolist()
-    for slot, j in enumerate(order):
-        _assert_contract(items[j], res.outputs[slot], res.probs[slot], alone[j])
+    _check([items[j] for j in order])
 
 
 class TestBatchInvariance:
@@ -119,9 +109,8 @@ class TestBatchInvariance:
     def test_single_key(self):
         rng = np.random.default_rng(0)
         items = _items(rng, "contiguous", [1, 7], n_rep=2)
+        _check(items)
         res = packed_decode_attention(items, return_probs=True)
-        solo = packed_decode_attention(items[:1], return_probs=True)
-        _assert_contract(items[0], res.outputs[0], res.probs[0], solo)
         # One key: the row's whole mass sits on it, the output is its value.
         np.testing.assert_array_equal(res.probs[0], np.ones((4, 1, 1)))
         np.testing.assert_array_equal(
@@ -135,8 +124,5 @@ class TestBatchInvariance:
             PackedDecodeItem(q=it.q.astype(np.float64), k=it.k, v=it.v)
             for it in f32
         ]
-        res = packed_decode_attention(items, return_probs=True)
-        assert res.outputs[0].dtype == np.float64
-        for i, it in enumerate(items):
-            solo = packed_decode_attention([it], return_probs=True)
-            _assert_contract(it, res.outputs[i], res.probs[i], solo)
+        _check(items)  # outputs in the query's dtype included
+        assert packed_decode_attention(items).outputs[0].dtype == np.float64

@@ -8,34 +8,22 @@ truncated-stride boundary bugs; these pin the fixed behaviour permanently.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.attention import (
-    PackedItem,
-    block_sparse_attention,
-    dense_attention,
-    fast_block_sparse_attention,
-    flash_attention,
-    packed_block_sparse_attention,
-)
+from repro.attention import PackedItem, dense_attention, flash_attention
 from repro.attention.masks import (
     num_blocks,
     stripe_block_mask,
     window_block_mask,
 )
+from repro.audit.oracles import (
+    TOLERANCE,
+    check_block_kernels,
+    check_prefill_batch,
+    hand_built_plan,
+)
 from repro.core import select_kv_indices
-from tests.conftest import plan_element_mask, striped_plan
+from tests.conftest import random_qkv
 
 SETTINGS = dict(max_examples=25, deadline=None)
-
-TOLERANCE = 2e-5
-
-
-def _qkv(seed, h, s_q, s_k, d, h_kv=None):
-    rng = np.random.default_rng(seed)
-    h_kv = h if h_kv is None else h_kv
-    q = rng.standard_normal((h, s_q, d)).astype(np.float32)
-    k = rng.standard_normal((h_kv, s_k, d)).astype(np.float32)
-    v = rng.standard_normal((h_kv, s_k, d)).astype(np.float32)
-    return q, k, v
 
 
 def _block_any(element_mask, s_q, s_k, block_size):
@@ -51,7 +39,9 @@ class TestRaggedChunkedKernelEquivalence:
     """All five execution paths -- dense, flash, the two block-sparse
     kernels on the tile mask, the plan executor on the element mask --
     agree with their oracle on shapes with ragged tails (``S % block_size
-    != 0``) and chunked-prefill offsets (``s_q < s_k``)."""
+    != 0``) and chunked-prefill offsets (``s_q < s_k``): the checks of
+    ``repro.audit.oracles`` the audit's ``kernels`` and ``packed`` areas
+    call too."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -70,7 +60,9 @@ class TestRaggedChunkedKernelEquivalence:
     ):
         s_q = max(1, min(s_k, int(round(q_frac * s_k))))
         h = h_kv * group
-        q, k, v = _qkv(seed, h, s_q, s_k, d, h_kv=h_kv)
+        q, k, v = random_qkv(
+            np.random.default_rng(seed), h=h, s=s_q, d=d, h_kv=h_kv, s_k=s_k
+        )
         rng = np.random.default_rng(seed + 1)
         stripes = [
             np.sort(rng.choice(s_k, size=min(n_stripes, s_k), replace=False))
@@ -84,25 +76,14 @@ class TestRaggedChunkedKernelEquivalence:
             dense_attention(q, k, v).output,
             atol=TOLERANCE,
         )
-        oracle = dense_attention(q, k, v, mask=mask.to_dense()).output
-        for kernel in (block_sparse_attention, fast_block_sparse_attention):
-            np.testing.assert_allclose(
-                kernel(q, k, v, mask).output,
-                oracle,
-                atol=TOLERANCE,
-                err_msg=kernel.__name__,
-            )
-        plan = striped_plan(
-            rng, h, s_q, s_k, window=min(window, s_k), stripes=stripes,
-            block=block,
+        plan = hand_built_plan(
+            stripes, s_q, s_k, window=min(window, s_k), block_size=block
         )
-        np.testing.assert_allclose(
-            packed_block_sparse_attention(
-                [PackedItem.from_plan(q, k, v, plan)]
-            ).results[0].output,
-            dense_attention(q, k, v, mask=plan_element_mask(plan)).output,
-            atol=TOLERANCE,
-        )
+        for result in (
+            check_block_kernels(q, k, v, mask),
+            check_prefill_batch([PackedItem.from_plan(q, k, v, plan)], [plan]),
+        ):
+            assert result.passed, result.detail
 
 
 class TestMaskBuilderDefinitions:

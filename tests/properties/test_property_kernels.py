@@ -3,24 +3,32 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.attention import dense_attention, flash_attention
+from repro.attention import PackedItem, dense_attention, flash_attention
 from repro.attention.utils import causal_mask, softmax
+from repro.audit.oracles import (
+    check_prefill_batch,
+    hand_built_plan,
+    plan_element_mask,
+)
 from repro.core import (
     sample_column_scores,
     sampled_row_indices,
     select_kv_indices,
 )
-from tests.conftest import execute_striped
+from tests.conftest import random_qkv
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
 
 def _qkv(seed, h, s, d, scale=1.0):
-    rng = np.random.default_rng(seed)
-    q = (rng.standard_normal((h, s, d)) * scale).astype(np.float32)
-    k = (rng.standard_normal((h, s, d)) * scale).astype(np.float32)
-    v = rng.standard_normal((h, s, d)).astype(np.float32)
-    return q, k, v
+    q, k, v = random_qkv(np.random.default_rng(seed), h=h, s=s, d=d)
+    return q * np.float32(scale), k * np.float32(scale), v
+
+
+def _assert_prefill_contract(q, k, v, plan):
+    item = PackedItem.from_plan(q, k, v, plan)
+    result = check_prefill_batch([item], [plan])
+    assert result.passed, result.detail
 
 
 class TestSoftmaxProperties:
@@ -76,27 +84,19 @@ class TestStripedEqualsDenseMasked:
             np.sort(rng.choice(s, size=min(n_idx, s), replace=False))
             for _ in range(2)
         ]
-        res = execute_striped(q, k, v, window, idx, sink_tokens=sinks, block=32)
-        rows = np.arange(s)[:, None]
-        cols = np.arange(s)[None, :]
-        band = (cols <= rows) & (cols > rows - window)
-        masks = []
-        for ix in idx:
-            stripe_cols = np.union1d(ix, np.arange(min(sinks, s)))
-            stripe = np.zeros((s, s), bool)
-            if stripe_cols.size:
-                stripe[:, stripe_cols.astype(np.int64)] = True
-            masks.append(band | (stripe & (cols <= rows - window)))
-        ref = dense_attention(q, k, v, mask=np.stack(masks)).output
-        np.testing.assert_allclose(res.output, ref, atol=5e-4)
+        plan = hand_built_plan(
+            idx, s, s, window=window, sink_tokens=sinks, block_size=32
+        )
+        _assert_prefill_contract(q, k, v, plan)
 
     @given(seed=st.integers(0, 10_000), s=st.integers(2, 64))
     @settings(**SETTINGS)
     def test_row_coverage_counts_bounded(self, seed, s):
+        # Every column a stripe: the kernel counts exactly the causal plane.
         q, k, v = _qkv(seed, 1, s, 4)
-        res = execute_striped(q, k, v, 1, [np.arange(s)])
-        causal_total = int(causal_mask(s, s).sum())
-        assert res.computed_elements[0] == causal_total
+        plan = hand_built_plan([np.arange(s)], s, s, window=1)
+        _assert_prefill_contract(q, k, v, plan)
+        assert (plan_element_mask(plan)[0] == causal_mask(s, s)).all()
 
 
 class TestSamplingProperties:

@@ -16,6 +16,9 @@ dense last rows, GQA ratios -- and every way ``extras["bands"]`` can sit
 in the plane: none, overlapping the window, adjacent to it, overlapping
 each other, across stripe columns, beyond the prefix.  Large-norm queries
 force the stabilised softmax path; the rest take the plain-exp path.
+The contract is ``repro.audit.oracles.check_prefill_batch``, the check the
+audit's ``packed`` area calls too; this suite draws what the audit's
+sampler never does: ``S_k`` up to 1200, ``n_rep = 4``, large-norm q.
 
 The model side of a prefill step is held to the same standard: the q/k/v
 and output projections of all co-scheduled chunks are one token-packed
@@ -34,16 +37,15 @@ import repro.attention.packed as packed_mod
 from repro import pool
 from repro.attention import (
     KernelWorkspace,
-    dense_attention,
     flash_attention,
     packed_block_sparse_attention,
 )
 from repro.attention.packed import _PLAIN_EXP_BOUND, PackedItem
+from repro.audit.oracles import check_prefill_batch, hand_built_plan
 from repro.model import ModelConfig, Transformer, build_model
 from repro.model.weights import random_weights
-from tests.conftest import plan_element_mask, record_threads, striped_plan
+from tests.conftest import random_qkv, random_stripes, record_threads
 
-TOLERANCE = 2e-5
 H_KV, D = 2, 16
 
 
@@ -98,18 +100,15 @@ def _cauchy_schwarz(q, k) -> float:
 def _item(rng, g: dict, n_rep: int):
     h = H_KV * n_rep
     s_q, s_k = g["s_q"], g["s_k"]
-    q = rng.standard_normal((h, s_q, D), dtype=np.float32)
-    k = rng.standard_normal((H_KV, s_k, D), dtype=np.float32)
-    v = rng.standard_normal((H_KV, s_k, D), dtype=np.float32)
+    q, k, v = random_qkv(rng, h=h, s=s_q, d=D, h_kv=H_KV, s_k=s_k)
     if g["hot"]:
         # Twice the plain-exp bound whatever the shape: a fixed multiplier
         # leaves a one-row, one-key item below it.
         q *= np.float32(2.0 * _PLAIN_EXP_BOUND / _cauchy_schwarz(q, k))
-    plan = striped_plan(
-        rng, h, s_q, s_k,
+    plan = hand_built_plan(
+        random_stripes(rng, h, s_k, g["stripes"]), s_q, s_k,
         window=g["window"],
-        stripes=g["stripes"],
-        block=32,
+        block_size=32,
         sink_tokens=g["sink_tokens"],
         dense_last_rows=g["dense_last_rows"],
         bands=g["bands"],
@@ -132,32 +131,13 @@ class TestBatchInvariance:
     def test_alone_equals_any_permutation(self, seed, geometries, n_rep, data):
         rng = np.random.default_rng(seed)
         pairs = [_item(rng, g, n_rep) for g in geometries]
-        items = [it for it, _ in pairs]
-        for it, g in zip(items, geometries):
+        for (it, _), g in zip(pairs, geometries):
             assert _stabilised(it) == g["hot"]
-        alone = [packed_block_sparse_attention([it]).results[0] for it in items]
-        order = data.draw(st.permutations(range(len(items))))
-        res = packed_block_sparse_attention(
-            [items[j] for j in order], workspace=KernelWorkspace()
+        order = data.draw(st.permutations(range(len(pairs))))
+        result = check_prefill_batch(
+            [pairs[j][0] for j in order], [pairs[j][1] for j in order]
         )
-        assert res.cu_seqlens.tolist() == np.cumsum(
-            [0] + [geometries[j]["s_q"] for j in order]
-        ).tolist()
-        for slot, j in enumerate(order):
-            got, (it, plan) = res.results[slot], pairs[j]
-            np.testing.assert_array_equal(got.output, alone[j].output)
-            np.testing.assert_array_equal(
-                got.visited_blocks, alone[j].visited_blocks
-            )
-            np.testing.assert_array_equal(
-                got.computed_elements, plan.element_counts()
-            )
-            element_mask = plan_element_mask(plan)
-            np.testing.assert_array_equal(
-                got.computed_elements, element_mask.sum(axis=(1, 2))
-            )
-            oracle = dense_attention(it.q, it.k, it.v, mask=element_mask).output
-            assert np.abs(got.output - oracle).max() <= TOLERANCE
+        assert result.passed, result.detail
 
     def test_warm_workspace_does_not_leak_between_items(self):
         """A workspace warmed by a larger item leaves stale scratch behind;
@@ -302,9 +282,10 @@ class TestLongRequestsStepTogether:
         for q, keys, values, scale in entries.values():
             h, s_q, _ = q.shape
             s_k = keys.shape[1]
-            plan = striped_plan(
-                np.random.default_rng((i, s_q, s_k)), h, s_q, s_k,
-                window=max(1, s_k // 10), stripes=0.05, block=64,
+            rng = np.random.default_rng((i, s_q, s_k))
+            plan = hand_built_plan(
+                random_stripes(rng, h, s_k, 0.05), s_q, s_k,
+                window=max(1, s_k // 10), block_size=64,
                 sink_tokens=4, dense_last_rows=16,
                 bands=[(s_k // 2, s_k // 2 + 32)],
             )
