@@ -5,12 +5,12 @@ dominates TTFT at long contexts and SampleAttention's speedup grows with
 sequence length.
 """
 
-from repro.harness.experiments import run_fig1
+from repro.harness import run_experiment
 from repro.perf import CHATGLM2_6B, LatencyModel
 
 
 def test_fig1_overview_benchmark(benchmark):
-    tables = benchmark(run_fig1)
+    tables = benchmark(run_experiment, "fig1")
     t = tables[0]
     shares = t.column("attn_share_%")
     speed95 = t.column("speedup_a0.95")

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.harness.experiments import run_fig6
+from repro.harness import run_experiment
 from repro.perf import CHATGLM2_6B, LatencyModel
 
 
 def test_fig6_scaling_benchmark(benchmark):
-    tables = benchmark(run_fig6)
+    tables = benchmark(run_experiment, "fig6")
     t = tables[0]
     ttft_95 = t.column("ttft_speedup_a0.95")
     ttft_80 = t.column("ttft_speedup_a0.80")

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.harness.experiments import run_table4
+from repro.harness import run_experiment
 from repro.perf import CHATGLM2_6B, LatencyModel
 
 
 def test_table4_breakdown_benchmark(benchmark):
-    tables = benchmark(run_table4)
+    tables = benchmark(run_experiment, "table4")
     t = tables[0]
     percents = t.column("percent")
     # Attention share rises monotonically from ~1/3 toward ~90% (paper:

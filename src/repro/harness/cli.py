@@ -1,7 +1,8 @@
 """Command-line interface: ``sampleattn <experiment> [--full] [--seed N]``.
 
 Also runnable as ``python -m repro.harness``.  ``sampleattn all`` runs every
-registered experiment (the full reproduction pass) and can write a combined
+registered experiment (the full reproduction pass) over one shared run
+table, so no accuracy cell is evaluated twice, and can write a combined
 Markdown report with ``--out``.
 """
 
@@ -12,7 +13,7 @@ import sys
 import time
 
 from ..errors import ConfigError
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, run_experiments
 
 __all__ = ["main"]
 
@@ -54,19 +55,19 @@ def main(argv: list[str] | None = None) -> int:
     scale = "full" if args.full else "quick"
 
     md_parts: list[str] = []
-    for exp_id in exp_ids:
+    try:
         t0 = time.perf_counter()
-        try:
-            tables = run_experiment(exp_id, scale=scale, seed=args.seed)
-        except ConfigError as exc:
-            print(f"{exc}; try 'list'", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - t0
-        for table in tables:
-            print(table)
-            print()
-            md_parts.append(table.to_markdown())
-        print(f"[{exp_id} done in {elapsed:.1f}s]\n")
+        for exp_id, tables in run_experiments(exp_ids, scale=scale, seed=args.seed):
+            elapsed = time.perf_counter() - t0
+            for table in tables:
+                print(table)
+                print()
+                md_parts.append(table.to_markdown())
+            print(f"[{exp_id} done in {elapsed:.1f}s]\n")
+            t0 = time.perf_counter()
+    except ConfigError as exc:
+        print(f"{exc}; try 'list'", file=sys.stderr)
+        return 2
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

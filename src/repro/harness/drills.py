@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ArenaExhaustedError, ConfigError, ReproError
+from ..errors import ArenaExhaustedError, ReproError
 from ..memory import KVArena, PagedLayerKVCache, PrefixSharingRegistry
 from ..model import build_model
 from ..serving import (
@@ -54,6 +54,7 @@ from ..serving import (
     check_recovery_invariants,
     poisson_workload,
 )
+from .scale import resolve_scale
 from .tables import Table
 
 __all__ = [
@@ -77,13 +78,6 @@ CRASH_FLOOR = 3
 
 _MODEL = "glm-mini"
 _FLEET_WORKERS = 3
-
-
-def _quick(scale) -> bool:
-    name = getattr(scale, "name", scale)
-    if name not in ("quick", "full"):
-        raise ConfigError(f"unknown scale {name!r}")
-    return name == "quick"
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +161,7 @@ class _Drill:
 def _run(drill: _Drill, scale, seed: int, out_path) -> tuple[dict, str]:
     """Run every gate; write the report; return it and the path written
     (``""`` when writing is disabled)."""
-    quick = _quick(scale)
+    quick = resolve_scale(scale).name == "quick"
     model = build_model(_MODEL)
     report = {
         "schema": drill.schema,
@@ -248,7 +242,7 @@ def run_chaos(scale="quick", seed: int = 0) -> list[Table]:
     through a 2-worker :class:`~repro.serving.fleet.FleetEngine`; each
     must pass :func:`serve_twice`.
     """
-    scenario = chaos_scenario(seed, quick=_quick(scale))
+    scenario = chaos_scenario(seed, quick=resolve_scale(scale).name == "quick")
     model = build_model(_MODEL)
     kwargs = scenario.serving_kwargs()
     tables = []

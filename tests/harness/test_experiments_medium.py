@@ -1,24 +1,18 @@
-"""Smoke tests for the substrate-backed experiment runners (medium cost).
+"""Smoke tests for the substrate-backed analysis experiments (medium cost).
 
-The heavyweight accuracy experiments (table2/table3/fig4/fig7/fig8) are
-exercised by the benchmark suite; these tests cover the remaining runners
-end to end at quick scale.
+These run fig9/fig11/table6/plan end to end at quick scale and assert their
+shape.  Every other non-drill experiment, the accuracy ones included, is
+held byte-identical at a tiny scale by ``test_experiment_tables.py``.
 """
 
 import numpy as np
-import pytest
 
-from repro.harness.experiments import (
-    run_fig11,
-    run_fig9,
-    run_plan_demo,
-    run_table6,
-)
+from repro.harness.experiments import run_experiment
 
 
 class TestFig9:
     def test_heatmaps_render(self):
-        tables = run_fig9()
+        tables = run_experiment("fig9")
         assert len(tables) == 12  # 4 layers x 3 heads
         # Every heatmap row is a fixed-width string.
         first = tables[0]
@@ -28,7 +22,7 @@ class TestFig9:
 
 class TestFig11:
     def test_retention_deciles(self):
-        tables = run_fig11()
+        tables = run_experiment("fig11")
         t = tables[0]
         assert len(t.rows) == 10
         dense_col = t.headers[1]
@@ -40,7 +34,7 @@ class TestFig11:
 
 class TestTable6:
     def test_sampling_tracks_full(self):
-        tables = run_table6()
+        tables = run_experiment("table6")
         t = tables[0]
         full = np.array(t.column("CRA_full_sampling"), dtype=float)
         samp = np.array(t.column("CRA_5pct_sampling"), dtype=float)
@@ -54,7 +48,7 @@ class TestTable6:
 
 class TestPlanDemo:
     def test_per_layer_summary(self):
-        tables = run_plan_demo()
+        tables = run_experiment("plan")
         t = tables[0]
         assert len(t.rows) == 4
         densities = np.array(t.column("element_density"), dtype=float)
