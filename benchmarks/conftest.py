@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import layer_qkv as capture_layer_qkv
 from repro.model import build_model
 from repro.tasks import make_needle_case
 
@@ -34,8 +35,6 @@ def needle_1k():
 
 @pytest.fixture(scope="session")
 def layer_qkv(glm_mini, needle_1k):
-    """Layer-1 rotated q/k/v of glm-mini on a 1K needle prompt."""
-    x = glm_mini.embed(needle_1k.prompt)
-    layer = glm_mini.layers[1]
-    q, k, v = layer.project_qkv(x, np.arange(needle_1k.prompt.size))
-    return q, k, v, 1.0 / np.sqrt(glm_mini.config.d_head)
+    """Layer-1 ``(q, k, v, scale)`` of glm-mini on a 1K needle prompt, as
+    its forward pass computes them."""
+    return capture_layer_qkv(glm_mini, needle_1k.prompt)[1]

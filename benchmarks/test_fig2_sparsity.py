@@ -6,10 +6,10 @@ import pytest
 
 from repro.analysis import (
     classify_head,
+    dense_probs,
     model_sparsity_sweep,
     topk_stripe_cra,
 )
-from repro.backends import FullAttentionBackend
 from repro.tasks import make_needle_case
 
 
@@ -35,15 +35,10 @@ def test_fig2c_head_disparity(glm_mini, needle_1k):
 
 
 def test_fig2d_pattern_classification_benchmark(benchmark, glm_mini, needle_1k):
-    caps = {}
-    glm_mini.prefill(
-        needle_1k.prompt,
-        FullAttentionBackend(),
-        prob_hook=lambda l, p: caps.__setitem__(l, p),
-    )
+    probs = dense_probs(glm_mini, needle_1k.prompt)[1]
 
     def classify_all():
-        return [classify_head(caps[1][h]).label for h in range(8)]
+        return [classify_head(probs[h]).label for h in range(8)]
 
     labels = benchmark(classify_all)
     assert "window" in labels
@@ -52,15 +47,10 @@ def test_fig2d_pattern_classification_benchmark(benchmark, glm_mini, needle_1k):
 
 
 def test_fig2e_stripe_cra_benchmark(benchmark, glm_mini, needle_1k):
-    caps = {}
-    glm_mini.prefill(
-        needle_1k.prompt,
-        FullAttentionBackend(),
-        prob_hook=lambda l, p: caps.__setitem__(l, p),
-    )
+    probs = dense_probs(glm_mini, needle_1k.prompt)[1]
     w = max(1, int(0.08 * needle_1k.prompt.size))
     ratios = [0.05, 0.2, 0.8]
-    vals = benchmark(topk_stripe_cra, caps[1], ratios, window=w)
+    vals = benchmark(topk_stripe_cra, probs, ratios, window=w)
     means = vals.mean(axis=0)
     assert np.all(np.diff(means) >= -1e-9)  # CRA grows with stripe budget
     assert means[-1] > 0.8

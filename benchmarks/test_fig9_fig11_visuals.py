@@ -5,21 +5,15 @@ import pytest
 
 from repro.analysis import (
     ascii_heatmap,
+    dense_probs,
     kv_retention_frequency,
     oracle_sd,
 )
-from repro.backends import FullAttentionBackend
 
 
 @pytest.fixture(scope="module")
 def layer1_probs(glm_mini, needle_1k):
-    caps = {}
-    glm_mini.prefill(
-        needle_1k.prompt,
-        FullAttentionBackend(),
-        prob_hook=lambda l, p: caps.__setitem__(l, p),
-    )
-    return caps[1]
+    return dense_probs(glm_mini, needle_1k.prompt)[1]
 
 
 def test_fig9_heatmap_render_benchmark(benchmark, layer1_probs):

@@ -10,8 +10,7 @@ Run:  python examples/attention_atlas.py             (~30 s on one core)
 
 import numpy as np
 
-from repro.analysis import attention_heatmap, classify_head, oracle_sd
-from repro.backends import FullAttentionBackend
+from repro.analysis import attention_heatmap, classify_head, dense_probs, oracle_sd
 from repro.model import build_model
 from repro.tasks import make_needle_case
 
@@ -25,14 +24,7 @@ print(
     f"(depth {case.meta['depth']:.0%})\n"
 )
 
-captured = {}
-model.prefill(
-    case.prompt,
-    FullAttentionBackend(),
-    prob_hook=lambda l, p: captured.__setitem__(l, p),
-)
-
-probs = captured[LAYER]
+probs = dense_probs(model, case.prompt)[LAYER]
 sd = oracle_sd(probs, alpha=0.95)
 for head in range(probs.shape[0]):
     pattern = classify_head(probs[head])

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends import FullAttentionBackend
 from ..errors import ConfigError, ShapeError
+from .capture import layer_probs, layer_qkv
 
 __all__ = [
     "oracle_row_keep_counts",
@@ -136,12 +136,10 @@ def model_sparsity_sweep_multi(
     if not alphas:
         raise ConfigError("alphas must be non-empty")
     per_layer: dict[float, list[np.ndarray]] = {a: [] for a in alphas}
-
-    def hook(layer: int, probs: np.ndarray) -> None:
+    for entry in layer_qkv(model, tokens):
+        probs = layer_probs(*entry)  # one layer's (H, S, S) at a time
         for a in alphas:
             per_layer[a].append(oracle_sd(probs, a))
-
-    model.prefill(tokens, FullAttentionBackend(), prob_hook=hook)
     s = int(np.asarray(tokens).size)
     return {
         a: SparsitySweep(per_head=np.stack(per_layer[a]), alpha=a, seq_len=s)

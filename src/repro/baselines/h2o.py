@@ -78,3 +78,10 @@ class H2OPolicy:
             heavy = np.argsort(-scores, kind="stable")[:n_heavy].astype(np.int64)
             keeps.append(np.sort(np.concatenate([heavy, recent])))
         return keeps
+
+    def evict(self, caches) -> None:
+        """Shrink every cache over budget to its :meth:`select` keep set,
+        ranked by the attention mass its decode steps recorded."""
+        for cache in caches:
+            if len(cache) > self.budget:
+                cache.evict(self.select(cache.attention_mass()))

@@ -72,10 +72,6 @@ class SampleAttentionConfig:
         Number of trailing query rows that attend densely ("bottom area"
         in the paper's Figure 3).  ``0`` disables the region; the local
         window already covers the recent context of those rows.
-    sample_from_end:
-        When ``True`` (default) stage-1 stride sampling is anchored at the
-        final row so the most recent queries (the user question during
-        prefill) are always represented in the sampled score matrix.
     provider:
         Which plan provider produces the :class:`~repro.core.SparsePlan`
         this config executes: one of :data:`PLAN_PROVIDER_NAMES`.
@@ -91,7 +87,6 @@ class SampleAttentionConfig:
     sink_tokens: int = 4
     min_keep: int = 1
     dense_last_rows: int = 0
-    sample_from_end: bool = True
     provider: str = "sample"
 
     def __post_init__(self) -> None:

@@ -117,9 +117,7 @@ class AutotunedSampleAttentionBackend(AttentionBackend):
         """Bisect the largest alpha whose plan fits the density budget."""
         self.tune_calls += 1
         s_q, s_k = q.shape[1], k.shape[1]
-        rows = sampled_row_indices(
-            s_q, self.base_config.r_row, from_end=self.base_config.sample_from_end
-        )
+        rows = sampled_row_indices(s_q, self.base_config.r_row)
         stats = sample_column_scores(q, k, rows, scale=scale)
         cols = stats.column_scores
 

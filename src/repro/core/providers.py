@@ -112,9 +112,7 @@ def _stage1_scores(
     column_scores)`` with scores upcast to float64 for stable accounting."""
     s_q = q.shape[1]
     with profiler.stage("sample") if profiler else nullcontext():
-        rows = sampled_row_indices(
-            s_q, config.r_row, from_end=config.sample_from_end
-        )
+        rows = sampled_row_indices(s_q, config.r_row)
         stats = sample_column_scores(q, k, rows, scale=scale)
     return rows, stats.column_scores.astype(np.float64)
 

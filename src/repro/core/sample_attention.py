@@ -93,9 +93,7 @@ def plan_sample_attention(
 
     # Stage 1: query-guided attention sampling.
     with profiler.stage("sample") if profiler else nullcontext():
-        rows = sampled_row_indices(
-            s_q, config.r_row, from_end=config.sample_from_end
-        )
+        rows = sampled_row_indices(s_q, config.r_row)
         stats = sample_column_scores(q, k, rows, scale=scale, reduction=reduction)
 
     # Stage 2: score-based key-value filtering.

@@ -3,10 +3,11 @@
 Each exhibit is a declaration over one of three shared measures: accuracy
 (models x methods or settings x one case family, scored once in a
 :class:`RunTable`), the cost model (lengths x columns, each a function of
-:class:`~repro.perf.LatencyModel`), or analysis (dense attention
-probabilities from :func:`_dense_probs` on needle prompts from
-:func:`_needle`).  ``scale="quick"`` uses CPU-friendly sizes (DESIGN.md's
-~1/16 length scale); ``scale="full"`` the paper's grids where feasible.
+:class:`~repro.perf.LatencyModel`), or analysis (each layer's q/k/v
+and dense probabilities from one prefill, :func:`~repro.analysis.layer_qkv`,
+on needle prompts from :func:`_needle`).  ``scale="quick"`` uses CPU-friendly
+sizes (DESIGN.md's ~1/16 length scale); ``scale="full"`` the paper's grids
+where feasible.
 The CLI and the benchmark suite go through :func:`run_experiments`.
 """
 
@@ -22,7 +23,10 @@ from ..analysis import (
     attention_heatmap,
     classify_head,
     cra,
+    dense_probs,
     kv_retention_frequency,
+    layer_probs,
+    layer_qkv,
     model_sparsity_sweep,
     model_sparsity_sweep_multi,
     oracle_sd,
@@ -30,7 +34,6 @@ from ..analysis import (
     topk_stripe_cra,
 )
 from ..attention import flash_attention
-from ..backends import FullAttentionBackend
 from ..config import SampleAttentionConfig
 from ..core import (
     plan_sample_attention,
@@ -429,7 +432,7 @@ def run_fig5(sc, runs) -> list[Table]:
     mdl = runs.model(sc.models[0])
     for s in sc.sparsity_lengths:
         prompt = _needle(s, runs.seed).prompt
-        q, k, v = mdl.layers[1].project_qkv(mdl.embed(prompt), np.arange(prompt.size))
+        q, k, v, _ = layer_qkv(mdl, prompt)[1]
         t0 = time.perf_counter()
         flash_attention(q, k, v)
         t_flash = time.perf_counter() - t0
@@ -445,13 +448,6 @@ def run_fig5(sc, runs) -> list[Table]:
 # ===========================================================================
 # Analysis: dense attention probabilities on needle prompts
 # ===========================================================================
-
-
-def _dense_probs(mdl, prompt) -> dict[int, np.ndarray]:
-    """Layer index -> ``(H, S, S)`` probabilities of one dense prefill."""
-    probs: dict[int, np.ndarray] = {}
-    mdl.prefill(prompt, FullAttentionBackend(), prob_hook=probs.__setitem__)
-    return probs
 
 
 _STRIPE_RATIOS = (0.025, 0.05, 0.1, 0.2, 0.4, 0.8)
@@ -500,7 +496,7 @@ def run_fig2(sc, runs) -> list[Table]:
         notes="window/stripe/sink structure is content-dependent",
     )
     for ctx_seed, depth in ((seed, 0.3), (seed + 17, 0.8)):
-        probs = _dense_probs(mdl, _needle(lengths[0], ctx_seed, depth).prompt)
+        probs = dense_probs(mdl, _needle(lengths[0], ctx_seed, depth).prompt)
         t2d.add_row(name, f"ctx{ctx_seed}", *[classify_head(probs[1][h]).label for h in range(8)])
     t2e = Table(
         "Figure 2e: CRA achieved by top-k column stripes (mean over heads)",
@@ -509,7 +505,7 @@ def run_fig2(sc, runs) -> list[Table]:
     )
     prompt = _needle(lengths[0], seed).prompt
     cra_vals = topk_stripe_cra(
-        _dense_probs(mdl, prompt)[1], _STRIPE_RATIOS, window=max(1, int(0.08 * prompt.size))
+        dense_probs(mdl, prompt)[1], _STRIPE_RATIOS, window=max(1, int(0.08 * prompt.size))
     )
     for r, v in zip(_STRIPE_RATIOS, cra_vals.mean(axis=0)):
         t2e.add_row(name, r, round(float(v), 4))
@@ -537,23 +533,23 @@ def run_table6(sc, runs) -> list[Table]:
     mdl = runs.model(sc.models[0])
     s = int(sc.sparsity_lengths[-1])
     prompt = _needle(s, runs.seed).prompt
-    x = mdl.embed(prompt)
     t = Table(
         "Table 6: CRA of top-k stripes, full vs 5%-sampled column scores",
         ["layer_head", "ratio", "CRA_full_sampling", "CRA_5pct_sampling"],
         notes="5% sampling closely tracks the full-score selection",
     )
-    probs_per_layer = _dense_probs(mdl, prompt)
+    qkv = layer_qkv(mdl, prompt)
+    probs_per_layer = [layer_probs(*entry) for entry in qkv[:2]]
     w = max(1, int(0.08 * s))
     # A deliberately dense head (paper's Layer0-Head0 analogue: slow CRA
     # growth), a mixed stripe+local head, and a pure stripe head (fast
     # saturation).  glm-mini layer 0: head 5 = uniform; layer 1: head 5 =
     # salience_local, head 4 = salience.
     for layer_idx, head in ((0, 5), (1, 5), (1, 4)):
-        q, k, _ = mdl.layers[layer_idx].project_qkv(x, np.arange(s))
+        q, k, _, scale = qkv[layer_idx]
         probs = probs_per_layer[layer_idx][head]
         sampled = sample_column_scores(
-            q, k, sampled_row_indices(s, 0.05), scale=1.0 / np.sqrt(mdl.config.d_head)
+            q, k, sampled_row_indices(s, 0.05), scale=scale
         ).column_scores[head]
         order = np.argsort(-sampled, kind="stable")
         c_full = topk_stripe_cra(probs, _STRIPE_RATIOS, window=w)[0]
@@ -571,7 +567,7 @@ def run_table6(sc, runs) -> list[Table]:
 def run_fig9(sc, runs) -> list[Table]:
     """ASCII attention heatmaps across layers (Figures 9/10 analogue)."""
     mdl = runs.model(sc.models[0])
-    probs = _dense_probs(mdl, _needle(sc.sparsity_lengths[1], runs.seed).prompt)
+    probs = dense_probs(mdl, _needle(sc.sparsity_lengths[1], runs.seed).prompt)
     tables = []
     for layer in range(mdl.config.n_layers):
         for head in (0, 4, 6):
@@ -593,7 +589,7 @@ def run_fig11(sc, runs) -> list[Table]:
     head (Figure 11 analogue)."""
     mdl = runs.model(sc.models[0])
     s = int(sc.sparsity_lengths[1])
-    probs = _dense_probs(mdl, _needle(s, runs.seed).prompt)[1]
+    probs = dense_probs(mdl, _needle(s, runs.seed).prompt)[1]
     # The layer-1 heads with the lowest and the highest oracle SD.
     sd = oracle_sd(probs, 0.95)
     dense_head, sparse_head = int(np.argmin(sd)), int(np.argmax(sd))
@@ -615,16 +611,13 @@ def run_plan_demo(sc, runs) -> list[Table]:
     quickest way to see the adaptive structure the method discovers)."""
     mdl = runs.model(sc.models[0])
     prompt = _needle(sc.sparsity_lengths[1], runs.seed).prompt
-    x = mdl.embed(prompt)
     t = Table(
         "SparsePlan summary per layer (alpha=0.95)",
         ["layer", "window", "mean_kv_ratio", "min_kv", "max_kv", "element_density"],
     )
-    for i, layer in enumerate(mdl.layers):
-        q, k, _ = layer.project_qkv(x, np.arange(prompt.size))
+    for i, (q, k, _, scale) in enumerate(layer_qkv(mdl, prompt)):
         summ = plan_sample_attention(
-            q, k, SampleAttentionConfig(alpha=0.95),
-            scale=1.0 / np.sqrt(mdl.config.d_head),
+            q, k, SampleAttentionConfig(alpha=0.95), scale=scale
         ).summary()
         t.add_row(
             i,
@@ -634,7 +627,6 @@ def run_plan_demo(sc, runs) -> list[Table]:
             summ["max_kv_ratio"],
             summ["element_density"],
         )
-        x = x + layer.prefill(x, FullAttentionBackend())
     return [t]
 
 

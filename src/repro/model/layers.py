@@ -1,10 +1,11 @@
 """Decoder building blocks: normalisation, gated MLP, attention layer.
 
-The attention layer owns the projection + rotary plumbing and delegates the
-actual score/softmax/value computation to an
-:class:`~repro.backends.AttentionBackend`, which is how the harness swaps
-SampleAttention and the baselines in and out per run -- mirroring the paper,
-which replaces only the prefill attention implementation.
+The attention layer owns the projection + rotary plumbing and the output
+projection; the score/softmax/value computation between them is the
+attend function of :meth:`~repro.model.Transformer.prefill_chunk_batch`
+or :meth:`~repro.model.Transformer.decode_batch`, which is how the harness
+swaps SampleAttention and the baselines in and out per run -- mirroring the
+paper, which replaces only the prefill attention implementation.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import pool
-from ..attention.dense import dense_attention
-from ..backends import AttentionBackend
 from ..errors import ModelError
 from .config import ModelConfig
-from .kv_cache import LayerKVCache
 from .rope import apply_rope_batched, rope_cos_sin, rotate_pairs
 from .weights import LayerWeights
 
@@ -110,17 +108,17 @@ def gated_mlp_rows(
 
 
 class AttentionLayer:
-    """One decoder layer's attention: project, rotate, attend, merge.
+    """One decoder layer's attention weights: q/k/v in, heads merged out.
 
-    The layer is stateless with respect to sequences; the caller supplies
-    the residual stream and (for decode) the KV cache.
+    Projects and rotates q/k/v, and merges heads through the output
+    projection.  The layer is stateless with respect to sequences; the
+    transformer appends keys/values to the caches and attends in between.
     """
 
     def __init__(self, config: ModelConfig, weights: LayerWeights) -> None:
         weights.validate(config)
         self.config = config
         self.weights = weights
-        self._scale = 1.0 / np.sqrt(config.d_head)
         # The q/k/v weights as one ``((H + 2 H_kv) e, d_model)`` array, one
         # row per output feature (q heads, then k, then v), built here --
         # early, where a long-lived array does not pin the heap.  Both
@@ -244,11 +242,6 @@ class AttentionLayer:
             rows[q_rows + kv_rows :],
         )
 
-    def merge_heads(self, attn_out: np.ndarray) -> np.ndarray:
-        """``(H, S, e) -> (S, d_model)`` via the output projection: a
-        :meth:`merge_chunks` of one."""
-        return self.merge_chunks([attn_out])[0]
-
     def merge_chunks(self, outs: list[np.ndarray]) -> list[np.ndarray]:
         """The output projection of several chunks' attention outputs
         ``(H, S_b, e)`` as one token-packed GEMM: their head-flattened rows
@@ -269,41 +262,10 @@ class AttentionLayer:
 
         One ``(1, H*e) @ (H*e, d_model)`` product against a view of
         ``wo``, issued per decode row, so a row's bits never depend on the
-        batch it rode in.  It is not bitwise :meth:`merge_heads`, which
-        pads a lone row onto BLAS's blocked kernel; decode never mixes
-        the two.
+        batch it rode in.  It is not bitwise :meth:`merge_chunks`, which
+        pads a lone row onto BLAS's blocked kernel; decode never mixes the
+        two.
         """
         h, e = self.config.n_heads, self.config.d_head
         flat = attn_out.transpose(1, 0, 2).reshape(1, h * e)
         return flat @ self.weights.wo.reshape(h * e, self.config.d_model)
-
-    # ------------------------------------------------------------- prefill
-    def prefill(
-        self,
-        x: np.ndarray,
-        backend: AttentionBackend,
-        *,
-        cache: LayerKVCache | None = None,
-        prob_hook=None,
-        layer_index: int = 0,
-    ) -> np.ndarray:
-        """Full-sequence attention through ``backend``.
-
-        Returns the residual *delta* (caller adds it).  When ``cache`` is
-        given, the rotated keys/values are appended for later decoding.
-        ``prob_hook(probs)`` -- if provided -- receives the *dense full
-        attention* probabilities ``(H, S, S)`` for analysis (computed with
-        the gold kernel regardless of ``backend``; expensive).
-        """
-        s = x.shape[0]
-        positions = np.arange(s, dtype=np.int64)
-        q, k, v = self.project_qkv(x, positions)
-        out = backend.prefill(q, k, v, scale=self._scale, layer=layer_index)
-        if cache is not None:
-            cache.append(k, v, positions)
-        if prob_hook is not None:
-            probs = dense_attention(
-                q, k, v, causal=True, scale=self._scale, return_probs=True
-            ).probs
-            prob_hook(probs)
-        return self.merge_heads(out)

@@ -3,12 +3,14 @@
 :class:`Transformer` wires embeddings, attention layers, optional MLPs and
 the unembedding into the two phases the paper's pipeline distinguishes:
 
-* :meth:`prefill` -- process the whole prompt through a pluggable
-  :class:`~repro.backends.AttentionBackend` (this is where SampleAttention
-  and the baselines differ) and populate the KV caches;
-* :meth:`generate` -- greedy decoding with dense attention over the caches
-  (the paper keeps decode uncompressed), optionally applying a KV-eviction
-  policy after each step.
+* prefill -- one forward pass, :meth:`prefill_chunk_batch`: the serving
+  engine drives it chunk by chunk, and :meth:`prefill` runs a prompt
+  through it as one chunk (or ``chunk_size``-token chunks) with a
+  pluggable :class:`~repro.backends.AttentionBackend` as the attend
+  function (this is where SampleAttention and the baselines differ);
+* decode -- :meth:`decode_batch`, dense attention over the caches (the
+  paper keeps decode uncompressed); :meth:`generate` is greedy decoding
+  on top, optionally applying a KV-eviction policy after each step.
 """
 
 from __future__ import annotations
@@ -100,46 +102,59 @@ class Transformer:
         tokens: np.ndarray,
         backend: AttentionBackend | None = None,
         *,
+        chunk_size: int | None = None,
         caches: list[LayerKVCache] | None = None,
-        prob_hook=None,
     ) -> tuple[np.ndarray, list[dict]]:
-        """Run the prompt through every layer.
+        """Run the prompt through every layer: :meth:`prefill_chunk` over
+        consecutive chunks, each layer attending through ``backend.prefill``.
 
         Parameters
         ----------
         backend:
             Prefill attention implementation; defaults to full attention.
+        chunk_size:
+            Tokens per chunk; defaults to one chunk, the whole prompt.
+            Smaller chunks are paper Appendix A.6's memory-efficient
+            serving strategy for >=128K requests: each chunk's queries
+            attend (right-aligned) to every key cached so far plus their
+            own, so peak activation memory is ``O(chunk_size * d_model)``
+            per layer.  Sparse backends then see ``S_q = chunk_size``
+            against the full key length, and SampleAttention's stage 1
+            samples the *chunk's* rows, as a chunked serving integration
+            runs it.
         caches:
-            Optional per-layer KV caches to populate for decoding.
-        prob_hook:
-            ``prob_hook(layer_index, probs)`` receives each layer's dense
-            attention probabilities ``(H, S, S)`` (analysis use; slow).
+            Per-layer KV caches to populate for decoding; by default a
+            throwaway set sized to the prompt.
 
         Returns
         -------
-        ``(hidden, stats)``: final residual stream ``(S, d_model)`` and the
-        per-layer backend stats.
+        ``(hidden, stats)``: the last chunk's final residual rows
+        ``(S_chunk, d_model)`` -- the whole prompt's by default -- and that
+        chunk's per-layer ``backend.last_stats()``.
         """
         backend = backend or FullAttentionBackend()
-        if caches is not None and len(caches) != self.config.n_layers:
-            raise ModelError("caches must have one entry per layer")
-        x = self.embed(tokens)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.size == 0:
+            raise ModelError("tokens must be non-empty")
+        chunk_size = tokens.size if chunk_size is None else chunk_size
+        if chunk_size < 1:
+            raise ModelError(f"chunk_size must be >= 1, got {chunk_size}")
+        if caches is None:
+            caches = self.new_caches(capacity=int(tokens.size))
         stats: list[dict] = []
-        for i, layer in enumerate(self.layers):
-            hook = (lambda p, _i=i: prob_hook(_i, p)) if prob_hook else None
-            delta = layer.prefill(
-                self._norm(x),
-                backend,
-                cache=caches[i] if caches is not None else None,
-                prob_hook=hook,
-                layer_index=i,
-            )
-            x = x + delta
-            lw = layer.weights
-            if lw.mlp_w1 is not None:
-                x = x + gated_mlp(self._norm(x), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3)
+
+        def attend(i, q, keys, values, scale):
+            out = backend.prefill(q, keys, values, scale=scale, layer=i)
             stats.append(backend.last_stats())
-        return x, stats
+            return out
+
+        for c0 in range(0, tokens.size, chunk_size):
+            c1 = min(c0 + chunk_size, tokens.size)
+            stats.clear()
+            hidden = self.prefill_chunk(
+                tokens[c0:c1], np.arange(c0, c1, dtype=np.int64), caches, attend
+            )
+        return hidden, stats
 
     def new_caches(self, capacity: int = 256) -> list[LayerKVCache]:
         return [
@@ -161,11 +176,11 @@ class Transformer:
         ``attend(layer_index, q, keys, values, scale)`` computes the
         right-aligned causal attention output ``(H, S_chunk, d)`` for one
         layer against the full cached prefix (keys/values include this
-        chunk's, already appended).  Both :meth:`prefill_chunked` and the
-        serving engine drive chunks through here, so "one chunk of work"
-        means the same thing to the substrate and the scheduler; the
-        engine's ``attend`` additionally routes through its sparse-plan
-        cache and dense fallback.
+        chunk's, already appended).  Both :meth:`prefill` and the serving
+        engine drive chunks through here, so "one chunk of work" means the
+        same thing to the substrate and the scheduler; the engine's
+        ``attend`` additionally routes through its sparse-plan cache and
+        dense fallback.
 
         A :meth:`prefill_chunk_batch` of one: the per-request path *is*
         the batched path, so request-vs-packed parity holds by
@@ -274,59 +289,6 @@ class Transformer:
             entries[b] = (q[:, r0:r1], cache.keys, cache.values, scale)
         return entries
 
-    def prefill_chunked(
-        self,
-        tokens: np.ndarray,
-        backend: AttentionBackend | None = None,
-        *,
-        chunk_size: int = 512,
-        caches: list[LayerKVCache] | None = None,
-    ) -> tuple[np.ndarray, list[dict]]:
-        """Memory-efficient chunked prefill (paper Appendix A.6's serving
-        strategy for >=128K requests).
-
-        The prompt is processed in chunks along the sequence dimension:
-        each chunk's queries attend (right-aligned) to all keys cached so
-        far plus its own, so results are numerically identical to a
-        monolithic prefill while peak activation memory is
-        ``O(chunk_size * d_model)`` per layer.
-
-        Sparse backends see ``S_q = chunk_size`` against the full key
-        length; SampleAttention's stage-1 then samples the *chunk's* rows,
-        which is exactly how a chunked serving integration would run it.
-
-        Returns the final residual rows of the **last chunk only** (enough
-        for TTFT) plus per-layer stats from the last chunk.
-        """
-        backend = backend or FullAttentionBackend()
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size == 0:
-            raise ModelError("tokens must be non-empty")
-        if chunk_size < 1:
-            raise ModelError(f"chunk_size must be >= 1, got {chunk_size}")
-        own_caches = caches is None
-        if own_caches:
-            caches = self.new_caches(capacity=int(tokens.size))
-        elif len(caches) != self.config.n_layers:
-            raise ModelError("caches must have one entry per layer")
-
-        stats: list[dict] = []
-
-        def attend(i, q, keys, values, scale):
-            out = backend.prefill(q, keys, values, scale=scale, layer=i)
-            stats.append(backend.last_stats())
-            return out
-
-        x_last: np.ndarray | None = None
-        for c0 in range(0, tokens.size, chunk_size):
-            c1 = min(c0 + chunk_size, tokens.size)
-            stats = []
-            x_last = self.prefill_chunk(
-                tokens[c0:c1], np.arange(c0, c1, dtype=np.int64), caches, attend
-            )
-        assert x_last is not None
-        return x_last, stats
-
     # -------------------------------------------------------------- decode
     def decode_step(
         self,
@@ -334,7 +296,6 @@ class Transformer:
         position: int,
         caches: list[LayerKVCache],
         *,
-        kv_policy: H2OPolicy | None = None,
         record_attention: bool = False,
     ) -> np.ndarray:
         """Process one token; returns its ``(vocab,)`` logits.
@@ -342,14 +303,12 @@ class Transformer:
         A :meth:`decode_batch` of one: the per-request path *is* the
         batched path, so request-vs-packed parity holds by construction.
         ``record_attention=True`` accumulates each layer's attention mass
-        onto the caches' eviction statistic even without a ``kv_policy`` --
-        the serving engine uses this so heavy-hitter eviction under memory
-        pressure has scores to rank by.
+        onto the caches' eviction statistic, the scores heavy-hitter
+        eviction ranks by (:meth:`generate`'s ``kv_policy``, the serving
+        engine under memory pressure).
         """
         return self.decode_batch(
-            [(token, position, caches)],
-            kv_policy=kv_policy,
-            record_attention=record_attention,
+            [(token, position, caches)], record_attention=record_attention
         )[0]
 
     def decode_batch(
@@ -357,7 +316,6 @@ class Transformer:
         entries: list[tuple],
         attend_batch=None,
         *,
-        kv_policy: H2OPolicy | None = None,
         record_attention: bool = False,
         on_error=None,
         gather=None,
@@ -391,10 +349,10 @@ class Transformer:
 
         The default ``attend_batch`` executes the whole batch as one
         :func:`~repro.attention.packed.packed_decode_attention` dispatch
-        per layer.  With ``record_attention=True`` (or a ``kv_policy``)
-        each layer's attention mass is recorded onto the caches; staged
-        mass is committed only after every layer ran, so a mid-model
-        failure plus rollback never double-counts a step.
+        per layer.  With ``record_attention=True`` each layer's attention
+        mass is recorded onto the caches; staged mass is committed only
+        after every layer ran, so a mid-model failure plus rollback never
+        double-counts a step.
 
         Returns one entry per input: the token's ``(vocab,)`` logits, or
         ``None`` for dropped entries.  Survivor logits -- and therefore
@@ -421,7 +379,6 @@ class Transformer:
         pos_arrays = [
             np.asarray([p], dtype=np.int64) for _, p, _ in entries
         ]
-        record = record_attention or kv_policy is not None
         scale = 1.0 / np.sqrt(self.config.d_head)
 
         if attend_batch is None:
@@ -435,7 +392,7 @@ class Transformer:
                         PackedDecodeItem(q=q, k=k, v=v, scale=s)
                         for q, k, v, s in items.values()
                     ],
-                    return_probs=record,
+                    return_probs=record_attention,
                 )
                 return {
                     b: (
@@ -482,7 +439,7 @@ class Transformer:
                     live.remove(b)
                     continue
                 out_b, probs_b = outs[b]
-                if record and probs_b is not None:
+                if record_attention and probs_b is not None:
                     entries[b][2][i].record_attention(probs_b)
                 deltas[b] = layer.merge_heads_decode(out_b)[0]
             xb = xb + deltas
@@ -504,11 +461,6 @@ class Transformer:
                 commit = getattr(cache, "commit_attention", None)
                 if commit is not None:
                     commit()
-        if kv_policy is not None:
-            for b in live:
-                for cache in entries[b][2]:
-                    if len(cache) > kv_policy.budget:
-                        cache.evict(kv_policy.select(cache.attention_mass()))
         results: list = [None] * n
         for b in live:
             results[b] = self.logits(xb[b : b + 1])[0]
@@ -565,8 +517,11 @@ class Transformer:
             if stop_token is not None and next_token == stop_token:
                 break
             logits = self.decode_step(
-                next_token, position, caches, kv_policy=kv_policy
+                next_token, position, caches,
+                record_attention=kv_policy is not None,
             )
+            if kv_policy is not None:
+                kv_policy.evict(caches)
             next_token = int(np.argmax(logits))
             position += 1
         t2 = time.perf_counter()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis import layer_qkv
 from ..config import SampleAttentionConfig
 from ..core.sample_attention import plan_sample_attention
 from ..errors import ConfigError
@@ -42,26 +43,18 @@ def measure_plan_densities(
         raise ConfigError("lengths and alphas must be non-empty")
     from ..tasks.needle import make_needle_case  # local import: layering
 
-    scale = 1.0 / np.sqrt(model.config.d_head)
     out: dict[float, list[tuple[int, float]]] = {a: [] for a in alphas}
     for length in lengths:
         case = make_needle_case(
             int(length), 0.5, rng=np.random.default_rng(seed)
         )
-        x = model.embed(case.prompt)
-        qk_per_layer = []
-        for layer in model.layers:
-            q, k, _ = layer.project_qkv(x, np.arange(case.prompt.size))
-            qk_per_layer.append((q, k))
-            x = x + layer.prefill(
-                x, __import__("repro.backends", fromlist=["FullAttentionBackend"]).FullAttentionBackend()
-            )
+        qkv = layer_qkv(model, case.prompt)
         for alpha in alphas:
             densities = [
                 plan_sample_attention(
                     q, k, SampleAttentionConfig(alpha=alpha), scale=scale
                 ).element_density()
-                for q, k in qk_per_layer
+                for q, k, _, scale in qkv
             ]
             out[alpha].append((int(length), float(np.mean(densities))))
     return out

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import (
     attention_entropy,
     classify_head,
+    dense_probs,
     sink_mass,
     stripe_mass,
     window_mass,
@@ -96,9 +97,8 @@ class TestClassify:
         from repro.tasks import make_needle_case
 
         case = make_needle_case(512, 0.5, rng=np.random.default_rng(2))
-        caps = {}
-        glm_mini.prefill(case.prompt, prob_hook=lambda l, p: caps.__setitem__(l, p))
+        probs = dense_probs(glm_mini, case.prompt)[0]
         # Layer 0: heads 2,3 local; 4 sink; 5 uniform.
-        assert classify_head(caps[0][2]).label == "window"
-        assert classify_head(caps[0][4]).label == "sink"
-        assert classify_head(caps[0][5]).label == "dense"
+        assert classify_head(probs[2]).label == "window"
+        assert classify_head(probs[4]).label == "sink"
+        assert classify_head(probs[5]).label == "dense"

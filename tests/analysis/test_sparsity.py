@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    dense_probs,
     kv_retention_frequency,
     model_sparsity_sweep,
     model_sparsity_sweep_multi,
@@ -90,9 +91,7 @@ class TestRetentionFrequency:
 
     def test_values_in_unit_interval(self, glm_mini, rng):
         tokens = rng.integers(16, 200, size=96)
-        caps = {}
-        glm_mini.prefill(tokens, prob_hook=lambda l, p: caps.__setitem__(l, p))
-        freq = kv_retention_frequency(caps[0][:2], 0.95)
+        freq = kv_retention_frequency(dense_probs(glm_mini, tokens)[0][:2], 0.95)
         assert freq.min() >= 0.0 and freq.max() <= 1.0
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import layer_qkv
 from repro.core import (
     AutotunedSampleAttentionBackend,
     profile_hyperparameters,
@@ -90,9 +91,7 @@ class TestAutotune:
 
     def test_tuned_alpha_respects_budget(self, glm_mini):
         case = make_needle_case(768, 0.5, rng=np.random.default_rng(3))
-        x = glm_mini.embed(case.prompt)
-        q, k, _ = glm_mini.layers[1].project_qkv(x, np.arange(case.prompt.size))
-        scale = 1.0 / np.sqrt(glm_mini.config.d_head)
+        q, k, _, scale = layer_qkv(glm_mini, case.prompt)[1]
 
         tight = AutotunedSampleAttentionBackend(density_budget=0.25)
         loose = AutotunedSampleAttentionBackend(density_budget=0.9)

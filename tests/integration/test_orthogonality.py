@@ -49,8 +49,10 @@ class TestSampleAttentionPlusH2O:
         policy = H2OPolicy(budget=128)
         for step, tok in enumerate(range(3)):
             glm_mini.decode_step(
-                int(V.filler_ids[tok]), prompt.size + step, caches, kv_policy=policy
+                int(V.filler_ids[tok]), prompt.size + step, caches,
+                record_attention=True,
             )
+            policy.evict(caches)
         assert all(len(c) <= 128 + 1 for c in caches)
 
     def test_multi_step_decode_with_tight_budget(self, glm_mini):

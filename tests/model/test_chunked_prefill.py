@@ -26,14 +26,14 @@ class TestChunkedPrefill:
     def test_matches_monolithic(self, tiny_model, rng, chunk_size):
         tokens = rng.integers(0, 64, size=48)
         mono, _ = tiny_model.prefill(tokens)
-        chunked, _ = tiny_model.prefill_chunked(tokens, chunk_size=chunk_size)
+        chunked, _ = tiny_model.prefill(tokens, chunk_size=chunk_size)
         n = chunked.shape[0]
         np.testing.assert_allclose(chunked, mono[-n:], atol=1e-4)
 
     def test_caches_complete(self, tiny_model, rng):
         tokens = rng.integers(0, 64, size=40)
         caches = tiny_model.new_caches(capacity=40)
-        tiny_model.prefill_chunked(tokens, chunk_size=16, caches=caches)
+        tiny_model.prefill(tokens, chunk_size=16, caches=caches)
         assert all(len(c) == 40 for c in caches)
         # Cache contents equal the monolithic projection.
         mono_caches = tiny_model.new_caches(capacity=40)
@@ -45,7 +45,7 @@ class TestChunkedPrefill:
     def test_first_token_logits_match(self, tiny_model, rng):
         tokens = rng.integers(0, 64, size=50)
         mono, _ = tiny_model.prefill(tokens)
-        chunked, _ = tiny_model.prefill_chunked(tokens, chunk_size=13)
+        chunked, _ = tiny_model.prefill(tokens, chunk_size=13)
         np.testing.assert_allclose(
             tiny_model.logits(chunked[-1:]),
             tiny_model.logits(mono[-1:]),
@@ -54,17 +54,17 @@ class TestChunkedPrefill:
 
     def test_rejects_bad_args(self, tiny_model, rng):
         with pytest.raises(ModelError):
-            tiny_model.prefill_chunked(np.array([], dtype=np.int64))
+            tiny_model.prefill(np.array([], dtype=np.int64))
         with pytest.raises(ModelError):
-            tiny_model.prefill_chunked(rng.integers(0, 64, size=4), chunk_size=0)
+            tiny_model.prefill(rng.integers(0, 64, size=4), chunk_size=0)
         with pytest.raises(ModelError):
-            tiny_model.prefill_chunked(rng.integers(0, 64, size=4), caches=[])
+            tiny_model.prefill(rng.integers(0, 64, size=4), caches=[])
 
     def test_sample_attention_chunked_retrieval(self, glm_mini):
         """SampleAttention under chunked prefill still answers the needle:
         stage-1 samples each chunk's rows against the full cached keys."""
         case = make_needle_case(768, 0.3, rng=np.random.default_rng(8))
-        hidden, stats = glm_mini.prefill_chunked(
+        hidden, stats = glm_mini.prefill(
             case.prompt,
             SampleAttentionBackend(),
             chunk_size=256,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import dense_probs
 from repro.attention import attention_probs
 from repro.errors import ConfigError
 from repro.model import (
@@ -52,12 +53,7 @@ def single_layer_model(config, group: KVGroupSpec, **embed_kw) -> Transformer:
 
 
 def head_probs(model, tokens, layer=0):
-    caps = {}
-    model.prefill(
-        np.asarray(tokens, dtype=np.int64),
-        prob_hook=lambda l, p: caps.__setitem__(l, p),
-    )
-    return caps[layer]
+    return dense_probs(model, np.asarray(tokens, dtype=np.int64))[layer]
 
 
 class TestTwist:

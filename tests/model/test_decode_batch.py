@@ -61,21 +61,25 @@ def greedy(logits):
     return int(np.argmax(logits))
 
 
-def run_sequential(model, prompts, cache_sets, steps, **kw):
-    """Per-request decode_step baseline; returns per-request logit lists."""
+def run_sequential(model, prompts, cache_sets, steps, kv_policy=None, **kw):
+    """Per-request decode_step baseline; returns per-request logit lists.
+    ``kv_policy`` evicts after every step, as ``Transformer.generate``
+    does."""
     all_logits = []
     for p, caches in zip(prompts, cache_sets):
         tok, pos = int(p[-1]), len(p)
         series = []
         for _ in range(steps):
             lg = model.decode_step(tok, pos, caches, **kw)
+            if kv_policy is not None:
+                kv_policy.evict(caches)
             series.append(lg)
             tok, pos = greedy(lg), pos + 1
         all_logits.append(series)
     return all_logits
 
 
-def run_batched(model, prompts, cache_sets, steps, **kw):
+def run_batched(model, prompts, cache_sets, steps, kv_policy=None, **kw):
     toks = [int(p[-1]) for p in prompts]
     poss = [len(p) for p in prompts]
     all_logits = [[] for _ in prompts]
@@ -84,6 +88,9 @@ def run_batched(model, prompts, cache_sets, steps, **kw):
             (toks[b], poss[b], cache_sets[b]) for b in range(len(prompts))
         ]
         results = model.decode_batch(entries, **kw)
+        if kv_policy is not None:
+            for caches in cache_sets:
+                kv_policy.evict(caches)
         for b, lg in enumerate(results):
             assert lg is not None
             all_logits[b].append(lg)
@@ -143,8 +150,9 @@ class TestBitwiseParity:
         policy = H2OPolicy(budget=10)
         seq = contiguous_caches(model, PROMPTS)
         bat = contiguous_caches(model, PROMPTS)
-        a = run_sequential(model, PROMPTS, seq, 6, kv_policy=policy)
-        b = run_batched(model, PROMPTS, bat, 6, kv_policy=policy)
+        kw = dict(kv_policy=policy, record_attention=True)
+        a = run_sequential(model, PROMPTS, seq, 6, **kw)
+        b = run_batched(model, PROMPTS, bat, 6, **kw)
         assert_bitwise(a, b, seq, bat)
         assert all(len(c) <= policy.budget + 1 for s in bat for c in s)
 
@@ -152,8 +160,9 @@ class TestBitwiseParity:
         policy = H2OPolicy(budget=8)
         seq = paged_caches(model, PROMPTS[:2])
         bat = paged_caches(model, PROMPTS[:2])
-        a = run_sequential(model, PROMPTS[:2], seq, 5, kv_policy=policy)
-        b = run_batched(model, PROMPTS[:2], bat, 5, kv_policy=policy)
+        kw = dict(kv_policy=policy, record_attention=True)
+        a = run_sequential(model, PROMPTS[:2], seq, 5, **kw)
+        b = run_batched(model, PROMPTS[:2], bat, 5, **kw)
         assert_bitwise(a, b, seq, bat)
 
 

@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.backends import FullAttentionBackend
+from repro.analysis import dense_probs
 from repro.errors import ModelError
-from repro.model import ModelConfig
-from repro.model.kv_cache import LayerKVCache
-from repro.model.layers import AttentionLayer, gated_mlp, rms_norm
+from repro.model import ModelConfig, Transformer
+from repro.model.layers import gated_mlp, rms_norm
 from repro.model.weights import random_weights
 
 
 @pytest.fixture()
-def layer_and_config():
+def one_layer_model():
     config = ModelConfig(
         n_layers=1, n_heads=4, n_kv_heads=2, vocab_size=64, name="t"
     )
-    weights = random_weights(config, seed=0, scale=0.1)
-    return AttentionLayer(config, weights.layers[0]), config
+    return Transformer(random_weights(config, seed=0, scale=0.1))
+
+
+@pytest.fixture()
+def layer_and_config(one_layer_model):
+    return one_layer_model.layers[0], one_layer_model.config
 
 
 class TestRmsNorm:
@@ -56,11 +59,13 @@ class TestGatedMlp:
 
 
 class TestAttentionLayer:
-    def test_prefill_shapes(self, rng, layer_and_config):
-        layer, config = layer_and_config
-        x = rng.standard_normal((20, config.d_model)).astype(np.float32)
-        delta = layer.prefill(x, FullAttentionBackend())
-        assert delta.shape == (20, config.d_model)
+    """The layer's projections, and the layer inside the model's one
+    forward pass (:meth:`Transformer.prefill` over a one-layer model)."""
+
+    def test_prefill_shapes(self, rng, one_layer_model):
+        tokens = rng.integers(0, 64, size=20)
+        hidden, _ = one_layer_model.prefill(tokens)
+        assert hidden.shape == (20, one_layer_model.config.d_model)
 
     def test_projection_shapes(self, rng, layer_and_config):
         layer, config = layer_and_config
@@ -78,19 +83,16 @@ class TestAttentionLayer:
                 np.arange(10),
             )
 
-    def test_prefill_populates_cache(self, rng, layer_and_config):
-        layer, config = layer_and_config
-        x = rng.standard_normal((8, config.d_model)).astype(np.float32)
-        cache = LayerKVCache(config.n_kv_heads, config.d_head)
-        layer.prefill(x, FullAttentionBackend(), cache=cache)
+    def test_prefill_populates_cache(self, rng, one_layer_model):
+        tokens = rng.integers(0, 64, size=8)
+        (cache,) = caches = one_layer_model.new_caches()
+        one_layer_model.prefill(tokens, caches=caches)
         assert len(cache) == 8
-        q, k, v = layer.project_qkv(x, np.arange(8))
+        x = one_layer_model.embed(tokens)  # the first layer's input
+        _, k, _ = one_layer_model.layers[0].project_qkv(x, np.arange(8))
         np.testing.assert_allclose(cache.keys, k, atol=1e-6)
 
-    def test_prob_hook_receives_probs(self, rng, layer_and_config):
-        layer, config = layer_and_config
-        x = rng.standard_normal((6, config.d_model)).astype(np.float32)
-        seen = []
-        layer.prefill(x, FullAttentionBackend(), prob_hook=seen.append)
-        assert seen[0].shape == (config.n_heads, 6, 6)
-        np.testing.assert_allclose(seen[0].sum(axis=-1), 1.0, rtol=1e-5)
+    def test_captured_probs_are_distributions(self, rng, one_layer_model):
+        (probs,) = dense_probs(one_layer_model, rng.integers(0, 64, size=6))
+        assert probs.shape == (one_layer_model.config.n_heads, 6, 6)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-5)

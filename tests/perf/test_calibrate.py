@@ -1,14 +1,20 @@
 """Tests for substrate-measured performance calibration."""
 
+import numpy as np
 import pytest
 
+from repro.backends import FullAttentionBackend
+from repro.config import SampleAttentionConfig
+from repro.core import plan_sample_attention
 from repro.errors import ConfigError
+from repro.model import ModelConfig, Transformer, random_weights
 from repro.perf import (
     CHATGLM2_6B,
     fit_sparsity_from_measurements,
     measure_plan_densities,
     measured_speedup,
 )
+from repro.tasks import make_needle_case
 
 
 class TestMeasurePlanDensities:
@@ -26,6 +32,39 @@ class TestMeasurePlanDensities:
     def test_rejects_empty(self, glm_mini):
         with pytest.raises(ConfigError):
             measure_plan_densities(glm_mini, (), (0.95,))
+
+
+class _QKRecorder(FullAttentionBackend):
+    def __init__(self):
+        super().__init__()
+        self.qk = []
+
+    def prefill(self, q, k, v, *, scale=None, layer=0):
+        self.qk.append((q, k, scale))
+        return super().prefill(q, k, v, scale=scale, layer=layer)
+
+
+class TestMeasuresTheForwardPass:
+    def test_densities_are_those_of_the_attended_qk(self):
+        """Each layer's plan is built on the q/k that layer attends with in
+        ``Transformer.prefill``: after the RMS norm, and with every earlier
+        layer's MLP in the residual stream."""
+        config = ModelConfig(norm="rms", mlp_ratio=1.0, name="random-rms-mlp")
+        model = Transformer(random_weights(config, seed=0, scale=0.05))
+        alphas = (0.80, 0.95)
+        meas = measure_plan_densities(model, (512,), alphas, seed=3)
+        case = make_needle_case(512, 0.5, rng=np.random.default_rng(3))
+        recorder = _QKRecorder()
+        model.prefill(case.prompt, recorder)
+        assert len(recorder.qk) == config.n_layers
+        for alpha in alphas:
+            densities = [
+                plan_sample_attention(
+                    q, k, SampleAttentionConfig(alpha=alpha), scale=scale
+                ).element_density()
+                for q, k, scale in recorder.qk
+            ]
+            assert meas[alpha] == [(512, float(np.mean(densities)))]
 
 
 class TestFitAndPredict:

@@ -207,7 +207,7 @@ class TestTokenPackedProjections:
         ]
         with pool._forced_workers(1):
             alone = [layer.project_qkv(x, p) for x, p in zip(xs, poss)]
-            merged_alone = [layer.merge_heads(o) for o in outs]
+            merged_alone = [layer.merge_chunks([o])[0] for o in outs]
         order = data.draw(st.permutations(range(len(lengths))))
         cuts = np.cumsum([0] + [lengths[j] for j in order])
         with pool._forced_workers(workers):
