@@ -63,7 +63,6 @@ def drill():
         max_queue=6,
         admission_policy="shed_oldest",
         deadline_s=4.0,
-        max_redispatch=2,  # crash re-dispatches per request, then shed
         heartbeat_interval_s=0.05,
         restart_backoff_s=0.02,
         max_restarts=5,
@@ -72,7 +71,6 @@ def drill():
         chunk_size=96,
         length_scale=32,
         billing="roofline",  # deterministic virtual clock
-        max_retries=2,
         degrade_after=2,
         breaker_threshold=3,
         breaker_cooldown_chunks=4,

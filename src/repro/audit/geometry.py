@@ -294,7 +294,7 @@ def _serving_reuse(
     )
     s_k0 = max(1, case.s_k // 2)
     plan0 = planner(q[:, :s_k0], k[:, :s_k0])
-    cache = PlanCache(replan_interval=4)
+    cache = PlanCache()
     cache.put(0, 0, plan0, chunk_index=0)
     s_q1 = case.s_k - s_k0
     plan1 = cache.get(0, 0, chunk_index=1, s_q=s_q1, s_k=case.s_k)

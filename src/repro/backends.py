@@ -21,6 +21,7 @@ from .attention.flash import flash_attention
 from .attention.masks import BlockMask
 from .attention.utils import KernelWorkspace
 from .config import DEFAULT_CONFIG, SampleAttentionConfig
+from .core.providers import make_provider
 from .core.sample_attention import sample_attention
 
 __all__ = [
@@ -78,10 +79,10 @@ class FullAttentionBackend(AttentionBackend):
 class SampleAttentionBackend(AttentionBackend):
     """The paper's method: adaptive structured sparse prefill attention.
 
-    When ``config.provider`` names a non-default plan provider, the backend
-    holds one persistent :class:`~repro.core.providers.PlanProvider`
-    instance for its lifetime, so stateful providers (MInference's offline
-    head profiles) amortise their profiling across layers and requests.
+    The backend holds one :class:`~repro.core.providers.PlanProvider`
+    instance (``config.provider``) for its lifetime, so stateful providers
+    (MInference's offline head profiles) amortise their profiling across
+    layers and requests.
     """
 
     name = "sample_attention"
@@ -90,36 +91,23 @@ class SampleAttentionBackend(AttentionBackend):
         self,
         config: SampleAttentionConfig = DEFAULT_CONFIG,
         *,
-        selection_mode: str = "exact",
-        reduction: str = "sum",
         record_plans: bool = False,
     ) -> None:
         super().__init__()
         self.config = config
-        self.selection_mode = selection_mode
-        self.reduction = reduction
         self.record_plans = record_plans
         self.plans: list = []
         self._workspace = KernelWorkspace()  # warm scratch across layers
-        self._provider = None
-        if config.provider != "sample":
-            from .core.providers import make_provider
-
-            self._provider = make_provider(config.provider)
+        self._provider = make_provider(config.provider)
 
     def prefill(self, q, k, v, *, scale=None, layer=0):
-        plan = None
-        if self._provider is not None:
-            plan = self._provider.plan(q, k, self.config, scale=scale)
         res = sample_attention(
             q,
             k,
             v,
             self.config,
             scale=scale,
-            plan=plan,
-            selection_mode=self.selection_mode,
-            reduction=self.reduction,
+            plan=self._provider.plan(q, k, self.config, scale=scale),
             workspace=self._workspace,
         )
         if self.record_plans:

@@ -10,7 +10,6 @@ Public API::
     )
 """
 
-from .autotune import AutotunedSampleAttentionBackend
 from .diagonal import (
     DiagonalProfile,
     detect_diagonal_bands,
@@ -26,7 +25,6 @@ from .providers import (
     SampleAttentionProvider,
     VerticalSlashProvider,
     make_provider,
-    plan_with_provider,
 )
 from .sample_attention import (
     SampleAttentionResult,
@@ -37,7 +35,6 @@ from .sampling import SampleStats, sample_column_scores, sampled_row_indices
 from .sparse_decode import compress_caches_with_plans, plan_keep_indices
 
 __all__ = [
-    "AutotunedSampleAttentionBackend",
     "DiagonalProfile",
     "detect_diagonal_bands",
     "diagonal_profile",
@@ -54,7 +51,6 @@ __all__ = [
     "MInferenceProvider",
     "VerticalSlashProvider",
     "make_provider",
-    "plan_with_provider",
     "SampleAttentionResult",
     "plan_sample_attention",
     "sample_attention",

@@ -10,10 +10,10 @@ Two selection modes are provided:
 * ``exact`` -- sort columns by mass, take the shortest prefix whose share of
   total mass is ``>= alpha``.  This is the textbook reading of Equation 6.
 * ``quantized`` -- the paper's Algorithm 1: evaluate the cumulative share
-  only at a fixed geometric grid of prefix ratios and ``searchsorted`` the
-  threshold into it.  This rounds the kept ratio *up* to a grid point, which
-  is what a static-shape GPU kernel wants, at the cost of keeping slightly
-  more columns.
+  only at the fixed geometric grid :data:`PAPER_PREFIX_RATIOS` and
+  ``searchsorted`` the threshold into it.  This rounds the kept ratio *up*
+  to a grid point, which is what a static-shape GPU kernel wants, at the
+  cost of keeping slightly more columns.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def select_kv_indices(
     *,
     min_keep: int = 1,
     mode: str = "exact",
-    prefix_ratios: tuple[float, ...] = PAPER_PREFIX_RATIOS,
 ) -> FilterResult:
     """Select per-head top-k key indices covering an ``alpha`` share of mass.
 
@@ -124,9 +123,7 @@ def select_kv_indices(
             dtype=np.int64,
         )
     else:
-        ratios = np.asarray(prefix_ratios, dtype=np.float64)
-        if ratios.size == 0 or ratios[-1] < 1.0:
-            raise ConfigError("prefix_ratios must be non-empty and end at 1.0")
+        ratios = np.asarray(PAPER_PREFIX_RATIOS, dtype=np.float64)
         grid_k = np.maximum(1, np.ceil(ratios * s_k).astype(np.int64))
         grid_k = np.minimum(grid_k, s_k)
         k_per_head = np.empty(h, dtype=np.int64)

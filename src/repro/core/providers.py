@@ -59,7 +59,6 @@ __all__ = [
     "MInferenceProvider",
     "VerticalSlashProvider",
     "make_provider",
-    "plan_with_provider",
 ]
 
 #: MInference 1.0's per-head static pattern classes.
@@ -68,6 +67,16 @@ HEAD_PATTERNS = ("a_shape", "vertical_slash", "block")
 #: Float-equality slack when topping a selection up to ``alpha`` (matches
 #: stage 2's searchsorted guard).
 _ALPHA_EPS = 1e-9
+
+#: MInference's ``block`` class: block-aggregated selection may use at most
+#: this many times the columns a scattered top-k needs.
+BLOCK_SLACK = 1.5
+
+#: Vertical-slash difference-aware cut: the largest drop is searched in the
+#: top ``MAX_CUT_RATIO`` share of columns, and a slash band needs at least
+#: ``SLASH_MIN_MASS`` of a typical row's attention.
+MAX_CUT_RATIO = 0.5
+SLASH_MIN_MASS = 0.05
 
 
 @runtime_checkable
@@ -201,18 +210,13 @@ def _clip_bands(
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class SampleAttentionProvider:
     """Default provider: the paper's Algorithm-1 two-stage planner.
 
-    Thin stateless wrapper over :func:`~repro.core.plan_sample_attention`;
-    the ``selection_mode``/``reduction``/``detect_diagonals`` knobs of the
-    underlying planner are exposed as constructor options.
+    Thin stateless wrapper over :func:`~repro.core.plan_sample_attention`
+    at its defaults (exact stage-2 top-k, summed stage-1 columns, no
+    diagonal detection); the paper ablations call the planner directly.
     """
-
-    selection_mode: str = "exact"
-    reduction: str = "sum"
-    detect_diagonals: bool = False
 
     name = "sample"
 
@@ -225,16 +229,7 @@ class SampleAttentionProvider:
         scale: float | None = None,
         profiler: "StageProfiler | None" = None,
     ) -> SparsePlan:
-        plan = plan_sample_attention(
-            q,
-            k,
-            config,
-            scale=scale,
-            selection_mode=self.selection_mode,
-            reduction=self.reduction,
-            detect_diagonals=self.detect_diagonals,
-            profiler=profiler,
-        )
+        plan = plan_sample_attention(q, k, config, scale=scale, profiler=profiler)
         return replace(plan, extras={**plan.extras, "provider": self.name})
 
 
@@ -266,7 +261,7 @@ class MInferenceProvider:
       the relative-distance profile, so genuinely local heads classify
       correctly on ragged geometries);
     * ``block`` when block-aggregated column selection reaches ``alpha``
-      with at most ``block_slack`` times the columns a scattered top-k
+      with at most :data:`BLOCK_SLACK` times the columns a scattered top-k
       needs (the mass is tile-clustered);
     * ``vertical_slash`` otherwise (scattered verticals + profiled slash
       bands).
@@ -284,12 +279,7 @@ class MInferenceProvider:
 
     name = "minference"
 
-    def __init__(self, *, block_slack: float = 1.5) -> None:
-        if block_slack < 1.0:
-            raise ConfigError(
-                f"block_slack must be >= 1.0, got {block_slack!r}"
-            )
-        self.block_slack = float(block_slack)
+    def __init__(self) -> None:
         self._profiles: dict[tuple, _HeadGroupProfile] = {}
 
     # -- offline profile ---------------------------------------------------
@@ -348,7 +338,7 @@ class MInferenceProvider:
                     for b in border[:jb]
                 )
             )
-            if n_block_cols <= self.block_slack * max(n_exact, 1):
+            if n_block_cols <= BLOCK_SLACK * max(n_exact, 1):
                 patterns.append("block")
             else:
                 patterns.append("vertical_slash")
@@ -494,20 +484,6 @@ class VerticalSlashProvider:
 
     name = "vertical_slash"
 
-    def __init__(
-        self, *, max_cut_ratio: float = 0.5, min_mass: float = 0.05
-    ) -> None:
-        if not 0.0 < max_cut_ratio <= 1.0:
-            raise ConfigError(
-                f"max_cut_ratio must be in (0, 1], got {max_cut_ratio!r}"
-            )
-        if not 0.0 < min_mass <= 1.0:
-            raise ConfigError(
-                f"min_mass must be in (0, 1], got {min_mass!r}"
-            )
-        self.max_cut_ratio = float(max_cut_ratio)
-        self.min_mass = float(min_mass)
-
     def plan(
         self,
         q: np.ndarray,
@@ -530,11 +506,11 @@ class VerticalSlashProvider:
                 window=window,
                 r_row=config.r_row,
                 scale=scale,
-                min_mass=self.min_mass,
+                min_mass=SLASH_MIN_MASS,
             )
             kv_indices: list[np.ndarray] = []
             achieved = np.empty(h, dtype=np.float64)
-            cut_cap = max(1, int(np.ceil(self.max_cut_ratio * s_k)))
+            cut_cap = max(1, int(np.ceil(MAX_CUT_RATIO * s_k)))
             for hh in range(h):
                 order = np.argsort(-scores[hh], kind="stable")
                 sorted_mass = scores[hh][order]
@@ -590,23 +566,3 @@ def make_provider(name: str) -> PlanProvider:
         )
     return cls()
 
-
-def plan_with_provider(
-    q: np.ndarray,
-    k: np.ndarray,
-    config: SampleAttentionConfig = DEFAULT_CONFIG,
-    *,
-    scale: float | None = None,
-    profiler: "StageProfiler | None" = None,
-    provider: PlanProvider | None = None,
-) -> SparsePlan:
-    """Plan one attention call through ``config.provider``.
-
-    Convenience one-shot entry point: resolves the provider named by the
-    config (or uses the ``provider`` instance handed in, which wins) and
-    returns its plan.  Long-lived callers should hold their own instance
-    from :func:`make_provider` so stateful providers keep their offline
-    profiles across calls.
-    """
-    prov = provider if provider is not None else make_provider(config.provider)
-    return prov.plan(q, k, config, scale=scale, profiler=profiler)

@@ -64,7 +64,6 @@ def plan_sample_attention(
     *,
     scale: float | None = None,
     selection_mode: str = "exact",
-    reduction: str = "sum",
     detect_diagonals: bool = False,
     profiler: "StageProfiler | None" = None,
 ) -> SparsePlan:
@@ -79,8 +78,6 @@ def plan_sample_attention(
     selection_mode:
         ``"exact"`` or ``"quantized"`` stage-2 top-k (see
         :mod:`repro.core.filtering`).
-    reduction:
-        Stage-1 column reduction (``"sum"`` is the paper's choice).
     detect_diagonals:
         Also run the Appendix-A.6 diagonal detector and attach the found
         distance bands to ``plan.extras["bands"]``; the kernel covers
@@ -94,7 +91,7 @@ def plan_sample_attention(
     # Stage 1: query-guided attention sampling.
     with profiler.stage("sample") if profiler else nullcontext():
         rows = sampled_row_indices(s_q, config.r_row)
-        stats = sample_column_scores(q, k, rows, scale=scale, reduction=reduction)
+        stats = sample_column_scores(q, k, rows, scale=scale)
 
     # Stage 2: score-based key-value filtering.
     with profiler.stage("filter") if profiler else nullcontext():
@@ -137,18 +134,17 @@ def sample_attention(
     *,
     scale: float | None = None,
     plan: SparsePlan | None = None,
-    selection_mode: str = "exact",
-    reduction: str = "sum",
     workspace: KernelWorkspace | None = None,
     profiler: "StageProfiler | None" = None,
 ) -> SampleAttentionResult:
     """Adaptive structured sparse attention (paper Algorithm 1).
 
     Drop-in replacement for dense causal attention during prefill: plans the
-    head-specific window+stripe structure (unless a precomputed ``plan`` is
-    supplied) and executes it -- window, ``extras["bands"]`` and gathered
-    ``I_KV`` columns under one softmax, so cost is proportional to ``window
-    + |I_KV|`` per head.  A supplied ``plan`` must have been built (or
+    head-specific window+stripe structure through ``config.provider``
+    (unless a precomputed ``plan`` is supplied) and executes it -- window,
+    ``extras["bands"]`` and gathered ``I_KV`` columns under one softmax, so
+    cost is proportional to ``window + |I_KV|`` per head.  A supplied
+    ``plan`` must have been built (or
     :meth:`~repro.core.plan.SparsePlan.extended`) for this call's ``(S_q,
     S_k)``; a stale geometry is a :class:`~repro.errors.MaskError`.
 
@@ -174,26 +170,14 @@ def sample_attention(
     (2, 256, 16)
     """
     if plan is None:
-        if config.provider != "sample":
-            # Route one-shot planning through the configured provider.
-            # Long-lived callers (backends, the serving engine) hold their
-            # own provider instance so stateful providers keep their
-            # offline head profiles across calls.
-            from .providers import plan_with_provider
+        # One-shot planning through a fresh provider.  Long-lived callers
+        # (backends, the serving engine) hold their own instance so
+        # stateful providers keep their offline head profiles across calls.
+        from .providers import make_provider  # cycles at import time
 
-            plan = plan_with_provider(
-                q, k, config, scale=scale, profiler=profiler
-            )
-        else:
-            plan = plan_sample_attention(
-                q,
-                k,
-                config,
-                scale=scale,
-                selection_mode=selection_mode,
-                reduction=reduction,
-                profiler=profiler,
-            )
+        plan = make_provider(config.provider).plan(
+            q, k, config, scale=scale, profiler=profiler
+        )
     with profiler.stage("attend") if profiler else nullcontext():
         kernel = packed_block_sparse_attention(
             [PackedItem.from_plan(q, k, v, plan, scale=scale)],

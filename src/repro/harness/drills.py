@@ -631,7 +631,6 @@ def _crash_recovery_gate(model, seed: int, quick: bool) -> dict:
         scenario.serving_kwargs(),
         fault_injector=fleet_adversary(scenario.injector),
         n_workers=_FLEET_WORKERS,
-        max_redispatch=2,
         heartbeat_interval_s=0.02,
         restart_backoff_s=0.02,
         max_restarts=3,

@@ -18,14 +18,16 @@ engine enforces the phase restriction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..baselines.h2o import H2OPolicy
 from ..errors import ConfigError
 
 __all__ = ["EvictionPolicy", "HeavyHitterPolicy"]
+
+#: Share of a shrunk cache's keep budget spent on the most recent keys; the
+#: rest goes to the heaviest accumulated-mass keys.
+RECENT_FRACTION = 0.5
 
 
 class EvictionPolicy:
@@ -40,19 +42,12 @@ class EvictionPolicy:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class HeavyHitterPolicy(EvictionPolicy):
-    """Accumulated-attention heavy hitters + recency window (H2O)."""
+    """Accumulated-attention heavy hitters + recency window (H2O).
 
-    recent_fraction: float = 0.5
+    :data:`RECENT_FRACTION` of the keep budget goes to the newest keys."""
+
     name = "heavy_hitter"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.recent_fraction <= 1.0:
-            raise ConfigError(
-                f"recent_fraction must be in [0, 1], "
-                f"got {self.recent_fraction}"
-            )
 
     def select(self, cache, target_tokens: int) -> list[np.ndarray] | None:
         if target_tokens < 1:
@@ -64,5 +59,5 @@ class HeavyHitterPolicy(EvictionPolicy):
             return None
         scores = cache.attention_mass()
         return H2OPolicy(
-            budget=target_tokens, recent_fraction=self.recent_fraction
+            budget=target_tokens, recent_fraction=RECENT_FRACTION
         ).select(scores)

@@ -33,6 +33,9 @@ from .arena import KVArena
 
 __all__ = ["PrefixSharingRegistry", "prefix_block_keys"]
 
+#: Soft cap on distinct registered prefixes per registry.
+MAX_ENTRIES = 32
+
 
 def prefix_block_keys(tokens: np.ndarray, block_tokens: int) -> list[str]:
     """Chain hash per *full* block of ``tokens``.
@@ -92,19 +95,13 @@ class PrefixSharingRegistry:
     Parameters
     ----------
     arena:
-        The arena whose blocks the registry references.
-    max_entries:
-        Soft cap on distinct registered prefixes; registering beyond it
-        evicts the least-recently-used entry first.
+        The arena whose blocks the registry references.  At most
+        :data:`MAX_ENTRIES` distinct prefixes are registered; registering
+        beyond that evicts the least-recently-used entry first.
     """
 
-    def __init__(self, arena: KVArena, max_entries: int = 32) -> None:
-        if max_entries < 1:
-            raise ConfigError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
+    def __init__(self, arena: KVArena) -> None:
         self.arena = arena
-        self.max_entries = max_entries
         self._entries: dict[str, _Entry] = {}  # full-prefix key -> entry
         self._by_key: dict[str, tuple[_Entry, int]] = {}  # any prefix key
         self._clock = 0  # deterministic LRU stamp
@@ -180,7 +177,7 @@ class PrefixSharingRegistry:
         keys = prefix_block_keys(tokens[: n_full * bt], bt)
         if keys[-1] in self._entries:
             return 0
-        while len(self._entries) >= self.max_entries:
+        while len(self._entries) >= MAX_ENTRIES:
             self._drop_lru()
         per_layer = [list(c.block_ids[:n_full]) for c in caches]
         for layer_blocks in per_layer:

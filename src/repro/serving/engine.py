@@ -21,10 +21,10 @@ KV caches.  The serving mechanics are the ones a production engine needs:
   chunks, scheduled FCFS or round-robin by the same
   :class:`~repro.serving.scheduler.ChunkScheduler` the simulator uses;
 * **sparse-plan caching** -- stage-1/stage-2 planning reruns only every
-  ``replan_interval`` chunks per (request, layer) head group, with
-  staleness-bounded reuse in between -- except that a request's final
-  prefill chunk, whose rows produce the first token, always plans from
-  itself;
+  :data:`~repro.serving.plan_cache.REPLAN_INTERVAL` chunks per (request,
+  layer) head group, with staleness-bounded reuse in between -- except
+  that a request's final prefill chunk, whose rows produce the first
+  token, always plans from itself;
 * **graceful degradation** -- a per-request ladder *adaptive sparse ->
   widened sparse -> dense -> shed*: a plan that fails validation, reports
   CRA coverage below alpha (the runtime CRA guard), or whose kernel raises
@@ -141,6 +141,15 @@ _DECODE_CHUNK_TOKENS = 8
 #: the eviction ladder.
 _MEMORY_BREAKER_THRESHOLD = 4
 _MEMORY_BREAKER_COOLDOWN_CHUNKS = 8
+#: Retry budget per prefill chunk, for transient
+#: :class:`~repro.errors.FaultInjectionError` failures and for arena
+#: exhaustion.  KV caches are rolled back before each retry, and attempt
+#: ``a`` bills a backoff of ``RETRY_BACKOFF_S * 2**a`` to the virtual clock
+#: (times deterministic seeded jitter in ``[1, 1.5)`` for injected faults).
+#: A chunk still failing after the budget sheds the request (terminal,
+#: recorded as a ladder transition to ``"shed"``).
+MAX_RETRIES = 2
+RETRY_BACKOFF_S = 0.02
 
 
 class CircuitBreaker:
@@ -369,8 +378,6 @@ class ServingEngine:
     admission_policy:
         ``"reject"`` or ``"shed_oldest"`` under overload; shedding only
         evicts requests that have not started prefill.
-    replan_interval:
-        Plan-cache policy, see :class:`~repro.serving.plan_cache.PlanCache`.
     billing:
         ``"measured"`` advances the virtual clock by wall-clock seconds per
         chunk; ``"roofline"`` converts executed score-element counts via
@@ -395,16 +402,6 @@ class ServingEngine:
         ``"deadline_exceeded"``) *before* its next scheduling quantum; a
         quantum that finishes the request is always delivered.  ``None``
         disables deadlines.
-    max_retries:
-        Retry budget per prefill chunk for transient
-        :class:`~repro.errors.FaultInjectionError` failures; KV caches are
-        rolled back before each retry.  A chunk still failing after the
-        budget sheds the request (terminal, recorded as a ladder
-        transition to ``"shed"``).
-    retry_backoff_s:
-        Base of the exponential retry backoff billed to the virtual clock:
-        attempt ``a`` waits ``retry_backoff_s * 2**a * jitter`` with
-        deterministic seeded jitter in ``[1, 1.5)``.
     degrade_after:
         Consecutive runtime CRA-guard violations a request tolerates at
         one ladder rung before escalating to the next
@@ -451,15 +448,12 @@ class ServingEngine:
         scheduler: str = "fcfs",
         max_queue: int = 16,
         admission_policy: str = "reject",
-        replan_interval: int = 4,
         billing: str = "measured",
         length_scale: int = 1,
         seed: int = 0,
         prompt_builder=None,
         fault_injector: FaultInjector | None = None,
         deadline_s: float | None = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.02,
         degrade_after: int = 2,
         breaker_threshold: int = 4,
         breaker_cooldown_chunks: int = 8,
@@ -484,8 +478,6 @@ class ServingEngine:
             ("chunk_size", chunk_size, 1),
             ("length_scale", length_scale, 1),
             ("max_queue", max_queue, 1),
-            ("max_retries", max_retries, 0),
-            ("retry_backoff_s", retry_backoff_s, 0),
             ("degrade_after", degrade_after, 1),
             ("max_batch_requests", max_batch_requests, 1),
             ("block_tokens", block_tokens, 1),
@@ -528,11 +520,9 @@ class ServingEngine:
         self.length_scale = length_scale
         self.seed = seed
         self.prompt_builder = prompt_builder
-        self.plan_cache = PlanCache(replan_interval)
+        self.plan_cache = PlanCache()
         self.fault_injector = fault_injector
         self.deadline_s = deadline_s
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.degrade_after = degrade_after
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_chunks)
         self.batching = batching
@@ -685,7 +675,7 @@ class ServingEngine:
         assert self.memory_breaker is not None
         if self.memory_breaker.record_violation():
             registry.inc("memory_breaker_trips")
-        if mem_attempts > self.max_retries or not self._relieve_memory(job):
+        if mem_attempts > MAX_RETRIES or not self._relieve_memory(job):
             registry.inc("retry_exhausted")
             return False
         job.telemetry.retries += 1
@@ -1071,10 +1061,10 @@ class ServingEngine:
             if isinstance(att.error, ArenaExhaustedError):
                 if not self._relieve_exhaustion(job, mem_attempts):
                     return seconds, False
-                seconds += self.retry_backoff_s * (2.0**mem_attempts)
+                seconds += RETRY_BACKOFF_S * (2.0**mem_attempts)
                 mem_attempts += 1
             else:
-                if attempt >= self.max_retries:
+                if attempt >= MAX_RETRIES:
                     registry.inc("retry_exhausted")
                     return seconds, False
                 tm.retries += 1
@@ -1084,7 +1074,7 @@ class ServingEngine:
                     if inj is not None
                     else 1.0
                 )
-                seconds += self.retry_backoff_s * (2.0**attempt) * jitter
+                seconds += RETRY_BACKOFF_S * (2.0**attempt) * jitter
                 attempt += 1
             att = None
 

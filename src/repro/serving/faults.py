@@ -575,7 +575,6 @@ def chaos_scenario(seed: int = 0, *, quick: bool = True) -> ChaosScenario:
         chunk_size=96 if quick else 256,
         length_scale=32 if quick else 16,
         billing="roofline",
-        max_retries=2,
         degrade_after=2,
         breaker_threshold=3,
         breaker_cooldown_chunks=4,

@@ -20,10 +20,11 @@ that layer:
   exponential backoff).
 
 The robustness loop, concretely: a worker that crashes (detected at its
-virtual crash time) or goes silent past ``dead_misses`` heartbeats is
+virtual crash time) or goes silent past
+:data:`~repro.serving.supervisor.DEAD_MISSES` heartbeats is
 declared dead; its in-flight request is drained from the ledger, its
 epoch is bumped, and it is re-dispatched with its *remaining* deadline
-budget, at most ``max_redispatch`` extra times before the fleet sheds
+budget, at most :data:`MAX_REDISPATCH` extra times before the fleet sheds
 it.  A worker declared dead on lost heartbeats may actually be alive --
 its eventual completion arrives as a *zombie* and is fenced by the epoch
 check (``fleet_stale_completions_fenced``), which is what makes
@@ -64,6 +65,9 @@ __all__ = [
 #: Keyword arguments the fleet owns; passing them through to the worker
 #: engines would split one policy across two layers.
 _FLEET_OWNED_KWARGS = ("fault_injector", "deadline_s")
+
+#: Crash re-dispatches one request may take before the fleet sheds it.
+MAX_REDISPATCH = 2
 
 #: Inner-engine counters the fleet registry is authoritative for -- the
 #: front door, not the worker, decides admission-flow outcomes, so these
@@ -228,8 +232,8 @@ class FleetEngine:
     Parameters the fleet owns: ``max_queue``/``admission_policy`` bound
     the whole fleet (shrunk under brownout), ``deadline_s`` is measured
     from fleet arrival with the *remaining* budget handed to each
-    dispatch, ``max_redispatch`` bounds crash re-dispatches per request,
-    and the supervision knobs mirror
+    dispatch (at most :data:`MAX_REDISPATCH` crash re-dispatches per
+    request), and the supervision knobs mirror
     :class:`~repro.serving.supervisor.Supervisor`.  Every other keyword
     argument is forwarded verbatim to each worker's
     :class:`~repro.serving.engine.ServingEngine` -- all workers share one
@@ -250,14 +254,10 @@ class FleetEngine:
         n_workers: int = 3,
         routing_policy: str = "least_loaded",
         session_of=None,
-        brownout_factor: float = 0.5,
         max_queue: int = 16,
         admission_policy: str = "reject",
         deadline_s: float | None = None,
-        max_redispatch: int = 2,
         heartbeat_interval_s: float = 0.25,
-        suspect_misses: int = 2,
-        dead_misses: int = 4,
         restart_backoff_s: float = 0.25,
         max_restarts: int = 3,
         fault_injector: FaultInjector | None = None,
@@ -274,10 +274,6 @@ class FleetEngine:
             raise ConfigError(f"max_queue must be >= 1, got {max_queue}")
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigError(f"deadline_s must be > 0, got {deadline_s}")
-        if max_redispatch < 0:
-            raise ConfigError(
-                f"max_redispatch must be >= 0, got {max_redispatch}"
-            )
         for key in _FLEET_OWNED_KWARGS:
             if key in engine_kwargs:
                 raise ConfigError(
@@ -288,14 +284,10 @@ class FleetEngine:
         self.n_workers = n_workers
         self.routing_policy = routing_policy
         self.session_of = session_of
-        self.brownout_factor = brownout_factor
         self.max_queue = max_queue
         self.admission_policy = admission_policy
         self.deadline_s = deadline_s
-        self.max_redispatch = max_redispatch
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.suspect_misses = suspect_misses
-        self.dead_misses = dead_misses
         self.restart_backoff_s = restart_backoff_s
         self.max_restarts = max_restarts
         self.fault_injector = fault_injector
@@ -324,8 +316,6 @@ class FleetEngine:
         supervisor = Supervisor(
             self.n_workers,
             heartbeat_interval_s=self.heartbeat_interval_s,
-            suspect_misses=self.suspect_misses,
-            dead_misses=self.dead_misses,
             restart_backoff_s=self.restart_backoff_s,
             max_restarts=self.max_restarts,
         )
@@ -334,7 +324,6 @@ class FleetEngine:
             policy=self.routing_policy,
             block_tokens=self._block_tokens,
             session_of=self.session_of,
-            brownout_factor=self.brownout_factor,
         )
         workers = [
             _WorkerState(
@@ -453,7 +442,7 @@ class FleetEngine:
                 job = infl.job
                 job.epoch += 1
                 job.worker_id = None
-                if job.dispatches > self.max_redispatch:
+                if job.dispatches > MAX_REDISPATCH:
                     queue.remove(job)
                     finish_job(job, "shed", t)
                     registry.inc("fleet_redispatch_exhausted")

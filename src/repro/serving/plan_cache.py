@@ -9,7 +9,7 @@ matter, how wide the window is) drift slowly.
 
 The cache exploits that: a plan computed at chunk ``c`` for one
 ``(request, layer)`` head group is reused -- re-geometried via
-:meth:`~repro.core.plan.SparsePlan.extended` -- until ``replan_interval``
+:meth:`~repro.core.plan.SparsePlan.extended` -- until :data:`REPLAN_INTERVAL`
 chunks have passed.  A request's *final*
 prefill chunk is the exception: it produces the first token, and the keys
 appended since the last replan are reachable only through its window, so
@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from ..core.plan import SparsePlan
 from ..errors import ConfigError
 
-__all__ = ["PlanCacheStats", "CachedPlan", "PlanCache"]
+__all__ = ["REPLAN_INTERVAL", "PlanCacheStats", "CachedPlan", "PlanCache"]
+
+#: Re-plan after this many chunks: a lookup at ``chunk_index >=
+#: planned_at_chunk + REPLAN_INTERVAL`` misses.  A constant rather than a
+#: knob: measuring reuse per chunk cannot decide it (docs/PERFORMANCE.md,
+#: *Reuse cannot be earned by a coverage check*); tests reach other
+#: staleness regimes by patching it.
+REPLAN_INTERVAL = 4
 
 
 @dataclass
@@ -35,8 +42,9 @@ class PlanCacheStats:
     """Monotone counters describing cache behaviour over a run.
 
     ``hits`` are lookups served from a cached plan (possibly re-geometried);
-    ``misses`` are lookups the caller must replan for (absent entry, replan
-    interval reached, or invalid entry);
+    ``misses`` are lookups the caller must replan for (absent entry,
+    :data:`REPLAN_INTERVAL` reached, invalid entry, or a final-chunk
+    ``fresh`` lookup declining an older plan);
     ``invalid`` counts the subset of misses caused by validation failure.
     """
 
@@ -81,23 +89,11 @@ class PlanCache:
     only through the local window -- so the engine asks for its final
     prefill chunk's plan with ``get(..., fresh=True)`` and that chunk
     always plans from its own rows (an ordinary miss; a retry of the same
-    chunk hits the plan it just stored).
-
-    Parameters
-    ----------
-    replan_interval:
-        Re-plan after this many chunks; ``1`` disables reuse entirely (every
-        chunk replans), larger values trade plan freshness for planning
-        cost.  Lookups at ``chunk_index >= planned_at_chunk +
-        replan_interval`` miss.
+    chunk hits the plan it just stored).  Any other entry is reused for
+    :data:`REPLAN_INTERVAL` chunks.
     """
 
-    def __init__(self, replan_interval: int = 4) -> None:
-        if replan_interval < 1:
-            raise ConfigError(
-                f"replan_interval must be >= 1, got {replan_interval}"
-            )
-        self.replan_interval = replan_interval
+    def __init__(self) -> None:
         self.stats = PlanCacheStats()
         self._entries: dict[tuple[int, int], CachedPlan] = {}
 
@@ -131,7 +127,7 @@ class PlanCache:
             self.stats.misses += 1
             return None
         age = chunk_index - entry.planned_at_chunk
-        if age >= self.replan_interval:
+        if age >= REPLAN_INTERVAL:
             self.stats.misses += 1
             return None
         try:

@@ -6,7 +6,7 @@ its *own* ladder, one level up: :data:`FLEET_RUNGS` ``normal -> reroute ->
 brownout -> shed``, driven by aggregate worker availability rather than
 CRA violations.  ``reroute`` is routing-around-the-sick (any non-healthy
 worker exists, capacity intact); ``brownout`` shrinks the admission
-queue's capacity to ``brownout_factor`` of its configured bound (half the
+queue's capacity to :data:`BROWNOUT_FACTOR` of its configured bound (half the
 fleet or more is unavailable -- stop promising service we cannot give);
 ``shed`` is the terminal rung once every worker has exhausted its restart
 budget.
@@ -44,6 +44,10 @@ ROUTING_POLICIES = ("least_loaded", "prefix_affinity", "sticky")
 #: The fleet-level degradation ladder, least degraded first.
 FLEET_RUNGS = ("normal", "reroute", "brownout", "shed")
 
+#: Fraction of the configured admission capacity kept during brownout
+#: (floored at 1).
+BROWNOUT_FACTOR = 0.5
+
 
 class Router:
     """Pick a worker for each request; track the fleet-level rung.
@@ -61,9 +65,6 @@ class Router:
     session_of:
         Session-key extractor for ``sticky`` (default: the request id --
         every request its own session, which still pins re-dispatches).
-    brownout_factor:
-        Fraction of the configured admission capacity kept during
-        brownout (floored at 1).
     """
 
     def __init__(
@@ -73,7 +74,6 @@ class Router:
         policy: str = "least_loaded",
         block_tokens: int = 32,
         session_of: Callable[[Request], object] | None = None,
-        brownout_factor: float = 0.5,
     ) -> None:
         if n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
@@ -84,15 +84,10 @@ class Router:
             )
         if block_tokens < 1:
             raise ConfigError(f"block_tokens must be >= 1, got {block_tokens}")
-        if not 0.0 < brownout_factor <= 1.0:
-            raise ConfigError(
-                f"brownout_factor must lie in (0, 1], got {brownout_factor}"
-            )
         self.n_workers = n_workers
         self.policy = policy
         self.block_tokens = block_tokens
         self.session_of = session_of or (lambda r: r.request_id)
-        self.brownout_factor = float(brownout_factor)
         self.rung = "normal"
         self.rung_transitions: list[dict] = []
         self._affinity: dict[object, int] = {}  # sticky session -> worker
@@ -193,7 +188,7 @@ class Router:
         if self.rung == "shed":
             return 0
         if self.rung == "brownout":
-            return max(1, int(base_capacity * self.brownout_factor))
+            return max(1, int(base_capacity * BROWNOUT_FACTOR))
         return base_capacity
 
     def stats(self) -> dict:

@@ -6,9 +6,10 @@ authority, deliberately separated from dispatch so its state machine can
 be tested without running any attention:
 
 * **health states** -- :data:`HEALTH_STATES`: ``healthy -> suspect ->
-  dead``, driven by virtual-clock heartbeats.  ``suspect_misses``
+  dead``, driven by virtual-clock heartbeats.  :data:`SUSPECT_MISSES`
   consecutive missed beats demote a worker to suspect (still routable in
-  principle, but the router avoids it); ``dead_misses`` declare it dead.
+  principle, but the router avoids it); :data:`DEAD_MISSES` declare it
+  dead.
   A single received beat fully rehabilitates a suspect.
 * **death** -- declared either by the heartbeat state machine (a stall or
   an injected loss episode: the worker may actually be alive, which is
@@ -34,6 +35,11 @@ __all__ = ["HEALTH_STATES", "WorkerHealth", "Supervisor"]
 
 #: Worker health ladder, most alive first.
 HEALTH_STATES = ("healthy", "suspect", "dead")
+
+#: Consecutive missed heartbeats before ``healthy -> suspect`` and before
+#: ``-> dead`` respectively.
+SUSPECT_MISSES = 2
+DEAD_MISSES = 4
 
 
 @dataclass
@@ -80,9 +86,6 @@ class Supervisor:
     heartbeat_interval_s:
         Virtual-clock spacing of heartbeat sweeps (the fleet drives the
         sweeps; the supervisor only judges their outcomes).
-    suspect_misses, dead_misses:
-        Consecutive missed beats before ``healthy -> suspect`` and before
-        ``-> dead`` respectively (``suspect_misses < dead_misses``).
     restart_backoff_s:
         Base of the exponential restart backoff: the ``k``-th restart of
         one worker waits ``restart_backoff_s * 2**k``.
@@ -96,8 +99,6 @@ class Supervisor:
         n_workers: int,
         *,
         heartbeat_interval_s: float = 0.25,
-        suspect_misses: int = 2,
-        dead_misses: int = 4,
         restart_backoff_s: float = 0.25,
         max_restarts: int = 3,
     ) -> None:
@@ -107,15 +108,6 @@ class Supervisor:
             raise ConfigError(
                 f"heartbeat_interval_s must be > 0, got {heartbeat_interval_s}"
             )
-        if suspect_misses < 1:
-            raise ConfigError(
-                f"suspect_misses must be >= 1, got {suspect_misses}"
-            )
-        if dead_misses <= suspect_misses:
-            raise ConfigError(
-                f"dead_misses ({dead_misses}) must exceed suspect_misses "
-                f"({suspect_misses})"
-            )
         if restart_backoff_s < 0:
             raise ConfigError(
                 f"restart_backoff_s must be >= 0, got {restart_backoff_s}"
@@ -123,8 +115,6 @@ class Supervisor:
         if max_restarts < 0:
             raise ConfigError(f"max_restarts must be >= 0, got {max_restarts}")
         self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.suspect_misses = suspect_misses
-        self.dead_misses = dead_misses
         self.restart_backoff_s = float(restart_backoff_s)
         self.max_restarts = max_restarts
         self.workers = [WorkerHealth(i) for i in range(n_workers)]
@@ -149,9 +139,9 @@ class Supervisor:
         if w.state == "dead" or w.stopped:
             return w.state
         w.missed += 1
-        if w.missed >= self.dead_misses:
+        if w.missed >= DEAD_MISSES:
             self._die(w, now, "heartbeat_timeout")
-        elif w.missed >= self.suspect_misses and w.state == "healthy":
+        elif w.missed >= SUSPECT_MISSES and w.state == "healthy":
             w._move("suspect", now, "missed_heartbeats")
         return w.state
 

@@ -130,9 +130,3 @@ class TestValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             select_kv_indices(np.ones((1, 5)), 0.5, mode="fuzzy")
-
-    def test_rejects_bad_prefix_grid(self):
-        with pytest.raises(ConfigError):
-            select_kv_indices(
-                np.ones((1, 5)), 0.5, mode="quantized", prefix_ratios=(0.5,)
-            )

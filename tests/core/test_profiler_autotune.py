@@ -1,16 +1,11 @@
-"""Tests for offline profiling (Table 1) and runtime autotuning (App. A.6)."""
+"""Tests for offline hyperparameter profiling (Table 1)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import layer_qkv
-from repro.core import (
-    AutotunedSampleAttentionBackend,
-    profile_hyperparameters,
-)
-from repro.errors import ConfigError, ProfilingError
+from repro.core import profile_hyperparameters
+from repro.errors import ProfilingError
 from repro.tasks import make_needle_case
-from tests.conftest import random_qkv
 
 
 @pytest.fixture(scope="module")
@@ -80,83 +75,4 @@ class TestProfiler:
         )
         rows = report.summary_rows()
         assert all(len(r) == 4 for r in rows)
-
-
-class TestAutotune:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            AutotunedSampleAttentionBackend(density_budget=0.0)
-        with pytest.raises(ConfigError):
-            AutotunedSampleAttentionBackend(alpha_min=0.9, alpha_max=0.5)
-
-    def test_tuned_alpha_respects_budget(self, glm_mini):
-        case = make_needle_case(768, 0.5, rng=np.random.default_rng(3))
-        q, k, _, scale = layer_qkv(glm_mini, case.prompt)[1]
-
-        tight = AutotunedSampleAttentionBackend(density_budget=0.25)
-        loose = AutotunedSampleAttentionBackend(density_budget=0.9)
-        a_tight = tight.tune(q, k, scale=scale)
-        a_loose = loose.tune(q, k, scale=scale)
-        assert a_tight <= a_loose
-        assert a_loose == loose.alpha_max  # generous budget -> max accuracy
-
-    def test_floor_used_when_budget_unreachable(self, rng):
-        q, k, _ = random_qkv(rng, h=2, s=128, d=16)
-        be = AutotunedSampleAttentionBackend(density_budget=0.01)
-        assert be.tune(q, k) == be.alpha_min
-
-    def test_prefill_records_tuned_alpha(self, glm_mini):
-        case = make_needle_case(640, 0.5, rng=np.random.default_rng(4))
-        res = glm_mini.generate(
-            case.prompt,
-            len(case.answer),
-            backend=AutotunedSampleAttentionBackend(density_budget=0.5),
-        )
-        stats = res.backend_stats[0]
-        assert "tuned_alpha" in stats
-        assert 0.5 <= stats["tuned_alpha"] <= 0.99
-
-    def test_autotuned_retrieval_accuracy(self, glm_mini):
-        """With a reasonable budget the autotuner stays near-lossless."""
-        case = make_needle_case(768, 0.4, rng=np.random.default_rng(5))
-        res = glm_mini.generate(
-            case.prompt,
-            len(case.answer),
-            backend=AutotunedSampleAttentionBackend(density_budget=0.5),
-        )
-        assert res.tokens == list(case.answer)
-
-
-class TestAlphaMemo:
-    def test_repeated_shape_bisects_once(self, rng):
-        q, k, _ = random_qkv(rng, h=2, s=128, d=16)
-        be = AutotunedSampleAttentionBackend(density_budget=0.4, memo_size=8)
-        a1 = be._tuned_alpha_for(q, k, None)
-        a2 = be._tuned_alpha_for(q, k, None)
-        assert a1 == a2
-        assert be.tune_calls == 1
-
-    def test_memo_disabled_retunes_every_call(self, rng):
-        q, k, _ = random_qkv(rng, h=2, s=128, d=16)
-        be = AutotunedSampleAttentionBackend(density_budget=0.4, memo_size=0)
-        be._tuned_alpha_for(q, k, None)
-        be._tuned_alpha_for(q, k, None)
-        assert be.tune_calls == 2
-
-    def test_memo_is_bounded_lru(self, rng):
-        be = AutotunedSampleAttentionBackend(density_budget=0.4, memo_size=2)
-        shapes = [96, 128, 160]
-        for s in shapes:
-            q, k, _ = random_qkv(rng, h=2, s=s, d=16)
-            be._tuned_alpha_for(q, k, None)
-        assert be.tune_calls == 3
-        assert len(be._memo) == 2
-        # Oldest shape (96) was evicted: re-tuning it misses the memo.
-        q, k, _ = random_qkv(rng, h=2, s=96, d=16)
-        be._tuned_alpha_for(q, k, None)
-        assert be.tune_calls == 4
-
-    def test_negative_memo_size_rejected(self):
-        with pytest.raises(ConfigError):
-            AutotunedSampleAttentionBackend(memo_size=-1)
 

@@ -22,9 +22,9 @@ from repro.core import (
     VerticalSlashProvider,
     make_provider,
     plan_sample_attention,
-    plan_with_provider,
     sample_attention,
 )
+from repro.core import providers
 from repro.errors import ConfigError
 from tests.core.test_sample_attention import structured_qkv
 
@@ -146,9 +146,10 @@ class TestVerticalSlashProvider:
         assert bands, "planted diagonal not detected"
         assert any(lo <= 64 < hi for lo, hi in bands)
 
-    def test_difference_cut_bounded(self, rng):
+    def test_difference_cut_bounded(self, rng, monkeypatch):
         q, k, _ = structured_qkv(rng)
-        provider = VerticalSlashProvider(max_cut_ratio=0.25)
+        monkeypatch.setattr(providers, "MAX_CUT_RATIO", 0.25)
+        provider = VerticalSlashProvider()
         # Tiny alpha: the difference cut alone covers it, so no top-up
         # inflates the selection past the cap.
         plan = provider.plan(q, k, CFG.replace(alpha=1e-6, min_keep=0))
@@ -157,11 +158,13 @@ class TestVerticalSlashProvider:
 
 
 class TestConfigRouting:
-    def test_plan_with_provider_resolves_config(self, rng):
-        q, k, _ = structured_qkv(rng)
-        cfg = CFG.replace(provider="vertical_slash")
-        plan = plan_with_provider(q, k, cfg)
-        assert plan.extras["provider"] == "vertical_slash"
+    def test_sample_attention_plans_via_the_sample_provider(self, rng):
+        q, k, v = structured_qkv(rng)
+        out = sample_attention(q, k, v, CFG)
+        assert out.plan.extras["provider"] == "sample"
+        direct = plan_sample_attention(q, k, CFG)
+        for got, want in zip(out.plan.kv_indices, direct.kv_indices):
+            assert np.array_equal(got, want)
 
     def test_sample_attention_plans_via_config_provider(self, rng):
         q, k, v = structured_qkv(rng)

@@ -28,7 +28,7 @@ class TestHeavyHitter:
         probs[:, 0, 5] = 8.0
         cache.record_attention(probs)
         cache.commit_attention()
-        keep = HeavyHitterPolicy(recent_fraction=0.5).select(cache, 4)
+        keep = HeavyHitterPolicy().select(cache, 4)
         assert keep is not None
         for ix in keep:
             assert len(ix) == 4
@@ -44,10 +44,6 @@ class TestHeavyHitter:
         _, cache = filled_cache(8)
         with pytest.raises(ConfigError):
             HeavyHitterPolicy().select(cache, 0)
-
-    def test_rejects_bad_recent_fraction(self):
-        with pytest.raises(ConfigError):
-            HeavyHitterPolicy(recent_fraction=1.5)
 
     def test_selection_feeds_evict(self):
         arena, cache = filled_cache(4 * BT)

@@ -10,13 +10,14 @@ from repro.memory import (
     PrefixSharingRegistry,
     prefix_block_keys,
 )
+from repro.memory import sharing
 
 H, D, BT = 2, 8, 4
 
 
-def make_registry(n_blocks=64, **kw):
+def make_registry(n_blocks=64):
     arena = KVArena(n_blocks, H, BT, D)
-    return arena, PrefixSharingRegistry(arena, **kw)
+    return arena, PrefixSharingRegistry(arena)
 
 
 def filled_caches(arena, tokens, n_layers=2, seed=0):
@@ -133,8 +134,9 @@ class TestLifetime:
 
 
 class TestShrink:
-    def test_lru_eviction_on_capacity(self):
-        arena, reg = make_registry(max_entries=2)
+    def test_lru_eviction_on_capacity(self, monkeypatch):
+        monkeypatch.setattr(sharing, "MAX_ENTRIES", 2)
+        arena, reg = make_registry()
         tok = [
             np.arange(BT, dtype=np.int64) + 100 * i for i in range(3)
         ]
@@ -144,8 +146,9 @@ class TestShrink:
         assert reg.lookup(tok[0]) is None  # oldest dropped
         assert reg.lookup(tok[2]) is not None
 
-    def test_lookup_refreshes_lru_stamp(self):
-        arena, reg = make_registry(max_entries=2)
+    def test_lookup_refreshes_lru_stamp(self, monkeypatch):
+        monkeypatch.setattr(sharing, "MAX_ENTRIES", 2)
+        arena, reg = make_registry()
         tok = [
             np.arange(BT, dtype=np.int64) + 100 * i for i in range(3)
         ]
@@ -184,7 +187,7 @@ class TestShrink:
         # Dropping B must re-point that key at the still-registered A,
         # not orphan it -- otherwise requests sharing only the common
         # first block lose sharing even though A still holds the refs.
-        arena, reg = make_registry(max_entries=8)
+        arena, reg = make_registry()
         common = np.arange(BT, dtype=np.int64)
         a = np.concatenate([common, 100 + np.arange(BT, dtype=np.int64)])
         b = np.concatenate([common, 200 + np.arange(BT, dtype=np.int64)])
@@ -201,11 +204,6 @@ class TestShrink:
         assert found is not None
         blocks, positions = found
         assert len(blocks[0]) == 1 and positions.size == BT
-
-    def test_rejects_bad_max_entries(self):
-        arena = KVArena(4, H, BT, D)
-        with pytest.raises(ConfigError):
-            PrefixSharingRegistry(arena, max_entries=0)
 
 
 class TestStats:

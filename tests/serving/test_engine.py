@@ -17,6 +17,7 @@ from repro.serving import (
     ServingSimulator,
     poisson_workload,
 )
+from repro.serving import plan_cache
 
 
 def burst(n=3, prompt_len=16384, gap=0.0, decode_tokens=2):
@@ -45,7 +46,6 @@ class TestConfigValidation:
             {"scheduler": "magic"},
             {"admission_policy": "drop_all"},
             {"max_queue": 0},
-            {"replan_interval": 0},
         ):
             with pytest.raises(ConfigError):
                 ServingEngine(glm_mini, **kw)
@@ -66,14 +66,15 @@ class TestExecution:
     def test_plan_cache_amortises_planning(self, glm_mini):
         # 8 chunks: planned at 0 and 4, and the final chunk always plans
         # from its own rows -> 5 hits in 8 lookups per layer.
-        engine = make_engine(glm_mini, replan_interval=4, chunk_size=32)
+        engine = make_engine(glm_mini, chunk_size=32)
         summ = engine.run(burst(n=2)).summary()
         assert summ["plan_cache_hit_rate"] == 5 / 8
         assert summ["plan_fallbacks"] == 0
         assert 0.0 < summ["mean_kept_kv_ratio"] < 1.0
 
-    def test_replan_interval_one_never_hits(self, glm_mini):
-        engine = make_engine(glm_mini, replan_interval=1)
+    def test_replan_interval_one_never_hits(self, glm_mini, monkeypatch):
+        monkeypatch.setattr(plan_cache, "REPLAN_INTERVAL", 1)
+        engine = make_engine(glm_mini)
         summ = engine.run(burst(n=1)).summary()
         assert summ["plan_cache_hit_rate"] == 0.0
 
@@ -228,11 +229,11 @@ class TestDenseIsAnItemOnThePackedKernel:
         # at degrade_after=1, the ladder walks sparse -> widened -> dense
         # (the final chunk runs on the dense rung; the breaker stays shut).
         _corrupt_every_plan(monkeypatch, window=lambda plan: 0)
+        monkeypatch.setattr(plan_cache, "REPLAN_INTERVAL", 1)
         engine = make_engine(
             glm_mini,
             method="sample",
             degrade_after=1,
-            replan_interval=1,
             breaker_threshold=10**6,
         )
         res = engine.run(burst(n=1, prompt_len=self.PROMPT_LEN, decode_tokens=3))
@@ -265,12 +266,12 @@ class TestDenseIsAnItemOnThePackedKernel:
                 raise
 
         monkeypatch.setattr(engine_mod, "packed_block_sparse_attention", spy)
+        monkeypatch.setattr(plan_cache, "REPLAN_INTERVAL", 1)
         engine = make_engine(
             glm_mini,
             method="sample",
             batching="packed",
             scheduler="round_robin",
-            replan_interval=1,
             degrade_after=10**6,  # stay on the sparse rung ...
             breaker_threshold=10**6,  # ... with the breaker closed
         )

@@ -29,6 +29,7 @@ from repro.serving import (
     corrupt_plan,
     inject_admission_burst,
 )
+from repro.serving import engine as engine_module
 
 
 def burst(n=2, prompt_len=16384, gap=0.0, decode_tokens=2):
@@ -286,7 +287,6 @@ class TestChaosRuns:
             "p_straggler": 0.3,
         })
         kw.setdefault("fault_injector", inj)
-        kw.setdefault("max_retries", 2)
         kw.setdefault("degrade_after", 2)
         kw.setdefault("breaker_threshold", 3)
         kw.setdefault("breaker_cooldown_chunks", 4)
@@ -320,7 +320,7 @@ class TestChaosRuns:
 
     def test_transient_faults_recovered_by_retry(self, glm_mini):
         inj = FaultInjector(3, p_attend_fault=1.0, max_transient_failures=2)
-        engine = make_engine(glm_mini, fault_injector=inj, max_retries=2)
+        engine = make_engine(glm_mini, fault_injector=inj)
         result = engine.run(burst(n=1))
         tm = result.requests[0]
         assert tm.outcome == "completed"
@@ -328,9 +328,10 @@ class TestChaosRuns:
         summ = result.summary()
         assert summ["chunk_retries"] == tm.retries
 
-    def test_retry_exhaustion_sheds_request(self, glm_mini):
+    def test_retry_exhaustion_sheds_request(self, glm_mini, monkeypatch):
         inj = FaultInjector(3, p_attend_fault=1.0, max_transient_failures=3)
-        engine = make_engine(glm_mini, fault_injector=inj, max_retries=0)
+        monkeypatch.setattr(engine_module, "MAX_RETRIES", 0)
+        engine = make_engine(glm_mini, fault_injector=inj)
         result = engine.run(burst(n=1))
         tm = result.requests[0]
         assert tm.outcome == "shed"
@@ -339,13 +340,13 @@ class TestChaosRuns:
         assert tm.transitions[-1]["reason"] == "retry_exhausted"
         assert check_recovery_invariants(result) == []
 
-    def test_backoff_billed_to_virtual_clock(self, glm_mini):
+    def test_backoff_billed_to_virtual_clock(self, glm_mini, monkeypatch):
         reqs = burst(n=1)
         inj = FaultInjector(3, p_attend_fault=1.0, max_transient_failures=1)
-        slow = make_engine(glm_mini, fault_injector=inj, max_retries=1,
-                           retry_backoff_s=0.5).run(reqs)
-        fast = make_engine(glm_mini, fault_injector=inj, max_retries=1,
-                           retry_backoff_s=0.0).run(reqs)
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF_S", 0.5)
+        slow = make_engine(glm_mini, fault_injector=inj).run(reqs)
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF_S", 0.0)
+        fast = make_engine(glm_mini, fault_injector=inj).run(reqs)
         assert slow.requests[0].retries == fast.requests[0].retries > 0
         assert slow.requests[0].finish > fast.requests[0].finish + 0.4
 

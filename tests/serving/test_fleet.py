@@ -26,6 +26,8 @@ from repro.serving import (
     Supervisor,
     check_recovery_invariants,
 )
+from repro.serving import fleet as fleet_module
+from repro.serving import supervisor as supervisor_module
 
 # --------------------------------------------------------------- helpers
 
@@ -59,7 +61,7 @@ def result_digest(result):
 
 class TestSupervisor:
     def test_health_ladder_and_rehabilitation(self):
-        sup = Supervisor(1, suspect_misses=2, dead_misses=4)
+        sup = Supervisor(1)
         w = sup.workers[0]
         assert HEALTH_STATES == ("healthy", "suspect", "dead")
         assert sup.miss(0, 1.0) == "healthy"  # one miss tolerated
@@ -74,7 +76,7 @@ class TestSupervisor:
         ]
 
     def test_miss_on_dead_worker_is_inert(self):
-        sup = Supervisor(1, dead_misses=3)
+        sup = Supervisor(1)
         sup.declare_dead(0, 1.0, "crash")
         assert sup.miss(0, 2.0) == "dead"
         assert sup.deaths == 1  # no double-count
@@ -97,8 +99,9 @@ class TestSupervisor:
         sup.stop(0, 5.0)  # idempotent
         assert sup.stats()["n_stopped"] == 1
 
-    def test_availability_counts(self):
-        sup = Supervisor(3, suspect_misses=1, dead_misses=2)
+    def test_availability_counts(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "SUSPECT_MISSES", 1)
+        sup = Supervisor(3)
         assert sup.n_available() == sup.n_live() == 3
         sup.miss(0, 1.0)  # suspect: not available, still live
         assert sup.n_available() == 2 and sup.n_live() == 3
@@ -110,8 +113,6 @@ class TestSupervisor:
     def test_rejects_bad_config(self):
         for kw in (
             {"heartbeat_interval_s": 0.0},
-            {"suspect_misses": 0},
-            {"suspect_misses": 3, "dead_misses": 3},
             {"restart_backoff_s": -1.0},
             {"max_restarts": -1},
         ):
@@ -159,7 +160,7 @@ class TestRouter:
         assert r.affinity_hits == 2 and r.affinity_fallbacks == 1
 
     def test_rung_ladder_and_admission_capacity(self):
-        r = Router(4, brownout_factor=0.5)
+        r = Router(4)
         assert FLEET_RUNGS == ("normal", "reroute", "brownout", "shed")
         assert r.update_rung(4, 4, 0.0) == "normal"
         assert r.admission_capacity(10) == 10
@@ -181,8 +182,6 @@ class TestRouter:
             Router(2, policy="round_robin")
         with pytest.raises(ConfigError):
             Router(2, block_tokens=0)
-        with pytest.raises(ConfigError):
-            Router(2, brownout_factor=0.0)
         with pytest.raises(ConfigError):
             Router(2).route(Request(0, 0.0, 64, 1), [0.0])
 
@@ -235,10 +234,11 @@ class TestFleetServing:
         assert result.fleet["supervisor"]["restarts"] >= 1
         assert check_recovery_invariants(result) == []
 
-    def test_redispatch_budget_exhaustion_sheds(self, glm_mini):
+    def test_redispatch_budget_exhaustion_sheds(self, glm_mini, monkeypatch):
         inj = FaultInjector(0, p_worker_crash=1.0)  # every execution dies
+        monkeypatch.setattr(fleet_module, "MAX_REDISPATCH", 0)
         fleet = make_fleet(
-            glm_mini, n_workers=2, fault_injector=inj, max_redispatch=0,
+            glm_mini, n_workers=2, fault_injector=inj,
             heartbeat_interval_s=0.02, restart_backoff_s=0.02,
         )
         result = fleet.run(burst(4))
@@ -246,10 +246,11 @@ class TestFleetServing:
         assert result.telemetry.counter("fleet_redispatch_exhausted") >= 1
         assert check_recovery_invariants(result) == []
 
-    def test_fleet_collapse_stops_workers_and_sheds(self, glm_mini):
+    def test_fleet_collapse_stops_workers_and_sheds(self, glm_mini, monkeypatch):
         inj = FaultInjector(0, p_worker_crash=1.0)
+        monkeypatch.setattr(fleet_module, "MAX_REDISPATCH", 5)
         fleet = make_fleet(
-            glm_mini, fault_injector=inj, max_restarts=0, max_redispatch=5,
+            glm_mini, fault_injector=inj, max_restarts=0,
             heartbeat_interval_s=0.02,
         )
         result = fleet.run(burst(8))
@@ -261,14 +262,16 @@ class TestFleetServing:
         assert result.fleet["supervisor"]["n_stopped"] == 3
         assert check_recovery_invariants(result) == []
 
-    def test_stall_death_fences_zombie_completions(self, glm_mini):
+    def test_stall_death_fences_zombie_completions(self, glm_mini, monkeypatch):
         inj = FaultInjector(
             3, p_worker_stall=0.5, worker_stall_multiplier=50000.0
         )
+        monkeypatch.setattr(fleet_module, "MAX_REDISPATCH", 4)
+        monkeypatch.setattr(supervisor_module, "SUSPECT_MISSES", 1)
+        monkeypatch.setattr(supervisor_module, "DEAD_MISSES", 2)
         fleet = make_fleet(
-            glm_mini, fault_injector=inj, max_redispatch=4,
-            heartbeat_interval_s=0.001, suspect_misses=1, dead_misses=2,
-            restart_backoff_s=0.001,
+            glm_mini, fault_injector=inj,
+            heartbeat_interval_s=0.001, restart_backoff_s=0.001,
         )
         reqs = burst(8, gap=0.002)
         result = fleet.run(reqs)
@@ -371,7 +374,6 @@ class TestFleetConfig:
             {"routing_policy": "round_robin"},
             {"max_queue": 0},
             {"deadline_s": 0.0},
-            {"max_redispatch": -1},
         ):
             with pytest.raises(ConfigError):
                 FleetEngine(glm_mini, **kw)

@@ -305,7 +305,7 @@ class TestPackedFaultParity:
 class TestFinalChunkPlansFromItsOwnRows:
     """The chunk that produces the first token never inherits stripes.
 
-    With ``replan_interval=4`` a reused plan's stripes were chosen up to
+    With ``REPLAN_INTERVAL = 4`` a reused plan's stripes were chosen up to
     three chunks earlier, so a needle between the last replanned chunk and
     the final window -- and, at 3K, first-half needles the stale stripe set
     dropped -- was lost.  The final chunk now plans from its own rows.
@@ -351,7 +351,7 @@ class TestFinalChunkPlansFromItsOwnRows:
         rng = np.random.default_rng(0)
         q = rng.standard_normal((2, 8, 4), dtype=np.float32)
         k = rng.standard_normal((2, 24, 4), dtype=np.float32)
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         cache.put(0, 0, plan_sample_attention(q, k[:, :16], DEFAULT_CONFIG),
                   chunk_index=1)
         at = dict(s_q=8, s_k=24)

@@ -9,6 +9,7 @@ from repro.config import SampleAttentionConfig
 from repro.core import plan_sample_attention, sample_attention
 from repro.errors import ConfigError
 from repro.serving import PlanCache
+from repro.serving.plan_cache import REPLAN_INTERVAL
 
 CFG = SampleAttentionConfig(alpha=0.95, r_row=0.1, r_window=0.1, block_size=16)
 
@@ -82,7 +83,7 @@ class TestPlanReuseBoundaries:
         assert all(ix.size <= 8 for ix in plan0.kv_indices)
         assert plan0.validate()
 
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         cache.put(0, 0, plan0, chunk_index=0)
         got = cache.get(0, 0, chunk_index=1, s_q=56, s_k=64)
         assert got is not None, "small-prefix plan spuriously invalidated"
@@ -148,12 +149,8 @@ class TestPlanReuseBoundaries:
 
 
 class TestPlanCache:
-    def test_rejects_bad_config(self):
-        with pytest.raises(ConfigError):
-            PlanCache(0)
-
     def test_miss_then_hit(self, plan):
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         assert cache.get(0, 0, chunk_index=0, s_q=plan.s_q, s_k=plan.s_k) is None
         cache.put(0, 0, plan, chunk_index=0)
         got = cache.get(0, 0, chunk_index=1, s_q=plan.s_q, s_k=plan.s_k)
@@ -165,7 +162,7 @@ class TestPlanCache:
         """Property: a cache hit at the planning geometry executes the exact
         plan that was stored, so outputs are bitwise equal to a fresh run."""
         q, k, v = qkv
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         cache.put(3, 1, plan, chunk_index=0)
         cached = cache.get(3, 1, chunk_index=2, s_q=plan.s_q, s_k=plan.s_k)
         assert cached is plan  # same object, not a reconstruction
@@ -175,15 +172,20 @@ class TestPlanCache:
         assert fresh.output.dtype == reused.output.dtype
 
     def test_replan_interval_expires_entry(self, plan):
-        cache = PlanCache(replan_interval=2)
+        cache = PlanCache()
         cache.put(0, 0, plan, chunk_index=0)
+        last = REPLAN_INTERVAL - 1
         assert (
-            cache.get(0, 0, chunk_index=1, s_q=plan.s_q, s_k=plan.s_k) is not None
+            cache.get(0, 0, chunk_index=last, s_q=plan.s_q, s_k=plan.s_k)
+            is not None
         )
-        assert cache.get(0, 0, chunk_index=2, s_q=plan.s_q, s_k=plan.s_k) is None
+        assert (
+            cache.get(0, 0, chunk_index=last + 1, s_q=plan.s_q, s_k=plan.s_k)
+            is None
+        )
 
     def test_invalid_entry_dropped_and_counted(self, plan):
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         bad = dataclasses.replace(
             plan,
             kv_indices=[np.array([plan.s_k + 9], dtype=np.int64)] * plan.n_heads,
@@ -194,7 +196,7 @@ class TestPlanCache:
         assert len(cache) == 0  # entry was evicted, not retried forever
 
     def test_keys_are_per_request_and_layer(self, plan):
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         cache.put(1, 0, plan, chunk_index=0)
         assert cache.get(1, 1, chunk_index=0, s_q=plan.s_q, s_k=plan.s_k) is None
         assert cache.get(2, 0, chunk_index=0, s_q=plan.s_q, s_k=plan.s_k) is None
@@ -203,7 +205,7 @@ class TestPlanCache:
         )
 
     def test_drop_request_evicts_all_layers(self, plan):
-        cache = PlanCache(replan_interval=4)
+        cache = PlanCache()
         for layer in range(3):
             cache.put(5, layer, plan, chunk_index=0)
         cache.put(6, 0, plan, chunk_index=0)
@@ -219,7 +221,7 @@ class TestPlanCache:
         valid, so ``get`` would happily re-geometry it via ``extended``)
         must not survive that eviction and resurface on the retry path.
         """
-        cache = PlanCache(replan_interval=100)
+        cache = PlanCache()
         for layer in range(3):
             cache.put(7, layer, plan, chunk_index=0)
 
@@ -248,7 +250,7 @@ class TestPlanCache:
     def test_invalidate_poisoned_entry_blocks_extended_reuse(self, plan):
         """The runtime-guard path: ``invalidate`` after a poisoned plan trips
         the CRA guard must prevent the next chunk's ``extended`` reuse."""
-        cache = PlanCache(replan_interval=100)
+        cache = PlanCache()
         cache.put(8, 0, plan, chunk_index=0)
         cache.poison(8, lambda layer, p: dataclasses.replace(p, window=1))
         assert cache.invalidate(8, 0) is True
@@ -261,7 +263,7 @@ class TestPlanCache:
     def test_drop_request_after_put_get_cycle_under_growth(self, plan):
         """Eviction wins over reuse: even inside the replan interval, a
         dropped request always misses."""
-        cache = PlanCache(replan_interval=100)
+        cache = PlanCache()
         cache.put(9, 0, plan, chunk_index=0)
         grown = cache.get(9, 0, chunk_index=1, s_q=32, s_k=plan.s_k + 64)
         assert grown is not None and grown.s_k == plan.s_k + 64

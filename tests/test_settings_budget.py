@@ -1,0 +1,58 @@
+"""Settings ratchet: every value a caller can set on the serving and
+planning entry points, by name.
+
+A value stays settable only while some caller outside the tests sets it to
+a non-default value; everything else is a module constant that tests patch
+(``plan_cache.REPLAN_INTERVAL``, ``engine.RETRY_BACKOFF_S``, ...).  Adding
+a parameter to any of these signatures means adding it here, in review.
+"""
+
+import inspect
+
+import pytest
+
+from repro.backends import SampleAttentionBackend
+from repro.core import (
+    MInferenceProvider,
+    SampleAttentionProvider,
+    VerticalSlashProvider,
+    sample_attention,
+)
+from repro.serving import FleetEngine, PlanCache, ServingEngine
+
+SETTABLE = {
+    ServingEngine: (
+        "model", "method", "config", "chunk_size", "scheduler", "max_queue",
+        "admission_policy", "billing", "length_scale", "seed",
+        "prompt_builder", "fault_injector", "deadline_s", "degrade_after",
+        "breaker_threshold", "breaker_cooldown_chunks", "execution",
+        "kernel_mode", "batching", "max_batch_requests", "kv_backend",
+        "arena_blocks", "block_tokens", "prefix_sharing",
+    ),
+    FleetEngine: (
+        "model", "n_workers", "routing_policy", "session_of", "max_queue",
+        "admission_policy", "deadline_s", "heartbeat_interval_s",
+        "restart_backoff_s", "max_restarts", "fault_injector",
+        "engine_kwargs",
+    ),
+    PlanCache: (),
+    SampleAttentionProvider: (),
+    MInferenceProvider: (),
+    VerticalSlashProvider: (),
+    SampleAttentionBackend: ("config", "record_plans"),
+    sample_attention: (
+        "q", "k", "v", "config", "scale", "plan", "workspace", "profiler",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "target", list(SETTABLE), ids=lambda target: target.__name__
+)
+def test_settable_parameters_are_the_listed_ones(target):
+    params = tuple(inspect.signature(target).parameters)
+    assert params == SETTABLE[target]
+
+
+def test_engine_stays_within_its_budget():
+    assert len(SETTABLE[ServingEngine]) <= 25
