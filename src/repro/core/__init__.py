@@ -17,7 +17,7 @@ from .diagonal import (
 )
 from .filtering import PAPER_PREFIX_RATIOS, FilterResult, select_kv_indices
 from .plan import SparsePlan
-from .profiler import ProfilingReport, StageProfiler, profile_hyperparameters
+from .profiler import ProfilingReport, profile_hyperparameters
 from .providers import (
     HEAD_PATTERNS,
     MInferenceProvider,
@@ -39,7 +39,6 @@ __all__ = [
     "detect_diagonal_bands",
     "diagonal_profile",
     "ProfilingReport",
-    "StageProfiler",
     "profile_hyperparameters",
     "PAPER_PREFIX_RATIOS",
     "FilterResult",

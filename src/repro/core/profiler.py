@@ -1,30 +1,18 @@
-"""Profiling utilities: offline hyperparameter search and stage timing.
+"""Offline hyperparameter profiling (paper Table 1, Section 4.2).
 
-Two distinct tools share this module:
-
-* :func:`profile_hyperparameters` -- the paper's "lightweight offline
-  profiling" (Table 1, Section 4.2).  The paper fixes ``alpha``, ``r_row``
-  and ``r_w%`` per model on a small calibration set (22 requests of
-  25K-96K tokens) and reuses the result across tasks.  We sweep each
-  hyperparameter coordinate-wise around the defaults, score each setting
-  against full attention, and pick the *cheapest* setting (lowest predicted
-  element density) that stays near-lossless (>= 99% of the full-attention
-  score, the MLPerf criterion the paper adopts).
-
-* :class:`StageProfiler` -- a wall-clock stage timer threaded through the
-  SampleAttention pipeline (``sample`` -> ``filter`` -> ``attend``,
-  mirroring Figure 5b's sampling-vs-sparse-compute breakdown) plus counters
-  for kernel execution-path accounting (packed dispatches, GEMM calls,
-  tiles visited, elements computed).  The serving engine attaches one per run so ``sampleattn
-  serve`` can report where chunk time goes.
+:func:`profile_hyperparameters` is the paper's "lightweight offline
+profiling".  The paper fixes ``alpha``, ``r_row`` and ``r_w%`` per model on
+a small calibration set (22 requests of 25K-96K tokens) and reuses the
+result across tasks.  We sweep each hyperparameter coordinate-wise around
+the defaults, score each setting against full attention, and pick the
+*cheapest* setting (lowest predicted element density) that stays
+near-lossless (>= 99% of the full-attention score, the MLPerf criterion the
+paper adopts).
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -32,84 +20,7 @@ from ..backends import FullAttentionBackend, SampleAttentionBackend
 from ..config import SampleAttentionConfig
 from ..errors import ProfilingError
 
-__all__ = ["ProfilingReport", "StageProfiler", "profile_hyperparameters"]
-
-
-@dataclass
-class StageProfiler:
-    """Accumulates wall-clock time per pipeline stage plus event counters.
-
-    The profiler is deliberately tiny: ``stage(name)`` is a context manager
-    that adds elapsed ``perf_counter`` time to ``timings[name]`` and bumps
-    ``calls[name]``; ``count(name, n)`` accumulates dimensionless kernel
-    statistics (tiles visited, runs coalesced, ...).  Instances merge, so
-    per-request profilers can roll up into an engine-level total.
-
-    Stage time is *exclusive*: a stage opened inside another (the engine's
-    ``decode`` loop around its per-layer ``attend`` dispatches) charges the
-    parent its span minus its children's, so every second is billed to
-    exactly one stage and ``total_time()`` never exceeds the wall clock.
-
-    Timings are wall-clock and therefore non-deterministic; callers that
-    need reproducible telemetry (the chaos drill compares same-seed runs)
-    must keep timings out of deterministic summaries and use ``counts``
-    there instead.
-    """
-
-    timings: dict[str, float] = field(default_factory=dict)
-    calls: dict[str, int] = field(default_factory=dict)
-    counts: dict[str, float] = field(default_factory=dict)
-    #: one entry per open stage: seconds spent in stages nested inside it
-    _nested: list[float] = field(default_factory=list, repr=False, compare=False)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a block of work under ``name`` (re-entrant across calls)."""
-        self._nested.append(0.0)
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            span = time.perf_counter() - t0
-            inner = self._nested.pop()
-            if self._nested:
-                self._nested[-1] += span
-            self.timings[name] = self.timings.get(name, 0.0) + span - inner
-            self.calls[name] = self.calls.get(name, 0) + 1
-
-    def count(self, name: str, value: float) -> None:
-        """Accumulate a kernel statistic (deterministic, unlike timings)."""
-        self.counts[name] = self.counts.get(name, 0.0) + float(value)
-
-    def merge(self, other: "StageProfiler") -> None:
-        """Fold ``other``'s accumulators into this profiler."""
-        for name, dt in other.timings.items():
-            self.timings[name] = self.timings.get(name, 0.0) + dt
-        for name, n in other.calls.items():
-            self.calls[name] = self.calls.get(name, 0) + n
-        for name, v in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0.0) + v
-
-    def total_time(self) -> float:
-        """Sum of all stage timings in seconds."""
-        return float(sum(self.timings.values()))
-
-    def report(self) -> dict:
-        """JSON-friendly snapshot: per-stage seconds, shares, and counters."""
-        total = self.total_time()
-        stages = {
-            name: {
-                "seconds": self.timings[name],
-                "calls": self.calls.get(name, 0),
-                "share": (self.timings[name] / total) if total > 0 else 0.0,
-            }
-            for name in sorted(self.timings)
-        }
-        return {
-            "total_seconds": total,
-            "stages": stages,
-            "counts": {k: self.counts[k] for k in sorted(self.counts)},
-        }
+__all__ = ["ProfilingReport", "profile_hyperparameters"]
 
 
 @dataclass

@@ -34,9 +34,8 @@ band+sink share (see :class:`MInferenceProvider`).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -48,9 +47,6 @@ from .diagonal import detect_diagonal_bands, diagonal_profile
 from .plan import SparsePlan
 from .sample_attention import plan_sample_attention
 from .sampling import sample_column_scores, sampled_row_indices
-
-if TYPE_CHECKING:  # avoid the runtime cycle through repro.backends
-    from .profiler import StageProfiler
 
 __all__ = [
     "HEAD_PATTERNS",
@@ -98,7 +94,6 @@ class PlanProvider(Protocol):
         config: SampleAttentionConfig = DEFAULT_CONFIG,
         *,
         scale: float | None = None,
-        profiler: "StageProfiler | None" = None,
     ) -> SparsePlan:
         """Produce a :class:`SparsePlan` for one attention call."""
         ...
@@ -115,14 +110,12 @@ def _stage1_scores(
     config: SampleAttentionConfig,
     *,
     scale: float | None,
-    profiler: "StageProfiler | None",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 sampled column mass shared by all providers: ``(rows,
     column_scores)`` with scores upcast to float64 for stable accounting."""
     s_q = q.shape[1]
-    with profiler.stage("sample") if profiler else nullcontext():
-        rows = sampled_row_indices(s_q, config.r_row)
-        stats = sample_column_scores(q, k, rows, scale=scale)
+    rows = sampled_row_indices(s_q, config.r_row)
+    stats = sample_column_scores(q, k, rows, scale=scale)
     return rows, stats.column_scores.astype(np.float64)
 
 
@@ -227,9 +220,8 @@ class SampleAttentionProvider:
         config: SampleAttentionConfig = DEFAULT_CONFIG,
         *,
         scale: float | None = None,
-        profiler: "StageProfiler | None" = None,
     ) -> SparsePlan:
-        plan = plan_sample_attention(q, k, config, scale=scale, profiler=profiler)
+        plan = plan_sample_attention(q, k, config, scale=scale)
         return replace(plan, extras={**plan.extras, "provider": self.name})
 
 
@@ -365,12 +357,9 @@ class MInferenceProvider:
         config: SampleAttentionConfig = DEFAULT_CONFIG,
         *,
         scale: float | None = None,
-        profiler: "StageProfiler | None" = None,
     ) -> SparsePlan:
         h, h_kv, s_q, s_k, d = validate_qkv(q, k, k)
-        rows, scores = _stage1_scores(
-            q, k, config, scale=scale, profiler=profiler
-        )
+        rows, scores = _stage1_scores(q, k, config, scale=scale)
         window = max(config.window_size(s_k), 1)
         key = (h, config.alpha, config.sink_tokens, config.block_size)
         prof = self._profiles.get(key)
@@ -378,76 +367,60 @@ class MInferenceProvider:
             prof = self._profile(q, k, config, scores, window, scale=scale)
             self._profiles[key] = prof
 
-        with profiler.stage("filter") if profiler else nullcontext():
-            n_sink = min(config.sink_tokens, s_k)
-            sinks = np.arange(n_sink, dtype=np.int64)
-            block = max(int(config.block_size), 1)
-            kv_indices: list[np.ndarray] = []
-            achieved = np.empty(h, dtype=np.float64)
-            for hh in range(h):
-                pattern = prof.patterns[hh]
-                total = float(scores[hh].sum())
-                if pattern == "a_shape":
-                    # Static footprint re-indexed to the current prefix:
-                    # sinks + the trailing window columns (the newest keys,
-                    # which the final queries' windows cover).
-                    tail = np.arange(
-                        max(s_k - window, 0), s_k, dtype=np.int64
+        n_sink = min(config.sink_tokens, s_k)
+        sinks = np.arange(n_sink, dtype=np.int64)
+        block = max(int(config.block_size), 1)
+        kv_indices: list[np.ndarray] = []
+        achieved = np.empty(h, dtype=np.float64)
+        for hh in range(h):
+            pattern = prof.patterns[hh]
+            total = float(scores[hh].sum())
+            if pattern == "a_shape":
+                # Static footprint re-indexed to the current prefix:
+                # sinks + the trailing window columns (the newest keys,
+                # which the final queries' windows cover).
+                tail = np.arange(max(s_k - window, 0), s_k, dtype=np.int64)
+                base = np.union1d(sinks, tail).astype(np.int64)
+                # Pad with top-mass columns if min_keep asks for more
+                # stripes than the static footprint holds (alpha target
+                # 0: the footprint itself is the coverage claim).
+                idx, _ = _top_up_to_alpha(scores[hh], base, 0.0, config.min_keep)
+                kv_indices.append(idx if idx.size else base)
+                # Coverage lives in the window band, not the stripes:
+                # report the profiled band+sink share (static-pattern
+                # trust is the MInference tradeoff), or honest zero on
+                # a dead head.
+                achieved[hh] = prof.a_scores[hh] if total > 0 else 0.0
+                continue
+            if pattern == "block":
+                bmass = np.add.reduceat(scores[hh], np.arange(0, s_k, block))
+                border = np.argsort(-bmass, kind="stable")
+                bcum = np.cumsum(bmass[border])
+                bshare = bcum / total if total > 0 else np.ones_like(bcum)
+                jb = int(np.searchsorted(bshare, config.alpha - _ALPHA_EPS) + 1)
+                jb = min(jb, border.size)
+                cols = [
+                    np.arange(
+                        int(b) * block,
+                        min((int(b) + 1) * block, s_k),
+                        dtype=np.int64,
                     )
-                    base = np.union1d(sinks, tail).astype(np.int64)
-                    # Pad with top-mass columns if min_keep asks for more
-                    # stripes than the static footprint holds (alpha target
-                    # 0: the footprint itself is the coverage claim).
-                    idx, _ = _top_up_to_alpha(
-                        scores[hh], base, 0.0, config.min_keep
-                    )
-                    kv_indices.append(idx if idx.size else base)
-                    # Coverage lives in the window band, not the stripes:
-                    # report the profiled band+sink share (static-pattern
-                    # trust is the MInference tradeoff), or honest zero on
-                    # a dead head.
-                    achieved[hh] = prof.a_scores[hh] if total > 0 else 0.0
-                    continue
-                if pattern == "block":
-                    bmass = np.add.reduceat(
-                        scores[hh], np.arange(0, s_k, block)
-                    )
-                    border = np.argsort(-bmass, kind="stable")
-                    bcum = np.cumsum(bmass[border])
-                    bshare = (
-                        bcum / total if total > 0 else np.ones_like(bcum)
-                    )
-                    jb = int(
-                        np.searchsorted(bshare, config.alpha - _ALPHA_EPS)
-                        + 1
-                    )
-                    jb = min(jb, border.size)
-                    cols = [
-                        np.arange(
-                            int(b) * block,
-                            min((int(b) + 1) * block, s_k),
-                            dtype=np.int64,
-                        )
-                        for b in border[:jb]
-                    ]
-                    base = (
-                        np.sort(np.concatenate(cols))
-                        if cols
-                        else np.empty(0, dtype=np.int64)
-                    )
-                else:  # vertical_slash: re-rank under the stored budget
-                    kk = int(
-                        np.clip(
-                            np.ceil(prof.kv_budget_ratio[hh] * s_k), 1, s_k
-                        )
-                    )
-                    order = np.argsort(-scores[hh], kind="stable")
-                    base = np.sort(order[:kk]).astype(np.int64)
-                idx, share = _top_up_to_alpha(
-                    scores[hh], base, config.alpha, config.min_keep
+                    for b in border[:jb]
+                ]
+                base = (
+                    np.sort(np.concatenate(cols))
+                    if cols
+                    else np.empty(0, dtype=np.int64)
                 )
-                kv_indices.append(idx)
-                achieved[hh] = share
+            else:  # vertical_slash: re-rank under the stored budget
+                kk = int(np.clip(np.ceil(prof.kv_budget_ratio[hh] * s_k), 1, s_k))
+                order = np.argsort(-scores[hh], kind="stable")
+                base = np.sort(order[:kk]).astype(np.int64)
+            idx, share = _top_up_to_alpha(
+                scores[hh], base, config.alpha, config.min_keep
+            )
+            kv_indices.append(idx)
+            achieved[hh] = share
 
         extras: dict = {"head_patterns": prof.patterns}
         bands = _clip_bands(list(prof.bands), s_k)
@@ -491,44 +464,40 @@ class VerticalSlashProvider:
         config: SampleAttentionConfig = DEFAULT_CONFIG,
         *,
         scale: float | None = None,
-        profiler: "StageProfiler | None" = None,
     ) -> SparsePlan:
         h, h_kv, s_q, s_k, d = validate_qkv(q, k, k)
-        rows, scores = _stage1_scores(
-            q, k, config, scale=scale, profiler=profiler
-        )
+        rows, scores = _stage1_scores(q, k, config, scale=scale)
         window = max(config.window_size(s_k), 1)
 
-        with profiler.stage("filter") if profiler else nullcontext():
-            bands = detect_diagonal_bands(
-                q,
-                k,
-                window=window,
-                r_row=config.r_row,
-                scale=scale,
-                min_mass=SLASH_MIN_MASS,
+        bands = detect_diagonal_bands(
+            q,
+            k,
+            window=window,
+            r_row=config.r_row,
+            scale=scale,
+            min_mass=SLASH_MIN_MASS,
+        )
+        kv_indices: list[np.ndarray] = []
+        achieved = np.empty(h, dtype=np.float64)
+        cut_cap = max(1, int(np.ceil(MAX_CUT_RATIO * s_k)))
+        for hh in range(h):
+            order = np.argsort(-scores[hh], kind="stable")
+            sorted_mass = scores[hh][order]
+            # Difference-aware cut: the largest drop in the sorted
+            # mass curve within the first ``cut_cap`` columns marks
+            # the anchor set.
+            span = sorted_mass[: cut_cap + 1]
+            if span.size > 1:
+                drops = span[:-1] - span[1:]
+                cut = int(np.argmax(drops)) + 1
+            else:
+                cut = 1
+            base = np.sort(order[:cut]).astype(np.int64)
+            idx, share = _top_up_to_alpha(
+                scores[hh], base, config.alpha, config.min_keep
             )
-            kv_indices: list[np.ndarray] = []
-            achieved = np.empty(h, dtype=np.float64)
-            cut_cap = max(1, int(np.ceil(MAX_CUT_RATIO * s_k)))
-            for hh in range(h):
-                order = np.argsort(-scores[hh], kind="stable")
-                sorted_mass = scores[hh][order]
-                # Difference-aware cut: the largest drop in the sorted
-                # mass curve within the first ``cut_cap`` columns marks
-                # the anchor set.
-                span = sorted_mass[: cut_cap + 1]
-                if span.size > 1:
-                    drops = span[:-1] - span[1:]
-                    cut = int(np.argmax(drops)) + 1
-                else:
-                    cut = 1
-                base = np.sort(order[:cut]).astype(np.int64)
-                idx, share = _top_up_to_alpha(
-                    scores[hh], base, config.alpha, config.min_keep
-                )
-                kv_indices.append(idx)
-                achieved[hh] = share
+            kv_indices.append(idx)
+            achieved[hh] = share
 
         extras: dict = {}
         if bands:

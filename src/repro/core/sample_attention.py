@@ -12,9 +12,7 @@ sampling-vs-sparse-compute breakdown).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +27,6 @@ from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from .filtering import select_kv_indices
 from .plan import SparsePlan
 from .sampling import sample_column_scores, sampled_row_indices
-
-if TYPE_CHECKING:  # import would cycle through repro.backends at runtime
-    from .profiler import StageProfiler
 
 __all__ = ["SampleAttentionResult", "plan_sample_attention", "sample_attention"]
 
@@ -65,7 +60,6 @@ def plan_sample_attention(
     scale: float | None = None,
     selection_mode: str = "exact",
     detect_diagonals: bool = False,
-    profiler: "StageProfiler | None" = None,
 ) -> SparsePlan:
     """Run stages 1 and 2 and assemble the structured sparse plan.
 
@@ -82,25 +76,20 @@ def plan_sample_attention(
         Also run the Appendix-A.6 diagonal detector and attach the found
         distance bands to ``plan.extras["bands"]``; the kernel covers
         them as extra bands parallel to the window.
-    profiler:
-        Optional :class:`~repro.core.profiler.StageProfiler`; stage 1 is
-        timed as ``"sample"``, stage 2 as ``"filter"``.
     """
     h, h_kv, s_q, s_k, d = validate_qkv(q, k, k)
 
     # Stage 1: query-guided attention sampling.
-    with profiler.stage("sample") if profiler else nullcontext():
-        rows = sampled_row_indices(s_q, config.r_row)
-        stats = sample_column_scores(q, k, rows, scale=scale)
+    rows = sampled_row_indices(s_q, config.r_row)
+    stats = sample_column_scores(q, k, rows, scale=scale)
 
     # Stage 2: score-based key-value filtering.
-    with profiler.stage("filter") if profiler else nullcontext():
-        selection = select_kv_indices(
-            stats.column_scores,
-            config.alpha,
-            min_keep=config.min_keep,
-            mode=selection_mode,
-        )
+    selection = select_kv_indices(
+        stats.column_scores,
+        config.alpha,
+        min_keep=config.min_keep,
+        mode=selection_mode,
+    )
 
     window = max(config.window_size(s_k), 1)
     extras: dict = {}
@@ -135,7 +124,6 @@ def sample_attention(
     scale: float | None = None,
     plan: SparsePlan | None = None,
     workspace: KernelWorkspace | None = None,
-    profiler: "StageProfiler | None" = None,
 ) -> SampleAttentionResult:
     """Adaptive structured sparse attention (paper Algorithm 1).
 
@@ -153,9 +141,6 @@ def sample_attention(
     workspace:
         Optional :class:`~repro.attention.KernelWorkspace` reused across
         calls (O(1) allocations per call once warm).
-    profiler:
-        Optional :class:`~repro.core.profiler.StageProfiler`; planning is
-        timed as ``"sample"``/``"filter"`` and execution as ``"attend"``.
 
     Examples
     --------
@@ -175,12 +160,9 @@ def sample_attention(
         # stateful providers keep their offline head profiles across calls.
         from .providers import make_provider  # cycles at import time
 
-        plan = make_provider(config.provider).plan(
-            q, k, config, scale=scale, profiler=profiler
-        )
-    with profiler.stage("attend") if profiler else nullcontext():
-        kernel = packed_block_sparse_attention(
-            [PackedItem.from_plan(q, k, v, plan, scale=scale)],
-            workspace=workspace,
-        ).results[0]
+        plan = make_provider(config.provider).plan(q, k, config, scale=scale)
+    kernel = packed_block_sparse_attention(
+        [PackedItem.from_plan(q, k, v, plan, scale=scale)],
+        workspace=workspace,
+    ).results[0]
     return SampleAttentionResult(output=kernel.output, plan=plan, kernel=kernel)

@@ -17,7 +17,6 @@ __all__ = [
     "TaskError",
     "ProfilingError",
     "FaultInjectionError",
-    "DeadlineExceededError",
     "ContractViolation",
     "ArenaExhaustedError",
 ]
@@ -58,10 +57,6 @@ class FaultInjectionError(ReproError, RuntimeError):
     planning failures; the serving engine's bounded-retry policy treats any
     ``FaultInjectionError`` escaping a prefill chunk as retryable.
     """
-
-
-class DeadlineExceededError(ReproError, TimeoutError):
-    """A request exceeded its per-request deadline on the virtual clock."""
 
 
 class ArenaExhaustedError(ReproError, MemoryError):

@@ -86,12 +86,8 @@ _FLEET_WORKERS = 3
 
 
 def _canonical(result) -> str:
-    """The bytes two same-seed runs must agree on: the whole ``to_dict()``
-    except an engine's wall-clock stage profile, which by design lives
-    outside the deterministic record."""
-    record = result.to_dict()
-    record.pop("stages", None)
-    return json.dumps(record, sort_keys=True)
+    """The bytes two same-seed runs must agree on: the whole ``to_dict()``."""
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 def _leaked_blocks(result) -> int:

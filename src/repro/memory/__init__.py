@@ -12,15 +12,14 @@ block tables over one global :class:`KVArena`:
   copies only the tokens appended since the last one.
 * :class:`PrefixSharingRegistry` -- chain-hashed token prefixes map to
   physical blocks so repeated system prompts share storage.
-* :class:`EvictionPolicy` and its one implementation,
-  :class:`HeavyHitterPolicy` -- live cache shrinking under pressure.
+* :class:`HeavyHitterPolicy` -- live cache shrinking under pressure.
 * :class:`MemoryPressureController` -- the ``evict -> shed``
   degradation rung the serving engine walks on
   :class:`~repro.errors.ArenaExhaustedError`.
 """
 
 from .arena import KVArena
-from .eviction import EvictionPolicy, HeavyHitterPolicy
+from .eviction import HeavyHitterPolicy
 from .gather import BatchedKVGather
 from .paged_cache import PagedLayerKVCache
 from .pressure import MEMORY_PRESSURE_LEVELS, MemoryPressureController
@@ -28,7 +27,6 @@ from .sharing import PrefixSharingRegistry, prefix_block_keys
 
 __all__ = [
     "BatchedKVGather",
-    "EvictionPolicy",
     "HeavyHitterPolicy",
     "KVArena",
     "MEMORY_PRESSURE_LEVELS",

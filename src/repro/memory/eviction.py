@@ -1,17 +1,14 @@
 """Live eviction for paged KV caches under pressure.
 
-The serving engine invokes a policy when the arena runs dry and registry
-shrinking was not enough (the second half of the ``evict`` rung).  A policy inspects one layer
-cache and proposes the per-head keep sets that
-:meth:`~repro.memory.PagedLayerKVCache.evict` consumes -- the same
-rectangular contract as the contiguous cache, so both backends accept the
-result.
+The serving engine invokes :class:`HeavyHitterPolicy` when the arena runs
+dry and registry shrinking was not enough (the second half of the
+``evict`` rung).  It inspects one layer cache and proposes the per-head
+keep sets that :meth:`~repro.memory.PagedLayerKVCache.evict` consumes --
+the same rectangular contract as the contiguous cache, so both backends
+accept the result.  The ranking is H2O-style (Zhang et al., 2023): keys by
+accumulated decode attention mass, the heaviest kept plus a recency window.
 
-One policy ships, and it is the one the engine runs:
-:class:`HeavyHitterPolicy` -- H2O-style (Zhang et al., 2023): rank keys by
-accumulated decode attention mass, keep the heaviest plus a recency window.
-
-Policies only ever shrink decode-phase caches; prefill numerics stay
+Eviction only ever shrink decode-phase caches; prefill numerics stay
 oracle-exact (the paper's near-lossless story applies to prefill, and the
 engine enforces the phase restriction).
 """
@@ -23,33 +20,22 @@ import numpy as np
 from ..baselines.h2o import H2OPolicy
 from ..errors import ConfigError
 
-__all__ = ["EvictionPolicy", "HeavyHitterPolicy"]
+__all__ = ["HeavyHitterPolicy"]
 
 #: Share of a shrunk cache's keep budget spent on the most recent keys; the
 #: rest goes to the heaviest accumulated-mass keys.
 RECENT_FRACTION = 0.5
 
 
-class EvictionPolicy:
-    """Interface: propose per-head keep indices for one layer cache."""
+class HeavyHitterPolicy:
+    """Accumulated-attention heavy hitters + recency window (H2O).
 
-    name = "abstract"
+    :data:`RECENT_FRACTION` of the keep budget goes to the newest keys."""
 
     def select(self, cache, target_tokens: int) -> list[np.ndarray] | None:
         """Keep sets shrinking ``cache`` to ``<= target_tokens`` entries
         per head, or ``None`` when the cache cannot usefully shrink
         (already at or below target)."""
-        raise NotImplementedError
-
-
-class HeavyHitterPolicy(EvictionPolicy):
-    """Accumulated-attention heavy hitters + recency window (H2O).
-
-    :data:`RECENT_FRACTION` of the keep budget goes to the newest keys."""
-
-    name = "heavy_hitter"
-
-    def select(self, cache, target_tokens: int) -> list[np.ndarray] | None:
         if target_tokens < 1:
             raise ConfigError(
                 f"target_tokens must be >= 1, got {target_tokens}"

@@ -10,7 +10,7 @@ capacity, one rung at a time:
 ``evict``
     First drop prefix-sharing registry entries (lossless -- shared blocks
     merely lose their keep-alive refs), then run the configured
-    :class:`~repro.memory.EvictionPolicy` over decode-phase caches
+    :class:`~repro.memory.HeavyHitterPolicy` over decode-phase caches
     (lossy but attention-guided).
 ``shed``
     Nothing more to reclaim: the controller reports failure and the engine
@@ -26,13 +26,21 @@ from __future__ import annotations
 
 from ..errors import ArenaExhaustedError, ConfigError
 from .arena import KVArena
-from .eviction import EvictionPolicy
+from .eviction import HeavyHitterPolicy
 from .sharing import PrefixSharingRegistry
 
-__all__ = ["MEMORY_PRESSURE_LEVELS", "MemoryPressureController"]
+__all__ = [
+    "EVICT_TO_FRACTION",
+    "MEMORY_PRESSURE_LEVELS",
+    "MemoryPressureController",
+]
 
 #: Pressure rungs in escalation order (terminal rung sheds the requester).
 MEMORY_PRESSURE_LEVELS = ("normal", "evict", "shed")
+
+#: Eviction target: the ``evict`` rung shrinks a cache to this fraction of
+#: its current length (floored at ``min_keep_tokens``).
+EVICT_TO_FRACTION = 0.5
 
 
 class MemoryPressureController:
@@ -45,9 +53,6 @@ class MemoryPressureController:
         the first (lossless) thing to drop.
     policy:
         Eviction policy applied to candidate caches on the ``evict`` rung.
-    evict_to_fraction:
-        Eviction target: shrink a cache to this fraction of its current
-        length (floored at ``min_keep_tokens``).
     min_keep_tokens:
         Never evict a cache below this many tokens -- decode needs local
         context to stay meaningful (mirrors the engine's minimum executed
@@ -58,16 +63,10 @@ class MemoryPressureController:
         self,
         arena: KVArena,
         registry: PrefixSharingRegistry | None,
-        policy: EvictionPolicy,
+        policy: HeavyHitterPolicy,
         *,
-        evict_to_fraction: float = 0.5,
         min_keep_tokens: int = 64,
     ) -> None:
-        if not 0.0 < evict_to_fraction < 1.0:
-            raise ConfigError(
-                f"evict_to_fraction must be in (0, 1), "
-                f"got {evict_to_fraction}"
-            )
         if min_keep_tokens < 1:
             raise ConfigError(
                 f"min_keep_tokens must be >= 1, got {min_keep_tokens}"
@@ -75,7 +74,6 @@ class MemoryPressureController:
         self.arena = arena
         self.registry = registry
         self.policy = policy
-        self.evict_to_fraction = evict_to_fraction
         self.min_keep_tokens = min_keep_tokens
         #: Current rung (resets to "normal" after successful relief).
         self.level = "normal"
@@ -134,8 +132,7 @@ class MemoryPressureController:
                 break
             for cache in candidates[i]:
                 target = max(
-                    self.min_keep_tokens,
-                    int(len(cache) * self.evict_to_fraction),
+                    self.min_keep_tokens, int(len(cache) * EVICT_TO_FRACTION)
                 )
                 keep = self.policy.select(cache, target)
                 if keep is None:

@@ -38,14 +38,14 @@ Public API::
         FaultInjector, corrupt_plan, CORRUPTION_MODES, FAULT_KINDS,
         inject_admission_burst, ChaosScenario, chaos_scenario,
         check_recovery_invariants,
-        FaultInjectionError, DeadlineExceededError,
+        FaultInjectionError,
         FleetEngine, FleetResult, EngineWorker,
         Router, ROUTING_POLICIES, FLEET_RUNGS,
         Supervisor, WorkerHealth, HEALTH_STATES,
     )
 """
 
-from ..errors import DeadlineExceededError, FaultInjectionError
+from ..errors import FaultInjectionError
 from .engine import (
     BATCHING_MODES,
     DEGRADATION_LEVELS,
@@ -118,7 +118,6 @@ __all__ = [
     "chaos_scenario",
     "check_recovery_invariants",
     "FaultInjectionError",
-    "DeadlineExceededError",
     "FleetEngine",
     "FleetResult",
     "EngineWorker",

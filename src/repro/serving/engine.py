@@ -45,12 +45,19 @@ the executed-TTFT numbers the serve experiment reports) or by a
 deterministic roofline conversion of the exact score-element counts the
 kernels report (``billing="roofline"``, reproducible across runs and
 machines -- the mode the seeded tests use).
+
+A run keeps one record of what it executed: its
+:class:`~repro.serving.telemetry.MetricsRegistry`.  Execution-path counts
+(packed dispatches, GEMM calls, rows, tiles, computed elements, decode
+steps) go into it as ``kernel_*`` counters as they happen.  Wall time per
+stage is not recorded here; perfbench's traced run measures it from
+outside.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,7 +71,6 @@ from ..attention.packed import (
 from ..attention.utils import KernelWorkspace, total_causal_elements
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
-from ..core.profiler import StageProfiler
 from ..core.providers import make_provider
 from ..errors import (
     ArenaExhaustedError,
@@ -302,16 +308,11 @@ class EngineResult:
     ----------
     telemetry:
         The :class:`~repro.serving.telemetry.MetricsRegistry` with every
-        request's timeline plus engine-wide counters.
+        request's timeline plus engine-wide counters, the deterministic
+        ``kernel_*`` execution-path counts among them.  Under roofline
+        billing the whole :meth:`to_dict` is a function of the seed.
     method:
         Prefill method the engine executed (``"sample"`` or ``"flash"``).
-    stages:
-        :meth:`~repro.core.profiler.StageProfiler.report` snapshot of where
-        chunk time went (``sample`` / ``filter`` / ``pack`` / ``attend`` /
-        ``unpack`` / ``dense`` / ``decode`` wall-clock plus kernel
-        counters).  Wall-clock stage
-        timings live here -- not in the deterministic telemetry summary --
-        so same-seed runs still compare equal under roofline billing.
     memory:
         Paged-KV subsystem snapshot (``arena`` / ``sharing`` /
         ``pressure`` stats dicts plus breaker state); empty dict on the
@@ -320,7 +321,6 @@ class EngineResult:
 
     telemetry: MetricsRegistry
     method: str
-    stages: dict = field(default_factory=dict)
     memory: dict = field(default_factory=dict)
 
     @property
@@ -341,16 +341,19 @@ class EngineResult:
         return {
             "telemetry": self.telemetry.to_dict(),
             "method": self.method,
-            "stages": self.stages,
             "memory": self.memory,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineResult":
+        """Inverse of :meth:`to_dict`; rejects unknown keys so a payload of
+        another schema fails loudly at the fleet's process boundary."""
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown EngineResult fields {sorted(unknown)!r}")
         return cls(
             telemetry=MetricsRegistry.from_dict(data["telemetry"]),
             method=str(data["method"]),
-            stages=dict(data.get("stages", {})),
             memory=dict(data.get("memory", {})),
         )
 
@@ -539,7 +542,6 @@ class ServingEngine:
         self._pressure: MemoryPressureController | None = None
         self.memory_breaker: CircuitBreaker | None = None
         self._workspace = KernelWorkspace()  # warm scratch across chunks
-        self._profiler = StageProfiler()
         # Plan provider (config.provider); recreated fresh per run() so
         # stateful providers (MInference's memoised head profiles) never
         # leak state across runs and same-seed replays stay bitwise equal.
@@ -714,10 +716,7 @@ class ServingEngine:
         job.elements += q.shape[0] * total_causal_elements(
             q.shape[1], keys.shape[1]
         )
-        with self._profiler.stage("dense"):
-            return flash_attention(
-                q, keys, values, scale=scale, workspace=self._workspace
-            )
+        return flash_attention(q, keys, values, scale=scale, workspace=self._workspace)
 
     def _record_violation(self, job: _Job, layer: int, reason: str) -> None:
         """One runtime CRA-guard trip: the plan in hand must not execute."""
@@ -762,9 +761,7 @@ class ServingEngine:
             fresh=len(job.chunks_left) == 1,
         )
         if plan is None:
-            plan = self._provider.plan(
-                q, keys, cfg, scale=scale, profiler=self._profiler
-            )
+            plan = self._provider.plan(q, keys, cfg, scale=scale)
             self.plan_cache.put(rid, i, plan, chunk_index=job.chunk_index)
             tm.plan_misses += 1
             self._registry.inc("plan_cache_misses")
@@ -819,16 +816,15 @@ class ServingEngine:
                 if plan is None:
                     outs[b] = self._dense_attend(job, q, keys, values, scale)
                     continue
-                with self._profiler.stage("pack"):
-                    knorm = self._chunk_knorm(job, i, keys, q.shape[1])
-                    att.knorm[i] = knorm
-                    items.append(
-                        PackedItem.from_plan(
-                            q, keys, values, plan,
-                            scale=scale, k_norm_sq=knorm[1], tag=b,
-                        )
+                knorm = self._chunk_knorm(job, i, keys, q.shape[1])
+                att.knorm[i] = knorm
+                items.append(
+                    PackedItem.from_plan(
+                        q, keys, values, plan,
+                        scale=scale, k_norm_sq=knorm[1], tag=b,
                     )
-                    meta.append((b, job, plan))
+                )
+                meta.append((b, job, plan))
             if items:
                 outs.update(self._dispatch_packed(i, items, meta))
             return outs
@@ -880,53 +876,44 @@ class ServingEngine:
         batch index -> attention output; per-item accounting (breaker,
         billed elements, kept-KV telemetry) is per item, so it is the same
         whatever else shares the dispatch."""
-        profiler = self._profiler
-        with profiler.stage("attend"):
-            try:
-                pres = packed_block_sparse_attention(
-                    items, workspace=self._workspace
-                )
-            except ReproError:
-                # One bad item poisons the whole dispatch: every item in
-                # it degrades to the validated dense fallback (rare --
-                # each plan already passed the CRA gauntlet).
-                outs = {}
-                for it, (b, job, _plan) in zip(items, meta):
-                    self._record_violation(job, layer, "kernel_error")
-                    outs[b] = self._dense_attend(
-                        job, it.q, it.k, it.v, it.scale
-                    )
-                return outs
+        try:
+            pres = packed_block_sparse_attention(items, workspace=self._workspace)
+        except ReproError:
+            # One bad item poisons the whole dispatch: every item in
+            # it degrades to the validated dense fallback (rare --
+            # each plan already passed the CRA gauntlet).
+            outs = {}
+            for it, (b, job, _plan) in zip(items, meta):
+                self._record_violation(job, layer, "kernel_error")
+                outs[b] = self._dense_attend(job, it.q, it.k, it.v, it.scale)
+            return outs
         # Deterministic execution-path counters: the
         # one-dispatch-per-(layer, step) identity tests read these.
-        profiler.count("packed_dispatches", 1)
-        profiler.count("gemm_calls", pres.stats["gemm_calls"])
+        registry = self._registry
+        registry.inc("kernel_packed_dispatches")
+        registry.inc("kernel_gemm_calls", float(pres.stats["gemm_calls"]))
         for key in (
             "packed_requests",
             "packed_rows",
             "tiles_visited",
             "elements_computed",
         ):
-            profiler.count(f"packed_{key.removeprefix('packed_')}",
-                           pres.stats[key])
+            name = f"kernel_packed_{key.removeprefix('packed_')}"
+            registry.inc(name, float(pres.stats[key]))
         outs = {}
-        with profiler.stage("unpack"):
-            for res, (b, job, plan) in zip(pres.results, meta):
-                self.breaker.record_success()
-                if contracts.enabled():
-                    contracts.check_computed_elements(
-                        plan, res.computed_elements
-                    )
-                # Billed elements = the plan's tile footprint x
-                # block_size^2 (what the roofline's block kernel visits),
-                # not the score elements this host computed.
-                job.elements += (
-                    float(res.visited_blocks.sum())
-                    * plan.config.block_size ** 2
-                )
-                job.telemetry.kept_kv_ratios.append(plan.mean_kv_ratio)
-                job.telemetry.element_densities.append(res.element_density)
-                outs[b] = res.output
+        for res, (b, job, plan) in zip(pres.results, meta):
+            self.breaker.record_success()
+            if contracts.enabled():
+                contracts.check_computed_elements(plan, res.computed_elements)
+            # Billed elements = the plan's tile footprint x
+            # block_size^2 (what the roofline's block kernel visits),
+            # not the score elements this host computed.
+            job.elements += (
+                float(res.visited_blocks.sum()) * plan.config.block_size**2
+            )
+            job.telemetry.kept_kv_ratios.append(plan.mean_kv_ratio)
+            job.telemetry.element_densities.append(res.element_density)
+            outs[b] = res.output
         return outs
 
     # -------------------------------------------------------------- quanta
@@ -1190,7 +1177,7 @@ class ServingEngine:
                 on_error=on_append_error,
             )
             wall = time.perf_counter() - t0
-            self._profiler.count("packed_prefill_steps", 1)
+            self._registry.inc("kernel_packed_prefill_steps")
 
             shares = self._wall_shares(
                 jobs, [att.elements0 for att in attempts], wall
@@ -1221,8 +1208,7 @@ class ServingEngine:
         seconds, ok)``.  ``ok=False`` means the paged arena stayed
         exhausted through the pressure ladder (the caller sheds)."""
         t0 = time.perf_counter()
-        with self._profiler.stage("decode"):
-            ok = self._decode_steps(job, steps)
+        ok = self._decode_steps(job, steps)
         seconds = self._bill(job, time.perf_counter() - t0)
         self._update_kv_peak(job)
         return seconds, ok
@@ -1275,20 +1261,21 @@ class ServingEngine:
         ``dispatches == n_layers x steps`` identity is structural, not
         best-effort.
         """
-        profiler = self._profiler
-        profiler.count("packed_decode_dispatches", 1)
+        registry = self._registry
+        registry.inc("kernel_packed_decode_dispatches")
         if not items:
             return {}
-        with profiler.stage("attend"):
-            res = packed_decode_attention(
-                [
-                    PackedDecodeItem(q=q, k=k, v=v, scale=s, tag=b)
-                    for b, (q, k, v, s) in items.items()
-                ],
-                return_probs=record,
-            )
-        profiler.count("packed_decode_requests", res.stats["decode_requests"])
-        profiler.count("packed_decode_kv_tokens", res.stats["kv_tokens"])
+        res = packed_decode_attention(
+            [
+                PackedDecodeItem(q=q, k=k, v=v, scale=s, tag=b)
+                for b, (q, k, v, s) in items.items()
+            ],
+            return_probs=record,
+        )
+        registry.inc(
+            "kernel_packed_decode_requests", float(res.stats["decode_requests"])
+        )
+        registry.inc("kernel_packed_decode_kv_tokens", float(res.stats["kv_tokens"]))
         probs = res.probs if res.probs is not None else [None] * len(items)
         return {b: (res.outputs[j], probs[j]) for j, b in enumerate(items)}
 
@@ -1331,56 +1318,49 @@ class ServingEngine:
                 registry.inc("memory_breaker_trips")
 
         t0 = time.perf_counter()
-        with self._profiler.stage("decode"):
-            for step in range(max(quanta, default=0)):
-                stepping = [
-                    bi
-                    for bi in range(len(jobs))
-                    if quanta[bi] > step and bi not in aborted
-                ]
-                if not stepping:
-                    break
-                marks = {
-                    bi: [len(c) for c in jobs[bi].caches] for bi in stepping
-                }
-                added = {}
-                entries = []
-                for bi in stepping:
-                    job = jobs[bi]
-                    assert job.next_token is not None
-                    job.generated.append(job.next_token)
-                    added[bi] = float(
-                        n_layers * h_kv * (len(job.caches[0]) + 1)
-                    )
-                    job.elements += added[bi]
-                    entries.append((job.next_token, job.position, job.caches))
+        for step in range(max(quanta, default=0)):
+            stepping = [
+                bi
+                for bi in range(len(jobs))
+                if quanta[bi] > step and bi not in aborted
+            ]
+            if not stepping:
+                break
+            marks = {bi: [len(c) for c in jobs[bi].caches] for bi in stepping}
+            added = {}
+            entries = []
+            for bi in stepping:
+                job = jobs[bi]
+                assert job.next_token is not None
+                job.generated.append(job.next_token)
+                added[bi] = float(n_layers * h_kv * (len(job.caches[0]) + 1))
+                job.elements += added[bi]
+                entries.append((job.next_token, job.position, job.caches))
 
-                results = self.model.decode_batch(
-                    entries,
-                    lambda i, items: self._dispatch_packed_decode(
-                        i, items, record
-                    ),
-                    record_attention=record,
-                    on_error=on_append_error,
-                    gather=self._decode_gather,
-                )
-                self._profiler.count("packed_decode_steps", 1)
-                for j, bi in enumerate(stepping):
-                    job = jobs[bi]
-                    logits = results[j]
-                    if logits is None:
-                        # Abandon the fused attempt for this request: the
-                        # per-request replay below re-runs this step and
-                        # the rest of the quantum under ladder semantics.
-                        for cache, mark in zip(job.caches, marks[bi]):
-                            cache.truncate(mark)
-                        job.generated.pop()
-                        job.elements -= added[bi]
-                        aborted[bi] = quanta[bi] - step
-                        continue
-                    job.next_token = int(np.argmax(logits))
-                    job.position += 1
-                    job.decode_left -= 1
+            results = self.model.decode_batch(
+                entries,
+                lambda i, items: self._dispatch_packed_decode(i, items, record),
+                record_attention=record,
+                on_error=on_append_error,
+                gather=self._decode_gather,
+            )
+            registry.inc("kernel_packed_decode_steps")
+            for j, bi in enumerate(stepping):
+                job = jobs[bi]
+                logits = results[j]
+                if logits is None:
+                    # Abandon the fused attempt for this request: the
+                    # per-request replay below re-runs this step and
+                    # the rest of the quantum under ladder semantics.
+                    for cache, mark in zip(job.caches, marks[bi]):
+                        cache.truncate(mark)
+                    job.generated.pop()
+                    job.elements -= added[bi]
+                    aborted[bi] = quanta[bi] - step
+                    continue
+                job.next_token = int(np.argmax(logits))
+                job.position += 1
+                job.decode_left -= 1
         wall = time.perf_counter() - t0
 
         shares = self._wall_shares(jobs, elements0, wall)
@@ -1401,7 +1381,7 @@ class ServingEngine:
 
         Clears the plan cache (entries *and* stats) and re-arms the
         breaker and kernel workspace (:meth:`run` starts every run with a
-        fresh profiler and plan provider anyway).  Engine configuration,
+        fresh registry and plan provider anyway).  Engine configuration,
         the model, and the seed are untouched, so a reset engine replays a
         workload identically to a newly constructed one -- the property
         the fleet's crash-recovery determinism rests on.
@@ -1416,7 +1396,6 @@ class ServingEngine:
         """Serve the stream; every request ends completed/rejected/shed."""
         registry = MetricsRegistry()
         self._registry = registry
-        self._profiler = StageProfiler()  # fresh stage breakdown per run
         self._provider = make_provider(self.config.provider)
         # Cache stats are cumulative over the engine's lifetime; fold only
         # this run's delta into its registry (a fleet worker serves many
@@ -1621,10 +1600,8 @@ class ServingEngine:
             # exactly one packed decode dispatch per layer (empty-batch
             # layers included).  Always-on -- a violation means the fused
             # path silently fell back or double-dispatched.
-            steps_ct = self._profiler.counts.get("packed_decode_steps", 0)
-            disp_ct = self._profiler.counts.get(
-                "packed_decode_dispatches", 0
-            )
+            steps_ct = registry.counter("kernel_packed_decode_steps")
+            disp_ct = registry.counter("kernel_packed_decode_dispatches")
             expected = self.model.config.n_layers * steps_ct
             if disp_ct != expected:
                 raise ReproError(
@@ -1632,10 +1609,6 @@ class ServingEngine:
                     f"{disp_ct} dispatches != {self.model.config.n_layers} "
                     f"layers x {steps_ct} steps"
                 )
-        # Kernel execution-path counts are deterministic (unlike timings),
-        # so they may join the counters the seeded drills compare.
-        for name, value in self._profiler.counts.items():
-            registry.inc(f"kernel_{name}", value)
         memory: dict = {}
         if self._arena is not None:
             sharing_stats = (
@@ -1665,6 +1638,5 @@ class ServingEngine:
         return EngineResult(
             telemetry=registry,
             method=self.method,
-            stages=self._profiler.report(),
             memory=memory,
         )

@@ -19,7 +19,6 @@ fleet-wide view.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -385,15 +384,6 @@ class MetricsRegistry:
             self.requests.extend(other.requests)
 
     # --------------------------------------------------------------- exports
-    def to_json(self, *, indent: int | None = 2) -> str:
-        """Full dump: summary, counters, per-request records."""
-        payload = {
-            "summary": self.summary(),
-            "counters": dict(self._counters),
-            "requests": [t.as_dict() for t in self.requests],
-        }
-        return json.dumps(payload, indent=indent)
-
     def to_markdown(self) -> str:
         """Summary block plus a per-request Markdown table."""
         summ = self.summary()

@@ -9,6 +9,7 @@ from repro import SampleAttentionConfig
 from repro.attention import (
     KernelWorkspace,
     PackedItem,
+    block_sparse_attention,
     dense_attention,
     fast_block_sparse_attention,
     packed_block_sparse_attention,
@@ -199,3 +200,27 @@ class TestExecution:
         a = sample_attention(q, k, v)
         b = sample_attention(q, k, v)
         np.testing.assert_array_equal(a.output, b.output)
+
+
+def _qkv(seed=0, h=4, h_kv=2, s=192, d=16):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((h, s, d), dtype=np.float32)
+    k = rng.standard_normal((h_kv, s, d), dtype=np.float32)
+    v = rng.standard_normal((h_kv, s, d), dtype=np.float32)
+    return q, k, v
+
+
+class TestPipelineIntegration:
+    def test_kernel_modes_agree_through_sample_attention(self):
+        # Tile-granular execution of a planned mask: the fast path vs its
+        # tile-at-a-time oracle, and the plan executor's footprint counts.
+        q, k, v = _qkv(seed=2)
+        res = sample_attention(q, k, v, SampleAttentionConfig())
+        mask = res.plan.to_block_mask()
+        fast = fast_block_sparse_attention(q, k, v, mask)
+        ref = block_sparse_attention(q, k, v, mask)
+        np.testing.assert_allclose(fast.output, ref.output, atol=2e-5)
+        np.testing.assert_array_equal(fast.visited_blocks, ref.visited_blocks)
+        np.testing.assert_array_equal(
+            res.kernel.visited_blocks, ref.visited_blocks
+        )

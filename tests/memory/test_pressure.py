@@ -118,13 +118,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ctl.relieve([], need_blocks=0)
 
-    def test_rejects_bad_fraction(self):
-        arena = KVArena(4, H, BT, D)
-        with pytest.raises(ConfigError):
-            MemoryPressureController(
-                arena, None, HeavyHitterPolicy(), evict_to_fraction=1.0
-            )
-
     def test_rejects_bad_min_keep(self):
         arena = KVArena(4, H, BT, D)
         with pytest.raises(ConfigError):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import (
     ConfigError,
-    DeadlineExceededError,
     FaultInjectionError,
     ReproError,
 )
@@ -52,8 +51,6 @@ class TestErrorsExported:
     def test_hierarchy(self):
         assert issubclass(FaultInjectionError, ReproError)
         assert issubclass(FaultInjectionError, RuntimeError)
-        assert issubclass(DeadlineExceededError, ReproError)
-        assert issubclass(DeadlineExceededError, TimeoutError)
 
 
 class TestFaultInjector:

@@ -156,9 +156,15 @@ class TestEngineResultRoundTrip:
     def test_roundtrip_through_json(self, reg):
         res = EngineResult(
             telemetry=reg, method="sample",
-            stages={"plan": 0.5}, memory={"arena": {"capacity": 4}},
+            memory={"arena": {"capacity": 4}},
         )
         clone = EngineResult.from_dict(json.loads(json.dumps(res.to_dict())))
         assert clone.to_dict() == res.to_dict()
         assert clone.method == "sample"
         assert clone.requests == res.requests
+
+    def test_unknown_keys_rejected(self):
+        d = EngineResult(telemetry=MetricsRegistry(), method="sample").to_dict()
+        d["stages"] = {}
+        with pytest.raises(ConfigError):
+            EngineResult.from_dict(d)

@@ -91,11 +91,6 @@ class TestMetricsRegistry:
         assert summ["mean_ttft_s"] == 0.0
         assert summ["makespan_s"] == 0.0
 
-    def test_json_export_parses(self):
-        payload = json.loads(self._populated().to_json())
-        assert set(payload) == {"summary", "counters", "requests"}
-        assert payload["requests"][0]["ttft_s"] == pytest.approx(0.5)
-
     def test_markdown_export_has_summary_and_table(self):
         md = self._populated().to_markdown()
         assert "### Serving telemetry" in md

@@ -16,6 +16,7 @@ from repro.core import (
     MInferenceProvider,
     SampleAttentionProvider,
     VerticalSlashProvider,
+    plan_sample_attention,
     sample_attention,
 )
 from repro.serving import FleetEngine, PlanCache, ServingEngine
@@ -41,16 +42,22 @@ SETTABLE = {
     VerticalSlashProvider: (),
     SampleAttentionBackend: ("config", "record_plans"),
     sample_attention: (
-        "q", "k", "v", "config", "scale", "plan", "workspace", "profiler",
+        "q", "k", "v", "config", "scale", "plan", "workspace",
     ),
+    plan_sample_attention: (
+        "q", "k", "config", "scale", "selection_mode", "detect_diagonals",
+    ),
+    SampleAttentionProvider.plan: ("q", "k", "config", "scale"),
+    MInferenceProvider.plan: ("q", "k", "config", "scale"),
+    VerticalSlashProvider.plan: ("q", "k", "config", "scale"),
 }
 
 
 @pytest.mark.parametrize(
-    "target", list(SETTABLE), ids=lambda target: target.__name__
+    "target", list(SETTABLE), ids=lambda target: target.__qualname__
 )
 def test_settable_parameters_are_the_listed_ones(target):
-    params = tuple(inspect.signature(target).parameters)
+    params = tuple(p for p in inspect.signature(target).parameters if p != "self")
     assert params == SETTABLE[target]
 
 
