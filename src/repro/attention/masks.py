@@ -38,6 +38,7 @@ __all__ = [
     "global_block_mask",
     "random_block_mask",
     "dense_rows_block_mask",
+    "plan_block_mask",
     "block_diagonal_mask",
     "normalise_bands",
     "normalise_indices",
@@ -175,22 +176,43 @@ def _grid(n_heads: int, s_q: int, s_k: int, block_size: int) -> tuple[int, int]:
     return num_blocks(s_q, block_size), num_blocks(s_k, block_size)
 
 
-def _block_positions(s_q: int, s_k: int, block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Last absolute query position per query block row, and first key
-    position per key block column."""
+def _check_window(window: int) -> None:
+    if window < 1:
+        raise MaskError(f"window must be >= 1, got {window}")
+
+
+def _causal_grid(s_q: int, s_k: int, block_size: int) -> np.ndarray:
+    """``(n_qblocks, n_kblocks)`` tiles at or below the causal diagonal:
+    a tile is reachable when its first key is at or before its query
+    block's last (absolute) position."""
     nq = num_blocks(s_q, block_size)
     nk = num_blocks(s_k, block_size)
     offset = s_k - s_q
     q_last = np.minimum((np.arange(nq) + 1) * block_size - 1, s_q - 1) + offset
     k_first = np.arange(nk) * block_size
-    return q_last, k_first
+    return k_first[None, :] <= q_last[:, None]
+
+
+def _window_grid(s_q: int, s_k: int, block_size: int, window: int) -> np.ndarray:
+    """``(n_qblocks, n_kblocks)`` tiles of :func:`window_block_mask`."""
+    nq, nk = num_blocks(s_q, block_size), num_blocks(s_k, block_size)
+    offset = s_k - s_q
+    q_first = np.arange(nq) * block_size + offset
+    q_last = np.minimum((np.arange(nq) + 1) * block_size - 1, s_q - 1) + offset
+    k_first = np.arange(nk) * block_size
+    k_last = np.minimum((np.arange(nk) + 1) * block_size - 1, s_k - 1)
+    # Tile active iff the band [p-window+1, p] for some row p of the block
+    # intersects the tile's key range, i.e. k_first <= q_last and
+    # k_last >= q_first - window + 1.
+    return (k_first[None, :] <= q_last[:, None]) & (
+        k_last[None, :] >= q_first[:, None] - (window - 1)
+    )
 
 
 def causal_block_mask(n_heads: int, s_q: int, s_k: int, block_size: int) -> BlockMask:
     """Tiles at-or-below the (right-aligned) causal diagonal."""
     nq, nk = _grid(n_heads, s_q, s_k, block_size)
-    q_last, k_first = _block_positions(s_q, s_k, block_size)
-    grid = k_first[None, :] <= q_last[:, None]
+    grid = _causal_grid(s_q, s_k, block_size)
     blocks = np.broadcast_to(grid, (n_heads, nq, nk)).copy()
     return BlockMask(blocks, block_size, s_q, s_k)
 
@@ -204,20 +226,9 @@ def window_block_mask(
     zero-width band would leave every row empty, which no kernel here
     supports).  Tiles partially inside the band are included whole (a kernel
     computes full tiles)."""
-    if window < 1:
-        raise MaskError(f"window must be >= 1, got {window}")
+    _check_window(window)
     nq, nk = _grid(n_heads, s_q, s_k, block_size)
-    offset = s_k - s_q
-    q_first = np.arange(nq) * block_size + offset
-    q_last = np.minimum((np.arange(nq) + 1) * block_size - 1, s_q - 1) + offset
-    k_first = np.arange(nk) * block_size
-    k_last = np.minimum((np.arange(nk) + 1) * block_size - 1, s_k - 1)
-    # Tile active iff the band [p-window+1, p] for some row p of the block
-    # intersects the tile's key range, i.e. k_first <= q_last and
-    # k_last >= q_first - window + 1.
-    grid = (k_first[None, :] <= q_last[:, None]) & (
-        k_last[None, :] >= q_first[:, None] - (window - 1)
-    )
+    grid = _window_grid(s_q, s_k, block_size, window)
     blocks = np.broadcast_to(grid, (n_heads, nq, nk)).copy()
     return BlockMask(blocks, block_size, s_q, s_k)
 
@@ -236,25 +247,63 @@ def stripe_block_mask(
     """
     if isinstance(kv_indices, np.ndarray) and kv_indices.ndim == 1:
         kv_indices = [kv_indices]
-    n_heads = len(kv_indices)
-    nq, nk = _grid(n_heads, s_q, s_k, block_size)
-    q_last, k_first = _block_positions(s_q, s_k, block_size)
-    causal_grid = k_first[None, :] <= q_last[:, None]
-
-    blocks = np.zeros((n_heads, nq, nk), dtype=bool)
-    for h, idx in enumerate(kv_indices):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        if idx.min() < 0 or idx.max() >= s_k:
-            raise MaskError(
-                f"head {h}: kv indices out of range [0, {s_k}), "
-                f"got min={idx.min()}, max={idx.max()}"
-            )
-        cols = np.unique(idx // block_size)
-        blocks[h][:, cols] = True
-        blocks[h] &= causal_grid
+    _grid(len(kv_indices), s_q, s_k, block_size)
+    columns = _stripe_columns(kv_indices, s_k, block_size)
+    blocks = columns[:, None, :] & _causal_grid(s_q, s_k, block_size)
     return BlockMask(blocks, block_size, s_q, s_k)
+
+
+def _stripe_columns(
+    kv_indices, s_k: int, block_size: int, sink_tokens: int = 0
+) -> np.ndarray:
+    """``(H, n_kblocks)``: the key tiles holding one of head ``h``'s
+    indices or one of the first ``sink_tokens`` keys, set by one
+    fancy-index assignment over every head's indices; an index outside
+    ``[0, s_k)`` is a :class:`MaskError` naming the first such head."""
+    heads, flat = _flat_heads(kv_indices)
+    bad = _first_head_outside(heads, flat, s_k)
+    if bad is not None:
+        idx = heads[bad]
+        raise MaskError(
+            f"head {bad}: kv indices out of range [0, {s_k}), "
+            f"got min={idx.min()}, max={idx.max()}"
+        )
+    sizes = [idx.size for idx in heads]
+    columns = np.zeros((len(heads), num_blocks(s_k, block_size)), dtype=bool)
+    columns[np.repeat(np.arange(len(heads)), sizes), flat // block_size] = True
+    if sink_tokens > 0:
+        columns[:, : num_blocks(min(sink_tokens, s_k), block_size)] = True
+    return columns
+
+
+def _flat_heads(kv_indices) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each head's indices as a flat ``int64`` array, and all of them
+    concatenated (one array to check instead of one per head)."""
+    heads = [np.asarray(idx, dtype=np.int64).reshape(-1) for idx in kv_indices]
+    flat = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
+    return heads, flat
+
+
+def _first_head_outside(
+    heads: list[np.ndarray], flat: np.ndarray, s_k: int
+) -> int | None:
+    """The first head holding an index outside ``[0, s_k)``, if any."""
+    if not flat.size or (flat.min() >= 0 and flat.max() < s_k):
+        return None
+    return next(
+        h for h, idx in enumerate(heads)
+        if idx.size and (idx.min() < 0 or idx.max() >= s_k)
+    )
+
+
+def _ascending_per_head(heads: list[np.ndarray], flat: np.ndarray) -> bool:
+    """Whether every head's indices are strictly ascending, from one pass
+    over their concatenation ``flat`` (steps across a head boundary are
+    not compared)."""
+    rising = np.diff(flat) > 0
+    ends = np.cumsum([idx.size for idx in heads])[:-1] - 1
+    rising[ends[(ends >= 0) & (ends < rising.size)]] = True
+    return bool(rising.all())
 
 
 def sink_block_mask(
@@ -309,9 +358,36 @@ def dense_rows_block_mask(
     if last_rows > 0 and s_q > 0:
         first_row = max(s_q - last_rows, 0)
         first_block = first_row // block_size
-        q_last, k_first = _block_positions(s_q, s_k, block_size)
-        causal_grid = k_first[None, :] <= q_last[:, None]
-        blocks[:, first_block:, :] = causal_grid[first_block:, :]
+        causal = _causal_grid(s_q, s_k, block_size)
+        blocks[:, first_block:, :] = causal[first_block:, :]
+    return BlockMask(blocks, block_size, s_q, s_k)
+
+
+def plan_block_mask(
+    s_q: int,
+    s_k: int,
+    block_size: int,
+    window: int,
+    kv_indices: list[np.ndarray],
+    *,
+    sink_tokens: int = 0,
+    dense_last_rows: int = 0,
+) -> BlockMask:
+    """Tile view of a window + stripe plan: the union of
+    :func:`window_block_mask`, :func:`stripe_block_mask` over
+    ``kv_indices``, :func:`sink_block_mask` and
+    :func:`dense_rows_block_mask`, built as one ``(H, n_kblocks)`` column
+    hit table ANDed with the causal grid and ORed with the window grid.
+    Raises what those builders raise, in the same order."""
+    _check_window(window)
+    _grid(len(kv_indices), s_q, s_k, block_size)
+    columns = _stripe_columns(kv_indices, s_k, block_size, sink_tokens)
+    causal = _causal_grid(s_q, s_k, block_size)
+    blocks = columns[:, None, :] & causal
+    blocks |= _window_grid(s_q, s_k, block_size, window)
+    if dense_last_rows > 0 and s_q > 0:
+        first_block = max(s_q - dense_last_rows, 0) // block_size
+        blocks[:, first_block:, :] = causal[first_block:, :]
     return BlockMask(blocks, block_size, s_q, s_k)
 
 
@@ -349,9 +425,7 @@ def block_diagonal_mask(
         q_inc[q_tiles, bucket_of_q[h]] = True
         k_inc[k_tiles, bucket_of_k[h]] = True
         blocks[h] = q_inc @ k_inc.T  # bool matmul: shared-bucket adjacency
-    q_last, k_first = _block_positions(s_q, s_k, block_size)
-    causal_grid = k_first[None, :] <= q_last[:, None]
-    blocks &= causal_grid[None]
+    blocks &= _causal_grid(s_q, s_k, block_size)[None]
     return BlockMask(blocks, block_size, s_q, s_k)
 
 
@@ -396,17 +470,25 @@ def normalise_indices(
 ) -> list[np.ndarray]:
     """Per-head sorted, unique stripe ∪ sink columns as ``int64`` arrays;
     a wrong head count or an index outside ``[0, s_k)`` is a
-    :class:`~repro.errors.MaskError`."""
+    :class:`~repro.errors.MaskError`.
+
+    Stage 2's stripes are already sorted and unique, so the union is the
+    sinks followed by each head's indices from the first non-sink on;
+    any other input goes through :func:`numpy.union1d`."""
     if len(kv_indices) != h:
         raise MaskError(f"got {len(kv_indices)} stripe sets for {h} heads")
-    sinks = np.arange(min(max(sink_tokens, 0), s_k), dtype=np.int64)
-    out = []
-    for hh, idx in enumerate(kv_indices):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= s_k):
-            raise MaskError(f"head {hh}: stripe index out of range [0, {s_k})")
-        out.append(np.union1d(idx, sinks))
-    return out
+    n_sinks = min(max(sink_tokens, 0), s_k)
+    sinks = np.arange(n_sinks, dtype=np.int64)
+    heads, flat = _flat_heads(kv_indices)
+    bad = _first_head_outside(heads, flat, s_k)
+    if bad is not None:
+        raise MaskError(f"head {bad}: stripe index out of range [0, {s_k})")
+    if _ascending_per_head(heads, flat):
+        return [
+            np.concatenate((sinks, idx[np.searchsorted(idx, n_sinks):]))
+            for idx in heads
+        ]
+    return [np.union1d(idx, sinks) for idx in heads]
 
 
 def striped_element_counts(

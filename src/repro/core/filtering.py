@@ -106,53 +106,100 @@ def select_kv_indices(
     h, s_k = column_scores.shape
     min_keep = int(np.clip(min_keep, 0, s_k))
 
-    # Descending sort per head: order[h] holds column ids by decreasing mass.
-    order = np.argsort(-column_scores, axis=1, kind="stable")
-    sorted_mass = np.take_along_axis(column_scores, order, axis=1)
-    cum = np.cumsum(sorted_mass, axis=1)
+    # The mass in descending order -- the order of ``np.argsort(-x,
+    # kind="stable")`` -- from one unstable (SIMD) sort of the values: no
+    # permutation is needed, only the values and which columns come first.
+    neg = -column_scores
+    neg_sorted = np.sort(neg, axis=1)
+    cum = np.cumsum(_descending_mass(column_scores, neg, neg_sorted), axis=1)
     total = cum[:, -1] if s_k else np.zeros(h)
     safe_total = np.where(total <= 0.0, 1.0, total)
     share = cum / safe_total[:, None]
 
+    # Each row of ``share`` is non-decreasing with any NaNs last -- the
+    # order ``np.searchsorted`` assumes -- so counting the entries below
+    # the threshold is its left insertion point.  Compared in float64,
+    # which holds both operands exactly.
     if mode == "exact":
-        # Smallest k with share[k-1] >= alpha.  searchsorted on the
-        # monotone share curve; alpha - tiny guards float equality.
+        # Smallest k with share[k-1] >= alpha; alpha - tiny guards float
+        # equality.
         eps = np.float64(1e-9)
-        k_per_head = np.array(
-            [int(np.searchsorted(share[i], alpha - eps) + 1) for i in range(h)],
-            dtype=np.int64,
-        )
+        k_per_head = _count_below(share, alpha - eps) + 1
     else:
         ratios = np.asarray(PAPER_PREFIX_RATIOS, dtype=np.float64)
         grid_k = np.maximum(1, np.ceil(ratios * s_k).astype(np.int64))
         grid_k = np.minimum(grid_k, s_k)
-        k_per_head = np.empty(h, dtype=np.int64)
-        for i in range(h):
-            grid_share = share[i, grid_k - 1]
-            j = int(np.searchsorted(grid_share, alpha - 1e-9))
-            j = min(j, grid_k.size - 1)
-            k_per_head[i] = grid_k[j]
+        # With no heads no grid column is read (at s_k = 0 there is none).
+        grid_share = share[:, grid_k - 1] if h else share
+        j = _count_below(grid_share, alpha - 1e-9)
+        k_per_head = grid_k[np.minimum(j, grid_k.size - 1)]
 
     k_per_head = np.clip(k_per_head, max(min_keep, 1), s_k)
-    # Heads with zero sampled mass: fall back to the leading columns.
+    # Heads with zero sampled mass keep the leading columns -- their
+    # descending order is the identity, all columns being tied at zero.
     dead = total <= 0.0
-    kv_indices: list[np.ndarray] = []
-    achieved = np.empty(h, dtype=np.float64)
-    for i in range(h):
-        kk = int(k_per_head[i])
-        if dead[i]:
-            idx = np.arange(min(max(min_keep, 1), s_k), dtype=np.int64)
-            achieved[i] = 0.0
-        else:
-            idx = np.sort(order[i, :kk])
-            achieved[i] = float(share[i, kk - 1])
-        kv_indices.append(idx)
+    keep_n = np.where(dead, min(max(min_keep, 1), s_k), k_per_head)
+    if h and s_k:
+        chosen = _first_columns(neg, neg_sorted, keep_n)
+    else:
+        chosen = np.zeros((h, s_k), dtype=bool)
+    # Row-major nonzeros: every head's kept columns, each head ascending.
+    columns = np.nonzero(chosen)[1]
+    starts = np.concatenate(([0], np.cumsum(keep_n))).tolist()
+    kv_indices = [columns[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    achieved = np.zeros(h, dtype=np.float64)
+    if s_k:
+        achieved[:] = share[np.arange(h), k_per_head - 1]
+        achieved[dead] = 0.0
 
-    kv_ratio = np.array([len(ix) / max(s_k, 1) for ix in kv_indices])
+    kv_ratio = keep_n / max(s_k, 1)
     if contracts.enabled():
         contracts.check_selection(kv_indices, achieved, alpha, s_k)
     return FilterResult(
         kv_indices=kv_indices,
         kv_ratio=kv_ratio,
         achieved_share=achieved,
+    )
+
+
+def _descending_mass(
+    x: np.ndarray, neg: np.ndarray, neg_sorted: np.ndarray
+) -> np.ndarray:
+    """``x`` along its stable descending order, bit for bit, from the
+    sorted ``-x``.  Equal values are interchangeable except ``±0`` and NaN
+    payloads, which the stable order lists in column order: those are put
+    back that way (each row holds as many in both layouts)."""
+    mass = -neg_sorted
+    for sorted_at, at in (
+        (neg_sorted == 0, neg == 0),
+        (neg_sorted != neg_sorted, neg != neg),
+    ):
+        if at.any():
+            mass[sorted_at] = x[at]
+    return mass
+
+
+def _first_columns(
+    neg: np.ndarray, neg_sorted: np.ndarray, keep_n: np.ndarray
+) -> np.ndarray:
+    """``(H, S_k)`` mask of each head's first ``keep_n`` columns in the
+    stable descending order: every column sorting strictly before the
+    ``keep_n``-th value, then the columns equal to it, lowest index first,
+    until ``keep_n`` are kept.  NaNs sort after every number."""
+    h = neg.shape[0]
+    cut = neg_sorted[np.arange(h), keep_n - 1][:, None]
+    before = neg < cut
+    tied = neg == cut
+    nan_cut = cut != cut
+    if nan_cut.any():
+        before |= nan_cut & (neg == neg)
+        tied |= nan_cut & (neg != neg)
+    need = keep_n - np.count_nonzero(before, axis=1)
+    return before | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+
+
+def _count_below(a: np.ndarray, threshold) -> np.ndarray:
+    """Per row of ``a``, how many entries are below ``threshold``."""
+    return np.count_nonzero(
+        a.astype(np.float64, copy=False) < np.float64(threshold), axis=1
     )

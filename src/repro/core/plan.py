@@ -20,11 +20,10 @@ import numpy as np
 
 from ..attention.masks import (
     BlockMask,
-    dense_rows_block_mask,
-    sink_block_mask,
-    stripe_block_mask,
+    _ascending_per_head,
+    _flat_heads,
+    plan_block_mask,
     striped_element_counts,
-    window_block_mask,
 )
 from ..attention.utils import total_causal_elements
 from ..audit import contracts
@@ -191,22 +190,25 @@ class SparsePlan:
             return False
         if not self.kv_indices:
             return False
+        # Stage 2 clamps min_keep to the *planning-time* prefix length: a
+        # plan legally built at a tiny prefix keeps its clamped stripe set
+        # when the prefix later outgrows min_keep, so the floor must follow
+        # the planned s_k, not the extended one (else every early-chunk
+        # plan is spuriously invalidated on cache reuse).
+        floor = min(self.config.min_keep, self.planning_s_k, sk)
         for ix in self.kv_indices:
             arr = np.asarray(ix)
             if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
                 return False
-            if arr.size < min(self.config.min_keep, self.planning_s_k, sk):
-                # Stage 2 clamps min_keep to the *planning-time* prefix
-                # length: a plan legally built at a tiny prefix keeps its
-                # clamped stripe set when the prefix later outgrows
-                # min_keep, so the floor must follow the planned s_k, not
-                # the extended one (else every early-chunk plan is
-                # spuriously invalidated on cache reuse).
+            if arr.size < floor:
                 return False
-            if arr.size and (arr[0] < 0 or arr[-1] >= sk):
-                return False
-            if arr.size > 1 and (np.diff(arr) <= 0).any():
-                return False
+        # Range and strict order of every head, from one pass over the
+        # concatenated indices.
+        heads, flat = _flat_heads(self.kv_indices)
+        if flat.size and (flat.min() < 0 or flat.max() >= sk):
+            return False
+        if not _ascending_per_head(heads, flat):
+            return False
         if self.kv_ratio.shape != (self.n_heads,):
             return False
         if not (np.isfinite(self.kv_ratio).all() and (self.kv_ratio >= 0).all()):
@@ -237,16 +239,15 @@ class SparsePlan:
         ``fast_block_sparse_attention(q, k, v, plan.to_block_mask())``
         (the design ablation and the audit's ``pipeline`` area do that).
         """
-        b = block_size or self.config.block_size
-        h = self.n_heads
-        mask = window_block_mask(h, self.s_q, self.s_k, b, self.window)
-        mask = mask | stripe_block_mask(self.kv_indices, self.s_q, self.s_k, b)
-        if self.config.sink_tokens > 0:
-            mask = mask | sink_block_mask(h, self.s_q, self.s_k, b, self.config.sink_tokens)
-        if self.config.dense_last_rows > 0:
-            mask = mask | dense_rows_block_mask(
-                h, self.s_q, self.s_k, b, self.config.dense_last_rows
-            )
+        mask = plan_block_mask(
+            self.s_q,
+            self.s_k,
+            block_size or self.config.block_size,
+            self.window,
+            self.kv_indices,
+            sink_tokens=self.config.sink_tokens,
+            dense_last_rows=self.config.dense_last_rows,
+        )
         if contracts.enabled():
             contracts.check_merged_mask(self, mask)
         return mask

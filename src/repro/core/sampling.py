@@ -12,6 +12,25 @@ The reference GPU implementation fuses the ``bmm -> mask -> softmax ->
 column-reduction`` chain into one kernel so the ``l x S_k`` intermediate
 never hits HBM; here we emulate the fusion by chunking over sampled rows so
 peak memory stays ``O(chunk * S_k)`` per head regardless of ``r_row``.
+
+Layout.  A chunk of ``c`` sampled rows is scored with one GEMM per KV
+head, ``k @ q_rows^T``: the key cache ``(H_kv, S_k, d)`` is the row-major,
+untransposed *left* operand and the chunk's ``n_rep * c`` query rows of
+that KV group, copied to a contiguous ``(H_kv, d, n_rep * c)``, the right
+one -- decode's layout (:func:`~repro.attention.utils.decode_row_attention`).
+With the cache on the right, ``q_rows @ k^T`` makes BLAS repack the
+transposed cache once per query head for a ``c``-row GEMM; on the left it
+is read once per KV head.  The product is copied back, scale folded in, to
+the contiguous ``(H, c, S_k)`` rows the softmax and the column reduction
+run on.  Both layouts give the same bits while BLAS runs them as its
+blocked GEMM, which sums every dot product over ``d`` in order.  A
+single-row chunk, or one under ``_SMALL_GEMM`` multiply-adds per query
+head, is a GEMV or small-matrix kernel call for ``q_rows @ k^T`` that sums
+in another order, so such chunks keep that form: the scores are bitwise
+those of :func:`~repro.attention.utils.grouped_qk` on every shape.
+
+Only the tail columns ``[min(rows) + offset + 1, S_k)`` are masked: every
+sampled row sees all keys before them.
 """
 
 from __future__ import annotations
@@ -28,6 +47,10 @@ __all__ = [
     "sampled_row_indices",
     "sample_column_scores",
 ]
+
+#: OpenBLAS's small-matrix cut-off (``M * N * K``): at or below it, and for
+#: one-row products, ``q_rows @ k^T`` does not run as the blocked GEMM.
+_SMALL_GEMM = 100**3
 
 
 @dataclass(frozen=True)
@@ -133,25 +156,30 @@ def sample_column_scores(
     col_pos = np.arange(s_k, dtype=np.int64)
 
     column = np.zeros((h, s_k), dtype=np.float32)
-    visible_rows = np.zeros(s_k, dtype=np.int64)
+    if reduction == "mean":
+        visible_rows = np.zeros(s_k, dtype=np.int64)
 
     for c0 in range(0, row_indices.size, chunk):
         rows = row_indices[c0 : c0 + chunk]
-        q_rows = qf[:, rows]  # (H, c, d)
-        s = grouped_qk(q_rows, kf) * scale
-        if causal:
-            visible = col_pos[None, :] <= (rows + offset)[:, None]  # (c, S_k)
-            s = np.where(visible[None], s, NEG_INF)
-            visible_rows += visible.sum(axis=0)
-        else:
+        s = _chunk_scores(qf[:, rows], kf, scale)
+        # Columns before ``tail`` are visible to every sampled row;
+        # ``hidden`` is (c, S_k - tail).
+        tail = int(rows.min()) + offset + 1 if causal else s_k
+        hidden = None
+        if tail < s_k:
+            hidden = col_pos[None, tail:] > (rows + offset)[:, None]
+            np.copyto(s[:, :, tail:], NEG_INF, where=hidden[None])
+        if reduction == "mean":
             visible_rows += rows.size
+            if hidden is not None:
+                visible_rows[tail:] -= hidden.sum(axis=0)
         # Stable row softmax; the clamp keeps masked and far-below-max
         # entries off ``exp``'s underflow path (see ``_EXP_CLAMP``).
         s -= np.max(s, axis=-1, keepdims=True)
         np.maximum(s, _EXP_CLAMP, out=s)
         p = np.exp(s, out=s)
-        if causal:
-            p = np.where(visible[None], p, 0.0)
+        if hidden is not None:
+            np.copyto(p[:, :, tail:], 0.0, where=hidden[None])
         z = np.sum(p, axis=-1, keepdims=True)
         z = np.where(z == 0.0, 1.0, z)
         p /= z
@@ -169,3 +197,18 @@ def sample_column_scores(
         row_indices=row_indices,
         n_sampled=int(row_indices.size),
     )
+
+
+def _chunk_scores(q_rows: np.ndarray, k: np.ndarray, scale) -> np.ndarray:
+    """Scaled scores ``(H, c, S_k)``, C-contiguous, of ``c`` sampled query
+    rows against the cache, laid out as the module docstring describes."""
+    h, c, d = q_rows.shape
+    h_kv, s_k, _ = k.shape
+    if c < 2 or c * s_k * d <= _SMALL_GEMM:
+        return grouped_qk(q_rows, k) * scale
+    n_rep = h // h_kv
+    qt = np.ascontiguousarray(
+        q_rows.reshape(h_kv, n_rep, c, d).transpose(0, 3, 1, 2)
+    ).reshape(h_kv, d, n_rep * c)
+    scores = np.multiply(np.matmul(k, qt).transpose(0, 2, 1), scale, order="C")
+    return scores.reshape(h, c, s_k)

@@ -18,11 +18,16 @@ inline execution are bitwise equal.  The pool is as wide as the set of CPUs
 this process may run on (``os.sched_getaffinity``): the caller plus that
 many minus one helper threads, started on first use.  On one CPU nothing is
 started and :func:`run` calls the units inline.  There is no parameter,
-config field or environment variable for the width.  Planning, mask
-building, KV appends and fragments of a sparse item (a head's stripes, a
-q-block's bands) stay in the caller's thread: those units are
-sub-millisecond or share state, and handing them between threads costs
-more than it returns (docs/PERFORMANCE.md).
+config field or environment variable for the width.  KV appends and
+fragments of a sparse item (a head's stripes, a q-block's bands) stay in
+the caller's thread: those units are sub-millisecond or share state, and
+handing them between threads costs more than it returns
+(docs/PERFORMANCE.md).  Planning and its mask building stay there too,
+though they are not small -- a ``prefill_long`` plan takes a few
+milliseconds -- because perfbench's frozen trace targets (``core.plan``,
+``core.sample``, ``core.filter``, ``core.mask_build``,
+``core.plan_reuse``) must fire on the main thread; moving them onto the
+pool waits for the benchmark to be unfrozen (ROADMAP item 1).
 """
 
 from __future__ import annotations

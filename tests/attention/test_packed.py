@@ -575,7 +575,8 @@ class TestPooledItems:
     def test_pooled_is_bitwise_inline(self, rng, monkeypatch, n_rep, gain):
         items = self._dispatch(rng, n_rep, gain)
         inline = _run(items, 1)
-        ran_on = record_threads(monkeypatch, packed_mod, "_execute_item")
+        ran_on = record_threads(
+            monkeypatch, packed_mod, "_execute_item", await_helper=True)
         # Item order and largest-first order disagree in every batch, so
         # results stored in completion order would land on the wrong item.
         for workers, order in ((2, [0, 1, 2, 3, 4]), (2, [3, 1, 4, 0, 2]),
@@ -615,7 +616,8 @@ class TestPooledItems:
         # Items on helpers only read the dispatch's band terms; one built
         # lazily on a helper would race the caller's dict.
         items = self._dispatch(rng, 2)
-        ran_on = record_threads(monkeypatch, packed_mod, "_execute_item")
+        ran_on = record_threads(
+            monkeypatch, packed_mod, "_execute_item", await_helper=True)
         built_on = record_threads(monkeypatch, packed_mod, "_window_dead")
         _run(items, 2)
         caller = threading.current_thread().name
@@ -662,7 +664,8 @@ class TestPooledItems:
                 return packed_decode_attention(batch, return_probs=return_probs)
 
         inline = run(items, 1)
-        ran_on = record_threads(monkeypatch, packed_mod, "decode_row_attention")
+        ran_on = record_threads(
+            monkeypatch, packed_mod, "decode_row_attention", await_helper=True)
         for workers, order in ((2, [0, 1, 2, 3, 4, 5]), (3, [5, 3, 1, 0, 4, 2])):
             pooled = run([items[j] for j in order], workers)
             for slot, j in enumerate(order):

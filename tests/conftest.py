@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro import pool
 from repro.model import build_model
 
 # A property failure prints a ``@reproduce_failure`` blob next to the
@@ -59,14 +60,39 @@ def perfbench_module(name: str):
     return module
 
 
-def record_threads(monkeypatch, owner, name: str) -> list[str]:
+#: How long the first recorded pooled call on the caller waits for a helper.
+HELPER_WAIT_S = 5.0
+
+
+def record_threads(
+    monkeypatch, owner, name: str, *, await_helper: bool = False
+) -> list[str]:
     """Wrap ``owner.<name>`` for the test; returns the list the wrapper
-    appends each call's thread name to (pool units name their thread)."""
+    appends each call's thread name to (pool units name their thread).
+
+    With ``await_helper=True`` the first call the test's thread makes
+    while draining units of a pooled :func:`repro.pool.run` waits (at most
+    :data:`HELPER_WAIT_S`) until a call on another thread has begun.  A
+    loaded host can otherwise let the caller drain every unit before a
+    helper wakes, which is legal but leaves nothing to assert that the
+    pool ran anything.  Tests that assert work stays inline do not opt in.
+    """
     threads: list[str] = []
     fn = getattr(owner, name)
+    caller = threading.current_thread()
+    helper_began = threading.Event()
+    waited = False
 
     def recorded(*args, **kwargs):
-        threads.append(threading.current_thread().name)
+        nonlocal waited
+        me = threading.current_thread()
+        threads.append(me.name)
+        if me is not caller:
+            helper_began.set()
+        elif (await_helper and not waited
+              and getattr(pool._in_unit, "active", False)):
+            waited = True
+            helper_began.wait(HELPER_WAIT_S)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, recorded)

@@ -322,7 +322,8 @@ class TestLongRequestsStepTogether:
         rng = np.random.default_rng(5)
         tokens = [rng.integers(0, model.config.vocab_size, n) for n in self.LENGTHS]
         ids = list(range(len(tokens)))
-        units = [record_threads(monkeypatch, packed_mod, name)
+        units = [record_threads(monkeypatch, packed_mod, name,
+                                await_helper=True)
                  for name in ("_execute_item", "decode_row_attention")]
         together = self._serve(model, tokens, ids[::-1], workers=2)
         main = threading.current_thread().name

@@ -66,7 +66,8 @@ def test_every_target_runs_on_the_main_thread(glm_mini, monkeypatch):
     # >= 512 keys, decode caches of >= 1024 keys.
     tracer = perfbench_module("tracer")
     threads = collections.defaultdict(set)
-    units = [record_threads(monkeypatch, packed_mod, name)
+    units = [record_threads(monkeypatch, packed_mod, name,
+                            await_helper=True)
              for name in ("_execute_item", "decode_row_attention")]
 
     class ThreadRecorder(tracer.Tracer):
