@@ -34,7 +34,6 @@ from .packed import (
 )
 from .masks import (
     BlockMask,
-    block_diagonal_mask,
     causal_block_mask,
     dense_rows_block_mask,
     global_block_mask,
@@ -81,7 +80,6 @@ __all__ = [
     "global_block_mask",
     "random_block_mask",
     "dense_rows_block_mask",
-    "block_diagonal_mask",
     "causal_mask",
     "decode_row_attention",
     "expand_kv",

@@ -39,7 +39,6 @@ __all__ = [
     "random_block_mask",
     "dense_rows_block_mask",
     "plan_block_mask",
-    "block_diagonal_mask",
     "normalise_bands",
     "normalise_indices",
     "striped_element_counts",
@@ -388,44 +387,6 @@ def plan_block_mask(
     if dense_last_rows > 0 and s_q > 0:
         first_block = max(s_q - dense_last_rows, 0) // block_size
         blocks[:, first_block:, :] = causal[first_block:, :]
-    return BlockMask(blocks, block_size, s_q, s_k)
-
-
-def block_diagonal_mask(
-    bucket_of_q: np.ndarray,
-    bucket_of_k: np.ndarray,
-    s_q: int,
-    s_k: int,
-    block_size: int,
-) -> BlockMask:
-    """Bucketed attention tiles: tile (i, j) is active for head ``h`` when the
-    query tile and key tile share at least one bucket label.
-
-    ``bucket_of_q``: ``(H, s_q)`` integer labels; ``bucket_of_k``: ``(H, s_k)``.
-    Used by the Hash-Sparse and HyperAttention baselines.  The result is
-    intersected with causality.
-    """
-    if bucket_of_q.ndim != 2 or bucket_of_k.ndim != 2:
-        raise MaskError("bucket label arrays must be rank-2 (H, S)")
-    n_heads = bucket_of_q.shape[0]
-    if bucket_of_k.shape[0] != n_heads:
-        raise MaskError("query/key bucket arrays disagree on head count")
-    if bucket_of_q.shape[1] != s_q or bucket_of_k.shape[1] != s_k:
-        raise MaskError("bucket label arrays disagree with sequence lengths")
-    nq, nk = _grid(n_heads, s_q, s_k, block_size)
-    n_buckets = int(max(bucket_of_q.max(initial=0), bucket_of_k.max(initial=0))) + 1
-
-    # Tile -> bucket incidence, then tile-tile adjacency via shared buckets.
-    blocks = np.zeros((n_heads, nq, nk), dtype=bool)
-    for h in range(n_heads):
-        q_inc = np.zeros((nq, n_buckets), dtype=bool)
-        k_inc = np.zeros((nk, n_buckets), dtype=bool)
-        q_tiles = np.arange(s_q) // block_size
-        k_tiles = np.arange(s_k) // block_size
-        q_inc[q_tiles, bucket_of_q[h]] = True
-        k_inc[k_tiles, bucket_of_k[h]] = True
-        blocks[h] = q_inc @ k_inc.T  # bool matmul: shared-bucket adjacency
-    blocks &= _causal_grid(s_q, s_k, block_size)[None]
     return BlockMask(blocks, block_size, s_q, s_k)
 
 

@@ -24,7 +24,7 @@ from .config import ModelConfig, ResidualLayout
 from .kv_cache import LayerKVCache
 from .layers import AttentionLayer, gated_mlp, rms_norm
 from .presets import MODEL_NAMES, build_model
-from .rope import apply_rope, relative_kernel, rope_cos_sin, rope_frequencies
+from .rope import apply_rope, rope_cos_sin, rope_frequencies
 from .transformer import GenerationResult, Transformer
 from .weights import LayerWeights, ModelWeights, random_weights
 
@@ -53,5 +53,4 @@ __all__ = [
     "rope_cos_sin",
     "apply_rope",
     "rope_frequencies",
-    "relative_kernel",
 ]

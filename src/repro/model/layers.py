@@ -155,11 +155,31 @@ class AttentionLayer:
         rotated in place: packing a step's chunks holds no more than their
         q/k/v.
         """
+        return self._project(x, positions, with_q=True)
+
+    def project_kv(
+        self, x: np.ndarray, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`project_qkv` without q: rotated ``k (H_kv, S, e)`` and raw
+        ``v (H_kv, S, e)`` of rows whose attention output nobody reads.
+
+        One GEMM against the k/v rows of the fused weight: the blocked
+        kernel computes each output column on its own, so both are bitwise
+        :meth:`project_qkv`'s k and v, at ``2 H_kv / (H + 2 H_kv)`` of its
+        multiply-adds.
+        """
+        return self._project(x, positions, with_q=False)
+
+    def _project(self, x, positions, *, with_q: bool) -> tuple:
+        """``(q, k, v)`` of :meth:`project_qkv`, or ``(k, v)`` from the
+        fused weight's k/v rows alone."""
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ModelError(f"residual shape {x.shape}")
         s = x.shape[0]
-        h, h_kv, e = self.config.n_heads, self.config.n_kv_heads, self.config.d_head
+        h_kv, e = self.config.n_kv_heads, self.config.d_head
+        h = self.config.n_heads if with_q else 0
         positions = np.asarray(positions)
+        w = self._qkv[(self.config.n_heads - h) * e :]
 
         def rotate(rows, r0, r1):
             cos, sin = rope_cos_sin(
@@ -168,12 +188,12 @@ class AttentionLayer:
             qk = rows.reshape(r1 - r0, h + 2 * h_kv, e)[:, : h + h_kv]
             rotate_pairs(qk, cos[:, None], sin[:, None])
 
-        heads = _row_gemm(x, self._qkv.T, rotate).reshape(s, h + 2 * h_kv, e)
-        q, k, v = (
-            heads[:, lo:hi].transpose(1, 0, 2)
-            for lo, hi in ((0, h), (h, h + h_kv), (h + h_kv, h + 2 * h_kv))
+        heads = _row_gemm(x, w.T, rotate).reshape(s, h + 2 * h_kv, e)
+        cuts = [0, h, h + h_kv, h + 2 * h_kv] if h else [0, h_kv, 2 * h_kv]
+        return tuple(
+            _f32(heads[:, lo:hi].transpose(1, 0, 2))
+            for lo, hi in zip(cuts, cuts[1:])
         )
-        return _f32(q), _f32(k), _f32(v)
 
     def project_qkv_decode_batch(
         self, x_rows: np.ndarray, cos: np.ndarray, sin: np.ndarray

@@ -27,7 +27,6 @@ __all__ = [
     "apply_rope",
     "apply_rope_batched",
     "rotate_pairs",
-    "relative_kernel",
 ]
 
 
@@ -146,38 +145,3 @@ def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     odd = x1 * sin + x2 * cos
     x1[...] = even
     x2[...] = odd
-
-
-def relative_kernel(
-    q_pairs: np.ndarray,
-    k_pairs: np.ndarray,
-    offsets: np.ndarray,
-    rot_dim: int,
-    base: float,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Evaluate the positional score kernel ``g(delta)`` analytically.
-
-    For rotary components ``q_pairs``/``k_pairs`` (each ``(n_pairs, 2)``,
-    the (x, y) coefficients of every pair before rotation) the rotary part
-    of the attention logit between a query at position ``i`` and key at
-    ``j = i + delta`` is a function of ``delta`` alone::
-
-        g(delta) = sum_m |q_m| |k_m| cos(theta_m delta + phi_k_m - phi_q_m)
-
-    Used by the circuit compiler to calibrate window widths and recency
-    biases without running attention.
-    """
-    freqs = rope_frequencies(rot_dim, base, scale)
-    n_pairs = freqs.shape[0]
-    if q_pairs.shape != (n_pairs, 2) or k_pairs.shape != (n_pairs, 2):
-        raise ShapeError(
-            f"pair arrays must be ({n_pairs}, 2); got {q_pairs.shape}, {k_pairs.shape}"
-        )
-    amp_q = np.hypot(q_pairs[:, 0], q_pairs[:, 1])
-    amp_k = np.hypot(k_pairs[:, 0], k_pairs[:, 1])
-    phi_q = np.arctan2(q_pairs[:, 1], q_pairs[:, 0])
-    phi_k = np.arctan2(k_pairs[:, 1], k_pairs[:, 0])
-    offsets = np.asarray(offsets, dtype=np.float64)
-    angles = freqs[None, :] * offsets[:, None] + (phi_k - phi_q)[None, :]
-    return np.sum(amp_q[None, :] * amp_k[None, :] * np.cos(angles), axis=1)

@@ -121,7 +121,9 @@ class Transformer:
             per layer.  Sparse backends then see ``S_q = chunk_size``
             against the full key length, and SampleAttention's stage 1
             samples the *chunk's* rows, as a chunked serving integration
-            runs it.
+            runs it.  Only the last chunk's rows are returned, so every
+            earlier chunk is unread (:meth:`prefill_chunk_batch`): its last
+            layer appends k/v without calling ``backend.prefill``.
         caches:
             Per-layer KV caches to populate for decoding; by default a
             throwaway set sized to the prompt.
@@ -152,7 +154,11 @@ class Transformer:
             c1 = min(c0 + chunk_size, tokens.size)
             stats.clear()
             hidden = self.prefill_chunk(
-                tokens[c0:c1], np.arange(c0, c1, dtype=np.int64), caches, attend
+                tokens[c0:c1],
+                np.arange(c0, c1, dtype=np.int64),
+                caches,
+                attend,
+                read=c1 == tokens.size,
             )
         return hidden, stats
 
@@ -168,6 +174,8 @@ class Transformer:
         positions: np.ndarray,
         caches: list[LayerKVCache],
         attend,
+        *,
+        read: bool = True,
     ) -> np.ndarray:
         """Run one prompt chunk through every layer, appending to caches.
 
@@ -186,11 +194,15 @@ class Transformer:
         the batched path, so request-vs-packed parity holds by
         construction.  Cache-append and ``attend`` errors propagate.
 
-        Returns the chunk's final residual rows ``(S_chunk, d_model)``.
+        Returns the chunk's final residual rows ``(S_chunk, d_model)``, or
+        with ``read=False`` an empty ``(0, d_model)`` array: the last layer
+        then only appends the chunk's k/v, and ``attend`` runs for the
+        ``n_layers - 1`` layers before it.
         """
         return self.prefill_chunk_batch(
             [(tokens, positions, caches)],
             lambda i, entries: {0: attend(i, *entries[0])},
+            read=[read],
         )[0]
 
     def prefill_chunk_batch(
@@ -199,6 +211,7 @@ class Transformer:
         attend_batch,
         *,
         on_error=None,
+        read=None,
     ) -> list:
         """Run one chunk from each of several requests through every layer.
 
@@ -223,8 +236,18 @@ class Transformer:
         a function of its own inputs, and split their rows over
         :mod:`repro.pool`.
 
+        ``read[b]`` (default: every chunk) says whether the caller reads
+        chunk ``b``'s final rows -- serving reads only a prompt's final
+        chunk, whose last row yields the first token.  The last layer of
+        an unread chunk only projects its k/v (bitwise the fused GEMM's)
+        and appends them: it never reaches ``attend_batch`` or the output
+        projection, so ``attend_batch`` sees it ``n_layers - 1`` times and
+        is not called at all for a last layer no read chunk reaches.  Every
+        cache ends bitwise as if the chunk had been read.
+
         Returns one entry per input chunk: the final residual rows
-        ``(S_chunk, d_model)``, or ``None`` for dropped chunks.  Survivor
+        ``(S_chunk, d_model)`` of a read chunk, an empty ``(0, d_model)``
+        array for an unread one, or ``None`` for dropped chunks.  Survivor
         entries are bitwise identical to running :meth:`prefill_chunk`
         (a batch of one) on each request alone, given an ``attend_batch``
         whose per-item outputs do not depend on batch composition.
@@ -234,15 +257,27 @@ class Transformer:
         for _, _, caches in chunks:
             if len(caches) != self.config.n_layers:
                 raise ModelError("caches must have one entry per layer")
+        every = [True] * len(chunks)
+        read = every if read is None else [bool(r) for r in read]
+        if len(read) != len(chunks):
+            raise ModelError("read must have one entry per chunk")
         xs: list[np.ndarray | None] = []
         poss: list[np.ndarray] = []
         for tokens, positions, _ in chunks:
             xs.append(self.embed(tokens))
             poss.append(np.asarray(positions, dtype=np.int64))
         live = list(range(len(chunks)))
+        last = self.config.n_layers - 1
         for i, layer in enumerate(self.layers):
-            entries = self._append_packed(i, layer, chunks, xs, poss, live, on_error)
-            if not entries:
+            with_q = read if i == last else every
+            entries = self._append_packed(
+                i, layer, chunks, xs, poss, live, on_error, with_q
+            )
+            for b in live:
+                if not with_q[b]:
+                    xs[b] = np.empty((0, self.config.d_model), xs[b].dtype)
+            live = list(entries)
+            if not live:
                 break
             outs = attend_batch(i, entries)
             del entries  # its q views hold the step's whole q/k/v
@@ -262,23 +297,35 @@ class Transformer:
                     )
         return xs
 
-    def _append_packed(self, i, layer, chunks, xs, poss, live, on_error) -> dict:
-        """Layer ``i``'s token-packed q/k/v projection over every live
-        chunk's rows, each chunk's k/v appended to its cache.  Returns chunk
-        index -> ``(q, keys, values, scale)``; a chunk whose append raised
-        is reported to ``on_error`` and dropped from ``live`` / ``xs``."""
-        cuts = np.cumsum([0] + [xs[b].shape[0] for b in live])
-        q, k_new, v_new = layer.project_qkv(
-            np.concatenate([self._norm(xs[b]) for b in live]),
-            np.concatenate([poss[b] for b in live]),
-        )
+    def _append_packed(
+        self, i, layer, chunks, xs, poss, live, on_error, with_q
+    ) -> dict:
+        """Layer ``i``'s token-packed projection of every live chunk's rows,
+        each chunk's k/v appended to its cache in ``live`` order.  Chunks
+        with ``with_q[b]`` share one q/k/v GEMM; the rest share one k/v-only
+        GEMM (:meth:`AttentionLayer.project_kv`, bitwise the same k/v).
+        Returns chunk index -> ``(q, keys, values, scale)`` for the
+        ``with_q`` chunks; a chunk whose append raised is reported to
+        ``on_error`` and dropped from ``live`` / ``xs``."""
+        heads: dict[int, list] = {}
+        for want_q, project in ((True, layer.project_qkv), (False, layer.project_kv)):
+            group = [b for b in live if with_q[b] == want_q]
+            if not group:
+                continue
+            cuts = np.cumsum([0] + [xs[b].shape[0] for b in group])
+            out = project(
+                np.concatenate([self._norm(xs[b]) for b in group]),
+                np.concatenate([poss[b] for b in group]),
+            )
+            for b, r0, r1 in zip(group, cuts, cuts[1:]):
+                heads[b] = [t[:, r0:r1] for t in out]
         scale = 1.0 / np.sqrt(self.config.d_head)
         entries: dict[int, tuple] = {}
-        for j, b in enumerate(list(live)):
-            r0, r1 = cuts[j], cuts[j + 1]
+        for b in list(live):
+            *q, k_new, v_new = heads.pop(b)
             cache = chunks[b][2][i]
             try:
-                cache.append(k_new[:, r0:r1], v_new[:, r0:r1], poss[b])
+                cache.append(k_new, v_new, poss[b])
             except Exception as exc:
                 if on_error is None:
                     raise
@@ -286,7 +333,8 @@ class Transformer:
                 live.remove(b)
                 xs[b] = None
                 continue
-            entries[b] = (q[:, r0:r1], cache.keys, cache.values, scale)
+            if q:
+                entries[b] = (q[0], cache.keys, cache.values, scale)
         return entries
 
     # -------------------------------------------------------------- decode

@@ -13,7 +13,6 @@ Public API::
 
 from .calibrate import (
     fit_sparsity_from_measurements,
-    measure_plan_densities,
     measured_speedup,
 )
 from .costmodel import (
@@ -37,7 +36,6 @@ from .latency import (
 )
 
 __all__ = [
-    "measure_plan_densities",
     "fit_sparsity_from_measurements",
     "measured_speedup",
     "HardwareSpec",

@@ -118,7 +118,10 @@ BILLING_MODES = ("measured", "roofline")
 #: their sparse prefill attention as **one**
 #: :func:`~repro.attention.packed.packed_block_sparse_attention` dispatch
 #: per (layer, batch step), with per-request plans, telemetry, degradation
-#: and fault isolation preserved.  Both modes share one attention router,
+#: and fault isolation preserved.  Either way a chunk before a prompt's
+#: final one attends at every layer but the last, where it only appends
+#: its k/v (nobody reads its rows): the last layer dispatches only in
+#: steps that carry a final chunk.  Both modes share one attention router,
 #: so they differ in co-scheduling only, never in kernel or arithmetic.
 BATCHING_MODES = ("request", "packed")
 
@@ -257,6 +260,12 @@ class _Job:
     #: an O(S_k) reduction per call.  Committed only after a chunk
     #: succeeds; reset to ``None`` when eviction rewrites the cache.
     knorm_sq: list | None = None
+
+    @property
+    def final_chunk(self) -> bool:
+        """Whether the next prefill chunk is the prompt's last, the only
+        one whose rows are read (its last row yields the first token)."""
+        return len(self.chunks_left) == 1
 
 
 @dataclass
@@ -758,7 +767,7 @@ class ServingEngine:
             chunk_index=job.chunk_index,
             s_q=s_q,
             s_k=s_k,
-            fresh=len(job.chunks_left) == 1,
+            fresh=job.final_chunk,
         )
         if plan is None:
             plan = self._provider.plan(q, keys, cfg, scale=scale)
@@ -887,8 +896,8 @@ class ServingEngine:
                 self._record_violation(job, layer, "kernel_error")
                 outs[b] = self._dense_attend(job, it.q, it.k, it.v, it.scale)
             return outs
-        # Deterministic execution-path counters: the
-        # one-dispatch-per-(layer, step) identity tests read these.
+        # Deterministic execution-path counters: the dispatch-count
+        # identity tests read these.
         registry = self._registry
         registry.inc("kernel_packed_dispatches")
         registry.inc("kernel_gemm_calls", float(pres.stats["gemm_calls"]))
@@ -985,10 +994,13 @@ class ServingEngine:
 
     def _new_attempt(self, job: _Job, must_fail: int, attempt: int) -> _Attempt:
         n_layers = self.model.config.n_layers
+        # A fault is drawn over the layers the chunk attends at: all of
+        # them for a final chunk, all but the last for any other.
+        attending = n_layers if job.final_chunk else n_layers - 1
         return _Attempt(
             fail_at=(
                 self.fault_injector.fail_layer(
-                    job.request.request_id, job.chunk_index, attempt, n_layers
+                    job.request.request_id, job.chunk_index, attempt, attending
                 )
                 if attempt < must_fail
                 else None
@@ -1030,7 +1042,9 @@ class ServingEngine:
                 t0 = time.perf_counter()
                 try:
                     x = self.model.prefill_chunk(
-                        *self._next_chunk(job), self._attend(job, att)
+                        *self._next_chunk(job),
+                        self._attend(job, att),
+                        read=job.final_chunk,
                     )
                 except (ArenaExhaustedError, FaultInjectionError) as exc:
                     att.error = exc
@@ -1075,8 +1089,9 @@ class ServingEngine:
         *,
         clean: bool = True,
     ) -> float:
-        """Land ``job``'s successfully executed chunk (final residual rows
-        ``x``, successful attempt ``att`` taking ``wall`` seconds) and
+        """Land ``job``'s successfully executed chunk (``x`` its final
+        residual rows, none unless it is the prompt's final chunk;
+        successful attempt ``att`` taking ``wall`` seconds) and
         return the quantum's virtual seconds, ``seconds`` being what failed
         attempts and backoff already cost.  ``clean`` says no attempt hit
         arena exhaustion."""
@@ -1141,7 +1156,10 @@ class ServingEngine:
         """Execute one co-scheduled prefill chunk from each of ``jobs`` as
         a single packed batch step: per layer, every job's sparse
         attention runs as **one** packed kernel dispatch; dense/degraded
-        calls fall back per request inside the same step.
+        calls fall back per request inside the same step.  A job's chunk
+        other than its final one skips the last layer's attention (its
+        rows are never read), so that layer dispatches only for the
+        step's final chunks, if any.
 
         Returns ``(virtual seconds, ok)`` per job, in ``jobs`` order.  The
         fused pass is every job's attempt 0.  A job that faults in it
@@ -1175,6 +1193,7 @@ class ServingEngine:
                 [self._next_chunk(job) for job in jobs],
                 self._router(jobs, attempts),
                 on_error=on_append_error,
+                read=[job.final_chunk for job in jobs],
             )
             wall = time.perf_counter() - t0
             self._registry.inc("kernel_packed_prefill_steps")
@@ -1542,7 +1561,8 @@ class ServingEngine:
 
             if self.batching == "packed":
                 # One engine step serves a whole co-scheduled batch:
-                # prefill jobs share one packed dispatch per layer, decode
+                # prefill jobs share one packed dispatch per layer their
+                # chunks attend at (the last only for final chunks), decode
                 # jobs share one fused decode dispatch per (layer, step),
                 # and the virtual clock advances sequentially in batch
                 # order.

@@ -5,7 +5,6 @@ import pytest
 
 from repro.attention import (
     BlockMask,
-    block_diagonal_mask,
     causal_block_mask,
     dense_rows_block_mask,
     global_block_mask,
@@ -203,28 +202,3 @@ class TestAlgebra:
 
     def test_validate_causal_rows_passes_causal(self):
         causal_block_mask(1, 128, 128, 32).validate_causal_rows()
-
-
-class TestBlockDiagonal:
-    def test_same_bucket_tiles_active(self):
-        buckets = np.zeros((1, 64), dtype=np.int64)
-        buckets[0, 32:] = 1
-        m = block_diagonal_mask(buckets, buckets, 64, 64, 32)
-        assert m.blocks[0, 0, 0]
-        assert m.blocks[0, 1, 1]
-        assert not m.blocks[0, 1, 0]
-
-    def test_causal_clipped(self):
-        buckets = np.zeros((1, 64), dtype=np.int64)
-        m = block_diagonal_mask(buckets, buckets, 64, 64, 32)
-        assert not m.blocks[0, 0, 1]
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(MaskError):
-            block_diagonal_mask(
-                np.zeros((1, 63), dtype=np.int64),
-                np.zeros((1, 64), dtype=np.int64),
-                64,
-                64,
-                32,
-            )

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.model.rope import (
     apply_rope,
-    relative_kernel,
     rope_cos_sin,
     rope_frequencies,
 )
@@ -78,44 +77,3 @@ class TestApplyRope:
         cos, sin = rope_cos_sin(np.arange(4), 8)
         with pytest.raises(ShapeError):
             apply_rope(x, cos, sin)
-
-
-class TestRelativeKernel:
-    def test_matches_rotated_dot_products(self, rng):
-        """The analytic kernel equals the actual post-rotation scores."""
-        n_pairs, base = 4, 10000.0
-        q_pairs = rng.standard_normal((n_pairs, 2))
-        k_pairs = rng.standard_normal((n_pairs, 2))
-        # Materialise head vectors with those pair components.
-        qv = np.zeros((1, 1, 2 * n_pairs), dtype=np.float64)
-        kv = np.zeros((1, 1, 2 * n_pairs), dtype=np.float64)
-        qv[0, 0, 0::2], qv[0, 0, 1::2] = q_pairs[:, 0], q_pairs[:, 1]
-        kv[0, 0, 0::2], kv[0, 0, 1::2] = k_pairs[:, 0], k_pairs[:, 1]
-        i = 37
-        for delta in (-20, -3, 0):
-            j = i + delta
-            cq, sq = rope_cos_sin(np.array([i]), 2 * n_pairs, base)
-            ck, sk = rope_cos_sin(np.array([j]), 2 * n_pairs, base)
-            actual = float(
-                (apply_rope(qv, cq, sq)[0, 0] * apply_rope(kv, ck, sk)[0, 0]).sum()
-            )
-            analytic = relative_kernel(
-                q_pairs, k_pairs, np.array([delta]), 2 * n_pairs, base
-            )[0]
-            assert actual == pytest.approx(analytic, abs=1e-6)
-
-    def test_offset_peak(self):
-        """A q pre-rotated by -1 peaks at delta = -1."""
-        n_pairs = 4
-        freqs = rope_frequencies(2 * n_pairs, 10000.0)
-        q_pairs = np.stack([np.cos(freqs * -1), np.sin(freqs * -1)], axis=1)
-        k_pairs = np.stack([np.ones(n_pairs), np.zeros(n_pairs)], axis=1)
-        deltas = np.arange(-50, 1)
-        g = relative_kernel(q_pairs, k_pairs, deltas, 2 * n_pairs, 10000.0)
-        assert deltas[np.argmax(g)] == -1
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ShapeError):
-            relative_kernel(
-                np.zeros((3, 2)), np.zeros((4, 2)), np.array([0]), 8, 1e4
-            )

@@ -3,35 +3,38 @@
 import numpy as np
 import pytest
 
+from repro.analysis import layer_qkv
 from repro.backends import FullAttentionBackend
 from repro.config import SampleAttentionConfig
 from repro.core import plan_sample_attention
-from repro.errors import ConfigError
 from repro.model import ModelConfig, Transformer, random_weights
 from repro.perf import (
     CHATGLM2_6B,
     fit_sparsity_from_measurements,
-    measure_plan_densities,
     measured_speedup,
 )
 from repro.tasks import make_needle_case
 
 
-class TestMeasurePlanDensities:
-    def test_shape_and_range(self, glm_mini):
-        meas = measure_plan_densities(glm_mini, (512, 1024), (0.90, 0.95))
-        assert set(meas) == {0.90, 0.95}
-        for pts in meas.values():
-            assert [p[0] for p in pts] == [512, 1024]
-            assert all(0.0 < d <= 1.0 for _, d in pts)
+def _plan_densities(qk, alpha):
+    return [
+        plan_sample_attention(
+            q, k, SampleAttentionConfig(alpha=alpha), scale=scale
+        ).element_density()
+        for q, k, scale in qk
+    ]
 
-    def test_alpha_ordering(self, glm_mini):
-        meas = measure_plan_densities(glm_mini, (768,), (0.80, 0.95))
-        assert meas[0.80][0][1] <= meas[0.95][0][1]
 
-    def test_rejects_empty(self, glm_mini):
-        with pytest.raises(ConfigError):
-            measure_plan_densities(glm_mini, (), (0.95,))
+def measured_densities(model, lengths, alphas, *, seed=0):
+    """``{alpha: [(length, mean per-layer plan density), ...]}`` on needle
+    prompts: the measurements :func:`fit_sparsity_from_measurements` fits."""
+    out = {a: [] for a in alphas}
+    for length in lengths:
+        case = make_needle_case(length, 0.5, rng=np.random.default_rng(seed))
+        qk = [(q, k, scale) for q, k, _, scale in layer_qkv(model, case.prompt)]
+        for alpha in alphas:
+            out[alpha].append((length, float(np.mean(_plan_densities(qk, alpha)))))
+    return out
 
 
 class _QKRecorder(FullAttentionBackend):
@@ -47,29 +50,25 @@ class _QKRecorder(FullAttentionBackend):
 class TestMeasuresTheForwardPass:
     def test_densities_are_those_of_the_attended_qk(self):
         """Each layer's plan is built on the q/k that layer attends with in
-        ``Transformer.prefill``: after the RMS norm, and with every earlier
-        layer's MLP in the residual stream."""
+        ``Transformer.prefill`` (:func:`layer_qkv` captures them): after
+        the RMS norm, and with every earlier layer's MLP in the residual
+        stream."""
         config = ModelConfig(norm="rms", mlp_ratio=1.0, name="random-rms-mlp")
         model = Transformer(random_weights(config, seed=0, scale=0.05))
         alphas = (0.80, 0.95)
-        meas = measure_plan_densities(model, (512,), alphas, seed=3)
+        meas = measured_densities(model, (512,), alphas, seed=3)
         case = make_needle_case(512, 0.5, rng=np.random.default_rng(3))
         recorder = _QKRecorder()
         model.prefill(case.prompt, recorder)
         assert len(recorder.qk) == config.n_layers
         for alpha in alphas:
-            densities = [
-                plan_sample_attention(
-                    q, k, SampleAttentionConfig(alpha=alpha), scale=scale
-                ).element_density()
-                for q, k, scale in recorder.qk
-            ]
+            densities = _plan_densities(recorder.qk, alpha)
             assert meas[alpha] == [(512, float(np.mean(densities)))]
 
 
 class TestFitAndPredict:
     def test_fit_roundtrip(self, glm_mini):
-        meas = measure_plan_densities(glm_mini, (512, 1024, 2048), (0.95,))
+        meas = measured_densities(glm_mini, (512, 1024, 2048), (0.95,))
         model = fit_sparsity_from_measurements(meas)
         measured = dict(meas[0.95])
         pred = model.kept_fraction(1024, 0.95)
@@ -79,7 +78,7 @@ class TestFitAndPredict:
         """Billing the substrate's measured ~0.3 density through the
         roofline lands near the paper's 2.2x at 96K -- an independent
         cross-check of the whole pipeline."""
-        meas = measure_plan_densities(glm_mini, (1024,), (0.95,))
+        meas = measured_densities(glm_mini, (1024,), (0.95,))
         density = meas[0.95][0][1]
         speedup = measured_speedup(CHATGLM2_6B, density, 98304)
         assert 1.5 < speedup < 3.5

@@ -65,10 +65,13 @@ class TestExecution:
 
     def test_plan_cache_amortises_planning(self, glm_mini):
         # 8 chunks: planned at 0 and 4, and the final chunk always plans
-        # from its own rows -> 5 hits in 8 lookups per layer.
+        # from its own rows -> 5 hits in 8 lookups per layer below the
+        # last; the last layer attends (and looks up) only in the final
+        # chunk -> 1 lookup, a miss.
         engine = make_engine(glm_mini, chunk_size=32)
         summ = engine.run(burst(n=2)).summary()
-        assert summ["plan_cache_hit_rate"] == 5 / 8
+        below = glm_mini.config.n_layers - 1
+        assert summ["plan_cache_hit_rate"] == 5 * below / (8 * below + 1)
         assert summ["plan_fallbacks"] == 0
         assert 0.0 < summ["mean_kept_kv_ratio"] < 1.0
 
@@ -276,7 +279,9 @@ class TestDenseIsAnItemOnThePackedKernel:
             breaker_threshold=10**6,  # ... with the breaker closed
         )
         res = engine.run(burst(n=2, prompt_len=self.PROMPT_LEN, decode_tokens=3))
-        attempts = 3 * glm_mini.config.n_layers  # (chunk, layer) dispatches
+        # (step, layer) dispatches: each of the 3 steps below the last
+        # layer, and at the last only the step of the final chunks
+        attempts = 3 * (glm_mini.config.n_layers - 1) + 1
         assert widths == [2] * attempts and len(rejected) == attempts
         assert len(res.completed) == 2
         assert [list(tm.generated) for tm in res.requests] == flash
@@ -303,3 +308,59 @@ class TestDenseIsAnItemOnThePackedKernel:
         engine = make_engine(glm_mini, method="sample")
         with pytest.raises(ShapeError):
             engine.run(burst(n=1, decode_tokens=1))
+
+
+class TestOnlyTheFinalChunkIsRead:
+    """The engine reads a prompt's final chunk only (its last row yields
+    the first token): every other chunk's last layer appends its k/v and
+    stops.  Tokens are those of the model patched to read every chunk."""
+
+    # 2, 3 and 4 chunks of 64 tokens at length_scale 64
+    REQUESTS = [
+        Request(request_id=i, arrival=0.0, prompt_len=n * 64 * 64,
+                decode_tokens=3)
+        for i, n in enumerate((2, 3, 4))
+    ]
+
+    @pytest.mark.parametrize(
+        "method, batching",
+        [("sample", "request"), ("sample", "packed"), ("flash", "request")],
+    )
+    def test_tokens_are_the_read_every_chunk_tokens(
+        self, glm_mini, monkeypatch, method, batching
+    ):
+        from repro.serving.engine import ServingEngine as Engine
+
+        attends = []
+        real_plan = Engine._sparse_plan
+
+        def spy(self, job, *args):
+            attends.append(job.request.request_id)
+            return real_plan(self, job, *args)
+
+        # Every attend call of either method goes through the plan gauntlet.
+        monkeypatch.setattr(Engine, "_sparse_plan", spy)
+
+        def run():
+            attends.clear()
+            res = make_engine(
+                glm_mini, method=method, batching=batching,
+                scheduler="round_robin",
+            ).run(self.REQUESTS)
+            assert len(res.completed) == 3
+            return [list(tm.generated) for tm in res.requests], list(attends)
+
+        tokens, skipping = run()
+        real_batch = glm_mini.prefill_chunk_batch
+
+        def read_every_chunk(chunks, attend_batch, **kw):
+            kw.pop("read", None)
+            return real_batch(chunks, attend_batch, **kw)
+
+        monkeypatch.setattr(glm_mini, "prefill_chunk_batch", read_every_chunk)
+        every_tokens, every = run()
+        assert tokens == every_tokens
+        n = glm_mini.config.n_layers
+        for rid, chunks in enumerate((2, 3, 4)):
+            assert every.count(rid) == n * chunks
+            assert skipping.count(rid) == (n - 1) * chunks + 1

@@ -325,6 +325,26 @@ class TestChaosRuns:
         summ = result.summary()
         assert summ["chunk_retries"] == tm.retries
 
+    @pytest.mark.parametrize("batching", ["request", "packed"])
+    def test_every_drawn_attend_fault_fires(self, glm_mini, batching):
+        # Four-chunk prompts: a chunk before the final one attends at every
+        # layer but the last, so its fault must be drawn among those.
+        inj = FaultInjector(5, p_attend_fault=0.6, max_transient_failures=2)
+        engine = make_engine(
+            glm_mini, fault_injector=inj, batching=batching,
+            scheduler="round_robin",
+        )
+        result = engine.run(burst(n=3))
+        assert len(result.completed) == 3
+        due = sum(
+            inj.attend_failures(tm.request_id, chunk)
+            for tm in result.requests
+            for chunk in range(tm.n_chunks)
+        )
+        assert due > 0
+        assert result.telemetry.counter("fault_attend_transient") == due
+        assert result.summary()["chunk_retries"] == due
+
     def test_retry_exhaustion_sheds_request(self, glm_mini, monkeypatch):
         inj = FaultInjector(3, p_attend_fault=1.0, max_transient_failures=3)
         monkeypatch.setattr(engine_module, "MAX_RETRIES", 0)

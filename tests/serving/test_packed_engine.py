@@ -2,8 +2,10 @@
 
 The packed path must be an execution strategy, not a semantics change:
 same generated tokens, same admission/completion counters, and one fused
-kernel dispatch per (layer, batch step).  Runs use ``billing="roofline"``
-so timing-derived behaviour is deterministic.
+kernel dispatch per (layer, batch step) -- at the last layer only for steps
+that carry a prompt's final chunk, the only chunk whose rows are read.
+Runs use ``billing="roofline"`` so timing-derived behaviour is
+deterministic.
 """
 
 from types import SimpleNamespace
@@ -39,6 +41,20 @@ def make_engine(model, **kw):
     kw.setdefault("scheduler", "round_robin")
     kw.setdefault("seed", 0)
     return ServingEngine(model, **kw)
+
+
+def _final_steps(monkeypatch, model):
+    """Spy on ``model``'s prefill steps: the returned list gets, per step,
+    whether it carries a prompt's final chunk (one the engine reads)."""
+    carried = []
+    real = model.prefill_chunk_batch
+
+    def spy(chunks, attend_batch, **kw):
+        carried.append(any(kw["read"]))
+        return real(chunks, attend_batch, **kw)
+
+    monkeypatch.setattr(model, "prefill_chunk_batch", spy)
+    return carried
 
 
 def _non_kernel_counters(result):
@@ -106,8 +122,10 @@ class TestPackedParity:
         dispatches = counters["kernel_packed_dispatches"]
         steps = counters["kernel_packed_prefill_steps"]
         n_layers = glm_mini.config.n_layers
-        assert steps > 0
-        assert dispatches == n_layers * steps
+        assert steps == 4
+        # Every step dispatches below the last layer; only the fourth,
+        # which carries all four final chunks, dispatches at the last.
+        assert dispatches == (n_layers - 1) * steps + 1
         # With 4 simultaneous arrivals the batch actually fills.
         assert counters["kernel_packed_requests"] > dispatches
 
@@ -116,9 +134,13 @@ class TestPackedParity:
         result = engine.run(burst(n=2))
         counters = result.telemetry._counters
         assert len(result.completed) == 2
+        # One chunk per step: the last layer dispatches for the two final
+        # chunks only.
         assert (
             counters["kernel_packed_dispatches"]
-            == glm_mini.config.n_layers * counters["kernel_packed_prefill_steps"]
+            == (glm_mini.config.n_layers - 1)
+            * counters["kernel_packed_prefill_steps"]
+            + 2
         )
 
 
@@ -205,22 +227,23 @@ class TestProvidersThroughTheEngine:
     batching modes -- the only engine-level run of the non-default ones."""
 
     @pytest.mark.parametrize("provider", PLAN_PROVIDER_NAMES)
-    def test_request_and_packed_agree(self, glm_mini, provider):
+    def test_request_and_packed_agree(self, glm_mini, provider, monkeypatch):
         reqs = [
             Request(request_id=i, arrival=0.002 * i, prompt_len=1024,
                     decode_tokens=3)
             for i in range(3)
         ]
-        runs = {
-            batching: make_engine(
+        runs = {}
+        for batching in BATCHING_MODES:
+            if batching == "packed":
+                final_steps = _final_steps(monkeypatch, glm_mini)
+            runs[batching] = make_engine(
                 glm_mini,
                 config=DEFAULT_CONFIG.replace(provider=provider),
                 length_scale=1,
                 chunk_size=256,
                 batching=batching,
             ).run(reqs)
-            for batching in BATCHING_MODES
-        }
         base, packed = runs["request"], runs["packed"]
         for result in runs.values():
             assert len(result.completed) == 3
@@ -233,9 +256,11 @@ class TestProvidersThroughTheEngine:
         n_layers = glm_mini.config.n_layers
         assert c["kernel_packed_prefill_steps"] > 0
         assert c["kernel_packed_decode_steps"] > 0
+        assert len(final_steps) == c["kernel_packed_prefill_steps"]
         assert (
             c["kernel_packed_dispatches"]
-            == n_layers * c["kernel_packed_prefill_steps"]
+            == (n_layers - 1) * c["kernel_packed_prefill_steps"]
+            + sum(final_steps)
         )
         assert (
             c["kernel_packed_decode_dispatches"]
@@ -337,10 +362,12 @@ class TestFinalChunkPlansFromItsOwnRows:
             assert tm.outcome == "completed"
             got = tm.generated[: len(case.answer)]
             assert score_tokens(got, case.answer, mode="prefix") == 100.0
-            # one plan per layer at chunks 0, 4, 8, ... and at the final one
+            # one plan per layer below the last at chunks 0, 4, 8, ... and
+            # at the final one; the last layer attends only in the final
+            # chunk, which plans there once
             n_chunks = tm.n_chunks
             planned = len(set(range(0, n_chunks, 4)) | {n_chunks - 1})
-            assert tm.plan_misses == planned * glm_mini.config.n_layers
+            assert tm.plan_misses == planned * (glm_mini.config.n_layers - 1) + 1
         assert result.telemetry.counter("plan_fallbacks") == 0
 
     def test_retry_of_the_final_chunk_hits_its_own_plan(self):
