@@ -87,16 +87,9 @@ class SampleAttentionBackend(AttentionBackend):
 
     name = "sample_attention"
 
-    def __init__(
-        self,
-        config: SampleAttentionConfig = DEFAULT_CONFIG,
-        *,
-        record_plans: bool = False,
-    ) -> None:
+    def __init__(self, config: SampleAttentionConfig = DEFAULT_CONFIG) -> None:
         super().__init__()
         self.config = config
-        self.record_plans = record_plans
-        self.plans: list = []
         self._workspace = KernelWorkspace()  # warm scratch across layers
         self._provider = make_provider(config.provider)
 
@@ -110,10 +103,6 @@ class SampleAttentionBackend(AttentionBackend):
             plan=self._provider.plan(q, k, self.config, scale=scale),
             workspace=self._workspace,
         )
-        if self.record_plans:
-            if layer == 0:
-                self.plans = []
-            self.plans.append(res.plan)
         self._record(
             density=res.kernel.element_density,
             mean_kv_ratio=res.plan.mean_kv_ratio,

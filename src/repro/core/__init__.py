@@ -32,7 +32,6 @@ from .sample_attention import (
     sample_attention,
 )
 from .sampling import SampleStats, sample_column_scores, sampled_row_indices
-from .sparse_decode import compress_caches_with_plans, plan_keep_indices
 
 __all__ = [
     "DiagonalProfile",
@@ -56,6 +55,4 @@ __all__ = [
     "SampleStats",
     "sample_column_scores",
     "sampled_row_indices",
-    "compress_caches_with_plans",
-    "plan_keep_indices",
 ]

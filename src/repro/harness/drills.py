@@ -54,6 +54,7 @@ from ..serving import (
     check_recovery_invariants,
     poisson_workload,
 )
+from ..serving.engine import BLOCK_TOKENS
 from .scale import resolve_scale
 from .tables import Table
 
@@ -458,7 +459,6 @@ def _engine_sharing_gate(model, seed: int, quick: bool) -> dict:
             length_scale=32,
             billing="roofline",
             kv_backend=backend,
-            block_tokens=32,
             prompt_builder=builder,
             seed=seed,
         )
@@ -522,7 +522,7 @@ def memory_adversary(base: FaultInjector) -> FaultInjector:
 
 def _pressure_recovery_gate(model, seed: int, quick: bool) -> dict:
     scenario = chaos_scenario(seed, quick=quick)
-    bt = 32
+    bt = BLOCK_TOKENS
     # Tight arena: about 1.5x one max-size request, far below the
     # auto-sized budget -- exhaustion and the pressure ladder must fire.
     longest = max(r.prompt_len for r in scenario.requests)
@@ -535,7 +535,6 @@ def _pressure_recovery_gate(model, seed: int, quick: bool) -> dict:
         fault_injector=memory_adversary(scenario.injector),
         kv_backend="paged",
         arena_blocks=arena_blocks,
-        block_tokens=bt,
     )
     result = serve_twice(
         "paged fault drill",

@@ -12,14 +12,13 @@ block tables over one global :class:`KVArena`:
   copies only the tokens appended since the last one.
 * :class:`PrefixSharingRegistry` -- chain-hashed token prefixes map to
   physical blocks so repeated system prompts share storage.
-* :class:`HeavyHitterPolicy` -- live cache shrinking under pressure.
 * :class:`MemoryPressureController` -- the ``evict -> shed``
   degradation rung the serving engine walks on
-  :class:`~repro.errors.ArenaExhaustedError`.
+  :class:`~repro.errors.ArenaExhaustedError`; its live eviction ranks keys
+  with :class:`~repro.baselines.h2o.H2OPolicy`.
 """
 
 from .arena import KVArena
-from .eviction import HeavyHitterPolicy
 from .gather import BatchedKVGather
 from .paged_cache import PagedLayerKVCache
 from .pressure import MEMORY_PRESSURE_LEVELS, MemoryPressureController
@@ -27,7 +26,6 @@ from .sharing import PrefixSharingRegistry, prefix_block_keys
 
 __all__ = [
     "BatchedKVGather",
-    "HeavyHitterPolicy",
     "KVArena",
     "MEMORY_PRESSURE_LEVELS",
     "MemoryPressureController",

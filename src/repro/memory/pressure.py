@@ -9,24 +9,25 @@ capacity, one rung at a time:
     Arena has free blocks; nothing to do.
 ``evict``
     First drop prefix-sharing registry entries (lossless -- shared blocks
-    merely lose their keep-alive refs), then run the configured
-    :class:`~repro.memory.HeavyHitterPolicy` over decode-phase caches
-    (lossy but attention-guided).
+    merely lose their keep-alive refs), then shrink decode-phase caches to
+    their :class:`~repro.baselines.h2o.H2OPolicy` keep sets: the heaviest
+    keys by accumulated decode attention mass plus a recency window (lossy
+    but attention-guided).
 ``shed``
     Nothing more to reclaim: the controller reports failure and the engine
     sheds the requesting job, mirroring the attention ladder's terminal
     rung.
 
-The controller is pure bookkeeping over the arena/registry/policy objects
+The controller is pure bookkeeping over the arena and registry objects
 -- it never touches the model -- so it is reusable by the engine, the
 memory drill, and tests alike.
 """
 
 from __future__ import annotations
 
+from ..baselines.h2o import H2OPolicy
 from ..errors import ArenaExhaustedError, ConfigError
 from .arena import KVArena
-from .eviction import HeavyHitterPolicy
 from .sharing import PrefixSharingRegistry
 
 __all__ = [
@@ -51,8 +52,6 @@ class MemoryPressureController:
     arena, registry:
         The pool being relieved and the sharing registry whose entries are
         the first (lossless) thing to drop.
-    policy:
-        Eviction policy applied to candidate caches on the ``evict`` rung.
     min_keep_tokens:
         Never evict a cache below this many tokens -- decode needs local
         context to stay meaningful (mirrors the engine's minimum executed
@@ -63,7 +62,6 @@ class MemoryPressureController:
         self,
         arena: KVArena,
         registry: PrefixSharingRegistry | None,
-        policy: HeavyHitterPolicy,
         *,
         min_keep_tokens: int = 64,
     ) -> None:
@@ -73,7 +71,6 @@ class MemoryPressureController:
             )
         self.arena = arena
         self.registry = registry
-        self.policy = policy
         self.min_keep_tokens = min_keep_tokens
         #: Current rung (resets to "normal" after successful relief).
         self.level = "normal"
@@ -134,9 +131,9 @@ class MemoryPressureController:
                 target = max(
                     self.min_keep_tokens, int(len(cache) * EVICT_TO_FRACTION)
                 )
-                keep = self.policy.select(cache, target)
-                if keep is None:
+                if len(cache) <= target:
                     continue
+                keep = H2OPolicy(budget=target).select(cache.attention_mass())
                 try:
                     cache.evict(keep)
                 except ArenaExhaustedError:

@@ -1,10 +1,13 @@
 """Per-layer KV cache for the decode phase.
 
 Keys are stored *post-rotary* (rotated at their absolute positions), so
-evicting entries never requires re-rotation.  The cache optionally applies a
-KV-eviction policy (e.g. :class:`repro.baselines.h2o.H2OPolicy`) after each
-decode step, tracking the accumulated attention mass each key has received
--- the statistic heavy-hitter policies rank by.
+evicting entries never requires re-rotation.  The cache applies no policy:
+it tracks the accumulated attention mass each key has received (the
+statistic heavy-hitter policies rank by) and :meth:`LayerKVCache.evict`
+takes keep sets, and :meth:`~repro.model.transformer.Transformer.generate`
+applies a :class:`repro.baselines.h2o.H2OPolicy` after each decode step.
+It is also the contiguous oracle the paged cache's eviction is tested
+against.
 
 The paper keeps the decode-phase cache uncompressed; eviction support exists
 to demonstrate that SampleAttention (prefill compute) composes with KV-cache

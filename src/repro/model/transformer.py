@@ -523,38 +523,23 @@ class Transformer:
         backend: AttentionBackend | None = None,
         kv_policy: H2OPolicy | None = None,
         stop_token: int | None = None,
-        compress_kv_with_plan: bool = False,
     ) -> GenerationResult:
         """Greedy generation: sparse-backend prefill, dense decode.
 
         The first generated token comes from the last prompt position's
         logits (so prefill latency here *is* TTFT for the substrate).
-
-        With ``compress_kv_with_plan=True`` (requires a plan-recording
-        SampleAttention backend), the KV caches are compressed to each
-        layer's plan -- stripes ∪ sinks ∪ recent window -- right after
-        prefill, so decoding runs over a fraction of the cache (see
-        :mod:`repro.core.sparse_decode`).
+        ``kv_policy``, if given, evicts each cache down to its budget after
+        every decode step, ranked by the attention mass decode recorded.
         """
         prompt = np.asarray(prompt, dtype=np.int64)
         if prompt.size == 0:
             raise ModelError("prompt must be non-empty")
         if max_new_tokens < 0:
             raise ModelError("max_new_tokens must be >= 0")
-        if compress_kv_with_plan:
-            if not getattr(backend, "record_plans", False):
-                raise ModelError(
-                    "compress_kv_with_plan requires a SampleAttention "
-                    "backend constructed with record_plans=True"
-                )
 
         caches = self.new_caches(capacity=int(prompt.size + max_new_tokens + 1))
         t0 = time.perf_counter()
         hidden, stats = self.prefill(prompt, backend, caches=caches)
-        if compress_kv_with_plan:
-            from ..core.sparse_decode import compress_caches_with_plans
-
-            compress_caches_with_plans(caches, backend.plans)
         next_token = int(np.argmax(self.logits(hidden[-1:])[0]))
         t1 = time.perf_counter()
 

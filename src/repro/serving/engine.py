@@ -80,7 +80,6 @@ from ..errors import (
 )
 from ..memory import (
     BatchedKVGather,
-    HeavyHitterPolicy,
     KVArena,
     MemoryPressureController,
     PagedLayerKVCache,
@@ -114,7 +113,7 @@ BILLING_MODES = ("measured", "roofline")
 
 #: Batch-step execution modes: ``"request"`` runs one job's quantum per
 #: scheduling turn (a packed dispatch of one item per layer); ``"packed"``
-#: co-schedules up to ``max_batch_requests`` jobs per turn and executes
+#: co-schedules up to :data:`MAX_BATCH_REQUESTS` jobs per turn and executes
 #: their sparse prefill attention as **one**
 #: :func:`~repro.attention.packed.packed_block_sparse_attention` dispatch
 #: per (layer, batch step), with per-request plans, telemetry, degradation
@@ -130,6 +129,10 @@ BATCHING_MODES = ("request", "packed")
 #: all KV in one :class:`~repro.memory.KVArena` with per-request block
 #: tables, prefix sharing, and the memory-pressure ladder.
 KV_BACKENDS = ("contiguous", "paged")
+#: Packed-mode co-scheduling width: the prefix of the queue run per step.
+MAX_BATCH_REQUESTS = 8
+#: Tokens per paged KV block (paging and prefix-sharing granularity).
+BLOCK_TOKENS = 32
 
 #: The graceful-degradation ladder, most capable first.  ``"widened"``
 #: replans with a doubled local window, doubled stage-1 sampling, and a
@@ -430,8 +433,6 @@ class ServingEngine:
     batching:
         One of :data:`BATCHING_MODES`; ``"packed"`` requires
         ``method="sample"``.
-    max_batch_requests:
-        Packed-mode co-scheduling width (prefix of the queue per step).
     kv_backend:
         One of :data:`KV_BACKENDS`.  ``"paged"`` stores all KV in one
         :class:`~repro.memory.KVArena` (fresh per :meth:`run`), enables
@@ -443,8 +444,6 @@ class ServingEngine:
         auto-sizes to the run's worst-case demand (every request resident
         simultaneously, no sharing), so default runs see no pressure;
         passing a budget below that is how drills create pressure.
-    block_tokens:
-        Tokens per KV block (paging granularity).
     prefix_sharing:
         Enable the :class:`~repro.memory.PrefixSharingRegistry` (paged
         backend only).
@@ -472,10 +471,8 @@ class ServingEngine:
         execution: str | None = None,
         kernel_mode: str | None = None,
         batching: str = "request",
-        max_batch_requests: int = 8,
         kv_backend: str = "contiguous",
         arena_blocks: int | None = None,
-        block_tokens: int = 32,
         prefix_sharing: bool = True,
     ) -> None:
         if method not in ENGINE_METHODS:
@@ -491,8 +488,6 @@ class ServingEngine:
             ("length_scale", length_scale, 1),
             ("max_queue", max_queue, 1),
             ("degrade_after", degrade_after, 1),
-            ("max_batch_requests", max_batch_requests, 1),
-            ("block_tokens", block_tokens, 1),
         ):
             if value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
@@ -538,10 +533,8 @@ class ServingEngine:
         self.degrade_after = degrade_after
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_chunks)
         self.batching = batching
-        self.max_batch_requests = max_batch_requests
         self.kv_backend = kv_backend
         self.arena_blocks = arena_blocks
-        self.block_tokens = block_tokens
         self.prefix_sharing = prefix_sharing
         # Paged-KV state; created fresh per run() so same-seed runs (and
         # the chaos drill's bitwise summary comparison) stay identical.
@@ -591,7 +584,7 @@ class ServingEngine:
                 # last chunk's logits seed decoding).
                 hit = self._sharing.lookup(
                     tokens,
-                    max_blocks=(int(tokens.size) - 1) // self.block_tokens,
+                    max_blocks=(int(tokens.size) - 1) // BLOCK_TOKENS,
                 )
                 if hit is not None:
                     blocks_per_layer, positions = hit
@@ -642,7 +635,7 @@ class ServingEngine:
         chunk's end length per layer, plus one fork per layer (CoW on a
         rollback into a shared tail block)."""
         end = job.chunks_left[0][1] if job.chunks_left else job.position + 1
-        blocks = -(-end // self.block_tokens)
+        blocks = -(-end // BLOCK_TOKENS)
         need = sum(max(0, blocks - c.n_blocks) + 1 for c in job.caches)
         return max(need, 1)
 
@@ -1170,7 +1163,7 @@ class ServingEngine:
         once per chunk, and retry/backoff/ladder semantics are the
         per-request ones.  Equal to per-request mode: generated tokens
         always; every non-``kernel_*`` counter when fault-free, and under
-        faults when ``max_batch_requests=1`` (the same schedule).  Not
+        faults when :data:`MAX_BATCH_REQUESTS` is 1 (the same schedule).  Not
         equal: under faults in wider batches, breaker- and memory-coupled
         counters, because co-scheduled jobs interleave per layer.  The
         step's wall time is apportioned by share of billed elements.
@@ -1222,20 +1215,24 @@ class ServingEngine:
             return job.decode_left
         return min(job.decode_left, _DECODE_CHUNK_TOKENS)
 
-    def _run_decode(self, job: _Job, steps: int) -> tuple[float, bool]:
+    def _run_decode(
+        self, job: _Job, steps: int, failed: bool = False
+    ) -> tuple[float, bool]:
         """Execute ``steps`` greedy decode tokens; returns ``(virtual
         seconds, ok)``.  ``ok=False`` means the paged arena stayed
-        exhausted through the pressure ladder (the caller sheds)."""
+        exhausted through the pressure ladder (the caller sheds).
+        ``failed`` says a fused batch step already ran the first step
+        into arena exhaustion (rolled back), so its relief comes first."""
         t0 = time.perf_counter()
-        ok = self._decode_steps(job, steps)
+        ok = self._decode_steps(job, steps, failed)
         seconds = self._bill(job, time.perf_counter() - t0)
         self._update_kv_peak(job)
         return seconds, ok
 
-    def _decode_steps(self, job: _Job, steps: int) -> bool:
-        # On the paged backend, decode records attention mass so the
-        # heavy-hitter eviction policy has scores to rank by (numerics of
-        # the decoded logits are unchanged by recording).
+    def _decode_steps(self, job: _Job, steps: int, failed: bool) -> bool:
+        # On the paged backend, decode records attention mass so H2O
+        # eviction has scores to rank by (numerics of the decoded logits
+        # are unchanged by recording).
         record = self._arena is not None
         cfg = self.model.config
         for _ in range(steps):
@@ -1246,22 +1243,23 @@ class ServingEngine:
             )
             mem_attempts = 0
             while True:
-                marks = [len(c) for c in job.caches]
-                try:
-                    logits = self.model.decode_step(
-                        job.next_token,
-                        job.position,
-                        job.caches,
-                        record_attention=record,
-                    )
-                except ArenaExhaustedError:
-                    for cache, mark in zip(job.caches, marks):
-                        cache.truncate(mark)
-                    if not self._relieve_exhaustion(job, mem_attempts):
-                        return False
-                    mem_attempts += 1
-                    continue
-                break
+                if not failed:
+                    marks = [len(c) for c in job.caches]
+                    try:
+                        logits = self.model.decode_step(
+                            job.next_token,
+                            job.position,
+                            job.caches,
+                            record_attention=record,
+                        )
+                        break
+                    except ArenaExhaustedError:
+                        for cache, mark in zip(job.caches, marks):
+                            cache.truncate(mark)
+                failed = False
+                if not self._relieve_exhaustion(job, mem_attempts):
+                    return False
+                mem_attempts += 1
             job.next_token = int(np.argmax(logits))
             job.position += 1
             job.decode_left -= 1
@@ -1310,13 +1308,15 @@ class ServingEngine:
         ``jobs`` order.
 
         Fault isolation mirrors :meth:`_run_packed_step`: a request whose
-        cache append hits :class:`ArenaExhaustedError` mid-step abandons
-        the fused attempt, rolls back that step (caches to their pre-step
+        cache append hits :class:`ArenaExhaustedError` mid-step drops out
+        of the fused steps, rolls back that step (caches to their pre-step
         marks, which discards staged attention mass; the speculative
-        token and billed elements are undone), and replays its *remaining*
-        quantum through the per-request :meth:`_run_decode` -- which owns
-        the pressure ladder, retry counting, and shed decision.  The
-        fused steps' wall time is apportioned by billed-element share.
+        token and billed elements are undone), and enters the per-request
+        :meth:`_run_decode` where that step failed -- relief first, under
+        the same budget -- for the rest of its quantum, so the exhaustion
+        is counted once and the pressure ladder, retry counting and shed
+        decision are the per-request ones.  The fused steps' wall time is
+        apportioned by billed-element share.
         """
         registry = self._registry
         cfg = self.model.config
@@ -1331,10 +1331,6 @@ class ServingEngine:
         def on_append_error(_entry, _layer, exc):
             if not isinstance(exc, ArenaExhaustedError):
                 raise exc
-            registry.inc("arena_exhaustion_events")
-            assert self.memory_breaker is not None
-            if self.memory_breaker.record_violation():
-                registry.inc("memory_breaker_trips")
 
         t0 = time.perf_counter()
         for step in range(max(quanta, default=0)):
@@ -1369,8 +1365,8 @@ class ServingEngine:
                 logits = results[j]
                 if logits is None:
                     # Abandon the fused attempt for this request: the
-                    # per-request replay below re-runs this step and
-                    # the rest of the quantum under ladder semantics.
+                    # per-request loop below relieves the exhaustion, then
+                    # re-runs this step and the rest of the quantum.
                     for cache, mark in zip(job.caches, marks[bi]):
                         cache.truncate(mark)
                     job.generated.pop()
@@ -1387,7 +1383,7 @@ class ServingEngine:
         for bi, job in enumerate(jobs):
             partial = self._bill(job, shares[bi])
             if bi in aborted:
-                seconds, ok = self._run_decode(job, aborted[bi])
+                seconds, ok = self._run_decode(job, aborted[bi], failed=True)
                 results_out.append((partial + seconds, ok))
                 continue
             self._update_kv_peak(job)
@@ -1427,7 +1423,7 @@ class ServingEngine:
         self._queue = queue
         if self.kv_backend == "paged":
             cfg = self.model.config
-            bt = self.block_tokens
+            bt = BLOCK_TOKENS
             if self.arena_blocks is None:
                 # Auto-size to worst-case demand (everyone resident, no
                 # sharing) plus a fork block per layer: default runs see
@@ -1450,10 +1446,7 @@ class ServingEngine:
                 else None
             )
             self._pressure = MemoryPressureController(
-                self._arena,
-                self._sharing,
-                HeavyHitterPolicy(),
-                min_keep_tokens=max(self.block_tokens, 1),
+                self._arena, self._sharing, min_keep_tokens=bt
             )
             self.memory_breaker = CircuitBreaker(
                 _MEMORY_BREAKER_THRESHOLD, _MEMORY_BREAKER_COOLDOWN_CHUNKS
@@ -1569,7 +1562,7 @@ class ServingEngine:
                 batch = [
                     queue.items[i]
                     for i in self.scheduler.select_batch(
-                        queue.items, self.max_batch_requests
+                        queue.items, MAX_BATCH_REQUESTS
                     )
                 ]
                 prefill_jobs, decode_jobs = [], []

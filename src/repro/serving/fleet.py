@@ -48,7 +48,12 @@ import numpy as np
 from ..errors import ConfigError
 from ..model import build_model
 from ..model.transformer import Transformer
-from .engine import EngineResult, ServingEngine, executed_prompt
+from .engine import (
+    BLOCK_TOKENS,
+    EngineResult,
+    ServingEngine,
+    executed_prompt,
+)
 from .faults import FaultInjector
 from .router import ROUTING_POLICIES, Router
 from .scheduler import AdmissionQueue
@@ -295,7 +300,6 @@ class FleetEngine:
         self.method = engine_kwargs.get("method", "sample")
         self._length_scale = int(engine_kwargs.get("length_scale", 1))
         self._seed = int(engine_kwargs.get("seed", 0))
-        self._block_tokens = int(engine_kwargs.get("block_tokens", 32))
         self._prompt_builder = engine_kwargs.get("prompt_builder")
 
     # ------------------------------------------------------ routing helpers
@@ -322,7 +326,7 @@ class FleetEngine:
         router = Router(
             self.n_workers,
             policy=self.routing_policy,
-            block_tokens=self._block_tokens,
+            block_tokens=BLOCK_TOKENS,
             session_of=self.session_of,
         )
         workers = [

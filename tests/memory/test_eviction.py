@@ -1,10 +1,10 @@
-"""Tests for paged-KV live-eviction policies."""
+"""Live eviction of paged KV caches: H2O keep sets ranked by the
+attention mass a paged cache accumulates, applied through ``evict``."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigError
-from repro.memory import HeavyHitterPolicy, KVArena, PagedLayerKVCache
+from repro.baselines.h2o import H2OPolicy
+from repro.memory import KVArena, PagedLayerKVCache
 
 H, D, BT = 2, 8, 4
 
@@ -28,22 +28,18 @@ class TestHeavyHitter:
         probs[:, 0, 5] = 8.0
         cache.record_attention(probs)
         cache.commit_attention()
-        keep = HeavyHitterPolicy().select(cache, 4)
-        assert keep is not None
+        keep = H2OPolicy(budget=4).select(cache.attention_mass())
         for ix in keep:
             assert len(ix) == 4
             assert 2 in ix and 5 in ix  # heavy hitters survive
             assert 15 in ix  # recency window keeps the newest key
 
-    def test_none_when_at_or_below_target(self):
-        _, cache = filled_cache(8)
-        assert HeavyHitterPolicy().select(cache, 8) is None
-        assert HeavyHitterPolicy().select(cache, 12) is None
-
-    def test_rejects_bad_target(self):
-        _, cache = filled_cache(8)
-        with pytest.raises(ConfigError):
-            HeavyHitterPolicy().select(cache, 0)
+    def test_evict_leaves_a_cache_within_budget_alone(self):
+        arena, cache = filled_cache(8)
+        for budget in (8, 12):
+            H2OPolicy(budget=budget).evict([cache])
+            assert len(cache) == 8 and cache.evictions == 0
+        assert arena.blocks_in_use == 2
 
     def test_selection_feeds_evict(self):
         arena, cache = filled_cache(4 * BT)
@@ -51,7 +47,6 @@ class TestHeavyHitter:
             np.random.default_rng(1).random((H, 1, 4 * BT))
         )
         cache.commit_attention()
-        keep = HeavyHitterPolicy().select(cache, BT)
-        cache.evict(keep)
+        H2OPolicy(budget=BT).evict([cache])
         assert len(cache) == BT
         assert arena.blocks_in_use == 1

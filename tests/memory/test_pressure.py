@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.memory import (
     MEMORY_PRESSURE_LEVELS,
-    HeavyHitterPolicy,
     KVArena,
     MemoryPressureController,
     PagedLayerKVCache,
@@ -20,7 +19,7 @@ def make_controller(n_blocks=8, *, registry=True, **kw):
     arena = KVArena(n_blocks, H, BT, D)
     reg = PrefixSharingRegistry(arena) if registry else None
     kw.setdefault("min_keep_tokens", BT)
-    ctl = MemoryPressureController(arena, reg, HeavyHitterPolicy(), **kw)
+    ctl = MemoryPressureController(arena, reg, **kw)
     return arena, reg, ctl
 
 
@@ -80,7 +79,7 @@ class TestLadder:
         arena, _, ctl = make_controller(n_blocks=2, registry=False)
         pinned = PagedLayerKVCache(arena)
         fill(pinned, 2 * BT)
-        # The only candidate is already at min_keep -> policy returns None.
+        # The only candidate is already at min_keep -> it is left alone.
         ctl.min_keep_tokens = 2 * BT
         assert ctl.relieve([[pinned]], need_blocks=1) is False
         assert ctl.level == "shed" and ctl.peak_level == "shed"
@@ -121,9 +120,7 @@ class TestValidation:
     def test_rejects_bad_min_keep(self):
         arena = KVArena(4, H, BT, D)
         with pytest.raises(ConfigError):
-            MemoryPressureController(
-                arena, None, HeavyHitterPolicy(), min_keep_tokens=0
-            )
+            MemoryPressureController(arena, None, min_keep_tokens=0)
 
 
 class TestStats:

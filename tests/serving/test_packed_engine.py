@@ -23,6 +23,7 @@ from repro.serving import (
     chaos_scenario,
     poisson_workload,
 )
+from repro.serving import engine as engine_module
 
 
 def burst(n=4, prompt_len=16384, decode_tokens=2):
@@ -77,10 +78,6 @@ class TestPackedConfig:
         with pytest.raises(ConfigError):
             make_engine(glm_mini, batching="packed", method="flash")
 
-    def test_rejects_bad_max_batch(self, glm_mini):
-        with pytest.raises(ConfigError):
-            make_engine(glm_mini, batching="packed", max_batch_requests=0)
-
 
 class TestPackedParity:
     def test_matches_per_request_engine(self, glm_mini):
@@ -129,8 +126,9 @@ class TestPackedParity:
         # With 4 simultaneous arrivals the batch actually fills.
         assert counters["kernel_packed_requests"] > dispatches
 
-    def test_max_batch_one_still_packs(self, glm_mini):
-        engine = make_engine(glm_mini, batching="packed", max_batch_requests=1)
+    def test_max_batch_one_still_packs(self, glm_mini, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_BATCH_REQUESTS", 1)
+        engine = make_engine(glm_mini, batching="packed")
         result = engine.run(burst(n=2))
         counters = result.telemetry._counters
         assert len(result.completed) == 2
@@ -300,31 +298,60 @@ class TestChunkKnorm:
 
 
 class TestPackedFaultParity:
-    """Fault hooks and breaker ticks fire once per chunk in either mode.
+    """Faults, breaker ticks and arena exhaustion count once in either mode.
 
-    The chaos drill's workload and injector: with ``max_batch_requests=1``
-    the packed schedule is the per-request schedule, so every fault
-    counter must agree -- an abandoned fused attempt may not re-poison the
-    plan cache, re-reserve an arena burst or tick a breaker again.
+    With ``MAX_BATCH_REQUESTS = 1`` the packed schedule is the per-request
+    schedule, so every non-kernel counter must agree -- an abandoned fused
+    prefill attempt may not re-poison the plan cache, re-reserve an arena
+    burst or tick a breaker again, and a fused decode step that runs the
+    arena dry may not count its exhaustion twice.
     """
 
-    def _drill(self, model, **kw):
+    @staticmethod
+    def _chaos(model, batching):
         scenario = chaos_scenario(0)
-        engine = ServingEngine(model, **scenario.serving_kwargs(), **kw)
+        engine = ServingEngine(
+            model, **scenario.serving_kwargs(), batching=batching
+        )
         return engine.run(list(scenario.requests))
 
-    def test_packed_of_one_counts_the_same_faults(self, glm_mini):
-        base = self._drill(glm_mini, batching="request")
-        packed = self._drill(
-            glm_mini, batching="packed", max_batch_requests=1
-        )
-        assert base.telemetry.counter("fault_plan_poison") > 0
-        assert base.telemetry.counter("chunk_retries") > 0
-        for a, b in zip(base.requests, packed.requests):
+    @staticmethod
+    def _dry_arena(model, batching):
+        # 4 x 128-token prompts decoding 96 tokens each outgrow a paged
+        # arena of 12 blocks per layer in decode.
+        return ServingEngine(
+            model,
+            billing="roofline",
+            scheduler="round_robin",
+            batching=batching,
+            kv_backend="paged",
+            arena_blocks=model.config.n_layers * 12,
+            prefix_sharing=False,
+        ).run([Request(i, 0.0, 128, 96) for i in range(4)])
+
+    #: What each workload must exercise for the parity to mean something.
+    FIRED = {
+        "chaos": ("fault_plan_poison", "chunk_retries"),
+        "dry_arena": ("arena_exhaustion_events", "kv_evictions"),
+    }
+
+    @pytest.mark.parametrize("workload", list(FIRED))
+    def test_packed_of_one_counts_the_same_faults(
+        self, glm_mini, monkeypatch, workload
+    ):
+        run = getattr(self, f"_{workload}")
+        base = run(glm_mini, "request")
+        monkeypatch.setattr(engine_module, "MAX_BATCH_REQUESTS", 1)
+        packed = run(glm_mini, "packed")
+        for name in self.FIRED[workload]:
+            assert base.telemetry.counter(name) > 0
+        for a, b in zip(base.requests, packed.requests, strict=True):
             assert a.request_id == b.request_id
             assert a.outcome == b.outcome
             assert list(a.generated) == list(b.generated)
         assert _non_kernel_counters(packed) == _non_kernel_counters(base)
+        for part in ("pressure", "arena"):
+            assert packed.memory.get(part) == base.memory.get(part)
 
 
 class TestFinalChunkPlansFromItsOwnRows:

@@ -52,7 +52,6 @@ class TestConfigValidation:
         for kw in (
             {"kv_backend": "virtual"},
             {"kv_backend": "paged", "arena_blocks": 0},
-            {"kv_backend": "paged", "block_tokens": 0},
         ):
             with pytest.raises(ConfigError):
                 ServingEngine(glm_mini, **kw)
@@ -146,7 +145,6 @@ class TestPressureRelief:
             glm_mini,
             kv_backend="paged",
             arena_blocks=arena_blocks,
-            block_tokens=bt,
             scheduler="fcfs",
         ).run(burst(n=2, gap=0.0))
         summ = result.summary()
@@ -166,10 +164,34 @@ class TestPressureRelief:
                 glm_mini,
                 kv_backend="paged",
                 arena_blocks=arena_blocks,
-                block_tokens=32,
             ).run(burst(n=2)).summary()
 
         assert run() == run()
+
+    def test_h2o_eviction_relieves_a_sample_method_run(self, glm_mini):
+        """The one KV-dropping path, through the engine: 4 x 128-token
+        sparse-prefilled prompts decoding 96 tokens each outgrow 14 blocks
+        per layer in decode, and with no registry to shrink only H2O
+        eviction of decode-phase caches relieves the arena -- every
+        request completes and no block leaks."""
+        result = make_engine(
+            glm_mini,
+            method="sample",
+            length_scale=1,
+            chunk_size=256,
+            scheduler="round_robin",
+            kv_backend="paged",
+            arena_blocks=glm_mini.config.n_layers * 14,
+            prefix_sharing=False,
+        ).run([Request(i, 0.0, 128, 96) for i in range(4)])
+        counter = result.telemetry.counter
+        assert len(result.completed) == 4
+        assert counter("kv_evictions") == 32
+        assert counter("memory_sheds") == 0
+        pressure = result.memory["pressure"]
+        assert pressure["caches_evicted"] == 32
+        assert pressure["registry_blocks_dropped"] == 0
+        assert counter("arena_leaked_blocks") == 0
 
 
 class TestMirrorReads:
