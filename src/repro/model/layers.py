@@ -15,10 +15,10 @@ import numpy as np
 from .. import pool
 from ..errors import ModelError
 from .config import ModelConfig
-from .rope import apply_rope_batched, rope_cos_sin, rotate_pairs
+from .rope import rope_cos_sin, rotate_pairs
 from .weights import LayerWeights
 
-__all__ = ["rms_norm", "gated_mlp", "gated_mlp_rows", "AttentionLayer"]
+__all__ = ["rms_norm", "gated_mlp", "decode_gemm", "AttentionLayer"]
 
 
 def rms_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -79,32 +79,46 @@ def _row_gemm(x: np.ndarray, w: np.ndarray, epilogue=None) -> np.ndarray:
     return out
 
 
+def decode_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a decode step's ``(B, K)`` rows against a C-contiguous
+    ``(K, N)`` weight, every output row bitwise the same whatever ``B`` is.
+
+    OpenBLAS's small-matrix kernel computes a row the same way at every row
+    count it takes, so the rows go in groups of at most ``_SMALL_GEMM //
+    (K * N)`` (a lone last row rides again with the one before it), and a
+    lone row is computed twice over: numpy sends a one-row product to gemv,
+    which sums in another order.  A weight too large for even two rows on
+    that kernel takes :func:`_row_gemm`.  Unlike :func:`_row_gemm`, rows are
+    never padded up to the blocked kernel, which costs a decode step of one
+    or two requests several times its arithmetic.
+    """
+    m, k = x.shape
+    group = _SMALL_GEMM // (k * w.shape[1])
+    if group < 2:
+        return _row_gemm(x, w)
+    if m == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    if m <= group:
+        return x @ w
+    out = np.empty((m, w.shape[1]), dtype=np.result_type(x, w))
+    for r0 in range(0, m, group):
+        r0 = min(r0, m - 2)
+        np.matmul(x[r0 : r0 + group], w, out=out[r0 : r0 + group])
+    return out
+
+
 def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def gated_mlp(x: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> np.ndarray:
-    """SwiGLU feed-forward: ``(silu(x @ w1) * (x @ w3)) @ w2``."""
-    return (_silu(x @ w1) * (x @ w3)) @ w2
-
-
-def gated_mlp_rows(
-    x_rows: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray
+def gated_mlp(
+    x: np.ndarray, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, matmul=np.matmul
 ) -> np.ndarray:
-    """Row-batched :func:`gated_mlp` over ``(B, d_model)`` residual rows.
+    """SwiGLU feed-forward: ``(silu(x @ w1) * (x @ w3)) @ w2``.
 
-    The three projections stay one GEMM *per row* (a batched M=B GEMM
-    takes a different BLAS accumulation path than M=1, so a row's bits
-    would depend on how many requests share the step), while the
-    elementwise SiLU gate runs once over the stacked activations.  Row
-    *b* of the result is bitwise identical to
-    ``gated_mlp(x_rows[b:b+1], ...)``.
+    Each product goes through ``matmul``; decode passes :func:`decode_gemm`.
     """
-    n = x_rows.shape[0]
-    a = np.concatenate([x_rows[b : b + 1] @ w1 for b in range(n)], axis=0)
-    c = np.concatenate([x_rows[b : b + 1] @ w3 for b in range(n)], axis=0)
-    g = _silu(a) * c
-    return np.concatenate([g[b : b + 1] @ w2 for b in range(n)], axis=0)
+    return matmul(_silu(matmul(x, w1)) * matmul(x, w3), w2)
 
 
 class AttentionLayer:
@@ -119,21 +133,21 @@ class AttentionLayer:
         weights.validate(config)
         self.config = config
         self.weights = weights
-        # The q/k/v weights as one ``((H + 2 H_kv) e, d_model)`` array, one
-        # row per output feature (q heads, then k, then v), built here --
-        # early, where a long-lived array does not pin the heap.  Both
-        # phases read this one copy: decode its row blocks as per-row GEMV
-        # operands (:meth:`_decode_proj_weights`), prefill its transpose,
-        # which BLAS reads in place as the fused ``(d_model, (H + 2 H_kv)
-        # e)`` weight -- per head the columns ``np.einsum("sd,hde->hse")``
-        # contracts against, so a row's bits match that einsum's wherever
-        # both take the blocked kernel.
+        # The q/k/v weights as one C-contiguous ``(d_model, (H + 2 H_kv) e)``
+        # array, one column per output feature (q heads, then k, then v) --
+        # per head the columns ``np.einsum("sd,hde->hse")`` contracts
+        # against -- built here, early, where a long-lived array does not
+        # pin the heap.  Prefill and decode both read it as it is: BLAS
+        # packs a transposed view on every call, which at decode's few rows
+        # costs more than the product.
         self._qkv = np.concatenate(
             [
-                m.transpose(0, 2, 1).reshape(-1, config.d_model)
+                m.transpose(1, 0, 2).reshape(config.d_model, -1)
                 for m in (weights.wq, weights.wk, weights.wv)
-            ]
+            ],
+            axis=1,
         )
+        self._wo = np.ascontiguousarray(weights.wo.reshape(-1, config.d_model))
 
     # ------------------------------------------------------------- helpers
     def project_qkv(
@@ -163,7 +177,7 @@ class AttentionLayer:
         """:meth:`project_qkv` without q: rotated ``k (H_kv, S, e)`` and raw
         ``v (H_kv, S, e)`` of rows whose attention output nobody reads.
 
-        One GEMM against the k/v rows of the fused weight: the blocked
+        One GEMM against the k/v columns of the fused weight: the blocked
         kernel computes each output column on its own, so both are bitwise
         :meth:`project_qkv`'s k and v, at ``2 H_kv / (H + 2 H_kv)`` of its
         multiply-adds.
@@ -172,14 +186,14 @@ class AttentionLayer:
 
     def _project(self, x, positions, *, with_q: bool) -> tuple:
         """``(q, k, v)`` of :meth:`project_qkv`, or ``(k, v)`` from the
-        fused weight's k/v rows alone."""
+        fused weight's k/v columns alone."""
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ModelError(f"residual shape {x.shape}")
         s = x.shape[0]
         h_kv, e = self.config.n_kv_heads, self.config.d_head
         h = self.config.n_heads if with_q else 0
         positions = np.asarray(positions)
-        w = self._qkv[(self.config.n_heads - h) * e :]
+        w = self._qkv[:, (self.config.n_heads - h) * e :]
 
         def rotate(rows, r0, r1):
             cos, sin = rope_cos_sin(
@@ -188,7 +202,7 @@ class AttentionLayer:
             qk = rows.reshape(r1 - r0, h + 2 * h_kv, e)[:, : h + h_kv]
             rotate_pairs(qk, cos[:, None], sin[:, None])
 
-        heads = _row_gemm(x, w.T, rotate).reshape(s, h + 2 * h_kv, e)
+        heads = _row_gemm(x, w, rotate).reshape(s, h + 2 * h_kv, e)
         cuts = [0, h, h + h_kv, h + 2 * h_kv] if h else [0, h_kv, 2 * h_kv]
         return tuple(
             _f32(heads[:, lo:hi].transpose(1, 0, 2))
@@ -198,68 +212,30 @@ class AttentionLayer:
     def project_qkv_decode_batch(
         self, x_rows: np.ndarray, cos: np.ndarray, sin: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched single-token projection for fused decode.
+        """A decode step's q/k/v: one :func:`decode_gemm` of every request's
+        row against the fused weight, rotated in place.
 
         ``x_rows``: ``(B, d_model)`` normalised residual rows, one per
-        decoding request; ``cos``/``sin``: ``(B, n_pairs)`` rotary rows
-        for each request's position (precomputed once per batch step and
-        shared across layers -- the tables depend only on position, so
-        per-request decode recomputing them per layer does 4x the work
-        for bitwise-identical values).  The three projections stay one
-        GEMV *per row* (a stacked M=B GEMM takes a different BLAS
-        accumulation path than M=1, so a row's bits would depend on the
-        batch it rode in -- and measured no gain), while the rotary
-        rotation and the float32 casts -- pure elementwise work -- run
-        once over the stacked batch.
+        decoding request; ``cos``/``sin``: ``(B, n_pairs)`` rotary rows for
+        each request's position (computed once per step and shared across
+        layers: the tables depend only on position).
 
         Returns ``q (B, H, 1, e)``, ``k (B, H_kv, 1, e)``,
-        ``v (B, H_kv, 1, e)``; slice ``[b]`` is bitwise the same whatever
-        else shares the batch.
-
-        Each row is one ``np.dot`` against a cached ``(H*e, d)`` operand
-        (:meth:`_decode_proj_weights`): the call ``np.einsum("sd,hde->hse")``
-        reduces to at ``S = 1``, without re-copying the transposed weight
-        and without the einsum dispatch that dominates single-token decode.
+        ``v (B, H_kv, 1, e)``, views of the one GEMM output; slice ``[b]``
+        is bitwise the same whatever else shares the batch, since the GEMM
+        keeps every row's bits its own and the rotation is elementwise.
         """
-        n = x_rows.shape[0]
         if x_rows.ndim != 2 or x_rows.shape[1] != self.config.d_model:
             raise ModelError(f"residual rows shape {x_rows.shape}")
         h, h_kv = self.config.n_heads, self.config.n_kv_heads
-        e, d = self.config.d_head, self.config.d_model
-        pq, pk, pv = self._decode_proj_weights()
-        cols = [x_rows[b].reshape(d, 1) for b in range(n)]
-        qs = np.stack(
-            [np.dot(pq, c).reshape(h, e, 1).transpose(0, 2, 1) for c in cols]
+        heads = decode_gemm(x_rows, self._qkv).reshape(
+            len(x_rows), h + 2 * h_kv, 1, self.config.d_head
         )
-        ks = np.stack(
-            [np.dot(pk, c).reshape(h_kv, e, 1).transpose(0, 2, 1) for c in cols]
-        )
-        vs = np.stack(
-            [np.dot(pv, c).reshape(h_kv, e, 1).transpose(0, 2, 1) for c in cols]
-        )
-        cb = cos[:, None, :]  # (B, S=1, n_pairs)
-        sb = sin[:, None, :]
-        q = apply_rope_batched(qs, cb, sb)
-        k = apply_rope_batched(ks, cb, sb)
-        return _f32(q), _f32(k), _f32(vs)
-
-    def _decode_proj_weights(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(H*e, d_model)``, ``(H_kv*e, d_model)`` and ``(H_kv*e,
-        d_model)`` decode GEMV operands: C-contiguous row blocks of the
-        fused q/k/v rows, i.e. the transposed weight copy
-        ``np.einsum("sd,hde->hse", x, w, optimize=True)`` makes on *every*
-        call at ``S = 1`` before its one GEMV -- built once, so the BLAS
-        call and the bits are the einsum's without the per-call copy.
-        """
-        rows = self._qkv
-        q_rows = self.config.n_heads * self.config.d_head
-        kv_rows = self.config.n_kv_heads * self.config.d_head
+        rotate_pairs(heads[:, : h + h_kv], cos[:, None, None], sin[:, None, None])
         return (
-            rows[:q_rows],
-            rows[q_rows : q_rows + kv_rows],
-            rows[q_rows + kv_rows :],
+            _f32(heads[:, :h]),
+            _f32(heads[:, h : h + h_kv]),
+            _f32(heads[:, h + h_kv :]),
         )
 
     def merge_chunks(self, outs: list[np.ndarray]) -> list[np.ndarray]:
@@ -273,19 +249,14 @@ class AttentionLayer:
         rows = np.empty((cuts[-1], h * e), dtype=np.result_type(*outs))
         for o, r0, r1 in zip(outs, cuts, cuts[1:]):
             rows[r0:r1].reshape(-1, h, e)[...] = o.transpose(1, 0, 2)
-        merged = _row_gemm(rows, self.weights.wo.reshape(-1, self.config.d_model))
+        merged = _row_gemm(rows, self._wo)
         return [merged[r0:r1] for r0, r1 in zip(cuts, cuts[1:])]
 
-    def merge_heads_decode(self, attn_out: np.ndarray) -> np.ndarray:
-        """``(H, 1, e) -> (1, d_model)``: the decode step's output
-        projection.
-
-        One ``(1, H*e) @ (H*e, d_model)`` product against a view of
-        ``wo``, issued per decode row, so a row's bits never depend on the
-        batch it rode in.  It is not bitwise :meth:`merge_chunks`, which
-        pads a lone row onto BLAS's blocked kernel; decode never mixes the
-        two.
-        """
-        h, e = self.config.n_heads, self.config.d_head
-        flat = attn_out.transpose(1, 0, 2).reshape(1, h * e)
-        return flat @ self.weights.wo.reshape(h * e, self.config.d_model)
+    def merge_decode(self, outs: np.ndarray) -> np.ndarray:
+        """A decode step's output projection: stacked ``(B, H, 1, e)``
+        attention outputs to ``(B, d_model)`` rows in one
+        :func:`decode_gemm` against the flat ``wo``, each row bitwise
+        independent of the batch.  It is not bitwise :meth:`merge_chunks`,
+        which pads a lone row onto BLAS's blocked kernel; decode never
+        mixes the two."""
+        return decode_gemm(outs.reshape(len(outs), -1), self._wo)

@@ -25,7 +25,6 @@ __all__ = [
     "rope_frequencies",
     "rope_cos_sin",
     "apply_rope",
-    "apply_rope_batched",
     "rotate_pairs",
 ]
 
@@ -89,43 +88,6 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
         )
     out = x.copy()
     rotate_pairs(out, cos[None], sin[None])
-    return out
-
-
-def apply_rope_batched(
-    x: np.ndarray, cos: np.ndarray, sin: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`apply_rope` over stacked same-shape items.
-
-    Parameters
-    ----------
-    x:
-        ``(B, H, S, d_head)`` stacked query or key tensors.
-    cos, sin:
-        ``(B, S, n_pairs)`` per-item tables (positions differ per item).
-
-    The rotation is pure elementwise arithmetic, so every item's rows are
-    bitwise identical to :func:`apply_rope` on that item alone -- the
-    batched decode path relies on this to fuse the per-request rotary
-    application into one call without perturbing greedy decoding.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"x must be (B, H, S, d_head), got rank {x.ndim}")
-    n_pairs = cos.shape[-1]
-    rot = 2 * n_pairs
-    if rot > x.shape[-1]:
-        raise ShapeError(f"rotary width {rot} exceeds head dim {x.shape[-1]}")
-    if (
-        cos.shape != (x.shape[0], x.shape[2], n_pairs)
-        or sin.shape != cos.shape
-    ):
-        raise ShapeError(
-            f"cos/sin tables {cos.shape}/{sin.shape} do not match "
-            f"(B={x.shape[0]}, S={x.shape[2]})"
-        )
-    out = x.copy()
-    # (B, 1, S, n_pairs) tables broadcast over heads.
-    rotate_pairs(out, cos[:, None], sin[:, None])
     return out
 
 

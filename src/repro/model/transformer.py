@@ -26,7 +26,7 @@ from ..baselines.h2o import H2OPolicy
 from ..errors import ModelError
 # ModelConfig is reached through weights.config; no direct import needed.
 from .kv_cache import LayerKVCache
-from .layers import AttentionLayer, gated_mlp, gated_mlp_rows, rms_norm
+from .layers import AttentionLayer, decode_gemm, gated_mlp, rms_norm
 from .rope import rope_cos_sin
 from .weights import ModelWeights
 
@@ -72,6 +72,9 @@ class Transformer:
         self.layers = [
             AttentionLayer(self.config, lw) for lw in weights.layers
         ]
+        # The unembedding as the C-contiguous ``(d_model, vocab)`` weight
+        # :func:`decode_gemm` reads.
+        self._unembed = np.ascontiguousarray(weights.unembed.T)
 
     # ------------------------------------------------------------ plumbing
     def _norm(self, x: np.ndarray) -> np.ndarray:
@@ -90,8 +93,11 @@ class Transformer:
         return self.weights.embed[tokens].astype(np.float32)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Unembed residual rows: ``(S, d_model) -> (S, vocab)``."""
-        out = x @ self.weights.unembed.T
+        """Unembed residual rows: ``(S, d_model) -> (S, vocab)``, each row
+        bitwise the same whatever other rows share the call (one
+        :func:`~repro.model.layers.decode_gemm`): a prompt's first token
+        and a decode step's tokens come out of the same product."""
+        out = decode_gemm(x, self._unembed)
         if self.weights.unembed_bias is not None:
             out = out + self.weights.unembed_bias[None, :]
         return out
@@ -373,8 +379,8 @@ class Transformer:
         The packed-batching quantum of decode serving, mirroring
         :meth:`prefill_chunk_batch`: ``entries`` is a list of
         ``(token, position, caches)`` triples, one decoding request each.
-        Per layer, the single-token projections run through
-        :meth:`AttentionLayer.project_qkv_decode_batch` (rotary tables
+        Per layer, every live request's q/k/v come out of one GEMM
+        (:meth:`AttentionLayer.project_qkv_decode_batch`, rotary tables
         computed once per step and shared across all layers), every live
         request's KV is appended, and one call to
         ``attend_batch(layer_index, items)`` computes attention for the
@@ -405,9 +411,11 @@ class Transformer:
         Returns one entry per input: the token's ``(vocab,)`` logits, or
         ``None`` for dropped entries.  Survivor logits -- and therefore
         greedy next tokens -- are **batch-invariant**: bitwise the same
-        whichever other entries share the call (every contraction is
-        issued per row; only elementwise work is stacked), so
-        :meth:`decode_step`, a batch of one, is the per-request reference.
+        whichever other entries share the call, so :meth:`decode_step`, a
+        batch of one, is the per-request reference.  Each contraction --
+        q/k/v, output projection, MLP, unembedding -- is one
+        :func:`~repro.model.layers.decode_gemm` over the step's rows, which
+        keeps every row's bits its own; the rest is elementwise.
         """
         if not entries:
             raise ModelError("decode_batch needs at least one entry")
@@ -479,27 +487,21 @@ class Transformer:
                     for b, (q, _, s) in items.items()
                 }
             outs = attend_batch(i, items)
+            live = [b for b in live if b in outs]
             if not live:
                 continue
-            deltas = np.zeros_like(xb)
-            for b in list(live):
-                if b not in outs:
-                    live.remove(b)
-                    continue
-                out_b, probs_b = outs[b]
-                if record_attention and probs_b is not None:
-                    entries[b][2][i].record_attention(probs_b)
-                deltas[b] = layer.merge_heads_decode(out_b)[0]
-            xb = xb + deltas
+            if record_attention:
+                for b in live:
+                    if outs[b][1] is not None:
+                        entries[b][2][i].record_attention(outs[b][1])
+            idx = np.asarray(live, dtype=np.int64)
+            xb[idx] += layer.merge_decode(np.stack([outs[b][0] for b in live]))
             lw = layer.weights
-            if lw.mlp_w1 is not None and live:
-                idx = np.asarray(live, dtype=np.int64)
-                mlp = gated_mlp_rows(
-                    self._norm(xb[idx]), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3
+            if lw.mlp_w1 is not None:
+                xb[idx] += gated_mlp(
+                    self._norm(xb[idx]), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3,
+                    decode_gemm,
                 )
-                add = np.zeros_like(xb)
-                add[idx] = mlp
-                xb = xb + add
         # Commit staged attention mass only for surviving entries, after
         # every layer ran (dropped entries' staged mass dies with the
         # caller's rollback truncate).  Contiguous caches apply mass
@@ -510,8 +512,10 @@ class Transformer:
                 if commit is not None:
                     commit()
         results: list = [None] * n
-        for b in live:
-            results[b] = self.logits(xb[b : b + 1])[0]
+        if live:
+            logits = self.logits(xb[np.asarray(live, dtype=np.int64)])
+            for j, b in enumerate(live):
+                results[b] = logits[j]
         return results
 
     # ------------------------------------------------------------ generate

@@ -3,10 +3,12 @@
 ``Transformer.decode_batch`` is the decode-serving quantum; its contract
 is that survivor logits -- and therefore greedy tokens and cache contents
 -- are *bitwise* identical to running ``decode_step`` on each request
-alone.  These tests pin that contract on both cache backends (the model
-is GQA: 4 query heads over 2 KV heads), through mid-stream H2O eviction,
-and through the exhaustion-rollback-replay path the serving engine uses
-(staged attention mass must not double-count).
+alone, although each of its contractions is one GEMM over the step's rows
+(``repro.model.layers.decode_gemm``).  These tests pin that contract on
+both cache backends (the model is GQA: 4 query heads over 2 KV heads),
+for batches wider than one GEMM row group, through mid-stream H2O
+eviction, and through the exhaustion-rollback-replay path the serving
+engine uses (staged attention mass must not double-count).
 """
 
 import numpy as np
@@ -163,6 +165,29 @@ class TestBitwiseParity:
         kw = dict(kv_policy=policy, record_attention=True)
         a = run_sequential(model, PROMPTS[:2], seq, 5, **kw)
         b = run_batched(model, PROMPTS[:2], bat, 5, **kw)
+        assert_bitwise(a, b, seq, bat)
+
+
+class TestWiderThanOneGroup:
+    """13 entries exceed every decode GEMM's row group on glm-mini (q/k/v
+    5, output projection 10, unembedding 6) and the tiny model's q/k/v
+    (10): rows split over several small-kernel calls, one of them a
+    remainder, and each entry still decodes as it does alone."""
+
+    @staticmethod
+    def _prompts(vocab):
+        rng = np.random.default_rng(7)
+        return [rng.integers(0, vocab, size=3 + 2 * b) for b in range(13)]
+
+    @pytest.mark.parametrize("which", ["tiny", "glm-mini"])
+    @pytest.mark.parametrize("backend", [contiguous_caches, paged_caches])
+    def test_every_entry_matches_decode_step(self, model, glm_mini, which, backend):
+        m = model if which == "tiny" else glm_mini
+        prompts = self._prompts(m.config.vocab_size)
+        seq = backend(m, prompts)
+        bat = backend(m, prompts)
+        a = run_sequential(m, prompts, seq, steps=2)
+        b = run_batched(m, prompts, bat, steps=2)
         assert_bitwise(a, b, seq, bat)
 
 
