@@ -43,9 +43,8 @@ stripe columns happen to touch:
 * **One softmax** -- every part joins the running accumulators under the
   joint row max and one normaliser; the PV GEMMs are summed.
 
-Masking is dense arithmetic (a ``{0, 1}`` multiply after a plain ``exp``
-when the Cauchy-Schwarz bound rules out overflow, otherwise a bias before
-the row max plus a clamp before ``exp``), never predicated writes.
+Masking is dense arithmetic (a ``{0, NEG_INF}`` bias before the row max,
+then a clamp before ``exp``), never predicated writes.
 
 Each item also carries its plan's *tile* footprint
 (:meth:`~repro.core.plan.SparsePlan.to_block_mask`) as the **accounting
@@ -111,10 +110,6 @@ _STRIPE_ROWS = 256
 #: scratch is ``_BAND_ROWS x (W + _BAND_ROWS - 1)`` scores whatever ``S_k``.
 _DENSE_SPAN = 1024
 
-#: Cauchy-Schwarz exp-overflow bound: below it the kernel exponentiates raw
-#: scores (no row-max pass).
-_PLAIN_EXP_BOUND = 60.0
-
 #: Scratch of the items and dense q-blocks a pool thread runs: one
 #: grow-only workspace per thread, each bounded like a caller's.
 _local = threading.local()
@@ -173,11 +168,6 @@ class PackedItem:
     (extra diagonal distance intervals ``(d_lo, d_hi)`` every head keeps,
     the plan's ``extras["bands"]``).  ``mask`` is the same plan's tile
     footprint -- the accounting view; it is never executed.
-
-    ``k_norm_sq`` optionally carries ``max_i ||k_i||^2`` computed
-    incrementally by the caller (the serving engine tracks it per
-    (request, layer) as chunks append); row norms are independent, so the
-    incremental max is bitwise equal to the full reduction.
     """
 
     q: np.ndarray
@@ -190,13 +180,10 @@ class PackedItem:
     dense_last_rows: int = 0
     bands: Sequence[tuple[int, int]] = ()
     scale: float | None = None
-    k_norm_sq: float | None = None
     tag: object = None
 
     @classmethod
-    def from_plan(
-        cls, q, k, v, plan, *, scale=None, k_norm_sq=None, tag=None
-    ) -> "PackedItem":
+    def from_plan(cls, q, k, v, plan, *, scale=None, tag=None) -> "PackedItem":
         """The item executing ``plan`` (a
         :class:`~repro.core.plan.SparsePlan`) on ``q``/``k``/``v``."""
         return cls(
@@ -210,7 +197,6 @@ class PackedItem:
             dense_last_rows=plan.config.dense_last_rows,
             bands=plan.extras.get("bands") or (),
             scale=scale,
-            k_norm_sq=k_norm_sq,
             tag=tag,
         )
 
@@ -387,37 +373,26 @@ def packed_decode_attention(
     )
 
 
-def _mask_term(dead: np.ndarray, plain: bool) -> np.ndarray:
-    """A boolean dead mask as the float32 term :func:`_to_weights` applies:
-    a ``{0, 1}`` post-``exp`` multiplier on the plain path, a ``{0,
-    NEG_INF}`` pre-max bias on the stabilised one.  Masking is dense
+def _mask_term(dead: np.ndarray) -> np.ndarray:
+    """A boolean dead mask as the ``{0, NEG_INF}`` float32 bias
+    :func:`_to_weights` adds before the row max.  Masking is dense
     arithmetic, never ``where=`` writes (a predicated copy over a score
     slab costs ~5x the slab's GEMM)."""
-    if plain:
-        return np.subtract(np.float32(1.0), dead, dtype=np.float32)
     return np.multiply(dead, NEG_INF, dtype=np.float32)
 
 
-def _to_weights(s, masked, term, plain: bool, floor=None):
+def _to_weights(s, masked, term, floor=None):
     """Scores ``s`` -> unnormalised softmax weights, in place.
 
     ``masked`` is the view of ``s`` that ``term`` (see :func:`_mask_term`,
     ``None`` when nothing is masked) broadcasts against.  Returns the
-    per-row reference the weights are relative to -- the masked row max,
-    raised to ``floor`` where given -- or ``None`` on the plain path,
-    which exponentiates raw scores (bounded by the Cauchy-Schwarz check)
-    and zeroes masked entries exactly.  The stabilised path clamps before
-    ``exp`` (:data:`~repro.attention.utils._EXP_CLAMP`, shared with the
-    decode kernel and stage-1 sampling), so masked entries weigh ~1e-26
-    of their row's largest weight instead of taking ``exp``'s underflow
-    path.
+    per-row reference the weights are relative to: the masked row max,
+    raised to ``floor`` where given.  The clamp before ``exp``
+    (:data:`~repro.attention.utils._EXP_CLAMP`, shared with the decode
+    kernel and stage-1 sampling) makes masked entries weigh ~1e-26 of
+    their row's largest weight instead of taking ``exp``'s underflow path.
     Every row must hold at least one live entry.
     """
-    if plain:
-        np.exp(s, out=s)
-        if term is not None:
-            masked *= term
-        return None
     if term is not None:
         masked += term
     m = s.max(axis=-1)
@@ -444,10 +419,10 @@ def _window_dead(window: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_term(span: int, plain: bool) -> np.ndarray:
+def _dense_term(span: int) -> np.ndarray:
     """The mask term of a dense row's key span (width ``_DENSE_SPAN``),
     read by every dense q-block of every item."""
-    term = _mask_term(_window_dead(span), plain)
+    term = _mask_term(_window_dead(span))
     term.flags.writeable = False
     return term
 
@@ -465,18 +440,13 @@ def _stripe_dead(pos, cols, window: int, extras: list) -> np.ndarray:
 
 
 def _band_terms(widths) -> dict:
-    """``(width, plain) ->`` mask term of every band width a dispatch's
-    items use, for both softmax paths (which one an item takes is decided
-    inside its execution).  Built before any item runs and only read after,
-    so items on different threads share it."""
-    terms = {}
-    for w in widths:
-        if w == _DENSE_SPAN:
-            terms.update({(w, p): _dense_term(w, p) for p in (True, False)})
-        else:
-            dead = _window_dead(w)
-            terms.update({(w, p): _mask_term(dead, p) for p in (True, False)})
-    return terms
+    """``width ->`` mask term of every band width a dispatch's items use.
+    Built before any item runs and only read after, so items on different
+    threads share it."""
+    return {
+        w: _dense_term(w) if w == _DENSE_SPAN else _mask_term(_window_dead(w))
+        for w in widths
+    }
 
 
 def _unit_workspace(ws: KernelWorkspace, caller: int) -> KernelWorkspace:
@@ -508,22 +478,14 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
     vf = it.v.astype(np.float32, copy=False)
     qf = ws.take("q", (h, s_q, d))
     np.multiply(it.q.astype(np.float32, copy=False), scale, out=qf)
-    q_norm = float(np.sqrt(np.einsum("hsd,hsd->hs", qf, qf).max())) if s_q else 0.0
-    if it.k_norm_sq is not None:
-        k_norm = float(np.sqrt(it.k_norm_sq))
-    else:
-        k_norm = float(np.sqrt(np.einsum("hsd,hsd->hs", kf, kf).max()))
-    plain = q_norm * k_norm < _PLAIN_EXP_BOUND
 
     # The stripe part accumulates straight into the output and ``l``; the
     # band part then joins each row block under the joint row max ``m``.
     out = np.zeros((h, s_q, d), dtype=np.float32)
     l = ws.take("l", (h, s_q))
     l.fill(0.0)
-    m = None
-    if not plain:
-        m = ws.take("m", (h, s_q))
-        m.fill(NEG_INF)
+    m = ws.take("m", (h, s_q))
+    m.fill(NEG_INF)
     elements = np.zeros(h, dtype=np.int64)
     gemms = 0
 
@@ -565,12 +527,10 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
             if c0 < n:
                 dead = _stripe_dead(pos[i0:b1], cols[c0:n], window, extras)
                 elements[hh] -= int(np.count_nonzero(dead))
-                term = _mask_term(dead, plain)
-            ref = _to_weights(s, s[:, c0:], term, plain)
+                term = _mask_term(dead)
+            m[hh, i0:b1] = _to_weights(s, s[:, c0:], term)
             np.sum(s, axis=-1, out=l[hh, i0:b1])
             np.matmul(s, v_cols[:n], out=out[hh, i0:b1])
-            if ref is not None:
-                m[hh, i0:b1] = ref
             gemms += 2
 
     # ---- band part: per q-block, all heads of every KV group at once;
@@ -580,7 +540,7 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
     q4 = qf.reshape(h_kv, n_rep, s_q, d)
     out4 = out.reshape(h_kv, n_rep, s_q, d)
     l4 = l.reshape(h_kv, n_rep, s_q)
-    m4 = None if plain else m.reshape(h_kv, n_rep, s_q)
+    m4 = m.reshape(h_kv, n_rep, s_q)
 
     def attend_block(r0, r1, block_spans, scratch):
         """One q-block through its spans; touches only rows [r0, r1) of
@@ -591,14 +551,14 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
         q_blk = scratch.take("q_band", (h_kv, n_rep, bq, d))
         np.copyto(q_blk, q4[:, :, r0:r1])
         o_blk, l_blk = out4[:, :, r0:r1], l4[:, :, r0:r1]
-        m_blk = None if plain else m4[:, :, r0:r1]
+        m_blk = m4[:, :, r0:r1]
         for shift, w in block_spans:
             start = offset + r0 - shift - w + 1  # unclipped left edge of the span
             lo, hi = max(start, 0), offset + r1 - shift
             if hi <= lo:  # the band starts further back than these rows reach
                 continue
             n = hi - lo
-            term = terms[(w, plain)][:bq, lo - start:hi - start]
+            term = terms[w][:bq, lo - start:hi - start]
             s = scratch.take("s_band", (h_kv, n_rep * bq, n))
             np.matmul(
                 q_blk.reshape(h_kv, n_rep * bq, d),
@@ -606,19 +566,16 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
                 out=s,
             )
             s4 = s.reshape(h_kv, n_rep, bq, n)
-            ref = _to_weights(s4, s4, term, plain, m_blk)
+            ref = _to_weights(s4, s4, term, m_blk)
             pv = scratch.take("pv_band", (h_kv, n_rep * bq, d))
             np.matmul(s, vf[:, lo:hi], out=pv)
             gemm_calls += 2
             l_new = s4.sum(axis=-1)
-            if plain:
-                l_new += l_blk
-            else:
-                # Rescale what is accumulated so far to the joint row max.
-                a = np.exp(m_blk - ref)
-                l_new += l_blk * a
-                o_blk *= a[..., None]
-                m_blk[...] = ref
+            # Rescale what is accumulated so far to the joint row max.
+            a = np.exp(m_blk - ref)
+            l_new += l_blk * a
+            o_blk *= a[..., None]
+            m_blk[...] = ref
             o_blk += pv.reshape(h_kv, n_rep, bq, d)
             l_blk[...] = l_new
             # Live entries: the row at p keeps the band's keys in [0, p - shift].

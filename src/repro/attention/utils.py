@@ -35,7 +35,6 @@ __all__ = [
     "grouped_qk",
     "grouped_pv",
     "decode_row_attention",
-    "attention_scores",
     "masked_row_softmax",
 ]
 
@@ -281,19 +280,6 @@ def decode_row_attention(
         return out, None
     s /= z
     return out, s.reshape(h, 1, s_k)
-
-
-def attention_scores(
-    q: np.ndarray, k: np.ndarray, scale: float | None = None
-) -> np.ndarray:
-    """Scaled dot-product logits ``(H, S_q, S_k)`` (GQA-aware).
-
-    ``scale`` defaults to ``1/sqrt(d)``.
-    """
-    h, h_kv, _, _, d = validate_qkv(q, k, k)
-    if scale is None:
-        scale = 1.0 / np.sqrt(d)
-    return grouped_qk(q, k) * np.float32(scale)
 
 
 def masked_row_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:

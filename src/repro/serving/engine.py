@@ -258,11 +258,6 @@ class _Job:
     level: str = "sparse"  # current degradation-ladder rung
     level_violations: int = 0  # consecutive CRA-guard trips at this rung
     kv_released: bool = False  # paged backend: block refs already dropped
-    #: Per-layer ``(covered_rows, max ||k||^2)`` tracked incrementally as
-    #: chunks append -- the packed dispatch's stabilisation bound without
-    #: an O(S_k) reduction per call.  Committed only after a chunk
-    #: succeeds; reset to ``None`` when eviction rewrites the cache.
-    knorm_sq: list | None = None
 
     @property
     def final_chunk(self) -> bool:
@@ -280,9 +275,6 @@ class _Attempt:
     fail_at: int | None
     marks: list[int]  # per-layer cache lengths to roll back to
     elements0: float  # job.elements before the attempt (wall apportioning)
-    #: Per-layer k-norm values staged by the router; folded into
-    #: ``_Job.knorm_sq`` only when the chunk commits.
-    knorm: list
     breaker_dense: bool = False  # breaker-forced-dense counted already
     error: Exception | None = None  # why the attempt was abandoned
 
@@ -610,7 +602,6 @@ class ServingEngine:
             decode_left=request.decode_tokens,
             telemetry=tm,
             level=level,
-            knorm_sq=[None] * self.model.config.n_layers,
         )
 
     # ----------------------------------------------------- paged KV memory
@@ -662,9 +653,6 @@ class ServingEngine:
                 self.plan_cache.drop_request(j.request.request_id)
                 self._registry.inc("kv_evictions", float(n1 - n0))
                 j.telemetry.kv_evictions += n1 - n0
-                # The incremental k-norm tracker covered rows that may
-                # just have been rewritten; force a full re-reduction.
-                j.knorm_sq = [None] * len(j.caches)
         self._registry.inc("memory_pressure_relief" if ok else "memory_sheds")
         return ok
 
@@ -818,12 +806,9 @@ class ServingEngine:
                 if plan is None:
                     outs[b] = self._dense_attend(job, q, keys, values, scale)
                     continue
-                knorm = self._chunk_knorm(job, i, keys, q.shape[1])
-                att.knorm[i] = knorm
                 items.append(
                     PackedItem.from_plan(
-                        q, keys, values, plan,
-                        scale=scale, k_norm_sq=knorm[1], tag=b,
+                        q, keys, values, plan, scale=scale, tag=b
                     )
                 )
                 meta.append((b, job, plan))
@@ -846,30 +831,6 @@ class ServingEngine:
             return outs[0]
 
         return attend
-
-    def _chunk_knorm(self, job: _Job, i: int, keys, chunk_rows: int):
-        """``(covered_rows, max ||k||^2)`` over ``keys`` for (job, layer).
-
-        When the stored value covers exactly the pre-chunk prefix, only
-        the chunk's new rows are reduced and folded in with an exact
-        float ``max`` -- bitwise equal to the full O(S_k) reduction the
-        packed kernel would otherwise run per dispatch (per-row squared
-        norms are row-independent, so the incremental max is the same
-        float).  Falls back to the full reduction otherwise (first chunk,
-        or after eviction invalidated the tracker)."""
-        s_k = int(keys.shape[1])
-        stored = job.knorm_sq[i] if job.knorm_sq is not None else None
-        if (
-            stored is not None
-            and 0 < chunk_rows <= s_k
-            and stored[0] == s_k - chunk_rows
-        ):
-            tail = keys[:, s_k - chunk_rows :, :]
-            val = float(np.einsum("hsd,hsd->hs", tail, tail).max())
-            return (s_k, max(stored[1], val))
-        if s_k == 0:
-            return (0, 0.0)
-        return (s_k, float(np.einsum("hsd,hsd->hs", keys, keys).max()))
 
     def _dispatch_packed(self, layer: int, items: list, meta: list) -> dict:
         """One packed dispatch for every sparse (job, layer) call of an
@@ -1000,7 +961,6 @@ class ServingEngine:
             ),
             marks=[len(c) for c in job.caches],
             elements0=job.elements,
-            knorm=[None] * n_layers,
         )
 
     def _retry_chunk(
@@ -1046,7 +1006,7 @@ class ServingEngine:
                     wall = time.perf_counter() - t0
                     return (
                         self._commit_chunk(
-                            job, x, att, wall, seconds, clean=mem_attempts == 0
+                            job, x, wall, seconds, clean=mem_attempts == 0
                         ),
                         True,
                     )
@@ -1076,15 +1036,14 @@ class ServingEngine:
         self,
         job: _Job,
         x,
-        att: _Attempt,
         wall: float,
         seconds: float = 0.0,
         *,
         clean: bool = True,
     ) -> float:
         """Land ``job``'s successfully executed chunk (``x`` its final
-        residual rows, none unless it is the prompt's final chunk;
-        successful attempt ``att`` taking ``wall`` seconds) and
+        residual rows, none unless it is the prompt's final chunk; the
+        successful attempt taking ``wall`` seconds) and
         return the quantum's virtual seconds, ``seconds`` being what failed
         attempts and backoff already cost.  ``clean`` says no attempt hit
         arena exhaustion."""
@@ -1126,11 +1085,6 @@ class ServingEngine:
             if slow > 1.0:
                 self._count_fault(job, "fault_slow_chunk")
                 seconds *= slow
-        # Advance the incremental k-norm tracker only now (a rolled-back
-        # attempt must not advance coverage).
-        for li, staged in enumerate(att.knorm):
-            if staged is not None:
-                job.knorm_sq[li] = staged
         if job.level in _SPARSE_LEVELS and (
             job.level_violations >= self.degrade_after
         ):
@@ -1203,7 +1157,7 @@ class ServingEngine:
                         self._retry_chunk(job, n, att, self._bill(job, share))
                     )
                 else:
-                    results.append((self._commit_chunk(job, x, att, share), True))
+                    results.append((self._commit_chunk(job, x, share), True))
             return results
         finally:
             if self._arena is not None:

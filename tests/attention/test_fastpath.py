@@ -138,7 +138,7 @@ class TestFastEquivalence:
     def test_huge_logits_use_stabilised_branch(self):
         rng = np.random.default_rng(10)
         q, k, v = _qkv(rng, 2, 64, 64, 8)
-        q *= 40.0  # q_norm * k_norm exceeds the plain-exp bound
+        q *= 40.0  # scores far past exp's float32 range
         mask = causal_block_mask(2, 64, 64, 32)
         _assert_matches_reference(q, k, v, mask)
 

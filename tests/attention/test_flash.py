@@ -32,7 +32,7 @@ class TestFlashAttention:
         res = _dense_item_output(q, k, v)
         np.testing.assert_allclose(res.output, ref, atol=2e-5)
         assert (res.computed_elements == total_causal_elements(130, 130)).all()
-        q *= 30.0  # past the plain-exp bound: spans join under the row max
+        q *= 30.0  # large scores: spans join under the row max
         ref = dense_attention(q, k, v).output
         np.testing.assert_allclose(flash_attention(q, k, v), ref, atol=2e-5)
 
@@ -96,6 +96,8 @@ class TestFlashIsTheDenseItem:
 
     @pytest.mark.parametrize("n_rep", [1, 2, 4])
     @pytest.mark.parametrize("s_q", [1, 63, 64, 256, S_K])
+    # Unscaled ("plain") and large-norm ("stabilised") queries, both under
+    # the one max-stabilised softmax.
     @pytest.mark.parametrize("gain", [1.0, 12.0], ids=["plain", "stabilised"])
     def test_bitwise_the_dense_item_and_close_to_dense(
         self, rng, n_rep, s_q, gain
@@ -104,10 +106,6 @@ class TestFlashIsTheDenseItem:
         q, k, v = random_qkv(rng, h=4, s=self.S_K, d=16, h_kv=4 // n_rep)
         q = q[:, -s_q:] * np.float32(gain)
         scale = 0.3
-        # gain 12 puts |q||k| * scale past the plain-exp bound.
-        qn = np.sqrt((q * q).sum(-1).max()) * scale
-        kn = np.sqrt((k * k).sum(-1).max())
-        assert (qn * kn < packed_mod._PLAIN_EXP_BOUND) == (gain == 1.0)
         out = flash_attention(q, k, v, scale=scale)
         res = _dense_item_output(q, k, v, scale=scale)
         assert np.array_equal(out, res.output)

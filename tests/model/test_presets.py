@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attention import flash_attention
 from repro.backends import FullAttentionBackend
 from repro.errors import ConfigError
 from repro.model import build_model
@@ -118,3 +119,39 @@ class TestPresets:
         logits = glm_mini.logits(hidden[-1:])[0]
         # The best value-pool logit stays small (no binding to copy).
         assert logits[V.value_ids].max() < 0.5
+
+
+class TestGlmMiniLastLayerIsSilent:
+    """glm-mini's last layer has an all-zero output projection, so its
+    attention never reaches the logits: not on a decode step, not on a
+    prompt's final chunk.  Served results (perfbench's tokens and
+    ``answer_score``) therefore cannot see that layer's attention.  This
+    pins the property so a change to the preset revisits the caveat in
+    the README and ROADMAP; no code may special-case a zero projection."""
+
+    def test_only_the_last_output_projection_is_zero(self, glm_mini):
+        wo = [layer.wo for layer in glm_mini.weights.layers]
+        assert not wo[-1].any()
+        assert all(w.any() for w in wo[:-1])
+
+    def test_last_layer_attention_never_reaches_the_logits(self, glm_mini, rng):
+        cfg = glm_mini.config
+        tokens = V.sample_filler(rng, 96).astype(np.int64)
+        positions = np.arange(tokens.size, dtype=np.int64)
+        noise = rng.standard_normal(
+            (cfg.n_heads, tokens.size, cfg.d_head)
+        ).astype(np.float32)
+
+        def run(last_layer_output):
+            def attend(i, q, keys, values, scale):
+                if i == cfg.n_layers - 1:
+                    return last_layer_output(q)
+                return flash_attention(q, keys, values, scale=scale)
+
+            caches = glm_mini.new_caches(capacity=tokens.size)
+            hidden = glm_mini.prefill_chunk(tokens, positions, caches, attend)
+            return glm_mini.logits(hidden)
+
+        assert np.array_equal(
+            run(np.zeros_like), run(lambda q: noise[:, -q.shape[1]:])
+        )

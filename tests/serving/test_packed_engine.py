@@ -8,8 +8,6 @@ Runs use ``billing="roofline"`` so timing-derived behaviour is
 deterministic.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -264,37 +262,6 @@ class TestProvidersThroughTheEngine:
             c["kernel_packed_decode_dispatches"]
             == n_layers * c["kernel_packed_decode_steps"]
         )
-
-
-class TestChunkKnorm:
-    def _keys(self, rng, s_k):
-        return rng.standard_normal((2, s_k, 8), dtype=np.float32)
-
-    def _full(self, keys):
-        return float(np.einsum("hsd,hsd->hs", keys, keys).max())
-
-    def test_incremental_equals_full(self, glm_mini, rng):
-        engine = make_engine(glm_mini, batching="packed")
-        keys = self._keys(rng, 96)
-        # Stored value covers the 64-row prefix; the chunk appended 32.
-        prefix = keys[:, :64, :]
-        job = SimpleNamespace(knorm_sq=[(64, self._full(prefix))])
-        covered, val = engine._chunk_knorm(job, 0, keys, 32)
-        assert covered == 96
-        assert val == self._full(keys)
-
-    def test_stale_tracker_falls_back_to_full(self, glm_mini, rng):
-        engine = make_engine(glm_mini, batching="packed")
-        keys = self._keys(rng, 96)
-        job = SimpleNamespace(knorm_sq=[(40, 123.0)])  # wrong prefix length
-        covered, val = engine._chunk_knorm(job, 0, keys, 32)
-        assert covered == 96
-        assert val == self._full(keys)
-
-    def test_empty_keys(self, glm_mini, rng):
-        engine = make_engine(glm_mini, batching="packed")
-        job = SimpleNamespace(knorm_sq=None)
-        assert engine._chunk_knorm(job, 0, self._keys(rng, 0), 0) == (0, 0.0)
 
 
 class TestPackedFaultParity:

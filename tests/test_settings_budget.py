@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from repro.attention import PackedItem, packed_block_sparse_attention
 from repro.backends import SampleAttentionBackend
 from repro.core import (
     MInferenceProvider,
@@ -50,6 +51,8 @@ SETTABLE = {
     SampleAttentionProvider.plan: ("q", "k", "config", "scale"),
     MInferenceProvider.plan: ("q", "k", "config", "scale"),
     VerticalSlashProvider.plan: ("q", "k", "config", "scale"),
+    PackedItem.from_plan: ("q", "k", "v", "plan", "scale", "tag"),
+    packed_block_sparse_attention: ("items", "workspace"),
 }
 
 
