@@ -25,19 +25,21 @@ __all__ = [
 ]
 
 
-def oracle_row_keep_counts(probs: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row minimal number of kept entries reaching row mass ``alpha``.
-
-    ``probs``: ``(H, S_q, S_k)`` (or 2-D); rows assumed row-stochastic over
-    their causal prefix.  Returns int64 ``(H, S_q)``.
-    """
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def _descending_cumsum(probs: np.ndarray) -> np.ndarray:
+    """Each row's running mass over its entries sorted largest first, the
+    ``(H, S_q, S_k)`` every alpha's keep counts are read from."""
     p = probs[None] if probs.ndim == 2 else probs
     if p.ndim != 3:
         raise ShapeError(f"probs must be rank 2 or 3, got {probs.ndim}")
-    sorted_desc = -np.sort(-p, axis=-1)
-    cum = np.cumsum(sorted_desc, axis=-1)
+    return np.cumsum(-np.sort(-p, axis=-1), axis=-1)
+
+
+def _keep_counts(cum: np.ndarray, alpha: float) -> np.ndarray:
     # Rows can sum to slightly < alpha due to float error; clamp the target.
     totals = cum[..., -1]
     target = np.minimum(alpha, totals - 1e-9)
@@ -46,17 +48,29 @@ def oracle_row_keep_counts(probs: np.ndarray, alpha: float) -> np.ndarray:
     return keep
 
 
+def _sd(cum: np.ndarray, alpha: float) -> np.ndarray:
+    s_q, s_k = cum.shape[1], cum.shape[2]
+    return 1.0 - _keep_counts(cum, alpha).sum(axis=1) / (s_q * s_k / 2.0)
+
+
+def oracle_row_keep_counts(probs: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-row minimal number of kept entries reaching row mass ``alpha``.
+
+    ``probs``: ``(H, S_q, S_k)`` (or 2-D); rows assumed row-stochastic over
+    their causal prefix.  Returns int64 ``(H, S_q)``.
+    """
+    _check_alpha(alpha)
+    return _keep_counts(_descending_cumsum(probs), alpha)
+
+
 def oracle_sd(probs: np.ndarray, alpha: float) -> np.ndarray:
     """Per-head oracle sparsity degree ``SD(alpha)`` (Definition 1).
 
     The denominator is the causal grid size ``S_q * S_k / 2``, matching the
     paper's normalisation.
     """
-    p = probs[None] if probs.ndim == 2 else probs
-    keep = oracle_row_keep_counts(p, alpha)
-    s_q, s_k = p.shape[1], p.shape[2]
-    denom = s_q * s_k / 2.0
-    return 1.0 - keep.sum(axis=1) / denom
+    _check_alpha(alpha)
+    return _sd(_descending_cumsum(probs), alpha)
 
 
 def kv_retention_frequency(probs: np.ndarray, alpha: float) -> np.ndarray:
@@ -129,17 +143,21 @@ def model_sparsity_sweep_multi(
 ) -> dict[float, SparsitySweep]:
     """Oracle SD sweep for several alphas sharing one prefill capture.
 
-    A prefill with probability capture is the expensive part; the per-alpha
-    oracle is a cheap sort reuse, so Table 5's three-alpha sweep costs one
-    forward pass instead of three.
+    A prefill with probability capture and the per-row sort are the
+    expensive part; every alpha reads its keep counts off the one sorted
+    running mass, so Table 5's three-alpha sweep costs one forward pass and
+    one sort per layer instead of three.
     """
     if not alphas:
         raise ConfigError("alphas must be non-empty")
+    for a in alphas:
+        _check_alpha(a)
     per_layer: dict[float, list[np.ndarray]] = {a: [] for a in alphas}
     for entry in layer_qkv(model, tokens):
-        probs = layer_probs(*entry)  # one layer's (H, S, S) at a time
+        # One layer's (H, S, S) probabilities at a time.
+        cum = _descending_cumsum(layer_probs(*entry))
         for a in alphas:
-            per_layer[a].append(oracle_sd(probs, a))
+            per_layer[a].append(_sd(cum, a))
     s = int(np.asarray(tokens).size)
     return {
         a: SparsitySweep(per_head=np.stack(per_layer[a]), alpha=a, seq_len=s)

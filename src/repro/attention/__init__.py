@@ -10,7 +10,6 @@ Public API::
         block_sparse_attention,             # masked tiled kernel (reference)
         fast_block_sparse_attention,        # coalesced/grouped fast path
         packed_block_sparse_attention,      # the SparsePlan executor
-        KernelWorkspace,                    # reusable scratch arena
         BlockMask, causal_block_mask, ...   # block-level mask algebra
     )
 """
@@ -35,7 +34,6 @@ from .packed import (
 from .masks import (
     BlockMask,
     causal_block_mask,
-    dense_rows_block_mask,
     global_block_mask,
     num_blocks,
     random_block_mask,
@@ -45,7 +43,6 @@ from .masks import (
     window_block_mask,
 )
 from .utils import (
-    KernelWorkspace,
     causal_mask,
     decode_row_attention,
     expand_kv,
@@ -59,7 +56,6 @@ __all__ = [
     "flash_attention",
     "BlockSparseResult",
     "block_sparse_attention",
-    "KernelWorkspace",
     "coalesce_runs",
     "fast_block_sparse_attention",
     "head_pattern_groups",
@@ -79,7 +75,6 @@ __all__ = [
     "sink_block_mask",
     "global_block_mask",
     "random_block_mask",
-    "dense_rows_block_mask",
     "causal_mask",
     "decode_row_attention",
     "expand_kv",

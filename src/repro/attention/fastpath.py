@@ -29,12 +29,12 @@ semantics and the same accounting, with the execution restructured:
   identical (GQA groups and the shared window band make this the norm) are
   processed together with one batched ``matmul`` per run instead of
   per-tile ``heads``-indexed gathers.
-* **Workspace reuse** -- a grow-only
-  :class:`~repro.attention.utils.KernelWorkspace` arena owns
-  the score/probability/accumulator scratch, threaded through the
-  online-softmax loop so a call allocates O(1) new memory once the arena
-  is warm, with ``einsum`` replaced by ``np.matmul(..., out=...)`` into
-  preallocated buffers.
+* **Workspace reuse** -- the calling thread's grow-only
+  :class:`~repro.attention.utils.KernelWorkspace` (the one the packed
+  kernel uses on that thread) owns the score/probability/accumulator
+  scratch, so a call allocates O(1) new memory once it is warm, with
+  ``einsum`` replaced by ``np.matmul(..., out=...)`` into preallocated
+  buffers.
 * **No KV expansion** -- grouped-query KV heads are indexed in place
   (``k[h // n_rep]``); the ``(H, S, d)`` materialisation
   :func:`~repro.attention.utils.expand_kv` performs never happens on this
@@ -52,7 +52,7 @@ from ..audit import contracts
 from ..errors import MaskError
 from .blocksparse import BlockSparseResult
 from .masks import BlockMask
-from .utils import NEG_INF, KernelWorkspace, total_causal_blocks, validate_qkv
+from .utils import NEG_INF, _thread_workspace, total_causal_blocks, validate_qkv
 
 __all__ = [
     "coalesce_runs",
@@ -114,22 +114,14 @@ def fast_block_sparse_attention(
     mask: BlockMask,
     *,
     scale: float | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> BlockSparseResult:
     """Coalesced, head-grouped, workspace-reusing block-sparse attention.
 
     Drop-in replacement for :func:`~repro.attention.block_sparse_attention`
-    -- same signature plus a workspace, same
+    -- same signature, same
     :class:`~repro.attention.blocksparse.BlockSparseResult` accounting
     (``visited_blocks`` counts the tiles the mask made it visit, exactly as
     the reference kernel reports them), outputs equal to float32 tolerance.
-
-    Parameters
-    ----------
-    workspace:
-        Scratch arena reused across calls (and across q-blocks within a
-        call).  ``None`` allocates a private one per call; long-lived
-        callers (the backends layer) should hold one.
     """
     h, h_kv, s_q, s_k, d = validate_qkv(q, k, v)
     if mask.blocks.shape[0] != h:
@@ -164,7 +156,7 @@ def fast_block_sparse_attention(
     reachable = np.arange(nk)[None, None, :] < k_end_block[None, :, None]
     visited = (mask.blocks & reachable).sum(axis=(1, 2)).astype(np.int64)
 
-    ws = workspace if workspace is not None else KernelWorkspace()
+    ws = _thread_workspace()
 
     def process_block(qi: int) -> tuple[int, int, int]:
         """One query block; returns (runs coalesced, head groups, GEMMs)."""

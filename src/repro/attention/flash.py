@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .packed import PackedItem, packed_block_sparse_attention
-from .utils import KernelWorkspace
 
 __all__ = ["flash_attention"]
 
@@ -24,14 +23,12 @@ def flash_attention(
     v: np.ndarray,
     *,
     scale: float | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> np.ndarray:
     """Dense causal attention of ``q (H, S_q, d)`` (right-aligned) over
     ``k``/``v`` ``(H_kv, S_k, d)``: one packed dispatch of
     :meth:`PackedItem.dense`, within 2e-5 of
     :func:`~repro.attention.dense.dense_attention`.  ``scale`` defaults to
-    ``1/sqrt(d)``; ``workspace`` is a scratch arena to reuse across calls.
-    Returns the ``(H, S_q, d)`` output in ``q``'s dtype.
+    ``1/sqrt(d)``.  Returns the ``(H, S_q, d)`` output in ``q``'s dtype.
     """
     item = PackedItem.dense(q, k, v, scale=scale)
-    return packed_block_sparse_attention([item], workspace=workspace).results[0].output
+    return packed_block_sparse_attention([item]).results[0].output

@@ -37,7 +37,6 @@ __all__ = [
     "sink_block_mask",
     "global_block_mask",
     "random_block_mask",
-    "dense_rows_block_mask",
     "plan_block_mask",
     "normalise_bands",
     "normalise_indices",
@@ -136,12 +135,6 @@ class BlockMask:
         if denom == 0:
             return 0.0
         return float(self.active_blocks().mean() / denom)
-
-    def kv_coverage(self) -> np.ndarray:
-        """Per-head fraction of key blocks touched by at least one query block."""
-        touched = self.blocks.any(axis=1).sum(axis=1)
-        nk = self.blocks.shape[2]
-        return touched / max(nk, 1)
 
     # ------------------------------------------------------------- conversion
     def to_dense(self) -> np.ndarray:
@@ -347,21 +340,6 @@ def random_block_mask(
     return BlockMask(causal.blocks & keep, block_size, s_q, s_k)
 
 
-def dense_rows_block_mask(
-    n_heads: int, s_q: int, s_k: int, block_size: int, last_rows: int
-) -> BlockMask:
-    """The paper's "bottom area": the last ``last_rows`` query rows attend to
-    every causally reachable key tile."""
-    nq, nk = _grid(n_heads, s_q, s_k, block_size)
-    blocks = np.zeros((n_heads, nq, nk), dtype=bool)
-    if last_rows > 0 and s_q > 0:
-        first_row = max(s_q - last_rows, 0)
-        first_block = first_row // block_size
-        causal = _causal_grid(s_q, s_k, block_size)
-        blocks[:, first_block:, :] = causal[first_block:, :]
-    return BlockMask(blocks, block_size, s_q, s_k)
-
-
 def plan_block_mask(
     s_q: int,
     s_k: int,
@@ -374,10 +352,11 @@ def plan_block_mask(
 ) -> BlockMask:
     """Tile view of a window + stripe plan: the union of
     :func:`window_block_mask`, :func:`stripe_block_mask` over
-    ``kv_indices``, :func:`sink_block_mask` and
-    :func:`dense_rows_block_mask`, built as one ``(H, n_kblocks)`` column
-    hit table ANDed with the causal grid and ORed with the window grid.
-    Raises what those builders raise, in the same order."""
+    ``kv_indices`` and :func:`sink_block_mask`, built as one ``(H,
+    n_kblocks)`` column hit table ANDed with the causal grid and ORed with
+    the window grid, plus the paper's "bottom area": every causally
+    reachable tile of the q-blocks holding the last ``dense_last_rows``
+    rows.  Raises what those builders raise, in the same order."""
     _check_window(window)
     _grid(len(kv_indices), s_q, s_k, block_size)
     columns = _stripe_columns(kv_indices, s_k, block_size, sink_tokens)

@@ -5,15 +5,15 @@ This is the one kernel that executes a
 :func:`~repro.core.sample_attention` runs it as a batch of one, and at each
 engine batch step the co-scheduled prefill chunks execute as **one
 dispatch** -- one validation pass over the batch (plan geometry and every
-band's mask term), one grow-only
-:class:`~repro.attention.utils.KernelWorkspace`, then every item through
-the same two-part kernel.  When at least two items clear a work floor
-(``_ITEM_UNIT_WORK``) the items are units of the process-wide
-:mod:`repro.pool`, largest first, each on its thread's workspace and
+band's mask term), then every item through the same two-part kernel.
+When at least two items clear a work floor (``_ITEM_UNIT_WORK``) the items
+are units of the process-wide :mod:`repro.pool`, largest first, each
 running its own dense q-blocks inline; otherwise the items run one after
 the other and the dense rows' 64-row q-blocks are the pool's units (a
-lone request's chunk, ``flash_attention``).  Everything runs inline on
-one CPU, and every output and count is bitwise the same either way.
+lone request's chunk, ``flash_attention``).  Every unit's scratch is its
+thread's grow-only :class:`~repro.attention.utils.KernelWorkspace`; no
+caller passes one.  Everything runs inline on one CPU, and every output
+and count is bitwise the same either way.
 The kernel attends at the *plan's own granularity* -- the paper's gathered ``I_KV``
 columns (and AnchorAttention's "stripe granularity") -- so its cost follows
 what the planner kept, not how many aligned 64-wide tiles the scattered
@@ -60,7 +60,6 @@ per item plus the merged dispatch-level stats record.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -78,7 +77,7 @@ from .masks import (
 from .utils import (
     _EXP_CLAMP,
     NEG_INF,
-    KernelWorkspace,
+    _thread_workspace,
     decode_row_attention,
     total_causal_blocks,
     total_causal_elements,
@@ -109,20 +108,6 @@ _STRIPE_ROWS = 256
 #: row's causal prefix is tiled with, each one band GEMM: a dense q-block's
 #: scratch is ``_BAND_ROWS x (W + _BAND_ROWS - 1)`` scores whatever ``S_k``.
 _DENSE_SPAN = 1024
-
-#: Scratch of the items and dense q-blocks a pool thread runs: one
-#: grow-only workspace per thread, each bounded like a caller's.
-_local = threading.local()
-_thread_workspaces: list[KernelWorkspace] = []  # every one made, for tests
-
-
-def _thread_workspace() -> KernelWorkspace:
-    ws = getattr(_local, "ws", None)
-    if ws is None:
-        ws = _local.ws = KernelWorkspace()
-        _thread_workspaces.append(ws)
-    return ws
-
 
 #: Fewest score-rectangle entries ``S_q x S_k`` a prefill item spans to be
 #: a pool unit of its dispatch.  Measured on a 2-CPU host (BLAS on one
@@ -180,10 +165,9 @@ class PackedItem:
     dense_last_rows: int = 0
     bands: Sequence[tuple[int, int]] = ()
     scale: float | None = None
-    tag: object = None
 
     @classmethod
-    def from_plan(cls, q, k, v, plan, *, scale=None, tag=None) -> "PackedItem":
+    def from_plan(cls, q, k, v, plan, *, scale=None) -> "PackedItem":
         """The item executing ``plan`` (a
         :class:`~repro.core.plan.SparsePlan`) on ``q``/``k``/``v``."""
         return cls(
@@ -197,7 +181,6 @@ class PackedItem:
             dense_last_rows=plan.config.dense_last_rows,
             bands=plan.extras.get("bands") or (),
             scale=scale,
-            tag=tag,
         )
 
     @classmethod
@@ -278,7 +261,6 @@ class PackedDecodeItem:
     k: np.ndarray
     v: np.ndarray
     scale: float | None = None
-    tag: object = None
 
 
 @dataclass(frozen=True)
@@ -293,7 +275,7 @@ class PackedDecodeResult:
     ``dense_attention(q, k, v, causal=False, scale=scale)``.  ``probs[i]``
     (when requested) carries the ``(H, 1, S_k)`` attention probabilities
     for heavy-hitter mass recording, under the same contract.  ``stats``
-    is the single merged dispatch record (``dispatches`` is always 1).
+    is the single merged dispatch record.
     """
 
     outputs: list[np.ndarray]
@@ -357,17 +339,7 @@ def packed_decode_attention(
     executed = _items_on_the_pool(attend, lengths, _DECODE_UNIT_KEYS)
     outputs = [out for out, _ in executed]
     probs_out = [probs for _, probs in executed] if return_probs else None
-    s_k_max = max(lengths, default=0)
-
-    stats = {
-        "dispatches": 1,
-        "decode_requests": len(items),
-        "decode_rows": len(items),
-        "kv_tokens": int(cu[-1]),
-        "s_k_max": int(s_k_max),
-        "head_groups": h_kv,
-        "mode": "packed_decode",
-    }
+    stats = {"decode_requests": len(items), "kv_tokens": int(cu[-1])}
     return PackedDecodeResult(
         outputs=outputs, probs=probs_out, cu_seqlens=cu, stats=stats
     )
@@ -449,12 +421,7 @@ def _band_terms(widths) -> dict:
     }
 
 
-def _unit_workspace(ws: KernelWorkspace, caller: int) -> KernelWorkspace:
-    """``ws`` on the thread that owns it, this thread's own elsewhere."""
-    return ws if threading.get_ident() == caller else _thread_workspace()
-
-
-def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
+def _execute_item(it: PackedItem, geometry, terms: dict):
     """One item through the stripe part and the band part.
 
     ``geometry`` is the item's ``(scale, stripes, window, extras, s_nd)``
@@ -466,9 +433,11 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
     function of the item alone (scratch is fully written before it is
     read), which is what makes the dispatch batch-invariant.  The dense
     rows' q-blocks run on :func:`repro.pool.run` (inline when this item is
-    itself a pool unit); the counts they return are summed here.
+    itself a pool unit); the counts they return are summed here.  Scratch
+    is the running thread's workspace, the item's and each q-block's.
     """
     scale, stripes, window, extras, s_nd = geometry
+    ws = _thread_workspace()
     h, s_q, d = it.q.shape
     h_kv, s_k, _ = it.k.shape
     n_rep = h // h_kv
@@ -592,11 +561,9 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
     # Dense q-blocks are the pool's units: milliseconds each, disjoint
     # output rows, a workspace per thread; they only read the one mask term
     # they share, which is built once per process.
-    caller = threading.get_ident()
-
     def dense_block(r0):
         return attend_block(r0, min(r0 + _BAND_ROWS, s_q), dense_spans,
-                            _unit_workspace(ws, caller))
+                            _thread_workspace())
 
     counts += pool.run(dense_block, range(s_nd, s_q, _BAND_ROWS))
     for live, gemm_calls in counts:
@@ -607,8 +574,6 @@ def _execute_item(it: PackedItem, geometry, ws: KernelWorkspace, terms: dict):
 
 def packed_block_sparse_attention(
     items: list[PackedItem] | tuple[PackedItem, ...],
-    *,
-    workspace: KernelWorkspace | None = None,
 ) -> PackedAttentionResult:
     """Execute every item's structured sparse attention as one dispatch.
 
@@ -624,16 +589,13 @@ def packed_block_sparse_attention(
     2e-5) of dense attention under the item's *element* mask -- window
     band ∪ extra diagonal bands ∪ causal stripe/sink columns ∪ dense last
     rows.  The dispatch-level ``stats`` dict reports the packed-layout
-    counters (``dispatches`` is always 1).
+    counters.
     """
-    stats = {"dispatches": 1, "packed_requests": len(items), "packed_rows": 0,
-             "gemm_calls": 0, "tiles_visited": 0, "elements_computed": 0,
-             "mode": "packed"}
+    stats = {"packed_requests": len(items), "packed_rows": 0,
+             "gemm_calls": 0, "tiles_visited": 0, "elements_computed": 0}
     cu = np.zeros(len(items) + 1, dtype=np.int64)
     if not items:
         return PackedAttentionResult(results=[], cu_seqlens=cu, stats=stats)
-
-    ws = workspace if workspace is not None else KernelWorkspace()
 
     # ---- one validation pass over the batch -----------------------------
     h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
@@ -682,13 +644,11 @@ def packed_block_sparse_attention(
 
     # Band mask terms, shared by every item of equal width and read-only
     # from here on.  Items that clear the floor are the pool's units,
-    # largest first, when at least two of them do: each uses its thread's
-    # workspace and runs its own dense q-blocks inline.
+    # largest first, when at least two of them do: each runs its own dense
+    # q-blocks inline.
     terms = _band_terms(widths)
-    caller = threading.get_ident()
     executed = _items_on_the_pool(
-        lambda i: _execute_item(
-            items[i], geometry[i], _unit_workspace(ws, caller), terms),
+        lambda i: _execute_item(items[i], geometry[i], terms),
         [it.q.shape[1] * it.k.shape[1] for it in items],
         _ITEM_UNIT_WORK,
     )

@@ -18,6 +18,7 @@ enough for the library's tolerance-based kernel tests.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -144,8 +145,9 @@ class KernelWorkspace:
     only upwards, so a workspace that has seen a call's peak shape serves
     every later call of the same or smaller geometry without allocating --
     the O(1)-allocations-per-call property the packed and fast block
-    kernels advertise.  One workspace must not be shared between
-    concurrent calls.
+    kernels advertise.  Every kernel call takes its thread's own
+    (:func:`_thread_workspace`), so no two concurrent calls share one and
+    no caller holds or passes one.
     """
 
     def __init__(self) -> None:
@@ -168,6 +170,22 @@ class KernelWorkspace:
     def nbytes(self) -> int:
         """Bytes currently held."""
         return sum(b.nbytes for b in self._buffers.values())
+
+
+_local = threading.local()
+_thread_workspaces: list[KernelWorkspace] = []  # every one made, for tests
+
+
+def _thread_workspace() -> KernelWorkspace:
+    """This thread's grow-only kernel scratch, made on its first kernel
+    call and kept for the thread's life: the only workspace there is.
+    Every buffer a kernel takes is fully written before it is read, so
+    what an earlier call left in it never reaches an output."""
+    ws = getattr(_local, "ws", None)
+    if ws is None:
+        ws = _local.ws = KernelWorkspace()
+        _thread_workspaces.append(ws)
+    return ws
 
 
 def expand_kv(x: np.ndarray, n_rep: int) -> np.ndarray:

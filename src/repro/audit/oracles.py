@@ -37,7 +37,7 @@ from ..attention.packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
-from ..attention.utils import KernelWorkspace, total_causal_elements
+from ..attention.utils import total_causal_elements
 from ..config import SampleAttentionConfig
 from ..core.plan import SparsePlan
 
@@ -190,8 +190,7 @@ def check_prefill_batch(
 
     and ``cu_seqlens`` are the items' ragged row offsets.
     """
-    workspace = KernelWorkspace()
-    res = packed_block_sparse_attention(items, workspace=workspace)
+    res = packed_block_sparse_attention(items)
     failure = _cu_seqlens_check(res.cu_seqlens, [it.q.shape[1] for it in items])
     worst, worst_detail = 0.0, "prefill batch agrees"
     counts = dict(checks=1, invariance_checks=0, banded_checks=0, dense_checks=0)
@@ -212,9 +211,7 @@ def check_prefill_batch(
             == total_causal_elements(plan.s_q, plan.s_k)
         ):
             failure = f"computed elements diverge from the element mask at {where}"
-        ref = fast_block_sparse_attention(
-            item.q, item.k, item.v, item.mask, workspace=workspace
-        )
+        ref = fast_block_sparse_attention(item.q, item.k, item.v, item.mask)
         if not np.array_equal(got.visited_blocks, ref.visited_blocks):
             failure = f"tile footprint diverges from the fast path at {where}"
         n = 3

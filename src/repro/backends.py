@@ -19,7 +19,6 @@ import numpy as np
 from .attention.fastpath import fast_block_sparse_attention
 from .attention.flash import flash_attention
 from .attention.masks import BlockMask
-from .attention.utils import KernelWorkspace
 from .config import DEFAULT_CONFIG, SampleAttentionConfig
 from .core.providers import make_provider
 from .core.sample_attention import sample_attention
@@ -90,7 +89,6 @@ class SampleAttentionBackend(AttentionBackend):
     def __init__(self, config: SampleAttentionConfig = DEFAULT_CONFIG) -> None:
         super().__init__()
         self.config = config
-        self._workspace = KernelWorkspace()  # warm scratch across layers
         self._provider = make_provider(config.provider)
 
     def prefill(self, q, k, v, *, scale=None, layer=0):
@@ -101,7 +99,6 @@ class SampleAttentionBackend(AttentionBackend):
             self.config,
             scale=scale,
             plan=self._provider.plan(q, k, self.config, scale=scale),
-            workspace=self._workspace,
         )
         self._record(
             density=res.kernel.element_density,
@@ -121,16 +118,12 @@ class MaskedAttentionBackend(AttentionBackend):
     them (static patterns like BigBird).
 
     The mask runs through
-    :func:`~repro.attention.fast_block_sparse_attention` on a per-backend
-    :class:`~repro.attention.KernelWorkspace`, so repeated layer calls
-    allocate O(1) scratch.
+    :func:`~repro.attention.fast_block_sparse_attention`, whose scratch is
+    the calling thread's, so repeated layer calls allocate nothing once
+    it is warm.
     """
 
     name = "masked"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._workspace = KernelWorkspace()
 
     @abc.abstractmethod
     def build_mask(
@@ -140,9 +133,7 @@ class MaskedAttentionBackend(AttentionBackend):
 
     def prefill(self, q, k, v, *, scale=None, layer=0):
         mask = self.build_mask(q, k, layer=layer)
-        res = fast_block_sparse_attention(
-            q, k, v, mask, scale=scale, workspace=self._workspace
-        )
+        res = fast_block_sparse_attention(q, k, v, mask, scale=scale)
         self._record(density=res.density)
         return res.output
 

@@ -124,12 +124,6 @@ class SampleAttentionConfig:
             return 0
         return max(1, int(math.ceil(self.r_window * seq_len)))
 
-    def num_sampled_rows(self, seq_len: int) -> int:
-        """Number of query rows stage 1 samples, at least one."""
-        if seq_len <= 0:
-            return 0
-        return max(1, int(math.ceil(self.r_row * seq_len)))
-
     def replace(self, **changes: object) -> "SampleAttentionConfig":
         """Return a copy with ``changes`` applied (validated)."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]

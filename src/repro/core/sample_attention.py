@@ -21,7 +21,7 @@ from ..attention.packed import (
     PackedPrefillResult,
     packed_block_sparse_attention,
 )
-from ..attention.utils import KernelWorkspace, validate_qkv
+from ..attention.utils import validate_qkv
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from .filtering import select_kv_indices
@@ -123,7 +123,6 @@ def sample_attention(
     *,
     scale: float | None = None,
     plan: SparsePlan | None = None,
-    workspace: KernelWorkspace | None = None,
 ) -> SampleAttentionResult:
     """Adaptive structured sparse attention (paper Algorithm 1).
 
@@ -135,12 +134,8 @@ def sample_attention(
     ``plan`` must have been built (or
     :meth:`~repro.core.plan.SparsePlan.extended`) for this call's ``(S_q,
     S_k)``; a stale geometry is a :class:`~repro.errors.MaskError`.
-
-    Parameters
-    ----------
-    workspace:
-        Optional :class:`~repro.attention.KernelWorkspace` reused across
-        calls (O(1) allocations per call once warm).
+    Kernel scratch is the calling thread's own, warm from its earlier
+    calls.
 
     Examples
     --------
@@ -162,7 +157,6 @@ def sample_attention(
 
         plan = make_provider(config.provider).plan(q, k, config, scale=scale)
     kernel = packed_block_sparse_attention(
-        [PackedItem.from_plan(q, k, v, plan, scale=scale)],
-        workspace=workspace,
+        [PackedItem.from_plan(q, k, v, plan, scale=scale)]
     ).results[0]
     return SampleAttentionResult(output=kernel.output, plan=plan, kernel=kernel)

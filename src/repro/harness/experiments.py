@@ -27,7 +27,6 @@ from ..analysis import (
     kv_retention_frequency,
     layer_probs,
     layer_qkv,
-    model_sparsity_sweep,
     model_sparsity_sweep_multi,
     oracle_sd,
     stripe_mask_from_indices,
@@ -77,7 +76,8 @@ __all__ = [
 
 
 class RunTable:
-    """Every accuracy score of one harness run, plus the models it built.
+    """Every accuracy score of one harness run, plus the models it built
+    and the oracle SD sweeps it measured.
 
     A key is ``(model, method, settings, ordered case ids)``: one fresh
     backend run over one case sequence.  The order is part of the key
@@ -93,6 +93,19 @@ class RunTable:
         self.model = functools.cache(build_model)
         #: key without the case ids -> [(backend, case ids, scores)]
         self._runs: dict[tuple, list[tuple]] = {}
+        #: (model name, length) -> alpha -> oracle SD sweep
+        self._sweeps: dict[tuple, dict] = {}
+
+    def sparsity(self, model: str, length: int) -> dict:
+        """Oracle SD sweeps at ``_SD_ALPHAS`` of ``model`` on this run's
+        needle prompt of ``length``: one dense probability capture, read by
+        Figure 2 (alpha 0.95) and Table 5 (all three)."""
+        key = (model, int(length))
+        if key not in self._sweeps:
+            self._sweeps[key] = model_sparsity_sweep_multi(
+                self.model(model), _needle(length, self.seed).prompt, _SD_ALPHAS
+            )
+        return self._sweeps[key]
 
     def scores(self, model: str, method: str, groups, **settings) -> list[list[float]]:
         """Scores of ``method`` on ``model`` over the concatenated case
@@ -121,6 +134,10 @@ def _category_means(cases, scores) -> dict[str, float]:
     for case, score in zip(cases, scores):
         by_cat.setdefault(case.category, []).append(score)
     return {c: _mean(s) for c, s in by_cat.items()}
+
+
+#: The alphas of Table 5's SD columns; Figure 2 reads the 0.95 one.
+_SD_ALPHAS = (0.90, 0.95, 0.98)
 
 
 def _needle(length, rng_seed, depth=0.5):
@@ -458,9 +475,7 @@ def run_fig2(sc, runs) -> list[Table]:
     head, head pattern labels, and the CRA top-k column stripes reach."""
     seed, lengths = runs.seed, sc.sparsity_lengths
     sweeps = {
-        (name, s): model_sparsity_sweep(runs.model(name), _needle(s, seed).prompt, alpha=0.95)
-        for name in sc.models
-        for s in lengths
+        (name, s): runs.sparsity(name, s)[0.95] for name in sc.models for s in lengths
     }
 
     t2a = Table(
@@ -514,16 +529,14 @@ def run_fig2(sc, runs) -> list[Table]:
 
 def run_table5(sc, runs) -> list[Table]:
     """SD at several alphas vs sequence length (paper Appendix Table 5)."""
-    mdl = runs.model(sc.models[0])
-    alphas = (0.90, 0.95, 0.98)
     t = Table(
         "Table 5: average SD vs sequence length (glm-mini, needle task)",
         ["seq_len", "SD_a0.90", "SD_a0.95", "SD_a0.98"],
         notes="paper (ChatGLM2-6B): 91.3/88.0/79.2% at 4K rising with length",
     )
     for s in sc.sparsity_lengths:
-        sweeps = model_sparsity_sweep_multi(mdl, _needle(s, runs.seed).prompt, alphas)
-        t.add_row(int(s), *[round(100 * sweeps[a].mean, 2) for a in alphas])
+        sweeps = runs.sparsity(sc.models[0], s)
+        t.add_row(int(s), *[round(100 * sweeps[a].mean, 2) for a in _SD_ALPHAS])
     return [t]
 
 

@@ -100,11 +100,6 @@ class KernelCost:
             self.n_kernels + other.n_kernels,
         )
 
-    def scaled(self, factor: float) -> "KernelCost":
-        return KernelCost(
-            self.flops * factor, self.bytes_moved * factor, self.n_kernels
-        )
-
 
 def _qo_bytes(arch: ArchSpec, s: int) -> float:
     """Read Q, write O."""

@@ -68,7 +68,7 @@ from ..attention.packed import (
     packed_block_sparse_attention,
     packed_decode_attention,
 )
-from ..attention.utils import KernelWorkspace, total_causal_elements
+from ..attention.utils import total_causal_elements
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, SampleAttentionConfig
 from ..core.providers import make_provider
@@ -535,7 +535,6 @@ class ServingEngine:
         self._sharing: PrefixSharingRegistry | None = None
         self._pressure: MemoryPressureController | None = None
         self.memory_breaker: CircuitBreaker | None = None
-        self._workspace = KernelWorkspace()  # warm scratch across chunks
         # Plan provider (config.provider); recreated fresh per run() so
         # stateful providers (MInference's memoised head profiles) never
         # leak state across runs and same-seed replays stay bitwise equal.
@@ -706,7 +705,7 @@ class ServingEngine:
         job.elements += q.shape[0] * total_causal_elements(
             q.shape[1], keys.shape[1]
         )
-        return flash_attention(q, keys, values, scale=scale, workspace=self._workspace)
+        return flash_attention(q, keys, values, scale=scale)
 
     def _record_violation(self, job: _Job, layer: int, reason: str) -> None:
         """One runtime CRA-guard trip: the plan in hand must not execute."""
@@ -807,9 +806,7 @@ class ServingEngine:
                     outs[b] = self._dense_attend(job, q, keys, values, scale)
                     continue
                 items.append(
-                    PackedItem.from_plan(
-                        q, keys, values, plan, scale=scale, tag=b
-                    )
+                    PackedItem.from_plan(q, keys, values, plan, scale=scale)
                 )
                 meta.append((b, job, plan))
             if items:
@@ -840,7 +837,7 @@ class ServingEngine:
         billed elements, kept-KV telemetry) is per item, so it is the same
         whatever else shares the dispatch."""
         try:
-            pres = packed_block_sparse_attention(items, workspace=self._workspace)
+            pres = packed_block_sparse_attention(items)
         except ReproError:
             # One bad item poisons the whole dispatch: every item in
             # it degrades to the validated dense fallback (rare --
@@ -1238,8 +1235,8 @@ class ServingEngine:
             return {}
         res = packed_decode_attention(
             [
-                PackedDecodeItem(q=q, k=k, v=v, scale=s, tag=b)
-                for b, (q, k, v, s) in items.items()
+                PackedDecodeItem(q=q, k=k, v=v, scale=s)
+                for q, k, v, s in items.values()
             ],
             return_probs=record,
         )
@@ -1349,8 +1346,8 @@ class ServingEngine:
         """Restore fresh-process state: what a worker restart gives you.
 
         Clears the plan cache (entries *and* stats) and re-arms the
-        breaker and kernel workspace (:meth:`run` starts every run with a
-        fresh registry and plan provider anyway).  Engine configuration,
+        breaker (:meth:`run` starts every run with a fresh registry and
+        plan provider anyway).  Engine configuration,
         the model, and the seed are untouched, so a reset engine replays a
         workload identically to a newly constructed one -- the property
         the fleet's crash-recovery determinism rests on.
@@ -1359,7 +1356,6 @@ class ServingEngine:
         self.breaker = CircuitBreaker(
             self.breaker.threshold, self.breaker.cooldown_chunks
         )
-        self._workspace = KernelWorkspace()
 
     def run(self, requests: list[Request]) -> EngineResult:
         """Serve the stream; every request ends completed/rejected/shed."""

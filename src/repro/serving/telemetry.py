@@ -277,13 +277,6 @@ class MetricsRegistry:
     def completed(self) -> list[RequestTelemetry]:
         return self.by_outcome("completed")
 
-    def unterminated(self) -> list[RequestTelemetry]:
-        """Requests not in a terminal state -- non-empty after a finished
-        run means the engine wedged a request (a chaos-invariant breach)."""
-        return [
-            t for t in self.requests if t.outcome not in TERMINAL_OUTCOMES
-        ]
-
     # --------------------------------------------------------------- summary
     def plan_cache_hit_rate(self) -> float:
         hits = self.counter("plan_cache_hits")

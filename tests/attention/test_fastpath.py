@@ -5,7 +5,6 @@ import pytest
 
 from repro.attention import (
     BlockMask,
-    KernelWorkspace,
     block_sparse_attention,
     causal_block_mask,
     coalesce_runs,
@@ -17,6 +16,8 @@ from repro.attention import (
     stripe_block_mask,
     window_block_mask,
 )
+from repro.attention.utils import KernelWorkspace
+from tests.conftest import own_workspace
 
 
 def _qkv(rng, h, s_q, s_k, d, h_kv=None):
@@ -78,11 +79,11 @@ class TestKernelWorkspace:
         rng = np.random.default_rng(0)
         q, k, v = _qkv(rng, 4, 256, 256, 16, h_kv=2)
         mask = window_block_mask(4, 256, 256, 32, 64)
-        ws = KernelWorkspace()
-        fast_block_sparse_attention(q, k, v, mask, workspace=ws)
-        warm = ws.allocations
-        for _ in range(3):
-            fast_block_sparse_attention(q, k, v, mask, workspace=ws)
+        with own_workspace() as ws:
+            fast_block_sparse_attention(q, k, v, mask)
+            warm = ws.allocations
+            for _ in range(3):
+                fast_block_sparse_attention(q, k, v, mask)
         assert ws.allocations == warm  # O(1) per call once warm
 
     def test_bytes_bounded_by_the_call_shapes(self):
@@ -97,8 +98,8 @@ class TestKernelWorkspace:
         mask = window_block_mask(h, s_q, s_k, b, 328) | stripe_block_mask(
             stripes, s_q, s_k, b
         )
-        ws = KernelWorkspace()
-        fast_block_sparse_attention(q, k, v, mask, workspace=ws)
+        with own_workspace() as ws:
+            fast_block_sparse_attention(q, k, v, mask)
         floats = (
             g * b * s_k  # scores
             + 2 * g * b * d  # q2, pv

@@ -13,7 +13,7 @@ from repro.attention import (
 )
 from repro.attention.utils import total_causal_elements
 from repro.errors import ShapeError
-from tests.conftest import random_qkv
+from tests.conftest import own_workspace, random_qkv
 
 
 def _dense_item_output(q, k, v, scale=None):
@@ -131,13 +131,11 @@ class TestFlashIsTheDenseItem:
         np.testing.assert_allclose(out, ref, atol=2e-5)
 
     def test_workspace_reuse_is_bitwise(self, rng):
-        from repro.attention import KernelWorkspace
-
-        ws = KernelWorkspace()
         q, k, v = random_qkv(rng, h=4, s=300, d=8, h_kv=2)
-        first = flash_attention(q, k, v, workspace=ws)
-        flash_attention(q[:, -5:], k[:, :77], v[:, :77], workspace=ws)
-        assert np.array_equal(flash_attention(q, k, v, workspace=ws), first)
+        with own_workspace():
+            first = flash_attention(q, k, v)
+            flash_attention(q[:, -5:], k[:, :77], v[:, :77])
+            assert np.array_equal(flash_attention(q, k, v), first)
         assert np.array_equal(flash_attention(q, k, v), first)
 
     def test_dense_item_is_batch_invariant_in_a_mixed_dispatch(self, rng):

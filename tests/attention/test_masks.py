@@ -6,7 +6,6 @@ import pytest
 from repro.attention import (
     BlockMask,
     causal_block_mask,
-    dense_rows_block_mask,
     global_block_mask,
     num_blocks,
     random_block_mask,
@@ -14,6 +13,7 @@ from repro.attention import (
     stripe_block_mask,
     window_block_mask,
 )
+from repro.attention.masks import plan_block_mask
 from repro.attention.utils import causal_mask
 from repro.errors import MaskError, ShapeError
 
@@ -169,10 +169,15 @@ class TestRandomBlockMask:
 
 class TestDenseRows:
     def test_last_rows_full_causal(self):
-        m = dense_rows_block_mask(1, 128, 128, 32, last_rows=10)
-        # Last block row sees every causally reachable key block.
-        assert m.blocks[0, 3].all()
-        assert not m.blocks[0, 0].any()
+        # The plan's "bottom area" over a one-token window, no stripes.
+        no_stripes = [np.empty(0, dtype=np.int64)]
+        m = plan_block_mask(128, 128, 32, 1, no_stripes, dense_last_rows=10)
+        bare = plan_block_mask(128, 128, 32, 1, no_stripes)
+        # Last block row sees every causally reachable key block; the
+        # rows above it keep the window's diagonal tiles only.
+        assert m.blocks[0, 3].all() and not bare.blocks[0, 3, :3].any()
+        assert np.array_equal(m.blocks[0, :3], bare.blocks[0, :3])
+        assert not m.blocks[0, 0, 1:].any()
 
 
 class TestAlgebra:
@@ -189,11 +194,6 @@ class TestAlgebra:
         b = sink_block_mask(1, 128, 128, 64, 4)
         with pytest.raises(MaskError):
             _ = a | b
-
-    def test_kv_coverage(self):
-        m = stripe_block_mask([np.array([0, 100])], 128, 128, 32)
-        cov = m.kv_coverage()
-        assert cov[0] == pytest.approx(2 / 4)
 
     def test_validate_causal_rows_raises_on_empty(self):
         m = sink_block_mask(1, 128, 128, 32, 0)

@@ -20,7 +20,6 @@ import pytest
 import repro.attention.packed as packed_mod
 from repro import pool
 from repro.attention import (
-    KernelWorkspace,
     block_sparse_attention,
     dense_attention,
     packed_block_sparse_attention,
@@ -34,7 +33,8 @@ from repro.attention.packed import (
     PackedItem,
     packed_decode_attention,
 )
-from repro.attention.utils import total_causal_elements
+from repro.attention import utils as attention_utils
+from repro.attention.utils import KernelWorkspace, total_causal_elements
 from repro.audit.oracles import (
     TOLERANCE,
     check_prefill_batch,
@@ -42,7 +42,7 @@ from repro.audit.oracles import (
     plan_element_mask,
 )
 from repro.errors import ConfigError, MaskError, ShapeError
-from tests.conftest import random_qkv, random_stripes, record_threads
+from tests.conftest import own_workspace, random_qkv, random_stripes, record_threads
 
 
 def _item(rng, h, s_q, s_k, d, h_kv=None, *, stripes=0.1, **plan_kw):
@@ -73,10 +73,7 @@ class TestPackedParity:
             _item(rng, 4, s_q, s_k, 16, stripes=0.2, sink_tokens=2)
             for s_q, s_k in [(16, 48), (48, 48), (1, 33), (17, 80)]
         ]
-        res = packed_block_sparse_attention(
-            [it for it, _ in pairs], workspace=KernelWorkspace()
-        )
-        assert res.stats["dispatches"] == 1
+        res = packed_block_sparse_attention([it for it, _ in pairs])
         assert res.stats["packed_requests"] == 4
         assert list(res.cu_seqlens) == [0, 16, 64, 65, 82]
         _check(pairs)
@@ -254,7 +251,6 @@ class TestPackedStats:
     def test_empty_batch(self):
         res = packed_block_sparse_attention([])
         assert res.results == []
-        assert res.stats["dispatches"] == 1
         assert res.stats["packed_requests"] == 0
         assert list(res.cu_seqlens) == [0]
 
@@ -375,9 +371,9 @@ class TestPackedWorkspaceBound:
     the library's one-shot ``S_q = S_k = 4096`` call -- and, for an
     all-rows-dense item (``flash_attention``), does not follow ``S_k``.
 
-    The bound is on the caller's workspace, which holds every q-block's
-    scratch only when blocks run inline; pooled dense blocks use their
-    thread's workspace (bounded in ``TestPooledDenseBlocks``)."""
+    The bound is on the calling thread's workspace, which holds every
+    q-block's scratch only when blocks run inline; pooled dense blocks use
+    their own thread's (bounded in ``TestPooledDenseBlocks``)."""
 
     @pytest.fixture(autouse=True)
     def _inline(self):
@@ -390,21 +386,21 @@ class TestPackedWorkspaceBound:
 
     def test_bytes_bounded_by_the_items_shapes(self, rng):
         big, small = self._chunk(rng, 256, 4096), self._chunk(rng, 64, 1024)
-        ws = KernelWorkspace()
-        packed_block_sparse_attention([big], workspace=ws)
-        held, warm = ws.nbytes, ws.allocations
-        assert 0 < held <= _workspace_bound(big)
-        # The same warm workspace serves a smaller item without growing.
-        packed_block_sparse_attention([small], workspace=ws)
-        assert (ws.nbytes, ws.allocations) == (held, warm)
-        cold = KernelWorkspace()
-        packed_block_sparse_attention([small], workspace=cold)
+        with own_workspace() as ws:
+            packed_block_sparse_attention([big])
+            held, warm = ws.nbytes, ws.allocations
+            assert 0 < held <= _workspace_bound(big)
+            # The same warm workspace serves a smaller item without growing.
+            packed_block_sparse_attention([small])
+            assert (ws.nbytes, ws.allocations) == (held, warm)
+        with own_workspace() as cold:
+            packed_block_sparse_attention([small])
         assert cold.nbytes <= _workspace_bound(small) < held
 
     def test_gathering_the_prefix_breaks_the_bound(self, rng):
         big = self._chunk(rng, 256, 4096)
-        ws = _GathersThePrefix(4096)
-        got = packed_block_sparse_attention([big], workspace=ws).results[0]
+        with own_workspace(_GathersThePrefix(4096)) as ws:
+            got = packed_block_sparse_attention([big]).results[0]
         ref = packed_block_sparse_attention([big]).results[0]
         np.testing.assert_array_equal(got.output, ref.output)
         assert ws.nbytes > _workspace_bound(big)
@@ -412,31 +408,31 @@ class TestPackedWorkspaceBound:
 
     def test_one_shot_scratch_bounded_by_one_row_block(self, rng):
         one_shot = self._chunk(rng, 4096, 4096)
-        ws = KernelWorkspace()
-        packed_block_sparse_attention([one_shot], workspace=ws)
+        with own_workspace() as ws:
+            packed_block_sparse_attention([one_shot])
         assert 0 < ws.nbytes <= _workspace_bound(one_shot)
 
     def test_scoring_every_row_at_once_breaks_the_bound(self, rng):
         one_shot = self._chunk(rng, 4096, 4096)
-        ws = _ScoresEveryRowAtOnce(4096)
-        got = packed_block_sparse_attention([one_shot], workspace=ws).results[0]
+        with own_workspace(_ScoresEveryRowAtOnce(4096)) as ws:
+            got = packed_block_sparse_attention([one_shot]).results[0]
         ref = packed_block_sparse_attention([one_shot]).results[0]
         np.testing.assert_array_equal(got.output, ref.output)
         assert ws.nbytes > _workspace_bound(one_shot)
 
     def test_dense_item_scratch_does_not_grow_with_the_prefix(self, rng):
         h, h_kv, d, s_q = 8, 2, 64, 256
-        ws = KernelWorkspace()
         held = []
-        for s_k in (4096, 8192):
-            q = rng.standard_normal((h, s_q, d), dtype=np.float32)
-            k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
-            v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
-            item = PackedItem.dense(q, k, v)
-            got = packed_block_sparse_attention([item], workspace=ws).results[0]
-            assert (got.computed_elements == total_causal_elements(s_q, s_k)).all()
-            assert got.element_density == 1.0 and got.density == 1.0
-            held.append(ws.nbytes)
+        with own_workspace() as ws:
+            for s_k in (4096, 8192):
+                q = rng.standard_normal((h, s_q, d), dtype=np.float32)
+                k = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
+                v = rng.standard_normal((h_kv, s_k, d), dtype=np.float32)
+                item = PackedItem.dense(q, k, v)
+                got = packed_block_sparse_attention([item]).results[0]
+                assert (got.computed_elements == total_causal_elements(s_q, s_k)).all()
+                assert got.element_density == 1.0 and got.density == 1.0
+                held.append(ws.nbytes)
         # Closed form with no S_k in it: q, l, m, the 64-row q/pv blocks
         # and one (64 x (_DENSE_SPAN + 63)) score block per head.
         bound = 4 * (h * s_q * (d + 2)
@@ -451,8 +447,8 @@ class TestPackedWorkspaceBound:
         ref = packed_block_sparse_attention([item]).results[0]
         # Seeded mutation: the dense rows' single (0, s_k) span.
         monkeypatch.setattr(packed_mod, "_DENSE_SPAN", 8192)
-        ws = KernelWorkspace()
-        got = packed_block_sparse_attention([item], workspace=ws).results[0]
+        with own_workspace() as ws:
+            got = packed_block_sparse_attention([item]).results[0]
         np.testing.assert_allclose(got.output, ref.output, atol=TOLERANCE)
         assert ws.nbytes > _workspace_bound(item)
 
@@ -466,7 +462,7 @@ def _dense_qkv(rng, s_q, s_k, n_rep, h_kv=2, d=16):
 
 def _run(items, workers):
     with pool._forced_workers(workers):
-        return packed_block_sparse_attention(items, workspace=KernelWorkspace())
+        return packed_block_sparse_attention(items)
 
 
 class TestPooledDenseBlocks:
@@ -514,19 +510,17 @@ class TestPooledDenseBlocks:
     def test_thread_workspaces_stop_growing_once_warm(self, rng, monkeypatch):
         q, k, v = _dense_qkv(rng, 1024, 3000, 2)
         item = PackedItem.dense(q, k, v)
-        ws = KernelWorkspace()
         # Fresh helper threads, so their scratch starts cold.
         monkeypatch.setattr(pool, "_tasks", queue.SimpleQueue())
         monkeypatch.setattr(pool, "_helpers", [])
-        mark = len(packed_mod._thread_workspaces)
-        with pool._forced_workers(3):
-            packed_block_sparse_attention([item], workspace=ws)
-            warm = [(w, w.allocations)
-                    for w in packed_mod._thread_workspaces[mark:]]
+        made = attention_utils._thread_workspaces
+        with own_workspace(), pool._forced_workers(3):
+            mark = len(made)
+            packed_block_sparse_attention([item])
+            warm = [(w, w.allocations) for w in made[mark:]]
             for _ in range(3):
-                packed_block_sparse_attention([item], workspace=ws)
-            again = [(w, w.allocations)
-                     for w in packed_mod._thread_workspaces[mark:]]
+                packed_block_sparse_attention([item])
+            again = [(w, w.allocations) for w in made[mark:]]
         assert warm, "the dense blocks did not run on the pool"
         assert again == warm
         # One q-block's scratch: q and PV blocks, one span of scores.
@@ -624,19 +618,17 @@ class TestPooledItems:
             PackedItem.from_plan(*_dense_qkv(rng, 256, 1100, 2), plan)
             for _ in range(4)
         ]
-        ws = KernelWorkspace()
         monkeypatch.setattr(pool, "_tasks", queue.SimpleQueue())
         monkeypatch.setattr(pool, "_helpers", [])
-        mark = len(packed_mod._thread_workspaces)
-        with pool._forced_workers(2):
+        made = attention_utils._thread_workspaces
+        with own_workspace(), pool._forced_workers(2):
+            mark = len(made)
             for _ in range(2):
-                packed_block_sparse_attention(items, workspace=ws)
-            warm = [(w, w.allocations)
-                    for w in packed_mod._thread_workspaces[mark:]]
+                packed_block_sparse_attention(items)
+            warm = [(w, w.allocations) for w in made[mark:]]
             for _ in range(3):
-                packed_block_sparse_attention(items, workspace=ws)
-            again = [(w, w.allocations)
-                     for w in packed_mod._thread_workspaces[mark:]]
+                packed_block_sparse_attention(items)
+            again = [(w, w.allocations) for w in made[mark:]]
         assert warm, "no helper ran an item on its own workspace"
         assert again == warm
         assert all(0 < w.nbytes <= _workspace_bound(items[0]) for w, _ in warm)

@@ -49,16 +49,14 @@ def test_stats_and_offsets(rng):
     res = packed_decode_attention([_item(rng, 5), _item(rng, 9)])
     assert res.probs is None
     assert res.cu_seqlens.tolist() == [0, 5, 14]
-    assert res.stats["dispatches"] == 1
-    assert res.stats["decode_requests"] == res.stats["decode_rows"] == 2
-    assert res.stats["kv_tokens"] == 14 and res.stats["s_k_max"] == 9
+    assert res.stats == {"decode_requests": 2, "kv_tokens": 14}
 
 
 def test_empty_batch_is_one_dispatch():
     res = packed_decode_attention([], return_probs=True)
     assert res.outputs == [] and res.probs == []
     assert res.cu_seqlens.tolist() == [0]
-    assert res.stats["dispatches"] == 1 and res.stats["kv_tokens"] == 0
+    assert res.stats == {"decode_requests": 0, "kv_tokens": 0}
 
 
 @pytest.mark.parametrize(

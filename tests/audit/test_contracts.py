@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.attention import KernelWorkspace, fast_block_sparse_attention
+from repro.attention import fast_block_sparse_attention
 from repro.attention.masks import causal_block_mask
+from repro.attention.utils import KernelWorkspace
 from repro.audit import contracts
 from repro.config import SampleAttentionConfig
 from repro.core import plan_sample_attention, select_kv_indices
@@ -167,10 +168,9 @@ class TestNoAliasContract:
     def test_fast_path_passes(self, rng):
         q, k, v = random_qkv(rng, h=2, s=64, d=8)
         mask = causal_block_mask(2, 64, 64, 16)
-        ws = KernelWorkspace()
         with contracts.contracts():
             before = contracts.checks_run()
-            fast_block_sparse_attention(q, k, v, mask, workspace=ws)
+            fast_block_sparse_attention(q, k, v, mask)
             assert contracts.checks_run() > before
 
     def test_detects_aliased_workspace_buffer(self, rng):

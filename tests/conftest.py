@@ -9,6 +9,7 @@ and kernel-contract checks the tests hold kernels to live in
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import sys
 import threading
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from repro import pool
+from repro.attention import utils as attention_utils
 from repro.model import build_model
 
 # A property failure prints a ``@reproduce_failure`` blob next to the
@@ -58,6 +60,25 @@ def perfbench_module(name: str):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@contextlib.contextmanager
+def own_workspace(ws=None):
+    """Run the calling thread's kernels on ``ws`` -- a cold
+    :class:`~repro.attention.utils.KernelWorkspace` by default, or a seeded
+    mutation of one -- and hand the thread its own back afterwards.
+    Yields ``ws``, so a test can read what one call held."""
+    ws = attention_utils.KernelWorkspace() if ws is None else ws
+    local = attention_utils._local
+    previous = getattr(local, "ws", None)
+    local.ws = ws
+    try:
+        yield ws
+    finally:
+        if previous is None:
+            del local.ws
+        else:
+            local.ws = previous
 
 
 #: How long the first recorded pooled call on the caller waits for a helper.

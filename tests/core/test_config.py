@@ -52,12 +52,6 @@ class TestHelpers:
         with pytest.raises(ConfigError):
             SampleAttentionConfig().window_size(-1)
 
-    def test_num_sampled_rows(self):
-        cfg = SampleAttentionConfig(r_row=0.05)
-        assert cfg.num_sampled_rows(1000) == 50
-        assert cfg.num_sampled_rows(1) == 1
-        assert cfg.num_sampled_rows(0) == 0
-
     def test_replace_returns_validated_copy(self):
         cfg = DEFAULT_CONFIG.replace(alpha=0.8)
         assert cfg.alpha == 0.8

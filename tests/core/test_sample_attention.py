@@ -7,7 +7,6 @@ import pytest
 
 from repro import SampleAttentionConfig
 from repro.attention import (
-    KernelWorkspace,
     PackedItem,
     block_sparse_attention,
     dense_attention,
@@ -16,7 +15,7 @@ from repro.attention import (
 )
 from repro.core import plan_sample_attention, sample_attention
 from repro.errors import MaskError
-from tests.conftest import random_qkv
+from tests.conftest import own_workspace, random_qkv
 
 
 def structured_qkv(rng, h=2, s=256, d=16, stripe_cols=(30, 170)):
@@ -135,9 +134,7 @@ class TestExecution:
         plan = dataclasses.replace(
             plan_sample_attention(q, k, cfg), extras={"bands": [(200, 230)]}
         )
-        res = sample_attention(
-            q, k, v, cfg, plan=plan, scale=0.2, workspace=KernelWorkspace()
-        )
+        res = sample_attention(q, k, v, cfg, plan=plan, scale=0.2)
         direct = packed_block_sparse_attention(
             [PackedItem.from_plan(q, k, v, plan, scale=0.2)]
         ).results[0]
@@ -148,11 +145,11 @@ class TestExecution:
 
     def test_workspace_is_reused_across_calls(self, rng):
         q, k, v = structured_qkv(rng)
-        ws = KernelWorkspace()
-        first = sample_attention(q, k, v, workspace=ws)
-        warm = ws.allocations
-        assert warm > 0
-        again = sample_attention(q, k, v, workspace=ws)
+        with own_workspace() as ws:
+            first = sample_attention(q, k, v)
+            warm = ws.allocations
+            assert warm > 0
+            again = sample_attention(q, k, v)
         assert ws.allocations == warm
         np.testing.assert_array_equal(first.output, again.output)
 

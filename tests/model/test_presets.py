@@ -121,37 +121,50 @@ class TestPresets:
         assert logits[V.value_ids].max() < 0.5
 
 
-class TestGlmMiniLastLayerIsSilent:
-    """glm-mini's last layer has an all-zero output projection, so its
-    attention never reaches the logits: not on a decode step, not on a
-    prompt's final chunk.  Served results (perfbench's tokens and
-    ``answer_score``) therefore cannot see that layer's attention.  This
-    pins the property so a change to the preset revisits the caveat in
-    the README and ROADMAP; no code may special-case a zero projection."""
+@pytest.mark.parametrize(
+    "preset,silent", [("glm-mini", 3), ("intern-mini", 2)], ids=["glm-mini", "intern-mini"]
+)
+class TestSilentLayer:
+    """glm-mini's last layer and intern-mini's layer 2 have an all-zero
+    output projection, so that layer's attention never reaches the logits:
+    not on a decode step, not on a prompt's final chunk.  Served results
+    (perfbench's tokens and ``answer_score``) and Table 2's scores therefore
+    cannot see a loss in that layer's attention.  This pins the property so
+    a change to either preset revisits the caveat in the README and
+    ROADMAP; no code may special-case a zero projection."""
 
-    def test_only_the_last_output_projection_is_zero(self, glm_mini):
-        wo = [layer.wo for layer in glm_mini.weights.layers]
-        assert not wo[-1].any()
-        assert all(w.any() for w in wo[:-1])
+    def test_only_that_output_projection_is_zero(self, request, preset, silent):
+        model = request.getfixturevalue(preset.replace("-", "_"))
+        zero = [not layer.wo.any() for layer in model.weights.layers]
+        assert zero == [i == silent for i in range(model.config.n_layers)]
 
-    def test_last_layer_attention_never_reaches_the_logits(self, glm_mini, rng):
-        cfg = glm_mini.config
+    def test_its_attention_never_reaches_the_logits(
+        self, request, rng, preset, silent
+    ):
+        model = request.getfixturevalue(preset.replace("-", "_"))
+        cfg = model.config
         tokens = V.sample_filler(rng, 96).astype(np.int64)
         positions = np.arange(tokens.size, dtype=np.int64)
         noise = rng.standard_normal(
             (cfg.n_heads, tokens.size, cfg.d_head)
         ).astype(np.float32)
 
-        def run(last_layer_output):
+        def run(layer, output):
             def attend(i, q, keys, values, scale):
-                if i == cfg.n_layers - 1:
-                    return last_layer_output(q)
+                if i == layer:
+                    return output(q)
                 return flash_attention(q, keys, values, scale=scale)
 
-            caches = glm_mini.new_caches(capacity=tokens.size)
-            hidden = glm_mini.prefill_chunk(tokens, positions, caches, attend)
-            return glm_mini.logits(hidden)
+            caches = model.new_caches(capacity=tokens.size)
+            hidden = model.prefill_chunk(tokens, positions, caches, attend)
+            return model.logits(hidden)
 
-        assert np.array_equal(
-            run(np.zeros_like), run(lambda q: noise[:, -q.shape[1]:])
-        )
+        def noisy(q):
+            return noise[:, -q.shape[1]:]
+
+        assert np.array_equal(run(silent, np.zeros_like), run(silent, noisy))
+        # The same swap in any other layer reaches the logits.
+        for layer in set(range(cfg.n_layers)) - {silent}:
+            assert not np.array_equal(
+                run(layer, np.zeros_like), run(layer, noisy)
+            )

@@ -91,10 +91,6 @@ class TestLinearCost:
         assert total.flops == 2 * a.flops
         assert total.n_kernels == 2 * a.n_kernels
 
-    def test_scaled(self):
-        a = linear_cost(CHATGLM2_6B, 128).scaled(0.5)
-        assert a.flops == pytest.approx(linear_cost(CHATGLM2_6B, 128).flops / 2)
-
 
 class TestSparsityScaling:
     def test_paper_fit_reproduces_anchor_points(self):

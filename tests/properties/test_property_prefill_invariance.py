@@ -37,7 +37,6 @@ from hypothesis import given, settings, strategies as st
 import repro.attention.packed as packed_mod
 from repro import pool
 from repro.attention import (
-    KernelWorkspace,
     flash_attention,
     packed_block_sparse_attention,
 )
@@ -45,7 +44,7 @@ from repro.attention.packed import PackedItem
 from repro.audit.oracles import check_prefill_batch, hand_built_plan
 from repro.model import ModelConfig, Transformer, build_model
 from repro.model.weights import random_weights
-from tests.conftest import random_qkv, random_stripes, record_threads
+from tests.conftest import own_workspace, random_qkv, random_stripes, record_threads
 
 H_KV, D = 2, 16
 
@@ -154,14 +153,15 @@ class TestBatchInvariance:
                  dense_last_rows=1, hot=False, bands=[]),
             2,
         )
-        ws = KernelWorkspace()
-        packed_block_sparse_attention([big], workspace=ws)
-        grown = ws.allocations
-        packed_block_sparse_attention([big], workspace=ws)
-        assert ws.allocations == grown  # grow-only: a warm call allocates nothing
-        warm = packed_block_sparse_attention([small], workspace=ws).results[0]
-        assert ws.allocations == grown
-        cold = packed_block_sparse_attention([small]).results[0]
+        with own_workspace() as ws:
+            packed_block_sparse_attention([big])
+            grown = ws.allocations
+            packed_block_sparse_attention([big])
+            assert ws.allocations == grown  # grow-only: a warm call allocates nothing
+            warm = packed_block_sparse_attention([small]).results[0]
+            assert ws.allocations == grown
+        with own_workspace():
+            cold = packed_block_sparse_attention([small]).results[0]
         np.testing.assert_array_equal(warm.output, cold.output)
 
 

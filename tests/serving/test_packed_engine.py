@@ -22,6 +22,7 @@ from repro.serving import (
     poisson_workload,
 )
 from repro.serving import engine as engine_module
+from tests.conftest import own_workspace
 
 
 def burst(n=4, prompt_len=16384, decode_tokens=2):
@@ -75,6 +76,27 @@ class TestPackedConfig:
     def test_packed_requires_sample_block(self, glm_mini):
         with pytest.raises(ConfigError):
             make_engine(glm_mini, batching="packed", method="flash")
+
+
+class TestScratchOutlivesTheEngine:
+    """Kernel scratch is the thread's, not the engine's: an engine built
+    after another one on the same thread finds it warm (perfbench builds
+    a new engine every pass)."""
+
+    @pytest.mark.parametrize(
+        "kw", [dict(batching="packed"), dict(method="flash")],
+        ids=["packed", "flash"],
+    )
+    def test_second_engine_allocates_no_main_thread_scratch(self, glm_mini, kw):
+        reqs = burst(n=3, decode_tokens=4)
+        with own_workspace() as ws, pool._forced_workers(1):
+            first = make_engine(glm_mini, **kw).run(reqs)
+            warm = (ws.allocations, ws.nbytes)
+            second = make_engine(glm_mini, **kw).run(reqs)
+        assert warm[0] > 0
+        assert (ws.allocations, ws.nbytes) == warm
+        for a, b in zip(first.requests, second.requests):
+            assert list(a.generated) == list(b.generated)
 
 
 class TestPackedParity:

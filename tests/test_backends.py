@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import pool
 from repro.attention import dense_attention
 from repro.backends import (
     ElementMaskedAttentionBackend,
@@ -11,7 +12,7 @@ from repro.backends import (
     SampleAttentionBackend,
 )
 from repro.attention.masks import causal_block_mask
-from tests.conftest import random_qkv
+from tests.conftest import own_workspace, random_qkv
 
 
 class _CausalMaskedBackend(MaskedAttentionBackend):
@@ -86,3 +87,23 @@ class TestSampleBackendStats:
         for key in ("density", "mean_kv_ratio", "window", "n_sampled_rows"):
             assert key in stats
         assert stats["plan_summary"]["alpha"] == 0.95
+
+
+class TestWarmBackendsAllocateNothing:
+    """Backends hold no scratch: their kernel calls run on the calling
+    thread's workspace, which a first layer call warms for every later
+    call of the same geometry."""
+
+    @pytest.mark.parametrize(
+        "backend", [FullAttentionBackend, _CausalMaskedBackend],
+        ids=["full", "masked"],
+    )
+    def test_warm_calls_allocate_nothing(self, rng, backend):
+        q, k, v = random_qkv(rng, h=4, s=200, d=16, h_kv=2)
+        with own_workspace() as ws, pool._forced_workers(1):
+            first = backend().prefill(q, k, v)
+            warm = ws.allocations
+            for layer in range(3):
+                out = backend().prefill(q, k, v, layer=layer)
+                assert np.array_equal(out, first)
+        assert warm > 0 and ws.allocations == warm

@@ -11,7 +11,13 @@ import inspect
 
 import pytest
 
-from repro.attention import PackedItem, packed_block_sparse_attention
+from repro.attention import (
+    PackedDecodeItem,
+    PackedItem,
+    fast_block_sparse_attention,
+    flash_attention,
+    packed_block_sparse_attention,
+)
 from repro.backends import SampleAttentionBackend
 from repro.core import (
     MInferenceProvider,
@@ -42,17 +48,25 @@ SETTABLE = {
     MInferenceProvider: (),
     VerticalSlashProvider: (),
     SampleAttentionBackend: ("config",),
-    sample_attention: (
-        "q", "k", "v", "config", "scale", "plan", "workspace",
-    ),
+    sample_attention: ("q", "k", "v", "config", "scale", "plan"),
     plan_sample_attention: (
         "q", "k", "config", "scale", "selection_mode", "detect_diagonals",
     ),
     SampleAttentionProvider.plan: ("q", "k", "config", "scale"),
     MInferenceProvider.plan: ("q", "k", "config", "scale"),
     VerticalSlashProvider.plan: ("q", "k", "config", "scale"),
-    PackedItem.from_plan: ("q", "k", "v", "plan", "scale", "tag"),
-    packed_block_sparse_attention: ("items", "workspace"),
+    PackedItem.from_plan: ("q", "k", "v", "plan", "scale"),
+    # The kernels' entry points: scratch is the calling thread's own, and
+    # results map back to items by position, so neither a workspace nor a
+    # tag is settable.
+    PackedItem: (
+        "q", "k", "v", "window", "kv_indices", "mask", "sink_tokens",
+        "dense_last_rows", "bands", "scale",
+    ),
+    PackedDecodeItem: ("q", "k", "v", "scale"),
+    packed_block_sparse_attention: ("items",),
+    flash_attention: ("q", "k", "v", "scale"),
+    fast_block_sparse_attention: ("q", "k", "v", "mask", "scale"),
 }
 
 
