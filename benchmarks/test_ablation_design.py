@@ -156,7 +156,7 @@ class TestExecutionAblation:
             block.visited_blocks.sum() * cfg.block_size**2
             > striped.kernel.computed_elements.sum()
         )
-        assert striped.kernel.element_density < striped.kernel.density
+        assert striped.kernel.element_density < plan.to_block_mask().density()
 
 
 class TestDiagonalExtension:

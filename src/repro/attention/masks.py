@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, MaskError, ShapeError
+from .utils import causal_mask, total_causal_blocks
 
 __all__ = [
     "BlockMask",
@@ -126,10 +127,7 @@ class BlockMask:
         pays), so ``density == 1.0`` means "as expensive as dense causal".
         """
         if relative_to_causal:
-            denom = int(
-                causal_block_mask(1, self.s_q, self.s_k, self.block_size)
-                .blocks.sum()
-            )
+            denom = total_causal_blocks(self.s_q, self.s_k, self.block_size)
         else:
             denom = self.blocks.shape[1] * self.blocks.shape[2]
         if denom == 0:
@@ -147,8 +145,6 @@ class BlockMask:
         """Raise :class:`MaskError` if any causally valid query row would be
         left with zero attendable keys (a kernel-breaking mask)."""
         dense = self.to_dense()
-        from .utils import causal_mask  # local import to avoid cycle
-
         reachable = dense & causal_mask(self.s_q, self.s_k)[None]
         empty = ~reachable.any(axis=2)
         if empty.any():

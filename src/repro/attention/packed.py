@@ -46,10 +46,11 @@ stripe columns happen to touch:
 Masking is dense arithmetic (a ``{0, NEG_INF}`` bias before the row max,
 then a clamp before ``exp``), never predicated writes.
 
-Each item also carries its plan's *tile* footprint
-(:meth:`~repro.core.plan.SparsePlan.to_block_mask`) as the **accounting
-view**: visited tiles and the roofline billing built on them keep their
-meaning, next to the score elements the kernel actually computed.
+An item is what the kernel executes and nothing more: window, bands,
+stripe/sink columns and dense last rows.  The kernel reports the score
+elements it computed; a plan's tile footprint, which the serving engine
+bills, is the plan's own
+(:meth:`~repro.core.plan.SparsePlan.to_block_mask`).
 
 Entry point: :func:`packed_block_sparse_attention` over a list of
 :class:`PackedItem` (usually :meth:`PackedItem.from_plan`); the
@@ -66,20 +67,13 @@ from typing import Sequence
 import numpy as np
 
 from .. import pool
-from ..config import DEFAULT_CONFIG
 from ..errors import MaskError, ShapeError
-from .masks import (
-    BlockMask,
-    causal_block_mask,
-    normalise_bands,
-    normalise_indices,
-)
+from .masks import normalise_bands, normalise_indices
 from .utils import (
     _EXP_CLAMP,
     NEG_INF,
     _thread_workspace,
     decode_row_attention,
-    total_causal_blocks,
     total_causal_elements,
     validate_qkv,
 )
@@ -151,8 +145,7 @@ class PackedItem:
     ``sink_tokens`` (leading columns every head keeps),
     ``dense_last_rows`` (trailing rows that attend densely) and ``bands``
     (extra diagonal distance intervals ``(d_lo, d_hi)`` every head keeps,
-    the plan's ``extras["bands"]``).  ``mask`` is the same plan's tile
-    footprint -- the accounting view; it is never executed.
+    the plan's ``extras["bands"]``).
     """
 
     q: np.ndarray
@@ -160,7 +153,6 @@ class PackedItem:
     v: np.ndarray
     window: int
     kv_indices: list[np.ndarray]
-    mask: BlockMask
     sink_tokens: int = 0
     dense_last_rows: int = 0
     bands: Sequence[tuple[int, int]] = ()
@@ -169,14 +161,19 @@ class PackedItem:
     @classmethod
     def from_plan(cls, q, k, v, plan, *, scale=None) -> "PackedItem":
         """The item executing ``plan`` (a
-        :class:`~repro.core.plan.SparsePlan`) on ``q``/``k``/``v``."""
+        :class:`~repro.core.plan.SparsePlan`) on ``q``/``k``/``v``; a plan
+        built for another ``(S_q, S_k)`` is a :class:`MaskError`."""
+        if (plan.s_q, plan.s_k) != (q.shape[1], k.shape[1]):
+            raise MaskError(
+                f"plan geometry ({plan.s_q}, {plan.s_k}) != tensors "
+                f"({q.shape[1]}, {k.shape[1]})"
+            )
         return cls(
             q=q,
             k=k,
             v=v,
             window=plan.window,
             kv_indices=plan.kv_indices,
-            mask=plan.to_block_mask(),
             sink_tokens=plan.config.sink_tokens,
             dense_last_rows=plan.config.dense_last_rows,
             bands=plan.extras.get("bands") or (),
@@ -188,14 +185,13 @@ class PackedItem:
         """The item that is dense causal attention: no stripes, no sinks,
         every row a dense last row.  Its geometry is read off the tensors,
         so it is valid whenever they are."""
-        h, _, s_q, s_k, _ = validate_qkv(q, k, v)
+        h, _, s_q, _, _ = validate_qkv(q, k, v)
         return cls(
             q=q,
             k=k,
             v=v,
             window=1,
             kv_indices=[np.empty(0, dtype=np.int64)] * h,
-            mask=causal_block_mask(h, s_q, s_k, DEFAULT_CONFIG.block_size),
             dense_last_rows=s_q,
             scale=scale,
         )
@@ -207,24 +203,12 @@ class PackedPrefillResult:
 
     ``computed_elements`` is the ``(H,)`` count of score entries the
     kernel kept live -- equal to the plan's
-    :meth:`~repro.core.plan.SparsePlan.element_counts` -- and
-    ``visited_blocks`` the ``(H,)`` tile footprint of the item's
-    accounting mask (what a block-granular kernel would visit; the
-    roofline billing is built on it).
+    :meth:`~repro.core.plan.SparsePlan.element_counts`.
     """
 
     output: np.ndarray
-    visited_blocks: np.ndarray
-    total_causal_blocks: int
     computed_elements: np.ndarray
     total_causal_elements: int
-
-    @property
-    def density(self) -> float:
-        """Mean tile density of the footprint relative to dense causal."""
-        if self.total_causal_blocks == 0:
-            return 0.0
-        return float(self.visited_blocks.mean() / self.total_causal_blocks)
 
     @property
     def element_density(self) -> float:
@@ -243,7 +227,6 @@ class PackedAttentionResult:
     """
 
     results: list[PackedPrefillResult]
-    cu_seqlens: np.ndarray
     stats: dict = field(default_factory=dict)
 
 
@@ -253,8 +236,7 @@ class PackedDecodeItem:
 
     ``q`` is the request's single rotated query row ``(H, 1, d)``; ``k``/
     ``v`` are its full cached KV so far ``(H_kv, S_k, d)``, including the
-    entry this step appended.  Cache lengths are ragged across the batch
-    (``cu_seqlens`` in the result records the per-request KV offsets).
+    entry this step appended.  Cache lengths are ragged across the batch.
     """
 
     q: np.ndarray
@@ -280,7 +262,6 @@ class PackedDecodeResult:
 
     outputs: list[np.ndarray]
     probs: list[np.ndarray] | None
-    cu_seqlens: np.ndarray
     stats: dict = field(default_factory=dict)
 
 
@@ -307,7 +288,6 @@ def packed_decode_attention(
     ragged.  ``return_probs=True`` additionally returns each item's
     attention probabilities (the H2O heavy-hitter statistic feed).
     """
-    cu = np.zeros(len(items) + 1, dtype=np.int64)
     scales = []
     h = h_kv = d = 0
     if items:
@@ -327,7 +307,6 @@ def packed_decode_attention(
         scales.append(
             np.float32(it.scale if it.scale is not None else 1.0 / np.sqrt(d))
         )
-        cu[i + 1] = cu[i] + s_k
 
     def attend(i):
         it = items[i]
@@ -339,10 +318,8 @@ def packed_decode_attention(
     executed = _items_on_the_pool(attend, lengths, _DECODE_UNIT_KEYS)
     outputs = [out for out, _ in executed]
     probs_out = [probs for _, probs in executed] if return_probs else None
-    stats = {"decode_requests": len(items), "kv_tokens": int(cu[-1])}
-    return PackedDecodeResult(
-        outputs=outputs, probs=probs_out, cu_seqlens=cu, stats=stats
-    )
+    stats = {"decode_requests": len(items), "kv_tokens": sum(lengths)}
+    return PackedDecodeResult(outputs=outputs, probs=probs_out, stats=stats)
 
 
 def _mask_term(dead: np.ndarray) -> np.ndarray:
@@ -592,10 +569,9 @@ def packed_block_sparse_attention(
     counters.
     """
     stats = {"packed_requests": len(items), "packed_rows": 0,
-             "gemm_calls": 0, "tiles_visited": 0, "elements_computed": 0}
-    cu = np.zeros(len(items) + 1, dtype=np.int64)
+             "gemm_calls": 0, "elements_computed": 0}
     if not items:
-        return PackedAttentionResult(results=[], cu_seqlens=cu, stats=stats)
+        return PackedAttentionResult(results=[], stats=stats)
 
     # ---- one validation pass over the batch -----------------------------
     h, h_kv, _, _, d = validate_qkv(items[0].q, items[0].k, items[0].v)
@@ -607,15 +583,6 @@ def packed_block_sparse_attention(
             raise ShapeError(
                 f"packed items must share (H, H_kv, d); item {i} has "
                 f"({hi}, {hkvi}, {di}) != ({h}, {h_kv}, {d})"
-            )
-        if it.mask.blocks.shape[0] != h:
-            raise MaskError(
-                f"item {i}: mask has {it.mask.blocks.shape[0]} heads, tensors have {h}"
-            )
-        if it.mask.s_q != s_q or it.mask.s_k != s_k:
-            raise MaskError(
-                f"item {i}: mask geometry ({it.mask.s_q}, {it.mask.s_k}) "
-                f"!= tensors ({s_q}, {s_k})"
             )
         if it.window < 1:
             raise MaskError(f"item {i}: window must be >= 1, got {it.window}")
@@ -640,7 +607,7 @@ def packed_block_sparse_attention(
         widths.update(hi - lo for lo, hi in extras)
         if s_nd < s_q:
             widths.add(_DENSE_SPAN)
-        cu[i + 1] = cu[i] + s_q
+        stats["packed_rows"] += s_q
 
     # Band mask terms, shared by every item of equal width and read-only
     # from here on.  Items that clear the floor are the pool's units,
@@ -655,24 +622,15 @@ def packed_block_sparse_attention(
 
     results = []
     for it, (output, elements, gemms) in zip(items, executed):
-        s_q, s_k, b = it.mask.s_q, it.mask.s_k, it.mask.block_size
-        # Tile footprint of the plan (the accounting view): blocks of the
-        # mask reachable from each q-block's last row.
-        nq, nk = it.mask.blocks.shape[1:]
-        q_last = np.minimum((np.arange(nq) + 1) * b, s_q) - 1 + (s_k - s_q)
-        reachable = np.arange(nk)[None, :] < np.minimum(nk, q_last // b + 1)[:, None]
-        visited = (it.mask.blocks & reachable[None]).sum(axis=(1, 2)).astype(np.int64)
         results.append(
             PackedPrefillResult(
                 output=output.astype(it.q.dtype, copy=False),
-                visited_blocks=visited,
-                total_causal_blocks=total_causal_blocks(s_q, s_k, b),
                 computed_elements=elements,
-                total_causal_elements=total_causal_elements(s_q, s_k),
+                total_causal_elements=total_causal_elements(
+                    it.q.shape[1], it.k.shape[1]
+                ),
             )
         )
         stats["gemm_calls"] += gemms
-        stats["tiles_visited"] += int(visited.sum())
         stats["elements_computed"] += int(elements.sum())
-    stats["packed_rows"] = int(cu[-1])
-    return PackedAttentionResult(results=results, cu_seqlens=cu, stats=stats)
+    return PackedAttentionResult(results=results, stats=stats)

@@ -121,15 +121,14 @@ def validate_qkv(
 
 
 def total_causal_blocks(s_q: int, s_k: int, block_size: int) -> int:
-    """Tiles a dense causal kernel visits for right-aligned queries."""
-    offset = s_k - s_q
-    total = 0
-    nq = -(-s_q // block_size)
-    for qi in range(nq):
-        q1 = min((qi + 1) * block_size, s_q)
-        last_visible = (q1 - 1) + offset
-        total += min(-(-s_k // block_size), last_visible // block_size + 1)
-    return total
+    """Tiles a dense causal kernel visits for right-aligned queries: each
+    q-block reaches every key tile up to its last row's position (the
+    count of :func:`~repro.attention.masks.causal_block_mask`'s tiles per
+    head)."""
+    q_last = np.minimum(
+        np.arange(1, -(-s_q // block_size) + 1) * block_size, s_q
+    ) - 1 + (s_k - s_q)
+    return int(np.minimum(-(-s_k // block_size), q_last // block_size + 1).sum())
 
 
 def total_causal_elements(s_q: int, s_k: int) -> int:

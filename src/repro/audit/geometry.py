@@ -272,10 +272,11 @@ def _check_pipeline(case: GeometryCase) -> CaseResult:
         return CaseResult(
             "pipeline", False, float("inf"), "fresh plan fails validate()"
         )
+    tiles = plan.to_block_mask()
     item = PackedItem.from_plan(q, k, v, plan)
     return _merged("pipeline", [
-        check_prefill_batch([item], [plan]),
-        check_block_kernels(q, k, v, item.mask),
+        check_prefill_batch([item], [plan], [tiles]),
+        check_block_kernels(q, k, v, tiles),
     ])
 
 

@@ -166,35 +166,47 @@ def hand_built_plan(
     )
 
 
-def _cu_seqlens_check(got: np.ndarray, lengths: list[int]) -> str | None:
-    expected = np.cumsum([0] + lengths)
-    if np.array_equal(got, expected):
+def _stats_check(stats: dict, requests: str, tokens: str,
+                 lengths: list[int]) -> str | None:
+    """``None`` when a dispatch's ``stats`` count its items under
+    ``requests`` and the sum of their ragged ``lengths`` under ``tokens``."""
+    expected = {requests: len(lengths), tokens: sum(lengths)}
+    got = {key: stats.get(key) for key in expected}
+    if got == expected:
         return None
-    return f"cu_seqlens {got.tolist()} != ragged offsets {expected.tolist()}"
+    return f"dispatch stats {got} != items {expected}"
 
 
 def check_prefill_batch(
-    items: list[PackedItem], plans: list[SparsePlan]
+    items: list[PackedItem],
+    plans: list[SparsePlan],
+    tiles: list[BlockMask] | None = None,
 ) -> CaseResult:
     """The packed prefill contract on one dispatch over ``items`` (item
-    ``i`` executing ``plans[i]``).  Per item:
+    ``i`` executing ``plans[i]``, whose tile view is ``tiles[i]``, built
+    here when the caller holds none).  Per item:
 
     * the output is within ``TOLERANCE`` of dense attention under
       :func:`plan_element_mask`;
     * ``computed_elements`` equal both that mask's per-head sum and
       ``plan.element_counts()``;
-    * the tile footprint (the accounting view the engine's billing rests
-      on) equals what the block fast path visits on the item's mask;
-    * in a batch of more than one, output and counts are bitwise the same
-      dispatched alone (``invariance_checks``);
+    * the plan's tile footprint (``plan.to_block_mask()``, what the
+      engine bills) equals what the block fast path visits on it;
+    * in a batch of more than one, output and computed elements are
+      bitwise the same dispatched alone (``invariance_checks``);
 
-    and ``cu_seqlens`` are the items' ragged row offsets.
+    and the dispatch's stats count the items and their rows.
     """
     res = packed_block_sparse_attention(items)
-    failure = _cu_seqlens_check(res.cu_seqlens, [it.q.shape[1] for it in items])
+    failure = _stats_check(
+        res.stats, "packed_requests", "packed_rows",
+        [it.q.shape[1] for it in items],
+    )
     worst, worst_detail = 0.0, "prefill batch agrees"
     counts = dict(checks=1, invariance_checks=0, banded_checks=0, dense_checks=0)
-    for item, plan, got in zip(items, plans, res.results):
+    if tiles is None:
+        tiles = [plan.to_block_mask() for plan in plans]
+    for item, plan, tile_view, got in zip(items, plans, tiles, res.results):
         where = f"(s_q={plan.s_q}, s_k={plan.s_k})"
         mask = plan_element_mask(plan)
         oracle = dense_attention(
@@ -211,8 +223,8 @@ def check_prefill_batch(
             == total_causal_elements(plan.s_q, plan.s_k)
         ):
             failure = f"computed elements diverge from the element mask at {where}"
-        ref = fast_block_sparse_attention(item.q, item.k, item.v, item.mask)
-        if not np.array_equal(got.visited_blocks, ref.visited_blocks):
+        ref = fast_block_sparse_attention(item.q, item.k, item.v, tile_view)
+        if not np.array_equal(tile_view.active_blocks(), ref.visited_blocks):
             failure = f"tile footprint diverges from the fast path at {where}"
         n = 3
         if len(items) > 1:
@@ -221,7 +233,7 @@ def check_prefill_batch(
             alone = packed_block_sparse_attention([item]).results[0]
             if not all(
                 np.array_equal(getattr(alone, f), getattr(got, f))
-                for f in ("output", "computed_elements", "visited_blocks")
+                for f in ("output", "computed_elements")
             ):
                 failure = f"item {where} differs alone vs in the batch"
         counts["checks"] += n
@@ -250,7 +262,7 @@ def check_decode_batch(items: list[PackedDecodeItem]) -> CaseResult:
       parity across batching modes and co-scheduling orders rests on
       (``invariance_checks``);
 
-    and ``cu_seqlens`` are the items' ragged KV offsets.
+    and the dispatch's stats count the items and their cached keys.
     """
     res = packed_decode_attention(items, return_probs=True)
     worst, checks, invariance, long_checks = 0.0, 0, 0, 0
@@ -302,7 +314,10 @@ def check_decode_batch(items: list[PackedDecodeItem]) -> CaseResult:
                     f"batch (not batch-invariant)",
                 )
     checks += 1
-    failure = _cu_seqlens_check(res.cu_seqlens, [it.k.shape[1] for it in items])
+    failure = _stats_check(
+        res.stats, "decode_requests", "kv_tokens",
+        [it.k.shape[1] for it in items],
+    )
     if failure is not None:
         return result(False, float("inf"), failure)
     return result(True, worst, "decode batch within tolerance and batch-invariant")

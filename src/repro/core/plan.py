@@ -232,10 +232,11 @@ class SparsePlan:
         This is the plan's **accounting view**, not what gets executed:
         the packed kernel attends at stripe granularity (``window``, bands
         and ``kv_indices`` themselves, see :mod:`repro.attention.packed`)
-        and carries this mask only to report the tile footprint a
-        block-granular kernel would visit -- the roofline billing,
-        ``kernel_packed_tiles_visited`` and the merged-mask contract are
-        built on it.  Tile-granular execution of a plan is
+        and never sees it.  Every active tile is causally reachable, so
+        ``active_blocks()`` is the tile footprint a block-granular kernel
+        would visit -- the serving engine's roofline billing and
+        ``kernel_packed_tiles_visited`` read it, and the merged-mask
+        contract checks it.  Tile-granular execution of a plan is
         ``fast_block_sparse_attention(q, k, v, plan.to_block_mask())``
         (the design ablation and the audit's ``pipeline`` area do that).
         """

@@ -43,8 +43,9 @@ class SampleAttentionResult:
         The :class:`~repro.core.plan.SparsePlan` that produced it.
     kernel:
         The packed kernel's per-item result: computed score elements and
-        ``element_density`` (what the plan predicts), next to the plan's
-        tile footprint and its tile ``density`` (the accounting view).
+        ``element_density`` (what the plan predicts).  The plan's tile
+        view and its density are ``plan.to_block_mask()`` and its
+        ``density()``.
     """
 
     output: np.ndarray

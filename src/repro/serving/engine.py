@@ -1,18 +1,24 @@
 """Executable serving engine: continuous batching over the numpy pipeline.
 
 Where :class:`~repro.serving.simulator.ServingSimulator` *bills* roofline
-costs, this engine *runs* the code: every prefill chunk goes through
-:meth:`~repro.model.transformer.Transformer.prefill_chunk` on a real
-:mod:`repro.model` preset, SampleAttention chunks plan via the configured
+costs, this engine *runs* the code on a real :mod:`repro.model` preset.
+In request mode (``batching="request"``) each prefill chunk goes through
+:meth:`~repro.model.transformer.Transformer.prefill_chunk` and each decode
+token through :meth:`~repro.model.transformer.Transformer.decode_step`; in
+packed mode (``batching="packed"``) a step's co-scheduled chunks go
+through one :meth:`~repro.model.transformer.Transformer.prefill_chunk_batch`
+and its decoding requests through one
+:meth:`~repro.model.transformer.Transformer.decode_batch`, greedy either
+way.  SampleAttention chunks plan via the configured
 :class:`~repro.core.providers.PlanProvider` -- ``config.provider`` selects
 the two-stage SampleAttention planner or one of the related-work pattern
 planners (amortised through a
-:class:`~repro.serving.plan_cache.PlanCache`) and execute through **one**
-sparse executor, :func:`~repro.attention.packed.packed_block_sparse_attention`
-(gathered stripe columns plus the window band under one softmax; a
-per-request chunk is a packed batch of one), and decode runs greedy
-:meth:`~repro.model.transformer.Transformer.decode_step` over the populated
-KV caches.  The serving mechanics are the ones a production engine needs:
+:class:`~repro.serving.plan_cache.PlanCache`) -- and execute through
+**one** sparse executor,
+:func:`~repro.attention.packed.packed_block_sparse_attention` (gathered
+stripe columns plus the window band under one softmax; a per-request
+chunk is a packed batch of one).  The serving mechanics are the ones a
+production engine needs:
 
 * **admission control and backpressure** -- a bounded
   :class:`~repro.serving.scheduler.AdmissionQueue` rejects or sheds under
@@ -417,11 +423,11 @@ class ServingEngine:
         Engine-wide :class:`CircuitBreaker` policy over sparse planning.
     execution, kernel_mode:
         Inert compatibility arguments: the engine has one sparse executor
-        (the packed stripe-granular kernel; the tile mask is its
-        accounting view), so these accept only ``None`` or the value naming it
-        (``"block"`` / ``"fast"``, what the frozen ``perfbench/adapter.py``
-        passes) and raise :class:`~repro.errors.ConfigError` otherwise.
-        Removable by the next benchmark PR.
+        (the packed stripe-granular kernel), so these accept only ``None``
+        or the value naming it (``"block"`` / ``"fast"``, what the frozen
+        ``perfbench/adapter.py`` passes) and raise
+        :class:`~repro.errors.ConfigError` otherwise.  Removable once the
+        benchmark adapter stops passing them.
     batching:
         One of :data:`BATCHING_MODES`; ``"packed"`` requires
         ``method="sample"``.
@@ -788,8 +794,7 @@ class ServingEngine:
 
         def route(i, entries):
             outs: dict = {}
-            items: list = []
-            meta: list = []
+            sparse: list = []
             for b in sorted(entries):
                 job, att = jobs[b], attempts[b]
                 q, keys, values, scale = entries[b]
@@ -805,12 +810,9 @@ class ServingEngine:
                 if plan is None:
                     outs[b] = self._dense_attend(job, q, keys, values, scale)
                     continue
-                items.append(
-                    PackedItem.from_plan(q, keys, values, plan, scale=scale)
-                )
-                meta.append((b, job, plan))
-            if items:
-                outs.update(self._dispatch_packed(i, items, meta))
+                sparse.append((b, job, plan, entries[b]))
+            if sparse:
+                outs.update(self._dispatch_packed(i, sparse))
             return outs
 
         return route
@@ -829,29 +831,38 @@ class ServingEngine:
 
         return attend
 
-    def _dispatch_packed(self, layer: int, items: list, meta: list) -> dict:
+    def _dispatch_packed(self, layer: int, sparse: list) -> dict:
         """One packed dispatch for every sparse (job, layer) call of an
-        attempt, serial in the caller's thread.  ``meta``
-        aligns with ``items`` as ``(batch_index, job, plan)``.  Returns
-        batch index -> attention output; per-item accounting (breaker,
-        billed elements, kept-KV telemetry) is per item, so it is the same
-        whatever else shares the dispatch."""
+        attempt, serial in the caller's thread.  ``sparse`` holds
+        ``(batch_index, job, plan, (q, keys, values, scale))`` per call.
+        Returns batch index -> attention output; per-item accounting
+        (breaker, billed elements, kept-KV telemetry) is per item, so it is
+        the same whatever else shares the dispatch."""
         try:
-            pres = packed_block_sparse_attention(items)
+            pres = packed_block_sparse_attention([
+                PackedItem.from_plan(q, keys, values, plan, scale=scale)
+                for _b, _job, plan, (q, keys, values, scale) in sparse
+            ])
         except ReproError:
-            # One bad item poisons the whole dispatch: every item in
+            # One bad item (a plan built for another geometry, or one the
+            # kernel rejects) poisons the whole dispatch: every item in
             # it degrades to the validated dense fallback (rare --
             # each plan already passed the CRA gauntlet).
             outs = {}
-            for it, (b, job, _plan) in zip(items, meta):
+            for b, job, _plan, call in sparse:
                 self._record_violation(job, layer, "kernel_error")
-                outs[b] = self._dense_attend(job, it.q, it.k, it.v, it.scale)
+                outs[b] = self._dense_attend(job, *call)
             return outs
+        # Each plan's tile footprint: what the roofline's block kernel
+        # visits, and what the billing below is built on.
+        tiles = [int(plan.to_block_mask().active_blocks().sum())
+                 for _b, _job, plan, _call in sparse]
         # Deterministic execution-path counters: the dispatch-count
         # identity tests read these.
         registry = self._registry
         registry.inc("kernel_packed_dispatches")
         registry.inc("kernel_gemm_calls", float(pres.stats["gemm_calls"]))
+        counts = {**pres.stats, "tiles_visited": sum(tiles)}
         for key in (
             "packed_requests",
             "packed_rows",
@@ -859,18 +870,17 @@ class ServingEngine:
             "elements_computed",
         ):
             name = f"kernel_packed_{key.removeprefix('packed_')}"
-            registry.inc(name, float(pres.stats[key]))
+            registry.inc(name, float(counts[key]))
         outs = {}
-        for res, (b, job, plan) in zip(pres.results, meta):
+        for res, n_tiles, (b, job, plan, _call) in zip(
+            pres.results, tiles, sparse
+        ):
             self.breaker.record_success()
             if contracts.enabled():
                 contracts.check_computed_elements(plan, res.computed_elements)
             # Billed elements = the plan's tile footprint x
-            # block_size^2 (what the roofline's block kernel visits),
-            # not the score elements this host computed.
-            job.elements += (
-                float(res.visited_blocks.sum()) * plan.config.block_size**2
-            )
+            # block_size^2, not the score elements this host computed.
+            job.elements += float(n_tiles) * plan.config.block_size**2
             job.telemetry.kept_kv_ratios.append(plan.mean_kv_ratio)
             job.telemetry.element_densities.append(res.element_density)
             outs[b] = res.output

@@ -75,7 +75,7 @@ class TestPackedParity:
         ]
         res = packed_block_sparse_attention([it for it, _ in pairs])
         assert res.stats["packed_requests"] == 4
-        assert list(res.cu_seqlens) == [0, 16, 64, 65, 82]
+        assert res.stats["packed_rows"] == 82
         _check(pairs)
 
     @pytest.mark.parametrize("h,h_kv", [(4, 4), (4, 2), (6, 2), (8, 1)])
@@ -251,23 +251,22 @@ class TestPackedStats:
     def test_empty_batch(self):
         res = packed_block_sparse_attention([])
         assert res.results == []
-        assert res.stats["packed_requests"] == 0
-        assert list(res.cu_seqlens) == [0]
+        assert res.stats["packed_requests"] == res.stats["packed_rows"] == 0
 
     def test_tiles_visited_matches_reference_billing(self, rng):
-        # The tile footprint stays the plan's block-mask view: what the
-        # reference block kernel visits on ``plan.to_block_mask()``.
+        # The billed tile footprint is the plan's block-mask view: what the
+        # reference block kernel visits on ``plan.to_block_mask()``.  The
+        # packed kernel never sees it and reports no tiles.
         pairs = [_item(rng, 4, 32, 64, 8, stripes=0.15) for _ in range(3)]
         res = packed_block_sparse_attention([it for it, _ in pairs])
-        total = 0
-        for (item, plan), got in zip(pairs, res.results):
-            ref = block_sparse_attention(
-                item.q, item.k, item.v, plan.to_block_mask()
+        assert "tiles_visited" not in res.stats
+        for item, plan in pairs:
+            tiles = plan.to_block_mask()
+            ref = block_sparse_attention(item.q, item.k, item.v, tiles)
+            np.testing.assert_array_equal(
+                tiles.active_blocks(), ref.visited_blocks
             )
-            np.testing.assert_array_equal(got.visited_blocks, ref.visited_blocks)
-            assert got.total_causal_blocks == ref.total_causal_blocks
-            total += int(ref.visited_blocks.sum())
-        assert res.stats["tiles_visited"] == total
+            assert tiles.density() == ref.density
 
     def test_elements_computed_below_the_tile_footprint(self, rng):
         item, plan = _item(rng, 4, 64, 256, 8, window=16, stripes=0.1)
@@ -275,9 +274,10 @@ class TestPackedStats:
         got = res.results[0]
         assert res.stats["elements_computed"] == int(plan.element_counts().sum())
         assert got.element_density == pytest.approx(plan.element_density())
+        tiles = plan.to_block_mask()
         block = plan.config.block_size
-        assert (got.computed_elements < got.visited_blocks * block**2).all()
-        assert got.element_density < got.density
+        assert (got.computed_elements < tiles.active_blocks() * block**2).all()
+        assert got.element_density < tiles.density()
 
     def test_analytic_counts_match_kernel(self, rng):
         s = 123
@@ -431,7 +431,7 @@ class TestPackedWorkspaceBound:
                 item = PackedItem.dense(q, k, v)
                 got = packed_block_sparse_attention([item]).results[0]
                 assert (got.computed_elements == total_causal_elements(s_q, s_k)).all()
-                assert got.element_density == 1.0 and got.density == 1.0
+                assert got.element_density == 1.0
                 held.append(ws.nbytes)
         # Closed form with no S_k in it: q, l, m, the 64-row q/pv blocks
         # and one (64 x (_DENSE_SPAN + 63)) score block per head.
@@ -571,7 +571,6 @@ class TestPooledItems:
                 got, ref = pooled.results[slot], inline.results[j]
                 assert np.array_equal(got.output, ref.output)
                 assert np.array_equal(got.computed_elements, ref.computed_elements)
-                assert np.array_equal(got.visited_blocks, ref.visited_blocks)
             assert pooled.stats == inline.stats
         assert set(ran_on) - {threading.current_thread().name}, (
             "no item ran on the pool")
@@ -676,14 +675,15 @@ class TestPackedValidation:
             packed_block_sparse_attention([a, b])
 
     def test_mismatched_mask_geometry_rejected(self, rng):
+        # A plan (and so its mask) built for another (S_q, S_k) is refused
+        # when the item is built, before anything executes.
         a, _ = _item(rng, 4, 16, 32, 8)
-        other = hand_built_plan(random_stripes(rng, 4, 48, 0.1), 16, 48, window=8)
-        bad = PackedItem(
-            q=a.q, k=a.k, v=a.v, window=a.window, kv_indices=a.kv_indices,
-            mask=other.to_block_mask(),
-        )
-        with pytest.raises(MaskError):
-            packed_block_sparse_attention([bad])
+        for s_q, s_k in ((16, 48), (8, 32)):
+            other = hand_built_plan(
+                random_stripes(rng, 4, s_k, 0.1), s_q, s_k, window=8
+            )
+            with pytest.raises(MaskError):
+                PackedItem.from_plan(a.q, a.k, a.v, other)
 
     def test_bad_plan_geometry_rejected(self, rng):
         a, plan = _item(rng, 4, 16, 32, 8)
@@ -693,7 +693,7 @@ class TestPackedValidation:
             dict(kv_indices=[np.asarray([32])] * 4),
         ):
             fields = dict(q=a.q, k=a.k, v=a.v, window=a.window,
-                          kv_indices=a.kv_indices, mask=a.mask)
+                          kv_indices=a.kv_indices)
             with pytest.raises(MaskError):
                 packed_block_sparse_attention([PackedItem(**{**fields, **bad})])
 

@@ -48,14 +48,12 @@ def test_runs_in_the_callers_thread(rng, monkeypatch):
 def test_stats_and_offsets(rng):
     res = packed_decode_attention([_item(rng, 5), _item(rng, 9)])
     assert res.probs is None
-    assert res.cu_seqlens.tolist() == [0, 5, 14]
     assert res.stats == {"decode_requests": 2, "kv_tokens": 14}
 
 
 def test_empty_batch_is_one_dispatch():
     res = packed_decode_attention([], return_probs=True)
     assert res.outputs == [] and res.probs == []
-    assert res.cu_seqlens.tolist() == [0]
     assert res.stats == {"decode_requests": 0, "kv_tokens": 0}
 
 

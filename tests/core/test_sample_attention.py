@@ -121,8 +121,10 @@ class TestExecution:
             b.visited_blocks.sum() * cfg.block_size**2
             >= a.kernel.computed_elements.sum()
         )
-        # The kernel result carries the same footprint as its tile view.
-        np.testing.assert_array_equal(a.kernel.visited_blocks, b.visited_blocks)
+        # The plan's tile view is the footprint block execution visits.
+        np.testing.assert_array_equal(
+            plan.to_block_mask().active_blocks(), b.visited_blocks
+        )
 
     @pytest.mark.parametrize("s_q", [64, 700])  # chunk-shaped / one-shot
     def test_is_the_packed_kernel_as_a_batch_of_one(self, rng, s_q):
@@ -178,8 +180,8 @@ class TestExecution:
         np.testing.assert_allclose(
             res.kernel.element_density, res.plan.element_density(), rtol=1e-6
         )
-        # ``density`` is the tile footprint's -- coarser, never smaller.
-        assert res.kernel.density >= res.kernel.element_density
+        # The plan's tile density is coarser, never smaller.
+        assert res.plan.to_block_mask().density() >= res.kernel.element_density
 
     def test_sink_tokens_always_covered(self, rng):
         q, k, v = structured_qkv(rng)
@@ -210,7 +212,7 @@ def _qkv(seed=0, h=4, h_kv=2, s=192, d=16):
 class TestPipelineIntegration:
     def test_kernel_modes_agree_through_sample_attention(self):
         # Tile-granular execution of a planned mask: the fast path vs its
-        # tile-at-a-time oracle, and the plan executor's footprint counts.
+        # tile-at-a-time oracle, and the plan's own tile footprint.
         q, k, v = _qkv(seed=2)
         res = sample_attention(q, k, v, SampleAttentionConfig())
         mask = res.plan.to_block_mask()
@@ -218,6 +220,4 @@ class TestPipelineIntegration:
         ref = block_sparse_attention(q, k, v, mask)
         np.testing.assert_allclose(fast.output, ref.output, atol=2e-5)
         np.testing.assert_array_equal(fast.visited_blocks, ref.visited_blocks)
-        np.testing.assert_array_equal(
-            res.kernel.visited_blocks, ref.visited_blocks
-        )
+        np.testing.assert_array_equal(mask.active_blocks(), ref.visited_blocks)

@@ -249,14 +249,14 @@ class TestDenseIsAnItemOnThePackedKernel:
         self, glm_mini, monkeypatch
     ):
         import repro.serving.engine as engine_mod
-        from repro.errors import MaskError
+        from repro.errors import ConfigError
 
         flash = self._flash_tokens(glm_mini, 2)
-        # A stale s_q passes validate() (it never looks) but the kernel's
-        # own validation pass rejects the item's mask geometry; the dense
-        # fallback then goes through that same validator with the item's
-        # own always-valid geometry.
-        _corrupt_every_plan(monkeypatch, s_q=lambda plan: plan.s_q + 1)
+        # An inverted diagonal band passes validate() (it never looks at
+        # extras) but the kernel's own validation pass rejects it; the
+        # dense fallback then goes through that same validator with the
+        # item's own always-valid geometry.
+        _corrupt_every_plan(monkeypatch, extras=lambda plan: {"bands": [(9, 3)]})
         real = engine_mod.packed_block_sparse_attention
         widths, rejected = [], []
 
@@ -264,7 +264,7 @@ class TestDenseIsAnItemOnThePackedKernel:
             widths.append(len(items))
             try:
                 return real(items, **kw)
-            except MaskError as err:
+            except ConfigError as err:
                 rejected.append(err)
                 raise
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import pool
+from tests.conftest import HELPER_WAIT_S
 
 
 def _bounded(fn, timeout=60.0):
@@ -24,20 +25,34 @@ def _bounded(fn, timeout=60.0):
 def test_every_unit_runs_once_in_order_under_contention():
     # More workers than cores and a tiny switch interval: a unit claimed
     # twice, or a result written to the wrong slot, shows as a count or an
-    # order mismatch.
+    # order mismatch.  The caller's first unit waits (bounded) until a
+    # helper has run one, so the caller cannot drain every unit alone on
+    # a single core and the helpers always contend.
     runs = [0] * 5000
     threads = set()
+    caller = {}
+    helper_ran = threading.Event()
 
     def unit(i):
         runs[i] += 1  # each unit owns its slot
-        threads.add(threading.current_thread().name)
+        me = threading.current_thread()
+        threads.add(me.name)
+        if me is not caller["thread"]:
+            helper_ran.set()
+        elif not caller.get("waited"):
+            caller["waited"] = True
+            helper_ran.wait(HELPER_WAIT_S)
         return i * i
+
+    def run():
+        caller["thread"] = threading.current_thread()
+        return pool.run(unit, range(len(runs)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with pool._forced_workers(8):
-            got = _bounded(lambda: pool.run(unit, range(len(runs))))
+            got = _bounded(run)
     finally:
         sys.setswitchinterval(interval)
     assert got == [i * i for i in range(len(runs))]

@@ -60,7 +60,7 @@ SETTABLE = {
     # results map back to items by position, so neither a workspace nor a
     # tag is settable.
     PackedItem: (
-        "q", "k", "v", "window", "kv_indices", "mask", "sink_tokens",
+        "q", "k", "v", "window", "kv_indices", "sink_tokens",
         "dense_last_rows", "bands", "scale",
     ),
     PackedDecodeItem: ("q", "k", "v", "scale"),
