@@ -39,6 +39,7 @@ __all__ = [
     "global_block_mask",
     "random_block_mask",
     "plan_block_mask",
+    "clip_bands",
     "normalise_bands",
     "normalise_indices",
     "striped_element_counts",
@@ -368,6 +369,18 @@ def plan_block_mask(
 # --------------------------------------------------------------------------
 # Element-level plan geometry: window / diagonal bands + per-head stripes.
 # --------------------------------------------------------------------------
+
+
+def clip_bands(
+    bands: list[tuple[int, int]], limit: int
+) -> list[tuple[int, int]]:
+    """Diagonal bands clipped to the distance range ``[0, limit)``; a band
+    left empty by the clip is dropped."""
+    return [
+        (max(int(lo), 0), min(int(hi), limit))
+        for lo, hi in bands
+        if max(int(lo), 0) < min(int(hi), limit)
+    ]
 
 
 def normalise_bands(

@@ -22,6 +22,7 @@ from ..attention.masks import (
     BlockMask,
     _ascending_per_head,
     _flat_heads,
+    clip_bands,
     plan_block_mask,
     striped_element_counts,
 )
@@ -151,11 +152,7 @@ class SparsePlan:
         )
         extras = dict(self.extras)
         if extras.get("bands"):
-            extras["bands"] = [
-                (max(int(lo), 0), min(int(hi), self.planning_s_k))
-                for lo, hi in extras["bands"]
-                if max(int(lo), 0) < min(int(hi), self.planning_s_k)
-            ]
+            extras["bands"] = clip_bands(extras["bands"], self.planning_s_k)
         return SparsePlan(
             kv_indices=self.kv_indices,
             window=max(self.config.window_size(s_k), 1),
@@ -169,22 +166,27 @@ class SparsePlan:
             planned_s_k=self.planning_s_k,
         )
 
-    def validate(self, *, s_k: int | None = None) -> bool:
+    def validate(
+        self, *, s_q: int | None = None, s_k: int | None = None
+    ) -> bool:
         """Cheap structural validity check before serving-time execution.
 
-        Returns ``False`` when the plan cannot be executed safely against a
-        key prefix of length ``s_k`` (defaults to the planned length):
-        window out of range, stripe indices out of bounds / unsorted /
-        duplicated, fewer stripes than ``config.min_keep``, per-head
-        accounting arrays whose length disagrees with the head count, or
-        non-finite accounting.  The serving engine degrades such calls to
-        dense attention instead of crashing mid-request.
+        Returns ``False`` when the plan cannot be executed safely on a
+        chunk of ``s_q`` queries against a key prefix of length ``s_k``
+        (each defaults to the planned length): a plan built for another
+        query length, window out of range, stripe indices out of bounds /
+        unsorted / duplicated, fewer stripes than ``config.min_keep``,
+        per-head accounting arrays whose length disagrees with the head
+        count, or non-finite accounting.  The serving engine degrades such
+        calls to dense attention instead of crashing mid-request.
 
         Note that validation is *structural*: a plan whose
         ``achieved_share`` honestly reports sub-``alpha`` coverage is still
         executable -- catching that is the serving engine's runtime CRA
         guard, not ``validate``.
         """
+        if s_q is not None and int(s_q) != self.s_q:
+            return False
         sk = self.s_k if s_k is None else int(s_k)
         if sk < 1 or self.window < 1 or self.window > sk:
             return False

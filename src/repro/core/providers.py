@@ -39,6 +39,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..attention.masks import clip_bands
 from ..attention.utils import validate_qkv
 from ..audit import contracts
 from ..config import DEFAULT_CONFIG, PLAN_PROVIDER_NAMES, SampleAttentionConfig
@@ -185,17 +186,6 @@ def _assemble(
     if contracts.enabled():
         contracts.check_plan(plan)
     return plan
-
-
-def _clip_bands(
-    bands: list[tuple[int, int]], s_k: int
-) -> list[tuple[int, int]]:
-    """Bands re-clipped to the distance range ``[0, s_k)`` of this call."""
-    return [
-        (max(int(lo), 0), min(int(hi), s_k))
-        for lo, hi in bands
-        if max(int(lo), 0) < min(int(hi), s_k)
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -423,7 +413,7 @@ class MInferenceProvider:
             achieved[hh] = share
 
         extras: dict = {"head_patterns": prof.patterns}
-        bands = _clip_bands(list(prof.bands), s_k)
+        bands = clip_bands(prof.bands, s_k)
         if bands:
             extras["bands"] = bands
         return _assemble(
@@ -501,7 +491,7 @@ class VerticalSlashProvider:
 
         extras: dict = {}
         if bands:
-            extras["bands"] = _clip_bands(bands, s_k)
+            extras["bands"] = clip_bands(bands, s_k)
         return _assemble(
             self.name, config, s_q, s_k, rows, kv_indices, achieved, extras
         )

@@ -31,8 +31,8 @@ Semantics beyond the contiguous cache:
   arena's block ledger (:attr:`PagedLayerKVCache.mirror_nbytes`).
 * **Atomic append** -- an append that hits
   :class:`~repro.errors.ArenaExhaustedError` partway rolls itself back to
-  the pre-append length before re-raising, so the serving engine's chunk
-  retry sees the same clean state it would after a transient fault.
+  the pre-append length before re-raising, so the model's rollback of the
+  failed step truncates the earlier layers and finds this one clean.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArenaExhaustedError, ModelError
+from ..model.kv_cache import accumulate_attention
 from .arena import KVArena
 
 __all__ = ["PagedLayerKVCache"]
@@ -66,11 +67,6 @@ class PagedLayerKVCache:
         self._mirror_v: np.ndarray | None = None
         self._mirrored = 0
         self._capacity = capacity
-        # Staged (uncommitted) attention mass of the in-flight decode
-        # step: applied to ``_acc`` by :meth:`commit_attention`, discarded
-        # by rollback (truncate/release) -- see record_attention.
-        self._staged_acc: np.ndarray | None = None
-        self._staged_len = 0
         #: Tokens adopted from the prefix-sharing registry at creation.
         self.shared_tokens = 0
         #: Eviction passes applied to this cache (telemetry).
@@ -161,11 +157,8 @@ class PagedLayerKVCache:
         return self.kv()[1]
 
     def attention_mass(self) -> np.ndarray:
-        """Committed per-key attention mass, ``(H_kv, len)``.
-
-        Same surface as :meth:`LayerKVCache.attention_mass`; staged (not
-        yet committed) mass from an in-flight decode step is excluded.
-        """
+        """Accumulated per-key attention mass, ``(H_kv, len)``: same
+        surface as :meth:`LayerKVCache.attention_mass`."""
         return self._acc[:, : self._len]
 
     # ---------------------------------------------------------------- growth
@@ -272,7 +265,6 @@ class PagedLayerKVCache:
         self._acc[:, length : self._len] = 0.0
         self._len = length
         self._mirrored = min(self._mirrored, length)
-        self.discard_staged_attention()
 
     def release(self) -> None:
         """Drop every block reference and the mirror (request finished
@@ -283,54 +275,15 @@ class PagedLayerKVCache:
         self._len = 0
         self._mirror_k = self._mirror_v = None
         self._mirrored = 0
-        self.discard_staged_attention()
 
     # ------------------------------------------------------------- attention
     def record_attention(self, probs: np.ndarray) -> None:
-        """Stage decode-step attention mass ``(H_q, 1, len)`` (the
-        heavy-hitter eviction statistic), summing grouped query heads.
-
-        Unlike the contiguous cache, the mass is *staged* rather than
-        applied: a decode step can fail mid-model (arena exhaustion in a
-        later layer) after this layer already recorded, and ``truncate``
-        can roll back the appended token but not an in-place ``+=`` on the
-        retained prefix -- retries would then double-count the step's
-        mass.  :meth:`commit_attention` applies the staged mass once the
-        full step succeeds; rollback (truncate/release/evict) discards it.
-        """
-        if probs.ndim != 3 or probs.shape[2] != self._len:
-            raise ModelError(
-                f"record_attention: probs shape {probs.shape} vs len "
-                f"{self._len}"
-            )
-        h_q = probs.shape[0]
-        h_kv = self._acc.shape[0]
-        if h_q % h_kv != 0:
-            raise ModelError("query heads not a multiple of KV heads")
-        grouped = (
-            probs.sum(axis=1)
-            .reshape(h_kv, h_q // h_kv, self._len)
-            .sum(axis=1)
-        )
-        if self._staged_acc is not None and self._staged_len == self._len:
-            self._staged_acc += grouped
-        else:
-            self._staged_acc = grouped
-            self._staged_len = self._len
-
-    def commit_attention(self) -> None:
-        """Apply staged attention mass to the eviction statistic (called
-        after the decode step that recorded it fully succeeds)."""
-        if self._staged_acc is None:
-            return
-        self._acc[:, : self._staged_len] += self._staged_acc
-        self._staged_acc = None
-        self._staged_len = 0
-
-    def discard_staged_attention(self) -> None:
-        """Drop staged attention mass (step rolled back before commit)."""
-        self._staged_acc = None
-        self._staged_len = 0
+        """Accumulate decode-step attention mass ``(H_q, 1, len)`` onto the
+        heavy-hitter eviction statistic
+        (:func:`~repro.model.kv_cache.accumulate_attention`).  The model
+        records a step's mass only once the step has finished, so a
+        rolled-back step leaves none behind."""
+        accumulate_attention(self._acc, probs, self._len)
 
     # -------------------------------------------------------------- eviction
     def evict(self, keep_per_head: list[np.ndarray]) -> None:

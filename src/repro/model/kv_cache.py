@@ -20,7 +20,25 @@ import numpy as np
 
 from ..errors import ModelError
 
-__all__ = ["LayerKVCache"]
+__all__ = ["LayerKVCache", "accumulate_attention"]
+
+
+def accumulate_attention(
+    acc: np.ndarray, probs: np.ndarray, length: int
+) -> None:
+    """Add one decode step's attention mass ``probs`` ``(H_q, 1, length)``
+    onto the eviction statistic ``acc[:, :length]``, summing grouped query
+    heads per KV head: what both KV caches' ``record_attention`` does."""
+    if probs.ndim != 3 or probs.shape[2] != length:
+        raise ModelError(
+            f"record_attention: probs shape {probs.shape} vs len {length}"
+        )
+    h_q = probs.shape[0]
+    h_kv = acc.shape[0]
+    if h_q % h_kv != 0:
+        raise ModelError("query heads not a multiple of KV heads")
+    grouped = probs.sum(axis=1).reshape(h_kv, h_q // h_kv, length).sum(axis=1)
+    acc[:, :length] += grouped
 
 
 class LayerKVCache:
@@ -102,12 +120,13 @@ class LayerKVCache:
     def truncate(self, length: int) -> None:
         """Roll the cache back to its first ``length`` entries.
 
-        Serving-side failure recovery: a prefill chunk that dies partway has
-        already appended this chunk's keys/values in the layers it reached,
-        so retrying the chunk (or degrading it to a different attention
-        path) must first rewind every layer's cache to the pre-chunk length
-        or positions would double-append.  Truncation only moves the live
-        length; the overallocated arrays are reused by the retry.
+        Failure recovery: a model step that dies partway has already
+        appended its keys/values in the layers it reached, so
+        :meth:`~repro.model.transformer.Transformer.prefill_chunk_batch`
+        and :meth:`~repro.model.transformer.Transformer.decode_batch`
+        rewind every layer of a dropped or raising entry to its pre-step
+        length, and a retry never double-appends.  Truncation only moves
+        the live length; the overallocated arrays are reused by the retry.
 
         Edge-case contract (validated, never clamped):
 
@@ -130,17 +149,8 @@ class LayerKVCache:
 
     def record_attention(self, probs: np.ndarray) -> None:
         """Accumulate decode-step attention mass ``(H_q, 1, len)`` onto the
-        eviction statistic, summing grouped query heads per KV head."""
-        if probs.ndim != 3 or probs.shape[2] != self._len:
-            raise ModelError(
-                f"record_attention: probs shape {probs.shape} vs len {self._len}"
-            )
-        h_q = probs.shape[0]
-        h_kv = self._acc.shape[0]
-        if h_q % h_kv != 0:
-            raise ModelError("query heads not a multiple of KV heads")
-        grouped = probs.sum(axis=1).reshape(h_kv, h_q // h_kv, self._len).sum(axis=1)
-        self._acc[:, : self._len] += grouped
+        eviction statistic (:func:`accumulate_attention`)."""
+        accumulate_attention(self._acc, probs, self._len)
 
     def evict(self, keep_per_head: list[np.ndarray]) -> None:
         """Retain only ``keep_per_head`` indices.

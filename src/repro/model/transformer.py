@@ -33,6 +33,30 @@ from .weights import ModelWeights
 __all__ = ["GenerationResult", "Transformer"]
 
 
+def _atomic(caches_of: list[list], step) -> list:
+    """Run ``step()``, which returns one result per entry (``None`` for an
+    entry it dropped), so that no failed entry leaves a trace: each
+    entry's per-layer cache lengths (``caches_of[b]``) are read first, a
+    dropped entry's caches are truncated back to them after the step, in
+    entry order, and every entry's are when the step raises."""
+    marks = [[len(c) for c in caches] for caches in caches_of]
+
+    def roll_back(b: int) -> None:
+        for cache, length in zip(caches_of[b], marks[b]):
+            cache.truncate(length)
+
+    try:
+        results = step()
+    except BaseException:
+        for b in range(len(caches_of)):
+            roll_back(b)
+        raise
+    for b, result in enumerate(results):
+        if result is None:
+            roll_back(b)
+    return results
+
+
 @dataclass
 class GenerationResult:
     """Outcome of :meth:`Transformer.generate`.
@@ -198,7 +222,8 @@ class Transformer:
 
         A :meth:`prefill_chunk_batch` of one: the per-request path *is*
         the batched path, so request-vs-packed parity holds by
-        construction.  Cache-append and ``attend`` errors propagate.
+        construction.  Cache-append and ``attend`` errors propagate, the
+        caches rolled back to their lengths before the call.
 
         Returns the chunk's final residual rows ``(S_chunk, d_model)``, or
         with ``read=False`` an empty ``(0, d_model)`` array: the last layer
@@ -233,13 +258,12 @@ class Transformer:
         index to the attention output ``(H, S_chunk, d)``.  An index
         *absent* from the returned dict drops that chunk from all
         remaining layers (the engine uses this for per-request fault
-        isolation; the caller rolls the dropped request's caches back).
-        ``on_error(chunk_index, layer_index, exc)``, if given, is called
-        when a cache append raises and likewise drops the chunk instead
-        of failing the whole batch.  The surviving chunks' attention
-        outputs then go through one token-packed output projection
-        (:meth:`AttentionLayer.merge_chunks`).  Both GEMMs keep every row
-        a function of its own inputs, and split their rows over
+        isolation).  ``on_error(chunk_index, layer_index, exc)``, if
+        given, is called when a cache append raises and likewise drops
+        the chunk instead of failing the whole batch.  The surviving
+        chunks' attention outputs then go through one token-packed output
+        projection (:meth:`AttentionLayer.merge_chunks`).  Both GEMMs keep
+        every row a function of its own inputs, and split their rows over
         :mod:`repro.pool`.
 
         ``read[b]`` (default: every chunk) says whether the caller reads
@@ -257,16 +281,30 @@ class Transformer:
         entries are bitwise identical to running :meth:`prefill_chunk`
         (a batch of one) on each request alone, given an ``attend_batch``
         whose per-item outputs do not depend on batch composition.
+
+        The step is atomic per chunk: a dropped chunk's caches (KV,
+        positions, attention mass, arena blocks) are as they were before
+        the call -- truncated back once the call ends, in chunk order --
+        and if the call raises, every chunk's are before the exception
+        propagates.
         """
         if not chunks:
             raise ModelError("prefill_chunk_batch needs at least one chunk")
         for _, _, caches in chunks:
             if len(caches) != self.config.n_layers:
                 raise ModelError("caches must have one entry per layer")
-        every = [True] * len(chunks)
-        read = every if read is None else [bool(r) for r in read]
+        read = [True] * len(chunks) if read is None else [bool(r) for r in read]
         if len(read) != len(chunks):
             raise ModelError("read must have one entry per chunk")
+        return _atomic(
+            [caches for _, _, caches in chunks],
+            lambda: self._prefill_layers(chunks, attend_batch, on_error, read),
+        )
+
+    def _prefill_layers(self, chunks, attend_batch, on_error, read) -> list:
+        """:meth:`prefill_chunk_batch`'s layer loop; dropped chunks come
+        back ``None`` with their caches as the loop left them."""
+        every = [True] * len(chunks)
         xs: list[np.ndarray | None] = []
         poss: list[np.ndarray] = []
         for tokens, positions, _ in chunks:
@@ -357,9 +395,10 @@ class Transformer:
         A :meth:`decode_batch` of one: the per-request path *is* the
         batched path, so request-vs-packed parity holds by construction.
         ``record_attention=True`` accumulates each layer's attention mass
-        onto the caches' eviction statistic, the scores heavy-hitter
-        eviction ranks by (:meth:`generate`'s ``kv_policy``, the serving
-        engine under memory pressure).
+        onto its cache's eviction statistic once the step has run every
+        layer, the scores heavy-hitter eviction ranks by
+        (:meth:`generate`'s ``kv_policy``, the serving engine under memory
+        pressure).
         """
         return self.decode_batch(
             [(token, position, caches)], record_attention=record_attention
@@ -391,9 +430,7 @@ class Transformer:
         entry has been dropped (the serving engine's dispatch-count
         identity rests on this).  An index absent from the returned dict
         drops that entry from all remaining layers; ``on_error(entry,
-        layer, exc)`` likewise drops an entry whose cache append raised
-        (the caller rolls the dropped entry's caches back -- staged
-        attention mass is discarded by the rollback ``truncate``).
+        layer, exc)`` likewise drops an entry whose cache append raised.
         ``gather(layer_index, pairs)`` -- ``pairs`` a list of
         ``(entry_index, cache)`` -- may override how per-request KV views
         are materialised (the paged backend reads through
@@ -404,9 +441,15 @@ class Transformer:
         The default ``attend_batch`` executes the whole batch as one
         :func:`~repro.attention.packed.packed_decode_attention` dispatch
         per layer.  With ``record_attention=True`` each layer's attention
-        mass is recorded onto the caches; staged mass is committed only
-        after every layer ran, so a mid-model failure plus rollback never
-        double-counts a step.
+        mass is recorded onto its cache once the entry has finished the
+        step, after the last layer.
+
+        The step is atomic per entry: a dropped entry's caches (KV,
+        positions, attention mass, arena blocks) are as they were before
+        the call -- truncated back once the call ends, in entry order,
+        and never given mass -- and if the call raises, every entry's are
+        before the exception propagates.  A retry of the step therefore
+        neither double-appends nor double-counts.
 
         Returns one entry per input: the token's ``(vocab,)`` logits, or
         ``None`` for dropped entries.  Survivor logits -- and therefore
@@ -422,6 +465,18 @@ class Transformer:
         for _, _, caches in entries:
             if len(caches) != self.config.n_layers:
                 raise ModelError("caches must have one entry per layer")
+        return _atomic(
+            [caches for _, _, caches in entries],
+            lambda: self._decode_layers(
+                entries, attend_batch, record_attention, on_error, gather
+            ),
+        )
+
+    def _decode_layers(
+        self, entries, attend_batch, record_attention, on_error, gather
+    ) -> list:
+        """:meth:`decode_batch`'s layer loop; dropped entries come back
+        ``None`` with their caches as the loop left them."""
         n = len(entries)
         tokens = np.asarray([t for t, _, _ in entries], dtype=np.int64)
         xb = self.embed(tokens)  # row b bitwise == embed([token_b])
@@ -459,6 +514,8 @@ class Transformer:
                 }
 
         live = list(range(n))
+        # Per entry, (cache, probs) of every layer it attended at so far.
+        mass: list[list] = [[] for _ in range(n)]
         for i, layer in enumerate(self.layers):
             items: dict[int, tuple] = {}
             if live:
@@ -493,7 +550,7 @@ class Transformer:
             if record_attention:
                 for b in live:
                     if outs[b][1] is not None:
-                        entries[b][2][i].record_attention(outs[b][1])
+                        mass[b].append((entries[b][2][i], outs[b][1]))
             idx = np.asarray(live, dtype=np.int64)
             xb[idx] += layer.merge_decode(np.stack([outs[b][0] for b in live]))
             lw = layer.weights
@@ -502,20 +559,16 @@ class Transformer:
                     self._norm(xb[idx]), lw.mlp_w1, lw.mlp_w2, lw.mlp_w3,
                     decode_gemm,
                 )
-        # Commit staged attention mass only for surviving entries, after
-        # every layer ran (dropped entries' staged mass dies with the
-        # caller's rollback truncate).  Contiguous caches apply mass
-        # immediately and have no commit hook.
-        for b in live:
-            for cache in entries[b][2]:
-                commit = getattr(cache, "commit_attention", None)
-                if commit is not None:
-                    commit()
         results: list = [None] * n
         if live:
             logits = self.logits(xb[np.asarray(live, dtype=np.int64)])
             for j, b in enumerate(live):
                 results[b] = logits[j]
+        # Last, so nothing after it can fail: mass only for the entries
+        # that finished the step.
+        for b in live:
+            for cache, probs in mass[b]:
+                cache.record_attention(probs)
         return results
 
     # ------------------------------------------------------------ generate

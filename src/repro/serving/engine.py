@@ -38,10 +38,10 @@ production engine needs:
   tripping the guard is escalated down the ladder, every transition
   recorded in telemetry rather than failing the request;
 * **fault tolerance** -- per-request deadlines on the virtual clock,
-  bounded chunk retry with exponential backoff + jitter (KV caches are
-  rolled back before each retry), and an engine-wide
-  :class:`CircuitBreaker` that routes planning to validated dense fallback
-  after repeated CRA-guard violations.  A
+  bounded chunk retry with exponential backoff + jitter (a failed model
+  step leaves no trace: the model rolls its KV caches back before the
+  retry), and an engine-wide :class:`CircuitBreaker` that routes planning
+  to validated dense fallback after repeated CRA-guard violations.  A
   :class:`~repro.serving.faults.FaultInjector` can be attached to exercise
   all of it deterministically.
 
@@ -63,7 +63,7 @@ outside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,8 +161,9 @@ _MEMORY_BREAKER_THRESHOLD = 4
 _MEMORY_BREAKER_COOLDOWN_CHUNKS = 8
 #: Retry budget per prefill chunk, for transient
 #: :class:`~repro.errors.FaultInjectionError` failures and for arena
-#: exhaustion.  KV caches are rolled back before each retry, and attempt
-#: ``a`` bills a backoff of ``RETRY_BACKOFF_S * 2**a`` to the virtual clock
+#: exhaustion.  The failed step's KV caches are already rolled back (the
+#: model's atomic step) when the retry runs, and attempt ``a`` bills a
+#: backoff of ``RETRY_BACKOFF_S * 2**a`` to the virtual clock
 #: (times deterministic seeded jitter in ``[1, 1.5)`` for injected faults).
 #: A chunk still failing after the budget sheds the request (terminal,
 #: recorded as a ladder transition to ``"shed"``).
@@ -277,9 +278,9 @@ class _Attempt:
     """Routing state of one execution attempt of one job's chunk."""
 
     #: Layer at which to inject a transient attend failure (after earlier
-    #: layers already appended KV -- the partial state retry rolls back).
+    #: layers already appended KV -- the partial state the model rolls
+    #: back).
     fail_at: int | None
-    marks: list[int]  # per-layer cache lengths to roll back to
     elements0: float  # job.elements before the attempt (wall apportioning)
     breaker_dense: bool = False  # breaker-forced-dense counted already
     error: Exception | None = None  # why the attempt was abandoned
@@ -345,27 +346,13 @@ class EngineResult:
         return self.telemetry.summary()
 
     def to_dict(self) -> dict:
-        """Lossless JSON form (stable key ordering); inverse of
-        :meth:`from_dict`.  This is what a fleet worker reports for a
-        finished execution."""
+        """Lossless JSON form (stable key ordering): what the drills
+        compare bitwise."""
         return {
             "telemetry": self.telemetry.to_dict(),
             "method": self.method,
             "memory": self.memory,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineResult":
-        """Inverse of :meth:`to_dict`; rejects unknown keys so a payload of
-        another schema fails loudly at the fleet's process boundary."""
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown EngineResult fields {sorted(unknown)!r}")
-        return cls(
-            telemetry=MetricsRegistry.from_dict(data["telemetry"]),
-            method=str(data["method"]),
-            memory=dict(data.get("memory", {})),
-        )
 
 
 class ServingEngine:
@@ -765,7 +752,7 @@ class ServingEngine:
         else:
             tm.plan_hits += 1
             self._registry.inc("plan_cache_hits")
-        if not plan.validate(s_k=s_k):
+        if not plan.validate(s_q=s_q, s_k=s_k):
             self._record_violation(job, i, "invalid_plan")
             return None
         # Runtime CRA guard: the plan's own coverage accounting must
@@ -788,8 +775,8 @@ class ServingEngine:
         packed dispatch, the rest fall back to dense per item.  An entry
         whose attempt is due an injected transient fault at this layer is
         counted, recorded on ``attempt.error`` and left out of the result
-        (which drops it from the remaining layers); its caller rolls back
-        and retries.
+        (which drops it from the remaining layers, and the model rolls its
+        caches back); its caller retries.
         """
 
         def route(i, entries):
@@ -966,7 +953,6 @@ class ServingEngine:
                 if attempt < must_fail
                 else None
             ),
-            marks=[len(c) for c in job.caches],
             elements0=job.elements,
         )
 
@@ -983,11 +969,12 @@ class ServingEngine:
         Each attempt is the router with a single entry.  ``ok=False``
         means the chunk still failed after the budget (the caller sheds
         the request; the seconds spent are still billed).  A failed
-        attempt rolls the KV caches back to its marks; transient faults
-        retry after exponential backoff with seeded jitter, arena
-        exhaustion after walking the pressure ladder.  ``failed`` is a
-        packed step's abandoned fused attempt 0 (already billed into
-        ``seconds``), whose failure is handled here before attempt 1.
+        attempt's KV caches are already rolled back by the model;
+        transient faults retry after exponential backoff with seeded
+        jitter, arena exhaustion after walking the pressure ladder.
+        ``failed`` is a packed step's abandoned fused attempt 0 (already
+        billed into ``seconds``), whose failure is handled here before
+        attempt 1.
         """
         rid = job.request.request_id
         tm = job.telemetry
@@ -1017,8 +1004,6 @@ class ServingEngine:
                         ),
                         True,
                     )
-            for cache, mark in zip(job.caches, att.marks):
-                cache.truncate(mark)
             if isinstance(att.error, ArenaExhaustedError):
                 if not self._relieve_exhaustion(job, mem_attempts):
                     return seconds, False
@@ -1118,7 +1103,8 @@ class ServingEngine:
         Returns ``(virtual seconds, ok)`` per job, in ``jobs`` order.  The
         fused pass is every job's attempt 0.  A job that faults in it
         (injected attend failure, arena exhaustion) drops out of the
-        remaining layers without disturbing the others, then enters the
+        remaining layers without disturbing the others, its caches rolled
+        back by the model when the fused call ends, then enters the
         per-request :meth:`_retry_chunk` loop where that attempt failed --
         so the fault is counted once, breakers tick and fault hooks fire
         once per chunk, and retry/backoff/ladder semantics are the
@@ -1205,7 +1191,6 @@ class ServingEngine:
             mem_attempts = 0
             while True:
                 if not failed:
-                    marks = [len(c) for c in job.caches]
                     try:
                         logits = self.model.decode_step(
                             job.next_token,
@@ -1215,8 +1200,7 @@ class ServingEngine:
                         )
                         break
                     except ArenaExhaustedError:
-                        for cache, mark in zip(job.caches, marks):
-                            cache.truncate(mark)
+                        pass  # the model rolled the step back
                 failed = False
                 if not self._relieve_exhaustion(job, mem_attempts):
                     return False
@@ -1270,14 +1254,13 @@ class ServingEngine:
 
         Fault isolation mirrors :meth:`_run_packed_step`: a request whose
         cache append hits :class:`ArenaExhaustedError` mid-step drops out
-        of the fused steps, rolls back that step (caches to their pre-step
-        marks, which discards staged attention mass; the speculative
-        token and billed elements are undone), and enters the per-request
-        :meth:`_run_decode` where that step failed -- relief first, under
-        the same budget -- for the rest of its quantum, so the exhaustion
-        is counted once and the pressure ladder, retry counting and shed
-        decision are the per-request ones.  The fused steps' wall time is
-        apportioned by billed-element share.
+        of the fused steps (the model rolls its caches back; a token and
+        its billed elements are added only for a step it finishes) and
+        enters the per-request :meth:`_run_decode` where that step failed
+        -- relief first, under the same budget -- for the rest of its
+        quantum, so the exhaustion is counted once and the pressure
+        ladder, retry counting and shed decision are the per-request ones.
+        The fused steps' wall time is apportioned by billed-element share.
         """
         registry = self._registry
         cfg = self.model.config
@@ -1302,15 +1285,10 @@ class ServingEngine:
             ]
             if not stepping:
                 break
-            marks = {bi: [len(c) for c in jobs[bi].caches] for bi in stepping}
-            added = {}
             entries = []
             for bi in stepping:
                 job = jobs[bi]
                 assert job.next_token is not None
-                job.generated.append(job.next_token)
-                added[bi] = float(n_layers * h_kv * (len(job.caches[0]) + 1))
-                job.elements += added[bi]
                 entries.append((job.next_token, job.position, job.caches))
 
             results = self.model.decode_batch(
@@ -1328,12 +1306,11 @@ class ServingEngine:
                     # Abandon the fused attempt for this request: the
                     # per-request loop below relieves the exhaustion, then
                     # re-runs this step and the rest of the quantum.
-                    for cache, mark in zip(job.caches, marks[bi]):
-                        cache.truncate(mark)
-                    job.generated.pop()
-                    job.elements -= added[bi]
                     aborted[bi] = quanta[bi] - step
                     continue
+                job.generated.append(job.next_token)
+                # The cache now holds the step's token.
+                job.elements += float(n_layers * h_kv * len(job.caches[0]))
                 job.next_token = int(np.argmax(logits))
                 job.position += 1
                 job.decode_left -= 1

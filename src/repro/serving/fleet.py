@@ -8,9 +8,9 @@ that layer:
 * :class:`EngineWorker` -- one worker, wrapping a private
   ``ServingEngine`` (its own KV arena, plan cache, and PR-2
   CircuitBreaker -- per-worker degradation is free once the engine is
-  per-worker).  A finished execution reports the JSON payload
-  :meth:`~repro.serving.engine.EngineResult.to_dict`; a crashed one
-  reports nothing.
+  per-worker).  A finished execution reports its
+  :class:`~repro.serving.engine.EngineResult`; a crashed one reports
+  nothing.
 * :class:`FleetEngine` -- the front door.  Requests are admitted through
   the same :class:`~repro.serving.scheduler.AdmissionQueue` semantics the
   single engine uses, routed by a :class:`~repro.serving.router.Router`
@@ -120,15 +120,15 @@ class EngineWorker:
         request: Request,
         deadline_s: float | None,
         crash_frac: float | None,
-    ) -> tuple[str, dict | None, float]:
+    ) -> tuple[str, EngineResult | None, float]:
         """Synchronously serve one request (virtual time is not wall
         time, so blocking here costs nothing on the fleet clock).
 
-        Returns ``(status, payload, virtual_duration)``.  ``payload`` is
-        the :meth:`~repro.serving.engine.EngineResult.to_dict` of the
-        run, or ``None`` for a crashed execution (a dead worker reports
-        nothing); for a crash the duration is the fraction of the run's
-        virtual time that elapsed before death.
+        Returns ``(status, result, virtual_duration)``: the run's
+        :class:`~repro.serving.engine.EngineResult`, or ``None`` for a
+        crashed execution (a dead worker reports nothing); for a crash
+        the duration is the fraction of the run's virtual time that
+        elapsed before death.
         """
         assert self.engine is not None
         self.engine.deadline_s = deadline_s
@@ -139,7 +139,7 @@ class EngineWorker:
             duration = float(tms[0].finish)
         if crash_frac is not None:
             return "crashed", None, duration * float(crash_frac)
-        return "ok", result.to_dict(), duration
+        return "ok", result, duration
 
     def restart(self) -> None:
         """Bring up a fresh incarnation (supervisor restart action)."""
@@ -173,7 +173,7 @@ class _Inflight:
     epoch: int
     start: float
     finish: float  # virtual event time: delivery, or death for a crash
-    payload: dict | None
+    result: EngineResult | None
     crashed: bool
     stalled: bool
 
@@ -410,7 +410,7 @@ class FleetEngine:
             if infl.epoch != job.epoch or job.done:
                 registry.inc("fleet_stale_completions_fenced")
                 return
-            wres = EngineResult.from_dict(infl.payload)
+            wres = infl.result
             wtm = wres.telemetry.requests[0]
             for name in ("first_chunk_start", "first_token"):
                 value = getattr(wtm, name)
@@ -645,7 +645,7 @@ class FleetEngine:
         ws.exec_seq += 1
         ws.executions += 1
         crash_frac = inj.worker_crash(wid, seq) if inj is not None else None
-        status, payload, duration = ws.worker.execute(
+        status, result, duration = ws.worker.execute(
             wreq, remaining, crash_frac
         )
         stall = inj.worker_stall(wid, seq) if inj is not None else 1.0
@@ -657,7 +657,7 @@ class FleetEngine:
             epoch=job.epoch,
             start=t,
             finish=t + duration * stall,
-            payload=payload,
+            result=result,
             crashed=status == "crashed",
             stalled=stalled,
         )

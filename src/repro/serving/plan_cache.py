@@ -134,7 +134,7 @@ class PlanCache:
             plan = entry.plan.extended(s_q=s_q, s_k=s_k)
         except ConfigError:
             plan = None
-        if plan is None or not plan.validate(s_k=s_k):
+        if plan is None or not plan.validate(s_q=s_q, s_k=s_k):
             del self._entries[(request_id, layer)]
             self.stats.invalid += 1
             self.stats.misses += 1

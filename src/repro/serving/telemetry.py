@@ -8,13 +8,12 @@ rejections, plan-cache hit rate, dense fallbacks).  Both live here, in a
 the serving-side observability the paper's Appendix A.6 engineering
 discussion presumes.
 
-Every record is **losslessly JSON-serialisable**: ``to_dict``/``from_dict``
-round-trip :class:`RequestTelemetry`, :class:`MetricsRegistry`, and (via
+Every record is **losslessly JSON-serialisable**: ``to_dict`` emits
+:class:`RequestTelemetry`, :class:`MetricsRegistry`, and (via
 :meth:`~repro.serving.engine.EngineResult.to_dict`) whole engine results
-with stable key ordering -- the form a fleet worker reports its results in
-and the drills compare bitwise.  :meth:`MetricsRegistry.merge` folds one registry
-into another -- how the fleet aggregates per-worker registries into one
-fleet-wide view.
+with stable key ordering -- the form the drills compare bitwise.
+:meth:`MetricsRegistry.merge` folds one registry into another -- how the
+fleet aggregates per-worker registries into one fleet-wide view.
 """
 
 from __future__ import annotations
@@ -162,11 +161,10 @@ class RequestTelemetry:
         """Lossless JSON record: every field, declaration order.
 
         Unlike :meth:`as_dict` (a rounded reporting view with derived
-        columns), this is the wire format: ``from_dict(to_dict(tm)) ==
-        tm`` exactly, including ``None`` timestamps and the full
-        ``transitions`` audit trail.  Keys are emitted in dataclass
-        declaration order, so serialised records are byte-stable across
-        processes and runs.
+        columns), this is the serialised form: every field as it is,
+        including ``None`` timestamps and the full ``transitions`` audit
+        trail.  Keys are emitted in dataclass declaration order, so
+        serialised records are byte-stable across processes and runs.
         """
         out: dict = {}
         for f in fields(self):
@@ -175,28 +173,6 @@ class RequestTelemetry:
                 value = list(value)
             out[f.name] = value
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RequestTelemetry":
-        """Inverse of :meth:`to_dict`; rejects unknown keys so schema
-        drift fails loudly at the process boundary."""
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(
-                f"unknown RequestTelemetry fields {sorted(unknown)!r}"
-            )
-        tm = cls(
-            request_id=int(data["request_id"]),
-            arrival=float(data["arrival"]),
-            prompt_len=int(data["prompt_len"]),
-        )
-        for f in fields(cls):
-            if f.name in ("request_id", "arrival", "prompt_len"):
-                continue
-            if f.name in data:
-                setattr(tm, f.name, data[f.name])
-        return tm
 
     def as_dict(self) -> dict:
         """JSON-friendly flat record."""
@@ -339,9 +315,7 @@ class MetricsRegistry:
         """Lossless JSON snapshot with stable key ordering.
 
         Counters and series are emitted sorted by name; requests keep
-        insertion order.  ``from_dict(to_dict(r))`` reproduces the
-        registry exactly, so a fleet worker's reported registry merges
-        bitwise into the fleet's.
+        insertion order.
         """
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
@@ -350,19 +324,6 @@ class MetricsRegistry:
             },
             "requests": [t.to_dict() for t in self.requests],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsRegistry":
-        """Inverse of :meth:`to_dict`."""
-        reg = cls()
-        for name, value in data.get("counters", {}).items():
-            reg._counters[str(name)] = float(value)
-        for name, values in data.get("series", {}).items():
-            reg._series[str(name)] = [float(v) for v in values]
-        reg.requests = [
-            RequestTelemetry.from_dict(rec) for rec in data.get("requests", ())
-        ]
-        return reg
 
     def merge(self, other: "MetricsRegistry", *, requests: bool = True) -> None:
         """Fold ``other`` into this registry: counters sum, series extend,

@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from repro import pool
 from repro.attention import utils as attention_utils
+from repro.memory import KVArena, PagedLayerKVCache
 from repro.model import build_model
 
 # A property failure prints a ``@reproduce_failure`` blob next to the
@@ -152,3 +153,45 @@ def random_stripes(rng: np.random.Generator, h: int, s_k: int, share: float):
         np.sort(rng.choice(s_k, size=n, replace=False)).astype(np.int64)
         for _ in range(h)
     ]
+
+
+def arena_caches(model, n_blocks: int, block_tokens: int = 1):
+    """One request's per-layer caches on an arena of its own.  An append
+    from a block boundary takes the same number of blocks in any cache,
+    so an arena of ``n_blocks`` free blocks can be sized to run dry at a
+    chosen layer (one more block is reserved: a zero-block arena is not
+    one)."""
+    cfg = model.config
+    arena = KVArena(n_blocks + 1, cfg.n_kv_heads, block_tokens, cfg.d_head)
+    arena.reserve(1)
+    return [PagedLayerKVCache(arena) for _ in range(cfg.n_layers)]
+
+
+def cache_state(caches) -> list:
+    """Everything a step may touch in one request's caches: KV, positions,
+    attention mass and the arena's block count."""
+    return [caches[0].arena.blocks_in_use] + [
+        (c.keys.copy(), c.values.copy(), c.positions.copy(),
+         c.attention_mass().copy())
+        for c in caches
+    ]
+
+
+def assert_same_state(got: list, want: list) -> None:
+    assert got[0] == want[0]
+    for layer_got, layer_want in zip(got[1:], want[1:]):
+        for a, b in zip(layer_got, layer_want):
+            np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def drops(draw, n_entries: int, n_layers: int):
+    """Entries dropped from a step: entry -> (layer, how), ``how`` an
+    omitted attend or an append that runs the entry's arena dry."""
+    return draw(st.dictionaries(
+        st.integers(0, n_entries - 1),
+        st.tuples(
+            st.integers(0, n_layers - 1), st.sampled_from(["attend", "arena"])
+        ),
+        max_size=n_entries,
+    ))

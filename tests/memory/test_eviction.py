@@ -27,7 +27,6 @@ class TestHeavyHitter:
         probs[:, 0, 2] = 10.0
         probs[:, 0, 5] = 8.0
         cache.record_attention(probs)
-        cache.commit_attention()
         keep = H2OPolicy(budget=4).select(cache.attention_mass())
         for ix in keep:
             assert len(ix) == 4
@@ -46,7 +45,6 @@ class TestHeavyHitter:
         cache.record_attention(
             np.random.default_rng(1).random((H, 1, 4 * BT))
         )
-        cache.commit_attention()
         H2OPolicy(budget=BT).evict([cache])
         assert len(cache) == BT
         assert arena.blocks_in_use == 1

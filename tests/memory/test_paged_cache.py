@@ -109,7 +109,6 @@ class TestTruncateContract:
         arena, paged = make_pair()
         fill(paged, 4)
         paged.record_attention(np.full((4, 1, 4), 0.25))
-        paged.commit_attention()
         paged.truncate(2)
         assert float(paged._acc[:, 2:].sum()) == 0.0
 
@@ -261,25 +260,23 @@ class TestRecordAttention:
         fill(paged, 4)
         probs = np.full((4, 1, 4), 0.25)  # H_q=4 over H_kv=2
         paged.record_attention(probs)
-        # Mass is staged until the decode step commits.
-        np.testing.assert_allclose(paged._acc[:, :4], 0.0)
-        paged.commit_attention()
-        np.testing.assert_allclose(paged._acc[:, :4], 0.5)
+        np.testing.assert_allclose(paged.attention_mass(), 0.5)
 
-    def test_rollback_discards_staged_mass(self):
-        # A decode step that fails mid-model after this layer recorded must
-        # not double-count on retry: truncate discards the staged mass.
+    def test_accumulates_like_the_contiguous_cache(self):
+        # One helper feeds both caches' eviction statistic.
+        rng = np.random.default_rng(4)
         arena, paged = make_pair()
-        fill(paged, 4)
-        paged.record_attention(np.full((4, 1, 4), 0.25))
-        paged.commit_attention()
-        k = np.ones((2, 1, 8), dtype=np.float32)
-        paged.append(k, k, np.asarray([4]))
-        paged.record_attention(np.full((4, 1, 5), 0.2))  # failed attempt
-        paged.truncate(4)  # rollback to the pre-step mark
-        np.testing.assert_allclose(paged._acc[:, :4], 0.5)  # unchanged
-        paged.commit_attention()  # nothing staged: no-op
-        np.testing.assert_allclose(paged._acc[:, :4], 0.5)
+        contig = LayerKVCache(H, D)
+        for n in (3, 1, 1):
+            t = len(paged)
+            pair = fill(paged, n, start=t, rng=rng)
+            contig.append(*pair)
+            probs = rng.random((4, 1, t + n))
+            paged.record_attention(probs)
+            contig.record_attention(probs)
+        np.testing.assert_array_equal(
+            paged.attention_mass(), contig.attention_mass()
+        )
 
     def test_rejects_wrong_length(self):
         arena, paged = make_pair()
@@ -289,9 +286,9 @@ class TestRecordAttention:
 
     def test_failed_decode_step_does_not_double_count(self, glm_mini):
         # Exhaust the arena mid-model (a later layer's append) after
-        # earlier layers already attended: the engine-style rollback +
-        # retry must leave the heavy-hitter statistic identical to an
-        # uninterrupted run -- recorded mass commits only with the step.
+        # earlier layers already attended: the model rolls the step back
+        # and records no mass for it, so a retry leaves the heavy-hitter
+        # statistic identical to an uninterrupted run.
         cfg = glm_mini.config
         bt, steps = 4, 6
 
@@ -304,13 +301,14 @@ class TestRecordAttention:
                     # Leave one free block: layer 0 allocates it at the
                     # block boundary, a later layer's append then raises.
                     assert arena.reserve(arena.blocks_free - 1) > 0
-                    marks = [len(c) for c in caches]
+                    before = [c.attention_mass().copy() for c in caches]
                     with pytest.raises(ArenaExhaustedError):
                         glm_mini.decode_step(
                             token, step, caches, record_attention=True
                         )
-                    for c, mark in zip(caches, marks):
-                        c.truncate(mark)
+                    assert [len(c) for c in caches] == [step] * len(caches)
+                    for c, mass in zip(caches, before):
+                        np.testing.assert_array_equal(c.attention_mass(), mass)
                     arena.release_reserved()
                 logits = glm_mini.decode_step(
                     token, step, caches, record_attention=True

@@ -240,10 +240,10 @@ class TestDispatchContract:
 
 class TestRollbackReplay:
     """The serving engine's recovery protocol: a failed append drops the
-    entry, the caller truncates its caches back to the pre-step mark and
-    replays the step per-request.  The replayed request must end up
-    bitwise identical to one that never batched -- including the staged
-    H2O attention-mass statistic (no double-counting)."""
+    entry, the model truncates its caches back to their lengths before
+    the step, and the caller replays the step per-request.  The replayed
+    request must end up bitwise identical to one that never batched --
+    including the H2O attention-mass statistic (no double-counting)."""
 
     def _fail_append_once(self, cache, at_call=1):
         orig, state = cache.append, {"calls": 0}
@@ -275,13 +275,14 @@ class TestRollbackReplay:
         np.testing.assert_array_equal(results[2], ref[2][0])
 
     def test_replay_after_rollback_no_double_counted_mass(self, model):
-        """Fail entry 0's append at layer 1 (layer 0 already recorded its
-        staged mass), roll back, replay sequentially: attention mass must
-        match a never-batched run bitwise."""
+        """Fail entry 0's append at layer 1 (layer 0 already attended),
+        replay sequentially: attention mass must match a never-batched
+        run bitwise."""
         bat = paged_caches(model, PROMPTS[:2])
         # Layer-1 cache append #1 (first batched step) raises.
         self._fail_append_once(bat[0][1], at_call=1)
         marks = [len(c) for c in bat[0]]
+        mass = [c.attention_mass().copy() for c in bat[0]]
         dropped = []
         entries = [
             (int(p[-1]), len(p), bat[b])
@@ -293,10 +294,11 @@ class TestRollbackReplay:
             on_error=lambda b, layer, exc: dropped.append((b, layer)),
         )
         assert dropped == [(0, 1)] and results[0] is None
-        # Engine protocol: truncate the dropped entry back to its marks
-        # (discarding layer 0's staged mass), then replay per-request.
-        for cache, mark in zip(bat[0], marks):
-            cache.truncate(mark)
+        # The model already rolled the dropped entry back: its lengths and
+        # mass are the pre-step ones (layer 0's mass was never recorded).
+        assert [len(c) for c in bat[0]] == marks
+        for cache, before in zip(bat[0], mass):
+            np.testing.assert_array_equal(cache.attention_mass(), before)
         replayed = model.decode_step(
             int(PROMPTS[0][-1]), len(PROMPTS[0]), bat[0],
             record_attention=True,

@@ -13,15 +13,33 @@ Items are built the way serving builds them: K/V are the live prefixes
 of over-allocated caches (strided views), on the contiguous backend and
 on the paged backend with interleaved appends so block tables fragment
 and reads come from both the arena view and the mirror.
+
+A whole model step is atomic per entry: an entry dropped at any layer --
+its attend omitted, or its append running a small arena dry -- leaves its
+caches (KV, positions, attention mass) and its arena as they were before
+the call, so does every entry of a call that raises, and the survivors'
+logits and recorded mass are bitwise those of stepping alone.
 """
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attention.packed import PackedDecodeItem, packed_decode_attention
 from repro.audit.oracles import check_decode_batch
+from repro.errors import ArenaExhaustedError
 from repro.memory import KVArena, PagedLayerKVCache
+from repro.model import ModelConfig, Transformer
 from repro.model.kv_cache import LayerKVCache
+from repro.model.weights import random_weights
+from tests.conftest import (
+    arena_caches,
+    assert_same_state,
+    cache_state,
+    drops,
+)
 
 H_KV, D, BLOCK_TOKENS = 2, 16, 16
 
@@ -126,3 +144,86 @@ class TestBatchInvariance:
         ]
         _check(items)  # outputs in the query's dtype included
         assert packed_decode_attention(items).outputs[0].dtype == np.float64
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_model() -> Transformer:
+    config = ModelConfig(
+        n_layers=3, n_heads=4, n_kv_heads=2, d_embed=8, d_head=16, rot_dim=4,
+        vocab_size=64, norm="rms", mlp_ratio=2.0, name="tiny",
+    )
+    return Transformer(random_weights(config, seed=1, scale=0.3))
+
+
+class TestAtomicModelStep:
+    @given(
+        prompts=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_dropped_entries_leave_no_trace(self, prompts, data):
+        """Each request prefills its prompt and takes one recorded decode
+        step (so its caches hold mass), then steps once more in a batch
+        from which ``dropped`` removes some entries at a drawn layer."""
+        model = _tiny_model()
+        n_layers = model.config.n_layers
+        dropped = data.draw(drops(len(prompts), n_layers))
+        raising = data.draw(st.booleans()) and any(
+            how == "arena" for _, how in dropped.values()
+        )
+
+        def warm(b, room):
+            n = prompts[b]
+            caches = arena_caches(model, (n + 1) * n_layers + room)
+            rng = np.random.default_rng(b)
+            tokens = rng.integers(0, model.config.vocab_size, n)
+            model.prefill(tokens, caches=caches)
+            model.decode_step(7, n, caches, record_attention=True)
+            return caches
+
+        def attend_batch(i, items):
+            keep = {
+                b: it for b, it in items.items()
+                if dropped.get(b) != (i, "attend")
+            }
+            res = packed_decode_attention(
+                [PackedDecodeItem(q=q, k=k, v=v, scale=s)
+                 for q, k, v, s in keep.values()],
+                return_probs=True,
+            )
+            return {b: (res.outputs[j], res.probs[j]) for j, b in enumerate(keep)}
+
+        alone = []
+        for b, n in enumerate(prompts):
+            caches = warm(b, n_layers)
+            logits = model.decode_step(3, n + 1, caches, record_attention=True)
+            alone.append((logits, cache_state(caches)))
+
+        batch = []
+        for b in range(len(prompts)):
+            layer, how = dropped.get(b, (n_layers, None))
+            batch.append(warm(b, layer if how == "arena" else n_layers))
+        before = [cache_state(caches) for caches in batch]
+        entries = [(3, n + 1, caches) for n, caches in zip(prompts, batch)]
+        failed = []
+        if raising:
+            with pytest.raises(ArenaExhaustedError):
+                model.decode_batch(entries, attend_batch, record_attention=True)
+            results = [None] * len(prompts)
+        else:
+            results = model.decode_batch(
+                entries, attend_batch, record_attention=True,
+                on_error=lambda b, i, exc: failed.append((b, i, exc)),
+            )
+            assert {(b, i) for b, i, _ in failed} == {
+                (b, layer) for b, (layer, how) in dropped.items()
+                if how == "arena"
+            }
+            assert all(isinstance(e, ArenaExhaustedError) for *_, e in failed)
+        for b, caches in enumerate(batch):
+            if raising or b in dropped:
+                assert results[b] is None
+                assert_same_state(cache_state(caches), before[b])
+            else:
+                np.testing.assert_array_equal(results[b], alone[b][0])
+                assert_same_state(cache_state(caches), alone[b][1])

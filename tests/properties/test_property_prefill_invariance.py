@@ -25,13 +25,17 @@ The model side of a prefill step is held to the same standard: the q/k/v
 and output projections of all co-scheduled chunks are one token-packed
 GEMM each, so every chunk's rows must come out bitwise as if the chunk
 were projected alone -- whatever the batch, its order, or how many pool
-workers split the rows.
+workers split the rows.  And the step is atomic per chunk: a chunk
+dropped at any layer -- its attend omitted, or its append running a
+small arena dry -- leaves its caches and its arena as they were before
+the call, and so does every chunk of a call that raises.
 """
 
 import functools
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.attention.packed as packed_mod
@@ -42,9 +46,19 @@ from repro.attention import (
 )
 from repro.attention.packed import PackedItem
 from repro.audit.oracles import check_prefill_batch, hand_built_plan
+from repro.errors import ArenaExhaustedError
 from repro.model import ModelConfig, Transformer, build_model
 from repro.model.weights import random_weights
-from tests.conftest import own_workspace, random_qkv, random_stripes, record_threads
+from tests.conftest import (
+    arena_caches,
+    assert_same_state,
+    cache_state,
+    drops,
+    own_workspace,
+    random_qkv,
+    random_stripes,
+    record_threads,
+)
 
 H_KV, D = 2, 16
 
@@ -229,13 +243,23 @@ class TestTokenPackedProjections:
     @settings(max_examples=10, deadline=None)
     def test_prefill_step_equals_each_request_alone(self, lengths, model, data):
         """Whole layers: chunk ``j`` continues a cached ``5 j``-token prefix,
-        so positions and key lengths differ across the batch."""
+        so positions and key lengths differ across the batch.  Request
+        ``j`` is dropped from the step when ``dropped`` names it: its
+        attend is left out at that layer, or its arena has room for the
+        layers before it only (prefixes end on a 5-token block
+        boundary).  With ``raising`` an arena drop fails the whole call
+        instead (no ``on_error``)."""
         model = _model(model)
+        n_layers = model.config.n_layers
         rng = np.random.default_rng(sum(lengths))
         tokens = [
             rng.integers(0, model.config.vocab_size, 5 * j + n)
             for j, n in enumerate(lengths)
         ]
+        dropped = data.draw(drops(len(lengths), n_layers))
+        raising = data.draw(st.booleans()) and any(
+            how == "arena" for _, how in dropped.values()
+        )
 
         def attend_batch(i, entries):
             return {
@@ -243,11 +267,13 @@ class TestTokenPackedProjections:
                 for b, (q, keys, values, scale) in entries.items()
             }
 
-        def step(order):
+        def step(order, dropped, raising=False):
             chunks = []
             for j in order:
-                start = 5 * j
-                caches = model.new_caches(capacity=tokens[j].size)
+                start, n = 5 * j, lengths[j]
+                layer, how = dropped.get(j, (n_layers, None))
+                room = -(-n // 5) * (layer if how == "arena" else n_layers)
+                caches = arena_caches(model, j * n_layers + room, 5)
                 if start:
                     model.prefill_chunk_batch(
                         [(tokens[j][:start], np.arange(start), caches)],
@@ -255,13 +281,44 @@ class TestTokenPackedProjections:
                     )
                 positions = np.arange(start, tokens[j].size)
                 chunks.append((tokens[j][start:], positions, caches))
-            return model.prefill_chunk_batch(chunks, attend_batch)
+            omit = {
+                (order.index(j), layer)
+                for j, (layer, how) in dropped.items() if how == "attend"
+            }
 
-        alone = [step([j])[0] for j in range(len(lengths))]
+            def attend_some(i, entries):
+                return attend_batch(
+                    i, {b: e for b, e in entries.items() if (b, i) not in omit}
+                )
+
+            before = [cache_state(caches) for *_, caches in chunks]
+            failed = []
+            if raising:
+                with pytest.raises(ArenaExhaustedError):
+                    model.prefill_chunk_batch(chunks, attend_some)
+                out = [None] * len(chunks)
+            else:
+                out = model.prefill_chunk_batch(
+                    chunks, attend_some,
+                    on_error=lambda b, i, exc: failed.append((order[b], i, exc)),
+                )
+                assert {(j, i) for j, i, _ in failed} == {
+                    (j, layer) for j, (layer, how) in dropped.items()
+                    if how == "arena"
+                }
+                assert all(isinstance(e, ArenaExhaustedError) for *_, e in failed)
+            for (*_, caches), state, x, j in zip(chunks, before, out, order):
+                if raising or j in dropped:
+                    assert x is None
+                    assert_same_state(cache_state(caches), state)
+            return out
+
+        alone = [step([j], {})[0] for j in range(len(lengths))]
         order = data.draw(st.permutations(range(len(lengths))))
-        packed = step(order)
+        packed = step(order, dropped, raising)
         for slot, j in enumerate(order):
-            np.testing.assert_array_equal(packed[slot], alone[j])
+            if not raising and j not in dropped:
+                np.testing.assert_array_equal(packed[slot], alone[j])
 
 
 class TestLongRequestsStepTogether:

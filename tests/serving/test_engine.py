@@ -162,13 +162,22 @@ class TestBackpressure:
         assert summ["n_completed"] == 3
 
 
-def _corrupt_every_plan(monkeypatch, **changes):
-    """Every plan the provider hands the engine has ``changes`` applied."""
+def _corrupt_every_plan(monkeypatch, request_id=None, **changes):
+    """Every plan the provider hands the engine -- for ``request_id`` only,
+    when given -- has ``changes`` applied."""
     import dataclasses
 
     import repro.serving.engine as engine_mod
 
     real_make = engine_mod.make_provider
+    planning = [request_id]  # the request whose call is being planned
+    real_gauntlet = engine_mod.ServingEngine._sparse_plan
+
+    def gauntlet(self, job, *args):
+        planning[0] = job.request.request_id
+        return real_gauntlet(self, job, *args)
+
+    monkeypatch.setattr(engine_mod.ServingEngine, "_sparse_plan", gauntlet)
 
     def corrupt_provider(name):
         real = real_make(name)
@@ -178,6 +187,8 @@ def _corrupt_every_plan(monkeypatch, **changes):
 
             def plan(self, *args, **kwargs):
                 plan = real.plan(*args, **kwargs)
+                if request_id is not None and planning[0] != request_id:
+                    return plan
                 return dataclasses.replace(
                     plan, **{f: fn(plan) for f, fn in changes.items()}
                 )
@@ -308,6 +319,46 @@ class TestDenseIsAnItemOnThePackedKernel:
         engine = make_engine(glm_mini, method="sample")
         with pytest.raises(ShapeError):
             engine.run(burst(n=1, decode_tokens=1))
+
+    def test_stale_query_length_degrades_its_item_alone(
+        self, glm_mini, monkeypatch
+    ):
+        import repro.serving.engine as engine_mod
+
+        # Request 0's plans claim another chunk length: validate() refuses
+        # them, so they fall back to dense one by one and never reach the
+        # dispatch that request 1's good plans share.
+        _corrupt_every_plan(
+            monkeypatch, request_id=0, s_q=lambda plan: plan.s_q + 1
+        )
+        real = engine_mod.packed_block_sparse_attention
+        widths = []
+
+        def spy(items, **kw):
+            widths.append(len(items))
+            return real(items, **kw)
+
+        monkeypatch.setattr(engine_mod, "packed_block_sparse_attention", spy)
+        monkeypatch.setattr(plan_cache, "REPLAN_INTERVAL", 1)
+        engine = make_engine(
+            glm_mini,
+            method="sample",
+            batching="packed",
+            scheduler="round_robin",
+            degrade_after=10**6,
+            breaker_threshold=10**6,
+        )
+        res = engine.run(burst(n=2, prompt_len=self.PROMPT_LEN, decode_tokens=3))
+        attempts = 3 * (glm_mini.config.n_layers - 1) + 1
+        assert widths == [1] * attempts
+        assert len(res.completed) == 2
+        counters = res.telemetry
+        assert counters.counter("cra_violation_invalid_plan") == attempts
+        assert counters.counter("cra_violation_kernel_error") == 0
+        assert counters.counter("kernel_packed_dispatches") == attempts
+        stale, good = sorted(res.requests, key=lambda tm: tm.request_id)
+        assert stale.plan_fallbacks == attempts
+        assert good.plan_fallbacks == 0
 
 
 class TestOnlyTheFinalChunkIsRead:

@@ -51,6 +51,12 @@ class TestSparsePlanExtended:
     def test_validate_accepts_fresh_plan(self, plan):
         assert plan.validate()
         assert plan.validate(s_k=plan.s_k + 64)
+        assert plan.validate(s_q=plan.s_q, s_k=plan.s_k)
+
+    def test_validate_rejects_another_query_length(self, plan):
+        # A plan built for another chunk length must not reach the kernel.
+        assert not plan.validate(s_q=plan.s_q + 1)
+        assert not plan.validate(s_q=plan.s_q - 1, s_k=plan.s_k)
 
     def test_validate_catches_corruption(self, plan):
         bad = dataclasses.replace(plan, window=0)

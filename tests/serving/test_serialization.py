@@ -1,25 +1,22 @@
-"""Property tests for the telemetry wire format.
+"""Property tests for the telemetry's JSON form.
 
-The fleet ships :class:`~repro.serving.EngineResult` payloads across a
-process boundary as JSON dicts, and the drills compare serialised
-summaries bitwise across runs.  Both hinge on the round-trip laws pinned
-here with hypothesis:
+The drills compare serialised summaries bitwise across runs, and the
+reports write them out.  Both hinge on the laws pinned here with
+hypothesis, for :class:`RequestTelemetry`, :class:`MetricsRegistry` and
+:class:`EngineResult`:
 
-* ``from_dict(to_dict(x))`` reproduces ``x`` exactly (including ``None``
-  timestamps and nested lists) for :class:`RequestTelemetry`,
-  :class:`MetricsRegistry`, and :class:`EngineResult`;
 * ``to_dict`` output survives an actual ``json.dumps``/``loads`` cycle
-  unchanged;
+  unchanged (including ``None`` timestamps and nested lists);
 * key order is deterministic, so equal values serialise to equal bytes.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
 from repro.serving import EngineResult, MetricsRegistry, RequestTelemetry
 
 finite = st.floats(
@@ -103,33 +100,25 @@ def registries(draw):
 
 
 class TestRequestTelemetryRoundTrip:
-    @settings(max_examples=100, deadline=None)
-    @given(telemetry_records())
-    def test_roundtrip_is_identity(self, tm):
-        assert RequestTelemetry.from_dict(tm.to_dict()) == tm
-
     @settings(max_examples=50, deadline=None)
     @given(telemetry_records())
     def test_survives_json_and_key_order_is_stable(self, tm):
         d = tm.to_dict()
-        wire = json.loads(json.dumps(d))
-        assert RequestTelemetry.from_dict(wire) == tm
+        assert list(d) == [f.name for f in dataclasses.fields(tm)]
+        assert d == {f: getattr(tm, f) for f in d}
+        assert json.loads(json.dumps(d)) == d
         assert json.dumps(d) == json.dumps(tm.to_dict())
-
-    def test_unknown_keys_rejected(self):
-        d = RequestTelemetry(0, 0.0, 1).to_dict()
-        d["surprise"] = 1
-        with pytest.raises(ConfigError):
-            RequestTelemetry.from_dict(d)
 
 
 class TestMetricsRegistryRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(registries())
     def test_roundtrip_preserves_counters_series_requests(self, reg):
-        clone = MetricsRegistry.from_dict(json.loads(json.dumps(reg.to_dict())))
-        assert clone.to_dict() == reg.to_dict()
-        assert clone.requests == reg.requests
+        d = reg.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert d["requests"] == [tm.to_dict() for tm in reg.requests]
+        for name, value in d["counters"].items():
+            assert reg.counter(name) == value
 
     @settings(max_examples=30, deadline=None)
     @given(registries())
@@ -141,7 +130,8 @@ class TestMetricsRegistryRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(registries(), registries())
     def test_merge_sums_counters_and_concatenates(self, a, b):
-        merged = MetricsRegistry.from_dict(a.to_dict())
+        merged = MetricsRegistry()
+        merged.merge(a)
         merged.merge(b)
         for name in set(a.to_dict()["counters"]) | set(b.to_dict()["counters"]):
             assert merged.counter(name) == pytest.approx(
@@ -158,13 +148,8 @@ class TestEngineResultRoundTrip:
             telemetry=reg, method="sample",
             memory={"arena": {"capacity": 4}},
         )
-        clone = EngineResult.from_dict(json.loads(json.dumps(res.to_dict())))
-        assert clone.to_dict() == res.to_dict()
-        assert clone.method == "sample"
-        assert clone.requests == res.requests
-
-    def test_unknown_keys_rejected(self):
-        d = EngineResult(telemetry=MetricsRegistry(), method="sample").to_dict()
-        d["stages"] = {}
-        with pytest.raises(ConfigError):
-            EngineResult.from_dict(d)
+        d = res.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert d["telemetry"] == reg.to_dict()
+        assert d["method"] == "sample"
+        assert json.dumps(d) == json.dumps(res.to_dict())
