@@ -377,8 +377,8 @@ def _check_paged(case: GeometryCase) -> CaseResult:
     """Paged-KV gather vs the contiguous cache oracle.
 
     Mirrors one request's cache life: chunked appends with a mid-stream
-    rollback, a copy-on-write fork off an adopted shared prefix, and a
-    heavy-hitter-shaped eviction -- each driven identically into a
+    rollback and a copy-on-write fork off an adopted shared prefix --
+    each driven identically into a
     :class:`PagedLayerKVCache` and a contiguous :class:`LayerKVCache`.
     The paged views must be *bitwise* equal (a gather moves bytes, it does
     no arithmetic), and attention computed through them must stay within
@@ -388,7 +388,7 @@ def _check_paged(case: GeometryCase) -> CaseResult:
     rng = np.random.default_rng(case.seed + 3)
     bt = case.block_size  # reuse the fuzzed tile size as paging granularity
     blocks_needed = -(-case.s_k // bt)
-    # Room for the request, a forked sibling, and fork/eviction slack.
+    # Room for the request, a forked sibling, and fork slack.
     arena = KVArena(
         n_blocks=3 * blocks_needed + 4,
         n_kv_heads=case.h_kv,
@@ -465,24 +465,6 @@ def _check_paged(case: GeometryCase) -> CaseResult:
             return fail("copy-on-write fork mutated the donor's shared block")
         if not sibling_prefix_ok:
             return fail("forked sibling's gather differs from its oracle")
-        checks += 1
-
-    # Rectangular eviction must commute with paging.
-    if len(contig) > 1:
-        keep_n = max(1, len(contig) // 2)
-        keep = [
-            np.sort(
-                rng.choice(len(contig), size=keep_n, replace=False)
-            ).astype(np.int64)
-            for _ in range(case.h_kv)
-        ]
-        paged.evict(keep)
-        contig.evict(keep)
-        if not (
-            np.array_equal(paged.keys, contig.keys)
-            and np.array_equal(paged.values, contig.values)
-        ):
-            return fail("post-eviction gather differs")
         checks += 1
 
     paged.release()

@@ -66,7 +66,7 @@ class ArenaExhaustedError(ReproError, MemoryError):
     use (or reserved by an injected arena-exhaustion fault).  The serving
     engine treats this as the memory-pressure analogue of a transient
     fault: it rolls the in-flight quantum back, runs the pressure ladder
-    (registry shrink -> live eviction -> shed), and
+    (registry shrink -> shed), and
     retries under a bounded budget.
     """
 

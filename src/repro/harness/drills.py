@@ -19,7 +19,8 @@ recovery invariant, and zero leaked arena blocks.
   at least :data:`CAPACITY_GAIN_FLOOR` times the contiguous session count
   in one fixed arena; the paged engine adopts shared prefixes and matches
   the contiguous backend's outcomes under dense attention; the scenario
-  plus arena-exhaustion bursts on a deliberately tight arena recovers.
+  plus arena-exhaustion bursts on a deliberately tight arena completes
+  every request, sheds none, and relieves every exhaustion losslessly.
 * **fleet** -- the supervised multi-worker layer: the scenario plus worker
   crashes, stalls and heartbeat loss sees at least :data:`CRASH_FLOOR`
   crashes recovered with zero lost and zero duplicated requests; plan
@@ -541,26 +542,43 @@ def _pressure_recovery_gate(model, seed: int, quick: bool) -> dict:
         lambda: ServingEngine(model, **kwargs).run(list(scenario.requests)),
         scenario.requests,
     )
+    counters = _counters(
+        result,
+        (
+            "n_requests",
+            "n_completed",
+            "n_rejected",
+            "n_shed",
+            "faults_injected",
+            "chunk_retries",
+            "arena_exhaustion_events",
+            "memory_pressure_relief",
+            "memory_sheds",
+            "memory_breaker_trips",
+            "memory_breaker_rejections",
+            "circuit_breaker_trips",
+        ),
+    )
+    # Pressure is relieved losslessly: every request completes, none is
+    # shed, and every exhaustion was relieved by the registry rung.
+    if counters["n_completed"] != len(scenario.requests):
+        raise ReproError(
+            f"paged fault drill completed {counters['n_completed']} of "
+            f"{len(scenario.requests)} requests"
+        )
+    if counters["memory_sheds"]:
+        raise ReproError(
+            f"paged fault drill shed {counters['memory_sheds']} requests "
+            "under memory pressure"
+        )
+    if counters["memory_pressure_relief"] != counters["arena_exhaustion_events"]:
+        raise ReproError(
+            f"paged fault drill relieved {counters['memory_pressure_relief']} "
+            f"of {counters['arena_exhaustion_events']} arena exhaustions"
+        )
     return {
         "arena_blocks": arena_blocks,
-        "counters": _counters(
-            result,
-            (
-                "n_requests",
-                "n_completed",
-                "n_rejected",
-                "n_shed",
-                "faults_injected",
-                "chunk_retries",
-                "arena_exhaustion_events",
-                "memory_pressure_relief",
-                "kv_evictions",
-                "memory_sheds",
-                "memory_breaker_trips",
-                "memory_breaker_rejections",
-                "circuit_breaker_trips",
-            ),
-        ),
+        "counters": counters,
         "pressure": result.memory["pressure"],
         "arena": result.memory["arena"],
     }
@@ -589,7 +607,8 @@ _MEMORY = _Drill(
             "pressure_recovery",
             _pressure_recovery_gate,
             "Memory drill gate 3: the chaos scenario on the paged engine "
-            "(tight arena, exhaustion bursts; invariants held, bitwise "
+            "(tight arena, exhaustion bursts; every request completed, none "
+            "shed, every exhaustion relieved, invariants held, bitwise "
             "deterministic, zero blocks leaked)",
         ),
     ),

@@ -6,16 +6,16 @@ block tables over one global :class:`KVArena`:
 
 * :class:`KVArena` -- fixed-size KV blocks, O(1) free-list alloc/free,
   refcounts, zero-copy views over contiguous block runs.
-* :class:`PagedLayerKVCache` -- drop-in ``LayerKVCache`` replacement
-  holding a block table; copy-on-write forking, atomic appends, and an
+* :class:`PagedLayerKVCache` -- the model's ``LayerKVCache`` surface
+  over a block table; copy-on-write forking, atomic appends, and an
   incremental contiguous mirror so a read feeding the existing kernels
   copies only the tokens appended since the last one.
 * :class:`PrefixSharingRegistry` -- chain-hashed token prefixes map to
   physical blocks so repeated system prompts share storage.
-* :class:`MemoryPressureController` -- the ``evict -> shed``
-  degradation rung the serving engine walks on
-  :class:`~repro.errors.ArenaExhaustedError`; its live eviction ranks keys
-  with :class:`~repro.baselines.h2o.H2OPolicy`.
+* :class:`MemoryPressureController` -- the ``evict -> shed`` ladder the
+  serving engine walks on :class:`~repro.errors.ArenaExhaustedError`:
+  ``evict`` drops prefix-registry refs (lossless), ``shed`` gives up the
+  requester.  No rung drops a live request's KV.
 """
 
 from .arena import KVArena

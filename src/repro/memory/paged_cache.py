@@ -1,13 +1,15 @@
 """Per-layer paged KV cache: a block table over the global arena.
 
-:class:`PagedLayerKVCache` is a drop-in replacement for
-:class:`repro.model.kv_cache.LayerKVCache` -- same ``append`` / ``keys`` /
-``values`` / ``positions`` / ``truncate`` / ``record_attention`` /
-``evict`` surface, so :meth:`repro.model.transformer.Transformer.
+:class:`PagedLayerKVCache` stands in for
+:class:`repro.model.kv_cache.LayerKVCache` wherever the model reads and
+writes KV -- same ``append`` / ``keys`` / ``values`` / ``positions`` /
+``truncate`` surface, so :meth:`repro.model.transformer.Transformer.
 prefill_chunk` and ``decode_step`` run unchanged on it -- but the physical
 storage lives in a shared :class:`~repro.memory.KVArena` and the cache
-itself holds only a *block table* (list of block ids), absolute positions,
-and the eviction statistic.
+itself holds only a *block table* (list of block ids) and absolute
+positions.  It never drops a token it holds: memory pressure is relieved
+by the prefix registry or by shedding a request, never by evicting KV
+(``docs/MEMORY.md``, *Decided: no live eviction*).
 
 Semantics beyond the contiguous cache:
 
@@ -24,7 +26,7 @@ Semantics beyond the contiguous cache:
   tokens past the watermark out of the arena: a prefill chunk costs
   O(chunk) and a decode step O(1) instead of O(prefix).  Coherence:
   ``truncate(n)`` lowers the watermark to ``min(watermark, n)``;
-  ``release``/``evict`` drop the mirror; a copy-on-write fork copies
+  ``release`` drops the mirror; a copy-on-write fork copies
   identical bytes and invalidates nothing; an adopted shared prefix is
   copied once, on first read.  A table that *is* one run still gets the
   arena's zero-copy view.  The mirror is compute staging outside the
@@ -40,7 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArenaExhaustedError, ModelError
-from ..model.kv_cache import accumulate_attention
 from .arena import KVArena
 
 __all__ = ["PagedLayerKVCache"]
@@ -59,9 +60,6 @@ class PagedLayerKVCache:
         self._blocks: list[int] = []
         self._len = 0
         self._pos = np.zeros(arena.block_tokens, dtype=np.int64)
-        self._acc = np.zeros(
-            (arena.n_kv_heads, arena.block_tokens), dtype=np.float64
-        )
         # Contiguous mirror of tokens [0, _mirrored) of the table, see kv().
         self._mirror_k: np.ndarray | None = None
         self._mirror_v: np.ndarray | None = None
@@ -69,8 +67,6 @@ class PagedLayerKVCache:
         self._capacity = capacity
         #: Tokens adopted from the prefix-sharing registry at creation.
         self.shared_tokens = 0
-        #: Eviction passes applied to this cache (telemetry).
-        self.evictions = 0
         #: Tokens reads have copied out of the arena (monotone, telemetry).
         self.copied_tokens = 0
 
@@ -156,11 +152,6 @@ class PagedLayerKVCache:
     def values(self) -> np.ndarray:
         return self.kv()[1]
 
-    def attention_mass(self) -> np.ndarray:
-        """Accumulated per-key attention mass, ``(H_kv, len)``: same
-        surface as :meth:`LayerKVCache.attention_mass`."""
-        return self._acc[:, : self._len]
-
     # ---------------------------------------------------------------- growth
     def _grow_meta(self, needed: int) -> None:
         cap = self._pos.shape[0]
@@ -170,9 +161,6 @@ class PagedLayerKVCache:
         pos = np.zeros(new_cap, dtype=np.int64)
         pos[:cap] = self._pos
         self._pos = pos
-        acc = np.zeros((self._acc.shape[0], new_cap), dtype=np.float64)
-        acc[:, :cap] = self._acc
-        self._acc = acc
 
     def _fork(self, block_index: int) -> int:
         """Copy-on-write: replace a shared block with a private copy."""
@@ -262,7 +250,6 @@ class PagedLayerKVCache:
         need = (length + bt - 1) // bt
         while len(self._blocks) > need:
             self.arena.decref(self._blocks.pop())
-        self._acc[:, length : self._len] = 0.0
         self._len = length
         self._mirrored = min(self._mirrored, length)
 
@@ -271,80 +258,6 @@ class PagedLayerKVCache:
         or shed): a released cache pins no KV bytes anywhere."""
         while self._blocks:
             self.arena.decref(self._blocks.pop())
-        self._acc[:, : self._len] = 0.0
         self._len = 0
         self._mirror_k = self._mirror_v = None
         self._mirrored = 0
-
-    # ------------------------------------------------------------- attention
-    def record_attention(self, probs: np.ndarray) -> None:
-        """Accumulate decode-step attention mass ``(H_q, 1, len)`` onto the
-        heavy-hitter eviction statistic
-        (:func:`~repro.model.kv_cache.accumulate_attention`).  The model
-        records a step's mass only once the step has finished, so a
-        rolled-back step leaves none behind."""
-        accumulate_attention(self._acc, probs, self._len)
-
-    # -------------------------------------------------------------- eviction
-    def evict(self, keep_per_head: list[np.ndarray]) -> None:
-        """Retain only ``keep_per_head`` indices (same rectangular contract
-        as the contiguous cache).  The kept entries are gathered out first
-        and rewritten into freshly allocated blocks, so shared blocks are
-        released -- never mutated -- by eviction (CoW-safe)."""
-        h_kv = self._acc.shape[0]
-        if len(keep_per_head) != h_kv:
-            raise ModelError(
-                f"evict: got {len(keep_per_head)} index sets for {h_kv} heads"
-            )
-        sizes = {len(ix) for ix in keep_per_head}
-        if len(sizes) != 1:
-            raise ModelError(f"evict: ragged keep sizes {sorted(sizes)}")
-        new_len = sizes.pop()
-        if new_len > self._len:
-            raise ModelError("evict: keep set larger than cache")
-        bt = self.arena.block_tokens
-        # Atomicity pre-check: release() only returns blocks whose last
-        # reference is ours, so CoW-shared blocks (refcount above our own
-        # reference count) free nothing.  If the blocks we would net-free
-        # plus the current free list cannot cover the rewrite, fail BEFORE
-        # destroying any state -- the pressure controller skips this
-        # victim and tries the next rung instead.
-        held: dict[int, int] = {}
-        for bid in self._blocks:
-            held[bid] = held.get(bid, 0) + 1
-        would_free = sum(
-            1 for bid, n in held.items() if self.arena.refcount(bid) == n
-        )
-        need = (new_len + bt - 1) // bt
-        if self.arena.blocks_free + would_free < need:
-            raise ArenaExhaustedError(
-                f"evict: rewrite needs {need} blocks but releasing this "
-                f"table nets {would_free} (shared blocks) with "
-                f"{self.arena.blocks_free} free"
-            )
-        keys, values = self.kv()
-        new_k = np.stack([keys[h, keep_per_head[h]] for h in range(h_kv)])
-        new_v = np.stack([values[h, keep_per_head[h]] for h in range(h_kv)])
-        new_acc = np.stack(
-            [self._acc[h, keep_per_head[h]] for h in range(h_kv)]
-        )
-        new_pos = self._pos[keep_per_head[0]].copy()
-        # Free first, then reallocate: the fancy-indexing above copied the
-        # kept entries out (release() also drops the mirror, whose layout
-        # the rewrite invalidates), and the pre-check guarantees freeing
-        # makes enough room for the rewrite.
-        self.release()
-        arena = self.arena
-        t = 0
-        while t < new_len:
-            bid = arena.alloc()
-            self._blocks.append(bid)
-            m = min(bt, new_len - t)
-            arena._k[:, bid, :m] = new_k[:, t : t + m]
-            arena._v[:, bid, :m] = new_v[:, t : t + m]
-            t += m
-        self._grow_meta(new_len)
-        self._pos[:new_len] = new_pos
-        self._acc[:, :new_len] = new_acc
-        self._len = new_len
-        self.evictions += 1

@@ -11,15 +11,14 @@ recomputing (and re-storing) them:
   i)``, one per *full* block, so a lookup can find the longest registered
   block-aligned prefix of a new request in O(n_blocks) hash probes.
 * The registry **holds its own references** on every registered block
-  (per layer), so shared prefixes survive the donor request finishing,
-  being shed, or evicting its cache -- eviction rewrites into fresh
-  blocks and only ever drops the donor's refs.
+  (per layer), so shared prefixes survive the donor request finishing
+  or being shed.
 * Writers never see the registry: adoption goes through
   :meth:`PagedLayerKVCache.adopt_shared`, which increfs, and any write
   into an adopted block forks it (copy-on-write in the cache layer).
 * Under memory pressure the engine calls :meth:`shrink` to drop the
-  least-recently-used entries, releasing their refs -- the first, lossless
-  rung of the pressure ladder.
+  least-recently-used entries, releasing their refs -- the pressure
+  ladder's one relieving rung, lossless.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ class PrefixSharingRegistry:
         if n_full < 1:
             return 0
         if any(len(c) < n_full * bt for c in caches):
-            return 0  # donor evicted below the prefix already
+            return 0  # a donor table shorter than the prefix
         keys = prefix_block_keys(tokens[: n_full * bt], bt)
         if keys[-1] in self._entries:
             return 0

@@ -1,17 +1,16 @@
 """Per-layer KV cache for the decode phase.
 
 Keys are stored *post-rotary* (rotated at their absolute positions), so
-evicting entries never requires re-rotation.  The cache applies no policy:
-it tracks the accumulated attention mass each key has received (the
-statistic heavy-hitter policies rank by) and :meth:`LayerKVCache.evict`
-takes keep sets, and :meth:`~repro.model.transformer.Transformer.generate`
-applies a :class:`repro.baselines.h2o.H2OPolicy` after each decode step.
-It is also the contiguous oracle the paged cache's eviction is tested
-against.
+evicting entries never requires re-rotation.  The cache applies no policy
+and keeps no statistic: :meth:`LayerKVCache.evict` takes keep sets, and
+:meth:`~repro.model.transformer.Transformer.generate` applies a
+:class:`repro.baselines.h2o.H2OPolicy` after each decode step, ranking
+keys by the attention mass the policy's own state accumulates.
 
-The paper keeps the decode-phase cache uncompressed; eviction support exists
-to demonstrate that SampleAttention (prefill compute) composes with KV-cache
-compression (decode memory), see ``tests/integration/test_orthogonality.py``.
+The paper keeps the decode-phase cache uncompressed, and so does the
+serving engine; eviction support exists to demonstrate that
+SampleAttention (prefill compute) composes with KV-cache compression
+(decode memory), see ``tests/integration/test_orthogonality.py``.
 """
 
 from __future__ import annotations
@@ -20,25 +19,7 @@ import numpy as np
 
 from ..errors import ModelError
 
-__all__ = ["LayerKVCache", "accumulate_attention"]
-
-
-def accumulate_attention(
-    acc: np.ndarray, probs: np.ndarray, length: int
-) -> None:
-    """Add one decode step's attention mass ``probs`` ``(H_q, 1, length)``
-    onto the eviction statistic ``acc[:, :length]``, summing grouped query
-    heads per KV head: what both KV caches' ``record_attention`` does."""
-    if probs.ndim != 3 or probs.shape[2] != length:
-        raise ModelError(
-            f"record_attention: probs shape {probs.shape} vs len {length}"
-        )
-    h_q = probs.shape[0]
-    h_kv = acc.shape[0]
-    if h_q % h_kv != 0:
-        raise ModelError("query heads not a multiple of KV heads")
-    grouped = probs.sum(axis=1).reshape(h_kv, h_q // h_kv, length).sum(axis=1)
-    acc[:, :length] += grouped
+__all__ = ["LayerKVCache"]
 
 
 class LayerKVCache:
@@ -55,8 +36,6 @@ class LayerKVCache:
         self._v = np.zeros((n_kv_heads, capacity, d_head), dtype=np.float32)
         self._pos = np.zeros(capacity, dtype=np.int64)
         self._len = 0
-        # Accumulated attention mass per (kv head, key): eviction statistic.
-        self._acc = np.zeros((n_kv_heads, capacity), dtype=np.float64)
 
     def __len__(self) -> int:
         return self._len
@@ -75,15 +54,6 @@ class LayerKVCache:
         """Absolute positions of live entries (monotone increasing)."""
         return self._pos[: self._len]
 
-    def attention_mass(self) -> np.ndarray:
-        """Accumulated per-key attention mass, ``(H_kv, len)``.
-
-        The eviction statistic fed by :meth:`record_attention` -- the
-        public surface heavy-hitter policies rank by (treat it as
-        read-only; it is a view into the accumulator).
-        """
-        return self._acc[:, : self._len]
-
     def _grow(self, needed: int) -> None:
         cap = self._k.shape[1]
         if needed <= cap:
@@ -97,9 +67,6 @@ class LayerKVCache:
         pos = np.zeros(new_cap, dtype=np.int64)
         pos[:cap] = self._pos
         self._pos = pos
-        acc = np.zeros((self._acc.shape[0], new_cap), dtype=np.float64)
-        acc[:, :cap] = self._acc
-        self._acc = acc
 
     def append(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
         """Append ``(H_kv, n, d_head)`` keys/values at absolute ``positions``."""
@@ -131,8 +98,7 @@ class LayerKVCache:
         Edge-case contract (validated, never clamped):
 
         * ``truncate(0)`` empties the cache completely -- views become
-          zero-length, the accumulated attention statistic is cleared, and
-          a subsequent :meth:`append` may start at any position (the
+          zero-length, and a subsequent :meth:`append` may start at any position (the
           monotonicity check has nothing to compare against).
         * ``truncate(len(cache))`` is a no-op.
         * ``length < 0`` or ``length > len(cache)`` raises
@@ -144,13 +110,7 @@ class LayerKVCache:
             raise ModelError(
                 f"truncate: length {length} outside [0, {self._len}]"
             )
-        self._acc[:, length : self._len] = 0.0
         self._len = length
-
-    def record_attention(self, probs: np.ndarray) -> None:
-        """Accumulate decode-step attention mass ``(H_q, 1, len)`` onto the
-        eviction statistic (:func:`accumulate_attention`)."""
-        accumulate_attention(self._acc, probs, self._len)
 
     def evict(self, keep_per_head: list[np.ndarray]) -> None:
         """Retain only ``keep_per_head`` indices.
@@ -159,7 +119,7 @@ class LayerKVCache:
         index sets of equal size.  All sets must have the same length (the
         cache stays rectangular), which H2O's budgeted selection guarantees.
         """
-        h_kv = self._acc.shape[0]
+        h_kv = self._k.shape[0]
         if len(keep_per_head) != h_kv:
             raise ModelError(
                 f"evict: got {len(keep_per_head)} index sets for {h_kv} heads"
@@ -172,13 +132,10 @@ class LayerKVCache:
             raise ModelError("evict: keep set larger than cache")
         new_k = np.stack([self._k[h, keep_per_head[h]] for h in range(h_kv)])
         new_v = np.stack([self._v[h, keep_per_head[h]] for h in range(h_kv)])
-        new_acc = np.stack([self._acc[h, keep_per_head[h]] for h in range(h_kv)])
         # Positions may now differ per head; keep head 0's as representative
         # (only used for monotonicity checks on append).
         new_pos = self._pos[keep_per_head[0]]
         self._k[:, :new_len] = new_k
         self._v[:, :new_len] = new_v
-        self._acc[:, :new_len] = new_acc
-        self._acc[:, new_len : self._len] = 0.0
         self._pos[:new_len] = new_pos
         self._len = new_len

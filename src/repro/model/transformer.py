@@ -10,7 +10,8 @@ the unembedding into the two phases the paper's pipeline distinguishes:
   function (this is where SampleAttention and the baselines differ);
 * decode -- :meth:`decode_batch`, dense attention over the caches (the
   paper keeps decode uncompressed); :meth:`generate` is greedy decoding
-  on top, optionally applying a KV-eviction policy after each step.
+  on top, optionally applying the H2O KV-eviction baseline after each
+  step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..attention.packed import PackedDecodeItem, packed_decode_attention
 from ..backends import AttentionBackend, FullAttentionBackend
-from ..baselines.h2o import H2OPolicy
+from ..baselines.h2o import H2OPolicy, recording_attend
 from ..errors import ModelError
 # ModelConfig is reached through weights.config; no direct import needed.
 from .kv_cache import LayerKVCache
@@ -283,7 +284,7 @@ class Transformer:
         whose per-item outputs do not depend on batch composition.
 
         The step is atomic per chunk: a dropped chunk's caches (KV,
-        positions, attention mass, arena blocks) are as they were before
+        positions, arena blocks) are as they were before
         the call -- truncated back once the call ends, in chunk order --
         and if the call raises, every chunk's are before the exception
         propagates.
@@ -383,33 +384,20 @@ class Transformer:
 
     # -------------------------------------------------------------- decode
     def decode_step(
-        self,
-        token: int,
-        position: int,
-        caches: list[LayerKVCache],
-        *,
-        record_attention: bool = False,
+        self, token: int, position: int, caches: list[LayerKVCache]
     ) -> np.ndarray:
         """Process one token; returns its ``(vocab,)`` logits.
 
         A :meth:`decode_batch` of one: the per-request path *is* the
         batched path, so request-vs-packed parity holds by construction.
-        ``record_attention=True`` accumulates each layer's attention mass
-        onto its cache's eviction statistic once the step has run every
-        layer, the scores heavy-hitter eviction ranks by
-        (:meth:`generate`'s ``kv_policy``, the serving engine under memory
-        pressure).
         """
-        return self.decode_batch(
-            [(token, position, caches)], record_attention=record_attention
-        )[0]
+        return self.decode_batch([(token, position, caches)])[0]
 
     def decode_batch(
         self,
         entries: list[tuple],
         attend_batch=None,
         *,
-        record_attention: bool = False,
         on_error=None,
         gather=None,
     ) -> list:
@@ -425,7 +413,7 @@ class Transformer:
         ``attend_batch(layer_index, items)`` computes attention for the
         whole batch -- ``items`` maps entry index to
         ``(q, keys, values, scale)`` and the returned dict maps entry
-        index to ``(output, probs_or_None)``.  ``attend_batch`` is
+        index to its attention output ``(H, 1, d)``.  ``attend_batch`` is
         invoked exactly ``n_layers`` times per call, even when every
         entry has been dropped (the serving engine's dispatch-count
         identity rests on this).  An index absent from the returned dict
@@ -440,16 +428,13 @@ class Transformer:
 
         The default ``attend_batch`` executes the whole batch as one
         :func:`~repro.attention.packed.packed_decode_attention` dispatch
-        per layer.  With ``record_attention=True`` each layer's attention
-        mass is recorded onto its cache once the entry has finished the
-        step, after the last layer.
+        per layer.
 
         The step is atomic per entry: a dropped entry's caches (KV,
-        positions, attention mass, arena blocks) are as they were before
-        the call -- truncated back once the call ends, in entry order,
-        and never given mass -- and if the call raises, every entry's are
-        before the exception propagates.  A retry of the step therefore
-        neither double-appends nor double-counts.
+        positions, arena blocks) are as they were before the call --
+        truncated back once the call ends, in entry order -- and if the
+        call raises, every entry's are before the exception propagates.
+        A retry of the step therefore never double-appends.
 
         Returns one entry per input: the token's ``(vocab,)`` logits, or
         ``None`` for dropped entries.  Survivor logits -- and therefore
@@ -467,14 +452,10 @@ class Transformer:
                 raise ModelError("caches must have one entry per layer")
         return _atomic(
             [caches for _, _, caches in entries],
-            lambda: self._decode_layers(
-                entries, attend_batch, record_attention, on_error, gather
-            ),
+            lambda: self._decode_layers(entries, attend_batch, on_error, gather),
         )
 
-    def _decode_layers(
-        self, entries, attend_batch, record_attention, on_error, gather
-    ) -> list:
+    def _decode_layers(self, entries, attend_batch, on_error, gather) -> list:
         """:meth:`decode_batch`'s layer loop; dropped entries come back
         ``None`` with their caches as the loop left them."""
         n = len(entries)
@@ -502,20 +483,11 @@ class Transformer:
                     [
                         PackedDecodeItem(q=q, k=k, v=v, scale=s)
                         for q, k, v, s in items.values()
-                    ],
-                    return_probs=record_attention,
+                    ]
                 )
-                return {
-                    b: (
-                        res.outputs[j],
-                        res.probs[j] if res.probs is not None else None,
-                    )
-                    for j, b in enumerate(order)
-                }
+                return {b: res.outputs[j] for j, b in enumerate(order)}
 
         live = list(range(n))
-        # Per entry, (cache, probs) of every layer it attended at so far.
-        mass: list[list] = [[] for _ in range(n)]
         for i, layer in enumerate(self.layers):
             items: dict[int, tuple] = {}
             if live:
@@ -547,12 +519,8 @@ class Transformer:
             live = [b for b in live if b in outs]
             if not live:
                 continue
-            if record_attention:
-                for b in live:
-                    if outs[b][1] is not None:
-                        mass[b].append((entries[b][2][i], outs[b][1]))
             idx = np.asarray(live, dtype=np.int64)
-            xb[idx] += layer.merge_decode(np.stack([outs[b][0] for b in live]))
+            xb[idx] += layer.merge_decode(np.stack([outs[b] for b in live]))
             lw = layer.weights
             if lw.mlp_w1 is not None:
                 xb[idx] += gated_mlp(
@@ -564,11 +532,6 @@ class Transformer:
             logits = self.logits(xb[np.asarray(live, dtype=np.int64)])
             for j, b in enumerate(live):
                 results[b] = logits[j]
-        # Last, so nothing after it can fail: mass only for the entries
-        # that finished the step.
-        for b in live:
-            for cache, probs in mass[b]:
-                cache.record_attention(probs)
         return results
 
     # ------------------------------------------------------------ generate
@@ -586,7 +549,10 @@ class Transformer:
         The first generated token comes from the last prompt position's
         logits (so prefill latency here *is* TTFT for the substrate).
         ``kv_policy``, if given, evicts each cache down to its budget after
-        every decode step, ranked by the attention mass decode recorded.
+        every decode step, ranked by the attention mass decode received:
+        the statistic lives here, one float64 array per layer, fed by the
+        policy's :func:`~repro.baselines.h2o.recording_attend` and
+        compacted by :meth:`~repro.baselines.h2o.H2OPolicy.evict`.
         """
         prompt = np.asarray(prompt, dtype=np.int64)
         if prompt.size == 0:
@@ -594,7 +560,15 @@ class Transformer:
         if max_new_tokens < 0:
             raise ModelError("max_new_tokens must be >= 0")
 
-        caches = self.new_caches(capacity=int(prompt.size + max_new_tokens + 1))
+        capacity = int(prompt.size + max_new_tokens + 1)
+        caches = self.new_caches(capacity=capacity)
+        attend_batch = None  # the default dispatch
+        if kv_policy is not None:
+            mass = [
+                np.zeros((self.config.n_kv_heads, capacity))
+                for _ in caches
+            ]
+            attend_batch = recording_attend([mass])
         t0 = time.perf_counter()
         hidden, stats = self.prefill(prompt, backend, caches=caches)
         next_token = int(np.argmax(self.logits(hidden[-1:])[0]))
@@ -606,12 +580,11 @@ class Transformer:
             generated.append(next_token)
             if stop_token is not None and next_token == stop_token:
                 break
-            logits = self.decode_step(
-                next_token, position, caches,
-                record_attention=kv_policy is not None,
-            )
+            logits = self.decode_batch(
+                [(next_token, position, caches)], attend_batch
+            )[0]
             if kv_policy is not None:
-                kv_policy.evict(caches)
+                kv_policy.evict(caches, mass)
             next_token = int(np.argmax(logits))
             position += 1
         t2 = time.perf_counter()

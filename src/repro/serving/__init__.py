@@ -16,8 +16,8 @@ planning, and the :data:`DEGRADATION_LEVELS` ladder
 
 The memory layer (``kv_backend="paged"``, see :mod:`repro.memory`) pools
 all KV in one arena with per-request block tables, copy-on-write prefix
-sharing, and a memory-pressure ladder (registry shrink -> live eviction ->
-shed) behind a second :class:`CircuitBreaker` gating admissions.
+sharing, and a memory-pressure ladder (registry shrink -> shed) behind a
+second :class:`CircuitBreaker` gating admissions.
 
 The fleet layer (:mod:`repro.serving.fleet`) supervises N engine workers
 behind one :class:`~repro.serving.router.Router` front door: heartbeat

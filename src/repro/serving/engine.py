@@ -153,10 +153,12 @@ _SPARSE_LEVELS = ("sparse", "widened")
 #: Decode quantum per scheduling turn under round-robin (FCFS decodes a
 #: request's remaining tokens in one turn).
 _DECODE_CHUNK_TOKENS = 8
-#: Memory :class:`CircuitBreaker`: this many consecutive arena-exhaustion
-#: chunks trip it open, and while open (for the cooldown) new admissions
-#: are rejected outright -- backpressure at the door instead of thrashing
-#: the eviction ladder.
+#: Memory :class:`CircuitBreaker`: this many consecutive arena exhaustions
+#: trip it open, and while open (for the cooldown, counted in executed
+#: quanta, prefill chunks and decode quanta alike) new admissions are
+#: rejected outright while jobs are queued -- backpressure at the door
+#: instead of thrashing the pressure ladder.  An arrival into a drained
+#: engine is always admitted.
 _MEMORY_BREAKER_THRESHOLD = 4
 _MEMORY_BREAKER_COOLDOWN_CHUNKS = 8
 #: Retry budget per prefill chunk, for transient
@@ -422,8 +424,8 @@ class ServingEngine:
         One of :data:`KV_BACKENDS`.  ``"paged"`` stores all KV in one
         :class:`~repro.memory.KVArena` (fresh per :meth:`run`), enables
         copy-on-write prefix sharing across requests, and arms the memory
-        pressure ladder (registry shrink -> live heavy-hitter eviction ->
-        shed) plus a memory circuit breaker over admissions.
+        pressure ladder (registry shrink -> shed; no request's KV is ever
+        evicted) plus a memory circuit breaker over admissions.
     arena_blocks:
         Arena capacity in blocks for the paged backend.  ``None``
         auto-sizes to the run's worst-case demand (every request resident
@@ -623,28 +625,12 @@ class ServingEngine:
         return max(need, 1)
 
     def _relieve_memory(self, job: _Job) -> bool:
-        """Walk the pressure ladder for ``job``'s next quantum.
-
-        Eviction candidates are decode-phase jobs only -- prefill caches
-        stay oracle-exact so the near-lossless story survives pressure.
-        Returns ``False`` when the ladder's terminal rung was reached (the
-        caller sheds ``job``)."""
+        """Walk the pressure ladder for ``job``'s next quantum: drop
+        prefix-registry refs, never a request's KV.  Returns ``False``
+        when the ladder's terminal rung was reached (the caller sheds
+        ``job``)."""
         assert self._pressure is not None
-        cand_jobs = [j for j in self._queue.items if not j.chunks_left]
-        before = [
-            sum(int(c.evictions) for c in j.caches) for j in cand_jobs
-        ]
-        ok = self._pressure.relieve(
-            [j.caches for j in cand_jobs], self._chunk_block_need(job)
-        )
-        for j, n0 in zip(cand_jobs, before):
-            n1 = sum(int(c.evictions) for c in j.caches)
-            if n1 > n0:
-                # Evicted KV invalidates any cached plans built over it --
-                # a poisoned entry must not resurrect via extension either.
-                self.plan_cache.drop_request(j.request.request_id)
-                self._registry.inc("kv_evictions", float(n1 - n0))
-                j.telemetry.kv_evictions += n1 - n0
+        ok = self._pressure.relieve(self._chunk_block_need(job))
         self._registry.inc("memory_pressure_relief" if ok else "memory_sheds")
         return ok
 
@@ -902,7 +888,8 @@ class ServingEngine:
 
     def _begin_chunk(self, job: _Job) -> int:
         """Once-per-chunk prologue, however many attempts follow: tick both
-        breakers' cooldown clocks and fire the pre-chunk fault hooks.
+        breakers' cooldown clocks (:meth:`_begin_decode` ticks the memory
+        breaker's for decode quanta) and fire the pre-chunk fault hooks.
         Returns how many leading attempts must fail transiently.  An arena
         burst stays reserved until the caller's ``release_reserved``."""
         self.breaker.tick()
@@ -1052,9 +1039,8 @@ class ServingEngine:
             job.next_token = int(np.argmax(self.model.logits(x[-1:])[0]))
             job.position = int(job.tokens.size)
             if self._sharing is not None:
-                # Publish the full-block prefix before decode-phase
-                # eviction can touch these caches (registry holds refs, so
-                # the shared blocks outlive this donor request).
+                # Publish the full-block prefix (the registry holds refs,
+                # so the shared blocks outlive this donor request).
                 if self._sharing.register(job.tokens, job.caches):
                     registry.inc("prefix_registrations")
         self._update_kv_peak(job)
@@ -1156,8 +1142,13 @@ class ServingEngine:
             if self._arena is not None:
                 self._arena.release_reserved()
 
-    def _decode_quantum(self, job: _Job) -> int:
-        """Decode tokens ``job`` runs in one scheduling turn."""
+    def _begin_decode(self, job: _Job) -> int:
+        """Once-per-decode-quantum prologue: tick the memory breaker's
+        cooldown clock (a run whose last prefill chunk is behind it must
+        still be able to close the breaker) and return the decode tokens
+        ``job`` runs in this scheduling turn."""
+        if self.memory_breaker is not None:
+            self.memory_breaker.tick()
         if self.scheduler.policy == "fcfs":
             return job.decode_left
         return min(job.decode_left, _DECODE_CHUNK_TOKENS)
@@ -1177,10 +1168,6 @@ class ServingEngine:
         return seconds, ok
 
     def _decode_steps(self, job: _Job, steps: int, failed: bool) -> bool:
-        # On the paged backend, decode records attention mass so H2O
-        # eviction has scores to rank by (numerics of the decoded logits
-        # are unchanged by recording).
-        record = self._arena is not None
         cfg = self.model.config
         for _ in range(steps):
             assert job.next_token is not None
@@ -1193,10 +1180,7 @@ class ServingEngine:
                 if not failed:
                     try:
                         logits = self.model.decode_step(
-                            job.next_token,
-                            job.position,
-                            job.caches,
-                            record_attention=record,
+                            job.next_token, job.position, job.caches
                         )
                         break
                     except ArenaExhaustedError:
@@ -1210,12 +1194,10 @@ class ServingEngine:
             job.decode_left -= 1
         return True
 
-    def _dispatch_packed_decode(
-        self, layer: int, items: dict, record: bool
-    ) -> dict:
+    def _dispatch_packed_decode(self, layer: int, items: dict) -> dict:
         """One fused decode attention dispatch for every live batched
         request at one layer.  ``items`` maps batch index to ``(q, keys,
-        values, scale)``; returns batch index -> ``(output, probs)``.
+        values, scale)``; returns batch index -> attention output.
 
         Counts exactly one ``packed_decode_dispatches`` per call --
         including the empty-batch call :meth:`Transformer.decode_batch`
@@ -1231,15 +1213,13 @@ class ServingEngine:
             [
                 PackedDecodeItem(q=q, k=k, v=v, scale=s)
                 for q, k, v, s in items.values()
-            ],
-            return_probs=record,
+            ]
         )
         registry.inc(
             "kernel_packed_decode_requests", float(res.stats["decode_requests"])
         )
         registry.inc("kernel_packed_decode_kv_tokens", float(res.stats["kv_tokens"]))
-        probs = res.probs if res.probs is not None else [None] * len(items)
-        return {b: (res.outputs[j], probs[j]) for j, b in enumerate(items)}
+        return {b: res.outputs[j] for j, b in enumerate(items)}
 
     def _run_decode_batch(
         self, jobs: list[_Job]
@@ -1265,8 +1245,7 @@ class ServingEngine:
         registry = self._registry
         cfg = self.model.config
         n_layers, h_kv = cfg.n_layers, cfg.n_kv_heads
-        record = self._arena is not None
-        quanta = [self._decode_quantum(job) for job in jobs]
+        quanta = [self._begin_decode(job) for job in jobs]
         elements0 = [job.elements for job in jobs]
         #: batch index -> steps of its quantum still owed at abandonment
         #: (including the rolled-back step itself).
@@ -1293,8 +1272,7 @@ class ServingEngine:
 
             results = self.model.decode_batch(
                 entries,
-                lambda i, items: self._dispatch_packed_decode(i, items, record),
-                record_attention=record,
+                self._dispatch_packed_decode,
                 on_error=on_append_error,
                 gather=self._decode_gather,
             )
@@ -1357,7 +1335,6 @@ class ServingEngine:
         queue: AdmissionQueue[_Job] = AdmissionQueue(
             self.max_queue, self.admission_policy
         )
-        self._queue = queue
         if self.kv_backend == "paged":
             cfg = self.model.config
             bt = BLOCK_TOKENS
@@ -1383,7 +1360,7 @@ class ServingEngine:
                 else None
             )
             self._pressure = MemoryPressureController(
-                self._arena, self._sharing, min_keep_tokens=bt
+                self._arena, self._sharing
             )
             self.memory_breaker = CircuitBreaker(
                 _MEMORY_BREAKER_THRESHOLD, _MEMORY_BREAKER_COOLDOWN_CHUNKS
@@ -1412,9 +1389,11 @@ class ServingEngine:
                 tm = registry.new_request(r.request_id, r.arrival, r.prompt_len)
                 if (
                     self.memory_breaker is not None
+                    and queue.items
                     and not self.memory_breaker.allow_sparse()
                 ):
-                    # Memory breaker open: backpressure at the door.
+                    # Memory breaker open while jobs hold the arena:
+                    # backpressure at the door.  A drained engine admits.
                     tm.outcome = "rejected"
                     registry.inc("rejected")
                     registry.inc("memory_breaker_rejections")
@@ -1529,7 +1508,7 @@ class ServingEngine:
             if job.chunks_left:
                 live = settle(job, True, *self._run_chunk(job))
             else:
-                steps = self._decode_quantum(job)
+                steps = self._begin_decode(job)
                 live = settle(job, False, *self._run_decode(job, steps))
             if live:
                 self.scheduler.rotate(queue.items)

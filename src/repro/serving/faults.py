@@ -23,7 +23,7 @@ seed and nothing else, where to hurt a run:
   and shedding);
 * **arena-exhaustion bursts** -- a fraction of the paged KV arena's free
   blocks is reserved for the duration of a chunk (exercising the memory
-  pressure ladder: registry shrink, live eviction, and memory-shed);
+  pressure ladder: registry shrink and memory-shed);
 * **slow chunks** -- a chunk's entire virtual-clock quantum (including
   retries and backoff, unlike a latency spike) is multiplied by an
   injected factor (exercising deadline/retry paths under slowness rather

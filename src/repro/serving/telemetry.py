@@ -97,9 +97,6 @@ class RequestTelemetry:
     kv_bytes_peak:
         Peak resident KV bytes this request's block tables referenced
         (paged backend; shared blocks counted once per referencing table).
-    kv_evictions:
-        Live-eviction passes applied to this request's caches under
-        memory pressure.
     """
 
     request_id: int
@@ -125,7 +122,6 @@ class RequestTelemetry:
     faults_injected: int = 0
     shared_tokens: int = 0
     kv_bytes_peak: int = 0
-    kv_evictions: int = 0
 
     @property
     def ttft(self) -> float | None:
@@ -200,7 +196,6 @@ class RequestTelemetry:
             "faults_injected": self.faults_injected,
             "shared_tokens": self.shared_tokens,
             "kv_bytes_peak": self.kv_bytes_peak,
-            "kv_evictions": self.kv_evictions,
         }
 
 
@@ -299,7 +294,6 @@ class MetricsRegistry:
             # backend, keeping contiguous summaries backward-comparable).
             "prefix_cache_hits": self.counter("prefix_cache_hits"),
             "prefix_tokens_reused": self.counter("prefix_tokens_reused"),
-            "kv_evictions": self.counter("kv_evictions"),
             "arena_exhaustion_events": self.counter("arena_exhaustion_events"),
             "memory_pressure_relief": self.counter("memory_pressure_relief"),
             "memory_breaker_trips": self.counter("memory_breaker_trips"),

@@ -1,10 +1,13 @@
-"""Tests for the H2O heavy-hitter KV-eviction policy."""
+"""Tests for the H2O heavy-hitter KV-eviction policy and the attention
+mass it keeps for itself."""
 
 import numpy as np
 import pytest
 
+from repro.attention.packed import PackedDecodeItem, packed_decode_attention
 from repro.baselines import H2OPolicy
-from repro.errors import ConfigError
+from repro.baselines.h2o import accumulate_attention, recording_attend
+from repro.errors import ConfigError, ModelError
 
 
 class TestH2OPolicy:
@@ -62,3 +65,46 @@ class TestH2OPolicy:
     def test_rejects_bad_scores_rank(self):
         with pytest.raises(ConfigError):
             H2OPolicy(budget=4).select(np.zeros(10))
+
+
+class TestAttentionMass:
+    def test_accumulates_grouped(self):
+        acc = np.zeros((2, 8))
+        probs = np.zeros((4, 1, 3))  # 4 query heads -> 2 KV heads
+        probs[0, 0] = [1.0, 0.0, 0.0]
+        probs[1, 0] = [0.0, 1.0, 0.0]
+        probs[2, 0] = [0.0, 0.0, 1.0]
+        probs[3, 0] = [0.0, 0.0, 1.0]
+        accumulate_attention(acc, probs, 3)
+        np.testing.assert_allclose(acc[0, :3], [1.0, 1.0, 0.0])
+        np.testing.assert_allclose(acc[1, :3], [0.0, 0.0, 2.0])
+        assert not acc[:, 3:].any()
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ModelError):
+            accumulate_attention(np.zeros((1, 8)), np.zeros((1, 1, 4)), 3)
+
+    def test_recording_attend_is_the_default_dispatch_plus_mass(self):
+        rng = np.random.default_rng(3)
+        items = {
+            b: (
+                rng.standard_normal((4, 1, 8)).astype(np.float32),
+                rng.standard_normal((2, n, 8)).astype(np.float32),
+                rng.standard_normal((2, n, 8)).astype(np.float32),
+                0.25,
+            )
+            for b, n in ((0, 5), (2, 9))
+        }
+        mass = {b: [np.zeros((2, 16)) for _ in range(2)] for b in items}
+        outs = recording_attend(mass)(1, items)
+        for b, (q, k, v, s) in items.items():
+            res = packed_decode_attention(
+                [PackedDecodeItem(q=q, k=k, v=v, scale=s)], return_probs=True
+            )
+            np.testing.assert_array_equal(outs[b], res.outputs[0])
+            want = np.zeros((2, 16))
+            accumulate_attention(want, res.probs[0], k.shape[1])
+            np.testing.assert_array_equal(mass[b][1], want)
+            assert not mass[b][0].any()  # only the dispatched layer
+        assert recording_attend(mass)(0, {}) == {}
+

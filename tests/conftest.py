@@ -168,12 +168,10 @@ def arena_caches(model, n_blocks: int, block_tokens: int = 1):
 
 
 def cache_state(caches) -> list:
-    """Everything a step may touch in one request's caches: KV, positions,
-    attention mass and the arena's block count."""
+    """Everything a step may touch in one request's caches: KV, positions
+    and the arena's block count."""
     return [caches[0].arena.blocks_in_use] + [
-        (c.keys.copy(), c.values.copy(), c.positions.copy(),
-         c.attention_mass().copy())
-        for c in caches
+        (c.keys.copy(), c.values.copy(), c.positions.copy()) for c in caches
     ]
 
 

@@ -67,11 +67,38 @@ class TestDrillReport:
         rec = report[0]["pressure_recovery"]
         counters = rec["counters"]
         assert counters["arena_exhaustion_events"] > 0
+        # Lossless relief: every request completes, none is shed, and
+        # every exhaustion was relieved (by the registry rung).
+        assert counters["n_completed"] == counters["n_requests"]
+        assert counters["memory_sheds"] == 0
         assert (
-            counters["memory_pressure_relief"] + counters["memory_sheds"]
-            >= counters["arena_exhaustion_events"] > 0
-        ) or counters["memory_pressure_relief"] > 0
+            counters["memory_pressure_relief"]
+            == counters["arena_exhaustion_events"]
+        )
         assert rec["arena"]["blocks_in_use"] == 0  # leak-free
+
+    @pytest.mark.parametrize(
+        "counter, value, match",
+        [
+            ("n_completed", 8, "completed 8 of 9"),
+            ("memory_sheds", 1, "shed 1"),
+            ("memory_pressure_relief", 7, "relieved 7 of 8"),
+        ],
+    )
+    def test_pressure_recovery_enforced(
+        self, monkeypatch, counter, value, match
+    ):
+        import repro.harness.drills as md
+
+        counters = md._counters
+
+        def doctored(result, keys):
+            return dict(counters(result, keys), **{counter: value})
+
+        monkeypatch.setattr(md, "_counters", doctored)
+        model = md.build_model(md._MODEL)
+        with pytest.raises(ReproError, match=match):
+            md._pressure_recovery_gate(model, 0, True)
 
     def test_capacity_floor_enforced(self, monkeypatch):
         import repro.harness.drills as md

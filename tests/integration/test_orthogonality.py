@@ -8,6 +8,7 @@ import pytest
 from repro import SampleAttentionConfig
 from repro.backends import SampleAttentionBackend
 from repro.baselines import H2OPolicy
+from repro.baselines.h2o import recording_attend
 from repro.tasks import make_needle_case
 from repro.vocab import DEFAULT_VOCAB as V
 
@@ -47,13 +48,17 @@ class TestSampleAttentionPlusH2O:
         caches = glm_mini.new_caches(capacity=512)
         glm_mini.prefill(prompt, caches=caches)
         policy = H2OPolicy(budget=128)
+        # H2O's statistic is its own: one mass array per layer, fed by its
+        # recording attend_batch, as Transformer.generate runs it.
+        mass = [np.zeros((glm_mini.config.n_kv_heads, 512)) for _ in caches]
         for step, tok in enumerate(range(3)):
-            glm_mini.decode_step(
-                int(V.filler_ids[tok]), prompt.size + step, caches,
-                record_attention=True,
+            glm_mini.decode_batch(
+                [(int(V.filler_ids[tok]), prompt.size + step, caches)],
+                recording_attend([mass]),
             )
-            policy.evict(caches)
+            policy.evict(caches, mass)
         assert all(len(c) <= 128 + 1 for c in caches)
+        assert all(m[:, : len(c)].any() for m, c in zip(mass, caches))
 
     def test_multi_step_decode_with_tight_budget(self, glm_mini):
         """A tight budget degrades gracefully (no crash, plausible tokens)."""

@@ -105,13 +105,6 @@ class TestTruncateContract:
         with pytest.raises(ModelError):
             paged.truncate(5)
 
-    def test_truncate_clears_eviction_statistic(self):
-        arena, paged = make_pair()
-        fill(paged, 4)
-        paged.record_attention(np.full((4, 1, 4), 0.25))
-        paged.truncate(2)
-        assert float(paged._acc[:, 2:].sum()) == 0.0
-
 
 class TestSharingAndCoW:
     def _donor_with_shared_block(self, arena):
@@ -185,143 +178,6 @@ class TestSharingAndCoW:
         sibling.release()
         donor.release()
         assert arena.blocks_in_use == 0
-
-
-class TestEvict:
-    def test_rectangular_eviction_matches_contiguous(self):
-        rng = np.random.default_rng(5)
-        arena, paged = make_pair()
-        contig = LayerKVCache(H, D)
-        k = rng.standard_normal((H, 10, D)).astype(np.float32)
-        v = rng.standard_normal((H, 10, D)).astype(np.float32)
-        pos = np.arange(10, dtype=np.int64)
-        paged.append(k, v, pos)
-        contig.append(k, v, pos)
-        keep = [np.array([0, 3, 7, 9]) for _ in range(H)]
-        paged.evict([ix.copy() for ix in keep])
-        contig.evict([ix.copy() for ix in keep])
-        np.testing.assert_array_equal(paged.keys, contig.keys)
-        np.testing.assert_array_equal(paged.values, contig.values)
-        np.testing.assert_array_equal(paged.positions, contig.positions)
-        assert paged.evictions == 1
-
-    def test_eviction_never_mutates_shared_blocks(self):
-        arena = KVArena(16, H, BT, D)
-        donor = PagedLayerKVCache(arena)
-        k, *_ = fill(donor, 2 * BT)
-        sibling = PagedLayerKVCache(arena)
-        sibling.adopt_shared(
-            list(donor.block_ids), donor.positions.copy()
-        )
-        keep = [np.arange(3) for _ in range(H)]
-        sibling.evict(keep)
-        np.testing.assert_array_equal(donor.keys, k)  # donor intact
-        np.testing.assert_array_equal(sibling.keys, k[:, :3])
-        assert sibling.shared_block_count == 0  # rewritten privately
-
-    def test_eviction_frees_blocks(self):
-        arena, paged = make_pair()
-        fill(paged, 4 * BT)
-        paged.evict([np.arange(2) for _ in range(H)])
-        assert arena.blocks_in_use == 1
-
-    def test_evict_atomic_when_shared_blocks_cannot_net_free(self):
-        # All of the victim's blocks are CoW-shared (refcount 2), so
-        # releasing them frees nothing; with the arena dry the rewrite
-        # cannot allocate.  evict() must fail BEFORE destroying the
-        # victim, not after.
-        arena = KVArena(4, H, BT, D)
-        donor = PagedLayerKVCache(arena)
-        k, *_ = fill(donor, 4 * BT)  # arena fully allocated
-        adopter = PagedLayerKVCache(arena)
-        adopter.adopt_shared(list(donor.block_ids), donor.positions.copy())
-        keep = [np.arange(BT) for _ in range(H)]
-        with pytest.raises(ArenaExhaustedError, match="nets"):
-            adopter.evict(keep)
-        # Victim fully intact: same length, same blocks, same data.
-        assert len(adopter) == 4 * BT
-        assert adopter.block_ids == donor.block_ids
-        np.testing.assert_array_equal(adopter.keys, k)
-
-    def test_evict_validation(self):
-        arena, paged = make_pair()
-        fill(paged, 8)
-        with pytest.raises(ModelError, match="index sets"):
-            paged.evict([np.arange(2)])
-        with pytest.raises(ModelError, match="ragged"):
-            paged.evict([np.arange(2), np.arange(3)])
-        with pytest.raises(ModelError, match="larger"):
-            paged.evict([np.arange(9) for _ in range(H)])
-
-
-class TestRecordAttention:
-    def test_accumulates_grouped_heads(self):
-        arena, paged = make_pair()
-        fill(paged, 4)
-        probs = np.full((4, 1, 4), 0.25)  # H_q=4 over H_kv=2
-        paged.record_attention(probs)
-        np.testing.assert_allclose(paged.attention_mass(), 0.5)
-
-    def test_accumulates_like_the_contiguous_cache(self):
-        # One helper feeds both caches' eviction statistic.
-        rng = np.random.default_rng(4)
-        arena, paged = make_pair()
-        contig = LayerKVCache(H, D)
-        for n in (3, 1, 1):
-            t = len(paged)
-            pair = fill(paged, n, start=t, rng=rng)
-            contig.append(*pair)
-            probs = rng.random((4, 1, t + n))
-            paged.record_attention(probs)
-            contig.record_attention(probs)
-        np.testing.assert_array_equal(
-            paged.attention_mass(), contig.attention_mass()
-        )
-
-    def test_rejects_wrong_length(self):
-        arena, paged = make_pair()
-        fill(paged, 4)
-        with pytest.raises(ModelError):
-            paged.record_attention(np.zeros((4, 1, 5)))
-
-    def test_failed_decode_step_does_not_double_count(self, glm_mini):
-        # Exhaust the arena mid-model (a later layer's append) after
-        # earlier layers already attended: the model rolls the step back
-        # and records no mass for it, so a retry leaves the heavy-hitter
-        # statistic identical to an uninterrupted run.
-        cfg = glm_mini.config
-        bt, steps = 4, 6
-
-        def run(n_blocks, squeeze_at=None):
-            arena = KVArena(n_blocks, cfg.n_kv_heads, bt, cfg.d_head)
-            caches = [PagedLayerKVCache(arena) for _ in range(cfg.n_layers)]
-            token = 3
-            for step in range(steps):
-                if step == squeeze_at:
-                    # Leave one free block: layer 0 allocates it at the
-                    # block boundary, a later layer's append then raises.
-                    assert arena.reserve(arena.blocks_free - 1) > 0
-                    before = [c.attention_mass().copy() for c in caches]
-                    with pytest.raises(ArenaExhaustedError):
-                        glm_mini.decode_step(
-                            token, step, caches, record_attention=True
-                        )
-                    assert [len(c) for c in caches] == [step] * len(caches)
-                    for c, mass in zip(caches, before):
-                        np.testing.assert_array_equal(c.attention_mass(), mass)
-                    arena.release_reserved()
-                logits = glm_mini.decode_step(
-                    token, step, caches, record_attention=True
-                )
-                token = int(np.argmax(logits))
-            return token, [c._acc[:, : len(c)].copy() for c in caches]
-
-        # Squeeze exactly at the block boundary (len bt -> bt + 1).
-        clean_token, clean_acc = run(4 * cfg.n_layers)
-        squeezed_token, squeezed_acc = run(4 * cfg.n_layers, squeeze_at=bt)
-        assert squeezed_token == clean_token
-        for a, b in zip(clean_acc, squeezed_acc):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestMirror:
@@ -414,16 +270,11 @@ class TestMirror:
         assert cache.mirror_nbytes == 2 * H * 4 * BT * D * 4
         assert cache.copied_tokens == 2 * BT + 1  # prefix came from the mirror
 
-    def test_release_and_evict_drop_the_mirror(self):
+    def test_release_drops_the_mirror(self):
         arena, _ = make_pair()
-        cache, oracle = self._fragmented(arena)
+        cache, _ = self._fragmented(arena)
         cache.kv()
         assert cache.mirror_nbytes > 0
-        keep = [np.array([0, 2, 5, 6, 7]) for _ in range(H)]
-        cache.evict([ix.copy() for ix in keep])
-        oracle.evict(keep)
-        assert cache.mirror_nbytes == 0  # its layout died with the rewrite
-        np.testing.assert_array_equal(cache.keys, oracle.keys)
-        np.testing.assert_array_equal(cache.values, oracle.values)
         cache.release()
         assert cache.mirror_nbytes == 0 and len(cache.keys[0]) == 0
+        assert cache.n_blocks == 0

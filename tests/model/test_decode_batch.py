@@ -7,14 +7,14 @@ alone, although each of its contractions is one GEMM over the step's rows
 (``repro.model.layers.decode_gemm``).  These tests pin that contract on
 both cache backends (the model is GQA: 4 query heads over 2 KV heads),
 for batches wider than one GEMM row group, through mid-stream H2O
-eviction, and through the exhaustion-rollback-replay path the serving
-engine uses (staged attention mass must not double-count).
+eviction (the baseline's own recording ``attend_batch``), and through the
+exhaustion-rollback-replay path the serving engine uses.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.h2o import H2OPolicy
+from repro.baselines.h2o import H2OPolicy, recording_attend
 from repro.errors import ModelError
 from repro.memory import KVArena, PagedLayerKVCache
 from repro.model import ModelConfig, Transformer
@@ -63,36 +63,54 @@ def greedy(logits):
     return int(np.argmax(logits))
 
 
-def run_sequential(model, prompts, cache_sets, steps, kv_policy=None, **kw):
+def new_mass(model, cache_sets, capacity=256):
+    """H2O's per-request, per-layer attention mass arrays."""
+    return [
+        [np.zeros((model.config.n_kv_heads, capacity)) for _ in caches]
+        for caches in cache_sets
+    ]
+
+
+def run_sequential(model, prompts, cache_sets, steps, kv_policy=None, mass=None):
     """Per-request decode_step baseline; returns per-request logit lists.
-    ``kv_policy`` evicts after every step, as ``Transformer.generate``
-    does."""
+    With ``mass`` each step is a batch of one through H2O's recording
+    ``attend_batch`` (as ``Transformer.generate`` runs it), and
+    ``kv_policy`` evicts after every step."""
     all_logits = []
-    for p, caches in zip(prompts, cache_sets):
+    for b, (p, caches) in enumerate(zip(prompts, cache_sets)):
         tok, pos = int(p[-1]), len(p)
         series = []
         for _ in range(steps):
-            lg = model.decode_step(tok, pos, caches, **kw)
+            if mass is None:
+                lg = model.decode_step(tok, pos, caches)
+            else:
+                lg = model.decode_batch(
+                    [(tok, pos, caches)], recording_attend([mass[b]])
+                )[0]
             if kv_policy is not None:
-                kv_policy.evict(caches)
+                kv_policy.evict(caches, mass[b])
             series.append(lg)
             tok, pos = greedy(lg), pos + 1
         all_logits.append(series)
     return all_logits
 
 
-def run_batched(model, prompts, cache_sets, steps, kv_policy=None, **kw):
+def run_batched(
+    model, prompts, cache_sets, steps, kv_policy=None, mass=None, **kw
+):
     toks = [int(p[-1]) for p in prompts]
     poss = [len(p) for p in prompts]
     all_logits = [[] for _ in prompts]
+    if mass is not None:
+        kw["attend_batch"] = recording_attend(mass)
     for _ in range(steps):
         entries = [
             (toks[b], poss[b], cache_sets[b]) for b in range(len(prompts))
         ]
         results = model.decode_batch(entries, **kw)
         if kv_policy is not None:
-            for caches in cache_sets:
-                kv_policy.evict(caches)
+            for caches, m in zip(cache_sets, mass):
+                kv_policy.evict(caches, m)
         for b, lg in enumerate(results):
             assert lg is not None
             all_logits[b].append(lg)
@@ -122,14 +140,18 @@ class TestBitwiseParity:
     def test_paged_backend_with_recording(self, model):
         seq = paged_caches(model, PROMPTS)
         bat = paged_caches(model, PROMPTS)
-        a = run_sequential(model, PROMPTS, seq, 4, record_attention=True)
-        b = run_batched(model, PROMPTS, bat, 4, record_attention=True)
+        seq_mass, bat_mass = new_mass(model, seq), new_mass(model, bat)
+        a = run_sequential(model, PROMPTS, seq, 4, mass=seq_mass)
+        b = run_batched(model, PROMPTS, bat, 4, mass=bat_mass)
         assert_bitwise(a, b, seq, bat)
-        for a_set, b_set in zip(seq, bat):
-            for ca, cb in zip(a_set, b_set):
-                np.testing.assert_array_equal(
-                    ca.attention_mass(), cb.attention_mass()
-                )
+        # Recording changes no logit...
+        plain = paged_caches(model, PROMPTS)
+        assert_bitwise(a, run_batched(model, PROMPTS, plain, 4), seq, plain)
+        # ...and the mass is batch-invariant too.
+        for a_set, b_set in zip(seq_mass, bat_mass):
+            for ma, mb in zip(a_set, b_set):
+                assert ma.any()
+                np.testing.assert_array_equal(ma, mb)
 
     def test_single_entry_matches_decode_step(self, model):
         seq = contiguous_caches(model, PROMPTS[:1])
@@ -152,20 +174,14 @@ class TestBitwiseParity:
         policy = H2OPolicy(budget=10)
         seq = contiguous_caches(model, PROMPTS)
         bat = contiguous_caches(model, PROMPTS)
-        kw = dict(kv_policy=policy, record_attention=True)
-        a = run_sequential(model, PROMPTS, seq, 6, **kw)
-        b = run_batched(model, PROMPTS, bat, 6, **kw)
+        seq_mass, bat_mass = new_mass(model, seq), new_mass(model, bat)
+        a = run_sequential(model, PROMPTS, seq, 6, policy, seq_mass)
+        b = run_batched(model, PROMPTS, bat, 6, policy, bat_mass)
         assert_bitwise(a, b, seq, bat)
         assert all(len(c) <= policy.budget + 1 for s in bat for c in s)
-
-    def test_eviction_parity_on_paged_backend(self, model):
-        policy = H2OPolicy(budget=8)
-        seq = paged_caches(model, PROMPTS[:2])
-        bat = paged_caches(model, PROMPTS[:2])
-        kw = dict(kv_policy=policy, record_attention=True)
-        a = run_sequential(model, PROMPTS[:2], seq, 5, **kw)
-        b = run_batched(model, PROMPTS[:2], bat, 5, **kw)
-        assert_bitwise(a, b, seq, bat)
+        for a_set, b_set in zip(seq_mass, bat_mass):
+            for ma, mb in zip(a_set, b_set):
+                np.testing.assert_array_equal(ma, mb)
 
 
 class TestWiderThanOneGroup:
@@ -242,8 +258,7 @@ class TestRollbackReplay:
     """The serving engine's recovery protocol: a failed append drops the
     entry, the model truncates its caches back to their lengths before
     the step, and the caller replays the step per-request.  The replayed
-    request must end up bitwise identical to one that never batched --
-    including the H2O attention-mass statistic (no double-counting)."""
+    request must end up bitwise identical to one that never batched."""
 
     def _fail_append_once(self, cache, at_call=1):
         orig, state = cache.append, {"calls": 0}
@@ -274,15 +289,14 @@ class TestRollbackReplay:
         np.testing.assert_array_equal(results[0], ref[0][0])
         np.testing.assert_array_equal(results[2], ref[2][0])
 
-    def test_replay_after_rollback_no_double_counted_mass(self, model):
+    def test_replay_after_rollback_matches_a_never_batched_run(self, model):
         """Fail entry 0's append at layer 1 (layer 0 already attended),
-        replay sequentially: attention mass must match a never-batched
+        replay sequentially: logits and caches must match a never-batched
         run bitwise."""
         bat = paged_caches(model, PROMPTS[:2])
         # Layer-1 cache append #1 (first batched step) raises.
         self._fail_append_once(bat[0][1], at_call=1)
         marks = [len(c) for c in bat[0]]
-        mass = [c.attention_mass().copy() for c in bat[0]]
         dropped = []
         entries = [
             (int(p[-1]), len(p), bat[b])
@@ -290,27 +304,18 @@ class TestRollbackReplay:
         ]
         results = model.decode_batch(
             entries,
-            record_attention=True,
             on_error=lambda b, layer, exc: dropped.append((b, layer)),
         )
         assert dropped == [(0, 1)] and results[0] is None
-        # The model already rolled the dropped entry back: its lengths and
-        # mass are the pre-step ones (layer 0's mass was never recorded).
+        # The model already rolled the dropped entry back.
         assert [len(c) for c in bat[0]] == marks
-        for cache, before in zip(bat[0], mass):
-            np.testing.assert_array_equal(cache.attention_mass(), before)
         replayed = model.decode_step(
-            int(PROMPTS[0][-1]), len(PROMPTS[0]), bat[0],
-            record_attention=True,
+            int(PROMPTS[0][-1]), len(PROMPTS[0]), bat[0]
         )
         ref_sets = paged_caches(model, PROMPTS[:2])
-        ref = run_sequential(
-            model, PROMPTS[:2], ref_sets, 1, record_attention=True
-        )
+        ref = run_sequential(model, PROMPTS[:2], ref_sets, 1)
         np.testing.assert_array_equal(replayed, ref[0][0])
         np.testing.assert_array_equal(results[1], ref[1][0])
         for got, want in zip(bat[0], ref_sets[0]):
-            np.testing.assert_array_equal(
-                got.attention_mass(), want.attention_mass()
-            )
             np.testing.assert_array_equal(got.keys, want.keys)
+            np.testing.assert_array_equal(got.values, want.values)

@@ -88,40 +88,12 @@ class TestTruncate:
         with pytest.raises(ModelError):
             cache.truncate(4)
 
-    def test_truncate_clears_eviction_statistic(self):
-        cache = LayerKVCache(1, 4)
-        fill(cache, 3, h=1)
-        cache.record_attention(np.ones((1, 1, 3)))
-        cache.truncate(1)
-        np.testing.assert_allclose(cache._acc[0, 1:3], 0.0)
-        np.testing.assert_allclose(cache._acc[0, 0], 1.0)
-
     def test_truncate_on_empty_cache(self):
         cache = LayerKVCache(1, 2)
         cache.truncate(0)
         assert len(cache) == 0
         with pytest.raises(ModelError):
             cache.truncate(1)
-
-
-class TestAttentionRecording:
-    def test_accumulates_grouped(self):
-        cache = LayerKVCache(2, 4)
-        fill(cache, 3)
-        probs = np.zeros((4, 1, 3))  # 4 query heads -> 2 KV heads
-        probs[0, 0] = [1.0, 0.0, 0.0]
-        probs[1, 0] = [0.0, 1.0, 0.0]
-        probs[2, 0] = [0.0, 0.0, 1.0]
-        probs[3, 0] = [0.0, 0.0, 1.0]
-        cache.record_attention(probs)
-        np.testing.assert_allclose(cache._acc[0, :3], [1.0, 1.0, 0.0])
-        np.testing.assert_allclose(cache._acc[1, :3], [0.0, 0.0, 2.0])
-
-    def test_rejects_wrong_length(self):
-        cache = LayerKVCache(1, 4)
-        fill(cache, 3, h=1)
-        with pytest.raises(ModelError):
-            cache.record_attention(np.zeros((1, 1, 4)))
 
 
 class TestEviction:

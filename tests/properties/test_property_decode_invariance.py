@@ -16,9 +16,9 @@ and reads come from both the arena view and the mirror.
 
 A whole model step is atomic per entry: an entry dropped at any layer --
 its attend omitted, or its append running a small arena dry -- leaves its
-caches (KV, positions, attention mass) and its arena as they were before
-the call, so does every entry of a call that raises, and the survivors'
-logits and recorded mass are bitwise those of stepping alone.
+caches (KV, positions) and its arena as they were before the call, so
+does every entry of a call that raises, and the survivors' logits are
+bitwise those of stepping alone.
 """
 
 import functools
@@ -162,9 +162,9 @@ class TestAtomicModelStep:
     )
     @settings(max_examples=25, deadline=None)
     def test_dropped_entries_leave_no_trace(self, prompts, data):
-        """Each request prefills its prompt and takes one recorded decode
-        step (so its caches hold mass), then steps once more in a batch
-        from which ``dropped`` removes some entries at a drawn layer."""
+        """Each request prefills its prompt and takes one decode step,
+        then steps once more in a batch from which ``dropped`` removes
+        some entries at a drawn layer."""
         model = _tiny_model()
         n_layers = model.config.n_layers
         dropped = data.draw(drops(len(prompts), n_layers))
@@ -178,7 +178,7 @@ class TestAtomicModelStep:
             rng = np.random.default_rng(b)
             tokens = rng.integers(0, model.config.vocab_size, n)
             model.prefill(tokens, caches=caches)
-            model.decode_step(7, n, caches, record_attention=True)
+            model.decode_step(7, n, caches)
             return caches
 
         def attend_batch(i, items):
@@ -188,15 +188,14 @@ class TestAtomicModelStep:
             }
             res = packed_decode_attention(
                 [PackedDecodeItem(q=q, k=k, v=v, scale=s)
-                 for q, k, v, s in keep.values()],
-                return_probs=True,
+                 for q, k, v, s in keep.values()]
             )
-            return {b: (res.outputs[j], res.probs[j]) for j, b in enumerate(keep)}
+            return {b: res.outputs[j] for j, b in enumerate(keep)}
 
         alone = []
         for b, n in enumerate(prompts):
             caches = warm(b, n_layers)
-            logits = model.decode_step(3, n + 1, caches, record_attention=True)
+            logits = model.decode_step(3, n + 1, caches)
             alone.append((logits, cache_state(caches)))
 
         batch = []
@@ -208,11 +207,11 @@ class TestAtomicModelStep:
         failed = []
         if raising:
             with pytest.raises(ArenaExhaustedError):
-                model.decode_batch(entries, attend_batch, record_attention=True)
+                model.decode_batch(entries, attend_batch)
             results = [None] * len(prompts)
         else:
             results = model.decode_batch(
-                entries, attend_batch, record_attention=True,
+                entries, attend_batch,
                 on_error=lambda b, i, exc: failed.append((b, i, exc)),
             )
             assert {(b, i) for b, i, _ in failed} == {

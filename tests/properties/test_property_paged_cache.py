@@ -2,7 +2,7 @@
 
 Two sibling :class:`PagedLayerKVCache` objects share one small arena and
 are driven through generated interleavings of append / truncate /
-adopt-then-fork / evict / release, each mirrored onto a contiguous
+adopt-then-fork / release, each mirrored onto a contiguous
 :class:`LayerKVCache` oracle.  Reads are a *rule*, not an invariant, so
 the machine also explores mutation sequences with no read in between --
 the watermark must survive ``append -> truncate -> append`` unread.  Every
@@ -24,7 +24,7 @@ from repro.memory import KVArena, PagedLayerKVCache
 from repro.model.kv_cache import LayerKVCache
 
 H, D, BT = 2, 4, 4
-N_BLOCKS = 20  # tight enough that appends, forks and evictions exhaust it
+N_BLOCKS = 20  # tight enough that appends and forks exhaust it
 MAX_LEN = 48
 
 which = st.integers(0, 1)
@@ -116,25 +116,6 @@ class PagedMirrorMachine(RuleBasedStateMachine):
             forks = self.arena.forks
             if self._append(i, n_tail, seed):
                 assert self.arena.forks == forks + 1
-
-    @precondition(lambda self: any(len(o) > 1 for o in self.oracle))
-    @rule(i=which, frac=st.floats(0.0, 1.0), seed=seeds)
-    def evict(self, i, frac, seed):
-        n = len(self.oracle[i])
-        if n < 2:
-            return
-        rng = np.random.default_rng(seed)
-        keep_n = max(1, int(frac * n))
-        keep = [
-            np.sort(rng.choice(n, size=keep_n, replace=False)).astype(np.int64)
-            for _ in range(H)
-        ]
-        try:
-            self.paged[i].evict(keep)
-        except ArenaExhaustedError:  # atomic: the victim is intact
-            self._read(i)
-            return
-        self.oracle[i].evict(keep)
 
     @rule(i=which)
     def release(self, i):

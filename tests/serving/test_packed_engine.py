@@ -321,7 +321,7 @@ class TestPackedFaultParity:
     #: What each workload must exercise for the parity to mean something.
     FIRED = {
         "chaos": ("fault_plan_poison", "chunk_retries"),
-        "dry_arena": ("arena_exhaustion_events", "kv_evictions"),
+        "dry_arena": ("arena_exhaustion_events", "memory_sheds"),
     }
 
     @pytest.mark.parametrize("workload", list(FIRED))

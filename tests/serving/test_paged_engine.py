@@ -168,29 +168,89 @@ class TestPressureRelief:
 
         assert run() == run()
 
-    def test_h2o_eviction_relieves_a_sample_method_run(self, glm_mini):
-        """The one KV-dropping path, through the engine: 4 x 128-token
-        sparse-prefilled prompts decoding 96 tokens each outgrow 14 blocks
-        per layer in decode, and with no registry to shrink only H2O
-        eviction of decode-phase caches relieves the arena -- every
-        request completes and no block leaks."""
-        result = make_engine(
+    @pytest.mark.parametrize("batching", ["request", "packed"])
+    def test_dry_arena_completes_losslessly_or_sheds(self, glm_mini, batching):
+        """No rung drops KV: 4 x 128-token sparse-prefilled prompts
+        decoding 96 tokens each outgrow 14 blocks per layer in decode, and
+        with no registry to shrink, every request either completes with
+        bitwise the tokens it gets on an auto-sized arena or is shed --
+        and no block leaks."""
+
+        def run(arena_blocks):
+            return make_engine(
+                glm_mini,
+                method="sample",
+                length_scale=1,
+                chunk_size=256,
+                scheduler="round_robin",
+                batching=batching,
+                kv_backend="paged",
+                arena_blocks=arena_blocks,
+                prefix_sharing=False,
+            ).run([Request(i, 0.0, 128, 96) for i in range(4)])
+
+        roomy = run(None)
+        dry = run(glm_mini.config.n_layers * 14)
+        assert len(roomy.completed) == 4
+        counter = dry.telemetry.counter
+        assert counter("memory_sheds") > 0  # the arena did run dry
+        assert 0 < len(dry.completed) < 4
+        for want, got in zip(roomy.requests, dry.requests, strict=True):
+            assert got.outcome in ("completed", "shed")
+            if got.outcome == "completed":
+                assert got.generated == want.generated
+        assert dry.memory["pressure"]["registry_blocks_dropped"] == 0
+        assert counter("arena_leaked_blocks") == 0
+
+
+class TestMemoryBreaker:
+    """The memory breaker pushes back on arrivals while pressured jobs
+    hold the arena, and never on an arrival into a drained engine."""
+
+    @staticmethod
+    def _run(glm_mini, monkeypatch, batching, late):
+        from repro.serving import engine as engine_module
+
+        # Trip on every exhaustion, whatever relieves it.
+        monkeypatch.setattr(engine_module, "_MEMORY_BREAKER_THRESHOLD", 1)
+        engine = make_engine(
             glm_mini,
             method="sample",
             length_scale=1,
             chunk_size=256,
             scheduler="round_robin",
+            batching=batching,
             kv_backend="paged",
             arena_blocks=glm_mini.config.n_layers * 14,
             prefix_sharing=False,
-        ).run([Request(i, 0.0, 128, 96) for i in range(4)])
+        )
+        early = [Request(i, 0.0, 128, 96) for i in range(4)]
+        return engine.run(early + late)
+
+    @pytest.mark.parametrize("batching", ["request", "packed"])
+    def test_drained_engine_admits_past_a_tripped_breaker(
+        self, glm_mini, monkeypatch, batching
+    ):
+        late = [Request(10 + i, 50.0 + i, 128, 4) for i in range(3)]
+        result = self._run(glm_mini, monkeypatch, batching, late)
         counter = result.telemetry.counter
-        assert len(result.completed) == 4
-        assert counter("kv_evictions") == 32
-        assert counter("memory_sheds") == 0
-        pressure = result.memory["pressure"]
-        assert pressure["caches_evicted"] == 32
-        assert pressure["registry_blocks_dropped"] == 0
+        assert counter("memory_breaker_trips") > 0
+        assert counter("memory_breaker_rejections") == 0
+        by_id = {tm.request_id: tm for tm in result.requests}
+        assert [by_id[r.request_id].outcome for r in late] == ["completed"] * 3
+        assert counter("arena_leaked_blocks") == 0
+
+    @pytest.mark.parametrize("batching", ["request", "packed"])
+    def test_open_breaker_rejects_while_pressured_jobs_queue(
+        self, glm_mini, monkeypatch, batching
+    ):
+        # Arrives just after the first decode-time shed tripped the
+        # breaker, while the surviving early requests still decode.
+        late = [Request(10, 0.0003, 128, 4)]
+        result = self._run(glm_mini, monkeypatch, batching, late)
+        counter = result.telemetry.counter
+        assert counter("memory_breaker_rejections") == 1
+        assert result.requests[-1].outcome == "rejected"
         assert counter("arena_leaked_blocks") == 0
 
 

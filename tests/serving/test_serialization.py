@@ -77,7 +77,6 @@ def telemetry_records(draw):
         faults_injected=draw(counts),
         shared_tokens=draw(counts),
         kv_bytes_peak=draw(counts),
-        kv_evictions=draw(counts),
     )
     return tm
 

@@ -26,6 +26,8 @@ from repro.core import (
     plan_sample_attention,
     sample_attention,
 )
+from repro.memory import MemoryPressureController
+from repro.model import Transformer
 from repro.serving import FleetEngine, PlanCache, ServingEngine
 
 SETTABLE = {
@@ -67,6 +69,12 @@ SETTABLE = {
     packed_block_sparse_attention: ("items",),
     flash_attention: ("q", "k", "v", "scale"),
     fast_block_sparse_attention: ("q", "k", "v", "mask", "scale"),
+    # Decode keeps no attention mass and memory pressure drops no KV: no
+    # recording flag, no keep floor, no eviction candidates.
+    Transformer.decode_step: ("token", "position", "caches"),
+    Transformer.decode_batch: ("entries", "attend_batch", "on_error", "gather"),
+    MemoryPressureController: ("arena", "registry"),
+    MemoryPressureController.relieve: ("need_blocks",),
 }
 
 
